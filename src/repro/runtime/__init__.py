@@ -1,7 +1,8 @@
 """The Flumina-style DGS runtime (paper §3.4) plus checkpointing, a
 sequential reference oracle, and the runtime-backend registry.
 
-Three execution substrates run the same synchronization-plan protocol:
+Three execution substrates run the same synchronization-plan protocol
+(one :class:`~repro.runtime.protocol.WorkerCore` per worker):
 
 * ``sim`` — the simulated cluster (:class:`FluminaRuntime`), used for
   the paper's figures: models network cost, latency, utilization;
@@ -11,8 +12,10 @@ Three execution substrates run the same synchronization-plan protocol:
   (:class:`ProcessRuntime`): multi-core parallel speedup.
 
 Benchmarks, examples, and tests select them uniformly through
-:func:`get_backend` / :func:`run_on_backend`, which normalize each
-substrate's native result into a :class:`BackendRun`.  Execution
+:func:`get_backend` / :func:`run_on_backend`.  Every substrate reports
+an attempt as the same :class:`AttemptOutcome`, and the one restart
+loop (:class:`RestartDriver`) composes attempts into a
+:class:`ReconfiguredRun`; a :class:`BackendRun` wraps either.  Execution
 options — checkpointing, fault injection, and elastic reconfiguration
 (``reconfig_schedule=``, see :mod:`repro.runtime.reconfigure`) —
 travel as one :class:`RunOptions` through all three substrates.
@@ -21,7 +24,7 @@ travel as one :class:`RunOptions` through all three substrates.
 from __future__ import annotations
 
 import copy
-import time
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -29,7 +32,7 @@ from ..core.errors import NoCheckpointError, RecoveryUnsoundError, RuntimeFault
 from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
 from .options import RunOptions, ServeOptions
-from .protocol import INIT_STATE, RunStatsMixin
+from .protocol import INIT_STATE, AttemptOutcome, RunStatsMixin
 from .checkpoint import (
     ByTimestampInterval,
     Checkpoint,
@@ -48,14 +51,7 @@ from .faults import (
     WorkerCrash,
 )
 from .quiesce import QuiesceRecord, QuiesceSignal, RootReconfigView
-from .recovery import (
-    AttemptOutcome,
-    RecoveredRun,
-    RecoveryStep,
-    assert_recovery_sound,
-    run_with_recovery,
-    suffix_streams,
-)
+from .recovery import RecoveryStep, assert_recovery_sound, suffix_streams
 from .reconfigure import (
     AutoScaler,
     PhaseRecord,
@@ -63,6 +59,7 @@ from .reconfigure import (
     ReconfigSchedule,
     ReconfigStep,
     ReconfiguredRun,
+    RestartDriver,
     run_with_reconfig,
 )
 from .mailbox import Buffered, Mailbox
@@ -88,7 +85,7 @@ from .cluster import (
     local_nodes,
     resolve_placement,
 )
-from .process import ProcessResult, ProcessRuntime
+from .process import ProcessRuntime
 from .transport import (
     BatchPolicy,
     PipeTransport,
@@ -100,10 +97,10 @@ from .runtime import (
     FluminaRuntime,
     InputStream,
     RunResult,
+    default_state_size,
     run_sequential_reference,
 )
-from .threaded import ThreadedResult, ThreadedRuntime
-from .worker import RunCollector, WorkerActor, default_state_size
+from .threaded import ThreadedRuntime
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +114,10 @@ class BackendRun(RunStatsMixin):
     ``outputs`` is the flat list of output values (no timing tuples);
     ``wall_s`` is real wall-clock time for the threaded and process
     backends but *host* wall-clock of the simulation for ``sim`` — only
-    compare wall times within the same backend family.  ``raw`` keeps
-    the substrate's native result for backend-specific metrics.
+    compare wall times within the same backend family.  ``raw`` is the
+    record the fields were read from: the single
+    :class:`AttemptOutcome` of a plain run, else the
+    :class:`ReconfiguredRun`.
     """
 
     backend: str
@@ -128,11 +127,11 @@ class BackendRun(RunStatsMixin):
     joins: int = 0
     wall_s: float = 0.0
     raw: Any = None
-    #: The RecoveredRun / ReconfiguredRun when the execution ran with
-    #: fault_plan= (attempt count, crash records, recovery steps);
-    #: None for plain runs.
+    #: The ReconfiguredRun when the execution ran with fault_plan= or
+    #: reconfig_schedule= (attempt count, crash records, recovery
+    #: steps); None for plain runs.
     recovery: Any = None
-    #: The ReconfiguredRun when the execution ran with
+    #: The same ReconfiguredRun when the execution ran with
     #: reconfig_schedule= (migrations, phases, plan history).
     reconfig: Any = None
     #: The RunMetrics when the execution ran with ``metrics=True``.
@@ -151,19 +150,20 @@ class BackendRun(RunStatsMixin):
 class RuntimeBackend:
     """A named execution substrate for synchronization plans.
 
-    Every backend takes the same :class:`RunOptions` (or the loose
-    keywords it collects — ``fault_plan=``, ``checkpoint_predicate=``,
-    ``reconfig_schedule=``, ``timeout_s=``, ``transport=``,
-    ``batch_size=``, ``flush_ms=``):
+    Every backend takes the same :class:`RunOptions`:
 
     * ``checkpoint_predicate=`` arms Appendix-D.2 snapshots at root
       joins;
     * ``fault_plan=`` injects crashes/drops and drives the
-      restore-and-replay recovery loop
-      (:mod:`repro.runtime.recovery`);
+      restore-and-replay loop (:mod:`repro.runtime.recovery`);
     * ``reconfig_schedule=`` arms elastic re-planning at consistent
       snapshots (:mod:`repro.runtime.reconfigure`) — composable with
       the other two: crashes recover into the then-current plan shape.
+
+    A substrate supplies one hook, :meth:`_make_runtime` (the sim,
+    whose runtime takes its configuration at construction, overrides
+    :meth:`_execute` instead); plain runs, the public :meth:`attempt`
+    and the restart driver all go through :meth:`_execute`.
     """
 
     name: str = "?"
@@ -188,11 +188,23 @@ class RuntimeBackend:
                 "onto a shared base)"
             )
         opts = options if options is not None else RunOptions()
-        if opts.reconfig_schedule is not None:
-            return self._run_elastic(program, plan, streams, opts)
-        if opts.fault_plan is not None:
-            return self._run_recovering(program, plan, streams, opts)
-        return self._run_plain(program, plan, streams, opts)
+        driven = opts.fault_plan is not None or opts.reconfig_schedule is not None
+        if driven:
+            rec = self._run_driven(program, plan, streams, opts)
+        else:
+            rec = self._execute(program, plan, streams, opts, INIT_STATE, None)
+        return BackendRun(
+            backend=self.name,
+            outputs=rec.outputs,
+            events_in=rec.events_in,
+            events_processed=rec.events_processed,
+            joins=rec.joins,
+            wall_s=rec.wall_s,
+            raw=rec,
+            recovery=rec if driven else None,
+            reconfig=rec if opts.reconfig_schedule is not None else None,
+            metrics=rec.metrics,
+        )
 
     def attempt(
         self,
@@ -206,90 +218,56 @@ class RuntimeBackend:
     ) -> AttemptOutcome:
         """One bounded execution attempt on this substrate.
 
-        This is the public form of the building block the recovery and
-        reconfiguration drivers compose: run the given streams from
-        ``initial_state`` (default: the program's ``init()``), honoring
-        the fault plan / checkpoint predicate in ``options`` and an
-        optional per-attempt :class:`RootReconfigView`, and return the
-        raw :class:`AttemptOutcome` — checkpoints, keyed outputs,
+        This is the building block :class:`RestartDriver` composes: run
+        the given streams from ``initial_state`` (default: the
+        program's ``init()``), honoring the fault plan / checkpoint
+        predicate in ``options`` and an optional per-attempt
+        :class:`RootReconfigView`, and return the raw
+        :class:`AttemptOutcome` — checkpoints, keyed outputs,
         crash/quiesce records — without driving any restart loop.
-        Callers that sequence attempts themselves (the service tier in
-        :mod:`repro.serve` drives one attempt per ingest epoch) own the
-        exactly-once bookkeeping; everyone else wants :meth:`run`.
+        Callers that sequence attempts themselves own the exactly-once
+        bookkeeping; everyone else wants :meth:`run`.
 
         Output keys are always recorded (the whole point of an attempt
         is committing by order-key prefix), and stateful checkpoint
-        predicates are deep-copied per attempt, matching the drivers'
-        semantics.
+        predicates (EveryNthJoin's counter, ...) are deep-copied so
+        they restart per attempt on every substrate — the process
+        backend forks a pristine copy anyway.
         """
-        opts = options if options is not None else RunOptions()
-        return self._attempt(
-            program, plan, streams, initial_state,
-            self._attempt_options(opts), reconfig_view,
-        )
+        opts = copy.copy(options) if options is not None else RunOptions()
+        opts.checkpoint_predicate = copy.deepcopy(opts.checkpoint_predicate)
+        opts.record_keys = True
+        return self._execute(program, plan, streams, opts, initial_state, reconfig_view)
 
-    def _attempt_options(self, opts: RunOptions) -> RunOptions:
-        # Stateful predicates (EveryNthJoin's counter, ...) restart per
-        # attempt on every substrate: the process backend forks a
-        # pristine copy anyway, so give threaded/sim the same semantics
-        # by deep-copying here.  Attempts always record output keys —
-        # the drivers commit by order-key prefix.
-        fresh = copy.copy(opts)
-        fresh.checkpoint_predicate = copy.deepcopy(opts.checkpoint_predicate)
-        fresh.record_keys = True
-        return fresh
-
-    def _run_recovering(self, program, plan, streams, opts: RunOptions) -> BackendRun:
-        def attempt(attempt_streams, initial_state):
-            return self._attempt(
-                program, plan, attempt_streams, initial_state,
-                self._attempt_options(opts), None,
-            )
-
-        rec = run_with_recovery(attempt, program, plan, streams, opts.fault_plan)
-        return BackendRun(
-            backend=self.name,
-            outputs=rec.outputs,
-            events_in=rec.events_in,
-            events_processed=rec.events_processed,
-            joins=rec.joins,
-            wall_s=rec.wall_s,
-            raw=rec,
-            recovery=rec,
-            metrics=rec.metrics,
-        )
-
-    def _run_elastic(self, program, plan, streams, opts: RunOptions) -> BackendRun:
-        def attempt(phase_plan, attempt_streams, initial_state, reconfig_view):
-            return self._attempt(
-                program, phase_plan, attempt_streams, initial_state,
-                self._attempt_options(opts), reconfig_view,
-            )
-
-        rec = run_with_reconfig(
-            attempt, program, plan, streams, opts.reconfig_schedule,
+    def _run_driven(self, program, plan, streams, opts: RunOptions) -> ReconfiguredRun:
+        return run_with_reconfig(
+            functools.partial(self.attempt, program, options=opts),
+            program,
+            plan,
+            streams,
+            opts.reconfig_schedule,
             fault_plan=opts.fault_plan,
         )
-        return BackendRun(
-            backend=self.name,
-            outputs=rec.outputs,
-            events_in=rec.events_in,
-            events_processed=rec.events_processed,
-            joins=rec.joins,
-            wall_s=rec.wall_s,
-            raw=rec,
-            recovery=rec,
-            reconfig=rec,
-            metrics=rec.metrics,
+
+    def _execute(
+        self, program, plan, streams, opts: RunOptions, initial_state, reconfig_view
+    ) -> AttemptOutcome:
+        """Build the runtime for ``plan`` and run one attempt of
+        ``streams`` under ``opts`` (the threaded, process and cluster
+        runtimes share one ``run()`` contract)."""
+        return self._make_runtime(program, plan, opts).run(
+            streams,
+            timeout_s=opts.with_timeout_default(self.default_timeout_s),
+            initial_state=initial_state,
+            checkpoint_predicate=opts.checkpoint_predicate,
+            faults=opts.fault_plan,
+            record_keys=opts.record_keys,
+            reconfig=reconfig_view,
+            metrics=opts.metrics_config(),
+            pace=opts.pace,
         )
 
-    # -- substrate hooks -------------------------------------------------
-    def _run_plain(self, program, plan, streams, opts: RunOptions) -> BackendRun:
-        raise NotImplementedError
-
-    def _attempt(
-        self, program, plan, streams, initial_state, opts: RunOptions, reconfig_view
-    ) -> AttemptOutcome:
+    def _make_runtime(self, program, plan, opts: RunOptions):
         raise NotImplementedError
 
 
@@ -298,103 +276,28 @@ class SimBackend(RuntimeBackend):
 
     name = "sim"
 
-    def _run_plain(self, program, plan, streams, opts):
-        # Wall timeouts have no simulated analogue: opts.timeout_s is
-        # simply not consulted here.
-        t0 = time.perf_counter()
-        res = FluminaRuntime(
-            program, plan,
-            checkpoint_predicate=opts.checkpoint_predicate,
-            record_keys=opts.record_keys,
-            metrics=opts.metrics_config(),
-            **opts.extra,
-        ).run(streams)
-        return BackendRun(
-            backend=self.name,
-            outputs=res.output_values(),
-            events_in=res.events_in,
-            events_processed=res.events_processed,
-            joins=res.joins,
-            wall_s=time.perf_counter() - t0,
-            raw=res,
-            metrics=res.metrics,
-        )
-
-    def _attempt(self, program, plan, streams, initial_state, opts, reconfig_view):
-        t0 = time.perf_counter()
-        res = FluminaRuntime(
+    def _execute(self, program, plan, streams, opts, initial_state, reconfig_view):
+        # Wall timeouts and pacing have no simulated analogue:
+        # opts.timeout_s / opts.pace are simply not consulted here.
+        return FluminaRuntime(
             program,
             plan,
             checkpoint_predicate=opts.checkpoint_predicate,
             faults=opts.fault_plan,
-            record_keys=True,
+            record_keys=opts.record_keys,
             reconfig=reconfig_view,
             metrics=opts.metrics_config(),
             **opts.extra,
-        ).run(streams, initial_state=initial_state)
-        return AttemptOutcome(
-            outputs=res.output_values(),
-            keyed_outputs=res.keyed_outputs,
-            checkpoints=res.checkpoints,
-            crashes=res.crashes,
-            events_in=res.events_in,
-            events_processed=res.events_processed,
-            joins=res.joins,
-            wall_s=time.perf_counter() - t0,
-            quiesce=res.quiesce,
-            metrics=res.metrics,
-        )
+        ).run(streams, initial_state=initial_state).attempt
 
 
 class ThreadedBackend(RuntimeBackend):
     """One OS thread per plan worker (GIL-bound)."""
 
     name = "threaded"
-    default_timeout_s = 60.0
 
-    def _run_plain(self, program, plan, streams, opts):
-        res = ThreadedRuntime(program, plan, **opts.extra).run(
-            streams,
-            timeout_s=opts.with_timeout_default(self.default_timeout_s),
-            checkpoint_predicate=opts.checkpoint_predicate,
-            record_keys=opts.record_keys,
-            metrics=opts.metrics_config(),
-            pace=opts.pace,
-        )
-        return BackendRun(
-            backend=self.name,
-            outputs=res.outputs,
-            events_in=res.events_in,
-            events_processed=res.events_processed,
-            joins=res.joins,
-            wall_s=res.wall_s,
-            raw=res,
-            metrics=res.metrics,
-        )
-
-    def _attempt(self, program, plan, streams, initial_state, opts, reconfig_view):
-        res = ThreadedRuntime(program, plan, **opts.extra).run(
-            streams,
-            timeout_s=opts.with_timeout_default(self.default_timeout_s),
-            initial_state=initial_state,
-            checkpoint_predicate=opts.checkpoint_predicate,
-            faults=opts.fault_plan,
-            record_keys=True,
-            reconfig=reconfig_view,
-            metrics=opts.metrics_config(),
-        )
-        return AttemptOutcome(
-            outputs=res.outputs,
-            keyed_outputs=res.keyed_outputs,
-            checkpoints=res.checkpoints,
-            crashes=res.crashes,
-            events_in=res.events_in,
-            events_processed=res.events_processed,
-            joins=res.joins,
-            wall_s=res.wall_s,
-            quiesce=res.quiesce,
-            metrics=res.metrics,
-        )
+    def _make_runtime(self, program, plan, opts: RunOptions):
+        return ThreadedRuntime(program, plan, **opts.extra)
 
 
 class ProcessBackend(RuntimeBackend):
@@ -405,8 +308,7 @@ class ProcessBackend(RuntimeBackend):
     name = "process"
     default_timeout_s = 120.0
 
-    @staticmethod
-    def _make_runtime(program, plan, opts: RunOptions):
+    def _make_runtime(self, program, plan, opts: RunOptions):
         if opts.nodes is None:
             if opts.placement is not None:
                 raise RuntimeFault(
@@ -440,53 +342,7 @@ class ProcessBackend(RuntimeBackend):
             metrics_port=opts.metrics_port,
         )
 
-    def _run_plain(self, program, plan, streams, opts):
-        rt = self._make_runtime(program, plan, opts)
-        res = rt.run(
-            streams,
-            timeout_s=opts.with_timeout_default(self.default_timeout_s),
-            checkpoint_predicate=opts.checkpoint_predicate,
-            record_keys=opts.record_keys,
-            metrics=opts.metrics_config(),
-            pace=opts.pace,
-        )
-        return BackendRun(
-            backend=self.name,
-            outputs=res.outputs,
-            events_in=res.events_in,
-            events_processed=res.events_processed,
-            joins=res.joins,
-            wall_s=res.wall_s,
-            raw=res,
-            metrics=res.metrics,
-        )
-
-    def _attempt(self, program, plan, streams, initial_state, opts, reconfig_view):
-        rt = self._make_runtime(program, plan, opts)
-        res = rt.run(
-            streams,
-            timeout_s=opts.with_timeout_default(self.default_timeout_s),
-            initial_state=initial_state,
-            checkpoint_predicate=opts.checkpoint_predicate,
-            faults=opts.fault_plan,
-            record_keys=True,
-            reconfig=reconfig_view,
-            metrics=opts.metrics_config(),
-        )
-        return AttemptOutcome(
-            outputs=res.outputs,
-            keyed_outputs=res.keyed_outputs,
-            checkpoints=res.checkpoints,
-            crashes=res.crashes,
-            events_in=res.events_in,
-            events_processed=res.events_processed,
-            joins=res.joins,
-            wall_s=res.wall_s,
-            quiesce=res.quiesce,
-            metrics=res.metrics,
-        )
-
-    def _shared_exporter(self, opts: RunOptions):
+    def _run_driven(self, program, plan, streams, opts):
         # Cluster attempts each construct a fresh ClusterLauncher, so a
         # per-run exporter would bind, serve one attempt, and vanish —
         # exactly when a scrape wants to watch a recovery.  Own one
@@ -495,28 +351,12 @@ class ProcessBackend(RuntimeBackend):
         # reuses it, opening a new attempt="N" label group per attempt,
         # and leaves stopping it to us.
         if opts.nodes is None or not opts.metrics or opts.metrics_port is None:
-            return None
-        return MetricsExporter(port=int(opts.metrics_port)).start()
-
-    def _run_recovering(self, program, plan, streams, opts):
-        exporter = self._shared_exporter(opts)
-        if exporter is None:
-            return super()._run_recovering(program, plan, streams, opts)
+            return super()._run_driven(program, plan, streams, opts)
+        exporter = MetricsExporter(port=int(opts.metrics_port)).start()
         opts = copy.copy(opts)
         opts.metrics_port = exporter
         try:
-            return super()._run_recovering(program, plan, streams, opts)
-        finally:
-            exporter.stop()
-
-    def _run_elastic(self, program, plan, streams, opts):
-        exporter = self._shared_exporter(opts)
-        if exporter is None:
-            return super()._run_elastic(program, plan, streams, opts)
-        opts = copy.copy(opts)
-        opts.metrics_port = exporter
-        try:
-            return super()._run_elastic(program, plan, streams, opts)
+            return super()._run_driven(program, plan, streams, opts)
         finally:
             exporter.stop()
 
@@ -592,7 +432,6 @@ __all__ = [
     "PhaseRecord",
     "PipeTransport",
     "ProcessBackend",
-    "ProcessResult",
     "ProcessRuntime",
     "QueueTransport",
     "QuiesceRecord",
@@ -601,11 +440,10 @@ __all__ = [
     "ReconfigSchedule",
     "ReconfigStep",
     "ReconfiguredRun",
-    "RecoveredRun",
+    "RestartDriver",
     "RecoveryStep",
     "RecoveryUnsoundError",
     "RootReconfigView",
-    "RunCollector",
     "RunMetrics",
     "RunOptions",
     "RunResult",
@@ -615,9 +453,7 @@ __all__ = [
     "SocketTransport",
     "TRANSPORTS",
     "ThreadedBackend",
-    "ThreadedResult",
     "ThreadedRuntime",
-    "WorkerActor",
     "WorkerCrash",
     "WorkerMetrics",
     "assert_recovery_sound",
@@ -633,6 +469,5 @@ __all__ = [
     "run_on_backend",
     "run_sequential_reference",
     "run_with_reconfig",
-    "run_with_recovery",
     "suffix_streams",
 ]

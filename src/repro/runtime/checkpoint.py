@@ -109,8 +109,8 @@ def recover(
 
     This is the sequential model of crash recovery; the distributed
     form — restart the plan's workers from the snapshot and replay the
-    input suffix through the full protocol — lives in
-    :func:`repro.runtime.recovery.run_with_recovery`.
+    input suffix through the full protocol — is
+    :class:`repro.runtime.reconfigure.RestartDriver`.
     """
     st = program.state_type(program.initial_type)
     state = checkpoint_state

@@ -81,15 +81,8 @@ from ..plans.validity import assert_p_valid
 from .checkpoint import CheckpointPredicate
 from .faults import FaultPlan
 from .metrics import MetricsConfig, MetricsExporter
-from .process import ProcessResult, ProcessRuntime, _drive_worker
-from .protocol import (
-    INIT_STATE,
-    end_timestamp,
-    initial_leaf_states,
-    paced_producer_schedule,
-    paced_schedule_anchor,
-    producer_messages,
-)
+from .process import ProcessRuntime, _drive_worker
+from .protocol import INIT_STATE, AttemptOutcome, initial_leaf_states, pump_producers
 from .quiesce import RootReconfigView
 from .runtime import InputStream
 from .transport import (
@@ -425,11 +418,11 @@ class ClusterLauncher:
     framed TCP connection.
 
     Mirrors :class:`~repro.runtime.process.ProcessRuntime`'s contract —
-    same ``run()`` signature, same :class:`ProcessResult` (with
+    same ``run()`` signature, same
+    :class:`~repro.runtime.protocol.AttemptOutcome` (with
     ``transport="tcp"`` and ``nodes`` set), same fail-stop fault and
-    quiesce semantics — so the backend registry, the recovery driver,
-    and the reconfiguration driver treat a cluster deployment as just
-    another process substrate.
+    quiesce semantics — so the backend registry and the restart driver
+    treat a cluster deployment as just another process substrate.
 
     ``nodes`` is a sequence of :class:`NodeSpec` or an int (that many
     loopback nodes).  ``placement`` pins workers to node names;
@@ -495,7 +488,7 @@ class ClusterLauncher:
         reconfig: Optional[RootReconfigView] = None,
         metrics: Optional[MetricsConfig] = None,
         pace: Optional[float] = None,
-    ) -> ProcessResult:
+    ) -> AttemptOutcome:
         """Execute one attempt (see :meth:`ProcessRuntime.run` for the
         fault-injection / reconfiguration parameter contract)."""
         workers = self.plan.workers()
@@ -551,7 +544,8 @@ class ClusterLauncher:
         for p in procs:
             p.start()
 
-        result = ProcessResult(
+        result = AttemptOutcome(
+            events_in=sum(len(s.events) for s in streams),
             n_workers=len(workers),
             transport=self.transport_name,
             batch=self.policy.describe(),
@@ -668,32 +662,13 @@ class ClusterLauncher:
                 {wid: s.fileno() for wid, s in coord_socks.items()}, pump_guard
             )
             batcher = BatchingSender(sender.send_batch, control, self.policy)
-            end_ts = end_timestamp(streams)
-            if pace is not None:
-                # Open-loop pump: replay the merged schedule against
-                # the wall clock at `pace` timestamp-units per second.
-                sched = paced_producer_schedule(
-                    streams, lambda s: self.plan.owner_of(s.itag).id, end_ts
-                )
-                start = time.monotonic()
-                # Anchor at the first event timestamp: workloads whose
-                # timestamps start at T >> 0 would otherwise stall
-                # T/pace seconds (heartbeating dead time) before the
-                # first event.
-                ts0 = paced_schedule_anchor(sched)
-                for ts, owner, msg in sched:
-                    delay = start + (ts - ts0) / pace - time.monotonic()
-                    if delay > 0:
-                        batcher.flush()
-                        time.sleep(delay)
-                    batcher.post(owner, msg)
-                result.events_in += sum(len(s.events) for s in streams)
-            else:
-                for stream in streams:
-                    owner = self.plan.owner_of(stream.itag).id
-                    for msg in producer_messages(stream, end_ts):
-                        batcher.post(owner, msg)
-                    result.events_in += len(stream.events)
+            pump_producers(
+                self.plan,
+                streams,
+                batcher.post,
+                pace=pace,
+                before_sleep=batcher.flush,
+            )
             batcher.flush()
             ProcessRuntime._await_idle(control, procs, timeout_s)
             result.wall_s = time.perf_counter() - t0

@@ -4,8 +4,7 @@ A :class:`FaultPlan` is a *seeded, declarative schedule* of faults that
 every execution substrate — the simulated cluster, the threaded
 runtime, and the process runtime — honors identically, because the
 triggers live inside the substrate-independent worker state machine
-(:class:`~repro.runtime.protocol.WorkerCore` and the simulated
-:class:`~repro.runtime.worker.WorkerActor`):
+(:class:`~repro.runtime.protocol.WorkerCore`):
 
 * :class:`CrashFault` — fail-stop of one worker, keyed by that
   worker's processed-event count or by event timestamp.  The crash
@@ -21,7 +20,7 @@ triggers live inside the substrate-independent worker state machine
   execution could terminate, faults or not.
 
 Crash faults fire **once** across a whole recovered execution: the
-recovery driver marks them fired, so replaying the input suffix after
+restart driver marks them fired, so replaying the input suffix after
 restoring a checkpoint does not re-kill the restarted worker.  Drop
 faults are re-armed per attempt (dropping the same heartbeat again is
 harmless by monotonicity).

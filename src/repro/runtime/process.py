@@ -46,7 +46,7 @@ import multiprocessing as mp
 import queue as queue_mod
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
 from ..core.errors import RuntimeFault
@@ -59,14 +59,11 @@ from .metrics import MetricsConfig, MetricsSnapshot, RunMetrics, WorkerMetrics
 from .quiesce import QuiesceRecord, QuiesceSignal, RootReconfigView
 from .protocol import (
     INIT_STATE,
+    AttemptOutcome,
     OutputSink,
-    RunStatsMixin,
     WorkerCore,
-    end_timestamp,
     initial_leaf_states,
-    paced_producer_schedule,
-    paced_schedule_anchor,
-    producer_messages,
+    pump_producers,
 )
 from .runtime import InputStream
 from .transport import (
@@ -80,32 +77,6 @@ from .transport import (
     resolve_policy,
 )
 from .wire import batch_message_count, coalesce_event_runs
-
-@dataclass
-class ProcessResult(RunStatsMixin):
-    """Outputs and counters aggregated from all worker processes."""
-
-    outputs: List[Any] = field(default_factory=list)
-    joins: int = 0
-    events_processed: int = 0
-    events_in: int = 0
-    wall_s: float = 0.0
-    n_workers: int = 0
-    transport: str = DEFAULT_TRANSPORT
-    batch: str = ""
-    #: Node-agent count when the run was placed across a cluster
-    #: (see :mod:`repro.runtime.cluster`); 0 for the one-process-per-
-    #: worker single-host runtime.
-    nodes: int = 0
-    #: (order_key, value) log, populated only when record_keys is set.
-    keyed_outputs: List[Any] = field(default_factory=list)
-    checkpoints: List[Checkpoint] = field(default_factory=list)
-    crashes: List[CrashRecord] = field(default_factory=list)
-    #: Set when the root quiesced for elastic reconfiguration.
-    quiesce: Optional[QuiesceRecord] = None
-    #: Merged per-worker metrics when the metrics plane was enabled.
-    metrics: Optional[RunMetrics] = None
-
 
 @dataclass
 class _WorkerReport:
@@ -207,7 +178,7 @@ def _drive_worker(
             # Planned stop at a consistent snapshot: the triggering
             # event is fully processed, only its fork-down was
             # withheld.  Ship consequences, announce, go silent —
-            # the reconfiguration driver restarts on a new plan.
+            # the restart driver continues on a new plan.
             # The announcement is a lightweight sentinel: the full
             # record (carrying the snapshot state) travels once, in
             # the end-of-run report.
@@ -349,7 +320,7 @@ class ProcessRuntime:
         reconfig: Optional[RootReconfigView] = None,
         metrics: Optional[MetricsConfig] = None,
         pace: Optional[float] = None,
-    ) -> ProcessResult:
+    ) -> AttemptOutcome:
         """Execute one attempt (see :meth:`ThreadedRuntime.run` for the
         fault-injection / reconfiguration parameter contract: a crashed
         or quiesced attempt returns with ``crashes`` non-empty /
@@ -396,7 +367,8 @@ class ProcessRuntime:
         # EOF/EPIPE on the survivors' pipes.
         transport.parent_setup()
 
-        result = ProcessResult(
+        result = AttemptOutcome(
+            events_in=sum(len(s.events) for s in streams),
             n_workers=len(workers),
             transport=transport.name,
             batch=self.policy.describe(),
@@ -412,38 +384,18 @@ class ProcessRuntime:
             batcher = transport.sender(
                 COORDINATOR, control, self.policy, on_block=pump_guard
             )
-            end_ts = end_timestamp(streams)
-            if pace is not None:
-                # Open-loop pump: replay the merged schedule against
-                # the wall clock at `pace` timestamp-units per second.
-                sched = paced_producer_schedule(
-                    streams, lambda s: self.plan.owner_of(s.itag).id, end_ts
-                )
-                start = time.monotonic()
-                # Anchor at the first event timestamp: workloads whose
-                # timestamps start at T >> 0 would otherwise stall
-                # T/pace seconds (heartbeating dead time) before the
-                # first event.
-                ts0 = paced_schedule_anchor(sched)
-                for ts, owner, msg in sched:
-                    delay = start + (ts - ts0) / pace - time.monotonic()
-                    if delay > 0:
-                        batcher.flush()
-                        time.sleep(delay)
-                    batcher.post(owner, msg)
-                result.events_in += sum(len(s.events) for s in streams)
-            else:
-                for stream in streams:
-                    owner = self.plan.owner_of(stream.itag).id
-                    # Closed-loop pump: coalesce same-route stretches
-                    # into columnar runs so the whole data plane moves
-                    # packed arrays (the paced pump stays per-event —
-                    # it releases messages against the wall clock).
-                    for msg in coalesce_event_runs(
-                        producer_messages(stream, end_ts)
-                    ):
-                        batcher.post(owner, msg)
-                    result.events_in += len(stream.events)
+            # The closed-loop pump coalesces same-route stretches into
+            # columnar runs so the whole data plane moves packed arrays;
+            # the paced pump stays per-event (it releases messages
+            # against the wall clock).
+            pump_producers(
+                self.plan,
+                streams,
+                batcher.post,
+                pace=pace,
+                before_sleep=batcher.flush,
+                pack=coalesce_event_runs,
+            )
             batcher.flush()
             aborted = self._await_idle(control, procs, timeout_s)
             result.wall_s = time.perf_counter() - t0
@@ -510,7 +462,7 @@ class ProcessRuntime:
     @staticmethod
     def _collect(
         control: ControlPlane,
-        result: ProcessResult,
+        result: AttemptOutcome,
         timeout_s: float,
         metrics_cfg: Optional[MetricsConfig] = None,
     ) -> None:

@@ -6,15 +6,12 @@ whether workers are simulated actors, OS threads, or OS processes.
 This module holds the protocol once so every concrete runtime is just
 transport plumbing around :class:`WorkerCore`:
 
+* :mod:`repro.runtime.runtime` — one simulated actor per worker; the
+  adapter adds only the virtual clock and the network/CPU cost model;
 * :mod:`repro.runtime.threaded` — one ``threading.Thread`` per worker,
   in-memory FIFO queues;
 * :mod:`repro.runtime.process` — one OS process per worker, batched
   ``multiprocessing`` queues (escaping the GIL for real parallelism).
-
-(The simulated runtime's :class:`~repro.runtime.worker.WorkerActor`
-predates this module and additionally models network cost, state sizes
-and checkpoints; it intentionally keeps its own copy of the state
-machine so simulation instrumentation does not leak in here.)
 
 A ``WorkerCore`` is driven by ``handle(msg)`` calls and talks to the
 outside world through two injected callables:
@@ -25,11 +22,16 @@ outside world through two injected callables:
 Both must be safe to call from the substrate's execution context (the
 threaded runtime passes a locking sink; each process-runtime worker
 owns a private one).
+
+Every substrate reports one execution attempt as the same
+:class:`AttemptOutcome`.
 """
 
 from __future__ import annotations
 
+import time
 from collections import Counter
+from dataclasses import dataclass, field
 from time import monotonic as _mono
 from time import perf_counter as _perf
 from time import time as _wall
@@ -40,7 +42,7 @@ from ..core.events import Event, Heartbeat, ImplTag
 from ..core.program import DGSProgram
 from ..plans.plan import PlanNode, SyncPlan
 from .checkpoint import Checkpoint, CheckpointPredicate
-from .faults import WorkerFaultView
+from .faults import CrashRecord, WorkerFaultView
 from .mailbox import Buffered, Mailbox
 from .messages import (
     EventMsg,
@@ -76,6 +78,43 @@ class RunStatsMixin:
         return self.events_in / self.wall_s if self.wall_s > 0 else 0.0
 
 
+@dataclass
+class AttemptOutcome(RunStatsMixin):
+    """One execution attempt, the same record on every substrate.
+
+    A crashed or quiesced attempt *returns* (``crashes`` non-empty /
+    ``quiesce`` set, the output log truncated at whatever had been
+    processed) rather than raising — deciding whether to recover or
+    migrate is the driver's job (:mod:`repro.runtime.reconfigure`),
+    not the substrate's."""
+
+    outputs: List[Any] = field(default_factory=list)
+    #: (order_key, value) log, populated only when record_keys is set.
+    keyed_outputs: List[Tuple[tuple, Any]] = field(default_factory=list)
+    checkpoints: List[Checkpoint] = field(default_factory=list)
+    crashes: List[CrashRecord] = field(default_factory=list)
+    events_in: int = 0
+    events_processed: int = 0
+    joins: int = 0
+    wall_s: float = 0.0
+    #: QuiesceRecord when the root stopped at a reconfiguration point.
+    quiesce: Any = None
+    #: The attempt's RunMetrics when the metrics plane was on (crashed
+    #: and quiesced attempts report too — fault-path latency/backlog is
+    #: exactly what the plane exists to see).  Each attempt carries its
+    #: own latency epoch (stamped at that attempt's producer release),
+    #: so a replayed event's recorded latency is its true recovery
+    #: delay: restart to re-commit.
+    metrics: Any = None
+    #: Process-substrate deployment facts ("" / 0 elsewhere): the data
+    #: plane, the batch policy, the worker count, and the node-agent
+    #: count of a cluster deployment (0 = one process per worker).
+    transport: str = ""
+    batch: str = ""
+    n_workers: int = 0
+    nodes: int = 0
+
+
 class OutputSink:
     """Collects one execution's outputs and protocol counters.
 
@@ -85,7 +124,7 @@ class OutputSink:
 
     With ``record_keys=True`` every output is additionally logged as a
     ``(order_key, value)`` pair and root-join checkpoints are kept.
-    The fault-recovery driver needs both: after a crash it commits
+    The restart driver needs both: after a crash it commits
     exactly the outputs at or below the restored checkpoint's key and
     replays the rest (exactly-once output delivery, with the in-memory
     log standing in for a durable one).
@@ -131,12 +170,18 @@ class OutputSink:
 class WorkerCore:
     """One plan worker's protocol state machine, substrate-free.
 
-    Mirrors the simulated :class:`WorkerActor` protocol: events and
-    join requests pass through the selective-reordering mailbox; a
-    synchronizing event at an internal node triggers a join request to
-    both children, the joined state is updated and forked back down;
-    leaves answer join requests by surrendering their state and block
-    until the fork returns it.
+    Events and join requests pass through the selective-reordering
+    mailbox; a synchronizing event at an internal node triggers a join
+    request to both children, the joined state is updated and forked
+    back down; leaves answer join requests by surrendering their state
+    and block ("absorbed") until the fork returns it; an internal node
+    answering its parent joins its own children first and re-forks on
+    restore.  Heartbeats are relayed down the tree, but only for tags
+    with nothing released-but-undispatched (a pending synchronizing
+    event could still produce a join request with a smaller key than
+    the relayed frontier).  The substrate installs a leaf's share of
+    the initial state (``state`` + ``has_state``) before the first
+    message.
     """
 
     def __init__(
@@ -199,7 +244,7 @@ class WorkerCore:
         self.parent_id = parent.id if parent else None
 
         self.state: Any = None
-        self.has_state = self.is_leaf
+        self.has_state = False
         self._checkpoints_taken = 0
         self.pending: List[Buffered] = []
         self.blocked = False
@@ -237,6 +282,15 @@ class WorkerCore:
         for b in self.pending:
             n += len(b.item) if type(b.item) is EventRun else 1
         return n
+
+    def _violation(self, what: str, msg: Any) -> RuntimeFault:
+        absorbed = not self.has_state if self.is_leaf else self._absorb_restore is not None
+        join = self._current[0] if self._current is not None else None
+        return RuntimeFault(
+            f"worker {self.node.id}: {what} (blocked={self.blocked}, "
+            f"absorbed={absorbed}, outstanding join={join}); "
+            f"offending message: {msg!r}"
+        )
 
     # -- protocol --------------------------------------------------------
     def _enqueue(self, released: List[Buffered]) -> None:
@@ -277,17 +331,24 @@ class WorkerCore:
             # May raise WorkerCrash (fail-stop at the event boundary:
             # nothing of this event has been applied yet).
             self.faults.note_event(event.ts)
+        if self.is_leaf:
+            if not self.has_state:
+                raise self._violation("event while absorbed", event)
+            self.state = self._apply(self.state, event)
+        else:
+            self._start_join(("event", event))
+
+    def _apply(self, state: Any, event: Event) -> Any:
+        """Run one event's ``update`` — the only place an event is
+        counted, at a leaf and after a join alike."""
         self.sink.count_event()
+        state, outs = self.update(state, event)
+        self.sink.emit(outs, key=event.order_key)
         m = self.metrics
         if m is not None:
             m.events_processed += 1
-        if self.is_leaf:
-            self.state, outs = self.update(self.state, event)
-            self.sink.emit(outs, key=event.order_key)
-            if m is not None:
-                m.observe_event_latency(_wall(), event.ts)
-        else:
-            self._start_join(("event", event))
+            m.observe_event_latency(_wall(), event.ts)
+        return state
 
     def _process_run(self, run: EventRun) -> None:
         """Vectorized leaf fast path: apply a whole released run in one
@@ -296,6 +357,8 @@ class WorkerCore:
         state type the operator sees the packed columns directly,
         otherwise we fold ``update`` over the run without going back
         through the mailbox machinery."""
+        if not self.has_state:
+            raise self._violation("event while absorbed", run)
         sink = self.sink
         n = len(run)
         sink.count_events(n)
@@ -334,6 +397,8 @@ class WorkerCore:
 
     def _process_join_request(self, req: JoinRequest) -> None:
         if self.is_leaf:
+            if not self.has_state:
+                raise self._violation("double absorb", req)
             m = self.metrics
             piggy = m.maybe_wire_snapshot(_mono()) if m is not None else None
             self.post(
@@ -365,7 +430,8 @@ class WorkerCore:
             self.flush_hint()
 
     def _on_join_response(self, msg: JoinResponse) -> None:
-        assert self._current is not None and self._current[0] == msg.req_id
+        if self._current is None or self._current[0] != msg.req_id:
+            raise self._violation("unexpected join response", msg)
         req_id, ctx, states = self._current
         states[msg.side] = msg
         if len(states) < 2:
@@ -382,11 +448,7 @@ class WorkerCore:
             m.note_subtree(states["right"].metrics)
         if ctx[0] == "event":
             event: Event = ctx[1]
-            self.sink.count_event()
-            joined, outs = self.update(joined, event)
-            self.sink.emit(outs, key=event.order_key)
-            if m is not None:
-                m.observe_event_latency(_wall(), event.ts)
+            joined = self._apply(joined, event)
             if (
                 self.parent_id is None
                 and self.checkpoint_predicate is not None
@@ -445,12 +507,16 @@ class WorkerCore:
 
     def _on_fork_state(self, msg: ForkStateMsg) -> None:
         if self.is_leaf:
+            if self.has_state:
+                raise self._violation("fork state without absorption", msg)
             self.state = msg.state
             self.has_state = True
         else:
             sub = self._absorb_restore
+            if sub is None:
+                raise self._violation("fork state without absorption", msg)
             self._absorb_restore = None
-            self._fork_down(sub, msg.state)  # type: ignore[arg-type]
+            self._fork_down(sub, msg.state)
         self.blocked = False
 
     def _fork_down(self, req_id: Tuple[str, int], state: Any) -> None:
@@ -521,24 +587,40 @@ def end_timestamp(streams: Sequence[Any]) -> float:
     return last_ts + 1.0
 
 
-def producer_messages(stream: Any, end_ts: float) -> List[Any]:
+def start_timestamp(streams: Sequence[Any]) -> float:
+    """Timestamp of the attempt's earliest event (0.0 without events):
+    where its heartbeat grids and its open-loop pacing begin.  Streams
+    are timestamp-ordered, so each one's first event is its earliest."""
+    return min((s.events[0].ts for s in streams if s.events), default=0.0)
+
+
+def message_ts(msg: Any) -> float:
+    """The timestamp a producer message (event or heartbeat) is due."""
+    return msg.event.ts if isinstance(msg, EventMsg) else msg.key[0]
+
+
+def producer_messages(stream: Any, end_ts: float, start_ts: float = 0.0) -> List[Any]:
     """One input stream's wire traffic, in order-key order.
 
     Interleaves the stream's events with periodic heartbeats plus the
     closing heartbeat at ``end_ts`` that lets every mailbox drain; this
-    is the producer behaviour shared by the threaded and process
-    runtimes (the simulated runtime injects the same schedule through
-    the simulator's clock instead).
+    is the producer behaviour of every substrate (the simulated one
+    injects it at each message's timestamp).  The heartbeat grid —
+    multiples of the stream's interval — starts at the last grid point
+    at or before ``start_ts`` (:func:`start_timestamp`): an attempt
+    whose events begin at T (a service epoch, a recovery suffix) owes
+    nobody the T/interval heartbeats of the dead time before it.
     """
     items: List[Tuple[tuple, Any]] = [
         (e.order_key, EventMsg(e)) for e in stream.events
     ]
     hb_times: List[float] = []
-    if stream.heartbeat_interval:
-        t = stream.heartbeat_interval
+    interval = stream.heartbeat_interval
+    if interval:
+        t = max(interval, start_ts // interval * interval)
         while t < end_ts:
             hb_times.append(t)
-            t += stream.heartbeat_interval
+            t += interval
     hb_times.append(end_ts)
     event_ts = {e.ts for e in stream.events}
     for t in hb_times:
@@ -550,37 +632,49 @@ def producer_messages(stream: Any, end_ts: float) -> List[Any]:
     return [msg for _, msg in items]
 
 
-def paced_producer_schedule(
+def pump_producers(
+    plan: SyncPlan,
     streams: Sequence[Any],
-    owner_of: Callable[[Any], str],
-    end_ts: float,
-) -> List[Tuple[float, str, Any]]:
-    """Merge every stream's producer traffic into one open-loop
-    schedule of ``(ts, owner_id, msg)`` triples.
+    post: PostFn,
+    *,
+    pace: Optional[float] = None,
+    before_sleep: Optional[Callable[[], None]] = None,
+    pack: Optional[Callable[[List[Any]], Any]] = None,
+) -> None:
+    """Post every stream's producer traffic to the worker owning it.
 
-    The sort is stable on ``(ts, stream_index, seq)``, so per-stream
-    FIFO (a mailbox invariant) is preserved while a single paced pump
-    thread replays the merged schedule against the wall clock
-    (``RunOptions.pace`` timestamp-units per second).
+    Closed loop (``pace=None``): stream after stream, as fast as
+    ``post`` accepts; ``pack`` may coalesce a stream's messages first
+    (the process data plane moves columnar runs).  Open loop: the
+    streams merge into one schedule, stable on ``(ts, stream index,
+    seq)`` so per-stream FIFO (a mailbox invariant) holds, replayed
+    against the wall clock at ``pace`` timestamp units per second from
+    the first event on; ``before_sleep`` lets a batching substrate
+    flush before it waits.
     """
-    sched: List[Tuple[float, int, int, str, Any]] = []
-    for idx, stream in enumerate(streams):
-        owner = owner_of(stream)
-        for seq, msg in enumerate(producer_messages(stream, end_ts)):
-            ts = msg.event.ts if isinstance(msg, EventMsg) else msg.key[0]
-            sched.append((ts, idx, seq, owner, msg))
-    sched.sort(key=lambda t: (t[0], t[1], t[2]))
-    return [(ts, owner, msg) for ts, _i, _s, owner, msg in sched]
+    start_ts, end_ts = start_timestamp(streams), end_timestamp(streams)
 
-
-def paced_schedule_anchor(sched: Sequence[Tuple[float, str, Any]]) -> float:
-    """The pacing origin for a merged schedule: its first *event*
-    timestamp.  A workload whose timestamps start at T >> 0 must not
-    stall T/pace seconds before its first event — anchoring here gives
-    everything earlier (the periodic heartbeats that pad out the dead
-    interval) a negative due time, so the pump releases it immediately
-    and starts pacing at the first event."""
-    for ts, _owner, msg in sched:
-        if isinstance(msg, EventMsg):
-            return ts
-    return sched[0][0] if sched else 0.0
+    if pace is None:
+        for stream in streams:
+            owner = plan.owner_of(stream.itag).id
+            msgs = producer_messages(stream, end_ts, start_ts)
+            for msg in pack(msgs) if pack is not None else msgs:
+                post(owner, msg)
+            # Before the next stream's list is built: peak memory is
+            # one stream's traffic, not two.
+            del msgs
+        return
+    sched = [
+        (message_ts(msg), idx, seq, plan.owner_of(stream.itag).id, msg)
+        for idx, stream in enumerate(streams)
+        for seq, msg in enumerate(producer_messages(stream, end_ts, start_ts))
+    ]
+    sched.sort(key=lambda t: t[:3])
+    t0 = time.monotonic()
+    for ts, _idx, _seq, owner, msg in sched:
+        delay = t0 + (ts - start_ts) / pace - time.monotonic()
+        if delay > 0:
+            if before_sleep is not None:
+                before_sleep()
+            time.sleep(delay)
+        post(owner, msg)

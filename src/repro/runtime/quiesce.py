@@ -7,15 +7,14 @@ that snapshot: the root, immediately after completing a join (state
 updated, outputs emitted, checkpoint optionally taken), raises
 :class:`QuiesceSignal` instead of forking the state back down.  The
 substrate stops the attempt exactly as it would for an injected crash,
-and the reconfiguration driver (:mod:`repro.runtime.reconfigure`)
+and the restart driver (:mod:`repro.runtime.reconfigure`)
 commits the sequential prefix, migrates the captured root state into a
 new plan, and replays the input suffix there.
 
 This module is deliberately a *leaf* of the runtime import graph —
 plain picklable data plus trigger logic, no runtime imports — so the
-substrate-independent :class:`~repro.runtime.protocol.WorkerCore`, the
-simulated :class:`~repro.runtime.worker.WorkerActor`, and both real
-substrates can all use it without cycles (mirroring how
+substrate-independent :class:`~repro.runtime.protocol.WorkerCore` and
+every substrate can use it without cycles (mirroring how
 :mod:`repro.runtime.faults` sits below :mod:`repro.runtime.recovery`).
 
 Triggers come in two flavors:

@@ -1,7 +1,12 @@
-"""Elastic reconfiguration: live re-planning at consistent snapshots.
+"""The restart driver, and elastic reconfiguration: live re-planning
+at consistent snapshots.
+
+:class:`RestartDriver` is the one restore-and-replay loop: closed runs
+(:func:`run_with_reconfig`) take one final step of it, the service
+tier (:mod:`repro.serve`) one step per ingest epoch.
 
 Crash recovery (:mod:`repro.runtime.recovery`) restores a *past* root
-snapshot into the *same* plan; this driver uses the same mechanism
+snapshot into the *same* plan; reconfiguration uses the same mechanism
 forward: quiesce the runtime at the next root join — where the joined
 state **is** a consistent snapshot of the whole computation (Appendix
 D.2) — commit the sequential prefix of the output log, migrate the
@@ -38,7 +43,7 @@ Worked end-to-end by ``examples/elastic_scaling.py``; measured by
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
@@ -48,7 +53,7 @@ from ..plans.plan import SyncPlan
 from ..plans.validity import assert_reconfig_compatible
 from .checkpoint import Checkpoint
 from .faults import CrashRecord, FaultPlan
-from .protocol import INIT_STATE, RunStatsMixin
+from .protocol import INIT_STATE, AttemptOutcome, RunStatsMixin
 from .quiesce import (
     PointTrigger,
     QuiesceRecord,
@@ -58,7 +63,6 @@ from .quiesce import (
     WatermarkTrigger,
 )
 from .recovery import (
-    AttemptOutcome,
     RecoveryStep,
     _stamp_run_metrics,
     assert_recovery_sound,
@@ -289,21 +293,23 @@ class PhaseRecord:
 
 @dataclass
 class ReconfiguredRun(RunStatsMixin):
-    """A complete elastic execution: one or more plan phases, possibly
-    interleaved with crash recoveries."""
+    """The one multi-attempt report: what a :class:`RestartDriver`
+    step ran — one or more plan phases, possibly interleaved with
+    crash recoveries (a fault-free, schedule-free run is one phase)."""
 
+    #: Every output the step committed, in commit order.
     outputs: List[Any] = field(default_factory=list)
     events_in: int = 0
     events_processed: int = 0
     joins: int = 0
     wall_s: float = 0.0
-    attempts: int = 1
+    attempts: int = 0
     crashes: List[CrashRecord] = field(default_factory=list)
     recoveries: List[RecoveryStep] = field(default_factory=list)
     checkpoints_taken: int = 0
     reconfigurations: List[ReconfigStep] = field(default_factory=list)
     phases: List[PhaseRecord] = field(default_factory=list)
-    #: Every plan shape the execution ran through, initial one first.
+    #: Every plan shape the step ran through, its first one first.
     plan_history: List[SyncPlan] = field(default_factory=list)
     #: One RunMetrics per attempt that reported metrics — crashed
     #: attempts included (phases cover only clean attempts), in attempt
@@ -330,156 +336,245 @@ class ReconfiguredRun(RunStatsMixin):
         return self.plan_history[-1]
 
 
-def _assert_phase_sound(phase_plan: SyncPlan, program: DGSProgram) -> None:
-    """Phase-level soundness: multi-worker plans must have prefix-state
-    root snapshots (they quiesce and checkpoint there); a single worker
-    takes no snapshots at all, so any program is safe on it."""
-    if len(phase_plan.workers()) > 1:
-        assert_recovery_sound(phase_plan, program)
+#: (plan, streams, *, initial_state, reconfig_view) -> AttemptOutcome:
+#: :meth:`~repro.runtime.RuntimeBackend.attempt` with the program and
+#: the options (fault plan, checkpoint predicate) already bound.
+AttemptFn = Callable[..., AttemptOutcome]
+
+#: (values, checkpoint) -> None: receives each committed output prefix
+#: with the snapshot it is the prefix of (None: a final step's
+#: commit-everything).
+CommitFn = Callable[[List[Any], Optional[Checkpoint]], None]
 
 
-#: (plan, streams, initial_state, reconfig_view) -> AttemptOutcome; the
-#: fault plan and checkpoint predicate are closed over by the backend
-#: adapter.  Unlike recovery's AttemptFn, the *plan* varies per attempt.
-ElasticAttemptFn = Callable[
-    [SyncPlan, Sequence[InputStream], Any, Optional[RootReconfigView]],
-    AttemptOutcome,
-]
+class RestartDriver:
+    """The restore-and-replay loop, once, for closed runs and the
+    service tier alike.
 
+    Owns what survives between attempts: the current ``plan``, the
+    ``restore`` point (a :class:`Checkpoint` — a root-join snapshot or a
+    migration boundary; None before the first one), the ``pending``
+    input suffix above it, and the schedule's firing bookkeeping (each
+    planned point fires once, the auto-scaler up to its budget; crash
+    faults are marked fired on the fault plan itself).
 
-def run_with_reconfig(
-    attempt_fn: ElasticAttemptFn,
-    program: DGSProgram,
-    plan: SyncPlan,
-    streams: Sequence[InputStream],
-    schedule: ReconfigSchedule,
-    *,
-    fault_plan: Optional[FaultPlan] = None,
-    max_attempts: Optional[int] = None,
-) -> ReconfiguredRun:
-    """Drive attempts until one completes, migrating plans at quiesces
-    and recovering crashes into the then-current plan shape."""
-    # Quiescing (like checkpointing) needs every phase's root snapshots
-    # to be timestamp-prefix states; target plans keep the same root
-    # tags (R1+R2), but check each migration's target anyway.  A
-    # single-worker plan is exempt: it has no root joins, so it can
-    # neither quiesce nor checkpoint — a crash there replays its whole
-    # phase from the boundary snapshot, which is sound for any program.
-    _assert_phase_sound(plan, program)
-    budget = len(schedule.points)
-    if schedule.autoscaler is not None:
-        budget += schedule.autoscaler.max_reconfigs
-    if fault_plan is not None:
-        budget += len(fault_plan.crash_indices())
-    cap = max_attempts if max_attempts is not None else budget + 2
+    Its one operation is :meth:`step`.  A caller that always has a
+    sound restore point — the service's empty prefix — seeds
+    ``restore``; without one, a crash before the first snapshot raises
+    :class:`~repro.core.errors.NoCheckpointError`.
+    """
 
-    run = ReconfiguredRun(plan_history=[plan])
-    committed: List[Any] = []
-    pending: Sequence[InputStream] = list(streams)
-    initial: Any = INIT_STATE
-    last_ckpt: Optional[Checkpoint] = None
-    current = plan
-    # Firing bookkeeping is driver-local so the schedule itself stays
-    # reusable pure data (one schedule, many runs/backends).
-    fired: set = set()
-    autoscale_spent = 0
-    for attempt in range(1, cap + 1):
-        view = schedule.root_view(
-            current.root.id,
-            width=plan_width(current),
-            ceiling=max_width(program, current),
-            fired=fired,
-            autoscale_spent=autoscale_spent,
+    def __init__(
+        self,
+        attempt_fn: AttemptFn,
+        program: DGSProgram,
+        plan: SyncPlan,
+        *,
+        schedule: Optional[ReconfigSchedule] = None,
+        fault_plan: Optional[FaultPlan] = None,
+        restore: Optional[Checkpoint] = None,
+    ) -> None:
+        self._attempt_fn = attempt_fn
+        self.program = program
+        self.plan = plan
+        self.schedule = schedule
+        self.fault_plan = fault_plan
+        self.restore = restore
+        self.pending: List[InputStream] = []
+        # Firing bookkeeping is driver-local so the schedule itself
+        # stays reusable pure data (one schedule, many runs/backends).
+        self._fired: set = set()
+        self._autoscale_spent = 0
+        self._assert_sound(plan)
+
+    def _assert_sound(self, plan: SyncPlan) -> None:
+        """Committing by snapshot prefix needs every multi-worker
+        plan's root snapshots to be timestamp-prefix states; a single
+        worker takes no snapshots at all (it replays its whole phase
+        from the boundary), so any program is safe on it.  Executions
+        that can never restore — no schedule, no seed, no crash faults
+        — run unchecked."""
+        fp = self.fault_plan
+        if (
+            self.schedule is not None
+            or self.restore is not None
+            or (fp is not None and fp.has_crash_faults())
+        ) and len(plan.workers()) > 1:
+            assert_recovery_sound(plan, self.program)
+
+    def _attempt_budget(self) -> int:
+        # Every unfired crash fault and planned point fires at most
+        # once and the auto-scaler is budgeted, so attempts per step
+        # are bounded by construction; the cap is a backstop.
+        budget = 2
+        if self.fault_plan is not None:
+            budget += len(set(self.fault_plan.crash_indices()) - self.fault_plan.fired)
+        if self.schedule is not None:
+            budget += len(self.schedule.points) - len(self._fired)
+            if self.schedule.autoscaler is not None:
+                budget += self.schedule.autoscaler.max_reconfigs - self._autoscale_spent
+        return budget
+
+    def _advance(self, out: AttemptOutcome, ckpt: Checkpoint, commit: CommitFn) -> None:
+        """Make ``ckpt`` the restore point: keep the input suffix above
+        its key pending and commit the attempt's outputs at or below it
+        (the sequential prefix's, see :mod:`repro.runtime.recovery`)."""
+        self.restore = ckpt
+        self.pending = suffix_streams(self.pending, ckpt.key)
+        commit([v for k, v in out.keyed_outputs if k <= ckpt.key], ckpt)
+
+    def step(
+        self, sealed: Sequence[InputStream], commit: CommitFn, *, final: bool
+    ) -> ReconfiguredRun:
+        """Run the pending suffix extended by ``sealed`` to the next
+        commit boundary, recovering crashes (into the then-current plan
+        shape) and applying migrations on the way; every committed
+        prefix goes to ``commit`` as it is established.  A ``final``
+        step runs to full drain and commits everything; any other
+        commits up to the clean attempt's newest snapshot and leaves
+        the rest pending for the next step."""
+        if self.pending:
+            fresh = {s.itag: s.events for s in sealed}
+            self.pending = [
+                replace(p, events=p.events + fresh.get(p.itag, ()))
+                for p in self.pending
+            ]
+        else:
+            self.pending = list(sealed)
+        run = ReconfiguredRun(
+            plan_history=[self.plan],
+            events_in=sum(len(s.events) for s in self.pending),
         )
-        out = attempt_fn(current, pending, initial, view)
-        run.attempts = attempt
-        run.checkpoints_taken += len(out.checkpoints)
-        run.events_processed += out.events_processed
-        run.joins += out.joins
-        run.wall_s += out.wall_s
-        if out.metrics is not None:
-            run.attempt_metrics.append(out.metrics)
-        if attempt == 1:
-            run.events_in = out.events_in
 
-        if out.crashes:
-            # Crash wins over a racing quiesce: the interrupted point
-            # is not marked fired and triggers again on the replay —
-            # recovery restores into the *current* plan shape (the last
-            # restore point may be a migration boundary snapshot).
-            run.crashes.extend(out.crashes)
-            if fault_plan is not None:
-                for crash in out.crashes:
-                    fault_plan.mark_fired(crash.fault_index)
-            restart = restart_from_crash(
-                attempt, out, pending, initial, last_ckpt,
-                no_checkpoint_hint=(
-                    "crashed before any checkpoint or migration snapshot "
-                    "existed; configure checkpoint_predicate= (e.g. "
-                    "every_root_join()) to make reconfigured runs "
-                    "crash-recoverable"
+        def committing(values: List[Any], ckpt: Optional[Checkpoint]) -> None:
+            run.outputs.extend(values)
+            commit(values, ckpt)
+
+        for attempt in range(1, self._attempt_budget() + 1):
+            view = None
+            if self.schedule is not None:
+                view = self.schedule.root_view(
+                    self.plan.root.id,
+                    width=plan_width(self.plan),
+                    ceiling=max_width(self.program, self.plan),
+                    fired=self._fired,
+                    autoscale_spent=self._autoscale_spent,
+                )
+            out = self._attempt_fn(
+                self.plan,
+                self.pending,
+                initial_state=(
+                    self.restore.state if self.restore is not None else INIT_STATE
                 ),
+                reconfig_view=view,
             )
-            committed.extend(restart.committed_delta)
-            pending = restart.pending
-            initial = restart.initial
-            last_ckpt = restart.last_ckpt
-            run.recoveries.append(restart.step)
-            continue
+            run.attempts = attempt
+            run.checkpoints_taken += len(out.checkpoints)
+            run.events_processed += out.events_processed
+            run.joins += out.joins
+            run.wall_s += out.wall_s
+            if out.metrics is not None:
+                run.attempt_metrics.append(out.metrics)
 
-        run.phases.append(
-            PhaseRecord(
-                attempt=attempt,
-                leaves=plan_width(current),
-                events_processed=out.events_processed,
-                joins=out.joins,
-                wall_s=out.wall_s,
-                metrics=out.metrics,
+            if out.crashes:
+                # Crash wins over a racing quiesce: the interrupted
+                # point is not marked fired and triggers again on the
+                # replay.
+                run.crashes.extend(out.crashes)
+                if self.fault_plan is not None:
+                    for crash in out.crashes:
+                        self.fault_plan.mark_fired(crash.fault_index)
+                ckpt = restart_from_crash(out, self.restore)
+                if ckpt is not self.restore:
+                    self._advance(out, ckpt, committing)
+                run.recoveries.append(
+                    RecoveryStep(
+                        attempt=attempt,
+                        crashed_workers=tuple(sorted({c.worker for c in out.crashes})),
+                        resumed_from_ts=ckpt.ts,
+                        replayed_events=sum(len(s.events) for s in self.pending),
+                    )
+                )
+                continue
+
+            run.phases.append(
+                PhaseRecord(
+                    attempt=attempt,
+                    leaves=plan_width(self.plan),
+                    events_processed=out.events_processed,
+                    joins=out.joins,
+                    wall_s=out.wall_s,
+                    metrics=out.metrics,
+                )
             )
-        )
-        if out.quiesce is not None:
-            q = out.quiesce
-            t0 = time.perf_counter()
-            if q.point_index >= 0:
-                if q.point_index in fired:
+            if out.quiesce is not None:
+                q = out.quiesce
+                t0 = time.perf_counter()
+                if q.point_index < 0:
+                    self._autoscale_spent += 1
+                elif q.point_index in self._fired:
                     raise RuntimeFault(
                         f"reconfiguration point #{q.point_index} fired twice"
                     )
-                fired.add(q.point_index)
-            else:
-                autoscale_spent += 1
-            committed.extend(v for k, v in out.keyed_outputs if k <= q.key)
-            pending = suffix_streams(pending, q.key)
-            new_plan = schedule.target_plan(q, current, program)
-            assert_reconfig_compatible(current, new_plan, program)
-            _assert_phase_sound(new_plan, program)
-            pause_s = time.perf_counter() - t0
-            run.reconfigurations.append(
-                ReconfigStep(
-                    attempt=attempt,
-                    reason=q.reason,
-                    key=q.key,
-                    ts=q.ts,
-                    from_leaves=plan_width(current),
-                    to_leaves=plan_width(new_plan),
-                    queue_depth=q.queue_depth,
-                    pause_s=pause_s,
+                else:
+                    self._fired.add(q.point_index)
+                new_plan = self.schedule.target_plan(q, self.plan, self.program)
+                assert_reconfig_compatible(self.plan, new_plan, self.program)
+                self._assert_sound(new_plan)
+                # The migration snapshot is a checkpoint by
+                # construction: crashes in the next phase before its
+                # first own checkpoint restore from here, into the new
+                # plan.
+                self._advance(out, Checkpoint(q.key, q.ts, q.state), committing)
+                run.reconfigurations.append(
+                    ReconfigStep(
+                        attempt=attempt,
+                        reason=q.reason,
+                        key=q.key,
+                        ts=q.ts,
+                        from_leaves=plan_width(self.plan),
+                        to_leaves=plan_width(new_plan),
+                        queue_depth=q.queue_depth,
+                        pause_s=time.perf_counter() - t0,
+                    )
                 )
-            )
-            run.plan_history.append(new_plan)
-            current = new_plan
-            initial = q.state
-            # The migration snapshot is a checkpoint by construction:
-            # crashes in the next phase before its first own checkpoint
-            # restore from here, into the new plan.
-            last_ckpt = Checkpoint(q.key, q.ts, q.state)
-            continue
+                run.plan_history.append(new_plan)
+                self.plan = new_plan
+                continue
 
-        run.outputs = committed + list(out.outputs)
-        _stamp_run_metrics(run)
-        return run
-    raise RuntimeFault(
-        f"elastic execution did not converge after {cap} attempts "
-        "(each point fires once and the auto-scaler is budgeted, so "
-        "this indicates a driver bug)"
+            if final:
+                self.pending = []
+                committing(out.outputs, None)
+            else:
+                ckpt = max(out.checkpoints, key=lambda c: c.key, default=None)
+                if ckpt is not None:
+                    self._advance(out, ckpt, committing)
+                # No new snapshot: nothing commits, the whole sealed
+                # set stays pending and replays next step (progress
+                # resumes once root-synchronizing traffic arrives).
+            _stamp_run_metrics(run)
+            return run
+        raise RuntimeFault(
+            f"execution did not converge after {run.attempts} attempts (each "
+            "crash fault and planned point fires once and the auto-scaler "
+            "is budgeted, so this indicates a driver bug)"
+        )
+
+
+def run_with_reconfig(
+    attempt_fn: AttemptFn,
+    program: DGSProgram,
+    plan: SyncPlan,
+    streams: Sequence[InputStream],
+    schedule: Optional[ReconfigSchedule] = None,
+    *,
+    fault_plan: Optional[FaultPlan] = None,
+) -> ReconfiguredRun:
+    """A closed run: one final :class:`RestartDriver` step over the
+    whole input — attempts until one completes, migrating plans at
+    quiesces and recovering crashes into the then-current plan shape.
+    With no ``schedule`` this is plain crash recovery."""
+    driver = RestartDriver(
+        attempt_fn, program, plan, schedule=schedule, fault_plan=fault_plan
     )
+    return driver.step(streams, lambda _values, _ckpt: None, final=True)

@@ -1,11 +1,17 @@
 """The end-to-end Flumina-style runtime on the cluster simulator.
 
 :class:`FluminaRuntime` instantiates a P-valid synchronization plan as
-one actor per worker, distributes the initial state down the tree with
-the program's fork (consistent by C2), feeds the input streams (with
-periodic heartbeats, §3.4), runs the simulation to completion, and
-returns a :class:`RunResult` with outputs, latencies, throughput, and
-network statistics.
+one simulated actor per worker, each driving the substrate-independent
+:class:`~repro.runtime.protocol.WorkerCore` (paper §3.4: the
+selective-reordering mailbox and the event-processing worker are
+co-located on one host in Flumina too, so one actor carries both).  The
+actor adds only what is simulation: the virtual clock that stamps
+outputs, the per-message CPU cost, and the state-transfer cost of
+joins and forks.  The runtime forks the initial state down the tree
+(consistent by C2), injects every stream's producer traffic (events
+plus periodic heartbeats, §3.4) at its timestamp, runs the simulation
+to completion, and returns a :class:`RunResult` with outputs,
+latencies, throughput, and network statistics.
 
 Timestamps double as simulated arrival times: an event with timestamp
 ``ts`` departs its producer at ``ts`` milliseconds of simulated time,
@@ -15,28 +21,46 @@ so event latency is ``emit_time - ts``.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.errors import RuntimeFault
-from ..core.events import Event, Heartbeat, ImplTag
+from ..core.events import Event, ImplTag
 from ..core.program import DGSProgram
 from ..plans.generation import assign_hosts_round_robin
-from ..plans.plan import SyncPlan
+from ..plans.plan import PlanNode, SyncPlan
 from ..plans.validity import assert_p_valid
-from ..sim.actors import ActorSystem
+from ..sim.actors import Actor, ActorSystem
 from ..sim.core import Simulator
 from ..sim.network import NetworkStats, Topology
 from ..sim.params import DEFAULT_PARAMS, SimParams
-from .checkpoint import Checkpoint
-from .faults import CrashRecord, FaultPlan
-from .messages import EventMsg, HeartbeatMsg
+from .faults import FaultPlan, WorkerCrash
+from .messages import EventMsg, EventRun, ForkStateMsg, HeartbeatMsg, JoinResponse
 from .metrics import LatencyHistogram, MetricsConfig, MetricsSnapshot, RunMetrics
-from .protocol import INIT_STATE
-from .quiesce import QuiesceRecord
-from .worker import RunCollector, StateSizeFn, WorkerActor, default_state_size
+from .protocol import (
+    INIT_STATE,
+    AttemptOutcome,
+    OutputSink,
+    WorkerCore,
+    end_timestamp,
+    initial_leaf_states,
+    message_ts,
+    producer_messages,
+    start_timestamp,
+)
+from .quiesce import QuiesceSignal
+
+StateSizeFn = Callable[[Any], float]
+
+
+def default_state_size(state: Any) -> float:
+    try:
+        return float(len(state))
+    except TypeError:
+        return 1.0
 
 
 @dataclass(frozen=True)
@@ -59,27 +83,29 @@ class InputStream:
 
 @dataclass
 class RunResult:
-    """Everything measured in one simulated execution."""
+    """The simulator's virtual-time measurement of one attempt.
 
+    Protocol counters and logs (``joins``, ``checkpoints``,
+    ``events_in``, ``keyed_outputs``, ``crashes``, ``metrics``, ...)
+    live on the substrate-independent ``attempt`` record and read
+    through from here."""
+
+    attempt: AttemptOutcome
     outputs: List[Tuple[Any, float, float]]  # (value, emit_time, latency)
     duration_ms: float
     first_input_ms: float
     last_input_ms: float
-    events_in: int
-    events_processed: int
-    joins: int
     network: NetworkStats
     host_utilization: Dict[str, float]
-    checkpoints: List[Checkpoint] = field(default_factory=list)
+    #: per-event processing latency (update time - event.ts) for every
+    #: update, recorded only when track_event_latency is set (the
+    #: heartbeat-sensitivity experiments of Appendix D.1 need it).
     event_latencies: List[float] = field(default_factory=list)
-    #: (order_key, value) log (record_keys runs) + injected crashes.
-    keyed_outputs: List[Tuple[tuple, Any]] = field(default_factory=list)
-    crashes: List[CrashRecord] = field(default_factory=list)
-    #: Set when the root quiesced for elastic reconfiguration.
-    quiesce: Optional[QuiesceRecord] = None
-    #: Metrics-plane snapshot (one "sim" pseudo-worker; latencies are
-    #: simulated ms scaled to seconds) when metrics were enabled.
-    metrics: Optional[RunMetrics] = None
+
+    def __getattr__(self, name: str) -> Any:
+        if name == "attempt":  # not yet set (copy/unpickle): no recursion
+            raise AttributeError(name)
+        return getattr(self.attempt, name)
 
     def event_latency_percentiles(
         self, qs: Sequence[float] = (10, 50, 90)
@@ -113,6 +139,107 @@ class RunResult:
         if span <= 0:
             return 0.0
         return self.events_in / span
+
+
+class _SimSink(OutputSink):
+    """The simulated cluster's sink: the plain accumulator plus every
+    output's virtual emit time and latency.  ``now`` is the handling
+    actor's clock, set at the door of each handler."""
+
+    __slots__ = ("now", "timed")
+
+    def __init__(self, record_keys: bool) -> None:
+        super().__init__(record_keys)
+        self.now = 0.0
+        self.timed: List[Tuple[Any, float, float]] = []
+
+    def emit(self, outs: Sequence[Any], key: Optional[tuple] = None) -> None:
+        super().emit(outs, key)
+        now = self.now
+        self.timed.extend((out, now, now - key[0]) for out in outs)
+
+
+class _SimWorker(Actor):
+    """One plan worker on the simulator: a :class:`WorkerCore` plus the
+    cost model.  Its ``post`` is :meth:`Actor.send` (state-carrying
+    messages charge their size to the receiver); an injected crash or
+    a quiesce turns the actor fail-stop."""
+
+    #: Flumina's per-event CPU multiplier relative to the bare update:
+    #: the mailbox's selective-reordering bookkeeping (buffer insert,
+    #: timer updates, cascade checks) runs on every event.  Calibrated
+    #: so Flumina's absolute throughput sits below the record engines,
+    #: as in the paper (Figures 4 vs 8 share no axis for this reason).
+    MAILBOX_OVERHEAD = 1.8
+
+    def __init__(
+        self,
+        node: PlanNode,
+        runtime: "FluminaRuntime",
+        sink: _SimSink,
+        attempt: AttemptOutcome,
+        event_latencies: Optional[List[float]],
+    ) -> None:
+        super().__init__(node.id, node.host)  # type: ignore[arg-type]
+        faults = runtime.faults
+        self.core = core = WorkerCore(
+            node,
+            runtime.plan,
+            runtime.program,
+            self._post,
+            sink,
+            checkpoint_predicate=runtime.checkpoint_predicate,
+            faults=faults.view_for(node.id) if faults is not None else None,
+            reconfig=runtime.reconfig if node.id == runtime.plan.root.id else None,
+        )
+        self.state_size = runtime.state_size
+        self.attempt = attempt
+        self.stopped = False
+        if event_latencies is not None:
+            update = core.update
+
+            def timed_update(state: Any, event: Event) -> Any:
+                event_latencies.append(self.now - event.ts)
+                return update(state, event)
+
+            core.update = timed_update
+
+    def _post(self, dst: str, msg: Any) -> None:
+        if isinstance(msg, (JoinResponse, ForkStateMsg)):
+            self.send(dst, msg, state_size=self.state_size(msg.state))
+        else:
+            self.send(dst, msg)
+
+    def service_time(self, msg: Any) -> float:
+        p = self.system.params
+        if isinstance(msg, HeartbeatMsg):
+            return p.recv_overhead_ms * 0.5
+        return p.cpu_per_event_ms * self.MAILBOX_OVERHEAD
+
+    def handle(self, msg: Any, sender: Optional[str]) -> None:
+        if self.stopped:
+            return  # fail-stop: messages to a dead node are lost
+        self.core.sink.now = self.now
+        try:
+            if type(msg) is EventRun:
+                # The simulator models per-event cost: expand runs at
+                # the door.
+                for e in msg.events():
+                    self.core.handle(EventMsg(e))
+            else:
+                self.core.handle(msg)
+        except WorkerCrash as crash:
+            # Sends queued by events processed before the crash still
+            # depart (they happened before the failure); the
+            # triggering event did not.
+            self.stopped = True
+            self.attempt.crashes.append(crash.record)
+        except QuiesceSignal as sig:
+            # Planned stop for reconfiguration: the triggering event IS
+            # fully processed (outputs recorded, snapshot captured);
+            # only the fork back down was withheld.
+            self.stopped = True
+            self.attempt.quiesce = sig.record
 
 
 class FluminaRuntime:
@@ -161,118 +288,7 @@ class FluminaRuntime:
         #: substrate reports a single "sim" pseudo-worker).
         self.metrics = metrics
 
-    # -- setup ----------------------------------------------------------------
-    @staticmethod
-    def actor_name_of(worker_id: str) -> str:
-        return f"worker:{worker_id}"
-
-    def _build(
-        self, initial_state: Any = INIT_STATE
-    ) -> Tuple[ActorSystem, RunCollector, Dict[str, WorkerActor]]:
-        sim = Simulator()
-        system = ActorSystem(sim, self.topology)
-        collector = RunCollector(
-            track_event_latency=self.track_event_latency,
-            record_keys=self.record_keys,
-        )
-        workers: Dict[str, WorkerActor] = {}
-        for node in self.plan.workers():
-            actor = WorkerActor(
-                self.actor_name_of(node.id),
-                node.host,  # type: ignore[arg-type]
-                node=node,
-                plan=self.plan,
-                program=self.program,
-                collector=collector,
-                actor_name_of=self.actor_name_of,
-                state_size=self.state_size,
-                checkpoint_predicate=self.checkpoint_predicate,
-                faults=(
-                    self.faults.view_for(node.id) if self.faults is not None else None
-                ),
-                reconfig=(
-                    self.reconfig if node.id == self.plan.root.id else None
-                ),
-            )
-            system.add(actor)
-            workers[node.id] = actor
-        self._distribute_initial_state(workers, initial_state)
-        return system, collector, workers
-
-    def _distribute_initial_state(
-        self, workers: Dict[str, WorkerActor], root_state: Any = INIT_STATE
-    ) -> None:
-        """Fork the root state (``init()``, or a restored checkpoint)
-        down the tree so every leaf holds its share (consistent with
-        the sequential state by C2)."""
-
-        def distribute(node_id: str, state: Any) -> None:
-            worker = workers[node_id]
-            if worker.is_leaf:
-                worker.state = state
-                worker.has_state = True
-                return
-            left, right = worker.node.children
-            s_left, s_right = worker.fork(state, worker.pred_left, worker.pred_right)
-            distribute(left.id, s_left)
-            distribute(right.id, s_right)
-
-        distribute(
-            self.plan.root.id,
-            self.program.init() if root_state is INIT_STATE else root_state,
-        )
-
-    # -- input feeding ------------------------------------------------------------
-    def _feed(self, system: ActorSystem, streams: Sequence[InputStream]) -> Tuple[int, float, float]:
-        owners = {s.itag: self.plan.owner_of(s.itag) for s in streams}
-        events_in = 0
-        first_ts = math.inf
-        last_ts = 0.0
-        for stream in streams:
-            for e in stream.events:
-                if e.itag != stream.itag:
-                    raise RuntimeFault(
-                        f"event {e!r} does not belong to stream {stream.itag!r}"
-                    )
-                first_ts = min(first_ts, e.ts)
-                last_ts = max(last_ts, e.ts)
-        end_ts = last_ts + 1.0
-        for stream in streams:
-            owner = owners[stream.itag]
-            dst = self.actor_name_of(owner.id)
-            src_host = stream.source_host or owner.host
-            prev_ts = 0.0
-            for e in stream.events:
-                if e.ts <= prev_ts and events_in:
-                    pass  # monotonicity enforced by the mailbox on arrival
-                system.inject(dst, EventMsg(e), at=e.ts, from_host=src_host)
-                prev_ts = e.ts
-                events_in += 1
-            # Periodic heartbeats between events, plus a closing one so
-            # that every buffer drains at the end of the run.
-            hb_times: List[float] = []
-            if stream.heartbeat_interval:
-                t = stream.heartbeat_interval
-                while t < end_ts:
-                    hb_times.append(t)
-                    t += stream.heartbeat_interval
-            hb_times.append(end_ts)
-            event_ts = {e.ts for e in stream.events}
-            for t in hb_times:
-                if t in event_ts:
-                    continue
-                hb = Heartbeat(stream.itag.tag, stream.itag.stream, t)
-                system.inject(
-                    dst,
-                    HeartbeatMsg(stream.itag, hb.order_key),
-                    at=t,
-                    from_host=src_host,
-                )
-        if not math.isfinite(first_ts):
-            first_ts = 0.0
-        return events_in, first_ts, last_ts
-
-    # -- execution ------------------------------------------------------------------
+    # -- execution ------------------------------------------------------------
     def run(
         self,
         streams: Sequence[InputStream],
@@ -280,63 +296,89 @@ class FluminaRuntime:
         max_sim_events: int = 50_000_000,
         initial_state: Any = INIT_STATE,
     ) -> RunResult:
-        system, collector, workers = self._build(initial_state)
-        events_in, first_ts, last_ts = self._feed(system, streams)
+        t0 = time.perf_counter()
+        system = ActorSystem(Simulator(), self.topology)
+        sink = _SimSink(self.record_keys)
+        attempt = AttemptOutcome(
+            outputs=sink.outputs,
+            keyed_outputs=sink.keyed_outputs,
+            checkpoints=sink.checkpoints,
+            events_in=sum(len(s.events) for s in streams),
+        )
+        event_latencies: Optional[List[float]] = (
+            [] if self.track_event_latency else None
+        )
+        workers = {
+            node.id: _SimWorker(node, self, sink, attempt, event_latencies)
+            for node in self.plan.workers()
+        }
+        for worker in workers.values():
+            system.add(worker)
+        leaf_states = initial_leaf_states(self.plan, self.program, initial_state)
+        for leaf_id, state in leaf_states.items():
+            workers[leaf_id].core.state = state
+            workers[leaf_id].core.has_state = True
+
+        # Producers: every message departs at its own timestamp.
+        start_ts, end_ts = start_timestamp(streams), end_timestamp(streams)
+        for stream in streams:
+            for e in stream.events:
+                if e.itag != stream.itag:
+                    raise RuntimeFault(
+                        f"event {e!r} does not belong to stream {stream.itag!r}"
+                    )
+            owner = self.plan.owner_of(stream.itag)
+            src_host = stream.source_host or owner.host
+            for msg in producer_messages(stream, end_ts, start_ts):
+                system.inject(owner.id, msg, at=message_ts(msg), from_host=src_host)
+
         system.sim.run(max_events=max_sim_events)
-        duration_clock = max(system.sim.now, system.last_completion)
-        if not collector.crashes and collector.quiesce is None:
+        duration = max(system.sim.now, system.last_completion)
+        if not attempt.crashes and attempt.quiesce is None:
             # A crashed or quiesced attempt legitimately strands
             # buffered items (the stopped worker's, and its blocked
-            # ancestors'); the recovery/reconfiguration drivers replay
-            # them, so only fail-free runs must prove they drained.
+            # ancestors'); the restart driver replays them, so only
+            # fail-free runs must prove they drained.
             for worker in workers.values():
-                if worker.mailbox.buffered_count() or worker.pending:
+                if worker.core.unprocessed():
                     raise RuntimeFault(
-                        f"run ended with unprocessed items at {worker.name} "
-                        f"(buffered={worker.mailbox.buffered_count()}, "
-                        f"pending={len(worker.pending)}); "
+                        f"run ended with {worker.core.unprocessed()} unprocessed "
+                        f"items at {worker.name}; "
                         "check heartbeats / dependence relation"
                     )
-        duration = duration_clock
-        util = {
-            name: host.utilization(duration) if duration > 0 else 0.0
-            for name, host in self.topology.hosts.items()
-        }
-        run_metrics: Optional[RunMetrics] = None
+        attempt.events_processed = sink.events_processed
+        attempt.joins = sink.joins
         if self.metrics is not None:
             # One pseudo-worker for the whole simulated cluster:
-            # counters from the collector, the end-to-end histogram
-            # fed from per-output latencies (simulated ms -> seconds).
+            # counters from the sink, the end-to-end histogram fed
+            # from per-output latencies (simulated ms -> seconds).
             buckets = self.metrics.latency_buckets
             snap = MetricsSnapshot(
                 worker="sim",
-                events_processed=collector.events_processed,
-                joins_completed=collector.joins,
+                events_processed=sink.events_processed,
+                joins_completed=sink.joins,
             )
-            lats = [lat for _, _, lat in collector.outputs]
-            if lats:
+            if sink.timed:
                 h = LatencyHistogram(buckets)
-                for lat in lats:
+                for _, _, lat in sink.timed:
                     h.observe(max(lat, 0.0) / 1000.0)
                 snap.event_latency = h
-            run_metrics = RunMetrics(latency_buckets=buckets)
-            run_metrics.absorb(snap)
+            attempt.metrics = RunMetrics(latency_buckets=buckets)
+            attempt.metrics.absorb(snap)
+        # Host wall-clock of the simulation, not simulated time.
+        attempt.wall_s = time.perf_counter() - t0
         return RunResult(
-            outputs=list(collector.outputs),
+            attempt=attempt,
+            outputs=sink.timed,
             duration_ms=duration,
-            first_input_ms=first_ts,
-            last_input_ms=last_ts,
-            events_in=events_in,
-            events_processed=collector.events_processed,
-            joins=collector.joins,
+            first_input_ms=start_ts,
+            last_input_ms=max((e.ts for s in streams for e in s.events), default=0.0),
             network=self.topology.stats,
-            host_utilization=util,
-            checkpoints=list(collector.checkpoints),
-            event_latencies=collector.event_latencies,
-            keyed_outputs=list(collector.keyed_outputs),
-            crashes=list(collector.crashes),
-            quiesce=collector.quiesce,
-            metrics=run_metrics,
+            host_utilization={
+                name: host.utilization(duration)
+                for name, host in self.topology.hosts.items()
+            },
+            event_latencies=event_latencies or [],
         )
 
 

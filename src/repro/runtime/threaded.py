@@ -23,7 +23,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.errors import RuntimeFault
@@ -36,35 +35,15 @@ from .metrics import MetricsConfig, RunMetrics, WorkerMetrics
 from .quiesce import QuiesceRecord, QuiesceSignal
 from .protocol import (
     INIT_STATE,
+    AttemptOutcome,
     OutputSink,
-    RunStatsMixin,
     WorkerCore,
-    end_timestamp,
     initial_leaf_states,
-    paced_producer_schedule,
-    paced_schedule_anchor,
-    producer_messages,
+    pump_producers,
 )
 from .runtime import InputStream
 
 _STOP = object()
-
-
-@dataclass
-class ThreadedResult(RunStatsMixin):
-    outputs: List[Any] = field(default_factory=list)
-    joins: int = 0
-    events_processed: int = 0
-    events_in: int = 0
-    wall_s: float = 0.0
-    #: (order_key, value) log, populated only when record_keys is set.
-    keyed_outputs: List[Any] = field(default_factory=list)
-    checkpoints: List[Checkpoint] = field(default_factory=list)
-    crashes: List[CrashRecord] = field(default_factory=list)
-    #: Set when the root quiesced for elastic reconfiguration.
-    quiesce: Optional[QuiesceRecord] = None
-    #: Merged per-worker metrics when the metrics plane was enabled.
-    metrics: Optional[RunMetrics] = None
 
 
 class _Router:
@@ -114,12 +93,12 @@ class _Router:
 
 
 class _SharedSink(OutputSink):
-    """Sink multiplexing every worker's outputs into one ThreadedResult."""
+    """Sink multiplexing every worker's outputs into one AttemptOutcome."""
 
     __slots__ = ("result", "lock")
 
     def __init__(
-        self, result: ThreadedResult, lock: threading.Lock, record_keys: bool = False
+        self, result: AttemptOutcome, lock: threading.Lock, record_keys: bool = False
     ) -> None:
         self.result = result
         self.lock = lock
@@ -212,25 +191,21 @@ class ThreadedRuntime:
         reconfig: Any = None,
         metrics: Optional[MetricsConfig] = None,
         pace: Optional[float] = None,
-    ) -> ThreadedResult:
+    ) -> AttemptOutcome:
         """Execute one attempt.
 
         The fault-injection parameters (``initial_state``,
         ``checkpoint_predicate``, ``faults``, ``record_keys``) default
-        to the plain fail-free execution; the recovery driver
-        (:mod:`repro.runtime.recovery`) sets them when replaying from a
-        checkpoint, and the reconfiguration driver
-        (:mod:`repro.runtime.reconfigure`) additionally arms
-        ``reconfig=`` (a per-attempt
+        to the plain fail-free execution; the restart driver
+        (:mod:`repro.runtime.reconfigure`) sets them when replaying
+        from a checkpoint and arms ``reconfig=`` (a per-attempt
         :class:`~repro.runtime.quiesce.RootReconfigView`) on the root.
-        A crashed or quiesced attempt *returns* (with ``crashes``
-        non-empty / ``quiesce`` set and the output log truncated at
-        whatever had been processed) rather than raising — deciding
-        whether to recover or migrate is the driver's job, not the
-        substrate's.
+        A crashed or quiesced attempt *returns* (see
+        :class:`~repro.runtime.protocol.AttemptOutcome`) rather than
+        raising.
         """
         router = _Router()
-        result = ThreadedResult()
+        result = AttemptOutcome(events_in=sum(len(s.events) for s in streams))
         lock = threading.Lock()
         sink = _SharedSink(result, lock, record_keys=record_keys)
         if metrics is not None and metrics.epoch is None:
@@ -264,31 +239,7 @@ class ThreadedRuntime:
         # per stream (one virtual producer thread each is unnecessary —
         # per-itag FIFO into the owner's queue is what matters).
         t0 = time.perf_counter()
-        end_ts = end_timestamp(streams)
-        if pace is not None:
-            # Open-loop pump: replay the merged schedule against the
-            # wall clock at `pace` timestamp-units per second.
-            sched = paced_producer_schedule(
-                streams, lambda s: self.plan.owner_of(s.itag).id, end_ts
-            )
-            start = time.monotonic()
-            # Anchor at the first event timestamp: workloads whose
-            # timestamps start at T >> 0 would otherwise stall T/pace
-            # seconds (heartbeating dead time) before the first event.
-            ts0 = paced_schedule_anchor(sched)
-            for ts, owner, msg in sched:
-                due = start + (ts - ts0) / pace
-                delay = due - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                router.post(owner, msg)
-            result.events_in += sum(len(s.events) for s in streams)
-        else:
-            for stream in streams:
-                owner = self.plan.owner_of(stream.itag).id
-                for msg in producer_messages(stream, end_ts):
-                    router.post(owner, msg)
-                result.events_in += len(stream.events)
+        pump_producers(self.plan, streams, router.post, pace=pace)
 
         deadline = time.monotonic() + timeout_s
         while True:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from ..runtime.options import RunOptions, ServeOptions
 from .apps import SERVICE_APPS
@@ -78,8 +77,9 @@ def main(argv=None) -> int:
         flush=True,
     )
     try:
-        while not handle.runtime.finished:
-            time.sleep(0.2)
+        # Not runtime.finished: the final epoch's outputs, the
+        # subscribers' eof and the client's reply must go out first.
+        handle.server.closed.wait()
         counters = handle.runtime.counters
         print(
             f"service finished: {counters.admitted} admitted, "

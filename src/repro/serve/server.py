@@ -84,7 +84,7 @@ class ServiceServer:
                 # Cluster epochs each build a fresh launcher; handing
                 # them the live exporter instance keeps one scrape
                 # endpoint across attempts (attempt="N" label groups),
-                # exactly like ProcessBackend._shared_exporter.
+                # exactly like ProcessBackend._run_driven.
                 opts = replace(
                     opts, run=replace(opts.run, metrics_port=self.exporter)
                 )
@@ -94,6 +94,11 @@ class ServiceServer:
         #: timeout) — the service's stray counter.
         self.strays = 0
         self.port: Optional[int] = None
+        #: Set once a client's ``finish`` is fully served: the final
+        #: epoch committed, every subscriber got its tail and ``eof``,
+        #: and the ``finished`` reply is written — the point from which
+        #: stopping the listener loses nothing.
+        self.closed = threading.Event()
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -299,6 +304,7 @@ class ServiceServer:
                     )
                 )
                 await writer.drain()
+                self.closed.set()
             elif msg_type == "bye":
                 return
             else:

@@ -10,8 +10,8 @@ into a long-running service by slicing the live ingest into **epochs**:
 2. **Seal** — :meth:`run_epoch` snapshots the buffer into one
    per-implementation-tag stream set (every itag of the plan gets a
    stream, empty ones included, so closing heartbeats let the run
-   drain) and runs it as one backend attempt via the public
-   :meth:`~repro.runtime.RuntimeBackend.attempt` hook.
+   drain) and hands it to the service's
+   :class:`~repro.runtime.reconfigure.RestartDriver` as one step.
 3. **Commit** — after a clean attempt, outputs at or below the
    attempt's newest root-join checkpoint key are appended to the
    committed log (the egress channel's exactly-once source of truth);
@@ -21,15 +21,16 @@ into a long-running service by slicing the live ingest into **epochs**:
    applied *forward* at every epoch boundary instead of only after
    crashes.
 
-Crashes and reconfigurations keep working under live ingest because an
-epoch attempt is driven exactly like the recovery/reconfig drivers
-drive theirs: a crashed attempt restores the latest snapshot and
-replays (:func:`~repro.runtime.recovery.restart_from_crash`); a
-quiesced attempt commits the prefix, migrates the plan
-(:meth:`~repro.runtime.reconfigure.ReconfigSchedule.target_plan`), and
-the morphed plan persists across epochs.  Fault-plan and schedule
-firing bookkeeping is service-lifetime, so each crash fault and each
-planned reconfiguration point fires at most once per service.
+Crashes and reconfigurations keep working under live ingest because
+the service runs on the same driver closed runs use, kept for the
+service's lifetime: a crashed attempt restores the latest snapshot and
+replays; a quiesced attempt commits the prefix and migrates the plan,
+and the morphed plan persists across epochs.  Fault-plan and schedule
+firing bookkeeping lives on the driver, so each crash fault and each
+planned reconfiguration point fires at most once per service.  Unlike
+a closed run, the service always has a sound restore point — the empty
+prefix before any commit — so a crash before the first root join
+simply replays the epoch from scratch.
 
 **Why commit-by-prefix is sound across epochs.**  The recovery
 theorem (paper Thm. 2.4 / Appendix D.2) needs two things: root
@@ -58,6 +59,7 @@ from the metrics plane.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -66,21 +68,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.errors import RuntimeFault
 from ..core.events import Event, ImplTag
 from ..core.program import DGSProgram
-from ..plans.morph import max_width, plan_width
 from ..plans.plan import SyncPlan
-from ..plans.validity import assert_reconfig_compatible
 from ..runtime import get_backend
 from ..runtime.checkpoint import Checkpoint, every_root_join
 from ..runtime.faults import CrashRecord
-from ..runtime.metrics import RunMetrics, merge_attempt_metrics
-from ..runtime.options import RunOptions, ServeOptions
+from ..runtime.metrics import RunMetrics
+from ..runtime.options import ServeOptions
 from ..runtime.protocol import INIT_STATE
-from ..runtime.reconfigure import ReconfigStep
-from ..runtime.recovery import (
-    assert_recovery_sound,
-    restart_from_crash,
-    suffix_streams,
-)
+from ..runtime.reconfigure import ReconfigStep, RestartDriver
 from ..runtime.runtime import InputStream
 
 #: Admission outcomes returned by :meth:`ServiceRuntime.offer`.
@@ -191,7 +186,6 @@ class ServiceRuntime:
         options: Optional[ServeOptions] = None,
     ) -> None:
         self.program = program
-        self.plan = plan
         self.options = options if options is not None else ServeOptions()
         run = self.options.run
         if run.checkpoint_predicate is None:
@@ -199,9 +193,19 @@ class ServiceRuntime:
             run = replace(run, checkpoint_predicate=every_root_join())
         if self.options.runtime_backlog_watermark is not None and not run.metrics:
             run = replace(run, metrics=True)
-        self._run_options: RunOptions = run
-        self._backend = get_backend(self.options.backend)
-        self._check_plan(plan)
+        backend = get_backend(self.options.backend)
+        # Single-worker plans take no root-join snapshots, so nothing
+        # would ever commit before finish(); that is a degenerate
+        # service.  Multi-worker plans must have prefix-state roots
+        # (the driver checks every plan it runs).
+        self._driver = RestartDriver(
+            functools.partial(backend.attempt, program, options=run),
+            program,
+            plan,
+            schedule=run.reconfig_schedule,
+            fault_plan=run.fault_plan,
+            restore=Checkpoint(key=(float("-inf"),), ts=float("-inf"), state=INIT_STATE),
+        )
 
         # The itag universe is fixed at construction: every epoch must
         # cover all of them (a missing stream would stall dependent
@@ -217,8 +221,7 @@ class ServiceRuntime:
         #: itag -> events admitted since the last seal.
         self._inbox: Dict[ImplTag, List[Event]] = {t: [] for t in itags}
         self._inbox_count = 0
-        #: itag -> sealed-but-uncommitted events (the replay suffix).
-        self._pending: Dict[ImplTag, List[Event]] = {t: [] for t in itags}
+        #: Sealed-but-uncommitted events (the driver's replay suffix).
         self._pending_count = 0
         #: Per-itag last admitted timestamp (strict monotonicity).
         self._last_ts: Dict[ImplTag, float] = {}
@@ -227,9 +230,10 @@ class ServiceRuntime:
         #: exactly-once linchpin).
         self._seal_floor = float("-inf")
 
-        self._state: Any = INIT_STATE
-        self._last_ckpt: Optional[Checkpoint] = None
         self._runtime_backlog_hw = 0
+        #: Offers are rejected as "closed" from the moment the final
+        #: epoch is sealed; ``finished`` only once it has committed.
+        self._closed = False
         self._finished = False
 
         self.gate = AdmissionGate(
@@ -245,17 +249,10 @@ class ServiceRuntime:
         #: Service-lifetime accumulated RunMetrics (None: plane off).
         self.metrics: Optional[RunMetrics] = None
 
-        # Service-lifetime reconfiguration bookkeeping (mirrors the
-        # driver-local sets in run_with_reconfig).
-        self._reconfig_fired: set = set()
-        self._autoscale_spent = 0
-
-    def _check_plan(self, plan: SyncPlan) -> None:
-        # Single-worker plans take no root-join snapshots, so nothing
-        # would ever commit before finish(); that is a degenerate
-        # service.  Multi-worker plans must have prefix-state roots.
-        if len(plan.workers()) > 1:
-            assert_recovery_sound(plan, self.program)
+    @property
+    def plan(self) -> SyncPlan:
+        """The plan the next epoch runs on (migrations persist)."""
+        return self._driver.plan
 
     # -- admission -------------------------------------------------------
     @property
@@ -266,6 +263,8 @@ class ServiceRuntime:
 
     @property
     def finished(self) -> bool:
+        """True once the final epoch has committed (offers are rejected
+        as ``"closed"`` already from its seal on)."""
         return self._finished
 
     @property
@@ -278,7 +277,7 @@ class ServiceRuntime:
         Returns :data:`ADMITTED` or one of the ``REJECT_*`` reasons;
         every rejection is counted so the ingest tier can report it."""
         with self._lock:
-            if self._finished:
+            if self._closed:
                 reason = REJECT_CLOSED
             elif event.itag not in self._known:
                 reason = REJECT_UNKNOWN
@@ -323,235 +322,72 @@ class ServiceRuntime:
     def run_epoch(self, *, final: bool = False) -> EpochReport:
         """Seal the buffer and run it as one (recoverable, elastic)
         epoch, committing outputs up to the newest consistent snapshot.
-        With ``final=True`` the service closes: the epoch runs to full
-        drain, *everything* commits (closed-run semantics), and further
-        offers are rejected as ``"closed"``.
+        With ``final=True`` the service closes: further offers are
+        rejected as ``"closed"`` from the seal on, the epoch runs to
+        full drain, *everything* commits (closed-run semantics), and
+        only then does :attr:`finished` turn true.
         """
         with self._epoch_mutex:
-            if self._finished:
+            if self._closed:
                 raise RuntimeFault("service already finished")
             with self._lock:
-                for t, buf in self._inbox.items():
-                    if buf:
-                        self._pending[t].extend(buf)
-                        self._seal_floor = max(self._seal_floor, buf[-1].ts)
-                        self._inbox[t] = []
+                hb = self.options.heartbeat_interval
+                sealed = [
+                    InputStream(t, tuple(self._inbox[t]), heartbeat_interval=hb)
+                    for t in self._itags
+                ]
+                for s in sealed:
+                    if s.events:
+                        self._seal_floor = max(self._seal_floor, s.events[-1].ts)
+                        self._inbox[s.itag] = []
                 self._pending_count += self._inbox_count
                 self._inbox_count = 0
-                sealed = self._pending_count
                 report = EpochReport(
                     index=len(self.epochs),
                     final=final,
-                    sealed_events=sealed,
+                    sealed_events=self._pending_count,
                     first_seq=len(self.committed),
                 )
-                if sealed == 0 and not final:
-                    report.backlog_after = 0
+                if report.sealed_events == 0 and not final:
                     return report
-                streams = self._streams_locked()
-                initial = self._state
-                if final:
-                    self._finished = True
+                self._closed = final
             t0 = time.perf_counter()
             try:
-                self._drive(streams, initial, final, report)
+                run = self._driver.step(sealed, self._commit, final=final)
+                report.attempts = run.attempts
+                report.committed = len(run.outputs)
+                report.crashes = run.crashes
+                report.reconfigurations = run.reconfigurations
+                self.plan_history.extend(run.plan_history[1:])
+                self._note_epoch_metrics(run.metrics, report)
             finally:
                 report.wall_s = time.perf_counter() - t0
                 with self._lock:
                     report.backlog_after = self._inbox_count + self._pending_count
                     self.counters.epochs += 1
+                    self.counters.attempts += report.attempts
+                    self.counters.crashes_recovered += len(report.crashes)
+                    self.counters.reconfigurations += len(report.reconfigurations)
                     self.epochs.append(report)
+                    self._finished = final
             return report
 
     def finish(self) -> EpochReport:
         """Close the service: one final epoch that commits everything."""
         return self.run_epoch(final=True)
 
-    def _streams_locked(self) -> List[InputStream]:
-        hb = self.options.heartbeat_interval
-        return [
-            InputStream(t, tuple(self._pending[t]), heartbeat_interval=hb)
-            for t in self._itags
-        ]
-
-    def _attempt_cap(self) -> int:
-        fp = self._run_options.fault_plan
-        sched = self._run_options.reconfig_schedule
-        budget = 2
-        if fp is not None:
-            budget += len([i for i in fp.crash_indices() if i not in fp.fired])
-        if sched is not None:
-            budget += len(
-                [i for i in range(len(sched.points)) if i not in self._reconfig_fired]
-            )
-            if sched.autoscaler is not None:
-                budget += max(
-                    0, sched.autoscaler.max_reconfigs - self._autoscale_spent
-                )
-        return budget
-
-    def _drive(
-        self,
-        streams: List[InputStream],
-        initial: Any,
-        final: bool,
-        report: EpochReport,
-    ) -> None:
-        """The per-epoch attempt loop: recover crashes, apply plan
-        migrations, then commit the clean attempt's snapshot prefix
-        (everything, when final)."""
-        opts = self._run_options
-        fault_plan = opts.fault_plan
-        sched = opts.reconfig_schedule
-        pending: Sequence[InputStream] = streams
-        last_ckpt = self._last_ckpt
-        if last_ckpt is None:
-            # Unlike a closed run, the service always has a sound
-            # restore point: the epoch's own initial conditions (the
-            # empty prefix before any commit).  A crash before the
-            # first root join simply replays the epoch from scratch.
-            last_ckpt = Checkpoint(
-                key=(float("-inf"),), ts=float("-inf"), state=initial
-            )
-        attempt_metrics: List[Any] = []
-        cap = self._attempt_cap()
-
-        for attempt in range(1, cap + 1):
-            view = None
-            if sched is not None:
-                view = sched.root_view(
-                    self.plan.root.id,
-                    width=plan_width(self.plan),
-                    ceiling=max_width(self.program, self.plan),
-                    fired=frozenset(self._reconfig_fired),
-                    autoscale_spent=self._autoscale_spent,
-                )
-            out = self._backend.attempt(
-                self.program,
-                self.plan,
-                pending,
-                options=opts,
-                initial_state=initial,
-                reconfig_view=view,
-            )
-            report.attempts += 1
-            self.counters.attempts += 1
-            if out.metrics is not None:
-                attempt_metrics.append(out.metrics)
-
-            if out.crashes:
-                report.crashes.extend(out.crashes)
-                self.counters.crashes_recovered += len(out.crashes)
-                if fault_plan is not None:
-                    for crash in out.crashes:
-                        fault_plan.mark_fired(crash.fault_index)
-                restart = restart_from_crash(
-                    attempt, out, pending, initial, last_ckpt,
-                    no_checkpoint_hint=(
-                        "crashed before any service checkpoint existed; "
-                        "the first epoch must reach a root join before a "
-                        "crash is recoverable"
-                    ),
-                )
-                if restart.last_ckpt is not last_ckpt:
-                    # The crashed attempt reached a new snapshot:
-                    # its sequential output prefix commits now and the
-                    # carried state advances with it.
-                    self._commit(restart.committed_delta, restart.last_ckpt, report)
-                pending = restart.pending
-                initial = restart.initial
-                last_ckpt = restart.last_ckpt
-                continue
-
-            if out.quiesce is not None:
-                q = out.quiesce
-                if q.point_index >= 0:
-                    if q.point_index in self._reconfig_fired:
-                        raise RuntimeFault(
-                            f"reconfiguration point #{q.point_index} fired twice"
-                        )
-                    self._reconfig_fired.add(q.point_index)
-                else:
-                    self._autoscale_spent += 1
-                delta = [v for k, v in out.keyed_outputs if k <= q.key]
-                assert sched is not None
-                new_plan = sched.target_plan(q, self.plan, self.program)
-                assert_reconfig_compatible(self.plan, new_plan, self.program)
-                self._check_plan(new_plan)
-                boundary = Checkpoint(q.key, q.ts, q.state)
-                self._commit(delta, boundary, report)
-                report.reconfigurations.append(
-                    ReconfigStep(
-                        attempt=attempt,
-                        reason=q.reason,
-                        key=q.key,
-                        ts=q.ts,
-                        from_leaves=plan_width(self.plan),
-                        to_leaves=plan_width(new_plan),
-                        queue_depth=q.queue_depth,
-                        pause_s=0.0,
-                    )
-                )
-                self.counters.reconfigurations += 1
-                with self._lock:
-                    self.plan = new_plan
-                self.plan_history.append(new_plan)
-                pending = suffix_streams(pending, q.key)
-                initial = q.state
-                last_ckpt = boundary
-                continue
-
-            # Clean attempt: commit.
-            if final:
-                self._commit_all(out.outputs, report)
-            else:
-                ckpt = max(out.checkpoints, key=lambda c: c.key, default=None)
-                if ckpt is not None:
-                    delta = [v for k, v in out.keyed_outputs if k <= ckpt.key]
-                    self._commit(delta, ckpt, report)
-                # No new snapshot: nothing commits, the whole sealed
-                # set stays pending and replays next epoch (progress
-                # resumes once root-synchronizing traffic arrives).
-            self._note_epoch_metrics(attempt_metrics, report)
-            return
-        raise RuntimeFault(
-            f"service epoch did not converge after {cap} attempts "
-            "(crash faults and reconfiguration points each fire at most "
-            "once per service, so this indicates a driver bug)"
-        )
-
-    def _commit(
-        self, values: List[Any], ckpt: Checkpoint, report: EpochReport
-    ) -> None:
-        """Append newly committed outputs and advance the carried state
-        to ``ckpt``; the replay suffix strictly above the key stays
-        pending."""
+    def _commit(self, values: List[Any], ckpt: Optional[Checkpoint]) -> None:
+        """The driver's commit callback: append newly committed
+        outputs; the replay suffix strictly above the commit key stays
+        pending on the driver."""
         with self._lock:
             self.committed.extend(values)
             self.counters.committed += len(values)
-            report.committed += len(values)
-            self._state = ckpt.state
-            self._last_ckpt = ckpt
-            count = 0
-            for t in self._itags:
-                kept = [e for e in self._pending[t] if e.order_key > ckpt.key]
-                self._pending[t] = kept
-                count += len(kept)
-            self._pending_count = count
-
-    def _commit_all(self, outputs: Sequence[Any], report: EpochReport) -> None:
-        with self._lock:
-            self.committed.extend(outputs)
-            self.counters.committed += len(outputs)
-            report.committed += len(outputs)
-            for t in self._itags:
-                self._pending[t] = []
-            self._pending_count = 0
+            self._pending_count = sum(len(s.events) for s in self._driver.pending)
 
     def _note_epoch_metrics(
-        self, attempt_metrics: List[Any], report: EpochReport
+        self, merged: Optional[RunMetrics], report: EpochReport
     ) -> None:
-        merged = merge_attempt_metrics(attempt_metrics)
         report.metrics = merged
         if merged is None:
             return

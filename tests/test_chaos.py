@@ -23,7 +23,12 @@ for the reconfiguration matrix, or
         --only <case_id>
 
 for the adversarial-workload matrix (see TESTING.md; the late-arrival
-and sessionize families below carry their own seeds the same way).
+and sessionize families below carry their own seeds the same way), or
+
+    python -m repro.chaos --smoke --backends sim \\
+        --modes faults,reconfig,reconfig-crash --only <case_id>
+
+for the simulated-substrate slice (the CI command itself).
 """
 
 import pytest
@@ -90,6 +95,17 @@ SESSIONIZE_CASES = generate_cases(
     apps=("sessionize",),
     modes=("faults", "reconfig"),
     workloads=("uniform", "zipf"),
+)
+
+# The simulated substrate drives the same WorkerCore as the real ones,
+# deterministically and in-process (coverage sees every protocol line
+# the crashes and re-plans reach).  Exactly CI's
+# `--smoke --backends sim --modes faults,reconfig,reconfig-crash` slice.
+SIM_CASES = generate_cases(
+    seed=0,
+    n_cases=12,
+    backends=("sim",),
+    modes=("faults", "reconfig", "reconfig-crash"),
 )
 
 _OUTCOMES = {}
@@ -195,6 +211,32 @@ def test_reconfig_sweep_exercised_migrations():
     crashed = [o for o in outcomes if o.case.mode == "reconfig-crash" and o.recovered]
     assert crashed, "no crash ever fired during a reconfigured execution"
     assert all(o.attempts >= 2 for o in crashed)
+
+
+@pytest.mark.parametrize("case", SIM_CASES, ids=lambda c: c.case_id)
+def test_sim_case_matches_spec(case):
+    outcome = run_chaos_case(case)
+    _OUTCOMES[case.case_id] = outcome
+    assert outcome.ok, (
+        f"{case.case_id}: outputs diverged from the sequential reference "
+        f"on the simulated substrate: {outcome.mismatch}"
+    )
+
+
+def test_sim_sweep_exercised_every_mode():
+    """The sim slice is not vacuous: all three modes are present, and
+    crashes were recovered and plans migrated somewhere in it."""
+    assert {c.backend for c in SIM_CASES} == {"sim"}
+    assert {c.mode for c in SIM_CASES} == {"faults", "reconfig", "reconfig-crash"}
+    assert len({c.case_id for c in SIM_CASES}) == len(SIM_CASES)
+    outcomes = _outcomes_or_sample(SIM_CASES, stride=1)
+    assert any(o.recovered and o.replayed_events for o in outcomes)
+    assert any(o.reconfigured for o in outcomes)
+    assert any(
+        o.recovered and o.reconfigured
+        for o in outcomes
+        if o.case.mode == "reconfig-crash"
+    )
 
 
 @pytest.mark.parametrize(

@@ -66,6 +66,18 @@ class TestHygiene:
         assert "schedule" in triggers, "nightly schedule trigger missing"
 
 
+class TestSimChaosSlice:
+    SLICE = "--smoke --backends sim --modes faults,reconfig,reconfig-crash"
+
+    @pytest.mark.parametrize("job", ["tests", "chaos"])
+    def test_tests_and_nightly_chaos_run_the_sim_slice(self, jobs, job):
+        """The deterministic substrate runs the real protocol under
+        crashes and re-plans on every push and every nightly (the
+        tier-1 twin is tests/test_chaos.py::SIM_CASES)."""
+        text = " ".join(steps_text(jobs[job]).split())
+        assert f"python -m repro.chaos {self.SLICE}" in text
+
+
 class TestPerfGateLane:
     def test_lane_runs_all_four_micro_benches(self, jobs):
         text = steps_text(jobs["perf-gate"])

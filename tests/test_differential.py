@@ -178,21 +178,28 @@ class TestCrossRuntimeDifferential:
 
     @pytest.mark.parametrize("app", ALL_APPS)
     def test_all_apps_all_runtimes_agree(self, app):
-        """Sequential spec, threaded, and process runtimes — the
+        """Sequential spec, sim, threaded, and process runtimes — the
         latter over both the pipe and the TCP data planes — produce
         identical output multisets on every application in repro.apps
         (Theorem 2.4's determinism up to reordering, checked on every
-        real substrate and transport)."""
+        substrate and transport), and every fault-free run counts each
+        input event exactly once (a synchronizing event is one event,
+        not one at release plus one after its join)."""
         prog, streams, plan = _app_case(app)
-        impls = {
-            backend: (
-                lambda b=backend: run_on_backend(b, prog, plan, streams).outputs
+        n_events = sum(len(s.events) for s in streams)
+
+        def checked(backend, **opts):
+            run = run_on_backend(
+                backend, prog, plan, streams, options=RunOptions(**opts)
             )
-            for backend in ("threaded", "process")
+            assert run.events_processed == run.events_in == n_events, backend
+            return run.outputs
+
+        impls = {
+            backend: (lambda b=backend: checked(b))
+            for backend in ("sim", "threaded", "process")
         }
-        impls["process-tcp"] = lambda: run_on_backend(
-            "process", prog, plan, streams, options=RunOptions(transport="tcp")
-        ).outputs
+        impls["process-tcp"] = lambda: checked("process", transport="tcp")
         report = diff_against_spec(prog, streams, impls)
         assert report.ok, [str(m) for m in report.mismatches]
 
@@ -315,20 +322,28 @@ class TestSessionizeFullMatrix:
 
     def test_sim_and_tcp_cluster_agree_with_spec(self):
         prog, streams, plan, _ = self._case()
+        runs = {}
+
+        def outputs_of(name, backend, **opts):
+            runs[name] = run_on_backend(
+                backend, prog, plan, streams, options=RunOptions(**opts)
+            )
+            return runs[name].outputs
+
         impls = {
-            "sim": lambda: run_on_backend("sim", prog, plan, streams).outputs,
-            "tcp-2nodes": lambda: run_on_backend(
+            "sim": lambda: outputs_of("sim", "sim"),
+            "tcp-2nodes": lambda: outputs_of(
+                "tcp-2nodes",
                 "process",
-                prog,
-                plan,
-                streams,
-                options=RunOptions(
-                    transport="tcp", nodes=local_nodes(2), timeout_s=120.0
-                ),
-            ).outputs,
+                transport="tcp",
+                nodes=local_nodes(2),
+                timeout_s=120.0,
+            ),
         }
         report = diff_against_spec(prog, streams, impls)
         assert report.ok, [str(m) for m in report.mismatches]
+        for name, run in runs.items():
+            assert run.events_processed == run.events_in, name
 
     def test_skewed_traffic_stays_spec_identical(self):
         prog, streams, plan, wl = self._case(skew_alpha=1.3)

@@ -4,7 +4,7 @@ The paper's headline claims are about staying correct *through*
 crashes and re-planning, so the metrics plane must not go dark exactly
 there: every substrate's execution attempt reports its own RunMetrics
 (`AttemptOutcome.metrics`), the drivers keep one snapshot per attempt
-(`RecoveredRun.attempt_metrics`, `PhaseRecord.metrics`) and merge them
+(`ReconfiguredRun.attempt_metrics`, `PhaseRecord.metrics`) and merge them
 — with the recovery/elasticity counters stamped — into
 ``BackendRun.metrics``.
 

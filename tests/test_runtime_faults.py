@@ -249,6 +249,38 @@ class TestCrashRecoveryAcrossBackends:
         assert run.recovery.attempts == 2
 
 
+class TestPacedRecovery:
+    def test_pace_reaches_recovery_attempts(self):
+        """``RunOptions(pace=..., fault_plan=...)``: the open-loop pump
+        paces every attempt, replays included.  Attempt 1 is paced from
+        the first event to the crash, attempt 2 from the restored
+        checkpoint (at or before the crash) to the end — together at
+        least the whole span."""
+        prog, streams, plan = vb_case(n_value_streams=2, values_per_barrier=10)
+        ts = [e.ts for s in streams for e in s.events]
+        span = max(ts) - min(ts)
+        pace = span / 0.4  # timestamp units per second: >= 0.4 s paced
+        barrier_ts = [e.ts for e in streams[-1].events]
+        run = run_on_backend(
+            "threaded",
+            prog,
+            plan,
+            streams,
+            options=RunOptions(
+                pace=pace,
+                fault_plan=FaultPlan(
+                    CrashFault(plan.leaves()[0].id, at_ts=barrier_ts[1] + 0.01)
+                ),
+                checkpoint_predicate=every_root_join(),
+            ),
+        )
+        assert run.recovery.attempts == 2
+        assert output_multiset(run.outputs) == output_multiset(
+            run_sequential_reference(prog, streams)
+        )
+        assert run.wall_s >= span / pace
+
+
 class TestStatefulPredicates:
     def test_caller_predicate_not_mutated_by_fault_runs(self):
         """Backends deep-copy the checkpoint predicate per attempt, so

@@ -4,7 +4,11 @@ ingest/egress tier, and the end-to-end acceptance scenario (10k+
 events over TCP with a mid-stream worker crash and an induced
 admission-pressure spike, differential against the sequential spec)."""
 
+import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import urllib.request
 from collections import Counter
@@ -26,6 +30,7 @@ from repro.runtime import (
     get_backend,
     run_on_backend,
 )
+from repro.runtime import protocol as runtime_protocol
 from repro.runtime.options import ServeOptions
 from repro.runtime.wire import FRAME_LEN
 from repro.serve import (
@@ -342,6 +347,61 @@ class TestServiceRuntimeEpochs:
         assert plan_width(svc.plan) == 4
         assert _multiset(svc.committed) == _multiset(spec_outputs(prog, events))
 
+    def test_closed_from_the_final_seal_finished_after_the_commit(self):
+        """While the final epoch runs, offers are already rejected as
+        closed but the service is not yet ``finished`` — a poller must
+        not tear the listener down under the epoch."""
+        app = keycounter_app(shards=2, reset_every=10)
+        during = []
+
+        def predicate(event, _count):  # runs inside the final epoch
+            late = Event(keycounter.inc_tag(0), "i0", 1e6, 1)
+            during.append((svc.finished, svc.offer(late)))
+            return True
+
+        svc = ServiceRuntime(
+            app.program,
+            app.plan,
+            options=ServeOptions(run=RunOptions(checkpoint_predicate=predicate)),
+        )
+        events = app.make_events(40)
+        for e in events:
+            assert svc.offer(e) == ADMITTED
+        assert not svc.finished
+        svc.finish()
+        assert during and set(during) == {(False, REJECT_CLOSED)}
+        assert svc.finished
+        assert _multiset(svc.committed) == _multiset(spec_outputs(app.program, events))
+
+    def test_per_epoch_producer_traffic_is_flat(self, monkeypatch):
+        """A long-lived service must not pay for its age: epoch k's
+        producer traffic (events + heartbeats) is what epoch 1's was,
+        not k times the heartbeats of the dead time since timestamp 0
+        (counted, not timed)."""
+        produced = []
+        real = runtime_protocol.producer_messages
+
+        def counting(stream, end_ts, start_ts=0.0):
+            msgs = real(stream, end_ts, start_ts)
+            produced.append(len(msgs))
+            return msgs
+
+        monkeypatch.setattr(runtime_protocol, "producer_messages", counting)
+        app = keycounter_app(shards=2, reset_every=10)
+        svc = ServiceRuntime(app.program, app.plan, options=ServeOptions())
+        events = app.make_events(20 * 50)
+        per_epoch = []
+        for k in range(20):
+            for e in events[k * 50 : (k + 1) * 50]:
+                assert svc.offer(e) == ADMITTED
+            before = sum(produced)
+            svc.run_epoch(final=k == 19)
+            per_epoch.append(sum(produced) - before)
+        assert _multiset(svc.committed) == _multiset(spec_outputs(app.program, events))
+        # Same 50 events, same grid: equal up to one grid point per stream.
+        assert min(per_epoch) >= 50
+        assert max(per_epoch) - min(per_epoch) <= len(svc.itags), per_epoch
+
     def test_service_gauges_snapshot(self):
         app = keycounter_app(reset_every=5)
         svc = ServiceRuntime(app.program, app.plan, options=ServeOptions())
@@ -489,6 +549,52 @@ class TestServiceTCP:
                 ingest.finish()
             got = _multiset(handle.runtime.committed)
         assert got == _multiset(spec_outputs(app.program, events))
+
+
+class TestServiceCLI:
+    def test_cli_serves_finish_and_exits_on_its_own(self):
+        """``python -m repro.serve`` end to end: a client ingests,
+        sends ``finish``, gets its ``finished`` reply and a subscriber
+        every spec output plus ``eof`` — the listener must outlive the
+        final epoch — and then the process exits 0 without being told."""
+        app = keycounter_app(shards=2)
+        events = app.make_events(300)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--app", "keycounter",
+             "--shards", "2", "--epoch-events", "64"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            hello = json.loads(proc.stdout.readline())
+            received = []
+            sub = connect(hello["port"], hello["cookie"], mode="subscribe")
+            consumer = threading.Thread(
+                target=lambda: received.extend(sub.output_values())
+            )
+            consumer.start()
+            with connect(hello["port"], hello["cookie"]) as ingest:
+                assert ingest.send_events(events, batch=50).admitted == len(events)
+                total = ingest.finish()
+            consumer.join(timeout=60)
+            sub.close()
+            assert not consumer.is_alive()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            err = proc.stderr.read()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert total == len(received)
+        assert _multiset(received) == _multiset(spec_outputs(app.program, events))
+        assert "service finished: 300 admitted" in err
 
 
 class TestServiceAcceptance:
