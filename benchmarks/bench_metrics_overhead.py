@@ -32,7 +32,7 @@ def _workload(QUICK: bool):
     prog = vb.make_program()
     wl = vb.make_workload(
         n_value_streams=2 if QUICK else 4,
-        values_per_barrier=250 if QUICK else 1500,
+        values_per_barrier=250 if QUICK else 15_000,
         n_barriers=2 if QUICK else 4,
     )
     return prog, vb.make_streams(wl), vb.make_plan(prog, wl)
@@ -41,27 +41,30 @@ def _workload(QUICK: bool):
 def test_metrics_overhead(benchmark):
     QUICK = quick()
     prog, streams, plan = _workload(QUICK)
-    repeats = 2 if QUICK else 4
+    repeats = 2 if QUICK else 8
 
-    def best_eps(metrics: bool) -> float:
-        best = 0.0
-        for _ in range(repeats):
-            run = run_on_backend(
-                "process",
-                prog,
-                plan,
-                streams,
-                options=RunOptions(metrics=metrics, timeout_s=60.0),
-            )
-            if metrics:
-                assert run.metrics is not None
-                assert run.metrics.merged().events_processed > 0
-            eps = run.events_in / run.wall_s if run.wall_s > 0 else 0.0
-            best = max(best, eps)
-        return best
+    def eps(metrics: bool) -> float:
+        run = run_on_backend(
+            "process",
+            prog,
+            plan,
+            streams,
+            options=RunOptions(metrics=metrics, timeout_s=60.0),
+        )
+        if metrics:
+            assert run.metrics is not None
+            assert run.metrics.merged().events_processed > 0
+        return run.events_in / run.wall_s if run.wall_s > 0 else 0.0
 
     def run():
-        return {"off": best_eps(False), "on": best_eps(True)}
+        # Off/on pairs, alternating which side goes first: this host's
+        # speed drifts by more than 5% between a block of "off" runs
+        # and a later block of "on" runs.
+        best = {False: 0.0, True: 0.0}
+        for i in range(repeats):
+            for metrics in (False, True) if i % 2 == 0 else (True, False):
+                best[metrics] = max(best[metrics], eps(metrics))
+        return {"off": best[False], "on": best[True]}
 
     data = benchmark.pedantic(run, rounds=1, iterations=1)
     ratio = data["on"] / data["off"] if data["off"] > 0 else float("nan")

@@ -326,6 +326,30 @@ class WorkerMetrics:
         lat = now_wall - (epoch + ts_ms / 1000.0)
         self.event_latency.observe(lat if lat > 0.0 else 0.0)
 
+    def observe_run_latency(self, now_wall: float, ts_col: Sequence[float]) -> None:
+        """The event latencies of a whole columnar run, applied at one
+        instant.  Timestamps ascend, so latencies descend from the
+        first event to the last: when both fall into one bucket the
+        run is counted once, with its length (every closed-loop run:
+        ahead of real time, all clamped to zero); a run that straddles
+        buckets is observed event by event."""
+        epoch = self.config.epoch
+        if epoch is None:
+            return
+        oldest = max(0.0, now_wall - (epoch + ts_col[0] / 1000.0))
+        newest = max(0.0, now_wall - (epoch + ts_col[-1] / 1000.0))
+        h = self.event_latency
+        bucket = bisect_left(h.bounds, oldest)
+        if bucket != bisect_left(h.bounds, newest) or newest == 0.0 < oldest:
+            for t in ts_col:
+                self.observe_event_latency(now_wall, t)
+            return
+        n = len(ts_col)
+        h.counts[bucket] += n
+        h.count += n
+        if newest > 0.0:
+            h.sum += n * (now_wall - epoch) - sum(ts_col) / 1000.0
+
     # -- piggyback plumbing ---------------------------------------------
     def wire_snapshot(self) -> Tuple[Any, ...]:
         return self.snapshot().to_wire()

@@ -76,7 +76,7 @@ from .transport import (
     plan_edges,
     resolve_policy,
 )
-from .wire import batch_message_count, coalesce_event_runs
+from .wire import batch_message_count
 
 @dataclass
 class _WorkerReport:
@@ -270,9 +270,11 @@ def _worker_main(
 class ProcessRuntime:
     """Run a DGS program on OS processes (one per plan worker).
 
-    ``transport`` selects the data plane (``"pipe"`` — framed raw
-    pipes, the default — or ``"queue"`` — the original
-    ``multiprocessing.Queue`` fabric).  ``batch_size=None`` (default)
+    ``transport`` selects the data plane: ``"pipe"`` (framed raw
+    pipes, the default), ``"queue"`` (the original
+    ``multiprocessing.Queue`` fabric), ``"tcp"`` (the same frames over
+    loopback stream sockets) or ``"shm"`` (shared-memory rings; tuned
+    through ``transport_options``).  ``batch_size=None`` (default)
     enables adaptive batching; an explicit integer pins the fixed
     policy (1 degenerates to per-message IPC, useful as a baseline).
     ``flush_ms`` tunes the adaptive policy's latency deadline.
@@ -384,17 +386,12 @@ class ProcessRuntime:
             batcher = transport.sender(
                 COORDINATOR, control, self.policy, on_block=pump_guard
             )
-            # The closed-loop pump coalesces same-route stretches into
-            # columnar runs so the whole data plane moves packed arrays;
-            # the paced pump stays per-event (it releases messages
-            # against the wall clock).
             pump_producers(
                 self.plan,
                 streams,
                 batcher.post,
                 pace=pace,
                 before_sleep=batcher.flush,
-                pack=coalesce_event_runs,
             )
             batcher.flush()
             aborted = self._await_idle(control, procs, timeout_s)
@@ -404,6 +401,12 @@ class ProcessRuntime:
             self._collect(control, result, timeout_s, metrics)
             if aborted:
                 transport.drain()
+        except BaseException:
+            # A failed attempt has nothing to collect: do not wait out
+            # workers that will never be sent a stop frame.
+            for p in procs:
+                p.terminate()
+            raise
         finally:
             for p in procs:
                 p.join(timeout=5.0)

@@ -30,12 +30,14 @@ Every substrate reports one execution attempt as the same
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import monotonic as _mono
 from time import perf_counter as _perf
 from time import time as _wall
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from ..core.events import Event, Heartbeat, ImplTag
@@ -52,6 +54,7 @@ from .messages import (
     JoinRequest,
     JoinResponse,
 )
+from .wire import MAX_RUN, event_runs
 
 PostFn = Callable[[str, Any], None]
 
@@ -391,9 +394,7 @@ class WorkerCore:
                         sink.emit(outs)
             self.state = state
         if m is not None:
-            now = _wall()
-            for t in run.ts:
-                m.observe_event_latency(now, t)
+            m.observe_run_latency(_wall(), run.ts)
 
     def _process_join_request(self, req: JoinRequest) -> None:
         if self.is_leaf:
@@ -582,9 +583,10 @@ def initial_leaf_states(
 
 
 def end_timestamp(streams: Sequence[Any]) -> float:
-    """Timestamp of the closing heartbeat: one past the last event."""
-    last_ts = max((e.ts for s in streams for e in s.events), default=0.0)
-    return last_ts + 1.0
+    """Timestamp of the closing heartbeat: one past the last event
+    (streams are timestamp-ordered, so each one's last event is its
+    latest)."""
+    return max((s.events[-1].ts for s in streams if s.events), default=0.0) + 1.0
 
 
 def start_timestamp(streams: Sequence[Any]) -> float:
@@ -599,37 +601,59 @@ def message_ts(msg: Any) -> float:
     return msg.event.ts if isinstance(msg, EventMsg) else msg.key[0]
 
 
+def _heartbeat_grid(
+    interval: Optional[float], start_ts: float, end_ts: float
+) -> Iterator[float]:
+    """One stream's heartbeat times: the multiples of ``interval`` from
+    the last one at or before ``start_ts`` up to ``end_ts``
+    (exclusive), then ``end_ts`` itself — the closing heartbeat, the
+    only one of a stream without an interval."""
+    if interval:
+        t = max(interval, start_ts // interval * interval)
+        while t < end_ts:
+            yield t
+            t += interval
+    yield end_ts
+
+
+def _heartbeat_key_tail(itag: ImplTag) -> tuple:
+    """What follows the timestamp in every heartbeat key of ``itag``."""
+    return Heartbeat(itag.tag, itag.stream, 0).order_key[1:]
+
+
 def producer_messages(stream: Any, end_ts: float, start_ts: float = 0.0) -> List[Any]:
     """One input stream's wire traffic, in order-key order.
 
     Interleaves the stream's events with periodic heartbeats plus the
     closing heartbeat at ``end_ts`` that lets every mailbox drain; this
     is the producer behaviour of every substrate (the simulated one
-    injects it at each message's timestamp).  The heartbeat grid —
-    multiples of the stream's interval — starts at the last grid point
-    at or before ``start_ts`` (:func:`start_timestamp`): an attempt
-    whose events begin at T (a service epoch, a recovery suffix) owes
-    nobody the T/interval heartbeats of the dead time before it.
+    injects it at each message's timestamp, the paced pump releases it
+    against the wall clock, and the closed-loop pump posts a
+    subsequence of it — see :func:`pump_producers`).  The heartbeat
+    grid — multiples of the stream's interval — starts at the last grid
+    point at or before ``start_ts`` (:func:`start_timestamp`): an
+    attempt whose events begin at T (a service epoch, a recovery
+    suffix) owes nobody the T/interval heartbeats of the dead time
+    before it.  A grid point that coincides with an event's timestamp
+    is not sent (the event itself carries that progress).
+
+    Events and grid are both timestamp-ordered, so they merge by
+    position.
     """
-    items: List[Tuple[tuple, Any]] = [
-        (e.order_key, EventMsg(e)) for e in stream.events
-    ]
-    hb_times: List[float] = []
-    interval = stream.heartbeat_interval
-    if interval:
-        t = max(interval, start_ts // interval * interval)
-        while t < end_ts:
-            hb_times.append(t)
-            t += interval
-    hb_times.append(end_ts)
-    event_ts = {e.ts for e in stream.events}
-    for t in hb_times:
-        if t in event_ts:
-            continue
-        hb = Heartbeat(stream.itag.tag, stream.itag.stream, t)
-        items.append((hb.order_key, HeartbeatMsg(stream.itag, hb.order_key)))
-    items.sort(key=lambda kv: kv[0])
-    return [msg for _, msg in items]
+    events = stream.events
+    itag = stream.itag
+    key_tail = _heartbeat_key_tail(itag)
+    times = [e.ts for e in events]
+    msgs: List[Any] = []
+    i = 0
+    for t in _heartbeat_grid(stream.heartbeat_interval, start_ts, end_ts):
+        j = bisect_left(times, t, i)
+        msgs.extend(map(EventMsg, events[i:j]))
+        i = j
+        if i == len(times) or times[i] != t:
+            msgs.append(HeartbeatMsg(itag, (t, *key_tail)))
+    msgs.extend(map(EventMsg, events[i:]))
+    return msgs
 
 
 def pump_producers(
@@ -639,30 +663,21 @@ def pump_producers(
     *,
     pace: Optional[float] = None,
     before_sleep: Optional[Callable[[], None]] = None,
-    pack: Optional[Callable[[List[Any]], Any]] = None,
 ) -> None:
     """Post every stream's producer traffic to the worker owning it.
 
-    Closed loop (``pace=None``): stream after stream, as fast as
-    ``post`` accepts; ``pack`` may coalesce a stream's messages first
-    (the process data plane moves columnar runs).  Open loop: the
-    streams merge into one schedule, stable on ``(ts, stream index,
-    seq)`` so per-stream FIFO (a mailbox invariant) holds, replayed
-    against the wall clock at ``pace`` timestamp units per second from
-    the first event on; ``before_sleep`` lets a batching substrate
-    flush before it waits.
+    Closed loop (``pace=None``): as fast as ``post`` accepts, in
+    chunked rounds over all streams (:func:`_pump_closed`).  Open
+    loop: the streams' :func:`producer_messages` merge into one
+    schedule, stable on ``(ts, stream index, seq)`` so per-stream FIFO
+    (a mailbox invariant) holds, replayed against the wall clock at
+    ``pace`` timestamp units per second from the first event on;
+    ``before_sleep`` lets a batching substrate flush before it waits.
     """
     start_ts, end_ts = start_timestamp(streams), end_timestamp(streams)
 
     if pace is None:
-        for stream in streams:
-            owner = plan.owner_of(stream.itag).id
-            msgs = producer_messages(stream, end_ts, start_ts)
-            for msg in pack(msgs) if pack is not None else msgs:
-                post(owner, msg)
-            # Before the next stream's list is built: peak memory is
-            # one stream's traffic, not two.
-            del msgs
+        _pump_closed(plan, streams, post, start_ts, end_ts)
         return
     sched = [
         (message_ts(msg), idx, seq, plan.owner_of(stream.itag).id, msg)
@@ -678,3 +693,92 @@ def pump_producers(
                 before_sleep()
             time.sleep(delay)
         post(owner, msg)
+
+
+_event_ts = attrgetter("ts")
+
+
+class _Feed:
+    """One stream's cursor in the closed-loop pump: the next event to
+    post, the next heartbeat-grid point not yet behind a cut, and the
+    timestamp of the last message posted."""
+
+    __slots__ = ("events", "itag", "owner", "key_tail", "pos", "grid", "next_hb", "sent")
+
+    def __init__(self, stream: Any, owner: str, start_ts: float, end_ts: float) -> None:
+        self.events = stream.events
+        self.itag = stream.itag
+        self.owner = owner
+        self.key_tail = _heartbeat_key_tail(stream.itag)
+        self.pos = 0
+        self.grid = _heartbeat_grid(stream.heartbeat_interval, start_ts, end_ts)
+        self.next_hb: Optional[float] = next(self.grid)
+        self.sent = float("-inf")
+
+
+def _pump_closed(
+    plan: SyncPlan, streams: Sequence[Any], post: PostFn, start_ts: float, end_ts: float
+) -> None:
+    """The closed-loop producer pump: chunked, run-native, interleaved.
+
+    Each round picks a timestamp ``cut`` — the earliest point at which
+    some unfinished stream has :data:`~repro.runtime.wire.MAX_RUN`
+    events (or its last one) to post — and then, for every stream in
+    turn, posts that stream's events with ``ts <= cut`` as columnar
+    runs built straight from the ``stream.events`` slice
+    (:func:`~repro.runtime.wire.event_runs`; what is not run-eligible
+    travels as ``EventMsg``, order preserved) followed by **at most
+    one** heartbeat: the last grid point ``<= cut``, if it lies after
+    the stream's last posted message.  The round after the last event
+    has ``cut = end_ts``, whose grid point is the closing heartbeat.
+    So every leaf has work from the first chunk, no stream runs more
+    than one chunk ahead of another, and a round costs one heartbeat
+    per stream, not one per grid point.
+
+    Safety: the messages posted for a stream are a *subsequence* of
+    ``producer_messages(stream, end_ts, start_ts)`` — the same events
+    in the same order, heartbeat keys from the same grid — and a grid
+    heartbeat is left out only when a later message of the same stream
+    follows within the same round.  ``Mailbox.insert``/``insert_run``/
+    ``advance`` each move the tag's timer to the message's key, so the
+    mailbox state after that later message is what the full sequence
+    would have left; the dropped heartbeat could only have released
+    dependants a few posts earlier.
+
+    An event whose implementation tag is not its stream's raises
+    :class:`RuntimeFault`, as on the simulated substrate.
+    """
+    feeds = [
+        _Feed(s, plan.owner_of(s.itag).id, start_ts, end_ts) for s in streams
+    ]
+    while True:
+        ends = [
+            f.events[min(f.pos + MAX_RUN, len(f.events)) - 1].ts
+            for f in feeds
+            if f.pos < len(f.events)
+        ]
+        cut = min(ends) if ends else end_ts
+        for f in feeds:
+            events, itag = f.events, f.itag
+            hi = bisect_right(
+                events, cut, f.pos, min(f.pos + MAX_RUN, len(events)), key=_event_ts
+            )
+            if hi > f.pos:
+                for item in event_runs(events[f.pos : hi]):
+                    first = item.event(0) if type(item) is EventRun else item.event
+                    if first.tag != itag.tag or first.stream != itag.stream:
+                        raise RuntimeFault(
+                            f"event {first!r} does not belong to stream {itag!r}"
+                        )
+                    post(f.owner, item)
+                f.pos = hi
+                f.sent = events[hi - 1].ts
+            hb = None
+            while f.next_hb is not None and f.next_hb <= cut:
+                hb = f.next_hb
+                f.next_hb = next(f.grid, None)
+            if hb is not None and hb > f.sent:
+                post(f.owner, HeartbeatMsg(itag, (hb, *f.key_tail)))
+                f.sent = hb
+        if not ends:
+            return

@@ -239,7 +239,11 @@ class ThreadedRuntime:
         # per stream (one virtual producer thread each is unnecessary —
         # per-itag FIFO into the owner's queue is what matters).
         t0 = time.perf_counter()
-        pump_producers(self.plan, streams, router.post, pace=pace)
+        try:
+            pump_producers(self.plan, streams, router.post, pace=pace)
+        except BaseException:
+            router.stop_all()  # a rejected input must not strand the threads
+            raise
 
         deadline = time.monotonic() + timeout_s
         while True:

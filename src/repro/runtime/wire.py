@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from ..core.events import Event, ImplTag
@@ -698,73 +698,126 @@ def _run_vals_packable(shape: int, ts: Any, payload: Any) -> bool:
     return True
 
 
-def coalesce_event_runs(msgs: Sequence[Any], *, max_run: int = 512) -> List[Any]:
-    """Merge consecutive same-route, same-shape :class:`EventMsg`
-    items into columnar :class:`EventRun`\\ s.
+#: Longest run the producers build: bounds frame size and the mailbox's
+#: release granularity, and is the closed-loop pump's chunk size.
+MAX_RUN = 512
 
-    The producer-side twin of :func:`pack_frame`'s run coalescing:
-    applying it *before* posting means the coordinator's batcher and
-    codec handle one object per run instead of one per event, and the
-    receiving worker's mailbox can release whole runs.  Messages that
-    are not run-eligible (heartbeats, heterogeneous routes, exotic
-    scalar shapes) pass through untouched, order preserved.
-    ``max_run`` bounds a run's length so frames and mailbox release
-    granularity stay reasonable under the batch policy."""
+#: Column types of each run shape, indexed by shape byte.
+_SHAPE_TYPES = ((float, int), (float, type(None)), (int, int), (float, float))
+
+def _in_i64(col: Sequence[int]) -> bool:
+    return _I64_MIN <= min(col) and max(col) <= _I64_MAX
+
+
+def event_runs(
+    events: Sequence[Event],
+    *,
+    max_run: int = MAX_RUN,
+    msgs: Optional[Sequence[Any]] = None,
+) -> List[Any]:
+    """Pack consecutive events into columnar :class:`EventRun`\\ s.
+
+    Every maximal stretch (at most ``max_run`` long) of events that
+    continue the run its first event opens becomes one run: same route
+    — types before ``==``, since ``True == 1`` and a ``str`` subclass
+    equals its ``str`` — same exact-type shape, and int columns within
+    i64, so :func:`pack_frame`'s run branch never sees
+    ``struct.error``.  An event that is not run-eligible (a non-``str``
+    tag, an exotic scalar shape, an out-of-i64 int) or that stands
+    alone travels as an :class:`EventMsg` — ``msgs[i]`` when the caller
+    already holds the wrappers, a new one otherwise.  Order is
+    preserved: expanding the result event by event gives back
+    ``events``.
+
+    A producer's stream is uniform almost always, so a window is first
+    tested a whole column at a time and walked event by event only
+    when that fails — or while whole windows cannot pay for themselves:
+    on an input, or after a run, shorter than a quarter window."""
     out: List[Any] = []
-    i, n = 0, len(msgs)
+    n = len(events)
+    if not n:
+        return out
+    tags = [e.tag for e in events]
+    streams = [e.stream for e in events]
+    ts_col = [e.ts for e in events]
+    pl_col = [e.payload for e in events]
+    whole = n * 4 >= max_run
+    i = 0
     while i < n:
-        m = msgs[i]
-        if type(m) is not EventMsg:
-            out.append(m)
-            i += 1
-            continue
-        e = m.event
-        tag, stream = e.tag, e.stream
-        shape = _event_shape(e.ts, e.payload)
-        if (
-            shape < 0
-            or _route_bytes(tag, stream) is None
-            or not _run_vals_packable(shape, e.ts, e.payload)
-        ):
-            out.append(m)
-            i += 1
-            continue
-        ts_col = [e.ts]
-        pl_col: List[Any] = [] if shape == _SHAPE_FN else [e.payload]
+        tag, stream, ts, p = tags[i], streams[i], ts_col[i], pl_col[i]
+        shape = _event_shape(ts, p)
         j = i + 1
-        j_max = i + max_run
-        while j < n and j < j_max:
-            m2 = msgs[j]
-            if type(m2) is not EventMsg:
-                break
-            e2 = m2.event
+        if (
+            shape >= 0
+            and _route_bytes(tag, stream) is not None
+            and _run_vals_packable(shape, ts, p)
+        ):
+            hi = min(i + max_run, n)
+            ts_t, pl_t = _SHAPE_TYPES[shape]
             if (
-                type(e2.stream) is not type(stream)
-                or e2.stream != stream
-                or type(e2.tag) is not type(tag)
-                or e2.tag != tag
+                whole
+                and tags[i:hi].count(tag) == hi - i
+                and streams[i:hi].count(stream) == hi - i
+                and set(map(type, tags[i:hi])) == {type(tag)}
+                and set(map(type, streams[i:hi])) == {type(stream)}
+                and set(map(type, ts_col[i:hi])) == {ts_t}
+                and set(map(type, pl_col[i:hi])) == {pl_t}
+                and (ts_t is not int or _in_i64(ts_col[i:hi]))
+                and (pl_t is not int or _in_i64(pl_col[i:hi]))
             ):
-                break
-            ts2, p2 = e2.ts, e2.payload
-            if _event_shape(ts2, p2) != shape or not _run_vals_packable(
-                shape, ts2, p2
-            ):
-                break
-            ts_col.append(ts2)
-            if shape != _SHAPE_FN:
-                pl_col.append(p2)
-            j += 1
+                j = hi
+            else:
+                while (
+                    j < hi
+                    and type(streams[j]) is type(stream)
+                    and streams[j] == stream
+                    and type(tags[j]) is type(tag)
+                    and tags[j] == tag
+                    and _event_shape(ts_col[j], pl_col[j]) == shape
+                    and _run_vals_packable(shape, ts_col[j], pl_col[j])
+                ):
+                    j += 1
+            whole = (j - i) * 4 >= max_run
         if j - i == 1:
-            out.append(m)
+            out.append(msgs[i] if msgs is not None else EventMsg(events[i]))
         else:
             out.append(
                 EventRun(
                     tag,
                     stream,
                     shape,
-                    tuple(ts_col),
-                    tuple(pl_col) if shape != _SHAPE_FN else None,
+                    tuple(ts_col[i:j]),
+                    tuple(pl_col[i:j]) if shape != _SHAPE_FN else None,
                 )
             )
+        i = j
+    return out
+
+
+def coalesce_event_runs(msgs: Sequence[Any], *, max_run: int = MAX_RUN) -> List[Any]:
+    """Merge consecutive same-route, same-shape :class:`EventMsg`
+    items into columnar :class:`EventRun`\\ s (:func:`event_runs` over
+    every stretch of event messages).
+
+    The producer-side twin of :func:`pack_frame`'s run coalescing:
+    applying it *before* posting means the batcher and codec handle
+    one object per run instead of one per event, and the receiving
+    worker's mailbox can release whole runs.  Messages that are not
+    run-eligible (heartbeats, heterogeneous routes, exotic scalar
+    shapes) pass through untouched, order preserved."""
+    out: List[Any] = []
+    i, n = 0, len(msgs)
+    while i < n:
+        j = i
+        while j < n and type(msgs[j]) is EventMsg:
+            j += 1
+        if j == i:
+            out.append(msgs[i])
+            i += 1
+            continue
+        stretch = msgs[i:j]
+        out.extend(
+            event_runs([m.event for m in stretch], max_run=max_run, msgs=stretch)
+        )
         i = j
     return out

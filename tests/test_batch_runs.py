@@ -10,7 +10,11 @@ final state — or the fast path is a semantics change, not an
 optimization.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import keycounter as kc
 from repro.apps import value_barrier as vb
@@ -24,6 +28,10 @@ from repro.runtime.wire import (
     pack_frame,
     unpack_frame,
 )
+
+
+class StrTag(str):
+    """Equal to its ``str``, but never on the codec's fast path."""
 
 
 def vmsgs(n, tag="value", stream="v0", start=0, payload=lambda i: i):
@@ -116,6 +124,56 @@ class TestCoalesce:
         msgs = vmsgs(1)
         assert coalesce_event_runs(msgs) == msgs
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 1 << 30), st.sampled_from([2, 3, 5, 512]))
+    def test_mixed_traffic_packs_into_maximal_uniform_runs(self, seed, max_run):
+        """Whatever the mix of routes, shapes and non-events: expanding
+        gives back the input, a run is uniform in exact types and
+        within ``max_run``, and no two neighbours could have been one
+        run (so whole-window and event-by-event packing agree)."""
+        rng = random.Random(seed)
+        tags = ["a", "b", StrTag("a"), ("t", 1)]
+        streams = [0, 1, True, "s"]
+        values = [None, 1, 2.5, "x", 1 << 70, -(1 << 63), True]
+        msgs, sticky = [], rng.random()
+        t, s, p, fl = "a", 0, 1, True
+        for k in range(rng.randint(0, 40)):
+            if rng.random() > sticky:
+                t, s, p = rng.choice(tags), rng.choice(streams), rng.choice(values)
+                fl = rng.random() < 0.7
+            if rng.random() < 0.05:
+                msgs.append(HeartbeatMsg(ImplTag("a", 0), (k,)))
+            else:
+                ts = float(k) if fl else (k if rng.random() < 0.95 else 1 << 65)
+                msgs.append(EventMsg(Event(t, s, ts, p)))
+        out = coalesce_event_runs(msgs, max_run=max_run)
+
+        def signature(e):
+            return (type(e.tag), e.tag, type(e.stream), e.stream, type(e.ts), type(e.payload))
+
+        def packable(e):  # the frame codec's own verdict on this event
+            (back, *_) = unpack_frame(pack_frame([EventMsg(e)] * 2), runs=True)
+            return type(back) is EventRun
+
+        flat = expand(out)
+        assert flat == msgs
+        assert [signature(m.event) for m in flat if type(m) is EventMsg] == [
+            signature(m.event) for m in msgs if type(m) is EventMsg
+        ]
+        for a, b in zip(out, out[1:] + [None]):
+            if type(a) is EventRun:
+                assert 2 <= len(a) <= max_run
+                assert len({signature(e) for e in a.events()}) == 1
+                assert all(packable(e) for e in a.events())
+            if b is None or HeartbeatMsg in (type(a), type(b)):
+                continue
+            last = a.events()[-1] if type(a) is EventRun else a.event
+            nxt = b.events()[0] if type(b) is EventRun else b.event
+            mergeable = (
+                signature(last) == signature(nxt) and packable(last) and packable(nxt)
+            )
+            assert not mergeable or (type(a) is EventRun and len(a) == max_run)
+
     def test_wire_roundtrip_and_message_accounting(self):
         """A coalesced batch frames, counts, and decodes as its events."""
         msgs = vmsgs(7) + [HeartbeatMsg(ImplTag("value", "v0"), (99.0,))]
@@ -191,6 +249,45 @@ class TestMailboxRuns:
             note(mb.advance(self.B, self.bkey(50.0)))
             schedules.append(timeline)
         assert schedules[0] == schedules[1]
+
+    def test_full_length_run_splits_mid_run_where_per_event_would(self):
+        """The closed-loop pump's unit of traffic: a 512-event run met
+        by a dependency frontier that lands inside it releases exactly
+        the events the per-event path releases, step by step."""
+        msgs = vmsgs(512, start=1)  # ts 1..512
+        run = one_run(msgs)
+        assert len(run) == 512
+        steps = [self.bkey(200.5), self.bkey(200.75), self.bkey(201.0), self.bkey(1e9)]
+        timelines = []
+        for columnar in (True, False):
+            mb = self.mailbox()
+            released = []
+            if columnar:
+                released.append(mb.insert_run(run))
+            else:
+                released.append(
+                    [b for m in msgs for b in mb.insert(self.V, m.event.order_key, m)]
+                )
+            released += [mb.advance(self.B, key) for key in steps]
+            timelines.append(
+                [
+                    [
+                        e.ts
+                        for b in step
+                        for e in (
+                            b.item.events()
+                            if type(b.item) is EventRun
+                            else [b.item.event]
+                        )
+                    ]
+                    for step in released
+                ]
+            )
+            assert mb.buffered_count() == 0
+        assert timelines[0] == timelines[1]
+        # A frontier at ts 201.0 sorts before the value event of the
+        # same timestamp ("barrier" < "value"), so it releases nothing.
+        assert [len(step) for step in timelines[0]] == [0, 200, 0, 0, 312]
 
     def test_non_monotone_run_is_rejected(self):
         mb = self.mailbox()

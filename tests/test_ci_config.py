@@ -78,6 +78,35 @@ class TestSimChaosSlice:
         assert f"python -m repro.chaos {self.SLICE}" in text
 
 
+class TestDgsbenchSmokeLane:
+    def test_lane_runs_the_smoke_then_the_self_test(self, jobs):
+        """The declared end-to-end benchmark runs on every push: the
+        harness and the runtime it measures cannot drift apart
+        between the PRs that quote its numbers."""
+        assert "dgsbench-smoke" in jobs, "dgsbench smoke lane missing"
+        job = jobs["dgsbench-smoke"]
+        assert job["timeout-minutes"] <= 15
+        assert "schedule" in job.get("if", "")
+        runs = [str(s.get("run", "")) for s in job["steps"]]
+        smoke = [i for i, r in enumerate(runs) if "dgsbench/run.py --smoke" in r]
+        selftest = [
+            i for i, r in enumerate(runs) if "pytest dgsbench/test_dgsbench.py" in r
+        ]
+        assert smoke and selftest and smoke[0] < selftest[0]
+
+    def test_an_incorrect_or_leaky_run_fails_the_lane(self, jobs):
+        (smoke,) = [
+            str(s["run"])
+            for s in jobs["dgsbench-smoke"]["steps"]
+            if "dgsbench/run.py --smoke" in str(s.get("run", ""))
+        ]
+        # run.py exits 0 on a mismatch (it reports, the caller judges),
+        # so the step itself must refuse `"correct": false`; exit 3
+        # (survivors) fails it through the shell's pipefail.
+        assert "! grep -q '\"correct\": false'" in smoke
+        assert "|| true" not in smoke
+
+
 class TestPerfGateLane:
     def test_lane_runs_all_four_micro_benches(self, jobs):
         text = steps_text(jobs["perf-gate"])

@@ -172,6 +172,29 @@ class TestWorkerMetrics:
         assert m.event_latency.count == 2
         assert m.event_latency.sum == pytest.approx(0.2)
 
+    @pytest.mark.parametrize(
+        "now, ts_col",
+        [
+            (100.0, (500.0, 600.0, 700.0)),  # all ahead of real time: clamped
+            (100.3, (10.0, 10.5, 11.0, 11.5)),  # one bucket, counted once
+            (100.3, (1.0, 120.0, 250.0, 299.0)),  # straddles buckets
+            (100.2, (150.0, 199.0, 200.0, 260.0)),  # straddles the clamp
+            (100.2, (150.0,)),
+        ],
+    )
+    def test_run_latency_equals_per_event_observation(self, now, ts_col):
+        """A run counted once with its length lands where observing its
+        events one by one would have."""
+        cfg = MetricsConfig().with_epoch(100.0)
+        by_run, by_event = WorkerMetrics("w1", cfg), WorkerMetrics("w1", cfg)
+        by_run.observe_run_latency(now, ts_col)
+        for t in ts_col:
+            by_event.observe_event_latency(now, t)
+        assert by_run.event_latency.counts == by_event.event_latency.counts
+        assert by_run.event_latency.count == len(ts_col)
+        assert by_run.event_latency.sum == pytest.approx(by_event.event_latency.sum)
+        WorkerMetrics("w1", MetricsConfig()).observe_run_latency(now, ts_col)  # no epoch
+
     def test_maybe_wire_snapshot_is_rate_limited(self):
         m = WorkerMetrics("w1")
         assert m.maybe_wire_snapshot(10.0, interval=0.25) is not None

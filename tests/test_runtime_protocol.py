@@ -1,16 +1,29 @@
 """The one worker protocol (repro.runtime.protocol) on its own: a lone
 WorkerCore fed out-of-protocol messages raises typed errors that name
 the worker and its state, and the producer schedule every substrate
-shares starts its heartbeat grid at the attempt, not at timestamp 0."""
+shares starts its heartbeat grid at the attempt, not at timestamp 0;
+the rewritten ``producer_messages`` is list-equal to its frozen
+predecessor, and the closed-loop pump posts a subsequence of it in
+chunked, interleaved rounds."""
+
+import random
+import threading
+import time
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import value_barrier as vb
 from repro.core import Event, ImplTag
 from repro.core.errors import RuntimeFault
-from repro.runtime import InputStream
+from repro.core.events import Heartbeat
+from repro.runtime import InputStream, RunOptions, protocol, run_on_backend
 from repro.runtime.messages import (
     EventMsg,
+    EventRun,
     ForkStateMsg,
     HeartbeatMsg,
     JoinRequest,
@@ -21,8 +34,10 @@ from repro.runtime.protocol import (
     WorkerCore,
     end_timestamp,
     producer_messages,
+    pump_producers,
     start_timestamp,
 )
+from repro.runtime.wire import batch_message_count
 
 
 @pytest.fixture
@@ -152,3 +167,292 @@ class TestHeartbeatGrid:
             if isinstance(m, HeartbeatMsg)
         ]
         assert hb[:2] == [5.0, 10.0] and len(hb) == 201
+
+
+# ---------------------------------------------------------------------------
+# The producer schedule and the closed-loop pump, without a substrate
+# ---------------------------------------------------------------------------
+
+def frozen_producer_messages(stream, end_ts, start_ts=0.0):
+    """``producer_messages`` as it stood before the grid was merged in
+    by position (commit 42eccde), kept verbatim as the reference the
+    rewritten generator and the closed-loop pump are held against."""
+    items = [(e.order_key, EventMsg(e)) for e in stream.events]
+    hb_times = []
+    interval = stream.heartbeat_interval
+    if interval:
+        t = max(interval, start_ts // interval * interval)
+        while t < end_ts:
+            hb_times.append(t)
+            t += interval
+    hb_times.append(end_ts)
+    event_ts = {e.ts for e in stream.events}
+    for t in hb_times:
+        if t in event_ts:
+            continue
+        hb = Heartbeat(stream.itag.tag, stream.itag.stream, t)
+        items.append((hb.order_key, HeartbeatMsg(stream.itag, hb.order_key)))
+    items.sort(key=lambda kv: kv[0])
+    return [msg for _, msg in items]
+
+
+class StrTag(str):
+    """A ``str`` subclass: equal to its ``str``, off the codec's fast path."""
+
+
+ITAGS = [
+    ImplTag("a", "s"),
+    ImplTag("b", 0),
+    ImplTag(("k", 1), "s"),  # tuple tag: never run-eligible
+    ImplTag(StrTag("c"), "s"),
+    ImplTag("d", 1),
+]
+
+PAYLOADS = [None, None, 0, 3, -4, 0.5, -1.25, "x", 1 << 70, -(1 << 63), True]
+
+
+@st.composite
+def stream_sets(draw):
+    """1-4 timestamp-ordered streams over distinct tags.  Timestamps
+    come from a small grid shifted by ``base`` so that events fall on
+    heartbeat grid points and share timestamps across streams; a
+    stream is int- or float-stamped (or mixed, or off the grid),
+    payload shapes mix freely inside it, and some streams are empty or
+    heartbeat-free.  Sizes and kinds are drawn, the filling is seeded
+    (one draw per event would spend the budget on generation)."""
+    base = draw(st.sampled_from([0, 3, 1_000_000]))
+    itags = draw(st.permutations(ITAGS))[: draw(st.integers(1, 4))]
+    rng = random.Random(draw(st.integers(0, 1 << 30)))
+    streams = []
+    for itag in itags:
+        n = draw(st.integers(0, 25))
+        kind = draw(st.sampled_from(["float", "int", "mixed", "half"]))
+        uniform = draw(st.booleans())
+        events = []
+        for t in sorted(rng.sample(range(1, 61), n)):
+            ts = base + t
+            if kind == "float" or (kind == "mixed" and rng.random() < 0.5):
+                ts = float(ts)
+            elif kind == "half":
+                ts = ts + 0.5
+            payload = 7 if uniform else rng.choice(PAYLOADS)
+            events.append(Event(itag.tag, itag.stream, ts, payload))
+        interval = draw(st.sampled_from([None, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0]))
+        streams.append(
+            InputStream(itag, tuple(events), heartbeat_interval=interval)
+        )
+    return streams
+
+
+class _OnePlan:
+    """Every stream is owned by a worker named after its tag."""
+
+    def owner_of(self, itag):
+        return SimpleNamespace(id=f"w:{itag.tag}@{itag.stream}")
+
+
+def _pump(streams, max_run, **kwargs):
+    posted = []
+    with mock.patch.object(protocol, "MAX_RUN", max_run):
+        pump_producers(
+            _OnePlan(), streams, lambda dst, msg: posted.append((dst, msg)), **kwargs
+        )
+    return posted
+
+
+def _expand(msg):
+    """A posted message as the per-event messages it stands for."""
+    if type(msg) is EventRun:
+        return [EventMsg(e) for e in msg.events()]
+    return [msg]
+
+
+def _key(msg):
+    return msg.event.order_key if isinstance(msg, EventMsg) else msg.key
+
+
+def _round_cuts(streams, max_run, end_ts):
+    """The cut of every chunk-round, from the definition: the earliest
+    timestamp at which an unfinished stream has ``max_run`` events (or
+    its last) to post; the closing round's cut is ``end_ts``."""
+    pos = [0] * len(streams)
+    cuts = []
+    while True:
+        ends = [
+            s.events[min(p + max_run, len(s.events)) - 1].ts
+            for s, p in zip(streams, pos)
+            if p < len(s.events)
+        ]
+        if not ends:
+            return cuts + [end_ts]
+        cuts.append(min(ends))
+        pos = [
+            sum(1 for e in s.events if e.ts <= cuts[-1]) for s in streams
+        ]
+
+
+class TestProducerMessages:
+    @settings(max_examples=200, deadline=None)
+    @given(stream_sets(), st.booleans())
+    def test_list_equal_to_the_frozen_generator(self, streams, two_args):
+        start, end = start_timestamp(streams), end_timestamp(streams)
+        two_args = two_args and start < 100  # else a grid of millions
+        for s in streams:
+            args = (s, end) if two_args else (s, end, start)
+            got = producer_messages(*args)
+            want = frozen_producer_messages(*args)
+            assert got == want
+            assert [type(_key(m)[0]) for m in got] == [type(_key(m)[0]) for m in want]
+
+    def test_end_timestamp_reads_each_streams_last_event(self):
+        A, B = ImplTag("a", "s"), ImplTag("b", "s")
+        streams = [_stream(A, [1.0, 9.0]), _stream(B, [4.0, 30.0]), _stream(A, [])]
+        assert end_timestamp(streams) == 31.0
+        assert end_timestamp([]) == end_timestamp([_stream(A, [])]) == 1.0
+
+
+class TestClosedLoopPump:
+    """`pump_producers(pace=None)` against a recording ``post``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream_sets(), st.sampled_from([1, 2, 3, 7, 512]))
+    def test_subsequence_rounds_skew_and_accounting(self, streams, max_run):
+        start, end = start_timestamp(streams), end_timestamp(streams)
+        posted = _pump(streams, max_run)
+        cuts = _round_cuts(streams, max_run, end)
+        owners = [_OnePlan().owner_of(s.itag).id for s in streams]
+
+        def round_of(msg):
+            ts = _key(msg)[0]
+            return next(k for k, cut in enumerate(cuts) if ts <= cut)
+
+        # (d) in-flight accounting: a run counts its length.
+        n_events = sum(len(s.events) for s in streams)
+        n_hb = sum(isinstance(m, HeartbeatMsg) for _, m in posted)
+        assert batch_message_count([m for _, m in posted]) == n_events + n_hb
+        assert all(len(m) <= max_run for _, m in posted if type(m) is EventRun)
+
+        # Streams are served in turn, round after round.
+        order = [
+            (round_of(m), owners.index(dst))
+            for dst, msg in posted
+            for m in _expand(msg)
+        ]
+        assert order == sorted(order)
+
+        for s, owner in zip(streams, owners):
+            full = frozen_producer_messages(s, end, start)
+            mine = [m for dst, msg in posted if dst == owner for m in _expand(msg)]
+            # (a) a subsequence of the full schedule, every event kept...
+            it = iter(full)
+            assert all(any(m == f for f in it) for m in mine)
+            assert [m for m in mine if isinstance(m, EventMsg)] == [
+                m for m in full if isinstance(m, EventMsg)
+            ]
+            # ...closed by the same closing heartbeat...
+            assert mine[-1] == full[-1]
+            # ...with at most one heartbeat per round,
+            hb_rounds = [round_of(m) for m in mine if isinstance(m, HeartbeatMsg)]
+            assert len(hb_rounds) == len(set(hb_rounds))
+            # (b) and a grid heartbeat is dropped only when a later
+            # message of the stream follows in the same round.
+            for f in full:
+                if isinstance(f, HeartbeatMsg) and f not in mine:
+                    assert any(
+                        _key(m) > f.key and round_of(m) == round_of(f) for m in mine
+                    ), f
+
+        # (c) bounded skew: no stream has posted more than one chunk of
+        # events past the next event another stream has yet to post.
+        done = [0] * len(streams)
+        for dst, msg in posted:
+            i = owners.index(dst)
+            done[i] += sum(isinstance(m, EventMsg) for m in _expand(msg))
+            for u, todo in enumerate(streams):
+                if done[u] == len(todo.events):
+                    continue
+                waiting_at = todo.events[done[u]].ts
+                ahead = sum(e.ts > waiting_at for e in streams[i].events[: done[i]])
+                assert ahead <= max_run
+
+    def test_real_chunk_size_interleaves_long_streams(self):
+        A, B, C = ImplTag("a", "s"), ImplTag("b", "s"), ImplTag("c", "s")
+
+        def long(itag, offset):
+            return InputStream(
+                itag,
+                tuple(
+                    Event(itag.tag, itag.stream, offset + 0.1 * i, i)
+                    for i in range(1300)
+                ),
+                heartbeat_interval=1.0,
+            )
+
+        streams = [long(A, 5.0), long(B, 5.05), _stream(C, [70.0, 120.0], 1.0)]
+        posted = _pump(streams, protocol.MAX_RUN)
+        kinds = [
+            (dst[2], len(m) if type(m) is EventRun else type(m).__name__)
+            for dst, m in posted
+        ]
+        # First round: a full run of a, what b has up to the same cut,
+        # and one heartbeat for the idle stream c — not fifty.
+        assert kinds[:3] == [("a", 512), ("b", 511), ("c", "HeartbeatMsg")]
+        n_rounds = len(_round_cuts(streams, protocol.MAX_RUN, end_timestamp(streams)))
+        assert n_rounds == 6  # a's and b's chunks, each stream's end, the closing one
+        n_posted_hb = sum(k == "HeartbeatMsg" for _, k in kinds)
+        n_grid_hb = sum(
+            isinstance(m, HeartbeatMsg)
+            for s in streams
+            for m in frozen_producer_messages(s, end_timestamp(streams), 5.0)
+        )
+        assert n_posted_hb <= 3 * n_rounds < n_grid_hb // 10
+
+    def test_ineligible_traffic_travels_per_event_in_order(self):
+        K = ImplTag(("k", 1), "s")
+        s = _stream(K, [1.0, 2.0, 3.0], interval=None)
+        assert [type(m) for _, m in _pump([s], 512)] == [EventMsg] * 3 + [HeartbeatMsg]
+
+    def test_foreign_event_is_rejected(self):
+        A = ImplTag("a", "s")
+        bad = InputStream(A, (Event("a", "s", 1.0), Event("b", "s", 2.0)))
+        with pytest.raises(RuntimeFault, match="does not belong to stream"):
+            _pump([bad], 512)
+
+    def test_paced_branch_posts_the_full_schedule(self):
+        """Open loop is untouched: every grid heartbeat, per-event
+        messages, merged on (ts, stream index, seq)."""
+        wl = vb.make_workload(n_value_streams=2, values_per_barrier=20, n_barriers=3)
+        streams = vb.make_streams(wl)
+        start, end = start_timestamp(streams), end_timestamp(streams)
+        want = sorted(
+            (
+                (_key(m)[0], idx, seq, m)
+                for idx, s in enumerate(streams)
+                for seq, m in enumerate(frozen_producer_messages(s, end, start))
+            ),
+            key=lambda t: t[:3],
+        )
+        posted = _pump(streams, 512, pace=1e12)
+        assert [m for _, m in posted] == [m for *_, m in want]
+        assert len(posted) > len(_pump(streams, 512))
+
+
+@pytest.mark.parametrize("backend", ["threaded", "process"])
+def test_real_substrates_reject_a_foreign_event(backend):
+    """What only the simulator used to check: an event filed under
+    another stream's tag is an input error, not traffic."""
+    prog = vb.make_program()
+    wl = vb.make_workload(n_value_streams=2, values_per_barrier=5, n_barriers=1)
+    plan = vb.make_plan(prog, wl)
+    streams = vb.make_streams(wl)
+    first, other = streams[0], streams[1]
+    stray = other.events[0]
+    mixed = sorted(first.events + (stray,), key=lambda e: e.ts)
+    streams[0] = InputStream(first.itag, tuple(mixed), heartbeat_interval=1.0)
+    before = threading.active_count()
+    with pytest.raises(RuntimeFault, match="does not belong to stream"):
+        run_on_backend(backend, prog, plan, streams, options=RunOptions(timeout_s=20.0))
+    deadline = time.monotonic() + 5.0
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= before

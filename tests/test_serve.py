@@ -30,7 +30,8 @@ from repro.runtime import (
     get_backend,
     run_on_backend,
 )
-from repro.runtime import protocol as runtime_protocol
+from repro.runtime import threaded as runtime_threaded
+from repro.runtime.messages import EventRun
 from repro.runtime.options import ServeOptions
 from repro.runtime.wire import FRAME_LEN
 from repro.serve import (
@@ -375,18 +376,21 @@ class TestServiceRuntimeEpochs:
 
     def test_per_epoch_producer_traffic_is_flat(self, monkeypatch):
         """A long-lived service must not pay for its age: epoch k's
-        producer traffic (events + heartbeats) is what epoch 1's was,
-        not k times the heartbeats of the dead time since timestamp 0
+        producer traffic (events + heartbeats, counted where the pump
+        posts them, a run at its length) is what epoch 1's was, not k
+        times the heartbeats of the dead time since timestamp 0
         (counted, not timed)."""
         produced = []
-        real = runtime_protocol.producer_messages
+        real = runtime_threaded.pump_producers
 
-        def counting(stream, end_ts, start_ts=0.0):
-            msgs = real(stream, end_ts, start_ts)
-            produced.append(len(msgs))
-            return msgs
+        def counting(plan, streams, post, **kwargs):
+            def counted(dst, msg):
+                produced.append(len(msg) if type(msg) is EventRun else 1)
+                post(dst, msg)
 
-        monkeypatch.setattr(runtime_protocol, "producer_messages", counting)
+            real(plan, streams, counted, **kwargs)
+
+        monkeypatch.setattr(runtime_threaded, "pump_producers", counting)
         app = keycounter_app(shards=2, reset_every=10)
         svc = ServiceRuntime(app.program, app.plan, options=ServeOptions())
         events = app.make_events(20 * 50)
@@ -401,6 +405,11 @@ class TestServiceRuntimeEpochs:
         # Same 50 events, same grid: equal up to one grid point per stream.
         assert min(per_epoch) >= 50
         assert max(per_epoch) - min(per_epoch) <= len(svc.itags), per_epoch
+        # The chunked pump posts at most one heartbeat per stream per
+        # round, and an epoch this small takes at most one round per
+        # stream (each round ends a stream) plus the closing one.
+        n_streams = len(svc.itags)
+        assert max(per_epoch) <= 50 + n_streams * (n_streams + 1), per_epoch
 
     def test_service_gauges_snapshot(self):
         app = keycounter_app(reset_every=5)
