@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 from time import monotonic as _mono
 from time import perf_counter as _perf
 from time import time as _wall
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from ..core.events import Event, Heartbeat, ImplTag
@@ -45,7 +45,7 @@ from ..core.program import DGSProgram
 from ..plans.plan import PlanNode, SyncPlan
 from .checkpoint import Checkpoint, CheckpointPredicate
 from .faults import CrashRecord, WorkerFaultView
-from .mailbox import Buffered, Mailbox
+from .mailbox import NEG_INF_KEY, Buffered, Mailbox
 from .messages import (
     EventMsg,
     EventRun,
@@ -57,6 +57,8 @@ from .messages import (
 from .wire import MAX_RUN, event_runs
 
 PostFn = Callable[[str, Any], None]
+
+_NEG_INF = NEG_INF_KEY[0]
 
 #: Sentinel for "start from the program's init()"; a real initial state
 #: (a restored checkpoint) may legitimately be None-like, so restarts
@@ -208,13 +210,18 @@ class WorkerCore:
         self.sink = sink
         self.checkpoint_predicate = checkpoint_predicate
         self.faults = faults
-        #: Called after posting join-critical messages (join requests,
-        #: join responses, forked states).  Substrates with batched
-        #: channels pass their flush here so synchronization traffic
-        #: never waits out a batch window — joins block the whole
-        #: subtree, so their latency is the protocol's critical path.
-        #: Substrates with unbatched channels leave it None.
+        #: Called once at the end of every ``handle`` that posted
+        #: join-critical messages (join requests, join responses,
+        #: forked states).  Substrates with batched channels pass their
+        #: flush here so synchronization traffic never waits out a
+        #: batch window — joins block the whole subtree, so their
+        #: latency is the protocol's critical path.  Once per
+        #: ``handle``, not once per post: a fork and the next join's
+        #: request to the same child then share a frame and a wake-up,
+        #: as do the heartbeats relayed behind them.  Substrates with
+        #: unbatched channels leave it None.
         self.flush_hint = flush_hint
+        self._flush_due = False
         #: A RootReconfigView (repro.runtime.quiesce) when this worker
         #: is the root of an elastically-reconfigurable run; its
         #: maybe_quiesce hook may raise QuiesceSignal at a root join.
@@ -249,7 +256,7 @@ class WorkerCore:
         self.state: Any = None
         self.has_state = False
         self._checkpoints_taken = 0
-        self.pending: List[Buffered] = []
+        self.pending: Deque[Buffered] = deque()
         self.blocked = False
         self._join_seq = 0
         self._current: Optional[Tuple[Tuple[str, int], Any, Dict[str, Any]]] = None
@@ -277,6 +284,10 @@ class WorkerCore:
             raise RuntimeFault(f"unexpected message {msg!r}")
         self._drain()
         self._relay_frontiers()
+        if self._flush_due:
+            self._flush_due = False
+            if self.flush_hint is not None:
+                self.flush_hint()
 
     def unprocessed(self) -> int:
         """Items still buffered or pending (event-level: a columnar run
@@ -307,7 +318,7 @@ class WorkerCore:
         if self.metrics is not None:
             self.metrics.note_backlog(len(self.pending))
         while self.pending and not self.blocked:
-            buffered = self.pending.pop(0)
+            buffered = self.pending.popleft()
             item = buffered.item
             if type(item) is EventRun:
                 if self.is_leaf and self.faults is None:
@@ -318,10 +329,12 @@ class WorkerCore:
                     # crash seam, and internal nodes join per event.
                     # Expand in place; the per-event items below repay
                     # the run's inflight count one by one.
-                    self.pending[0:0] = [
-                        Buffered(buffered.itag, e.order_key, EventMsg(e))
-                        for e in item.events()
-                    ]
+                    self.pending.extendleft(
+                        Buffered(buffered.itag, k, EventMsg(e))
+                        for k, e in zip(
+                            reversed(item.keys()), reversed(item.events())
+                        )
+                    )
                 continue
             self._inflight_tags[buffered.itag] -= 1
             if isinstance(item, EventMsg):
@@ -411,8 +424,7 @@ class WorkerCore:
             self.state = None
             self.has_state = False
             self.blocked = True
-            if self.flush_hint is not None:
-                self.flush_hint()
+            self._flush_due = True
         else:
             self._start_join(("parent", req))
 
@@ -427,8 +439,7 @@ class WorkerCore:
         self._current = (req_id, ctx, {})
         if self.metrics is not None:
             self._join_t0 = _perf()
-        if self.flush_hint is not None:
-            self.flush_hint()
+        self._flush_due = True
 
     def _on_join_response(self, msg: JoinResponse) -> None:
         if self._current is None or self._current[0] != msg.req_id:
@@ -503,8 +514,7 @@ class WorkerCore:
                 ),
             )
             self._absorb_restore = req_id
-            if self.flush_hint is not None:
-                self.flush_hint()
+            self._flush_due = True
 
     def _on_fork_state(self, msg: ForkStateMsg) -> None:
         if self.is_leaf:
@@ -524,8 +534,7 @@ class WorkerCore:
         s_l, s_r = self.fork_fn(state, self.pred_left, self.pred_right)
         for child, s in zip(self.children, (s_l, s_r)):
             self.post(child, ForkStateMsg(req_id, s, 1.0))
-        if self.flush_hint is not None:
-            self.flush_hint()
+        self._flush_due = True
 
     def _relay_frontiers(self) -> None:
         if self.is_leaf:
@@ -534,7 +543,7 @@ class WorkerCore:
             if self._inflight_tags.get(itag, 0) > 0:
                 continue
             frontier = self.mailbox.frontier(itag)
-            if frontier is None or frontier[0] == float("-inf"):
+            if frontier is None or frontier[0] == _NEG_INF:
                 continue
             last = self._last_relayed.get(itag)
             if last is not None and last >= frontier:

@@ -12,15 +12,19 @@ Two layers live here:
 
 * **Frame codec** (``pack_frame``/``unpack_frame``): the pipe
   transport's byte-level format.  A frame carries one batch of
-  messages.  The dominant message kinds — events and heartbeats whose
-  fields are scalars (ints, floats, strings, ``None``) or tuples
-  thereof — take a ``struct``-packed fast path with no pickle
-  involved; anything carrying arbitrary application state (join
-  responses, fork states, exotic payloads) falls back to pickling that
-  one message.  Both paths round-trip exactly, including type identity
-  (``3`` never comes back as ``3.0``, ``True`` never as ``1``), which
-  the cross-backend differential suites rely on (output multisets
-  compare ``repr``\\ s).
+  messages.  The dominant message kinds — events, heartbeats and join
+  requests whose fields are scalars (ints, floats, strings, ``None``)
+  or tuples thereof — take a ``struct``-packed fast path with no
+  pickle involved, each behind a cached, self-describing *route*
+  prefix that names its implementation tag: a keyed app's tuple tag
+  (``("i", 3)``) rides it exactly like a ``str`` tag, and consecutive
+  events of one route travel as one columnar run.  Anything carrying
+  arbitrary application state (join responses, fork states, exotic
+  payloads) falls back to pickling that one message.  Both paths
+  round-trip exactly, including type identity (``3`` never comes back
+  as ``3.0``, ``True`` never as ``1``, ``("k", 1)`` never as ``("k",
+  True)``), which the cross-backend differential suites rely on
+  (output multisets compare ``repr``\\ s).
 
 Messages travel in *batches* so producers and workers amortize one
 channel operation — one encode, one pipe write, one wakeup — over many
@@ -43,10 +47,10 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
-from ..core.events import Event, ImplTag
+from ..core.events import Event, ImplTag, _stable_key
 from .messages import (
     EventMsg,
     EventRun,
@@ -219,35 +223,58 @@ class FrameAssembler:
 #                                          of n events contributes n)
 # message := 0x05 route shape:u8 n:u16 <columnar struct body>
 #                                                     (event-run fast path)
-#          | 0x06 route tskind:u8 <f64 | i64>         (self-keyed heartbeat)
+#          | 0x06 route selfkey                       (self-keyed heartbeat)
+#          | 0x07 route selfkey seq:i64 side:u8 str8(node) str8(reply_to)
+#                                                     (self-keyed join request)
 #          | 0x03 scalar(tag) scalar(stream) scalar(ts) scalar(payload)
 #                                                     (generic EventMsg)
 #          | 0x04 scalar(tag) scalar(stream) scalar(key)
 #                                                     (generic HeartbeatMsg)
 #          | 0x01 <scalar tree of the wire tuple>     (generic struct path)
 #          | 0x02 <u32 len> <pickle of the wire tuple>
-# route   := taglen:u8 <utf-8 tag> ('i' <i64> | 's' len:u8 <utf-8>)
+# route   := len:u8 <scalar(tag) scalar(stream)>      (len <= 255)
+# selfkey := tskind:u8 <f64 | i64>                    (0 float, 1 int)
+# str8    := len:u8 <utf-8 bytes>
 # scalar  := 'N'                                      None
 #          | 'i' <i64>                                int (exactly; not bool)
 #          | 'd' <f64>                                float (exactly)
 #          | 's' <u16 len> <utf-8 bytes>              str
 #          | 't' <u8 count> scalar*                   tuple
 #
-# Events and heartbeats — the traffic that dominates every workload —
-# skip the intermediate wire tuple entirely.  A *run* of consecutive
-# events with the same implementation tag and the same field shape
-# (producers emit exactly that) is packed columnar: the (tag, stream)
-# route prefix once, then one precompiled struct for all (ts, payload)
-# columns.  Heartbeats whose key is the canonical self key
-# ``(ts, stable(tag), stable(stream))`` collapse to the route plus the
-# timestamp.  Everything else walks the generic scalar grammar, and
+# Events, heartbeats and join requests — the traffic that dominates
+# every workload — skip the intermediate wire tuple entirely.  Each
+# opens with its *route*: the implementation tag in the scalar grammar,
+# length-prefixed so the receiver can look the whole prefix up in one
+# memo (bytes -> tag, stream, order-key tail) without parsing it.  The
+# route is self-describing: a frame decodes without any table shipped
+# beforehand, and both ends pay for a route once, on its first message.
+#
+# A route is *fast-path eligible* when tag and stream are scalar trees
+# — ``str``, ``int`` within i64, ``float``, ``None`` and tuples of
+# those, of exactly these types, 255 encoded bytes at most, and no
+# float zero (``0.0 == -0.0`` and they hash alike, so a cache keyed on
+# values could hand one the other's bytes).  The keyed apps' tuple tags
+# (``("i", 3)``) are eligible like any ``str`` tag; a ``bool`` or a
+# subclass instance anywhere inside the tag, a big int, a ``frozenset``
+# are not, and travel per message on the generic paths below.
+#
+# A *run* of consecutive events with the same route and the same field
+# shape (producers emit exactly that) is packed columnar: the route
+# once, then one precompiled struct for all (ts, payload) columns.
+# Heartbeats and join requests whose key is the canonical self key
+# ``(ts, stable(tag), stable(stream))`` of their own route collapse to
+# the route plus the timestamp (plus, for a request, its id and return
+# address).  Everything else walks the generic scalar grammar, and
 # anything carrying arbitrary application state (join states, exotic
 # payloads) falls back to pickling that one message.
 #
 # Type checks are exact (``type(v) is int``) so bools, int subclasses,
 # numpy scalars, big ints (> 64 bit) and long strings all take a
-# slower path instead of coming back as a different type.  f64 packing
-# is lossless for floats (same IEEE bits, inf/NaN included).
+# slower path instead of coming back as a different type — and they
+# reach *inside* a tag: ``("k", 1)``, ``("k", True)`` and ``("k", 1.0)``
+# are ``==`` and hash alike but are three routes, so whatever compares
+# routes compares their type trees too.  f64 packing is lossless for
+# floats (same IEEE bits, inf/NaN included).
 
 _MSG_PACKED = 0x01
 _MSG_PICKLED = 0x02
@@ -255,6 +282,10 @@ _MSG_EVENT = 0x03
 _MSG_HEARTBEAT = 0x04
 _MSG_EVT_RUN = 0x05
 _MSG_HB_SELF = 0x06
+_MSG_JOIN_SELF = 0x07
+
+#: A join request's ``side``, by wire byte.
+_SIDES = ("left", "right")
 
 # Run shapes: (type(ts), type(payload)) -> (shape byte, struct columns).
 _SHAPE_FI = 0  # ts float, payload int    -> "dq"
@@ -289,41 +320,187 @@ def _run_struct(shape: int, count: int) -> struct.Struct:
 
 _MISSING = object()
 
-#: Route (tag, stream) -> encoded prefix bytes, or None when the pair
-#: is not fast-path eligible.  Implementation tags come from a small
-#: finite universe (§3.1), so this hits after the first message.
+class _Route(NamedTuple):
+    """What the encode side knows about one eligible (tag, stream)."""
+
+    prefix: bytes  # the route production, length byte included
+    key_tail: tuple  # (stable(tag), stable(stream)): a self key minus its ts
+    tag_types: Any  # _type_tree(tag)
+    stream_types: Any  # _type_tree(stream)
+
+
+#: Encode-side route cache: type-exact (tag, stream) -> :class:`_Route`,
+#: or None when the pair is not fast-path eligible.  Implementation
+#: tags come from a small finite universe (§3.1), so this hits after
+#: the first message.
 _ROUTE_ENC: dict = {}
 
-#: Interning memo for decoded tag/stream strings (bytes -> str).
+#: Decode-side route cache: route body bytes -> ``(tag, stream,
+#: order-key tail)``.  The bytes carry every type, so one entry can
+#: never serve a tag of another type.
+_ROUTE_DEC: dict = {}
+
+#: Interning memo for decoded worker-id strings (bytes -> str).
 _STR_DEC: dict = {}
 
 
-def _route_bytes(tag: Any, stream: Any):
+def _type_tree(v: Any) -> Any:
+    """The exact types of a scalar tree: a leaf's type, a tuple of
+    trees for a tuple — the part of a tag ``==`` and ``hash`` ignore."""
+    t = type(v)
+    return tuple(map(_type_tree, v)) if t is tuple else t
+
+
+def _has_float_zero(v: Any) -> bool:
+    """``0.0 == -0.0`` and they hash alike: the one pair of distinct
+    scalar trees a cache keyed on values and types cannot tell apart."""
+    t = type(v)
+    if t is tuple:
+        return any(map(_has_float_zero, v))
+    return t is float and v == 0.0
+
+
+def _same_types(col: Sequence[Any], tree: Any) -> bool:
+    """True when every value of ``col`` — all ``==`` to one another —
+    has exactly the type tree ``tree``; a column at a time, so a tuple
+    tag costs one ``zip`` per component, not one walk per event."""
+    if type(tree) is not tuple:
+        return set(map(type, col)) == {tree}
+    return set(map(type, col)) == {tuple} and all(
+        map(_same_types, zip(*col), tree)
+    )
+
+
+def _route(tag: Any, stream: Any) -> Optional[_Route]:
+    """The cached route of a type-exact (tag, stream), None when the
+    pair is not fast-path eligible.  Equal arguments of equal type
+    trees get the *same object* back, so ``_route(t, s) is route`` is
+    the exact same-route test the run builders use where ``type()`` and
+    ``==`` cannot see (a cleared cache only ends a run early)."""
     # The *types* participate in the key alongside the values: True ==
     # 1 and hash(True) == hash(1), so a bool stream must not hit the
-    # int entry, and a str-subclass tag comparing equal to a cached
-    # str tag must not ride its fast path (the fast path promises
-    # exact-type round-trips; subclasses take the pickle fallback).
-    key = (tag, type(tag), stream, type(stream))
+    # int entry, a str-subclass tag comparing equal to a cached str tag
+    # must not ride its fast path (the fast path promises exact-type
+    # round-trips; subclasses take the pickle fallback), and ("k", 1)
+    # must not be handed the bytes of ("k", True).  Only a tuple needs
+    # the walk; a str tag pays one ``is``.
+    tag_t = type(tag)
+    if tag_t is tuple:
+        tag_t = _type_tree(tag)
+    stream_t = type(stream)
+    if stream_t is tuple:
+        stream_t = _type_tree(stream)
+    key = (tag, tag_t, stream, stream_t)
     route = _ROUTE_ENC.get(key, _MISSING)
     if route is not _MISSING:
         return route
-    computed = None
-    if type(tag) is str:
-        tb = tag.encode("utf-8")
-        if len(tb) <= 0xFF:
-            if type(stream) is int and _I64_MIN <= stream <= _I64_MAX:
-                computed = bytes((len(tb),)) + tb + b"i" + _I64.pack(stream)
-            elif type(stream) is str:
-                sb = stream.encode("utf-8")
-                if len(sb) <= 0xFF:
-                    computed = (
-                        bytes((len(tb),)) + tb + b"s" + bytes((len(sb),)) + sb
-                    )
+    route = None
+    parts: List[bytes] = []
+    try:
+        _pack_scalar(tag, parts)
+        _pack_scalar(stream, parts)
+    except _Unpackable:
+        pass
+    else:
+        body = b"".join(parts)
+        if len(body) <= 0xFF and not (_has_float_zero(tag) or _has_float_zero(stream)):
+            route = _Route(
+                bytes((len(body),)) + body,
+                (_stable_key(tag), _stable_key(stream)),
+                tag_t,
+                stream_t,
+            )
     if len(_ROUTE_ENC) > 4096:  # pragma: no cover - pathological
         _ROUTE_ENC.clear()
-    _ROUTE_ENC[key] = computed
-    return computed
+    _ROUTE_ENC[key] = route
+    return route
+
+
+def _read_route(data: bytes, pos: int):
+    """Decode a route prefix: ``((tag, stream, key tail), next pos)``."""
+    end = pos + 1 + data[pos]
+    if end > len(data):
+        raise RuntimeFault("corrupt frame: truncated route")
+    body = data[pos + 1 : end]
+    entry = _ROUTE_DEC.get(body)
+    if entry is None:
+        tag, at = _unpack_scalar(body, 0)
+        stream, at = _unpack_scalar(body, at)
+        if at != len(body):
+            raise RuntimeFault("corrupt frame: route length does not match its scalars")
+        if len(_ROUTE_DEC) > 4096:  # pragma: no cover - pathological
+            _ROUTE_DEC.clear()
+        entry = _ROUTE_DEC[body] = (
+            tag,
+            stream,
+            (_stable_key(tag), _stable_key(stream)),
+        )
+    return entry, end
+
+
+def _pack_self_key(route: _Route, key: Any) -> Optional[bytes]:
+    """``selfkey`` bytes when ``key`` is the canonical self key
+    ``(ts, stable(tag), stable(stream))`` of ``route`` with a float or
+    i64 timestamp, else None."""
+    if type(key) is tuple and len(key) == 3:
+        tail = route.key_tail
+        if key[1] == tail[0] and key[2] == tail[1]:
+            ts = key[0]
+            if type(ts) is float:
+                return b"\x00" + _F64.pack(ts)
+            if type(ts) is int and _I64_MIN <= ts <= _I64_MAX:
+                return b"\x01" + _I64.pack(ts)
+    return None
+
+
+def _read_self_key(data: bytes, pos: int, tail: tuple) -> Tuple[tuple, int]:
+    """Inverse of :func:`_pack_self_key`: ``(key, next pos)``."""
+    unpack = _F64 if data[pos] == 0 else _I64
+    return (unpack.unpack_from(data, pos + 1)[0], *tail), pos + 9
+
+
+def _str8(s: Any) -> Optional[bytes]:
+    if type(s) is str:
+        b = s.encode("utf-8")
+        if len(b) <= 0xFF:
+            return bytes((len(b),)) + b
+    return None
+
+
+def _pack_join_self(msg: JoinRequest) -> Optional[bytes]:
+    """The struct form of a join request, or None when it needs the
+    generic path.  A request is keyed by the event that triggered it,
+    under that event's own tag — the self key again — so it packs like
+    a self-keyed heartbeat plus its id, slot and return address."""
+    it = msg.itag
+    route = _route(it.tag, it.stream)
+    rid = msg.req_id
+    side = msg.side
+    if (
+        route is None
+        or type(rid) is not tuple
+        or len(rid) != 2
+        or type(rid[1]) is not int
+        or not _I64_MIN <= rid[1] <= _I64_MAX
+        or type(side) is not str
+        or side not in _SIDES
+    ):
+        return None
+    self_key = _pack_self_key(route, msg.key)
+    node, reply_to = _str8(rid[0]), _str8(msg.reply_to)
+    if self_key is None or node is None or reply_to is None:
+        return None
+    return b"".join(
+        (
+            bytes((_MSG_JOIN_SELF,)),
+            route.prefix,
+            self_key,
+            _I64.pack(rid[1]),
+            bytes((_SIDES.index(side),)),
+            node,
+            reply_to,
+        )
+    )
 
 
 def _intern_str(b: bytes) -> str:
@@ -333,26 +510,6 @@ def _intern_str(b: bytes) -> str:
             _STR_DEC.clear()
         s = _STR_DEC[b] = b.decode("utf-8")
     return s
-
-
-def _read_route(data: bytes, pos: int):
-    n = data[pos]
-    pos += 1
-    tag = _intern_str(data[pos : pos + n])
-    pos += n
-    sk = data[pos]
-    pos += 1
-    if sk == 0x69:  # 'i'
-        stream = _I64.unpack_from(data, pos)[0]
-        pos += 8
-    elif sk == 0x73:  # 's'
-        m = data[pos]
-        pos += 1
-        stream = _intern_str(data[pos : pos + m])
-        pos += m
-    else:
-        raise RuntimeFault(f"corrupt frame: unknown stream kind {sk:#x}")
-    return tag, stream, pos
 
 
 class _Unpackable(Exception):
@@ -454,7 +611,7 @@ def pack_frame(batch: Sequence[Any]) -> bytes:
                 # Already-columnar run (producer coalescing or a
                 # re-packed decode): route + shape + packed columns,
                 # no per-event objects touched.
-                route = _route_bytes(msg.tag, msg.stream)
+                route = _route(msg.tag, msg.stream)
                 count = len(msg.ts)
                 if route is None or not 1 <= count <= 0xFFFE:
                     raise _Unpackable
@@ -469,7 +626,7 @@ def pack_frame(batch: Sequence[Any]) -> bytes:
                 except (struct.error, IndexError):
                     raise _Unpackable from None
                 append(bytes((_MSG_EVT_RUN,)))
-                append(route)
+                append(route.prefix)
                 append(bytes((msg.shape,)))
                 append(_U16.pack(count))
                 append(body)
@@ -477,7 +634,7 @@ def pack_frame(batch: Sequence[Any]) -> bytes:
             if cls is EventMsg:
                 e = msg.event
                 tag, stream = e.tag, e.stream
-                route = _route_bytes(tag, stream)
+                route = _route(tag, stream)
                 if route is not None:
                     ts, p = e.ts, e.payload
                     shape = _event_shape(ts, p)
@@ -485,6 +642,8 @@ def pack_frame(batch: Sequence[Any]) -> bytes:
                         # Columnar run: swallow every directly
                         # following event with the same route and
                         # shape into one struct pack.
+                        tag_t, stream_t = type(tag), type(stream)
+                        shallow = tag_t is not tuple and stream_t is not tuple
                         if shape == _SHAPE_FN:
                             flat = [ts]
                         else:
@@ -499,12 +658,15 @@ def pack_frame(batch: Sequence[Any]) -> bytes:
                             # type checks before ==: True == 1, but a
                             # bool stream must not join an int run; a
                             # str-subclass tag comparing equal must
-                            # not join a str run either.
+                            # not join a str run either — nor ("k",
+                            # True) a run of ("k", 1), which only the
+                            # route cache's type trees tell apart.
                             if (
-                                type(e2.stream) is not type(stream)
+                                type(e2.stream) is not stream_t
                                 or e2.stream != stream
-                                or type(e2.tag) is not type(tag)
+                                or type(e2.tag) is not tag_t
                                 or e2.tag != tag
+                                or not (shallow or _route(e2.tag, e2.stream) is route)
                             ):
                                 break
                             ts2, p2 = e2.ts, e2.payload
@@ -521,7 +683,7 @@ def pack_frame(batch: Sequence[Any]) -> bytes:
                             pass  # out-of-range i64 -> generic, this msg only
                         else:
                             append(bytes((_MSG_EVT_RUN,)))
-                            append(route)
+                            append(route.prefix)
                             append(bytes((shape,)))
                             append(_U16.pack(count))
                             append(body)
@@ -537,37 +699,24 @@ def pack_frame(batch: Sequence[Any]) -> bytes:
                 it = msg.itag
                 tag, stream = it.tag, it.stream
                 key = msg.key
-                route = _route_bytes(tag, stream)
-                if (
-                    route is not None
-                    and type(key) is tuple
-                    and len(key) == 3
-                    and key[1] == ("str", tag)
-                    and key[2] == (("int", stream) if type(stream) is int else ("str", stream))
-                ):
-                    ts = key[0]
-                    tts = type(ts)
-                    try:
-                        if tts is float:
-                            append(bytes((_MSG_HB_SELF,)))
-                            append(route)
-                            append(b"\x00")
-                            append(_F64.pack(ts))
-                            continue
-                        if tts is int:
-                            body = _I64.pack(ts)
-                            append(bytes((_MSG_HB_SELF,)))
-                            append(route)
-                            append(b"\x01")
-                            append(body)
-                            continue
-                    except struct.error:
-                        del out[mark:]
+                route = _route(tag, stream)
+                if route is not None:
+                    self_key = _pack_self_key(route, key)
+                    if self_key is not None:
+                        append(bytes((_MSG_HB_SELF,)))
+                        append(route.prefix)
+                        append(self_key)
+                        continue
                 append(b"\x04")
                 _pack_scalar(tag, out)
                 _pack_scalar(stream, out)
                 _pack_scalar(key, out)
                 continue
+            if cls is JoinRequest:
+                packed = _pack_join_self(msg)
+                if packed is not None:
+                    append(packed)
+                    continue
             append(b"\x01")
             _pack_scalar(encode_msg(msg), out)
             continue
@@ -610,7 +759,7 @@ def unpack_frame(data: bytes, *, runs: bool = False) -> List[Any]:
             pos += 1
             seen += 1
             if kind == _MSG_EVT_RUN:
-                tag, stream, pos = _read_route(data, pos)
+                (tag, stream, _), pos = _read_route(data, pos)
                 shape = data[pos]
                 pos += 1
                 count = _U16.unpack_from(data, pos)[0]
@@ -639,17 +788,27 @@ def unpack_frame(data: bytes, *, runs: bool = False) -> List[Any]:
                         )
                 continue
             if kind == _MSG_HB_SELF:
-                tag, stream, pos = _read_route(data, pos)
-                tskind = data[pos]
-                pos += 1
-                if tskind == 0:
-                    ts = _F64.unpack_from(data, pos)[0]
-                else:
-                    ts = _I64.unpack_from(data, pos)[0]
-                pos += 8
-                skey = ("int", stream) if type(stream) is int else ("str", stream)
+                (tag, stream, tail), pos = _read_route(data, pos)
+                key, pos = _read_self_key(data, pos, tail)
+                mappend(HeartbeatMsg(ImplTag(tag, stream), key))
+                continue
+            if kind == _MSG_JOIN_SELF:
+                (tag, stream, tail), pos = _read_route(data, pos)
+                key, pos = _read_self_key(data, pos, tail)
+                seq = _I64.unpack_from(data, pos)[0]
+                side = _SIDES[data[pos + 8]]
+                pos += 9
+                names = []
+                for _ in range(2):
+                    end = pos + 1 + data[pos]
+                    if end > len(data):
+                        raise RuntimeFault("corrupt frame: truncated worker id")
+                    names.append(_intern_str(data[pos + 1 : end]))
+                    pos = end
                 mappend(
-                    HeartbeatMsg(ImplTag(tag, stream), (ts, ("str", tag), skey))
+                    JoinRequest(
+                        (names[0], seq), ImplTag(tag, stream), key, names[1], side
+                    )
                 )
                 continue
             if kind == _MSG_EVENT:
@@ -719,12 +878,14 @@ def event_runs(
 
     Every maximal stretch (at most ``max_run`` long) of events that
     continue the run its first event opens becomes one run: same route
-    — types before ``==``, since ``True == 1`` and a ``str`` subclass
-    equals its ``str`` — same exact-type shape, and int columns within
-    i64, so :func:`pack_frame`'s run branch never sees
-    ``struct.error``.  An event that is not run-eligible (a non-``str``
-    tag, an exotic scalar shape, an out-of-i64 int) or that stands
-    alone travels as an :class:`EventMsg` — ``msgs[i]`` when the caller
+    — types before ``==``, all the way into a tuple tag, since ``True
+    == 1`` and a ``str`` subclass equals its ``str`` — same exact-type
+    shape, and int columns within i64, so :func:`pack_frame`'s run
+    branch never sees ``struct.error``.  An event that is not
+    run-eligible (a route outside the scalar grammar: a ``bool`` or a
+    subclass instance in the tag, a ``frozenset``; an exotic scalar
+    shape; an out-of-i64 int) or that stands alone travels as an
+    :class:`EventMsg` — ``msgs[i]`` when the caller
     already holds the wrappers, a new one otherwise.  Order is
     preserved: expanding the result event by event gives back
     ``events``.
@@ -747,19 +908,16 @@ def event_runs(
         tag, stream, ts, p = tags[i], streams[i], ts_col[i], pl_col[i]
         shape = _event_shape(ts, p)
         j = i + 1
-        if (
-            shape >= 0
-            and _route_bytes(tag, stream) is not None
-            and _run_vals_packable(shape, ts, p)
-        ):
+        route = _route(tag, stream) if shape >= 0 else None
+        if route is not None and _run_vals_packable(shape, ts, p):
             hi = min(i + max_run, n)
             ts_t, pl_t = _SHAPE_TYPES[shape]
             if (
                 whole
                 and tags[i:hi].count(tag) == hi - i
                 and streams[i:hi].count(stream) == hi - i
-                and set(map(type, tags[i:hi])) == {type(tag)}
-                and set(map(type, streams[i:hi])) == {type(stream)}
+                and _same_types(tags[i:hi], route.tag_types)
+                and _same_types(streams[i:hi], route.stream_types)
                 and set(map(type, ts_col[i:hi])) == {ts_t}
                 and set(map(type, pl_col[i:hi])) == {pl_t}
                 and (ts_t is not int or _in_i64(ts_col[i:hi]))
@@ -767,14 +925,19 @@ def event_runs(
             ):
                 j = hi
             else:
+                tag_t, stream_t = type(tag), type(stream)
+                # type() and == do not see inside a tuple; the route
+                # cache does, and scalar routes never ask it.
+                shallow = tag_t is not tuple and stream_t is not tuple
                 while (
                     j < hi
-                    and type(streams[j]) is type(stream)
+                    and type(streams[j]) is stream_t
                     and streams[j] == stream
-                    and type(tags[j]) is type(tag)
+                    and type(tags[j]) is tag_t
                     and tags[j] == tag
                     and _event_shape(ts_col[j], pl_col[j]) == shape
                     and _run_vals_packable(shape, ts_col[j], pl_col[j])
+                    and (shallow or _route(tags[j], streams[j]) is route)
                 ):
                     j += 1
             whole = (j - i) * 4 >= max_run

@@ -20,11 +20,23 @@ from repro.apps import keycounter as kc
 from repro.apps import value_barrier as vb
 from repro.core import DependenceRelation, Event, ImplTag
 from repro.core.errors import InputError
-from repro.runtime import Mailbox
+from repro.core.semantics import output_multiset
+from repro.plans import root_and_leaves_plan
+from repro.runtime import (
+    CrashFault,
+    FaultPlan,
+    InputStream,
+    Mailbox,
+    RunOptions,
+    every_root_join,
+    run_on_backend,
+    run_sequential_reference,
+)
 from repro.runtime.messages import EventMsg, EventRun, HeartbeatMsg
 from repro.runtime.wire import (
     batch_message_count,
     coalesce_event_runs,
+    event_runs,
     pack_frame,
     unpack_frame,
 )
@@ -132,7 +144,7 @@ class TestCoalesce:
         within ``max_run``, and no two neighbours could have been one
         run (so whole-window and event-by-event packing agree)."""
         rng = random.Random(seed)
-        tags = ["a", "b", StrTag("a"), ("t", 1)]
+        tags = ["a", "b", StrTag("a"), ("t", 1), ("t", True), ("t", 1.0), ("t", (1,))]
         streams = [0, 1, True, "s"]
         values = [None, 1, 2.5, "x", 1 << 70, -(1 << 63), True]
         msgs, sticky = [], rng.random()
@@ -148,8 +160,8 @@ class TestCoalesce:
                 msgs.append(EventMsg(Event(t, s, ts, p)))
         out = coalesce_event_runs(msgs, max_run=max_run)
 
-        def signature(e):
-            return (type(e.tag), e.tag, type(e.stream), e.stream, type(e.ts), type(e.payload))
+        def signature(e):  # repr: the types inside a tuple tag count too
+            return (type(e.tag), repr(e.tag), type(e.stream), e.stream, type(e.ts), type(e.payload))
 
         def packable(e):  # the frame codec's own verdict on this event
             (back, *_) = unpack_frame(pack_frame([EventMsg(e)] * 2), runs=True)
@@ -367,3 +379,46 @@ class TestUpdateBatchEquivalence:
         s_fold, outs = fold_per_event(kc._update, {0: 9}, run)
         assert kc.state_eq(s_batch, s_fold)
         assert [o for _, o in indexed] == outs == [(0, 9), (0, 0)]
+
+
+@pytest.mark.parametrize("backend", ["threaded", "process"])
+def test_keycounter_leaf_crash_mid_run_is_exactly_once(backend):
+    """Keyed (tuple-tag) traffic reaches a leaf as runs; an armed fault
+    expands them back to the per-event crash seam, so a crash in the
+    middle of a run loses nothing and repeats nothing."""
+    prog = kc.make_program(1)
+    incs = [ImplTag(kc.inc_tag(0), f"i{s}") for s in range(2)]
+    rit = ImplTag(kc.reset_tag(0), "r")
+    plan = root_and_leaves_plan(prog, [rit], [[t] for t in incs])
+    streams = [
+        InputStream(
+            t,
+            tuple(Event(t.tag, t.stream, k + 0.1 * (s + 1), k) for k in range(1, 60)),
+            heartbeat_interval=5.0,
+        )
+        for s, t in enumerate(incs)
+    ]
+    resets = tuple(Event(rit.tag, rit.stream, float(ts)) for ts in (15, 30, 45))
+    streams.append(InputStream(rit, resets, heartbeat_interval=5.0))
+    # What the pump posts for a leaf is one run, far longer than the
+    # stretch between two resets...
+    (run,) = event_runs(list(streams[0].events))
+    assert type(run) is EventRun and len(run) == 59 and run.tag == ("i", 0)
+    # ...and the crash lands inside it: after the second snapshot, 7
+    # events into the stretch the mailbox released behind it.
+    leaf = plan.leaves()[0].id
+    out = run_on_backend(
+        backend,
+        prog,
+        plan,
+        streams,
+        options=RunOptions(
+            fault_plan=FaultPlan(CrashFault(leaf, after_events=36)),
+            checkpoint_predicate=every_root_join(),
+        ),
+    )
+    ref = run_sequential_reference(prog, streams)
+    assert output_multiset(out.outputs) == output_multiset(ref)
+    assert out.recovery.attempts == 2
+    assert [c.worker for c in out.recovery.crashes] == [leaf]
+    assert out.recovery.recoveries[0].resumed_from_ts == 30.0

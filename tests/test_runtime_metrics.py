@@ -17,12 +17,16 @@ import pytest
 
 from test_differential import ALL_APPS, _app_case
 
+from repro.apps import keycounter as kc
 from repro.apps import value_barrier as vb
+from repro.core import Event, ImplTag
 from repro.core.semantics import output_multiset
+from repro.plans import root_and_leaves_plan
 from repro.runtime import (
     DEFAULT_LATENCY_BUCKETS,
     CrashFault,
     FaultPlan,
+    InputStream,
     LatencyHistogram,
     MetricsConfig,
     MetricsSnapshot,
@@ -33,6 +37,7 @@ from repro.runtime import (
     get_backend,
     local_nodes,
     run_on_backend,
+    run_sequential_reference,
 )
 
 BACKENDS = ("sim", "threaded", "process")
@@ -239,6 +244,45 @@ class TestRunEntryPoints:
             # assembled from piggybacked and end-of-run snapshots.
             assert set(m.per_worker) == {n.id for n in plan.workers()}
             assert merged.joins_completed > 0
+
+    def test_a_join_step_costs_the_root_one_frame_per_child(self):
+        """Counted, not timed: the fork that ends one join and the
+        request that opens the next leave the root in one frame per
+        child (``flush_hint`` once per ``handle``), so the root flushes
+        at most twice per join plus twice per frame the coordinator
+        sent it — not four times per join, waking every child twice."""
+        prog = kc.make_program(2)
+        leaves = [[ImplTag(kc.inc_tag(k), f"i{s}") for k in range(2)] for s in range(2)]
+        resets = [ImplTag(kc.reset_tag(k), "r") for k in range(2)]
+        plan = root_and_leaves_plan(prog, resets, leaves)
+        events = {t: [] for t in resets + leaves[0] + leaves[1]}
+        for i in range(1, 601):
+            if i % 6 == 0:
+                itag = resets[i // 6 % 2]
+            else:
+                itag = leaves[i % 2][i // 2 % 2]
+            events[itag].append(Event(itag.tag, itag.stream, float(i), i))
+        streams = [
+            InputStream(t, tuple(evs), heartbeat_interval=10.0)
+            for t, evs in events.items()
+        ]
+        run = run_on_backend(
+            "process", prog, plan, streams, options=RunOptions(metrics=True)
+        )
+        assert output_multiset(run.outputs) == output_multiset(
+            run_sequential_reference(prog, streams)
+        )
+        workers = run.metrics.per_worker
+        root = workers[plan.root.id]
+        joins = root.joins_completed
+        assert joins == 100
+        # The leaves send the root nothing but join responses, one
+        # frame each; the rest of what it received is the coordinator's.
+        from_leaves = sum(workers[n.id].batches_sent for n in plan.leaves())
+        assert from_leaves == 2 * joins
+        from_coordinator = root.frames_received - from_leaves
+        assert from_coordinator >= 1
+        assert root.batches_sent <= 2 * joins + 2 * from_coordinator < 4 * joins
 
     def test_recovering_run_merges_per_attempt_metrics(self):
         """A fault run with ``metrics=True`` reports a merged

@@ -10,6 +10,7 @@ import random
 import threading
 import time
 from types import SimpleNamespace
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -200,20 +201,40 @@ class StrTag(str):
     """A ``str`` subclass: equal to its ``str``, off the codec's fast path."""
 
 
-ITAGS = [
-    ImplTag("a", "s"),
-    ImplTag("b", 0),
-    ImplTag(("k", 1), "s"),  # tuple tag: never run-eligible
-    ImplTag(StrTag("c"), "s"),
-    ImplTag("d", 1),
+class PairTag(NamedTuple):
+    """A ``tuple`` subclass: equal to its ``tuple``, just as far off it."""
+
+    kind: str
+    key: int
+
+
+#: Tags the route grammar carries (every one of them rides runs) and
+#: tags it refuses: a bool inside the tag, a tuple or str subclass, an
+#: int beyond 64 bits, a frozenset.
+STR_TAGS = ["a", "b", "c", "d", "e"]
+TUPLE_TAGS = [("k", 1), ("k", 2), ("k", (1,)), ("k", 1.5, None), ()]
+INELIGIBLE_TAGS = [
+    ("k", True),
+    PairTag("k", 3),
+    StrTag("c"),
+    ("k", 1 << 70),
+    frozenset({"k", 4}),
 ]
+TAG_POOLS = {
+    "str": STR_TAGS,
+    "tuple": TUPLE_TAGS,
+    "ineligible": INELIGIBLE_TAGS,
+    "mixed": STR_TAGS[:2] + TUPLE_TAGS[:2] + INELIGIBLE_TAGS[:3],
+}
+pools = pytest.mark.parametrize("pool", sorted(TAG_POOLS))
 
 PAYLOADS = [None, None, 0, 3, -4, 0.5, -1.25, "x", 1 << 70, -(1 << 63), True]
 
 
 @st.composite
-def stream_sets(draw):
-    """1-4 timestamp-ordered streams over distinct tags.  Timestamps
+def stream_sets(draw, pool="mixed"):
+    """1-4 timestamp-ordered streams over distinct tags of one pool,
+    on str and int stream ids.  Timestamps
     come from a small grid shifted by ``base`` so that events fall on
     heartbeat grid points and share timestamps across streams; a
     stream is int- or float-stamped (or mixed, or off the grid),
@@ -221,7 +242,8 @@ def stream_sets(draw):
     heartbeat-free.  Sizes and kinds are drawn, the filling is seeded
     (one draw per event would spend the budget on generation)."""
     base = draw(st.sampled_from([0, 3, 1_000_000]))
-    itags = draw(st.permutations(ITAGS))[: draw(st.integers(1, 4))]
+    tags = draw(st.permutations(TAG_POOLS[pool]))[: draw(st.integers(1, 4))]
+    itags = [ImplTag(tag, ("s", 0, 1)[i % 3]) for i, tag in enumerate(tags)]
     rng = random.Random(draw(st.integers(0, 1 << 30)))
     streams = []
     for itag in itags:
@@ -248,7 +270,7 @@ class _OnePlan:
     """Every stream is owned by a worker named after its tag."""
 
     def owner_of(self, itag):
-        return SimpleNamespace(id=f"w:{itag.tag}@{itag.stream}")
+        return SimpleNamespace(id=f"w:{itag.tag!r}@{itag.stream}")
 
 
 def _pump(streams, max_run, **kwargs):
@@ -314,9 +336,11 @@ class TestProducerMessages:
 class TestClosedLoopPump:
     """`pump_producers(pace=None)` against a recording ``post``."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(stream_sets(), st.sampled_from([1, 2, 3, 7, 512]))
-    def test_subsequence_rounds_skew_and_accounting(self, streams, max_run):
+    @pools
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2, 3, 7, 512]))
+    def test_subsequence_rounds_skew_and_accounting(self, pool, data, max_run):
+        streams = data.draw(stream_sets(pool))
         start, end = start_timestamp(streams), end_timestamp(streams)
         posted = _pump(streams, max_run)
         cuts = _round_cuts(streams, max_run, end)
@@ -331,6 +355,23 @@ class TestClosedLoopPump:
         n_hb = sum(isinstance(m, HeartbeatMsg) for _, m in posted)
         assert batch_message_count([m for _, m in posted]) == n_events + n_hb
         assert all(len(m) <= max_run for _, m in posted if type(m) is EventRun)
+
+        # (e) what the route grammar carries rides runs, str and tuple
+        # tags alike — a uniform stream posts one item per round — and
+        # what it refuses never does.
+        if pool == "ineligible":
+            assert not any(type(m) is EventRun for _, m in posted)
+        elif pool != "mixed":
+            for s, owner in zip(streams, owners):
+                if len({(type(e.ts), type(e.payload)) for e in s.events}) == 1 and (
+                    s.events[0].payload == 7
+                ):
+                    rounds = [
+                        round_of(EventMsg(m.event(0)) if type(m) is EventRun else m)
+                        for dst, m in posted
+                        if dst == owner and not isinstance(m, HeartbeatMsg)
+                    ]
+                    assert len(rounds) == len(set(rounds))
 
         # Streams are served in turn, round after round.
         order = [
@@ -375,8 +416,9 @@ class TestClosedLoopPump:
                 ahead = sum(e.ts > waiting_at for e in streams[i].events[: done[i]])
                 assert ahead <= max_run
 
-    def test_real_chunk_size_interleaves_long_streams(self):
-        A, B, C = ImplTag("a", "s"), ImplTag("b", "s"), ImplTag("c", "s")
+    @pytest.mark.parametrize("tag_of", [str, lambda name: (name, 1)], ids=["str", "tuple"])
+    def test_real_chunk_size_interleaves_long_streams(self, tag_of):
+        A, B, C = (ImplTag(tag_of(name), "s") for name in "abc")
 
         def long(itag, offset):
             return InputStream(
@@ -389,14 +431,20 @@ class TestClosedLoopPump:
             )
 
         streams = [long(A, 5.0), long(B, 5.05), _stream(C, [70.0, 120.0], 1.0)]
+        names = {_OnePlan().owner_of(s.itag).id: n for s, n in zip(streams, "abc")}
         posted = _pump(streams, protocol.MAX_RUN)
         kinds = [
-            (dst[2], len(m) if type(m) is EventRun else type(m).__name__)
+            (names[dst], len(m) if type(m) is EventRun else type(m).__name__)
             for dst, m in posted
         ]
         # First round: a full run of a, what b has up to the same cut,
         # and one heartbeat for the idle stream c — not fifty.
         assert kinds[:3] == [("a", 512), ("b", 511), ("c", "HeartbeatMsg")]
+        # Tuple tags or str tags, a long uniform stream leaves the pump
+        # as runs: 1300 events, one run per round it has events in.
+        assert [k for n, k in kinds if n == "a" and k != "HeartbeatMsg"] == [
+            512, 511, 128, 149
+        ]
         n_rounds = len(_round_cuts(streams, protocol.MAX_RUN, end_timestamp(streams)))
         assert n_rounds == 6  # a's and b's chunks, each stream's end, the closing one
         n_posted_hb = sum(k == "HeartbeatMsg" for _, k in kinds)
@@ -407,10 +455,20 @@ class TestClosedLoopPump:
         )
         assert n_posted_hb <= 3 * n_rounds < n_grid_hb // 10
 
-    def test_ineligible_traffic_travels_per_event_in_order(self):
-        K = ImplTag(("k", 1), "s")
-        s = _stream(K, [1.0, 2.0, 3.0], interval=None)
-        assert [type(m) for _, m in _pump([s], 512)] == [EventMsg] * 3 + [HeartbeatMsg]
+    @pytest.mark.parametrize("tag", INELIGIBLE_TAGS, ids=repr)
+    def test_ineligible_traffic_travels_per_event_in_order(self, tag):
+        s = _stream(ImplTag(tag, "s"), [1.0, 2.0, 3.0], interval=None)
+        posted = [m for _, m in _pump([s], 512)]
+        assert [type(m) for m in posted] == [EventMsg] * 3 + [HeartbeatMsg]
+        assert [m.event for m in posted[:3]] == list(s.events)
+        assert all(type(m.event.tag) is type(tag) for m in posted[:3])
+
+    @pytest.mark.parametrize("tag", TUPLE_TAGS, ids=repr)
+    def test_tuple_tag_traffic_travels_as_runs(self, tag):
+        s = _stream(ImplTag(tag, "s"), [1.0, 2.0, 3.0], interval=None)
+        run, hb = (m for _, m in _pump([s], 512))
+        assert type(run) is EventRun and run.events() == list(s.events)
+        assert repr(run.tag) == repr(tag) and type(hb) is HeartbeatMsg
 
     def test_foreign_event_is_rejected(self):
         A = ImplTag("a", "s")
