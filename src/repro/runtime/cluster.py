@@ -60,9 +60,9 @@ fails.
 
 from __future__ import annotations
 
+import functools
 import hmac
 import json
-import multiprocessing as mp
 import os
 import queue as queue_mod
 import secrets
@@ -81,8 +81,15 @@ from ..plans.validity import assert_p_valid
 from .checkpoint import CheckpointPredicate
 from .faults import FaultPlan
 from .metrics import MetricsConfig, MetricsExporter
-from .process import ProcessRuntime, _drive_worker
-from .protocol import INIT_STATE, AttemptOutcome, initial_leaf_states, pump_producers
+from .process import (
+    AttemptSpec,
+    _drive_worker,
+    coordinate_attempt,
+    fork_context,
+    raise_worker_faults,
+    report_errors,
+)
+from .protocol import INIT_STATE, AttemptOutcome
 from .quiesce import RootReconfigView
 from .runtime import InputStream
 from .transport import (
@@ -256,19 +263,11 @@ def _agent_main(  # pragma: no cover - runs in forked node agents (like
     # exercised end-to-end by tests/test_runtime_cluster.py.
     node_name: str,
     host: str,
-    plan: SyncPlan,
-    program: DGSProgram,
+    spec: AttemptSpec,
     placement: Dict[str, str],
     registry_addr: Tuple[str, int],
     cookie: str,
     control: ControlPlane,
-    policy,
-    leaf_states: Dict[str, Any],
-    checkpoint_predicate: Optional[CheckpointPredicate],
-    faults: Optional[FaultPlan],
-    record_keys: bool,
-    reconfig_view: Optional[RootReconfigView],
-    metrics_cfg: Optional[MetricsConfig],
     log_dir: Optional[str],
 ) -> None:
     """Node-agent entry point: handshake, then run this node's workers
@@ -278,7 +277,7 @@ def _agent_main(  # pragma: no cover - runs in forked node agents (like
     out_socks: Dict[Tuple[str, str], socket.socket] = {}
     try:
         my_workers = [w for w, node in placement.items() if node == node_name]
-        edges = plan_edges(plan)
+        edges = plan_edges(spec.plan)
 
         # 1. Bind the data-plane listener, register, learn the map.
         lst = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -353,7 +352,7 @@ def _agent_main(  # pragma: no cover - runs in forked node agents (like
         # cross-core parallelism is the per-worker process runtime's
         # job — the cluster layer's is crossing machines.
         def worker_thread(wid: str) -> None:
-            try:
+            with report_errors(control, wid, log):
                 rfds = [
                     s.fileno() for (src, dst), s in in_socks.items() if dst == wid
                 ]
@@ -364,25 +363,9 @@ def _agent_main(  # pragma: no cover - runs in forked node agents (like
                 }
                 receiver = FrameReceiver(rfds)
                 sender = FrameSender(wfds, on_block=receiver.poll)
-                batcher = BatchingSender(sender.send_batch, control, policy)
-                _drive_worker(
-                    wid,
-                    plan,
-                    program,
-                    receiver,
-                    batcher,
-                    control,
-                    (leaf_states[wid],) if wid in leaf_states else None,
-                    checkpoint_predicate,
-                    faults.view_for(wid) if faults is not None else None,
-                    record_keys,
-                    reconfig_view if wid == plan.root.id else None,
-                    metrics_cfg,
-                )
+                batcher = BatchingSender(sender.send_batch, control, spec.policy)
+                _drive_worker(wid, spec, receiver, batcher, control)
                 log(f"worker {wid} done")
-            except BaseException as exc:
-                log(f"worker {wid} FAILED: {exc!r}")
-                control.errors.put((wid, f"{exc!r}\n{traceback.format_exc()}"))
 
         threads = [
             threading.Thread(target=worker_thread, args=(wid,), name=f"worker:{wid}")
@@ -466,15 +449,7 @@ class ClusterLauncher:
         #: ``self.exporter`` once the run starts).
         self.metrics_port = metrics_port
         self.exporter: Optional[MetricsExporter] = None
-        # fork (not spawn): agents must inherit the program's closures;
-        # only messages and handshake blobs ever cross the wire.
-        if "fork" not in mp.get_all_start_methods():
-            raise RuntimeFault(
-                "the cluster launcher requires the 'fork' start method "
-                "(Linux/macOS); use the 'threaded' or 'sim' backend on "
-                "this platform"
-            )
-        self._ctx = mp.get_context("fork")
+        self._ctx = fork_context("the cluster launcher")
 
     def run(
         self,
@@ -491,13 +466,11 @@ class ClusterLauncher:
     ) -> AttemptOutcome:
         """Execute one attempt (see :meth:`ProcessRuntime.run` for the
         fault-injection / reconfiguration parameter contract)."""
-        workers = self.plan.workers()
+        spec = AttemptSpec.of(
+            self, initial_state, checkpoint_predicate, faults, record_keys, reconfig, metrics
+        )
+        metrics = spec.metrics  # epoch-stamped
         control = ControlPlane(self._ctx)
-        leaf_states = initial_leaf_states(self.plan, self.program, initial_state)
-        if metrics is not None and metrics.epoch is None:
-            # Stamp the latency origin before forking so every node
-            # agent shares the same epoch.
-            metrics = metrics.with_epoch(time.time())
         log_dir = os.environ.get("REPRO_CLUSTER_LOG_DIR") or None
         log = _NodeLog(log_dir, "coordinator")
         # Per-run shared secret: agents get it at launch (fork args /
@@ -521,19 +494,11 @@ class ClusterLauncher:
                 args=(
                     node.name,
                     node.host,
-                    self.plan,
-                    self.program,
+                    spec,
                     self.placement,
                     registry.getsockname(),
                     cookie,
                     control,
-                    self.policy,
-                    leaf_states,
-                    checkpoint_predicate,
-                    faults,
-                    record_keys,
-                    reconfig,
-                    metrics,
                     log_dir,
                 ),
                 daemon=True,
@@ -544,13 +509,7 @@ class ClusterLauncher:
         for p in procs:
             p.start()
 
-        result = AttemptOutcome(
-            events_in=sum(len(s.events) for s in streams),
-            n_workers=len(workers),
-            transport=self.transport_name,
-            batch=self.policy.describe(),
-            nodes=len(self.nodes),
-        )
+        result: Optional[AttemptOutcome] = None
         coord_socks: Dict[str, socket.socket] = {}
         #: Every connection the registry ever accepted — closed in the
         #: finally block so a failed handshake (unexpected
@@ -596,7 +555,29 @@ class ClusterLauncher:
                 target=drain_metrics, name="metrics-drain", daemon=True
             )
             drain_thread.start()
-        try:
+
+        def stop_drainer() -> None:
+            drain_stop.set()
+            if drain_thread is not None:
+                drain_thread.join(timeout=2.0)
+
+        # Runs between registry accepts and while a producer write
+        # waits for socket space: a dead agent must surface as a fault,
+        # not a hang.
+        guard = functools.partial(raise_worker_faults, control, procs)
+
+        def coordinator_sender() -> FrameSender:
+            return FrameSender({wid: s.fileno() for wid, s in coord_socks.items()}, guard)
+
+        def stop() -> None:
+            sender = coordinator_sender()
+            for wid in coord_socks:
+                sender.send_raw(wid, FRAME_LEN.pack(0))
+            # The reports (and what is left of the live feed) are
+            # collected from the queue the drainer reads.
+            stop_drainer()
+
+        def connect() -> BatchingSender:
             # Registry exchange: collect every node's hello, then send
             # each the full address map.  The accept timeout is short —
             # an agent that dies before registering puts its traceback
@@ -607,7 +588,7 @@ class ClusterLauncher:
             addr_map: Dict[str, Any] = {}
             conns: List[socket.socket] = []
             while len(addr_map) < len(self.nodes):
-                ProcessRuntime._raise_worker_faults(control, procs)
+                guard()
                 try:
                     conn, _ = registry.accept()
                 except socket.timeout:
@@ -641,7 +622,7 @@ class ClusterLauncher:
 
             # The coordinator's own edges: one dialed connection per
             # worker, for producer input and the stop frame.
-            for n in workers:
+            for n in self.plan.workers():
                 s = socket.create_connection(
                     tuple(addr_map[self.placement[n.id]]),
                     timeout=HANDSHAKE_TIMEOUT_S,
@@ -650,46 +631,23 @@ class ClusterLauncher:
                 configure_stream_socket(s, nonblocking=True)
                 coord_socks[n.id] = s
 
-            t0 = time.perf_counter()
+            return BatchingSender(coordinator_sender().send_batch, control, self.policy)
 
-            def pump_guard() -> None:
-                # Invoked while a producer write waits for socket
-                # space: a dead agent must surface as a fault, not a
-                # hang.
-                ProcessRuntime._raise_worker_faults(control, procs)
-
-            sender = FrameSender(
-                {wid: s.fileno() for wid, s in coord_socks.items()}, pump_guard
-            )
-            batcher = BatchingSender(sender.send_batch, control, self.policy)
-            pump_producers(
-                self.plan,
+        try:
+            result = coordinate_attempt(
+                "cluster",
+                spec,
                 streams,
-                batcher.post,
+                control,
+                procs,
+                connect,
+                stop=stop,
+                timeout_s=timeout_s,
                 pace=pace,
-                before_sleep=batcher.flush,
+                transport=self.transport_name,
+                nodes=len(self.nodes),
             )
-            batcher.flush()
-            ProcessRuntime._await_idle(control, procs, timeout_s)
-            result.wall_s = time.perf_counter() - t0
-
-            stop = FRAME_LEN.pack(0)
-            for wid in coord_socks:
-                sender.send_raw(wid, stop)
-            if drain_thread is not None:
-                # Stop the live drainer before _collect drains the
-                # same queue for the end-of-run merge.
-                drain_stop.set()
-                drain_thread.join(timeout=2.0)
-                drain_thread = None
-            self._collect(control, result, timeout_s, metrics)
         finally:
-            for p in procs:
-                p.join(timeout=5.0)
-            for p in procs:
-                if p.is_alive():  # pragma: no cover - defensive cleanup
-                    p.terminate()
-                    p.join(timeout=1.0)
             for s in list(coord_socks.values()) + reg_conns:
                 try:
                     s.close()
@@ -699,16 +657,14 @@ class ClusterLauncher:
                 registry.close()
             except OSError:  # pragma: no cover - defensive
                 pass
-            if drain_thread is not None:
-                drain_stop.set()
-                drain_thread.join(timeout=2.0)
+            stop_drainer()
             if self.exporter is not None:
                 # Final state stays scrapeable until stop(); publish
                 # the merged end-of-run snapshots, then shut down —
                 # unless the exporter is shared across attempts, in
                 # which case its owner (ProcessBackend) stops it after
                 # the whole recovering/elastic run.
-                if result.metrics is not None:
+                if result is not None and result.metrics is not None:
                     for snap in result.metrics.per_worker.values():
                         self.exporter.update(snap)
                 if owns_exporter:
@@ -716,6 +672,3 @@ class ClusterLauncher:
             log("run complete")
             log.close()
         return result
-
-    # Report collection is identical to the per-worker runtime's.
-    _collect = staticmethod(ProcessRuntime._collect)

@@ -378,14 +378,6 @@ class WorkerMetrics:
             snap.event_latency = self.event_latency
         return snap
 
-    def all_snapshots(self) -> List[MetricsSnapshot]:
-        """Own snapshot plus the latest piggybacked subtree snapshots."""
-        bounds = self.config.latency_buckets
-        out = [self.snapshot()]
-        for w in self.subtree.values():
-            out.append(MetricsSnapshot.from_wire(w, bounds))
-        return out
-
 
 @dataclass
 class RunMetrics:

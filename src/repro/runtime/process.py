@@ -1,7 +1,7 @@
 """A multi-process execution of synchronization plans.
 
-The threaded runtime proves the protocol runs on a concurrent
-substrate, but the GIL serializes its update functions.  This module
+Threads prove the protocol runs on a concurrent substrate, but the GIL
+serializes their update functions.  This module
 executes the same :class:`~repro.runtime.protocol.WorkerCore` state
 machine with **one OS process per plan worker**, so independent events
 on different leaves genuinely run in parallel — the paper's central
@@ -32,29 +32,36 @@ Three design points keep IPC from eating the speedup:
   messages (events, order keys, application states) cross process
   boundaries.
 
-Termination mirrors the threaded runtime: a shared in-flight message
-counter is incremented when a batch is posted and decremented when it
-has been fully handled *and* its consequences flushed; the counter
-reaching zero after all producer input is posted means every channel
-has drained, at which point stop frames are delivered and each worker
-ships its locally-accumulated outputs back once.
+Termination: a shared in-flight message counter is incremented when a
+batch is posted and decremented when it has been fully handled *and*
+its consequences flushed; the counter reaching zero after all producer
+input is posted means every channel has drained, at which point stop
+frames are delivered and each worker ships its locally-accumulated
+outputs back once.
+
+The worker loop (:func:`_drive_worker`) and the coordinator's half of
+an attempt (:func:`coordinate_attempt`) are the real substrates' only
+ones: :mod:`repro.runtime.threaded` runs them on threads over queues,
+:mod:`repro.runtime.cluster` on node agents over dialed TCP edges.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import multiprocessing as mp
 import queue as queue_mod
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.errors import RuntimeFault
 from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
 from ..plans.validity import assert_p_valid
-from .checkpoint import Checkpoint, CheckpointPredicate
-from .faults import CrashRecord, FaultPlan, WorkerCrash, WorkerFaultView
+from .checkpoint import CheckpointPredicate
+from .faults import CrashRecord, FaultPlan, WorkerCrash
 from .metrics import MetricsConfig, MetricsSnapshot, RunMetrics, WorkerMetrics
 from .quiesce import QuiesceRecord, QuiesceSignal, RootReconfigView
 from .protocol import (
@@ -70,6 +77,7 @@ from .transport import (
     COORDINATOR,
     DEFAULT_TRANSPORT,
     STOP,
+    BatchingSender,
     BatchPolicy,
     ControlPlane,
     make_transport,
@@ -77,6 +85,47 @@ from .transport import (
     resolve_policy,
 )
 from .wire import batch_message_count
+
+
+@dataclass(frozen=True)
+class AttemptSpec:
+    """What one attempt runs — the same record for every worker of it,
+    handed over at start (inherited by fork, shared by threads, never
+    pickled)."""
+
+    program: DGSProgram
+    plan: SyncPlan
+    policy: BatchPolicy
+    #: Leaf id -> the share of the initial state it starts from.
+    leaf_states: Dict[str, Any]
+    checkpoint_predicate: Optional[CheckpointPredicate]
+    faults: Optional[FaultPlan]
+    record_keys: bool
+    #: Armed on the root only.
+    reconfig: Optional[RootReconfigView]
+    metrics: Optional[MetricsConfig]
+
+    @classmethod
+    def of(
+        cls, runtime, initial_state, checkpoint_predicate, faults, record_keys, reconfig, metrics
+    ) -> "AttemptSpec":
+        """The keyword arguments of ``runtime.run()`` as a spec."""
+        if metrics is not None and metrics.epoch is None:
+            # Stamp the latency origin before any worker starts, so all
+            # of them share the same epoch.
+            metrics = metrics.with_epoch(time.time())
+        return cls(
+            runtime.program,
+            runtime.plan,
+            runtime.policy,
+            initial_leaf_states(runtime.plan, runtime.program, initial_state),
+            checkpoint_predicate,
+            faults,
+            record_keys,
+            reconfig,
+            metrics,
+        )
+
 
 @dataclass
 class _WorkerReport:
@@ -88,11 +137,9 @@ class _WorkerReport:
     deployment would have written to durable storage)."""
 
     node_id: str
-    outputs: List[Any]
-    keyed_outputs: List[Any]
-    checkpoints: List[Checkpoint]
-    events_processed: int
-    joins: int
+    #: The worker's private sink: outputs, keyed outputs, checkpoints
+    #: and the event / join counters.
+    sink: OutputSink
     leftover: int
     crash: Optional[CrashRecord] = None
     quiesce: Optional[QuiesceRecord] = None
@@ -101,24 +148,12 @@ class _WorkerReport:
 
 
 def _drive_worker(
-    node_id: str,
-    plan: SyncPlan,
-    program: DGSProgram,
-    receiver,
-    batcher,
-    control: ControlPlane,
-    init_state: Optional[tuple],
-    checkpoint_predicate: Optional[CheckpointPredicate],
-    fault_view: Optional[WorkerFaultView],
-    record_keys: bool,
-    reconfig_view: Optional[RootReconfigView],
-    metrics_cfg: Optional[MetricsConfig] = None,
+    node_id: str, spec: AttemptSpec, receiver, batcher, control: ControlPlane
 ) -> None:
     """Drive one WorkerCore from its inbox until the stop frame, then
-    ship its report — the substrate-independent worker loop shared by
-    the one-process-per-worker runtime (each worker its own forked
-    process) and the cluster's node agents (several workers as threads
-    of one agent process, channels over TCP).
+    ship its report — the one worker loop of the real substrates: a
+    forked process per worker, a thread per worker, or several workers
+    as threads of a cluster node agent with channels over TCP.
 
     Outputs accumulate in a worker-local sink and travel back to the
     coordinator exactly once, on shutdown — results never compete with
@@ -130,28 +165,27 @@ def _drive_worker(
     the dedicated queue, and from then on incoming batches are absorbed
     unprocessed until the stop frame, when the report ships.
     """
-    sink = OutputSink(record_keys=record_keys)
-    wm = WorkerMetrics(node_id, metrics_cfg) if metrics_cfg is not None else None
+    sink = OutputSink(record_keys=spec.record_keys)
+    wm = WorkerMetrics(node_id, spec.metrics) if spec.metrics is not None else None
     if wm is not None:
-        # Transport endpoints count batches/frames into the same
+        # The sender counts the batches it flushes into the same
         # per-worker metrics object (settable post-construction so the
         # transport signatures stay metrics-agnostic).
-        receiver.metrics = wm
         batcher.metrics = wm
     core = WorkerCore(
-        plan.node(node_id),
-        plan,
-        program,
+        spec.plan.node(node_id),
+        spec.plan,
+        spec.program,
         batcher.post,
         sink,
-        checkpoint_predicate=checkpoint_predicate,
-        faults=fault_view,
-        reconfig=reconfig_view,
+        checkpoint_predicate=spec.checkpoint_predicate,
+        faults=spec.faults.view_for(node_id) if spec.faults is not None else None,
+        reconfig=spec.reconfig if node_id == spec.plan.root.id else None,
         flush_hint=batcher.flush,
         metrics=wm,
     )
-    if init_state is not None:
-        core.state = init_state[0]
+    if node_id in spec.leaf_states:
+        core.state = spec.leaf_states[node_id]
         core.has_state = True
     crash: Optional[CrashRecord] = None
     quiesce: Optional[QuiesceRecord] = None
@@ -160,6 +194,8 @@ def _drive_worker(
         msgs = receiver.recv()
         if msgs is STOP:
             break
+        if wm is not None:
+            wm.frames_received += 1
         if crash is not None or quiesce is not None:
             control.mark_done(batch_message_count(msgs))
             continue
@@ -167,49 +203,38 @@ def _drive_worker(
             for msg in msgs:
                 core.handle(msg)
         except WorkerCrash as wc:
+            # Fail-stop: the triggering event and the rest of the batch
+            # die with the worker.
             crash = wc.record
-            # Ship consequences of the events processed *before*
-            # the crash, then announce it; the triggering event and
-            # the rest of the batch die with the worker.
-            batcher.flush()
-            control.crashes.put(crash)
         except QuiesceSignal as sig:
-            quiesce = sig.record
             # Planned stop at a consistent snapshot: the triggering
             # event is fully processed, only its fork-down was
-            # withheld.  Ship consequences, announce, go silent —
-            # the restart driver continues on a new plan.
-            # The announcement is a lightweight sentinel: the full
-            # record (carrying the snapshot state) travels once, in
-            # the end-of-run report.
-            batcher.flush()
-            control.quiesces.put(node_id)
+            # withheld — the restart driver continues on a new plan.
+            quiesce = sig.record
         # Flush consequences *before* declaring the batch done, so
         # the in-flight counter can never dip to zero while this
         # worker still owes messages to others.
         batcher.flush()
+        if crash is not None or quiesce is not None:
+            # Announced after the consequences of what was processed
+            # have shipped; a lightweight sentinel — the full record
+            # (a quiesce carries the snapshot state) travels once, in
+            # the end-of-run report.  From here on the worker is silent.
+            control.aborts.put(node_id)
         # Event-level: a columnar run of n events repays the n its
         # sender charged the in-flight counter.
         control.mark_done(batch_message_count(msgs))
         if wm is not None:
             # Low-rate live feed for the coordinator's Prometheus
-            # exporter; best-effort (a full queue is never worth
-            # stalling the data plane for).
+            # exporter (an unbounded queue: the put never waits).
             now = time.monotonic()
             if now - last_push >= 0.25:
                 last_push = now
-                try:
-                    control.metrics.put_nowait((node_id, wm.wire_snapshot()))
-                except Exception:  # pragma: no cover - full queue
-                    pass
+                control.metrics.put_nowait((node_id, wm.wire_snapshot()))
     control.results.put(
         _WorkerReport(
             node_id,
-            sink.outputs,
-            sink.keyed_outputs,
-            sink.checkpoints,
-            sink.events_processed,
-            sink.joins,
+            sink,
             core.unprocessed(),
             crash,
             quiesce,
@@ -218,53 +243,292 @@ def _drive_worker(
     )
 
 
-def _worker_main(
-    node_id: str,
-    plan: SyncPlan,
-    program: DGSProgram,
-    transport,
-    control: ControlPlane,
-    policy: BatchPolicy,
-    init_state: Optional[tuple],
-    checkpoint_predicate: Optional[CheckpointPredicate],
-    fault_view: Optional[WorkerFaultView],
-    record_keys: bool,
-    reconfig_view: Optional[RootReconfigView] = None,
-    metrics_cfg: Optional[MetricsConfig] = None,
-) -> None:
-    """Child-process entry point of the one-process-per-worker runtime:
-    bind this worker's transport endpoints, then run the shared loop."""
+@contextlib.contextmanager
+def report_errors(control: ControlPlane, who: str, log=None):
+    """Whatever escapes a worker goes on the error queue with its
+    traceback: the coordinator raises it as a :class:`RuntimeFault`
+    naming ``who``.  An exception ends there (an exit status — a thread
+    has none — would carry nothing more); an interrupt or exit goes on."""
     try:
-        # Drop inherited channel endpoints this worker does not own,
-        # so a dead peer surfaces as EOF/EPIPE instead of silence.
-        transport.child_setup(node_id)
-        receiver = transport.receiver(node_id)
-        # While this worker waits for pipe space it keeps ingesting its
-        # own inbox (receiver.poll), so mutual pressure cannot deadlock.
-        batcher = transport.sender(node_id, control, policy, on_block=receiver.poll)
-        _drive_worker(
-            node_id,
-            plan,
-            program,
-            receiver,
-            batcher,
-            control,
-            init_state,
-            checkpoint_predicate,
-            fault_view,
-            record_keys,
-            reconfig_view,
-            metrics_cfg,
-        )
-    except BaseException as exc:  # pragma: no cover - exercised via fault tests
-        control.errors.put((node_id, f"{exc!r}\n{traceback.format_exc()}"))
-        raise
+        yield
+    except BaseException as exc:
+        if log is not None:
+            log(f"worker {who} FAILED: {exc!r}")
+        control.errors.put((who, f"{exc!r}\n{traceback.format_exc()}"))
+        if not isinstance(exc, Exception):
+            raise
+
+
+def _worker_main(node_id: str, spec: AttemptSpec, transport, control: ControlPlane) -> None:
+    """Entry point of one worker — a forked process or, on the threaded
+    substrate, a thread: bind its transport endpoints, run the shared
+    loop."""
+    try:
+        with report_errors(control, node_id):
+            # Drop inherited channel endpoints this worker does not own,
+            # so a dead peer surfaces as EOF/EPIPE instead of silence.
+            transport.child_setup(node_id)
+            receiver = transport.receiver(node_id)
+            # While this worker waits for channel space it keeps
+            # ingesting its own inbox (receiver.poll), so mutual
+            # pressure cannot deadlock.
+            batcher = transport.sender(node_id, control, spec.policy, on_block=receiver.poll)
+            _drive_worker(node_id, spec, receiver, batcher, control)
     finally:
         # Announce this worker's exit on transports that cannot observe
         # it through the kernel (shared-memory rings have no EOF/EPIPE;
         # peers watch the closed flags this sets).  Runs on every exit
         # path, including crashes and KeyboardInterrupt.
         transport.child_teardown(node_id)
+
+
+# ---------------------------------------------------------------------------
+# The coordinator's half of an attempt, the same on every real substrate
+# ---------------------------------------------------------------------------
+
+def _aborted(control: ControlPlane) -> bool:
+    """True when a crash or a reconfiguration quiesce was announced
+    (either one ends the attempt early)."""
+    try:
+        control.aborts.get_nowait()
+    except queue_mod.Empty:
+        return False
+    return True
+
+
+def raise_worker_faults(control: ControlPlane, procs) -> None:
+    """Surface a reported worker error, or a worker that died without
+    reporting one, as a :class:`RuntimeFault`."""
+    try:
+        node_id, err = control.errors.get_nowait()
+    except queue_mod.Empty:
+        pass
+    else:
+        raise RuntimeFault(f"worker {node_id} crashed:\n{err}")
+    if any(not p.is_alive() and p.exitcode not in (0, None) for p in procs):
+        raise RuntimeFault(
+            "a worker process died before the run drained "
+            f"(exitcodes: {[p.exitcode for p in procs]})"
+        )
+
+
+def _gather_reports(control: ControlPlane, procs, workers: Sequence[str], wait_s: float):
+    """End-of-run reports as they arrive, until every worker's is in or
+    ``wait_s`` has passed: ``(reports, ids still missing)``."""
+    deadline = time.monotonic() + wait_s
+    reports: List[_WorkerReport] = []
+    missing = set(workers)
+    while missing and time.monotonic() <= deadline:
+        try:
+            reports.append(control.results.get(timeout=0.05))
+            missing.discard(reports[-1].node_id)
+        except queue_mod.Empty:
+            # Poll results and faults together: a fault after
+            # quiescence (e.g. an unpicklable output killing the result
+            # put) must surface with its traceback, not as a timeout.
+            raise_worker_faults(control, procs)
+    return reports, sorted(missing)
+
+
+def _await_idle(
+    substrate: str,
+    control: ControlPlane,
+    procs,
+    workers: Sequence[str],
+    stop: Callable[[], None],
+    timeout_s: float,
+) -> bool:
+    """Wait for drain, an injected crash, or a reconfiguration quiesce
+    (returns True for an aborted attempt), surfacing worker faults
+    promptly.  A drain timeout says who is still busy: every worker is
+    sent its stop frame and given a second to report; the ones that
+    stay silent never came back from a handler."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        if _aborted(control):
+            return True
+        if control.idle.wait(timeout=0.05):
+            # Drain and an abort can race: a crashed/quiesced worker
+            # absorbs its backlog, so the counter may reach zero right
+            # as the announcement lands.  Abort wins.
+            return _aborted(control)
+        raise_worker_faults(control, procs)
+        if time.monotonic() > deadline:
+            inflight = control.backlog()
+            stop()
+            _, silent = _gather_reports(control, procs, workers, 1.0)
+            raise RuntimeFault(
+                f"{substrate} runtime did not drain within {timeout_s:g}s: {inflight} "
+                f"message(s) in flight, {len(workers) - len(silent)} of {len(workers)} "
+                f"worker(s) stopped when asked, no report from {silent}"
+            )
+
+
+def _collect(
+    control: ControlPlane,
+    procs,
+    result: AttemptOutcome,
+    workers: Sequence[str],
+    timeout_s: float,
+    metrics_cfg: Optional[MetricsConfig],
+) -> None:
+    """Gather every worker's end-of-run report into ``result``."""
+    reports, missing = _gather_reports(control, procs, workers, timeout_s)
+    if missing:
+        raise RuntimeFault(
+            f"no report from {missing} after drain; a worker likely "
+            "crashed or produced unpicklable outputs"
+        )
+    result.crashes = [r.crash for r in reports if r.crash is not None]
+    for report in reports:
+        if report.quiesce is not None:
+            result.quiesce = report.quiesce
+    for report in reports:
+        if report.leftover and not result.crashes and result.quiesce is None:
+            raise RuntimeFault(
+                f"worker {report.node_id} ended with {report.leftover} "
+                "unprocessed items; check heartbeats / dependence relation"
+            )
+        result.outputs.extend(report.sink.outputs)
+        result.keyed_outputs.extend(report.sink.keyed_outputs)
+        result.checkpoints.extend(report.sink.checkpoints)
+        result.events_processed += report.sink.events_processed
+        result.joins += report.sink.joins
+    result.checkpoints.sort(key=lambda c: c.key)
+    if metrics_cfg is not None:
+        rm = RunMetrics(latency_buckets=metrics_cfg.latency_buckets)
+        for report in reports:
+            if report.metrics is not None:
+                rm.absorb(report.metrics)
+        # Drain the live feed too: workers that only ever answered
+        # joins piggybacked snapshots there (absorb keeps the richest
+        # copy per worker).
+        try:
+            while True:
+                _node_id, wire = control.metrics.get_nowait()
+                rm.absorb(MetricsSnapshot.from_wire(wire, metrics_cfg.latency_buckets))
+        except queue_mod.Empty:
+            pass
+        result.metrics = rm
+
+
+def coordinate_attempt(
+    substrate: str,
+    spec: AttemptSpec,
+    streams: Sequence[InputStream],
+    control: ControlPlane,
+    procs,
+    connect: Callable[[], BatchingSender],
+    *,
+    stop: Callable[[], None],
+    drain: Optional[Callable[[], None]] = None,
+    timeout_s: float,
+    pace: Optional[float],
+    transport: str,
+    nodes: int = 0,
+) -> AttemptOutcome:
+    """The coordinator's half of one attempt over started workers
+    (``procs``: processes, node agents or threads): ``connect`` the
+    coordinator's edges, pump the producers, wait for drain or an abort
+    announcement, ``stop`` the workers (one stop frame each), collect
+    their reports, ``drain`` the data plane of an aborted attempt,
+    reap.  A failed attempt terminates its workers instead of waiting
+    them out — nobody will send them a stop frame."""
+    workers = [n.id for n in spec.plan.workers()]
+    result = AttemptOutcome(
+        events_in=sum(len(s.events) for s in streams),
+        n_workers=len(workers),
+        transport=transport,
+        batch=spec.policy.describe(),
+        nodes=nodes,
+    )
+    try:
+        batcher = connect()
+        t0 = time.perf_counter()
+        pump_producers(
+            spec.plan, streams, batcher.post, pace=pace, before_sleep=batcher.flush
+        )
+        batcher.flush()
+        aborted = _await_idle(substrate, control, procs, workers, stop, timeout_s)
+        result.wall_s = time.perf_counter() - t0
+        stop()
+        _collect(control, procs, result, workers, timeout_s, spec.metrics)
+        if aborted and drain is not None:
+            drain()
+    except BaseException:
+        for p in procs:
+            p.terminate()
+        raise
+    finally:
+        for p in procs:
+            p.join(timeout=5.0)
+        for p in procs:
+            if p.is_alive():  # pragma: no cover - defensive cleanup
+                p.terminate()
+                p.join(timeout=1.0)
+    return result
+
+
+def run_on_workers(
+    substrate: str,
+    ctx,
+    transport,
+    spec: AttemptSpec,
+    streams: Sequence[InputStream],
+    timeout_s: float,
+    pace: Optional[float],
+) -> AttemptOutcome:
+    """One attempt with one ``ctx.Process`` per plan worker over
+    ``transport`` — forked processes over pipes, queues, sockets or
+    rings for :class:`ProcessRuntime`, threads over in-process queues
+    for :class:`~repro.runtime.threaded.ThreadedRuntime`."""
+    try:
+        control = ControlPlane(ctx)
+        procs = [
+            ctx.Process(
+                target=_worker_main,
+                args=(n.id, spec, transport, control),
+                daemon=True,
+                name=f"worker:{n.id}",
+            )
+            for n in spec.plan.workers()
+        ]
+        for p in procs:
+            p.start()
+        # Every worker holds its endpoints now; drop the parent's
+        # copies of the fds only workers use, so dead peers surface as
+        # EOF/EPIPE on the survivors' pipes.
+        transport.parent_setup()
+        # The guard runs while a producer write waits for channel
+        # space: a dead worker must surface as a fault, not a hang.
+        guard = functools.partial(raise_worker_faults, control, procs)
+        return coordinate_attempt(
+            substrate,
+            spec,
+            streams,
+            control,
+            procs,
+            functools.partial(transport.sender, COORDINATOR, control, spec.policy, guard),
+            stop=transport.stop_all,
+            drain=transport.drain,
+            timeout_s=timeout_s,
+            pace=pace,
+            transport=transport.name,
+        )
+    finally:
+        transport.close()
+
+
+def fork_context(who: str):
+    """The ``multiprocessing`` context of the forking substrates.  fork
+    (not spawn): children must inherit the program's closures; only
+    messages are ever pickled."""
+    if "fork" not in mp.get_all_start_methods():
+        raise RuntimeFault(
+            f"{who} requires the 'fork' start method (Linux/macOS); use "
+            "the 'threaded' or 'sim' backend on this platform"
+        )
+    return mp.get_context("fork")
 
 
 class ProcessRuntime:
@@ -300,15 +564,7 @@ class ProcessRuntime:
         #: ``slots``, ``slot_bytes``); validated by ``make_transport``.
         self.transport_options = dict(transport_options or {})
         self.policy = resolve_policy(batch_size, flush_ms)
-        # fork (not spawn): children must inherit the program's
-        # closures; only messages are ever pickled.
-        if "fork" not in mp.get_all_start_methods():
-            raise RuntimeFault(
-                "the process runtime requires the 'fork' start method "
-                "(Linux/macOS); use the 'threaded' or 'sim' backend on "
-                "this platform"
-            )
-        self._ctx = mp.get_context("fork")
+        self._ctx = fork_context("the process runtime")
 
     def run(
         self,
@@ -323,206 +579,24 @@ class ProcessRuntime:
         metrics: Optional[MetricsConfig] = None,
         pace: Optional[float] = None,
     ) -> AttemptOutcome:
-        """Execute one attempt (see :meth:`ThreadedRuntime.run` for the
-        fault-injection / reconfiguration parameter contract: a crashed
-        or quiesced attempt returns with ``crashes`` non-empty /
-        ``quiesce`` set instead of raising)."""
-        workers = self.plan.workers()
+        """Execute one attempt.
+
+        The fault-injection parameters (``initial_state``,
+        ``checkpoint_predicate``, ``faults``, ``record_keys``) default
+        to the plain fail-free execution; the restart driver
+        (:mod:`repro.runtime.reconfigure`) sets them when replaying
+        from a checkpoint and arms ``reconfig=`` (a per-attempt
+        :class:`~repro.runtime.quiesce.RootReconfigView`) on the root.
+        A crashed or quiesced attempt *returns* (see
+        :class:`~repro.runtime.protocol.AttemptOutcome`) rather than
+        raising."""
+        spec = AttemptSpec.of(
+            self, initial_state, checkpoint_predicate, faults, record_keys, reconfig, metrics
+        )
         transport = make_transport(
             self.transport_name,
             self._ctx,
             plan_edges(self.plan),
             **self.transport_options,
         )
-        control = ControlPlane(self._ctx)
-        leaf_states = initial_leaf_states(self.plan, self.program, initial_state)
-        if metrics is not None and metrics.epoch is None:
-            # Stamp the latency origin before forking so every worker
-            # process shares the same epoch.
-            metrics = metrics.with_epoch(time.time())
-        procs = [
-            self._ctx.Process(
-                target=_worker_main,
-                args=(
-                    n.id,
-                    self.plan,
-                    self.program,
-                    transport,
-                    control,
-                    self.policy,
-                    (leaf_states[n.id],) if n.id in leaf_states else None,
-                    checkpoint_predicate,
-                    faults.view_for(n.id) if faults is not None else None,
-                    record_keys,
-                    reconfig if n.id == self.plan.root.id else None,
-                    metrics,
-                ),
-                daemon=True,
-                name=f"worker:{n.id}",
-            )
-            for n in workers
-        ]
-        for p in procs:
-            p.start()
-        # Every worker holds its endpoints now; drop the parent's
-        # copies of the fds only workers use, so dead peers surface as
-        # EOF/EPIPE on the survivors' pipes.
-        transport.parent_setup()
-
-        result = AttemptOutcome(
-            events_in=sum(len(s.events) for s in streams),
-            n_workers=len(workers),
-            transport=transport.name,
-            batch=self.policy.describe(),
-        )
-        try:
-            t0 = time.perf_counter()
-
-            def pump_guard() -> None:
-                # Invoked while a producer write waits for pipe space:
-                # a dead worker must surface as a fault, not a hang.
-                self._raise_worker_faults(control, procs)
-
-            batcher = transport.sender(
-                COORDINATOR, control, self.policy, on_block=pump_guard
-            )
-            pump_producers(
-                self.plan,
-                streams,
-                batcher.post,
-                pace=pace,
-                before_sleep=batcher.flush,
-            )
-            batcher.flush()
-            aborted = self._await_idle(control, procs, timeout_s)
-            result.wall_s = time.perf_counter() - t0
-
-            transport.stop_all()
-            self._collect(control, result, timeout_s, metrics)
-            if aborted:
-                transport.drain()
-        except BaseException:
-            # A failed attempt has nothing to collect: do not wait out
-            # workers that will never be sent a stop frame.
-            for p in procs:
-                p.terminate()
-            raise
-        finally:
-            for p in procs:
-                p.join(timeout=5.0)
-            for p in procs:
-                if p.is_alive():  # pragma: no cover - defensive cleanup
-                    p.terminate()
-                    p.join(timeout=1.0)
-            transport.close()
-        return result
-
-    # -- coordination helpers -------------------------------------------
-    @staticmethod
-    def _aborted(control: ControlPlane) -> bool:
-        """True when a crash or a reconfiguration quiesce was announced
-        (either one ends the attempt early)."""
-        for q in (control.crashes, control.quiesces):
-            try:
-                q.get_nowait()
-            except queue_mod.Empty:
-                continue
-            return True
-        return False
-
-    @staticmethod
-    def _raise_worker_faults(control: ControlPlane, procs) -> None:
-        try:
-            node_id, err = control.errors.get_nowait()
-        except queue_mod.Empty:
-            pass
-        else:
-            raise RuntimeFault(f"worker {node_id} crashed:\n{err}")
-        if any(not p.is_alive() and p.exitcode not in (0, None) for p in procs):
-            raise RuntimeFault(
-                "a worker process died before the run drained "
-                f"(exitcodes: {[p.exitcode for p in procs]})"
-            )
-
-    @classmethod
-    def _await_idle(cls, control: ControlPlane, procs, timeout_s: float) -> bool:
-        """Wait for drain, an injected crash, or a reconfiguration
-        quiesce (returns True for an aborted attempt), surfacing worker
-        faults promptly."""
-        deadline = time.monotonic() + timeout_s
-        while True:
-            if cls._aborted(control):
-                return True
-            if control.idle.wait(timeout=0.05):
-                # Drain and an abort can race: a crashed/quiesced
-                # worker absorbs its backlog, so the counter may reach
-                # zero right as the announcement lands.  Abort wins.
-                return cls._aborted(control)
-            cls._raise_worker_faults(control, procs)
-            if time.monotonic() > deadline:
-                raise RuntimeFault("process runtime did not drain in time")
-
-    @staticmethod
-    def _collect(
-        control: ControlPlane,
-        result: AttemptOutcome,
-        timeout_s: float,
-        metrics_cfg: Optional[MetricsConfig] = None,
-    ) -> None:
-        deadline = time.monotonic() + timeout_s
-        reports: List[_WorkerReport] = []
-        for _ in range(result.n_workers):
-            # Poll results and errors together: a fault after quiescence
-            # (e.g. an unpicklable output killing the result put) must
-            # surface with its traceback, not as a bare timeout.
-            while True:
-                try:
-                    reports.append(control.results.get(timeout=0.05))
-                    break
-                except queue_mod.Empty:
-                    try:
-                        err_node, err = control.errors.get_nowait()
-                    except queue_mod.Empty:
-                        pass
-                    else:
-                        raise RuntimeFault(
-                            f"worker {err_node} crashed after drain:\n{err}"
-                        ) from None
-                    if time.monotonic() > deadline:
-                        raise RuntimeFault(
-                            "worker results missing after drain; a worker "
-                            "likely crashed or produced unpicklable outputs"
-                        ) from None
-        result.crashes = [r.crash for r in reports if r.crash is not None]
-        for report in reports:
-            if report.quiesce is not None:
-                result.quiesce = report.quiesce
-        for report in reports:
-            if report.leftover and not result.crashes and result.quiesce is None:
-                raise RuntimeFault(
-                    f"worker {report.node_id} ended with {report.leftover} "
-                    "unprocessed items; check heartbeats / dependence relation"
-                )
-            result.outputs.extend(report.outputs)
-            result.keyed_outputs.extend(report.keyed_outputs)
-            result.checkpoints.extend(report.checkpoints)
-            result.events_processed += report.events_processed
-            result.joins += report.joins
-        result.checkpoints.sort(key=lambda c: c.key)
-        if metrics_cfg is not None:
-            rm = RunMetrics(latency_buckets=metrics_cfg.latency_buckets)
-            for report in reports:
-                if report.metrics is not None:
-                    rm.absorb(report.metrics)
-            # Drain the live feed too: workers that only ever answered
-            # joins piggybacked snapshots there (absorb keeps the
-            # richest copy per worker).
-            try:
-                while True:
-                    node_id, wire = control.metrics.get_nowait()
-                    rm.absorb(
-                        MetricsSnapshot.from_wire(wire, metrics_cfg.latency_buckets)
-                    )
-            except queue_mod.Empty:
-                pass
-            result.metrics = rm
+        return run_on_workers("process", self._ctx, transport, spec, streams, timeout_s, pace)

@@ -8,10 +8,11 @@ transport plumbing around :class:`WorkerCore`:
 
 * :mod:`repro.runtime.runtime` — one simulated actor per worker; the
   adapter adds only the virtual clock and the network/CPU cost model;
-* :mod:`repro.runtime.threaded` — one ``threading.Thread`` per worker,
-  in-memory FIFO queues;
-* :mod:`repro.runtime.process` — one OS process per worker, batched
-  ``multiprocessing`` queues (escaping the GIL for real parallelism).
+* :mod:`repro.runtime.process` — one worker loop and one coordinator
+  for the real substrates: an OS process per worker over batched
+  channels (escaping the GIL for real parallelism), node agents over
+  TCP (:mod:`repro.runtime.cluster`), or a thread per worker over
+  in-process queues (:mod:`repro.runtime.threaded`).
 
 A ``WorkerCore`` is driven by ``handle(msg)`` calls and talks to the
 outside world through two injected callables:
@@ -19,9 +20,8 @@ outside world through two injected callables:
 * ``post(dst, msg)`` — send a protocol message to another worker;
 * ``sink`` — an :class:`OutputSink` receiving outputs and counters.
 
-Both must be safe to call from the substrate's execution context (the
-threaded runtime passes a locking sink; each process-runtime worker
-owns a private one).
+Both are called from the worker's own execution context only: every
+worker owns a private sink, and ships it once, at the end.
 
 Every substrate reports one execution attempt as the same
 :class:`AttemptOutcome`.
@@ -111,9 +111,9 @@ class AttemptOutcome(RunStatsMixin):
     #: so a replayed event's recorded latency is its true recovery
     #: delay: restart to re-commit.
     metrics: Any = None
-    #: Process-substrate deployment facts ("" / 0 elsewhere): the data
-    #: plane, the batch policy, the worker count, and the node-agent
-    #: count of a cluster deployment (0 = one process per worker).
+    #: Deployment facts of the real substrates ("" / 0 on the sim): the
+    #: data plane ("" on threads), the batch policy, the worker count,
+    #: and the node-agent count of a cluster deployment (0 otherwise).
     transport: str = ""
     batch: str = ""
     n_workers: int = 0
@@ -123,9 +123,8 @@ class AttemptOutcome(RunStatsMixin):
 class OutputSink:
     """Collects one execution's outputs and protocol counters.
 
-    The base class is a plain in-memory accumulator; substrates that
-    share a sink across concurrent workers wrap it with their own
-    synchronization.
+    A plain in-memory accumulator, one per worker (the sim's subclass
+    stamps outputs with virtual time).
 
     With ``record_keys=True`` every output is additionally logged as a
     ``(order_key, value)`` pair and root-join checkpoints are kept.

@@ -1,173 +1,90 @@
 """A real-thread execution of synchronization plans.
 
-The simulated runtime measures performance; this module executes the
-*same protocol* (selective-reordering mailboxes, join/fork worker state
-machine, heartbeat relay) on actual ``threading`` threads with FIFO
-queues — demonstrating that the design runs on a genuinely concurrent
-substrate, and giving the test suite a second, independent
-implementation to check against the sequential specification.
+The threaded substrate is the process substrate's attempt
+(:func:`repro.runtime.process.run_on_workers`) with threads for
+processes and an in-process queue for every worker's inbox: the same
+worker loop (``_drive_worker``), the same batching policy and in-flight
+accounting, the same coordinator — only nothing is forked and nothing
+is encoded.  What it adds to the other substrates is real preemption at
+no start-up cost: the differential matrix runs every app on it, and the
+service tier (:mod:`repro.serve`) runs each epoch on it.
 
 Python's GIL means this is about concurrency correctness, not speedup;
-for multi-core parallelism see :mod:`repro.runtime.process`, which runs
-the same :class:`~repro.runtime.protocol.WorkerCore` state machine on
-OS processes.
-
-Termination: producers enqueue all events plus closing heartbeats; a
-global in-flight message counter reaches zero only when every queue has
-drained and no handler is running, at which point stop sentinels are
-delivered.
+for multi-core parallelism see :mod:`repro.runtime.process`.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
-from typing import Any, Dict, List, Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, Dict, Optional, Sequence
 
-from ..core.errors import RuntimeFault
 from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
 from ..plans.validity import assert_p_valid
-from .checkpoint import Checkpoint, CheckpointPredicate
-from .faults import CrashRecord, FaultPlan, WorkerCrash
-from .metrics import MetricsConfig, RunMetrics, WorkerMetrics
-from .quiesce import QuiesceRecord, QuiesceSignal
-from .protocol import (
-    INIT_STATE,
-    AttemptOutcome,
-    OutputSink,
-    WorkerCore,
-    initial_leaf_states,
-    pump_producers,
-)
+from .checkpoint import CheckpointPredicate
+from .faults import FaultPlan
+from .metrics import MetricsConfig
+from .process import AttemptSpec, run_on_workers
+from .protocol import INIT_STATE, AttemptOutcome
 from .runtime import InputStream
+from .transport import STOP, BatchingSender, plan_edges, resolve_policy
 
-_STOP = object()
 
+class _Counter:
+    """``ctx.Value`` for threads: a number behind a lock."""
 
-class _Router:
-    """Message fabric: per-worker FIFO queues + in-flight accounting."""
-
-    def __init__(self) -> None:
-        self.queues: Dict[str, "queue.Queue[Any]"] = {}
-        self._inflight = 0
+    def __init__(self, _typecode: str, value: int, lock: bool = True) -> None:
+        self.value = value
         self._lock = threading.Lock()
-        self.idle = threading.Event()
-        self.idle.set()  # vacuously idle until the first post
-        self.crashed = threading.Event()
-        self.crashes: List[CrashRecord] = []
-        self.quiesced = threading.Event()
-        self.quiesce: Optional[QuiesceRecord] = None
 
-    def register(self, name: str) -> "queue.Queue[Any]":
-        q: "queue.Queue[Any]" = queue.Queue()
-        self.queues[name] = q
-        return q
+    def get_lock(self) -> threading.Lock:
+        return self._lock
 
-    def post(self, dst: str, msg: Any) -> None:
-        with self._lock:
-            self._inflight += 1
-            self.idle.clear()
-        self.queues[dst].put(msg)
+    def get_obj(self) -> "_Counter":
+        return self
 
-    def done(self) -> None:
-        with self._lock:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self.idle.set()
 
-    def record_crash(self, record: CrashRecord) -> None:
-        with self._lock:
-            self.crashes.append(record)
-        self.crashed.set()
+class _InProcess:
+    """What an attempt takes from a ``multiprocessing`` context
+    (``Queue``, ``Event``, ``Value``, ``Process``) and from a transport,
+    on threads: one unbounded queue per worker, batches passed by
+    reference."""
 
-    def record_quiesce(self, record: QuiesceRecord) -> None:
-        with self._lock:
-            self.quiesce = record
-        self.quiesced.set()
+    name = ""  # not a RunOptions.transport
+    Queue = queue.SimpleQueue
+    Event = threading.Event
+    Value = _Counter
+
+    def __init__(self, edges: Dict[str, Sequence[str]]) -> None:
+        self.queues = {wid: queue.SimpleQueue() for wid in edges}
+
+    def Process(self, **kwargs: Any) -> threading.Thread:
+        thread = threading.Thread(**kwargs)
+        # A thread has no exit status and cannot be killed, only asked:
+        # terminating one asks them all (a worker leaves at its first
+        # stop frame, so the extra ones are never read).
+        thread.exitcode = None
+        thread.terminate = self.stop_all
+        return thread
+
+    def sender(self, src, control, policy, on_block=None) -> BatchingSender:
+        # ``on_block`` is never needed: a queue put does not wait for space.
+        return BatchingSender(lambda dst, batch: self.queues[dst].put(batch), control, policy)
+
+    def receiver(self, wid: str) -> SimpleNamespace:
+        # A batch arrives as the list its sender flushed.
+        return SimpleNamespace(recv=self.queues[wid].get, poll=lambda: None)
 
     def stop_all(self) -> None:
         for q in self.queues.values():
-            q.put(_STOP)
+            q.put(STOP)
 
+    def _nothing(self, wid: Optional[str] = None) -> None:
+        pass  # no fds to hand over, no kernel buffers to empty
 
-class _SharedSink(OutputSink):
-    """Sink multiplexing every worker's outputs into one AttemptOutcome."""
-
-    __slots__ = ("result", "lock")
-
-    def __init__(
-        self, result: AttemptOutcome, lock: threading.Lock, record_keys: bool = False
-    ) -> None:
-        self.result = result
-        self.lock = lock
-        self.record_keys = record_keys
-
-    def emit(self, outs: Sequence[Any], key: Any = None) -> None:
-        if outs:
-            with self.lock:
-                self.result.outputs.extend(outs)
-                if self.record_keys:
-                    self.result.keyed_outputs.extend((key, o) for o in outs)
-
-    def checkpoint(self, ckpt: Checkpoint) -> None:
-        with self.lock:
-            self.result.checkpoints.append(ckpt)
-
-    def count_event(self) -> None:
-        with self.lock:
-            self.result.events_processed += 1
-
-    def count_events(self, n: int) -> None:
-        with self.lock:
-            self.result.events_processed += n
-
-    def count_join(self) -> None:
-        with self.lock:
-            self.result.joins += 1
-
-
-class _ThreadedWorker(threading.Thread):
-    """One plan worker on its own thread — the WorkerCore state machine
-    plus a blocking inbox loop.
-
-    An injected :class:`WorkerCrash` turns the worker fail-stop: the
-    crash is reported to the router and every subsequent message is
-    silently absorbed (messages to a dead node are lost) until the stop
-    sentinel arrives.
-    """
-
-    def __init__(
-        self,
-        core: WorkerCore,
-        router: _Router,
-    ) -> None:
-        super().__init__(name=f"worker:{core.node.id}", daemon=True)
-        self.core = core
-        self.router = router
-        self.inbox = router.register(core.node.id)
-        self.crashed = False
-
-    def run(self) -> None:
-        while True:
-            msg = self.inbox.get()
-            if msg is _STOP:
-                return
-            try:
-                if not self.crashed:
-                    self.core.handle(msg)
-            except WorkerCrash as crash:
-                self.crashed = True
-                self.router.record_crash(crash.record)
-            except QuiesceSignal as sig:
-                # Planned stop at a consistent snapshot (elastic
-                # reconfiguration): go silent like a fail-stop; the
-                # driver migrates the captured state to a new plan.
-                self.crashed = True
-                self.router.record_quiesce(sig.record)
-            finally:
-                self.router.done()
+    child_setup = child_teardown = parent_setup = drain = close = _nothing
 
 
 class ThreadedRuntime:
@@ -178,6 +95,8 @@ class ThreadedRuntime:
         if validate:
             assert_p_valid(plan, program)
         self.plan = plan
+        # The default policy: RunOptions' batching knobs are the process backend's.
+        self.policy = resolve_policy(None, None)
 
     def run(
         self,
@@ -192,84 +111,12 @@ class ThreadedRuntime:
         metrics: Optional[MetricsConfig] = None,
         pace: Optional[float] = None,
     ) -> AttemptOutcome:
-        """Execute one attempt.
-
-        The fault-injection parameters (``initial_state``,
-        ``checkpoint_predicate``, ``faults``, ``record_keys``) default
-        to the plain fail-free execution; the restart driver
-        (:mod:`repro.runtime.reconfigure`) sets them when replaying
-        from a checkpoint and arms ``reconfig=`` (a per-attempt
-        :class:`~repro.runtime.quiesce.RootReconfigView`) on the root.
-        A crashed or quiesced attempt *returns* (see
-        :class:`~repro.runtime.protocol.AttemptOutcome`) rather than
-        raising.
-        """
-        router = _Router()
-        result = AttemptOutcome(events_in=sum(len(s.events) for s in streams))
-        lock = threading.Lock()
-        sink = _SharedSink(result, lock, record_keys=record_keys)
-        if metrics is not None and metrics.epoch is None:
-            # Latency origin: producers are released (just) below.
-            metrics = metrics.with_epoch(time.time())
-        workers = {
-            n.id: _ThreadedWorker(
-                WorkerCore(
-                    n,
-                    self.plan,
-                    self.program,
-                    router.post,
-                    sink,
-                    checkpoint_predicate=checkpoint_predicate,
-                    faults=faults.view_for(n.id) if faults is not None else None,
-                    reconfig=reconfig if n.id == self.plan.root.id else None,
-                    metrics=WorkerMetrics(n.id, metrics) if metrics is not None else None,
-                ),
-                router,
-            )
-            for n in self.plan.workers()
-        }
-        leaf_states = initial_leaf_states(self.plan, self.program, initial_state)
-        for leaf_id, state in leaf_states.items():
-            workers[leaf_id].core.state = state
-            workers[leaf_id].core.has_state = True
-        for w in workers.values():
-            w.start()
-
-        # Producers: enqueue events and heartbeats in timestamp order
-        # per stream (one virtual producer thread each is unnecessary —
-        # per-itag FIFO into the owner's queue is what matters).
-        t0 = time.perf_counter()
-        try:
-            pump_producers(self.plan, streams, router.post, pace=pace)
-        except BaseException:
-            router.stop_all()  # a rejected input must not strand the threads
-            raise
-
-        deadline = time.monotonic() + timeout_s
-        while True:
-            if router.crashed.is_set() or router.quiesced.is_set():
-                break
-            if router.idle.wait(timeout=0.05):
-                break
-            if time.monotonic() > deadline:
-                router.stop_all()
-                raise RuntimeFault("threaded runtime did not drain in time")
-        result.wall_s = time.perf_counter() - t0
-        router.stop_all()
-        for w in workers.values():
-            w.join(timeout=5.0)
-        result.crashes = list(router.crashes)
-        result.quiesce = router.quiesce
-        if metrics is not None:
-            rm = RunMetrics(latency_buckets=metrics.latency_buckets)
-            for w in workers.values():
-                for snap in w.core.metrics.all_snapshots():
-                    rm.absorb(snap)
-            result.metrics = rm
-        if not result.crashes and result.quiesce is None:
-            for w in workers.values():
-                if w.core.unprocessed():
-                    raise RuntimeFault(
-                        f"worker {w.core.node.id} ended with unprocessed items"
-                    )
-        return result
+        """Execute one attempt (see :meth:`ProcessRuntime.run` for the
+        fault-injection / reconfiguration parameter contract: a crashed
+        or quiesced attempt returns with ``crashes`` non-empty /
+        ``quiesce`` set instead of raising)."""
+        spec = AttemptSpec.of(
+            self, initial_state, checkpoint_predicate, faults, record_keys, reconfig, metrics
+        )
+        fabric = _InProcess(plan_edges(self.plan))
+        return run_on_workers("threaded", fabric, fabric, spec, streams, timeout_s, pace)

@@ -247,8 +247,9 @@ class ControlPlane:
     def __init__(self, ctx) -> None:
         self.results = ctx.Queue()
         self.errors = ctx.Queue()
-        self.crashes = ctx.Queue()
-        self.quiesces = ctx.Queue()
+        #: Ids of workers that went fail-stop (an injected crash) or
+        #: quiesced for a reconfiguration; either ends the attempt.
+        self.aborts = ctx.Queue()
         #: Live metrics feed: workers push (node_id, wire snapshot)
         #: tuples at a low rate when the metrics plane is on; the
         #: coordinator (cluster mode) drains it into the Prometheus
@@ -372,18 +373,15 @@ class BatchingSender:
 # ---------------------------------------------------------------------------
 
 class _QueueReceiver:
-    __slots__ = ("_q", "metrics")
+    __slots__ = ("_q",)
 
     def __init__(self, q) -> None:
         self._q = q
-        self.metrics = None
 
     def recv(self) -> Any:
         batch = self._q.get()
         if batch == _QUEUE_STOP:
             return STOP
-        if self.metrics is not None:
-            self.metrics.frames_received += 1
         return decode_batch(batch)
 
     def poll(self) -> None:  # pragma: no cover - queue puts never block
@@ -468,7 +466,7 @@ class FrameReceiver:
     :class:`RuntimeFault` immediately — a half-delivered batch must
     never decode as a shorter one."""
 
-    __slots__ = ("_poller", "_n_live", "_asm", "_ready", "metrics")
+    __slots__ = ("_poller", "_n_live", "_asm", "_ready")
 
     def __init__(self, rfds: List[int]) -> None:
         self._poller = select.poll()
@@ -478,9 +476,6 @@ class FrameReceiver:
             self._asm[fd] = FrameAssembler()
         self._n_live = len(rfds)
         self._ready: Deque[Any] = deque()
-        #: Optional WorkerMetrics assigned by the worker loop after
-        #: construction (metrics plane on); counts completed frames.
-        self.metrics = None
 
     def recv(self) -> Any:
         while not self._ready:
@@ -515,14 +510,8 @@ class FrameReceiver:
             if self._n_live == 0:
                 self._ready.append(STOP)
             return
-        m = self.metrics
         for frame in self._asm[fd].feed(data):
-            if not frame:
-                self._ready.append(STOP)
-            else:
-                if m is not None:
-                    m.frames_received += 1
-                self._ready.append(unpack_frame(frame, runs=True))
+            self._ready.append(unpack_frame(frame, runs=True) if frame else STOP)
 
 
 class FrameSender:
@@ -1047,7 +1036,7 @@ class _ShmReceiver:
     worker is *genuinely* idle are a rescan of empty rings a couple
     hundred times a second — noise."""
 
-    __slots__ = ("_entries", "_n_live", "_ready", "_bell_eof", "metrics")
+    __slots__ = ("_entries", "_n_live", "_ready", "_bell_eof")
 
     def __init__(self, rings: List[_ShmRing]) -> None:
         # entry = [ring, partial-frame chunk list, live]
@@ -1055,7 +1044,6 @@ class _ShmReceiver:
         self._n_live = len(rings)
         self._ready: Deque[Any] = deque()
         self._bell_eof: set = set()
-        self.metrics = None
 
     def recv(self) -> Any:
         idle = 0
@@ -1112,7 +1100,6 @@ class _ShmReceiver:
 
     def _ingest(self) -> bool:
         progress = False
-        m = self.metrics
         for entry in self._entries:
             ring, parts, live = entry
             if not live:
@@ -1130,12 +1117,7 @@ class _ShmReceiver:
                         parts.clear()
                     else:
                         frame = chunk
-                    if not frame:
-                        self._ready.append(STOP)
-                    else:
-                        if m is not None:
-                            m.frames_received += 1
-                        self._ready.append(unpack_frame(frame, runs=True))
+                    self._ready.append(unpack_frame(frame, runs=True) if frame else STOP)
                 popped = ring.pop_chunk()
             if ring.tx_closed() and ring.drained():
                 entry[2] = False

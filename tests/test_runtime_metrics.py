@@ -214,9 +214,9 @@ class TestWorkerMetrics:
         leaf.events_processed = 9
         root.note_subtree((leaf.wire_snapshot(),))
         root.note_subtree(None)  # piggyback absent: no-op
-        snaps = {s.worker: s for s in root.all_snapshots()}
-        assert set(snaps) == {"root", "w1"}
-        assert snaps["w1"].events_processed == 9
+        assert root.snapshot().worker == "root" and set(root.subtree) == {"w1"}
+        relayed = MetricsSnapshot.from_wire(root.subtree["w1"], root.config.latency_buckets)
+        assert relayed.events_processed == 9
 
 
 class TestRunEntryPoints:
@@ -245,12 +245,15 @@ class TestRunEntryPoints:
             assert set(m.per_worker) == {n.id for n in plan.workers()}
             assert merged.joins_completed > 0
 
-    def test_a_join_step_costs_the_root_one_frame_per_child(self):
+    @pytest.mark.parametrize("backend", ["threaded", "process"])
+    def test_a_join_step_costs_the_root_one_frame_per_child(self, backend):
         """Counted, not timed: the fork that ends one join and the
         request that opens the next leave the root in one frame per
         child (``flush_hint`` once per ``handle``), so the root flushes
         at most twice per join plus twice per frame the coordinator
-        sent it — not four times per join, waking every child twice."""
+        sent it — not four times per join, waking every child twice.
+        The same sender and the same loop count on threads: a "frame"
+        there is the batch one flush put on the receiver's queue."""
         prog = kc.make_program(2)
         leaves = [[ImplTag(kc.inc_tag(k), f"i{s}") for k in range(2)] for s in range(2)]
         resets = [ImplTag(kc.reset_tag(k), "r") for k in range(2)]
@@ -267,7 +270,7 @@ class TestRunEntryPoints:
             for t, evs in events.items()
         ]
         run = run_on_backend(
-            "process", prog, plan, streams, options=RunOptions(metrics=True)
+            backend, prog, plan, streams, options=RunOptions(metrics=True)
         )
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
@@ -276,6 +279,7 @@ class TestRunEntryPoints:
         root = workers[plan.root.id]
         joins = root.joins_completed
         assert joins == 100
+        assert all(w.messages_sent >= w.batches_sent > 0 for w in workers.values())
         # The leaves send the root nothing but join responses, one
         # frame each; the rest of what it received is the coordinator's.
         from_leaves = sum(workers[n.id].batches_sent for n in plan.leaves())

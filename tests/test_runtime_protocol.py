@@ -514,3 +514,136 @@ def test_real_substrates_reject_a_foreign_event(backend):
     while threading.active_count() > before and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() <= before
+
+
+# -- one worker loop, one coordinator: what a failed attempt looks like ------
+
+REAL_SUBSTRATES = {
+    "threaded": ("threaded", {}),
+    "process": ("process", {}),
+    "nodes=2": ("process", {"nodes": 2}),
+}
+
+
+def _vb_with_update(update, *, values_per_barrier=10):
+    """The two-leaf value-barrier program with ``update`` swapped in."""
+    from repro.core.dependence import DependenceRelation
+    from repro.core.program import single_state_program
+
+    prog = single_state_program(
+        name="vb-with-update",
+        tags=vb.TAGS,
+        depends=DependenceRelation.from_function(vb.TAGS, vb.depends_fn),
+        init=lambda: 0,
+        update=update,
+        fork=vb._fork,
+        join=vb._join,
+    )
+    wl = vb.make_workload(
+        n_value_streams=2, values_per_barrier=values_per_barrier, n_barriers=2
+    )
+    return prog, vb.make_plan(prog, wl), vb.make_streams(wl)
+
+
+def _assert_nothing_left_behind(threads_before):
+    import multiprocessing
+
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline and (
+        threading.active_count() > threads_before or multiprocessing.active_children()
+    ):
+        time.sleep(0.01)
+    assert threading.active_count() <= threads_before
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("substrate", sorted(REAL_SUBSTRATES))
+def test_a_raising_update_surfaces_with_its_worker_and_text(substrate):
+    """A user ``update`` that raises is the run's fault, on every real
+    substrate: named worker, original exception text and traceback,
+    promptly (not after ``timeout_s``), nothing left running.  (The old
+    threaded loop lost the exception: its thread died silently and the
+    run reported unprocessed items or waited out the timeout.)"""
+    seen = {"bad": None}
+
+    def update(state, event):
+        if (event.stream, event.ts) == seen["bad"]:
+            raise ValueError("the seventh value is refused")
+        return vb._update(state, event)
+
+    prog, plan, streams = _vb_with_update(update)
+    bad = streams[0].events[6]
+    assert bad.tag == vb.VALUE_TAG
+    seen["bad"] = (bad.stream, bad.ts)
+    backend, opts = REAL_SUBSTRATES[substrate]
+    before = threading.active_count()
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeFault) as err:
+        run_on_backend(
+            backend, prog, plan, streams, options=RunOptions(timeout_s=60.0, **opts)
+        )
+    assert time.monotonic() - t0 < 20.0
+    text = str(err.value)
+    assert f"worker {plan.owner_of(bad.itag).id} crashed" in text
+    assert "ValueError" in text and "the seventh value is refused" in text
+    assert "Traceback" in text
+    _assert_nothing_left_behind(before)
+
+
+@pytest.mark.parametrize("how", ["crash", "quiesce"])
+def test_an_aborted_threaded_attempt_stops_its_threads(how):
+    """Crash / quiesce twin of the foreign-event case above: an attempt
+    that ends early (and is recovered / migrated by the driver) leaves
+    ``threading.active_count()`` where it was."""
+    from repro.runtime import (
+        CrashFault,
+        FaultPlan,
+        ReconfigPoint,
+        ReconfigSchedule,
+        every_root_join,
+    )
+
+    prog = vb.make_program()
+    wl = vb.make_workload(n_value_streams=4, values_per_barrier=10, n_barriers=3)
+    plan, streams = vb.make_plan(prog, wl), vb.make_streams(wl)
+    if how == "crash":
+        victim = plan.leaves()[0].id
+        at = streams[-1].events[1].ts + 0.01
+        opts = RunOptions(
+            fault_plan=FaultPlan(CrashFault(victim, at_ts=at)),
+            checkpoint_predicate=every_root_join(),
+        )
+    else:
+        sched = ReconfigSchedule(ReconfigPoint(after_joins=1, to_leaves=2))
+        opts = RunOptions(reconfig_schedule=sched)
+    before = threading.active_count()
+    run = run_on_backend("threaded", prog, plan, streams, options=opts)
+    assert run.recovery.attempts >= 2
+    assert (run.recovery.crashes if how == "crash" else run.reconfig.reconfigured)
+    _assert_nothing_left_behind(before)
+
+
+@pytest.mark.parametrize("backend", ["threaded", "process"])
+def test_a_drain_timeout_names_its_substrate_and_who_is_busy(backend):
+    """ROADMAP 6c, first instalment: the one drain timeout says which
+    substrate, how much is in flight, and which workers did not report
+    when sent their stop frame."""
+
+    def slow_update(state, event):
+        time.sleep(0.2)
+        return vb._update(state, event)
+
+    # Each leaf's first batch is 10 value events at 0.2 s: one handler
+    # call of ~2 s, past the 0.2 s budget plus the 1 s a stopped worker
+    # is given to report.  (A worker that is merely behind reports at
+    # its stop frame and is counted as stopped, not named.)
+    prog, plan, streams = _vb_with_update(slow_update)
+    before = threading.active_count()
+    with pytest.raises(RuntimeFault) as err:
+        run_on_backend(backend, prog, plan, streams, options=RunOptions(timeout_s=0.2))
+    text = str(err.value)
+    assert f"{backend} runtime did not drain within 0.2s" in text
+    assert "message(s) in flight" in text and " 0 message(s)" not in text
+    for leaf in plan.leaves():
+        assert repr(leaf.id) in text.split("no report from")[1]
+    _assert_nothing_left_behind(before)

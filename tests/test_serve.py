@@ -30,7 +30,7 @@ from repro.runtime import (
     get_backend,
     run_on_backend,
 )
-from repro.runtime import threaded as runtime_threaded
+from repro.runtime import process as runtime_process
 from repro.runtime.messages import EventRun
 from repro.runtime.options import ServeOptions
 from repro.runtime.wire import FRAME_LEN
@@ -381,7 +381,7 @@ class TestServiceRuntimeEpochs:
         times the heartbeats of the dead time since timestamp 0
         (counted, not timed)."""
         produced = []
-        real = runtime_threaded.pump_producers
+        real = runtime_process.pump_producers  # the one real-substrate call site
 
         def counting(plan, streams, post, **kwargs):
             def counted(dst, msg):
@@ -390,7 +390,7 @@ class TestServiceRuntimeEpochs:
 
             real(plan, streams, counted, **kwargs)
 
-        monkeypatch.setattr(runtime_threaded, "pump_producers", counting)
+        monkeypatch.setattr(runtime_process, "pump_producers", counting)
         app = keycounter_app(shards=2, reset_every=10)
         svc = ServiceRuntime(app.program, app.plan, options=ServeOptions())
         events = app.make_events(20 * 50)
