@@ -35,7 +35,9 @@ substrates' own timeouts).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.errors import NoCheckpointError, RecoveryUnsoundError
@@ -45,6 +47,8 @@ from .checkpoint import Checkpoint
 from .metrics import merge_attempt_metrics
 from .protocol import AttemptOutcome
 from .runtime import InputStream
+
+_ORDER_KEY = attrgetter("order_key")
 
 
 @dataclass(frozen=True)
@@ -62,13 +66,18 @@ def suffix_streams(
 ) -> List[InputStream]:
     """The input log's suffix: every event strictly after ``key``.
 
+    Each stream is strictly increasing under the order (the
+    :class:`InputStream` contract), so its suffix starts at one
+    bisection point: ``log n`` order keys per stream, not one per
+    pending event at every commit.
+
     Streams whose events are all committed stay present with an empty
     event tuple — their closing heartbeat is still needed for the
     replay to drain."""
     return [
         InputStream(
             s.itag,
-            tuple(e for e in s.events if e.order_key > key),
+            tuple(s.events[bisect_right(s.events, key, key=_ORDER_KEY) :]),
             s.source_host,
             s.heartbeat_interval,
         )

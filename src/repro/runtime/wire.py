@@ -391,7 +391,10 @@ def _route(tag: Any, stream: Any) -> Optional[_Route]:
     if stream_t is tuple:
         stream_t = _type_tree(stream)
     key = (tag, tag_t, stream, stream_t)
-    route = _ROUTE_ENC.get(key, _MISSING)
+    try:
+        route = _ROUTE_ENC.get(key, _MISSING)
+    except TypeError:  # unhashable: no route (and no scalar grammar) fits
+        return None
     if route is not _MISSING:
         return route
     route = None

@@ -104,10 +104,20 @@ class ServiceClient:
     def send_events(
         self, events: Sequence[Event], *, batch: int = 1024
     ) -> IngestAck:
-        """Stream events (in the order given) and return the summed
-        admission ack.  Rejected events are *not* retried — the reasons
-        map tells the producer what to do (back off on
-        ``backpressure``, fix its clock on ``late``/``out-of-order``)."""
+        """Stream events in wire batches of ``batch`` and return the
+        summed admission ack.
+
+        Each itag's events keep the order given.  Within one wire batch
+        the events are grouped by itag (first-appearance order, see
+        :func:`~repro.serve.protocol.ingest_events_frame`), and the
+        server checks them in that grouped order.  So when backpressure
+        trips mid-batch it rejects, as ``backpressure``, every later
+        event of the grouped order that passes the other checks: per
+        itag, what the batch gets admitted is a prefix of what passes
+        them — whole itag groups first, then part of one.  Rejected
+        events are *not* retried — the reasons map tells the producer
+        what to do (back off on ``backpressure``, fix its clock on
+        ``late``/``out-of-order``)."""
         self._require_mode("ingest", "send_events")
         ack = IngestAck()
         for i in range(0, len(events), batch):

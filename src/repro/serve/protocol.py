@@ -11,9 +11,14 @@ prefix, the first byte selects the payload kind:
   sockets that are not yet trusted, and unpickling attacker bytes is
   code execution — the same rule the cluster handshake follows.
 * ``E`` (0x45) — a batch of protocol messages in the frame codec
-  (:func:`~repro.runtime.wire.pack_frame`).  Ingest clients send
-  :class:`~repro.runtime.messages.EventMsg` batches; the egress
-  channel sends committed outputs wrapped as events (below).
+  (:func:`~repro.runtime.wire.pack_frame`).  Ingest clients send each
+  batch grouped by implementation tag, as columnar
+  :class:`~repro.runtime.messages.EventRun`\\ s (one
+  :class:`~repro.runtime.messages.EventMsg` per event a run cannot
+  carry), and the server decodes them as runs and admits them run by
+  run (:func:`ingest_events_frame`).  Per-event ``EventMsg`` frames are
+  the same codec and still admit, event by event.  The egress channel
+  sends committed outputs wrapped as events (below).
 
 Committed outputs are opaque application values; the egress channel
 wraps each as ``Event(OUT_TAG, OUT_STREAM, ts=float(seq), payload=v)``
@@ -31,12 +36,13 @@ is dropped without joining — or crashing — the service.
 from __future__ import annotations
 
 import json
-from typing import Any, List, Sequence, Tuple
+from collections import defaultdict
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from ..core.events import Event
 from ..runtime.messages import EventMsg
-from ..runtime.wire import FRAME_LEN, pack_frame, unpack_frame
+from ..runtime.wire import FRAME_LEN, event_runs, pack_frame, unpack_frame
 
 #: Protocol version, echoed in hellos; bumped on incompatible change.
 PROTOCOL_VERSION = 1
@@ -66,9 +72,11 @@ def events_frame(msgs: Sequence[Any]) -> bytes:
     return FRAME_LEN.pack(len(body)) + body
 
 
-def parse_frame(body: bytes) -> Tuple[str, Any]:
+def parse_frame(body: bytes, *, runs: bool = False) -> Tuple[str, Any]:
     """Decode one reassembled frame body into ``("control", dict)`` or
-    ``("events", [msgs])``; anything else is a protocol violation."""
+    ``("events", [msgs])``; anything else is a protocol violation.
+    ``runs`` is :func:`~repro.runtime.wire.unpack_frame`'s: the ingest
+    side keeps columnar runs as :class:`EventRun`\\ s."""
     if not body:
         raise RuntimeFault("service protocol: empty frame")
     kind = body[0]
@@ -81,13 +89,32 @@ def parse_frame(body: bytes) -> Tuple[str, Any]:
             raise RuntimeFault("service protocol: control blob must be an object")
         return ("control", blob)
     if kind == KIND_EVENTS:
-        return ("events", unpack_frame(body[1:]))
+        return ("events", unpack_frame(body[1:], runs=runs))
     raise RuntimeFault(f"service protocol: unknown frame kind {kind:#x}")
 
 
 def ingest_events_frame(events: Sequence[Event]) -> bytes:
-    """The ingest side's event frame: raw application events."""
-    return events_frame([EventMsg(e) for e in events])
+    """The ingest side's event frame: ``events`` grouped by
+    implementation tag, each group packed into columnar runs.
+
+    Groups go out in first-appearance order and keep their internal
+    order, so every itag's stream is exactly as given; only the
+    interleaving *across* itags changes, and the service orders nothing
+    across itags within a batch.  Grouping is by Python equality — the
+    itag identity the service's admission uses — so ``("k", 1)`` and
+    ``("k", True)`` stay one group in their given order (the codec
+    still gives them separate, type-exact runs).  A batch whose tags
+    or streams cannot be hashed goes out in arrival order."""
+    groups: Dict[Tuple[Any, Any], List[Event]] = defaultdict(list)
+    try:
+        for e in events:
+            groups[e.tag, e.stream].append(e)
+    except TypeError:
+        return events_frame([EventMsg(e) for e in events])
+    msgs: List[Any] = []
+    for group in groups.values():
+        msgs.extend(event_runs(group))
+    return events_frame(msgs)
 
 
 def outputs_frame(values: Sequence[Any], start_seq: int) -> bytes:

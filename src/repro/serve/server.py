@@ -3,7 +3,10 @@
 
 One listener serves both roles; the hello handshake picks the mode:
 
-* **ingest** connections stream framed event batches in and receive an
+* **ingest** connections stream framed event batches in (decoded as
+  columnar runs and handed to
+  :meth:`~repro.serve.service.ServiceRuntime.offer_batch` as they
+  are) and receive an
   admission ack per batch (admitted/rejected-by-reason counts plus the
   current backpressure state), so a rejected event is always *reported*
   back to the producer that sent it.  ``flush`` forces an epoch,
@@ -42,7 +45,7 @@ from typing import Any, Dict, List, Optional
 from ..core.errors import RuntimeFault
 from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
-from ..runtime.messages import EventMsg
+from ..runtime.messages import EventMsg, EventRun
 from ..runtime.metrics import MetricsExporter
 from ..runtime.options import ServeOptions
 from ..runtime.wire import FRAME_LEN
@@ -257,9 +260,13 @@ class ServiceServer:
             body = await self._read_frame(reader)
             if body is None:
                 return
-            kind, payload = parse_frame(body)
+            kind, payload = parse_frame(body, runs=True)
             if kind == "events":
-                events = [m.event for m in payload if isinstance(m, EventMsg)]
+                events = [
+                    m.event if isinstance(m, EventMsg) else m
+                    for m in payload
+                    if isinstance(m, (EventMsg, EventRun))
+                ]
                 counts = self.runtime.offer_batch(events)
                 unsupported = len(payload) - len(events)
                 if unsupported:

@@ -5,8 +5,14 @@ streams, a drain, a result.  :class:`ServiceRuntime` turns that engine
 into a long-running service by slicing the live ingest into **epochs**:
 
 1. **Admit** — :meth:`offer` buffers externally produced events,
-   subject to admission control (below).  Rejected events are counted
-   by reason and reported to the caller, never silently dropped.
+   subject to admission control (below).  The TCP tier hands each
+   ingest frame to :meth:`offer_batch` as decoded — per-itag columnar
+   :class:`~repro.runtime.messages.EventRun`\\ s — under one lock: a
+   run every event of which would pass is admitted whole (one floor,
+   order and gate check for the run), any other is walked through the
+   per-event checks :meth:`offer` makes, so the verdicts never depend
+   on the path.  Rejected events are counted by reason and reported
+   to the caller, never silently dropped.
 2. **Seal** — :meth:`run_epoch` snapshots the buffer into one
    per-implementation-tag stream set (every itag of the plan gets a
    stream, empty ones included, so closing heartbeats let the run
@@ -60,10 +66,11 @@ from the metrics plane.
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import RuntimeFault
 from ..core.events import Event, ImplTag
@@ -72,6 +79,7 @@ from ..plans.plan import SyncPlan
 from ..runtime import get_backend
 from ..runtime.checkpoint import Checkpoint, every_root_join
 from ..runtime.faults import CrashRecord
+from ..runtime.messages import EventRun
 from ..runtime.metrics import RunMetrics
 from ..runtime.options import ServeOptions
 from ..runtime.protocol import INIT_STATE
@@ -277,35 +285,88 @@ class ServiceRuntime:
         Returns :data:`ADMITTED` or one of the ``REJECT_*`` reasons;
         every rejection is counted so the ingest tier can report it."""
         with self._lock:
-            if self._closed:
-                reason = REJECT_CLOSED
-            elif event.itag not in self._known:
-                reason = REJECT_UNKNOWN
-            elif event.ts <= self._seal_floor:
-                reason = REJECT_LATE
-            elif event.ts <= self._last_ts.get(event.itag, float("-inf")):
-                reason = REJECT_ORDER
-            elif self.gate.decide(
-                self._inbox_count + self._pending_count, self._runtime_backlog_hw
-            ):
-                reason = REJECT_BACKPRESSURE
-            else:
-                self._inbox[event.itag].append(event)
-                self._inbox_count += 1
-                self._last_ts[event.itag] = event.ts
-                self.counters.admitted += 1
-                return ADMITTED
-            self.counters.note_rejected(reason)
-            return reason
+            return self._admit(event)
 
-    def offer_batch(self, events: Sequence[Event]) -> Dict[str, int]:
-        """Admit a batch; returns ``{outcome: count}`` including
-        ``"admitted"`` (the ingest tier's ack payload)."""
+    def offer_batch(self, events: Sequence[Union[Event, EventRun]]) -> Dict[str, int]:
+        """Admit a batch of events and columnar runs under one lock, in
+        the order given; returns ``{outcome: count}`` including
+        ``"admitted"`` (the ingest tier's ack payload).
+
+        A run is admitted whole when every per-event check would admit
+        each of its events in turn; any other run is walked event by
+        event through the same checks :meth:`offer` makes, so the
+        verdicts are those of offering the expanded batch one event at
+        a time."""
         out: Dict[str, int] = {}
-        for e in events:
-            r = self.offer(e)
-            out[r] = out.get(r, 0) + 1
+        with self._lock:
+            for item in events:
+                if type(item) is not EventRun:
+                    r = self._admit(item)
+                    out[r] = out.get(r, 0) + 1
+                elif self._admit_run(item):
+                    out[ADMITTED] = out.get(ADMITTED, 0) + len(item)
+                else:
+                    for e in item.events():
+                        r = self._admit(e)
+                        out[r] = out.get(r, 0) + 1
         return out
+
+    def _admit(self, event: Event) -> str:
+        """The per-event admission checks (caller holds the lock)."""
+        itag = event.itag
+        try:
+            known = itag in self._known
+        except TypeError:  # an unhashable tag or stream: no plan routes it
+            known = False
+        if self._closed:
+            reason = REJECT_CLOSED
+        elif not known:
+            reason = REJECT_UNKNOWN
+        elif event.ts <= self._seal_floor:
+            reason = REJECT_LATE
+        elif event.ts <= self._last_ts.get(itag, float("-inf")):
+            reason = REJECT_ORDER
+        elif self.gate.decide(
+            self._inbox_count + self._pending_count, self._runtime_backlog_hw
+        ):
+            reason = REJECT_BACKPRESSURE
+        else:
+            self._inbox[itag].append(event)
+            self._inbox_count += 1
+            self._last_ts[itag] = event.ts
+            self.counters.admitted += 1
+            return ADMITTED
+        self.counters.note_rejected(reason)
+        return reason
+
+    def _admit_run(self, run: EventRun) -> bool:
+        """Admit ``run`` whole if :meth:`_admit` would admit each of its
+        events in turn, else touch nothing and return False (caller
+        holds the lock).  Per event that means: open, known, the first
+        timestamp above the floor and the itag's last one, the column
+        strictly increasing, and the gate open for every event — it is
+        not paused now and the run's last event still sees a backlog
+        below the high watermark.  The gate is asked last: on a trip the
+        per-event fallback repeats the very same call, which leaves the
+        gate where this one put it."""
+        ts = run.ts
+        itag = run.itag
+        backlog = self._inbox_count + self._pending_count
+        if (
+            self._closed
+            or itag not in self._known
+            or not ts[0] > self._seal_floor
+            or not ts[0] > self._last_ts.get(itag, float("-inf"))
+            or not all(map(operator.lt, ts, ts[1:]))
+            or backlog + len(ts) > self.gate.high
+            or self.gate.decide(backlog, self._runtime_backlog_hw)
+        ):
+            return False
+        self._inbox[itag].extend(run.events())
+        self._inbox_count += len(ts)
+        self._last_ts[itag] = ts[-1]
+        self.counters.admitted += len(ts)
+        return True
 
     def admission_paused(self) -> bool:
         """Re-evaluate and return the gate state (without an offer)."""

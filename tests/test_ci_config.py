@@ -107,6 +107,19 @@ class TestDgsbenchSmokeLane:
         assert "|| true" not in smoke
 
 
+class TestServiceSmokeLane:
+    def test_lane_runs_both_examples_and_the_service_suite(self, jobs):
+        """The service front door end to end on every push: cluster
+        epochs, a mid-stream crash, then tests/test_serve.py."""
+        assert "service-smoke" in jobs, "service smoke lane missing"
+        job = jobs["service-smoke"]
+        assert "timeout-minutes" in job
+        runs = [" ".join(str(s.get("run", "")).split()) for s in job["steps"]]
+        for variant in ("--nodes 2", "--crash"):
+            assert any(f"examples/service_mode.py {variant}" in r for r in runs), variant
+        assert any("pytest" in r and "tests/test_serve.py" in r for r in runs)
+
+
 class TestPerfGateLane:
     def test_lane_runs_all_four_micro_benches(self, jobs):
         text = steps_text(jobs["perf-gate"])

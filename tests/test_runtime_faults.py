@@ -10,6 +10,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import keycounter as kc
 from repro.apps import value_barrier as vb
@@ -27,6 +28,7 @@ from repro.runtime import (
     every_root_join,
     run_on_backend,
     run_sequential_reference,
+    suffix_streams,
 )
 from repro.runtime.faults import WorkerCrash
 
@@ -354,6 +356,59 @@ class TestRecoverySoundness:
                     checkpoint_predicate=every_root_join(),
                 ),
             )
+
+
+_SUFFIX_ITAGS = (
+    ImplTag("b", "b"),
+    ImplTag("v", "v0"),
+    ImplTag("v", "v1"),
+    ImplTag(("i", 0), "i0"),
+    ImplTag(7, 3),
+)
+
+
+def _filtered_suffix(streams, key):
+    """suffix_streams before the bisect: one order key per event."""
+    return [
+        InputStream(
+            s.itag,
+            tuple(e for e in s.events if e.order_key > key),
+            s.source_host,
+            s.heartbeat_interval,
+        )
+        for s in streams
+    ]
+
+
+class TestSuffixStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bisect_cut_equals_the_filter(self, data):
+        """The commit cut bisects each stream (strictly increasing under
+        the order) instead of filtering it; on every key the service and
+        the restart driver can hand it, the suffix is tuple-equal."""
+        as_float = data.draw(st.booleans())
+        streams = []
+        for itag in _SUFFIX_ITAGS:
+            stamps = data.draw(
+                st.lists(st.integers(0, 30), unique=True, max_size=12).map(sorted)
+            )
+            events = tuple(
+                Event(itag.tag, itag.stream, float(t) if as_float else t, t)
+                for t in stamps
+            )
+            streams.append(InputStream(itag, events, heartbeat_interval=5.0))
+        events = [e for s in streams for e in s.events]
+        keys = [(float("-inf"),), (float("inf"),), (31,), (-1, "x")]
+        if events:
+            e = data.draw(st.sampled_from(events))
+            other = data.draw(st.sampled_from(_SUFFIX_ITAGS))
+            probe = Event(other.tag, other.stream, e.ts)
+            keys += [e.order_key, probe.order_key, (e.ts,), (e.ts + 0.5,)]
+        key = data.draw(st.sampled_from(keys))
+        got = suffix_streams(streams, key)
+        assert got == _filtered_suffix(streams, key)
+        assert all(type(s.events) is tuple for s in got)
 
 
 class TestDeterminism:

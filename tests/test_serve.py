@@ -14,6 +14,7 @@ import urllib.request
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import keycounter
 from repro.core.errors import RuntimeFault
@@ -31,7 +32,7 @@ from repro.runtime import (
     run_on_backend,
 )
 from repro.runtime import process as runtime_process
-from repro.runtime.messages import EventRun
+from repro.runtime.messages import EventMsg, EventRun
 from repro.runtime.options import ServeOptions
 from repro.runtime.wire import FRAME_LEN
 from repro.serve import (
@@ -433,6 +434,153 @@ class TestServiceRuntimeEpochs:
         }
 
 
+def _decoded(events):
+    """What the TCP tier hands ``offer_batch`` for one ingest frame."""
+    _kind, msgs = parse_frame(ingest_events_frame(events)[4:], runs=True)
+    return [m if type(m) is EventRun else m.event for m in msgs]
+
+
+def _expanded(items):
+    return [e for m in items for e in (m.events() if type(m) is EventRun else [m])]
+
+
+def _admission_state(svc):
+    return (
+        {t: [repr(e) for e in evs] for t, evs in svc._inbox.items()},
+        svc._inbox_count,
+        svc._pending_count,
+        dict(svc._last_ts),
+        svc._seal_floor,
+        svc.counters,
+        svc.gate.paused,
+        len(svc.committed),
+    )
+
+
+# keycounter's itags plus two it does not know; ("i", False) == ("i", 0)
+# is the same itag to the service but a different route to the codec.
+_ADMIT_ROUTES = [
+    (keycounter.inc_tag(0), "i0", 1),
+    (keycounter.inc_tag(0), "i1", 1),
+    (("i", False), "i0", 2),
+    (keycounter.reset_tag(0), "r", None),
+    (("i", 99), "i0", 1),
+    (keycounter.inc_tag(0), "i9", 1),
+]
+
+
+@st.composite
+def _admission_script(draw):
+    """Frames of events on a mostly-rising clock (repeats, steps back
+    and jumps below an earlier seal included), each followed by an
+    optional seal; a service closed at some frame."""
+    frames = []
+    clock = 12
+    for _ in range(draw(st.integers(1, 6))):
+        clock = max(1, clock + draw(st.integers(-12, 6)))  # the sim's clock starts at 0
+        events = []
+        for _ in range(draw(st.integers(0, 40))):
+            clock = max(1, clock + draw(st.sampled_from([1, 1, 1, 2, 0, -1, -3])))
+            tag, stream, payload = draw(st.sampled_from(_ADMIT_ROUTES))
+            ts = float(clock) if draw(st.integers(0, 4)) else clock
+            events.append(Event(tag, stream, ts, payload))
+        runtime_hw = draw(st.sampled_from([0, 0, 0, 5]))
+        frames.append((events, runtime_hw, draw(st.booleans())))
+    close_at = draw(st.one_of(st.none(), st.integers(0, len(frames) - 1)))
+    high = draw(st.integers(2, 60))
+    runtime_wm = draw(st.sampled_from([None, 3]))
+    return frames, close_at, high, runtime_wm
+
+
+class TestRunAdmission:
+    """``offer_batch`` over the decoded runs of an ingest frame gives
+    the verdicts of offering the same events one by one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_admission_script())
+    def test_offer_batch_of_runs_equals_offer_per_event(self, script):
+        frames, close_at, high, runtime_wm = script
+        app = keycounter_app(shards=2, reset_every=5)
+        opts = ServeOptions(
+            backend="sim",
+            ingest_high_watermark=high,
+            runtime_backlog_watermark=runtime_wm,
+        )
+        by_run, by_event = (
+            ServiceRuntime(app.program, app.plan, options=opts) for _ in range(2)
+        )
+        for k, (events, runtime_hw, seal) in enumerate(frames):
+            for svc in (by_run, by_event):
+                # The metrics-plane signal, as an epoch would leave it.
+                svc._runtime_backlog_hw = runtime_hw
+            items = _decoded(events)
+            got = by_run.offer_batch(items)
+            verdicts = [by_event.offer(e) for e in _expanded(items)]
+            assert got == dict(Counter(verdicts))
+            assert _admission_state(by_run) == _admission_state(by_event)
+            # Once the gate shuts within a frame it stays shut: what
+            # one batch admits is a prefix of what passes the other
+            # checks — per itag, and in the grouped wire order too.
+            gated = [v for v in verdicts if v in (ADMITTED, REJECT_BACKPRESSURE)]
+            assert gated == sorted(gated, key=lambda v: v != ADMITTED)
+            if k == close_at:
+                for svc in (by_run, by_event):
+                    svc.finish()
+            elif seal and not by_run.finished:
+                for svc in (by_run, by_event):
+                    svc.run_epoch()
+            assert _admission_state(by_run) == _admission_state(by_event)
+        assert by_run.committed == by_event.committed
+
+    def test_concurrent_batches_lose_nothing(self):
+        """One lock per batch: four producers (more than cores), each
+        on its own itag, offering runs and plain events at once under a
+        tiny switch interval, lose no admission."""
+        app = keycounter_app(shards=4)
+        svc = ServiceRuntime(app.program, app.plan, options=ServeOptions())
+        streams = [
+            [Event(keycounter.inc_tag(0), f"i{s}", float(4 * k + s + 1), 1) for k in range(300)]
+            for s in range(4)
+        ]
+
+        def produce(events):
+            for i in range(0, len(events), 25):
+                frame = events[i : i + 25]
+                svc.offer_batch(_decoded(frame) if i % 50 else frame)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=produce, args=(s,)) for s in streams]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert svc.counters.admitted == svc.inbox_size() == 1200
+        for events in streams:
+            itag = events[0].itag
+            assert svc._inbox[itag] == events
+            assert svc._last_ts[itag] == events[-1].ts
+        assert svc.offer(Event(keycounter.reset_tag(0), "r", 2000.0, None)) == ADMITTED
+        svc.finish()
+        assert svc.committed == [(0, 1200)]
+
+    def test_plain_events_keep_their_result(self):
+        app = keycounter_app(shards=2, reset_every=5)
+        svc = ServiceRuntime(app.program, app.plan, options=ServeOptions())
+        events = app.make_events(20)
+        stale = Event(keycounter.inc_tag(0), "i0", 0.5, 1)
+        unknown = Event(("i", 99), "i0", 99.0, 1)
+        assert svc.offer_batch(events + [stale, unknown]) == {
+            ADMITTED: 20,
+            REJECT_ORDER: 1,
+            REJECT_UNKNOWN: 1,
+        }
+
+
 class TestProtocol:
     def test_control_frame_round_trip(self):
         frame = control_frame({"type": "hello", "v": 1})
@@ -446,6 +594,57 @@ class TestProtocol:
         kind, msgs = parse_frame(frame[4:])
         assert kind == "events"
         assert [m.event for m in msgs] == events
+
+    def test_value_barrier_frame_is_three_runs(self):
+        """Golden: a 250-event value-barrier frame groups into one run
+        per itag (two value streams and the barriers)."""
+        events = value_barrier_app().make_events(250)
+        frame = ingest_events_frame(events)
+        _kind, msgs = parse_frame(frame[4:], runs=True)
+        assert [type(m) for m in msgs] == [EventRun] * 3
+        assert sorted(repr(m.itag) for m in msgs) == sorted(
+            repr(t) for t in {e.itag for e in events}
+        )
+        assert len(frame) / len(events) <= 17
+        # Per itag, the decoded stream is the given one.
+        decoded = _expanded(msgs)
+        for itag in {e.itag for e in events}:
+            assert [e for e in decoded if e.itag == itag] == [
+                e for e in events if e.itag == itag
+            ]
+
+    def test_equal_itags_of_different_types_keep_their_order(self):
+        """("k", 1) and ("k", True) are one itag to the service: the
+        grouping must not pull them apart, though the codec gives each
+        its own type-exact run."""
+        events = []
+        for i in range(12):
+            tag = ("k", True) if i % 3 == 1 else ("k", 1)
+            events.append(Event(tag, "s", float(i), i))
+            events.append(Event("other", "s", i + 0.5, i))
+        _kind, msgs = parse_frame(ingest_events_frame(events)[4:])
+        got = [m.event for m in msgs]
+        assert [repr(e) for e in got if e.tag == ("k", 1)] == [
+            repr(e) for e in events if e.tag == ("k", 1)
+        ]
+        assert [repr(e) for e in got] == [
+            repr(e) for e in events if e.tag != "other"
+        ] + [repr(e) for e in events if e.tag == "other"]
+
+    def test_unhashable_tags_go_out_in_arrival_order(self):
+        events = [
+            Event("a", "s", 1.0, 1),
+            Event(["x"], "s", 2.0, 1),
+            Event("a", "s", 3.0, 1),
+        ]
+        frame = ingest_events_frame(events)
+        assert frame == events_frame([EventMsg(e) for e in events])
+        _kind, msgs = parse_frame(frame[4:])
+        assert [m.event for m in msgs] == events
+        # No plan routes such a tag: the service rejects it, by reason.
+        app = keycounter_app()
+        svc = ServiceRuntime(app.program, app.plan, options=ServeOptions())
+        assert svc.offer(events[1]) == REJECT_UNKNOWN
 
     def test_outputs_frame_round_trip(self):
         frame = outputs_frame([(0, 7), (1, 9)], start_seq=41)
@@ -522,6 +721,49 @@ class TestServiceTCP:
                 ack = ingest.send_events([good, stale, unknown])
                 assert ack.admitted == 1 and ack.rejected == 2
                 assert ack.reasons == {REJECT_ORDER: 1, REJECT_UNKNOWN: 1}
+
+    def test_per_event_frame_gets_the_per_event_ack(self):
+        """An old client's frame — one EventMsg per event, arrival
+        order — is the same codec and admits event by event."""
+        app = keycounter_app(shards=2, reset_every=5)
+        events = app.make_events(30)
+        events[7] = Event(events[7].tag, events[7].stream, 0.5, 1)  # out of order
+        events.insert(12, Event(("i", 99), "i0", 12.5, 1))  # unknown
+        opts = ServeOptions(
+            epoch_events=10**9, epoch_idle_ms=10_000.0, ingest_high_watermark=20
+        )
+        twin = ServiceRuntime(app.program, app.plan, options=opts)
+        want = Counter(twin.offer(e) for e in events)
+        with start_service(app.program, app.plan, options=opts) as handle:
+            with connect(handle.port, handle.cookie) as ingest:
+                ingest._sock.sendall(events_frame([EventMsg(e) for e in events]))
+                ack = ingest._read_control("ack")
+        assert ack["admitted"] == want[ADMITTED]
+        assert ack["reasons"] == {k: v for k, v in want.items() if k != ADMITTED}
+        assert ack["paused"] is twin.gate.paused is True
+
+    def test_mixed_eligibility_frame_commits_the_spec(self):
+        """Runs and the events no run can carry — str payloads, an int
+        beyond i64, a tuple tag holding a bool — in one frame."""
+        app = keycounter_app(shards=2, reset_every=7)
+        events = app.make_events(140)
+        for i, e in enumerate(events):
+            if e.tag[0] != "i":
+                continue
+            if i % 5 == 1:
+                events[i] = Event(e.tag, e.stream, e.ts, str(e.payload + i))
+            elif i % 5 == 2:
+                events[i] = Event(("i", False), e.stream, e.ts, e.payload)
+            elif i == 3:
+                events[i] = Event(e.tag, e.stream, e.ts, 2**70)
+        opts = ServeOptions(epoch_events=10**9, epoch_idle_ms=10_000.0)
+        with start_service(app.program, app.plan, options=opts) as handle:
+            with connect(handle.port, handle.cookie) as ingest:
+                ack = ingest.send_events(events, batch=len(events))
+                assert ack.admitted == len(events) and ack.rejected == 0
+                ingest.finish()
+            got = _multiset(handle.runtime.committed)
+        assert got == _multiset(spec_outputs(app.program, events))
 
     def test_bad_cookie_and_garbage_are_strays(self):
         app = keycounter_app(reset_every=5)
