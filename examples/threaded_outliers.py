@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Case study A.1 on real threads: Reloaded-style outlier detection
-executed by the thread-based runtime (one OS thread per plan worker),
-cross-checked against both the sequential spec and the simulated
-runtime.
+"""Case study A.1 on the in-process runtime: Reloaded-style outlier
+detection executed by the ``threaded`` backend (every plan worker on
+the caller's thread, driven from one run queue), cross-checked against
+both the sequential spec and the simulated runtime.
 
 Run:  python examples/threaded_outliers.py
 """
@@ -31,7 +31,7 @@ def main() -> None:
 
     threaded = ThreadedRuntime(program, plan).run(streams)
     threaded_ok = threaded.output_multiset() == want
-    print(f"\nthreaded runtime ({plan.size()} worker threads):")
+    print(f"\nthreaded runtime ({plan.size()} workers on one thread):")
     print(f"  outputs match spec: {threaded_ok}")
     print(f"  events processed: {threaded.events_processed}, joins: {threaded.joins}")
 

@@ -6,8 +6,9 @@ Three execution substrates run the same synchronization-plan protocol
 
 * ``sim`` — the simulated cluster (:class:`FluminaRuntime`), used for
   the paper's figures: models network cost, latency, utilization;
-* ``threaded`` — one OS thread per worker (:class:`ThreadedRuntime`):
-  real concurrency, GIL-bound throughput;
+* ``threaded`` — the in-process substrate (:class:`ThreadedRuntime`):
+  every worker on the caller's thread from one run queue, a
+  deterministic schedule, no thread hand-off per message;
 * ``process`` — one OS process per worker with batched channels
   (:class:`ProcessRuntime`): multi-core parallel speedup.
 
@@ -292,7 +293,8 @@ class SimBackend(RuntimeBackend):
 
 
 class ThreadedBackend(RuntimeBackend):
-    """One OS thread per plan worker (GIL-bound)."""
+    """Every plan worker on the caller's thread, driven from one run
+    queue (the in-process substrate, :mod:`repro.runtime.threaded`)."""
 
     name = "threaded"
 

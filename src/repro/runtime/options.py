@@ -153,8 +153,11 @@ class ServeOptions:
     transport/cluster knobs, and the metrics plane all apply per
     epoch).  Fields:
 
-    * ``backend`` — the substrate each epoch runs on (``"threaded"`` /
-      ``"process"``; ``nodes=`` on ``run`` deploys epochs cluster-wide);
+    * ``backend`` — the substrate each epoch runs on: ``"threaded"``
+      (the default: the in-process substrate, every worker of the
+      epoch on the thread that runs it, no thread hand-off per
+      message) or ``"process"`` (a forked process per worker;
+      ``nodes=`` on ``run`` deploys epochs cluster-wide);
     * ``host`` / ``port`` — the ingest/egress TCP listener (``0`` picks
       a free port); ``cookie`` — the shared secret every client hello
       must echo (``None`` generates a fresh one per service);

@@ -1,12 +1,15 @@
 """A multi-process execution of synchronization plans.
 
-Threads prove the protocol runs on a concurrent substrate, but the GIL
-serializes their update functions.  This module
-executes the same :class:`~repro.runtime.protocol.WorkerCore` state
-machine with **one OS process per plan worker**, so independent events
-on different leaves genuinely run in parallel — the paper's central
-claim (dependency-guided synchronization lets independent events
-proceed concurrently) measured on real cores rather than asserted.
+The in-process substrate (:mod:`repro.runtime.threaded`) runs every
+worker of an attempt on the caller's thread, one batch at a time.  This
+module executes the same :class:`~repro.runtime.protocol.WorkerCore`
+state machine with **one OS process per plan worker**, so independent
+events on different leaves genuinely run in parallel — the paper's
+central claim (dependency-guided synchronization lets independent
+events proceed concurrently) measured on real cores rather than
+asserted.  It is also the substrate with real preemption, and the one
+that can abandon a stuck worker: a handler that never returns costs a
+drain timeout here, not the caller's thread.
 
 Three design points keep IPC from eating the speedup:
 
@@ -39,10 +42,14 @@ input is posted means every channel has drained, at which point stop
 frames are delivered and each worker ships its locally-accumulated
 outputs back once.
 
-The worker loop (:func:`_drive_worker`) and the coordinator's half of
-an attempt (:func:`coordinate_attempt`) are the real substrates' only
-ones: :mod:`repro.runtime.threaded` runs them on threads over queues,
-:mod:`repro.runtime.cluster` on node agents over dialed TCP edges.
+Every real substrate shares the worker-loop body (:class:`_Worker`),
+the producer pump call (:func:`pump_attempt`) and the merge of worker
+reports into an attempt's outcome (:func:`merge_reports`).  The
+blocking loop around them (:func:`_drive_worker`) and the coordinator's
+half of an attempt (:func:`coordinate_attempt`) serve forked processes
+here and node agents over dialed TCP edges in
+:mod:`repro.runtime.cluster`; :mod:`repro.runtime.threaded` calls the
+shared three from its run queue.
 """
 
 from __future__ import annotations
@@ -95,7 +102,9 @@ class AttemptSpec:
 
     program: DGSProgram
     plan: SyncPlan
-    policy: BatchPolicy
+    #: None on the in-process substrate, where a batch is what one
+    #: flush moved.
+    policy: Optional[BatchPolicy]
     #: Leaf id -> the share of the initial state it starts from.
     leaf_states: Dict[str, Any]
     checkpoint_predicate: Optional[CheckpointPredicate]
@@ -147,82 +156,121 @@ class _WorkerReport:
     metrics: Optional[MetricsSnapshot] = None
 
 
-def _drive_worker(
-    node_id: str, spec: AttemptSpec, receiver, batcher, control: ControlPlane
-) -> None:
-    """Drive one WorkerCore from its inbox until the stop frame, then
-    ship its report — the one worker loop of the real substrates: a
-    forked process per worker, a thread per worker, or several workers
-    as threads of a cluster node agent with channels over TCP.
+class _Worker:
+    """One plan worker of an attempt, driven a batch at a time — the
+    one worker-loop body of the real substrates.  The blocking ones
+    (:func:`_drive_worker`) call :meth:`handle` from their ``recv``
+    loop; the in-process one (:mod:`repro.runtime.threaded`) calls it
+    from its run queue.
 
-    Outputs accumulate in a worker-local sink and travel back to the
-    coordinator exactly once, on shutdown — results never compete with
-    protocol traffic for the channels.
+    ``sender`` carries the worker's outgoing messages: ``post(dst,
+    msg)``, ``flush()``, and a settable ``metrics`` through which it
+    counts the batches it flushes.  Outputs accumulate in a
+    worker-local sink and travel back to the coordinator exactly once,
+    in the :meth:`report` — results never compete with protocol
+    traffic for the channels.
 
     An injected :class:`WorkerCrash` makes the worker fail-stop: the
     consequences of fully-processed events are flushed (they already
-    left the failure domain in the model), the crash is announced on
-    the dedicated queue, and from then on incoming batches are absorbed
-    unprocessed until the stop frame, when the report ships.
+    left the failure domain in the model), and from then on incoming
+    batches are absorbed unprocessed.  A reconfiguration
+    :class:`QuiesceSignal` stops it the same way.
     """
-    sink = OutputSink(record_keys=spec.record_keys)
-    wm = WorkerMetrics(node_id, spec.metrics) if spec.metrics is not None else None
-    if wm is not None:
-        # The sender counts the batches it flushes into the same
-        # per-worker metrics object (settable post-construction so the
-        # transport signatures stay metrics-agnostic).
-        batcher.metrics = wm
-    core = WorkerCore(
-        spec.plan.node(node_id),
-        spec.plan,
-        spec.program,
-        batcher.post,
-        sink,
-        checkpoint_predicate=spec.checkpoint_predicate,
-        faults=spec.faults.view_for(node_id) if spec.faults is not None else None,
-        reconfig=spec.reconfig if node_id == spec.plan.root.id else None,
-        flush_hint=batcher.flush,
-        metrics=wm,
-    )
-    if node_id in spec.leaf_states:
-        core.state = spec.leaf_states[node_id]
-        core.has_state = True
-    crash: Optional[CrashRecord] = None
-    quiesce: Optional[QuiesceRecord] = None
-    last_push = time.monotonic()
-    while True:
-        msgs = receiver.recv()
-        if msgs is STOP:
-            break
+
+    __slots__ = ("node_id", "core", "sink", "metrics", "crash", "quiesce", "_flush")
+
+    def __init__(self, node_id: str, spec: AttemptSpec, sender) -> None:
+        self.node_id = node_id
+        self.sink = OutputSink(record_keys=spec.record_keys)
+        self.metrics = wm = (
+            WorkerMetrics(node_id, spec.metrics) if spec.metrics is not None else None
+        )
+        if wm is not None:
+            # The sender counts the batches it flushes into the same
+            # per-worker metrics object (settable post-construction so
+            # the transport signatures stay metrics-agnostic).
+            sender.metrics = wm
+        self._flush = sender.flush
+        self.core = core = WorkerCore(
+            spec.plan.node(node_id),
+            spec.plan,
+            spec.program,
+            sender.post,
+            self.sink,
+            checkpoint_predicate=spec.checkpoint_predicate,
+            faults=spec.faults.view_for(node_id) if spec.faults is not None else None,
+            reconfig=spec.reconfig if node_id == spec.plan.root.id else None,
+            flush_hint=sender.flush,
+            metrics=wm,
+        )
+        if node_id in spec.leaf_states:
+            core.state = spec.leaf_states[node_id]
+            core.has_state = True
+        #: Set when the worker crashed or quiesced (either one ends the
+        #: attempt); from then on it absorbs what it is sent.
+        self.crash: Optional[CrashRecord] = None
+        self.quiesce: Optional[QuiesceRecord] = None
+
+    def handle(self, msgs) -> bool:
+        """Handle one batch and flush its consequences.  True when this
+        batch stopped the worker — the caller announces it, after the
+        flush (a lightweight sentinel: the full record, a quiesce
+        carries the snapshot state, travels once, in the report)."""
+        wm = self.metrics
         if wm is not None:
             wm.frames_received += 1
-        if crash is not None or quiesce is not None:
-            control.mark_done(batch_message_count(msgs))
-            continue
+        if self.crash is not None or self.quiesce is not None:
+            return False
+        core = self.core
         try:
             for msg in msgs:
                 core.handle(msg)
         except WorkerCrash as wc:
             # Fail-stop: the triggering event and the rest of the batch
             # die with the worker.
-            crash = wc.record
+            self.crash = wc.record
         except QuiesceSignal as sig:
             # Planned stop at a consistent snapshot: the triggering
             # event is fully processed, only its fork-down was
             # withheld — the restart driver continues on a new plan.
-            quiesce = sig.record
-        # Flush consequences *before* declaring the batch done, so
-        # the in-flight counter can never dip to zero while this
-        # worker still owes messages to others.
-        batcher.flush()
-        if crash is not None or quiesce is not None:
-            # Announced after the consequences of what was processed
-            # have shipped; a lightweight sentinel — the full record
-            # (a quiesce carries the snapshot state) travels once, in
-            # the end-of-run report.  From here on the worker is silent.
+            self.quiesce = sig.record
+        self._flush()
+        return self.crash is not None or self.quiesce is not None
+
+    def report(self) -> _WorkerReport:
+        wm = self.metrics
+        return _WorkerReport(
+            self.node_id,
+            self.sink,
+            self.core.unprocessed(),
+            self.crash,
+            self.quiesce,
+            wm.snapshot() if wm is not None else None,
+        )
+
+
+def _drive_worker(
+    node_id: str, spec: AttemptSpec, receiver, batcher, control: ControlPlane
+) -> None:
+    """Drive one worker from its inbox until the stop frame, then ship
+    its report — the blocking substrates' loop around :class:`_Worker`:
+    a forked process per worker, or several workers as threads of a
+    cluster node agent with channels over TCP.  A stopped worker's
+    announcement goes on the dedicated queue; from then on it is
+    silent until the stop frame."""
+    worker = _Worker(node_id, spec, batcher)
+    wm = worker.metrics
+    last_push = time.monotonic()
+    while True:
+        msgs = receiver.recv()
+        if msgs is STOP:
+            break
+        if worker.handle(msgs):
             control.aborts.put(node_id)
-        # Event-level: a columnar run of n events repays the n its
-        # sender charged the in-flight counter.
+        # Declared done only after the flush inside handle(), so the
+        # in-flight counter can never dip to zero while this worker
+        # still owes messages to others.  Event-level: a columnar run
+        # of n events repays the n its sender charged the counter.
         control.mark_done(batch_message_count(msgs))
         if wm is not None:
             # Low-rate live feed for the coordinator's Prometheus
@@ -231,16 +279,7 @@ def _drive_worker(
             if now - last_push >= 0.25:
                 last_push = now
                 control.metrics.put_nowait((node_id, wm.wire_snapshot()))
-    control.results.put(
-        _WorkerReport(
-            node_id,
-            sink,
-            core.unprocessed(),
-            crash,
-            quiesce,
-            wm.snapshot() if wm is not None else None,
-        )
-    )
+    control.results.put(worker.report())
 
 
 @contextlib.contextmanager
@@ -260,9 +299,8 @@ def report_errors(control: ControlPlane, who: str, log=None):
 
 
 def _worker_main(node_id: str, spec: AttemptSpec, transport, control: ControlPlane) -> None:
-    """Entry point of one worker — a forked process or, on the threaded
-    substrate, a thread: bind its transport endpoints, run the shared
-    loop."""
+    """Entry point of one forked worker: bind its transport endpoints,
+    run the shared loop."""
     try:
         with report_errors(control, node_id):
             # Drop inherited channel endpoints this worker does not own,
@@ -296,6 +334,12 @@ def _aborted(control: ControlPlane) -> bool:
     return True
 
 
+def worker_fault(who: str, err: str) -> RuntimeFault:
+    """A worker's escaped exception as the run's fault: the worker's
+    name, then ``err`` — the exception's repr and its traceback."""
+    return RuntimeFault(f"worker {who} crashed:\n{err}")
+
+
 def raise_worker_faults(control: ControlPlane, procs) -> None:
     """Surface a reported worker error, or a worker that died without
     reporting one, as a :class:`RuntimeFault`."""
@@ -304,7 +348,7 @@ def raise_worker_faults(control: ControlPlane, procs) -> None:
     except queue_mod.Empty:
         pass
     else:
-        raise RuntimeFault(f"worker {node_id} crashed:\n{err}")
+        raise worker_fault(node_id, err)
     if any(not p.is_alive() and p.exitcode not in (0, None) for p in procs):
         raise RuntimeFault(
             "a worker process died before the run drained "
@@ -379,6 +423,26 @@ def _collect(
             f"no report from {missing} after drain; a worker likely "
             "crashed or produced unpicklable outputs"
         )
+    merge_reports(result, reports, metrics_cfg)
+    if metrics_cfg is not None:
+        # Drain the live feed too: workers that only ever answered
+        # joins piggybacked snapshots there (absorb keeps the richest
+        # copy per worker).
+        try:
+            while True:
+                _node_id, wire = control.metrics.get_nowait()
+                result.metrics.absorb(MetricsSnapshot.from_wire(wire, metrics_cfg.latency_buckets))
+        except queue_mod.Empty:
+            pass
+
+
+def merge_reports(
+    result: AttemptOutcome,
+    reports: Sequence[_WorkerReport],
+    metrics_cfg: Optional[MetricsConfig],
+) -> None:
+    """Merge the workers' end-of-run reports into ``result`` — the same
+    on every real substrate."""
     result.crashes = [r.crash for r in reports if r.crash is not None]
     for report in reports:
         if report.quiesce is not None:
@@ -400,16 +464,21 @@ def _collect(
         for report in reports:
             if report.metrics is not None:
                 rm.absorb(report.metrics)
-        # Drain the live feed too: workers that only ever answered
-        # joins piggybacked snapshots there (absorb keeps the richest
-        # copy per worker).
-        try:
-            while True:
-                _node_id, wire = control.metrics.get_nowait()
-                rm.absorb(MetricsSnapshot.from_wire(wire, metrics_cfg.latency_buckets))
-        except queue_mod.Empty:
-            pass
         result.metrics = rm
+
+
+def pump_attempt(
+    plan: SyncPlan,
+    streams: Sequence[InputStream],
+    sender,
+    pace: Optional[float],
+    before_sleep: Callable[[], None],
+) -> None:
+    """Post the attempt's producer traffic through ``sender`` and flush
+    it — the real substrates' one :func:`pump_producers` call site.
+    ``before_sleep`` runs before every paced-pump sleep."""
+    pump_producers(plan, streams, sender.post, pace=pace, before_sleep=before_sleep)
+    sender.flush()
 
 
 def coordinate_attempt(
@@ -428,7 +497,7 @@ def coordinate_attempt(
     nodes: int = 0,
 ) -> AttemptOutcome:
     """The coordinator's half of one attempt over started workers
-    (``procs``: processes, node agents or threads): ``connect`` the
+    (``procs``: processes or node agents): ``connect`` the
     coordinator's edges, pump the producers, wait for drain or an abort
     announcement, ``stop`` the workers (one stop frame each), collect
     their reports, ``drain`` the data plane of an aborted attempt,
@@ -445,10 +514,7 @@ def coordinate_attempt(
     try:
         batcher = connect()
         t0 = time.perf_counter()
-        pump_producers(
-            spec.plan, streams, batcher.post, pace=pace, before_sleep=batcher.flush
-        )
-        batcher.flush()
+        pump_attempt(spec.plan, streams, batcher, pace, batcher.flush)
         aborted = _await_idle(substrate, control, procs, workers, stop, timeout_s)
         result.wall_s = time.perf_counter() - t0
         stop()
@@ -478,10 +544,8 @@ def run_on_workers(
     timeout_s: float,
     pace: Optional[float],
 ) -> AttemptOutcome:
-    """One attempt with one ``ctx.Process`` per plan worker over
-    ``transport`` — forked processes over pipes, queues, sockets or
-    rings for :class:`ProcessRuntime`, threads over in-process queues
-    for :class:`~repro.runtime.threaded.ThreadedRuntime`."""
+    """One attempt with one forked ``ctx.Process`` per plan worker
+    over ``transport`` (pipes, queues, sockets or rings)."""
     try:
         control = ControlPlane(ctx)
         procs = [

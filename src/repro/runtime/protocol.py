@@ -8,11 +8,11 @@ transport plumbing around :class:`WorkerCore`:
 
 * :mod:`repro.runtime.runtime` — one simulated actor per worker; the
   adapter adds only the virtual clock and the network/CPU cost model;
-* :mod:`repro.runtime.process` — one worker loop and one coordinator
-  for the real substrates: an OS process per worker over batched
-  channels (escaping the GIL for real parallelism), node agents over
-  TCP (:mod:`repro.runtime.cluster`), or a thread per worker over
-  in-process queues (:mod:`repro.runtime.threaded`).
+* :mod:`repro.runtime.process` — one worker-loop body for the real
+  substrates: an OS process per worker over batched channels (escaping
+  the GIL for real parallelism), node agents over TCP
+  (:mod:`repro.runtime.cluster`), or every worker on the caller's
+  thread from one run queue (:mod:`repro.runtime.threaded`).
 
 A ``WorkerCore`` is driven by ``handle(msg)`` calls and talks to the
 outside world through two injected callables:
@@ -112,8 +112,9 @@ class AttemptOutcome(RunStatsMixin):
     #: delay: restart to re-commit.
     metrics: Any = None
     #: Deployment facts of the real substrates ("" / 0 on the sim): the
-    #: data plane ("" on threads), the batch policy, the worker count,
-    #: and the node-agent count of a cluster deployment (0 otherwise).
+    #: data plane and the batch policy ("" on the in-process substrate),
+    #: the worker count, and the node-agent count of a cluster
+    #: deployment (0 otherwise).
     transport: str = ""
     batch: str = ""
     n_workers: int = 0
@@ -296,12 +297,35 @@ class WorkerCore:
             n += len(b.item) if type(b.item) is EventRun else 1
         return n
 
-    def _violation(self, what: str, msg: Any) -> RuntimeFault:
+    def protocol_state(self) -> str:
+        """Where this worker stands in the join/fork protocol: blocked,
+        absorbed (a leaf whose state is up at a join, an internal node
+        awaiting the fork back), and its outstanding join's request id
+        and order key."""
         absorbed = not self.has_state if self.is_leaf else self._absorb_restore is not None
-        join = self._current[0] if self._current is not None else None
+        join = None
+        if self._current is not None:
+            req_id, (kind, what), _states = self._current
+            join = f"{req_id} at key {what.order_key if kind == 'event' else what.key}"
+        return f"blocked={self.blocked}, absorbed={absorbed}, outstanding join={join}"
+
+    def stall_state(self) -> str:
+        """:meth:`protocol_state` plus what the worker still holds: the
+        released-but-undispatched count, the per-tag buffered counts
+        and every tag's timer (a tag whose timer stops short of a
+        dependant's buffered key is what the dependant waits on)."""
+        mb = self.mailbox
+        tags = sorted(mb.itags, key=repr)
+        buffered = {t: mb.buffered_count(t) for t in tags if not mb.buffer_empty(t)}
+        timers = {t: mb.timer(t) for t in tags}
+        return (
+            f"{self.protocol_state()}, {len(self.pending)} released but "
+            f"undispatched; buffered {buffered}; timers {timers}"
+        )
+
+    def _violation(self, what: str, msg: Any) -> RuntimeFault:
         return RuntimeFault(
-            f"worker {self.node.id}: {what} (blocked={self.blocked}, "
-            f"absorbed={absorbed}, outstanding join={join}); "
+            f"worker {self.node.id}: {what} ({self.protocol_state()}); "
             f"offending message: {msg!r}"
         )
 

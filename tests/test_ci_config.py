@@ -77,6 +77,13 @@ class TestSimChaosSlice:
         text = " ".join(steps_text(jobs[job]).split())
         assert f"python -m repro.chaos {self.SLICE}" in text
 
+    def test_tests_job_runs_the_in_process_slice(self, jobs):
+        """The service's substrate under the same crashes and re-plans
+        on every push, in the tests job (no job of its own)."""
+        text = " ".join(steps_text(jobs["tests"]).split())
+        slice_ = self.SLICE.replace("--backends sim", "--backends threaded")
+        assert f"python -m repro.chaos {slice_}" in text
+
 
 class TestDgsbenchSmokeLane:
     def test_lane_runs_the_smoke_then_the_self_test(self, jobs):
