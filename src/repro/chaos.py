@@ -19,12 +19,17 @@ event: by then the root has snapshotted at least once (with
 crash that would fire earlier is a different, negative scenario and is
 tested separately (``NoCheckpointError``).
 
-Beyond fault schedules, cases come in three *modes* (:data:`MODES`):
+Beyond fault schedules, cases come in four *modes* (:data:`MODES`):
 ``faults`` (crash/drop injection, the PR-2 sweep), ``reconfig``
 (seeded elastic reconfiguration schedules: the plan widens/narrows
 mid-stream at consistent snapshots, see
-:mod:`repro.runtime.reconfigure`), and ``reconfig-crash`` (both armed
-— crashes must recover into the then-current plan shape).
+:mod:`repro.runtime.reconfigure`), ``reconfig-crash`` (both armed
+— crashes must recover into the then-current plan shape), and
+``service``: the workload ingested by a :mod:`repro.serve` service
+through the TCP tier's own codec, frame by frame, sealed at seeded
+points, with one crash or reconfiguration firing between two seals
+(:func:`build_service_script`); the committed log must equal the
+spec of the admitted events.
 
 Run it three ways:
 
@@ -63,6 +68,7 @@ same ``--transport``/``--nodes`` — as the sweep that produced it).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -95,6 +101,9 @@ from .runtime import (
     run_on_backend,
     run_sequential_reference,
 )
+from .runtime.messages import EventRun
+from .serve import ADMITTED, ServeOptions, ServiceRuntime, spec_outputs
+from .serve.protocol import ingest_events_frame, parse_frame
 from .testing import Mismatch, compare_outputs
 
 APPS = ("value-barrier", "keycounter", "value-barrier-echo")
@@ -105,9 +114,11 @@ APPS = ("value-barrier", "keycounter", "value-barrier-echo")
 CHAOS_APPS = APPS + ("sessionize",)
 
 #: Scenario families: pure fault injection (the PR-2 sweep), pure
-#: elastic reconfiguration, and crash-during-reconfiguration (both
-#: schedules armed; recovery must restore into the then-current plan).
-MODES = ("faults", "reconfig", "reconfig-crash")
+#: elastic reconfiguration, crash-during-reconfiguration (both
+#: schedules armed; recovery must restore into the then-current plan),
+#: and a live service ingesting the workload frame by frame with one
+#: crash or re-plan between its seals.
+MODES = ("faults", "reconfig", "reconfig-crash", "service")
 
 #: Traffic shapes a case can carry: the PR-2 uniform workload plus the
 #: four adversarial families of :mod:`repro.data.adversarial`.
@@ -526,6 +537,104 @@ def build_reconfig_schedule(
     return ReconfigSchedule(*points)
 
 
+@dataclass(frozen=True)
+class ServiceScript:
+    """A ``service`` case's ingest: the frames in arrival order, the
+    frame indices the service seals before (the final seal follows the
+    last frame), and the one fault or reconfiguration point armed."""
+
+    frames: List[List[Event]]
+    seal_before: List[int]
+    fault_plan: Optional[FaultPlan]
+    schedule: Optional[ReconfigSchedule]
+
+
+def build_service_script(
+    case: ChaosCase, streams: Sequence[InputStream], plan: SyncPlan, prog: DGSProgram
+) -> ServiceScript:
+    """Derive a ``service`` case's ingest from its seed.
+
+    The workload arrives in its order (every stream stays monotone, so
+    admission rejects nothing), cut into frames where the timestamp
+    rises — a seal there leaves no later event at or below the floor.
+    Seals go before seeded frames.  Then one seal other than the final
+    one is picked, and the trigger is armed on an event it seals: a
+    crash of that event's owner at its timestamp, or — when the window
+    holds a root event — a re-plan at that root join.  Both are
+    timestamp-keyed, so the trigger fires during that seal's step on
+    every substrate, open attempt or one per seal."""
+    rng = random.Random(case.seed * 40503 % (2**31) + 11)
+    events = sorted((e for s in streams for e in s.events), key=lambda e: e.order_key)
+    rises = [i for i in range(1, len(events)) if events[i].ts > events[i - 1].ts]
+    cuts = sorted(rng.sample(rises, min(len(rises), rng.randint(4, 10))))
+    bounds = [0, *cuts, len(events)]
+    frames = [events[a:b] for a, b in zip(bounds, bounds[1:])]
+    seal_before = sorted(rng.sample(range(1, len(frames)), rng.randint(1, min(4, len(frames) - 1))))
+
+    # The frames a non-final seal takes: those before it, after the last one.
+    k = rng.randrange(len(seal_before))
+    lo = seal_before[k - 1] if k else 0
+    window = [e for f in frames[lo : seal_before[k]] for e in f]
+    roots = [e for e in window if e.itag in plan.root.itags]
+    if roots and rng.random() < 0.5:
+        widths = [w for w in range(1, max_width(prog, plan) + 1) if w != plan_width(plan)] or [1]
+        point = ReconfigPoint(
+            at_ts=rng.choice(roots).ts,
+            to_leaves=rng.choice(widths),
+            shape=rng.choice(("balanced", "chain")),
+        )
+        return ServiceScript(frames, seal_before, None, ReconfigSchedule(point))
+    victim = rng.choice(window)
+    crash = CrashFault(plan.owner_of(victim.itag).id, at_ts=victim.ts)
+    return ServiceScript(frames, seal_before, FaultPlan(crash), None)
+
+
+def _run_service_case(case: ChaosCase, options: RunOptions) -> ChaosOutcome:
+    """Drive a ``service`` case through the TCP tier's codec:
+    ``ingest_events_frame`` → ``parse_frame(runs=True)`` →
+    ``offer_batch``, one frame at a time, sealing where the script
+    says; the committed log must be the spec of the admitted events,
+    and the script admits them all."""
+    prog, streams, plan, _sync_ts = build_workload(case)
+    script = build_service_script(case, streams, plan, prog)
+    options.fault_plan = script.fault_plan
+    options.reconfig_schedule = script.schedule
+    svc = ServiceRuntime(
+        prog,
+        plan,
+        options=ServeOptions(backend=case.backend, run=options, ingest_high_watermark=1 << 30),
+    )
+    admitted: List[Event] = []
+    for i, frame in enumerate(script.frames):
+        if i in script.seal_before:
+            svc.run_epoch()
+        _kind, msgs = parse_frame(ingest_events_frame(frame)[4:], runs=True)
+        if svc.offer_batch([m if type(m) is EventRun else m.event for m in msgs]) == {
+            ADMITTED: len(frame)
+        }:
+            admitted.extend(frame)
+    svc.finish()
+    counters = svc.counters
+    mismatch = compare_outputs(spec_outputs(prog, admitted), svc.committed, case.case_id)
+    if mismatch is None and counters.rejected:
+        mismatch = Mismatch(f"{case.case_id} admission", Counter(counters.rejected), Counter())
+    # A service counts its recoveries and migrations, not the
+    # checkpoints and replays behind them: those two read 0 here.
+    return ChaosOutcome(
+        case=case,
+        ok=mismatch is None,
+        mismatch=mismatch,
+        attempts=counters.attempts,
+        crashes=counters.crashes_recovered,
+        drops_scheduled=0,
+        checkpoints_taken=0,
+        replayed_events=0,
+        reconfigs=counters.reconfigurations,
+        plan_widths=tuple(plan_width(p) for p in svc.plan_history),
+        metrics=svc.metrics,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
@@ -543,35 +652,28 @@ def run_chaos_case(
     entering the case derivation — see the module docstring.
     ``metrics=True`` arms the per-worker metrics plane: the outcome
     then carries the run's merged per-attempt :class:`RunMetrics`."""
+    options = RunOptions(
+        checkpoint_predicate=every_root_join(),
+        timeout_s=timeout_s,
+        transport=transport,
+        nodes=nodes,
+        metrics=metrics,
+    )
+    if case.mode == "service":
+        return _run_service_case(case, options)
     prog, streams, plan, sync_ts = build_workload(case)
-    fault_plan = None
-    reconfig_schedule = None
     if case.mode in ("faults", "reconfig-crash"):
-        fault_plan = build_fault_schedule(case, streams, plan, sync_ts)
+        options.fault_plan = build_fault_schedule(case, streams, plan, sync_ts)
     if case.mode in ("reconfig", "reconfig-crash"):
-        reconfig_schedule = build_reconfig_schedule(
+        options.reconfig_schedule = build_reconfig_schedule(
             case, streams, plan, sync_ts, prog
         )
     n_drops = sum(
         1
-        for f in (fault_plan.faults if fault_plan is not None else ())
+        for f in (options.fault_plan.faults if options.fault_plan is not None else ())
         if isinstance(f, DropHeartbeats)
     )
-    run = run_on_backend(
-        case.backend,
-        prog,
-        plan,
-        streams,
-        options=RunOptions(
-            fault_plan=fault_plan,
-            reconfig_schedule=reconfig_schedule,
-            checkpoint_predicate=every_root_join(),
-            timeout_s=timeout_s,
-            transport=transport,
-            nodes=nodes,
-            metrics=metrics,
-        ),
-    )
+    run = run_on_backend(case.backend, prog, plan, streams, options=options)
     reference = run_sequential_reference(prog, streams)
     mismatch = compare_outputs(reference, run.outputs, case.case_id)
     rec = run.reconfig if run.reconfig is not None else run.recovery

@@ -52,8 +52,9 @@ from .faults import (
     WorkerCrash,
 )
 from .quiesce import QuiesceRecord, QuiesceSignal, RootReconfigView
-from .recovery import RecoveryStep, assert_recovery_sound, suffix_streams
+from .recovery import RecoveryStep, ReplayLog, assert_recovery_sound, suffix_streams
 from .reconfigure import (
+    AttemptPerSeal,
     AutoScaler,
     PhaseRecord,
     ReconfigPoint,
@@ -164,7 +165,9 @@ class RuntimeBackend:
     A substrate supplies one hook, :meth:`_make_runtime` (the sim,
     whose runtime takes its configuration at construction, overrides
     :meth:`_execute` instead); plain runs, the public :meth:`attempt`
-    and the restart driver all go through :meth:`_execute`.
+    and the restart driver all go through :meth:`_execute` — except a
+    service's attempts on the in-process substrate, whose
+    :meth:`open_attempt` keeps one attempt open across seals.
     """
 
     name: str = "?"
@@ -235,10 +238,33 @@ class RuntimeBackend:
         they restart per attempt on every substrate — the process
         backend forks a pristine copy anyway.
         """
-        opts = copy.copy(options) if options is not None else RunOptions()
-        opts.checkpoint_predicate = copy.deepcopy(opts.checkpoint_predicate)
-        opts.record_keys = True
+        opts = _attempt_options(options)
         return self._execute(program, plan, streams, opts, initial_state, reconfig_view)
+
+    def open_attempt(
+        self,
+        program: DGSProgram,
+        plan: SyncPlan,
+        *,
+        options: Any = None,
+        initial_state: Any = INIT_STATE,
+        reconfig_view: Any = None,
+    ) -> Any:
+        """An attempt for :class:`RestartDriver` to feed and seal, step
+        by step (the service tier's).  This substrate cannot ship
+        outputs without ending an attempt, so what it is posted runs
+        whole, as one :meth:`attempt`, at its seal: one attempt per
+        seal.  The in-process substrate keeps its attempt open."""
+        return AttemptPerSeal(
+            functools.partial(
+                self.attempt,
+                program,
+                plan,
+                options=options,
+                initial_state=initial_state,
+                reconfig_view=reconfig_view,
+            )
+        )
 
     def _run_driven(self, program, plan, streams, opts: RunOptions) -> ReconfiguredRun:
         return run_with_reconfig(
@@ -258,6 +284,13 @@ class RuntimeBackend:
         runtimes share one ``run()`` contract)."""
         return self._make_runtime(program, plan, opts).run(
             streams,
+            pace=opts.pace,
+            **self._attempt_kwargs(opts, initial_state, reconfig_view),
+        )
+
+    def _attempt_kwargs(self, opts: RunOptions, initial_state, reconfig_view) -> Dict[str, Any]:
+        """One attempt's configuration, as the runtimes take it."""
+        return dict(
             timeout_s=opts.with_timeout_default(self.default_timeout_s),
             initial_state=initial_state,
             checkpoint_predicate=opts.checkpoint_predicate,
@@ -265,11 +298,19 @@ class RuntimeBackend:
             record_keys=opts.record_keys,
             reconfig=reconfig_view,
             metrics=opts.metrics_config(),
-            pace=opts.pace,
         )
 
     def _make_runtime(self, program, plan, opts: RunOptions):
         raise NotImplementedError
+
+
+def _attempt_options(options: Any) -> RunOptions:
+    """``options`` for one attempt: output keys recorded, and a private
+    copy of a stateful checkpoint predicate."""
+    opts = copy.copy(options) if options is not None else RunOptions()
+    opts.checkpoint_predicate = copy.deepcopy(opts.checkpoint_predicate)
+    opts.record_keys = True
+    return opts
 
 
 class SimBackend(RuntimeBackend):
@@ -300,6 +341,16 @@ class ThreadedBackend(RuntimeBackend):
 
     def _make_runtime(self, program, plan, opts: RunOptions):
         return ThreadedRuntime(program, plan, **opts.extra)
+
+    def open_attempt(
+        self, program, plan, *, options=None, initial_state=INIT_STATE, reconfig_view=None
+    ):
+        """One attempt kept open across seals: each seal posts only what
+        was admitted since the last one, plus a heartbeat."""
+        opts = _attempt_options(options)
+        return self._make_runtime(program, plan, opts).open(
+            **self._attempt_kwargs(opts, initial_state, reconfig_view)
+        )
 
 
 class ProcessBackend(RuntimeBackend):
@@ -403,6 +454,7 @@ def run_on_backend(
 __all__ = [
     "BACKENDS",
     "AttemptOutcome",
+    "AttemptPerSeal",
     "AutoScaler",
     "BackendRun",
     "BatchPolicy",
@@ -445,6 +497,7 @@ __all__ = [
     "RestartDriver",
     "RecoveryStep",
     "RecoveryUnsoundError",
+    "ReplayLog",
     "RootReconfigView",
     "RunMetrics",
     "RunOptions",

@@ -368,6 +368,17 @@ class WorkerMetrics:
         for w in wires:
             self.subtree[str(w[0])] = w
 
+    def next_window(self) -> None:
+        """Start a new reporting window (a long-lived attempt reports
+        one per seal): the counters, the backlog high-water and both
+        histograms restart at zero.  A snapshot taken before keeps its
+        own histograms."""
+        for k in MetricsSnapshot._COUNTERS:
+            setattr(self, k, 0)
+        self.max_backlog = 0
+        self.join_rtt = LatencyHistogram(self.config.latency_buckets)
+        self.event_latency = LatencyHistogram(self.config.latency_buckets)
+
     def snapshot(self) -> MetricsSnapshot:
         snap = MetricsSnapshot(worker=self.worker, max_backlog=self.max_backlog)
         for k in MetricsSnapshot._COUNTERS:

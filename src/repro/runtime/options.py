@@ -14,9 +14,9 @@ fields: they change between recovery/reconfiguration attempts while a
 ``RunOptions`` describes the whole execution.
 
 :class:`ServeOptions` is the sibling for the long-running service mode
-(:mod:`repro.serve`): it wraps a per-epoch ``RunOptions`` and adds the
-ingest-tier knobs (listener address, epoch sealing, admission
-watermarks, the exporter port).
+(:mod:`repro.serve`): it wraps the ``RunOptions`` of the service's
+attempts and adds the ingest-tier knobs (listener address, seal
+cadence, admission watermarks, the exporter port).
 
 Fields typed ``Any`` to keep this module a leaf of the import graph
 (the registry and the substrates both import it):
@@ -147,35 +147,42 @@ class ServeOptions:
     (:mod:`repro.serve`) — the :class:`RunOptions` sibling for
     executions that never end.
 
-    The service tier converts an unbounded ingest into a sequence of
-    bounded *epochs*, each run as one backend attempt; ``run`` is the
-    per-epoch :class:`RunOptions` (fault plans, reconfig schedules,
-    transport/cluster knobs, and the metrics plane all apply per
-    epoch).  Fields:
+    The service tier runs an unbounded ingest on the runtime's
+    attempts, sealing what was admitted step by step (an *epoch* per
+    seal); ``run`` is the :class:`RunOptions` of those attempts (fault
+    plans, reconfig schedules, transport/cluster knobs, and the metrics
+    plane, which reports one window per seal).  Fields:
 
-    * ``backend`` — the substrate each epoch runs on: ``"threaded"``
-      (the default: the in-process substrate, every worker of the
-      epoch on the thread that runs it, no thread hand-off per
-      message) or ``"process"`` (a forked process per worker;
-      ``nodes=`` on ``run`` deploys epochs cluster-wide);
+    * ``backend`` — the substrate: ``"threaded"`` (the default: the
+      in-process substrate, every worker on the thread that runs the
+      seal, which keeps **one attempt open** for the service's life —
+      a seal posts what was admitted plus one heartbeat per stream) or
+      ``"process"`` / ``"sim"`` (a forked process per worker, or the
+      simulator; ``nodes=`` on ``run`` deploys cluster-wide), which
+      cannot ship outputs without ending an attempt and so run one
+      closed attempt per seal over the whole uncommitted suffix (only
+      those attempts read ``run.pace``);
     * ``host`` / ``port`` — the ingest/egress TCP listener (``0`` picks
       a free port); ``cookie`` — the shared secret every client hello
       must echo (``None`` generates a fresh one per service);
-    * ``epoch_events`` — seal and run an epoch once this many events
-      are buffered (the idle timer seals smaller epochs);
-    * ``epoch_idle_ms`` — how long the server lets a non-empty buffer
-      sit before sealing it anyway (latency bound under light load);
-    * ``heartbeat_interval`` — per-epoch stream heartbeat cadence in
-      timestamp units (forwarded to each epoch's ``InputStream``\\ s);
+    * ``epoch_events`` / ``epoch_idle_ms`` — the seal cadence: the
+      server seals once this many events are admitted, or once a
+      non-empty inbox has sat this long (the latency bound under light
+      load); an event at or below the last seal's floor is rejected as
+      late, so the cadence also sets how far ingest may lag;
+    * ``heartbeat_interval`` — the periodic heartbeat cadence of each
+      stream in timestamp units, read only by the per-seal substrates
+      (forwarded to each seal's ``InputStream``\\ s); a seal on the
+      open attempt needs only its own heartbeat;
     * ``ingest_high_watermark`` / ``ingest_resume_watermark`` —
       admission control on the count of admitted-but-uncommitted
       events: admission pauses (events are *rejected, reported to the
       client*) at the high watermark and resumes once the backlog
       drains to the resume watermark (default: half the high);
     * ``runtime_backlog_watermark`` — optional second signal from the
-      metrics plane: the previous epoch's cluster-wide mailbox backlog
+      metrics plane: the latest seal's cluster-wide mailbox backlog
       high-water (the same number the :class:`AutoScaler` reads from
-      join responses).  Crossing it pauses admission until an epoch
+      join responses).  Crossing it pauses admission until a seal
       completes below it.  Requires ``run.metrics=True`` (the service
       enables it automatically when this is set);
     * ``metrics_port`` — serve live Prometheus text (including the

@@ -161,6 +161,14 @@ class OutputSink:
     def checkpoint(self, ckpt: Checkpoint) -> None:
         self.checkpoints.append(ckpt)
 
+    def drop_through(self, key: tuple) -> None:
+        """Forget the outputs logged at or below ``key`` and the
+        checkpoints taken there: the prefix a long-lived attempt's
+        driver has committed (needs ``record_keys``)."""
+        self.keyed_outputs = [kv for kv in self.keyed_outputs if kv[0] > key]
+        self.outputs = [v for _, v in self.keyed_outputs]
+        self.checkpoints = [c for c in self.checkpoints if c.key > key]
+
     def count_event(self) -> None:
         self.events_processed += 1
 

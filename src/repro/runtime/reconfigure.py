@@ -3,7 +3,8 @@ at consistent snapshots.
 
 :class:`RestartDriver` is the one restore-and-replay loop: closed runs
 (:func:`run_with_reconfig`) take one final step of it, the service
-tier (:mod:`repro.serve`) one step per ingest epoch.
+tier (:mod:`repro.serve`) one step per seal, on an attempt the driver
+keeps open between clean steps where the substrate can.
 
 Crash recovery (:mod:`repro.runtime.recovery`) restores a *past* root
 snapshot into the *same* plan; reconfiguration uses the same mechanism
@@ -42,8 +43,9 @@ Worked end-to-end by ``examples/elastic_scaling.py``; measured by
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
@@ -64,10 +66,10 @@ from .quiesce import (
 )
 from .recovery import (
     RecoveryStep,
+    ReplayLog,
     _stamp_run_metrics,
     assert_recovery_sound,
     restart_from_crash,
-    suffix_streams,
 )
 from .runtime import InputStream
 
@@ -341,10 +343,35 @@ class ReconfiguredRun(RunStatsMixin):
 #: the options (fault plan, checkpoint predicate) already bound.
 AttemptFn = Callable[..., AttemptOutcome]
 
+#: (plan, *, initial_state, reconfig_view) -> an attempt to feed and
+#: seal (see :class:`RestartDriver`):
+#: :meth:`~repro.runtime.RuntimeBackend.open_attempt` with the program
+#: and the options already bound.
+OpenAttemptFn = Callable[..., Any]
+
 #: (values, checkpoint) -> None: receives each committed output prefix
 #: with the snapshot it is the prefix of (None: a final step's
 #: commit-everything).
 CommitFn = Callable[[List[Any], Optional[Checkpoint]], None]
+
+
+class AttemptPerSeal:
+    """An attempt on a substrate that cannot ship outputs without ending
+    it: what it was posted runs whole, as one closed attempt (``run``,
+    taking the input streams), at the seal — and then it is over."""
+
+    #: Never kept open across steps.
+    live = False
+
+    def __init__(self, run: Callable[[List[InputStream]], AttemptOutcome]) -> None:
+        self._run = run
+        self._streams: List[InputStream] = []
+
+    def post(self, log: ReplayLog) -> None:
+        self._streams = log.streams()
+
+    def seal(self, *, final: bool) -> AttemptOutcome:
+        return self._run(self._streams)
 
 
 class RestartDriver:
@@ -354,9 +381,21 @@ class RestartDriver:
     Owns what survives between attempts: the current ``plan``, the
     ``restore`` point (a :class:`Checkpoint` — a root-join snapshot or a
     migration boundary; None before the first one), the ``pending``
-    input suffix above it, and the schedule's firing bookkeeping (each
-    planned point fires once, the auto-scaler up to its budget; crash
-    faults are marked fired on the fault plan itself).
+    input suffix above it (a :class:`ReplayLog`), the attempt a clean
+    step left open, and the schedule's firing bookkeeping (each planned
+    point fires once, the auto-scaler up to its budget; crash faults are
+    marked fired on the fault plan itself).
+
+    Attempts come from ``open_attempt(plan, *, initial_state,
+    reconfig_view)`` and take three calls: ``post(log)`` hands one
+    events, ``seal(final=...)`` runs what it holds — to full drain when
+    ``final`` — and returns the :class:`AttemptOutcome` of what it has
+    not reported or committed yet, and ``commit(key)`` tells it that its
+    outputs at or below ``key`` are committed.  An attempt whose
+    ``live`` is still true after a clean, non-final seal stays open for
+    the next step, which posts it only the newly sealed events (the
+    in-process substrate's); any other ends with its seal
+    (:class:`AttemptPerSeal`).
 
     Its one operation is :meth:`step`.  A caller that always has a
     sound restore point — the service's empty prefix — seeds
@@ -366,7 +405,7 @@ class RestartDriver:
 
     def __init__(
         self,
-        attempt_fn: AttemptFn,
+        open_attempt: OpenAttemptFn,
         program: DGSProgram,
         plan: SyncPlan,
         *,
@@ -374,13 +413,14 @@ class RestartDriver:
         fault_plan: Optional[FaultPlan] = None,
         restore: Optional[Checkpoint] = None,
     ) -> None:
-        self._attempt_fn = attempt_fn
+        self._open_attempt = open_attempt
         self.program = program
         self.plan = plan
         self.schedule = schedule
         self.fault_plan = fault_plan
         self.restore = restore
-        self.pending: List[InputStream] = []
+        self.pending: Optional[ReplayLog] = None
+        self._live: Any = None
         # Firing bookkeeping is driver-local so the schedule itself
         # stays reusable pure data (one schedule, many runs/backends).
         self._fired: set = set()
@@ -415,60 +455,73 @@ class RestartDriver:
                 budget += self.schedule.autoscaler.max_reconfigs - self._autoscale_spent
         return budget
 
+    def _root_view(self) -> Optional[RootReconfigView]:
+        """The next attempt's quiesce hook: what of the schedule has
+        not fired yet."""
+        if self.schedule is None:
+            return None
+        return self.schedule.root_view(
+            self.plan.root.id,
+            width=plan_width(self.plan),
+            ceiling=max_width(self.program, self.plan),
+            fired=self._fired,
+            autoscale_spent=self._autoscale_spent,
+        )
+
     def _advance(self, out: AttemptOutcome, ckpt: Checkpoint, commit: CommitFn) -> None:
         """Make ``ckpt`` the restore point: keep the input suffix above
         its key pending and commit the attempt's outputs at or below it
         (the sequential prefix's, see :mod:`repro.runtime.recovery`)."""
         self.restore = ckpt
-        self.pending = suffix_streams(self.pending, ckpt.key)
+        self.pending.drop_through(ckpt.key)
         commit([v for k, v in out.keyed_outputs if k <= ckpt.key], ckpt)
 
-    def step(
-        self, sealed: Sequence[InputStream], commit: CommitFn, *, final: bool
-    ) -> ReconfiguredRun:
+    def step(self, sealed: ReplayLog, commit: CommitFn, *, final: bool) -> ReconfiguredRun:
         """Run the pending suffix extended by ``sealed`` to the next
         commit boundary, recovering crashes (into the then-current plan
         shape) and applying migrations on the way; every committed
         prefix goes to ``commit`` as it is established.  A ``final``
         step runs to full drain and commits everything; any other
-        commits up to the clean attempt's newest snapshot and leaves
-        the rest pending for the next step."""
-        if self.pending:
-            fresh = {s.itag: s.events for s in sealed}
-            self.pending = [
-                replace(p, events=p.events + fresh.get(p.itag, ()))
-                for p in self.pending
-            ]
-        else:
-            self.pending = list(sealed)
-        run = ReconfiguredRun(
-            plan_history=[self.plan],
-            events_in=sum(len(s.events) for s in self.pending),
-        )
+        commits up to the newest snapshot and leaves the rest pending
+        for the next step.
+
+        The attempt left open by the previous step is posted only
+        ``sealed``; a crash or a quiesce ends it, and the next attempt
+        — opened from the restore point, on the migrated plan after a
+        quiesce — is posted the whole pending suffix first.
+        ``attempts`` on the result counts the attempts this step
+        opened."""
+        if self.pending is None:
+            self.pending = ReplayLog(sealed.heads, [[] for _ in sealed.heads])
+        self.pending.extend(sealed)
+        run = ReconfiguredRun(plan_history=[self.plan], events_in=len(self.pending))
 
         def committing(values: List[Any], ckpt: Optional[Checkpoint]) -> None:
             run.outputs.extend(values)
             commit(values, ckpt)
 
-        for attempt in range(1, self._attempt_budget() + 1):
-            view = None
-            if self.schedule is not None:
-                view = self.schedule.root_view(
-                    self.plan.root.id,
-                    width=plan_width(self.plan),
-                    ceiling=max_width(self.program, self.plan),
-                    fired=self._fired,
-                    autoscale_spent=self._autoscale_spent,
+        budget = self._attempt_budget()
+        fresh = sealed
+        while True:
+            attempt, self._live = self._live, None
+            if attempt is None:
+                if run.attempts == budget:
+                    raise RuntimeFault(
+                        f"execution did not converge after {run.attempts} attempts "
+                        "(each crash fault and planned point fires once and the "
+                        "auto-scaler is budgeted, so this indicates a driver bug)"
+                    )
+                attempt = self._open_attempt(
+                    self.plan,
+                    initial_state=(
+                        self.restore.state if self.restore is not None else INIT_STATE
+                    ),
+                    reconfig_view=self._root_view(),
                 )
-            out = self._attempt_fn(
-                self.plan,
-                self.pending,
-                initial_state=(
-                    self.restore.state if self.restore is not None else INIT_STATE
-                ),
-                reconfig_view=view,
-            )
-            run.attempts = attempt
+                run.attempts += 1
+                fresh = self.pending
+            attempt.post(fresh)
+            out = attempt.seal(final=final)
             run.checkpoints_taken += len(out.checkpoints)
             run.events_processed += out.events_processed
             run.joins += out.joins
@@ -489,17 +542,17 @@ class RestartDriver:
                     self._advance(out, ckpt, committing)
                 run.recoveries.append(
                     RecoveryStep(
-                        attempt=attempt,
+                        attempt=run.attempts,
                         crashed_workers=tuple(sorted({c.worker for c in out.crashes})),
                         resumed_from_ts=ckpt.ts,
-                        replayed_events=sum(len(s.events) for s in self.pending),
+                        replayed_events=len(self.pending),
                     )
                 )
                 continue
 
             run.phases.append(
                 PhaseRecord(
-                    attempt=attempt,
+                    attempt=run.attempts,
                     leaves=plan_width(self.plan),
                     events_processed=out.events_processed,
                     joins=out.joins,
@@ -528,7 +581,7 @@ class RestartDriver:
                 self._advance(out, Checkpoint(q.key, q.ts, q.state), committing)
                 run.reconfigurations.append(
                     ReconfigStep(
-                        attempt=attempt,
+                        attempt=run.attempts,
                         reason=q.reason,
                         key=q.key,
                         ts=q.ts,
@@ -543,22 +596,22 @@ class RestartDriver:
                 continue
 
             if final:
-                self.pending = []
+                for items in self.pending.items:
+                    items.clear()
                 committing(out.outputs, None)
             else:
                 ckpt = max(out.checkpoints, key=lambda c: c.key, default=None)
                 if ckpt is not None:
                     self._advance(out, ckpt, committing)
                 # No new snapshot: nothing commits, the whole sealed
-                # set stays pending and replays next step (progress
-                # resumes once root-synchronizing traffic arrives).
+                # set stays pending (progress resumes once
+                # root-synchronizing traffic arrives).
+                if attempt.live:
+                    if ckpt is not None:
+                        attempt.commit(ckpt.key)
+                    self._live = attempt
             _stamp_run_metrics(run)
             return run
-        raise RuntimeFault(
-            f"execution did not converge after {run.attempts} attempts (each "
-            "crash fault and planned point fires once and the auto-scaler "
-            "is budgeted, so this indicates a driver bug)"
-        )
 
 
 def run_with_reconfig(
@@ -575,6 +628,10 @@ def run_with_reconfig(
     quiesces and recovering crashes into the then-current plan shape.
     With no ``schedule`` this is plain crash recovery."""
     driver = RestartDriver(
-        attempt_fn, program, plan, schedule=schedule, fault_plan=fault_plan
+        lambda plan, **kw: AttemptPerSeal(functools.partial(attempt_fn, plan, **kw)),
+        program,
+        plan,
+        schedule=schedule,
+        fault_plan=fault_plan,
     )
-    return driver.step(streams, lambda _values, _ckpt: None, final=True)
+    return driver.step(ReplayLog(streams), lambda _values, _ckpt: None, final=True)

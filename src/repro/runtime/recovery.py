@@ -36,19 +36,21 @@ substrates' own timeouts).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.errors import NoCheckpointError, RecoveryUnsoundError
 from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
 from .checkpoint import Checkpoint
+from .messages import EventRun
 from .metrics import merge_attempt_metrics
 from .protocol import AttemptOutcome
 from .runtime import InputStream
 
-_ORDER_KEY = attrgetter("order_key")
+
+def _last_key(item: Any) -> tuple:
+    return item.last_key if type(item) is EventRun else item.order_key
 
 
 @dataclass(frozen=True)
@@ -61,28 +63,77 @@ class RecoveryStep:
     replayed_events: int
 
 
+class ReplayLog:
+    """The restart driver's input log: per input stream, the events not
+    yet committed, in order — :class:`~repro.core.events.Event`\\ s, or
+    the columnar :class:`~repro.runtime.messages.EventRun`\\ s the
+    service admitted, kept as runs until a substrate needs events.
+
+    ``heads`` are the streams the log is of (an implementation tag, a
+    source host and a heartbeat cadence each; their own events are not
+    read); ``items`` holds one list of events and runs per head."""
+
+    __slots__ = ("heads", "items")
+
+    def __init__(
+        self, heads: Sequence[InputStream], items: Optional[List[List[Any]]] = None
+    ) -> None:
+        self.heads = tuple(heads)
+        self.items = [list(s.events) for s in self.heads] if items is None else items
+
+    def __len__(self) -> int:
+        """Events in the log (a run of ``n`` counts ``n``)."""
+        return sum(
+            len(it) if type(it) is EventRun else 1 for items in self.items for it in items
+        )
+
+    def extend(self, other: "ReplayLog") -> None:
+        """Append ``other``'s events, stream by stream (same heads)."""
+        for mine, theirs in zip(self.items, other.items):
+            mine.extend(theirs)
+
+    def drop_through(self, key: tuple) -> None:
+        """Drop every event at or below ``key``: the committed prefix.
+
+        Each stream is strictly increasing under the order (the
+        :class:`InputStream` contract), so its cut is one bisection
+        over its items — ``log n`` keys per stream, not one per pending
+        event at every commit — plus one inside the run that straddles
+        ``key``, which is split there."""
+        for items in self.items:
+            i = bisect_right(items, key, key=_last_key)
+            if i < len(items) and type(items[i]) is EventRun:
+                n = bisect_right(items[i].keys(), key)
+                if n:
+                    items[i] = items[i].split(n)[1]
+            del items[:i]
+
+    def streams(self) -> List[InputStream]:
+        """The log as closed-run input, runs expanded to events.
+
+        A stream whose events are all committed stays present with an
+        empty event tuple — its closing heartbeat is still needed for
+        the replay to drain."""
+        out = []
+        for head, items in zip(self.heads, self.items):
+            events: List[Any] = []
+            for it in items:
+                if type(it) is EventRun:
+                    events.extend(it.events())
+                else:
+                    events.append(it)
+            out.append(replace(head, events=tuple(events)))
+        return out
+
+
 def suffix_streams(
     streams: Sequence[InputStream], key: tuple
 ) -> List[InputStream]:
-    """The input log's suffix: every event strictly after ``key``.
-
-    Each stream is strictly increasing under the order (the
-    :class:`InputStream` contract), so its suffix starts at one
-    bisection point: ``log n`` order keys per stream, not one per
-    pending event at every commit.
-
-    Streams whose events are all committed stay present with an empty
-    event tuple — their closing heartbeat is still needed for the
-    replay to drain."""
-    return [
-        InputStream(
-            s.itag,
-            tuple(s.events[bisect_right(s.events, key, key=_ORDER_KEY) :]),
-            s.source_host,
-            s.heartbeat_interval,
-        )
-        for s in streams
-    ]
+    """The input's suffix: every event strictly after ``key``
+    (:meth:`ReplayLog.drop_through`)."""
+    log = ReplayLog(streams)
+    log.drop_through(key)
+    return log.streams()
 
 
 def assert_recovery_sound(plan: SyncPlan, program: DGSProgram) -> None:

@@ -3,16 +3,17 @@
 Every other entry point in this repo executes a *closed* run — finite
 streams in, outputs out.  :mod:`repro.serve` is the open-world tier on
 top: a TCP service that accepts externally produced event streams,
-executes them on any registered backend as a sequence of bounded
-*epochs* (crash recovery and live reconfiguration keep working,
-epoch by epoch), and streams committed outputs to subscribers with
+executes them on any registered backend — on one attempt kept open
+for the service's life on the in-process substrate, an attempt per
+seal elsewhere (crash recovery and live reconfiguration keep
+working) — and streams committed outputs to subscribers with
 exactly-once delivery at root-join commit boundaries.
 
 The pieces:
 
-* :class:`~repro.serve.service.ServiceRuntime` — the epoch engine:
-  admission control, commit-by-checkpoint-prefix, carried state
-  (importable without any sockets for embedding and testing);
+* :class:`~repro.serve.service.ServiceRuntime` — the service core:
+  admission control, seals, commit-by-checkpoint-prefix (importable
+  without any sockets for embedding and testing);
 * :class:`~repro.serve.server.ServiceServer` /
   :func:`~repro.serve.server.start_service` — the asyncio TCP tier
   (cookie-authenticated hello, framed ingest with per-batch admission
@@ -38,6 +39,7 @@ from .service import (
     ADMITTED,
     REJECT_BACKPRESSURE,
     REJECT_CLOSED,
+    REJECT_INVALID_TS,
     REJECT_LATE,
     REJECT_ORDER,
     REJECT_REASONS,
@@ -56,6 +58,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "REJECT_BACKPRESSURE",
     "REJECT_CLOSED",
+    "REJECT_INVALID_TS",
     "REJECT_LATE",
     "REJECT_ORDER",
     "REJECT_REASONS",

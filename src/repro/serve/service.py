@@ -1,63 +1,78 @@
-"""The service core: unbounded ingest on a bounded-run engine.
+"""The service core: unbounded ingest on the runtime's attempts.
 
-Every substrate in :mod:`repro.runtime` executes *closed* runs — finite
-streams, a drain, a result.  :class:`ServiceRuntime` turns that engine
-into a long-running service by slicing the live ingest into **epochs**:
+The paper's runtime runs continuously and takes its checkpoints when
+the root joins.  :class:`ServiceRuntime` runs a live ingest that way,
+in three steps that repeat for the life of the service:
 
 1. **Admit** — :meth:`offer` buffers externally produced events,
    subject to admission control (below).  The TCP tier hands each
    ingest frame to :meth:`offer_batch` as decoded — per-itag columnar
    :class:`~repro.runtime.messages.EventRun`\\ s — under one lock: a
    run every event of which would pass is admitted whole (one floor,
-   order and gate check for the run), any other is walked through the
-   per-event checks :meth:`offer` makes, so the verdicts never depend
-   on the path.  Rejected events are counted by reason and reported
-   to the caller, never silently dropped.
-2. **Seal** — :meth:`run_epoch` snapshots the buffer into one
-   per-implementation-tag stream set (every itag of the plan gets a
-   stream, empty ones included, so closing heartbeats let the run
-   drain) and hands it to the service's
-   :class:`~repro.runtime.reconfigure.RestartDriver` as one step.
-3. **Commit** — after a clean attempt, outputs at or below the
-   attempt's newest root-join checkpoint key are appended to the
-   committed log (the egress channel's exactly-once source of truth);
-   the checkpoint state carries into the next epoch and the input
-   suffix above the key is replayed there.  This is precisely the
-   restore-and-replay bookkeeping of :mod:`repro.runtime.recovery`,
-   applied *forward* at every epoch boundary instead of only after
-   crashes.
+   order and gate check for the run) and kept as the run it is, any
+   other is walked through the per-event checks :meth:`offer` makes,
+   so the verdicts never depend on the path.  Rejected events are
+   counted by reason and reported to the caller, never silently
+   dropped.
+2. **Seal** — :meth:`run_epoch` raises the seal floor (below) to the
+   highest timestamp admitted and hands everything admitted since the
+   last seal to the service's
+   :class:`~repro.runtime.reconfigure.RestartDriver` as one step.  On
+   the in-process substrate (the default backend) the driver keeps
+   **one attempt open** for the life of the service: the step posts the
+   admitted runs straight to their owners, then **a seal is a
+   heartbeat** — one per implementation tag, just above the floor — and
+   the attempt's run queue runs to idle.  Substrates that cannot ship
+   outputs without ending an attempt (``process``, ``sim``, ``nodes=``)
+   run the whole replay suffix as one closed attempt per seal instead.
+3. **Commit** — outputs at or below the newest root-join checkpoint
+   key are appended to the committed log (the egress channel's
+   exactly-once source of truth), and the events at or below it leave
+   the replay log.  The open attempt forgets those outputs and the
+   checkpoints consumed; per-seal substrates carry the checkpoint
+   state into the next seal's attempt and replay the suffix above the
+   key there.
 
 Crashes and reconfigurations keep working under live ingest because
 the service runs on the same driver closed runs use, kept for the
-service's lifetime: a crashed attempt restores the latest snapshot and
-replays; a quiesced attempt commits the prefix and migrates the plan,
-and the morphed plan persists across epochs.  Fault-plan and schedule
-firing bookkeeping lives on the driver, so each crash fault and each
-planned reconfiguration point fires at most once per service.  Unlike
-a closed run, the service always has a sound restore point — the empty
-prefix before any commit — so a crash before the first root join
-simply replays the epoch from scratch.
+service's lifetime: a crash or a quiesce ends the attempt, the driver
+restores the newest checkpoint (committing the prefix, and migrating
+the plan after a quiesce), opens the next attempt and posts it the
+pending suffix first; the morphed plan persists.  Fault-plan and
+schedule firing bookkeeping lives on the driver, so each crash fault
+and each planned reconfiguration point fires at most once per service.
+A fault's ``after_events`` counter and a stateful checkpoint predicate
+count over an attempt, which on the in-process substrate spans seals;
+they still fire once.  Unlike a closed run, the service always has a
+sound restore point — the empty prefix before any commit — so a crash
+before the first root join simply replays everything admitted.
 
-**Why commit-by-prefix is sound across epochs.**  The recovery
-theorem (paper Thm. 2.4 / Appendix D.2) needs two things: root
-snapshots must be timestamp-prefix states
+**Why commit-at-checkpoint is sound.**  The recovery theorem (paper
+Thm. 2.4 / Appendix D.2) needs two things: root snapshots must be
+timestamp-prefix states
 (:func:`~repro.runtime.recovery.assert_recovery_sound`, checked for
 every plan the service runs), and no event at or below a committed key
-may arrive afterwards.  The second is enforced by admission: the
-service tracks a **seal floor** — the highest event timestamp ever
-sealed into an epoch — and rejects (reason ``"late"``) any offer at or
-below it.  Every commit key originates from a sealed event, so the
-commit key can never climb above the floor, and an admitted event is
-always strictly above every past and future commit key.  Within one
-implementation tag, timestamps must also be strictly increasing
-(reason ``"out-of-order"``), matching the input-validity contract
-every closed run already has.
+may reach the attempt afterwards.  The second is enforced by
+admission: the service tracks a **seal floor** — the highest event
+timestamp ever sealed — and rejects (reason ``"late"``) any offer at
+or below it; within one implementation tag, timestamps must also be
+strictly increasing (reason ``"out-of-order"``), the input-validity
+contract every closed run already has, and NaN or infinite ones are
+rejected (reason ``"invalid-ts"``).  So what a seal posts to an open
+attempt continues every tag's stream strictly above everything posted
+before, and above the previous seal's heartbeat, whose key sorts after
+every order key at the floor's timestamp and before every key above
+it: each mailbox sees one monotone stream per tag, exactly as in a
+closed run, and the heartbeat releases everything at or below the
+floor.  A checkpoint the root takes during a seal therefore covers
+every posted event at or below its key and no other, every commit key
+comes from a sealed event, and every later event is strictly above it.
 
 **Backpressure.**  Admission pauses on either of two signals with
 pause/resume hysteresis (:class:`AdmissionGate`): the count of
 admitted-but-uncommitted events crossing ``ingest_high_watermark``,
-and — when ``runtime_backlog_watermark`` is set — the previous
-epoch's cluster-wide mailbox-backlog high-water crossing it.  The
+and — when ``runtime_backlog_watermark`` is set — the latest seal's
+cluster-wide mailbox-backlog high-water crossing it.  The
 latter is the same piggybacked queue-depth signal the
 :class:`~repro.runtime.reconfigure.AutoScaler` reads, surfaced here
 from the metrics plane.
@@ -66,6 +81,7 @@ from the metrics plane.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import threading
 import time
@@ -84,12 +100,14 @@ from ..runtime.metrics import RunMetrics
 from ..runtime.options import ServeOptions
 from ..runtime.protocol import INIT_STATE
 from ..runtime.reconfigure import ReconfigStep, RestartDriver
+from ..runtime.recovery import ReplayLog
 from ..runtime.runtime import InputStream
 
 #: Admission outcomes returned by :meth:`ServiceRuntime.offer`.
 ADMITTED = "admitted"
 REJECT_BACKPRESSURE = "backpressure"
 REJECT_UNKNOWN = "unknown-itag"
+REJECT_INVALID_TS = "invalid-ts"
 REJECT_ORDER = "out-of-order"
 REJECT_LATE = "late"
 REJECT_CLOSED = "closed"
@@ -97,10 +115,13 @@ REJECT_CLOSED = "closed"
 REJECT_REASONS = (
     REJECT_BACKPRESSURE,
     REJECT_UNKNOWN,
+    REJECT_INVALID_TS,
     REJECT_ORDER,
     REJECT_LATE,
     REJECT_CLOSED,
 )
+
+_INF = math.inf
 
 
 class AdmissionGate:
@@ -144,6 +165,8 @@ class ServiceCounters:
     rejected: Dict[str, int] = field(default_factory=dict)
     committed: int = 0
     epochs: int = 0
+    #: Attempts opened: one per seal on the per-seal substrates, else
+    #: one plus one per recovery and per migration.
     attempts: int = 0
     crashes_recovered: int = 0
     reconfigurations: int = 0
@@ -163,6 +186,7 @@ class EpochReport:
     index: int
     final: bool
     sealed_events: int
+    #: Attempts this epoch opened (0: it ran on the attempt left open).
     attempts: int = 0
     #: Outputs committed by this epoch; their egress sequence numbers
     #: are ``[first_seq, first_seq + committed)``.
@@ -172,7 +196,8 @@ class EpochReport:
     reconfigurations: List[ReconfigStep] = field(default_factory=list)
     backlog_after: int = 0
     wall_s: float = 0.0
-    #: Merge of the epoch's per-attempt RunMetrics (metrics plane on).
+    #: Merge of the epoch's metrics windows, one per attempt it ran on
+    #: (metrics plane on).
     metrics: Optional[RunMetrics] = None
 
 
@@ -207,15 +232,15 @@ class ServiceRuntime:
         # service.  Multi-worker plans must have prefix-state roots
         # (the driver checks every plan it runs).
         self._driver = RestartDriver(
-            functools.partial(backend.attempt, program, options=run),
+            functools.partial(backend.open_attempt, program, options=run),
             program,
             plan,
             schedule=run.reconfig_schedule,
             fault_plan=run.fault_plan,
-            restore=Checkpoint(key=(float("-inf"),), ts=float("-inf"), state=INIT_STATE),
+            restore=Checkpoint(key=(-_INF,), ts=-_INF, state=INIT_STATE),
         )
 
-        # The itag universe is fixed at construction: every epoch must
+        # The itag universe is fixed at construction: every seal must
         # cover all of them (a missing stream would stall dependent
         # frontiers at -inf and hang the drain).
         itags = sorted(
@@ -223,20 +248,27 @@ class ServiceRuntime:
         )
         self._itags: Tuple[ImplTag, ...] = tuple(itags)
         self._known = frozenset(itags)
+        #: Every itag's stream in the replay log: its heartbeat cadence
+        #: (read by the per-seal substrates only).
+        self._heads = tuple(
+            InputStream(t, (), heartbeat_interval=self.options.heartbeat_interval)
+            for t in itags
+        )
 
         self._lock = threading.Lock()
         self._epoch_mutex = threading.Lock()
-        #: itag -> events admitted since the last seal.
-        self._inbox: Dict[ImplTag, List[Event]] = {t: [] for t in itags}
+        #: itag -> what was admitted since the last seal: runs as they
+        #: were admitted whole, and single events.
+        self._inbox: Dict[ImplTag, List[Union[Event, EventRun]]] = {t: [] for t in itags}
         self._inbox_count = 0
-        #: Sealed-but-uncommitted events (the driver's replay suffix).
+        #: Sealed-but-uncommitted events (the driver's replay log).
         self._pending_count = 0
         #: Per-itag last admitted timestamp (strict monotonicity).
         self._last_ts: Dict[ImplTag, float] = {}
-        #: Highest timestamp ever sealed into an epoch; admission below
-        #: it is "late" (see module docstring for why this is the
+        #: Highest timestamp ever sealed; admission at or below it is
+        #: "late" (see module docstring for why this is the
         #: exactly-once linchpin).
-        self._seal_floor = float("-inf")
+        self._seal_floor = -_INF
 
         self._runtime_backlog_hw = 0
         #: Offers are rejected as "closed" from the moment the final
@@ -322,9 +354,11 @@ class ServiceRuntime:
             reason = REJECT_CLOSED
         elif not known:
             reason = REJECT_UNKNOWN
+        elif not -_INF < event.ts < _INF:  # NaN would defeat both checks below
+            reason = REJECT_INVALID_TS
         elif event.ts <= self._seal_floor:
             reason = REJECT_LATE
-        elif event.ts <= self._last_ts.get(itag, float("-inf")):
+        elif event.ts <= self._last_ts.get(itag, -_INF):
             reason = REJECT_ORDER
         elif self.gate.decide(
             self._inbox_count + self._pending_count, self._runtime_backlog_hw
@@ -344,11 +378,13 @@ class ServiceRuntime:
         events in turn, else touch nothing and return False (caller
         holds the lock).  Per event that means: open, known, the first
         timestamp above the floor and the itag's last one, the column
-        strictly increasing, and the gate open for every event — it is
-        not paused now and the run's last event still sees a backlog
-        below the high watermark.  The gate is asked last: on a trip the
-        per-event fallback repeats the very same call, which leaves the
-        gate where this one put it."""
+        strictly increasing and finite (a NaN fails the comparisons, so
+        only the last can be infinite), and the gate open for every
+        event — it is not paused now and the run's last event still sees
+        a backlog below the high watermark.  The gate is asked last: on a
+        trip the per-event fallback repeats the very same call, which
+        leaves the gate where this one put it.  The run is kept as it is,
+        for the seal to post."""
         ts = run.ts
         itag = run.itag
         backlog = self._inbox_count + self._pending_count
@@ -356,13 +392,14 @@ class ServiceRuntime:
             self._closed
             or itag not in self._known
             or not ts[0] > self._seal_floor
-            or not ts[0] > self._last_ts.get(itag, float("-inf"))
+            or not ts[0] > self._last_ts.get(itag, -_INF)
             or not all(map(operator.lt, ts, ts[1:]))
+            or not ts[-1] < _INF
             or backlog + len(ts) > self.gate.high
             or self.gate.decide(backlog, self._runtime_backlog_hw)
         ):
             return False
-        self._inbox[itag].extend(run.events())
+        self._inbox[itag].append(run)
         self._inbox_count += len(ts)
         self._last_ts[itag] = ts[-1]
         self.counters.admitted += len(ts)
@@ -381,26 +418,22 @@ class ServiceRuntime:
             return self._inbox_count
 
     def run_epoch(self, *, final: bool = False) -> EpochReport:
-        """Seal the buffer and run it as one (recoverable, elastic)
-        epoch, committing outputs up to the newest consistent snapshot.
-        With ``final=True`` the service closes: further offers are
-        rejected as ``"closed"`` from the seal on, the epoch runs to
-        full drain, *everything* commits (closed-run semantics), and
-        only then does :attr:`finished` turn true.
+        """Seal what was admitted and run it as one (recoverable,
+        elastic) step, committing outputs up to the newest consistent
+        snapshot.  With ``final=True`` the service closes: further
+        offers are rejected as ``"closed"`` from the seal on, the step
+        runs to full drain, *everything* commits (closed-run semantics),
+        and only then does :attr:`finished` turn true.
         """
         with self._epoch_mutex:
             if self._closed:
                 raise RuntimeFault("service already finished")
             with self._lock:
-                hb = self.options.heartbeat_interval
-                sealed = [
-                    InputStream(t, tuple(self._inbox[t]), heartbeat_interval=hb)
-                    for t in self._itags
-                ]
-                for s in sealed:
-                    if s.events:
-                        self._seal_floor = max(self._seal_floor, s.events[-1].ts)
-                        self._inbox[s.itag] = []
+                # Every admitted event is sealed now: the floor is the
+                # highest timestamp admitted.
+                self._seal_floor = max(self._last_ts.values(), default=-_INF)
+                sealed = ReplayLog(self._heads, [self._inbox[t] for t in self._itags])
+                self._inbox = {t: [] for t in self._itags}
                 self._pending_count += self._inbox_count
                 self._inbox_count = 0
                 report = EpochReport(
@@ -439,12 +472,12 @@ class ServiceRuntime:
 
     def _commit(self, values: List[Any], ckpt: Optional[Checkpoint]) -> None:
         """The driver's commit callback: append newly committed
-        outputs; the replay suffix strictly above the commit key stays
+        outputs; the replay log strictly above the commit key stays
         pending on the driver."""
         with self._lock:
             self.committed.extend(values)
             self.counters.committed += len(values)
-            self._pending_count = sum(len(s.events) for s in self._driver.pending)
+            self._pending_count = len(self._driver.pending)
 
     def _note_epoch_metrics(
         self, merged: Optional[RunMetrics], report: EpochReport

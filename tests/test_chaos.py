@@ -28,7 +28,12 @@ and sessionize families below carry their own seeds the same way), or
     python -m repro.chaos --smoke --backends sim \\
         --modes faults,reconfig,reconfig-crash --only <case_id>
 
-for the simulated-substrate slice (the CI command itself).
+for the simulated-substrate slice (the CI command itself), or
+
+    python -m repro.chaos --smoke --backends threaded,process \\
+        --modes service --only <case_id>
+
+for the service slice (likewise).
 """
 
 import pytest
@@ -106,6 +111,16 @@ SIM_CASES = generate_cases(
     n_cases=12,
     backends=("sim",),
     modes=("faults", "reconfig", "reconfig-crash"),
+)
+
+# A live service ingesting each workload through the TCP tier's codec,
+# one crash or re-plan between its seals.  Exactly CI's
+# `--smoke --backends threaded,process --modes service` slice.
+SERVICE_CASES = generate_cases(
+    seed=0,
+    n_cases=12,
+    backends=("threaded", "process"),
+    modes=("service",),
 )
 
 _OUTCOMES = {}
@@ -237,6 +252,30 @@ def test_sim_sweep_exercised_every_mode():
         for o in outcomes
         if o.case.mode == "reconfig-crash"
     )
+
+
+@pytest.mark.parametrize("case", SERVICE_CASES, ids=lambda c: c.case_id)
+def test_service_case_matches_spec(case):
+    outcome = run_chaos_case(case, timeout_s=60.0)
+    _OUTCOMES[case.case_id] = outcome
+    assert outcome.ok, (
+        f"{case.case_id}: the service's committed log diverged from the spec "
+        f"of its admitted events: {outcome.mismatch}"
+    )
+
+
+def test_service_sweep_fired_every_trigger_on_the_open_attempt():
+    """Every service case's one trigger fired during ingest, both kinds
+    fired somewhere, and on the in-process substrate every case ran on
+    one attempt plus one per recovery or migration."""
+    assert {c.backend for c in SERVICE_CASES} == {"threaded", "process"}
+    assert all(c.case_id.endswith("-service") for c in SERVICE_CASES)
+    outcomes = _outcomes_or_sample(SERVICE_CASES, stride=1)
+    assert all(o.crashes + o.reconfigs == 1 for o in outcomes)
+    assert any(o.crashes for o in outcomes) and any(o.reconfigs for o in outcomes)
+    for o in outcomes:
+        if o.case.backend == "threaded":
+            assert o.attempts == 2, o.case.case_id
 
 
 @pytest.mark.parametrize(

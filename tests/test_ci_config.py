@@ -84,6 +84,16 @@ class TestSimChaosSlice:
         slice_ = self.SLICE.replace("--backends sim", "--backends threaded")
         assert f"python -m repro.chaos {slice_}" in text
 
+    def test_tests_job_runs_the_service_slice(self, jobs):
+        """A live service under a crash or re-plan between seals, on
+        both kinds of attempt, on every push (tier-1's twin is
+        tests/test_chaos.py::SERVICE_CASES)."""
+        text = " ".join(steps_text(jobs["tests"]).split())
+        assert (
+            "python -m repro.chaos --smoke --backends threaded,process --modes service"
+            in text
+        )
+
 
 class TestDgsbenchSmokeLane:
     def test_lane_runs_the_smoke_then_the_self_test(self, jobs):

@@ -5,6 +5,7 @@ events over TCP with a mid-stream worker crash and an induced
 admission-pressure spike, differential against the sequential spec)."""
 
 import json
+import math
 import os
 import socket
 import subprocess
@@ -12,6 +13,7 @@ import sys
 import threading
 import urllib.request
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,14 +33,16 @@ from repro.runtime import (
     get_backend,
     run_on_backend,
 )
-from repro.runtime import process as runtime_process
+from repro.runtime import threaded as runtime_threaded
 from repro.runtime.messages import EventMsg, EventRun
+from repro.runtime.threaded import ThreadedRuntime
 from repro.runtime.options import ServeOptions
 from repro.runtime.wire import FRAME_LEN
 from repro.serve import (
     ADMITTED,
     REJECT_BACKPRESSURE,
     REJECT_CLOSED,
+    REJECT_INVALID_TS,
     REJECT_LATE,
     REJECT_ORDER,
     REJECT_UNKNOWN,
@@ -62,6 +66,16 @@ from repro.serve.protocol import (
 
 def _multiset(values):
     return Counter(map(repr, values))
+
+
+def _forbid_closed_attempts(monkeypatch):
+    """Fail any closed in-process attempt: a service's seals must run on
+    the attempt it keeps open, never on one attempt per seal."""
+
+    def closed(*_args, **_kwargs):
+        raise AssertionError("a closed attempt ran")
+
+    monkeypatch.setattr(ThreadedRuntime, "run", closed)
 
 
 def _drain(svc, events, *, every=40):
@@ -207,10 +221,15 @@ class TestServiceRuntimeEpochs:
         # No root join in the batch -> no snapshot -> nothing commits;
         # the whole sealed set stays pending for the next epoch.
         assert report.committed == 0 and svc.backlog == 20
+        # Sealed alone, the reset raises the floor to its own timestamp:
+        # the seal heartbeat must sort above the reset's join key, or
+        # the join never runs and nothing ever commits.
         assert svc.offer(Event(keycounter.reset_tag(0), "r", 100.0, None)) == ADMITTED
-        svc.run_epoch()
+        report = svc.run_epoch()
+        assert report.committed == 1  # at its own seal
         assert [v for v in svc.committed] == [(0, 20)]
         assert svc.backlog == 0  # commit key is the reset: all drained
+        assert svc.counters.attempts == 1
 
     def test_admission_rejection_reasons(self):
         app = keycounter_app(shards=2, reset_every=5)
@@ -290,7 +309,8 @@ class TestServiceRuntimeEpochs:
         assert svc.counters.crashes_recovered == 1
         assert _multiset(svc.committed) == _multiset(spec_outputs(app.program, events))
 
-    def test_crash_mid_service_exactly_once(self):
+    def test_crash_mid_service_exactly_once(self, monkeypatch):
+        _forbid_closed_attempts(monkeypatch)
         app = keycounter_app(shards=2, reset_every=10)
         leaf = app.plan.root.children[1].id
         svc = ServiceRuntime(
@@ -298,8 +318,8 @@ class TestServiceRuntimeEpochs:
             app.plan,
             options=ServeOptions(
                 run=RunOptions(
-                    # Must fire within one epoch's attempt: each 60-event
-                    # epoch routes ~27 events to this shard's leaf.
+                    # The counter spans the open attempt's seals; each
+                    # 60-event epoch routes ~27 events to this leaf.
                     fault_plan=FaultPlan(CrashFault(leaf, after_events=20)),
                     metrics=True,
                 )
@@ -308,11 +328,14 @@ class TestServiceRuntimeEpochs:
         events = app.make_events(300)
         _drain(svc, events, every=60)
         assert svc.counters.crashes_recovered == 1
-        assert svc.counters.attempts == svc.counters.epochs + 1
+        # One attempt, kept open across the epochs, plus one per recovery.
+        assert svc.counters.epochs == 6
+        assert svc.counters.attempts == 1 + svc.counters.crashes_recovered
         assert _multiset(svc.committed) == _multiset(spec_outputs(app.program, events))
         assert svc.metrics is not None and svc.metrics.attempts == svc.counters.attempts
 
-    def test_planned_reconfiguration_across_epochs(self):
+    def test_planned_reconfiguration_across_epochs(self, monkeypatch):
+        _forbid_closed_attempts(monkeypatch)
         prog = keycounter.make_program(1)
         inc, reset = keycounter.inc_tag(0), keycounter.reset_tag(0)
         plan = root_and_leaves_plan(
@@ -345,8 +368,10 @@ class TestServiceRuntimeEpochs:
         _drain(svc, events, every=60)
         assert svc.counters.reconfigurations == 1
         assert [plan_width(p) for p in svc.plan_history] == [2, 4]
-        # The migrated plan persists across later epochs.
+        # The migrated plan persists across later epochs, on the one
+        # attempt opened on it.
         assert plan_width(svc.plan) == 4
+        assert svc.counters.attempts == 1 + svc.counters.reconfigurations
         assert _multiset(svc.committed) == _multiset(spec_outputs(prog, events))
 
     def test_closed_from_the_final_seal_finished_after_the_commit(self):
@@ -376,22 +401,28 @@ class TestServiceRuntimeEpochs:
         assert _multiset(svc.committed) == _multiset(spec_outputs(app.program, events))
 
     def test_per_epoch_producer_traffic_is_flat(self, monkeypatch):
-        """A long-lived service must not pay for its age: epoch k's
-        producer traffic (events + heartbeats, counted where the pump
-        posts them, a run at its length) is what epoch 1's was, not k
-        times the heartbeats of the dead time since timestamp 0
+        """A long-lived service must not pay for its age: seal k's
+        producer traffic (events + heartbeats, counted where the seal
+        posts them to the open attempt, a run at its length) is what
+        seal 1's was, not k times the heartbeats of the dead time since
+        timestamp 0, nor a replay of what is already in the attempt
         (counted, not timed)."""
         produced = []
-        real = runtime_process.pump_producers  # the one real-substrate call site
+        opened = []
+        real_init = runtime_threaded._Attempt.__init__
 
-        def counting(plan, streams, post, **kwargs):
+        def counting_init(attempt, *args, **kwargs):
+            real_init(attempt, *args, **kwargs)
+            opened.append(attempt)
+            producers = attempt.producers
+
             def counted(dst, msg):
                 produced.append(len(msg) if type(msg) is EventRun else 1)
-                post(dst, msg)
+                producers.post(dst, msg)
 
-            real(plan, streams, counted, **kwargs)
+            attempt.producers = SimpleNamespace(post=counted, flush=producers.flush)
 
-        monkeypatch.setattr(runtime_process, "pump_producers", counting)
+        monkeypatch.setattr(runtime_threaded._Attempt, "__init__", counting_init)
         app = keycounter_app(shards=2, reset_every=10)
         svc = ServiceRuntime(app.program, app.plan, options=ServeOptions())
         events = app.make_events(20 * 50)
@@ -403,14 +434,15 @@ class TestServiceRuntimeEpochs:
             svc.run_epoch(final=k == 19)
             per_epoch.append(sum(produced) - before)
         assert _multiset(svc.committed) == _multiset(spec_outputs(app.program, events))
-        # Same 50 events, same grid: equal up to one grid point per stream.
+        assert len(opened) == 1  # every seal fed the one open attempt
+        # Same 50 events each seal: equal up to one heartbeat per stream.
         assert min(per_epoch) >= 50
         assert max(per_epoch) - min(per_epoch) <= len(svc.itags), per_epoch
-        # The chunked pump posts at most one heartbeat per stream per
-        # round, and an epoch this small takes at most one round per
-        # stream (each round ends a stream) plus the closing one.
+        # A seal posts what was admitted since the last one, then one
+        # heartbeat per stream (the final seal: the closing one).
         n_streams = len(svc.itags)
         assert max(per_epoch) <= 50 + n_streams * (n_streams + 1), per_epoch
+        assert per_epoch == [50 + n_streams] * 20
 
     def test_service_gauges_snapshot(self):
         app = keycounter_app(reset_every=5)
@@ -434,6 +466,101 @@ class TestServiceRuntimeEpochs:
         }
 
 
+class TestOpenAttempt:
+    """The default (in-process) backend keeps one attempt open across
+    seals: a seal posts what was admitted, then a heartbeat."""
+
+    def test_event_just_above_the_floor_on_another_itag(self):
+        """The seal heartbeat vouches for the floor's timestamp and
+        nothing above it: an event at the next float on another stream
+        is admitted, and the open attempt takes it."""
+        app = keycounter_app(shards=2)
+        svc = ServiceRuntime(app.program, app.plan, options=ServeOptions())
+        inc = keycounter.inc_tag(0)
+        events = [Event(inc, "i0", float(t), 1) for t in range(1, 21)]
+        for e in events:
+            assert svc.offer(e) == ADMITTED
+        svc.run_epoch()
+        tie = math.nextafter(20.0, math.inf)
+        later = [Event(inc, "i1", tie, 1), Event(keycounter.reset_tag(0), "r", tie, None)]
+        for e in later:
+            assert svc.offer(e) == ADMITTED
+        report = svc.run_epoch()
+        assert report.committed == 1 and svc.backlog == 0
+        assert svc.committed == spec_outputs(app.program, events + later) == [(0, 21)]
+        assert svc.counters.attempts == 1
+
+    def test_live_state_stays_bounded(self):
+        """After every one of 50 seals, the open attempt's sinks hold no
+        output at or below the commit key and at most one checkpoint,
+        and the replay log holds exactly the backlog."""
+        app = keycounter_app(shards=2, reset_every=7)
+        svc = ServiceRuntime(app.program, app.plan, options=ServeOptions())
+        events = app.make_events(50 * 23)
+        backlogs = []
+        for k in range(50):
+            for e in events[k * 23 : (k + 1) * 23]:
+                assert svc.offer(e) == ADMITTED
+            svc.run_epoch()
+            driver = svc._driver
+            key = driver.restore.key
+            for worker in driver._live.workers.values():
+                sink = worker.sink
+                assert all(k > key for k, _ in sink.keyed_outputs)
+                assert len(sink.outputs) == len(sink.keyed_outputs)
+                assert len(sink.checkpoints) <= 1
+            assert len(driver.pending) == svc.backlog
+            backlogs.append(svc.backlog)
+        assert svc.counters.attempts == 1 and max(backlogs) > 0
+        svc.finish()
+        assert _multiset(svc.committed) == _multiset(spec_outputs(app.program, events))
+
+    def test_offer_batch_keeps_the_decoded_runs(self, monkeypatch):
+        app = value_barrier_app()
+        items = _decoded(app.make_events(250))
+        assert [type(m) for m in items] == [EventRun] * 3
+
+        def no_events(_run):
+            raise AssertionError("EventRun.events() called")
+
+        monkeypatch.setattr(EventRun, "events", no_events)
+        svc = ServiceRuntime(app.program, app.plan, options=ServeOptions())
+        assert svc.offer_batch(items) == {ADMITTED: 250}
+        for run in items:
+            assert any(kept is run for kept in svc._inbox[run.itag])
+
+    def test_non_finite_timestamps_are_rejected(self):
+        """An infinite timestamp once made the next seal spin forever,
+        and a NaN passed both the floor and the order check."""
+        app = keycounter_app(shards=2)
+        svc = ServiceRuntime(app.program, app.plan, options=ServeOptions())
+        inc = keycounter.inc_tag(0)
+        for ts in (math.inf, -math.inf, math.nan):
+            assert svc.offer(Event(inc, "i0", ts, 1)) == REJECT_INVALID_TS
+        good = [Event(inc, "i0", 3.0, 1)]
+        assert svc.offer(good[0]) == ADMITTED
+        # A run ending at inf and one holding a NaN fall back to the
+        # per-event checks: only the bad events are rejected.
+        tail_inf = [Event(inc, "i1", float(t), 1) for t in (4, 5, 6)]
+        tail_inf.append(Event(inc, "i1", math.inf, 1))
+        nan_mid = [Event(inc, "i0", 4.0, 1), Event(inc, "i0", math.nan, 1)]
+        nan_mid.append(Event(inc, "i0", 5.0, 1))
+        for frame in (tail_inf, nan_mid):
+            assert svc.offer_batch(_decoded(frame)) == {
+                ADMITTED: len(frame) - 1,
+                REJECT_INVALID_TS: 1,
+            }
+            good += [e for e in frame if math.isfinite(e.ts)]
+        good.append(Event(keycounter.reset_tag(0), "r", 10.0, None))
+        assert svc.offer(good[-1]) == ADMITTED
+        assert svc.counters.rejected == {REJECT_INVALID_TS: 5}
+        sealer = threading.Thread(target=svc.finish, daemon=True)
+        sealer.start()
+        sealer.join(timeout=60)
+        assert not sealer.is_alive()
+        assert svc.committed == spec_outputs(app.program, good) == [(0, 6)]
+
+
 def _decoded(events):
     """What the TCP tier hands ``offer_batch`` for one ingest frame."""
     _kind, msgs = parse_frame(ingest_events_frame(events)[4:], runs=True)
@@ -446,7 +573,7 @@ def _expanded(items):
 
 def _admission_state(svc):
     return (
-        {t: [repr(e) for e in evs] for t, evs in svc._inbox.items()},
+        {t: [repr(e) for e in _expanded(items)] for t, items in svc._inbox.items()},
         svc._inbox_count,
         svc._pending_count,
         dict(svc._last_ts),
@@ -562,7 +689,7 @@ class TestRunAdmission:
         assert svc.counters.admitted == svc.inbox_size() == 1200
         for events in streams:
             itag = events[0].itag
-            assert svc._inbox[itag] == events
+            assert _expanded(svc._inbox[itag]) == events
             assert svc._last_ts[itag] == events[-1].ts
         assert svc.offer(Event(keycounter.reset_tag(0), "r", 2000.0, None)) == ADMITTED
         svc.finish()
@@ -721,6 +848,22 @@ class TestServiceTCP:
                 ack = ingest.send_events([good, stale, unknown])
                 assert ack.admitted == 1 and ack.rejected == 2
                 assert ack.reasons == {REJECT_ORDER: 1, REJECT_UNKNOWN: 1}
+
+    def test_non_finite_timestamps_rejected_in_the_ack(self):
+        app = keycounter_app()
+        opts = ServeOptions(epoch_events=10**9, epoch_idle_ms=10_000.0)
+        inc = keycounter.inc_tag(0)
+        with start_service(app.program, app.plan, options=opts) as handle:
+            with connect(handle.port, handle.cookie) as ingest:
+                first = Event(inc, "i0", 1.0, 1)
+                bad = [Event(inc, "i0", math.inf, 1), Event(inc, "i1", math.nan, 1)]
+                ack = ingest.send_events([first, *bad])
+                assert ack.admitted == 1 and ack.reasons == {REJECT_INVALID_TS: 2}
+                # The service keeps serving.
+                later = [Event(inc, "i1", 2.0, 1), Event(keycounter.reset_tag(0), "r", 3.0, None)]
+                assert ingest.send_events(later).admitted == 2
+                assert ingest.finish() == 1
+            assert handle.runtime.committed == spec_outputs(app.program, [first, *later])
 
     def test_per_event_frame_gets_the_per_event_ack(self):
         """An old client's frame — one EventMsg per event, arrival
@@ -895,6 +1038,8 @@ class TestServiceAcceptance:
 
             counters = handle.runtime.counters
             assert counters.crashes_recovered == 1
+            # Every flush sealed onto the attempt kept open.
+            assert counters.epochs > 2 and counters.attempts == 2
             scrape = urllib.request.urlopen(
                 f"http://127.0.0.1:{handle.metrics_port}/metrics", timeout=10
             ).read().decode()
