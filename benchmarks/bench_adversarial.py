@@ -16,11 +16,10 @@ assignment changes, so the sweep isolates skew.  Outputs are
 multiset-verified against the sequential spec on every point — a
 configuration cannot look fast by dropping events.
 
-Writes ``BENCH_adversarial.json``; the CI perf gate thresholds
-``zipf_events_per_s`` (direction *higher*, the heaviest-skew point)
-against the committed baseline, so a regression that only bites under
-imbalance — a hot-stream backlog pile-up, a starved-join stall —
-fails CI even though the uniform benches never see it.
+Writes ``BENCH_adversarial.json`` as a report.  The sanity floor
+below fails the bench when heavy skew collapses throughput (a
+hot-stream backlog pile-up, a starved-join stall) — a regression that
+only bites under imbalance, which the uniform workloads never see.
 """
 
 import time
@@ -113,7 +112,7 @@ def test_zipf_skew_sweep(benchmark):
     n_events = 1200 if QUICK else 12000
     n_barriers = 3 if QUICK else 6
     # alpha=0 is the uniform control; 1.4 puts ~2/3 of all traffic on
-    # the head stream of a 4-stream family (the gated worst case).
+    # the head stream of a 4-stream family (the worst case).
     alphas = (0.0, 0.8, 1.4)
 
     workloads = {a: _skewed_workload(a, n_streams, n_events, n_barriers) for a in alphas}
@@ -163,7 +162,6 @@ def test_zipf_skew_sweep(benchmark):
                 "uniform_p99_latency_s": round(data[0.0]["p99_latency_s"], 5),
                 "zipf_p99_latency_s": round(data[worst]["p99_latency_s"], 5),
             },
-            gate={"zipf_events_per_s": "higher"},
         ),
     )
 

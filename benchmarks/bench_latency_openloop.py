@@ -11,10 +11,8 @@ replays them on the wall clock with ``RunOptions(pace=1000.0)``.  The
 metrics plane (``RunOptions(metrics=True)``) measures latency from the
 source timestamp to the committed output at the worker that emitted it.
 
-Writes ``BENCH_latency_openloop.json``; the CI perf gate thresholds
-``fixed_p99_latency_s`` (direction *lower*) against the committed
-baseline, so latency regressions in the join/fork hot path or the
-transport flush policy fail CI like throughput regressions do.
+Writes ``BENCH_latency_openloop.json`` as a report; the assertions
+below are sanity floors, not a perf claim.
 """
 
 from conftest import quick
@@ -147,7 +145,6 @@ def test_openloop_latency(benchmark):
                 "bursty_p50_latency_s": round(data["bursty"]["p50_latency_s"], 5),
                 "bursty_p99_latency_s": round(data["bursty"]["p99_latency_s"], 5),
             },
-            gate={"fixed_p99_latency_s": "lower"},
         ),
     )
 
@@ -155,6 +152,5 @@ def test_openloop_latency(benchmark):
         assert data[s]["outputs"] == n_barriers
         assert 0.0 <= data[s]["p50_latency_s"] <= data[s]["p99_latency_s"]
     # An offered rate far below saturation must not queue unboundedly:
-    # p99 staying under a second is a sanity floor, not a perf claim
-    # (the perf gate thresholds the committed baseline much tighter).
+    # p99 staying under a second is a sanity floor, not a perf claim.
     assert data["fixed"]["p99_latency_s"] < 1.0

@@ -20,6 +20,7 @@ in a ``bench_*.py`` file sees the flag.
 
 import glob
 import os
+import time
 
 
 def quick() -> bool:
@@ -52,6 +53,9 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
+    # benchmarks/results/ is gitignored and persists across runs: only
+    # files written from here on are this run's artifacts.
+    config._repro_run_start = time.time()
     config.addinivalue_line(
         "markers", "smoke: benchmark smoke path, safe to run on every CI push"
     )
@@ -76,10 +80,17 @@ def pytest_collection_modifyitems(config, items):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Dump every regenerated paper artifact into the terminal report
-    (stdout of passing tests is captured by pytest, so without this the
-    tables would only exist as files under benchmarks/results/)."""
-    paths = sorted(glob.glob(os.path.join(_RESULTS_DIR, "*.txt")))
+    """Dump every paper artifact this run regenerated into the
+    terminal report (stdout of passing tests is captured by pytest, so
+    without this the tables would only exist as files under
+    benchmarks/results/).  Tables an earlier run left behind are not
+    echoed: this run did not reproduce them."""
+    start = config._repro_run_start
+    paths = [
+        p
+        for p in sorted(glob.glob(os.path.join(_RESULTS_DIR, "*.txt")))
+        if os.path.getmtime(p) >= start
+    ]
     if not paths:
         return
     tr = terminalreporter

@@ -2,10 +2,11 @@
 
 The paper's applications have trivial update functions (integer adds),
 so wall-clock runs of them measure message passing rather than
-computation.  The ``make_cpu_program`` variants burn a controlled
-amount of interpreter work per event through :func:`burn`, standing in
-for real per-event cost (feature extraction, model scoring) — the
-regime where a multi-core substrate can show genuine speedup.
+computation.  :func:`repro.apps.value_barrier.make_cpu_program` burns
+a controlled amount of interpreter work per event through
+:func:`burn`, standing in for real per-event cost (feature extraction,
+model scoring) — the regime where a multi-core substrate can show
+genuine speedup.
 """
 
 from __future__ import annotations

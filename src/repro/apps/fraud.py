@@ -24,7 +24,6 @@ from ..core.dependence import DependenceRelation
 from ..core.events import Event
 from ..core.predicates import TagPredicate
 from ..core.program import DGSProgram, single_state_program
-from ._cpuwork import burn
 from ..data.generators import ValueBarrierWorkload, value_barrier_workload
 from ..plans.generation import root_and_leaves_plan
 from ..plans.plan import SyncPlan
@@ -80,29 +79,6 @@ def make_program() -> DGSProgram:
         depends=DependenceRelation.from_function(TAGS, depends_fn),
         init=lambda: (0, 0),
         update=_update,
-        fork=_fork,
-        join=_join,
-    )
-
-
-def make_cpu_program(spin: int) -> DGSProgram:
-    """Fraud detection with ``spin`` units of CPU work per transaction
-    (a stand-in for real model scoring); see
-    :func:`repro.apps.value_barrier.make_cpu_program` for rationale.
-    Semantics delegate to the plain ``_update``."""
-
-    def update(state: State, event: Event) -> Tuple[State, List[Any]]:
-        if event.tag == TXN_TAG:
-            total, model = state
-            state = (total + burn(int(event.payload), spin), model)
-        return _update(state, event)
-
-    return single_state_program(
-        name=f"fraud-detection[spin={spin}]",
-        tags=TAGS,
-        depends=DependenceRelation.from_function(TAGS, depends_fn),
-        init=lambda: (0, 0),
-        update=update,
         fork=_fork,
         join=_join,
     )

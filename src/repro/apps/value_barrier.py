@@ -99,9 +99,9 @@ def make_cpu_program(spin: int) -> DGSProgram:
     The plain program's update is a single integer add, so wall-clock
     runs of it measure message-passing overhead, not computation; this
     variant is the workload on which multi-core substrates can show
-    genuine parallel speedup (used by the threaded-vs-process
-    benchmarks).  Semantics delegate to the plain ``_update`` — only
-    the burned work is added.
+    genuine parallel speedup (dgsbench's ``vb_cpu`` workload,
+    ``benchmarks/bench_reconfig.py``).  Semantics delegate to the plain
+    ``_update`` — only the burned work is added.
     """
 
     def update(state: State, event: Event) -> Tuple[State, List[Any]]:

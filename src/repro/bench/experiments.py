@@ -17,7 +17,7 @@ capacity).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..apps import fraud as fraud_app
 from ..apps import pageview as pv_app
@@ -38,11 +38,8 @@ from ..timelylike import (
     build_pageview_job as tl_pageview,
 )
 from .harness import (
-    BenchConfig,
-    BenchResult,
     RatePoint,
     ScalingPoint,
-    compare_backends,
     latency_profile,
     max_throughput,
     scaling_curve,
@@ -372,63 +369,6 @@ def figure10b(
             p10, p50, p90 = res.event_latency_percentiles((10, 50, 90))
             series.append((hb_per_barrier, p10, p50, p90))
         out[ratio] = series
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Threaded-vs-process wall-clock comparison (the GIL-escape experiment)
-# ---------------------------------------------------------------------------
-
-def runtime_backend_comparison(
-    *,
-    apps: Sequence[str] = ("Event Win.", "Fraud Dec."),
-    n_workers: int = 4,
-    values_per_barrier: int = 200,
-    n_barriers: int = 3,
-    spin: int = 300,
-    backends: Sequence[str] = ("threaded", "process"),
-    config: Optional[BenchConfig] = None,
-) -> Dict[str, BenchResult]:
-    """Wall-clock throughput of the threaded vs the process runtime on
-    the value-barrier and fraud apps (real elapsed time, not simulated).
-
-    ``spin`` sets per-event CPU work (see ``make_cpu_program``): with a
-    trivial update the experiment measures message passing, with
-    realistic per-event cost it measures how much of the hardware the
-    substrate can actually use.  Run configuration (``transport=``,
-    ``batch_size=``, ``timeout_s=``, ``metrics=``) rides on
-    ``config.options``.  Outputs are multiset-compared across backends
-    inside :func:`compare_backends`, so reported speedups are for
-    verified-equivalent executions.
-    """
-    builders = {
-        "Event Win.": (vb_app.make_cpu_program, vb_app),
-        "Fraud Dec.": (fraud_app.make_cpu_program, fraud_app),
-    }
-    out: Dict[str, BenchResult] = {}
-    for app in apps:
-        make_cpu, module = builders[app]
-        prog = make_cpu(spin)
-        wl = module.make_workload(
-            n_value_streams=n_workers,
-            values_per_barrier=values_per_barrier,
-            n_barriers=n_barriers,
-            value_rate_per_ms=10.0,
-        ) if app == "Event Win." else module.make_workload(
-            n_txn_streams=n_workers,
-            txns_per_rule=values_per_barrier,
-            n_rules=n_barriers,
-            txn_rate_per_ms=10.0,
-        )
-        plan = module.make_plan(prog, wl)
-        # Coarse heartbeats: ~10 per synchronization window, so the
-        # wall-clock measurement is dominated by events, not heartbeats.
-        streams = module.make_streams(
-            wl, heartbeat_interval=_hb(10.0, values_per_barrier)
-        )
-        out[app] = compare_backends(
-            prog, plan, streams, backends=backends, config=config
-        )
     return out
 
 

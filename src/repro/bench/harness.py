@@ -191,7 +191,7 @@ def bursty_arrivals(
 
 
 # ---------------------------------------------------------------------------
-# Wall-clock backend comparison (threaded vs process vs ...)
+# Wall-clock measurements on the real substrates
 # ---------------------------------------------------------------------------
 
 def available_cores() -> int:
@@ -218,8 +218,7 @@ class WallClockPoint:
 @dataclass
 class BenchConfig:
     """Shared configuration for the wall-clock measurement functions
-    (:func:`compare_backends`, :func:`compare_transports`,
-    :func:`measure_recovery_overhead`, :func:`measure_reconfig_pause`).
+    (:func:`measure_recovery_overhead`, :func:`measure_reconfig_pause`).
 
     ``options`` is the :class:`~repro.runtime.RunOptions` every run is
     launched with — set ``metrics=True`` there and each measured run's
@@ -234,10 +233,10 @@ class BenchConfig:
 class BenchResult:
     """Common result shape of the wall-clock measurement functions.
 
-    ``points`` maps each measured label (backend name, transport
-    config label, ``"clean"``/``"faulty"``/``"elastic"``) to its best
-    :class:`WallClockPoint`.  ``outputs_equal`` records the
-    differential check across labels.  ``metrics`` maps labels to a
+    ``points`` maps each measured label (``"clean"``/``"faulty"``/
+    ``"elastic"``) to its best :class:`WallClockPoint`.
+    ``outputs_equal`` records the differential check across labels.
+    ``metrics`` maps labels to a
     flat latency/counter summary when the runs carried the metrics
     plane (see :meth:`BenchConfig.options`).  ``detail`` keeps the
     measurement-specific record (:class:`RecoveryOverheadPoint`,
@@ -255,7 +254,7 @@ class BenchResult:
 
 
 def _metrics_summary(run: Any) -> Optional[Dict[str, float]]:
-    """Flatten a run's RunMetrics into the numbers benchmarks gate on
+    """Flatten a run's RunMetrics into the numbers benchmarks record
     (None when the run carried no metrics plane)."""
     m = getattr(run, "metrics", None)
     if m is None:
@@ -271,12 +270,13 @@ def _metrics_summary(run: Any) -> Optional[Dict[str, float]]:
 
 
 # ---------------------------------------------------------------------------
-# Machine-readable benchmark records (the repo's perf trajectory)
+# Machine-readable benchmark records
 # ---------------------------------------------------------------------------
 
 #: Schema identifier written into every record; bump on breaking
-#: changes so the perf gate can refuse to compare across schemas.
-BENCH_SCHEMA = "repro-bench/1"
+#: changes so a reader can tell record shapes apart (``/2`` dropped
+#: the ``gate`` field).
+BENCH_SCHEMA = "repro-bench/2"
 
 
 def bench_record(
@@ -284,25 +284,14 @@ def bench_record(
     *,
     config: Mapping[str, Any],
     metrics: Mapping[str, Any],
-    gate: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, Any]:
     """Build one ``BENCH_<name>.json`` record (see
     :func:`repro.bench.tables.publish_json`).
 
     ``metrics`` holds the measured numbers (throughput, latency
-    percentiles, speedups — nesting allowed).  ``gate`` names the
-    top-level metrics the CI perf gate thresholds against the
-    committed baseline, each mapped to its direction: ``"higher"``
-    (throughput-like: fail when it *drops* more than the tolerance) or
-    ``"lower"`` (latency-like: fail when it *rises* more than the
-    tolerance).  Ungated records still land in the artifact trail —
-    they chart the trajectory without failing CI on noisy numbers."""
-    for metric, direction in (gate or {}).items():
-        if direction not in ("higher", "lower"):
-            raise ValueError(f"gate direction for {metric!r} must be higher|lower")
-        value = metrics.get(metric)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"gated metric {metric!r} must be a number, got {value!r}")
+    percentiles, speedups — nesting allowed).  Records are reports,
+    not a gate: the end-to-end benchmark with bounds is ``dgsbench``
+    (``BENCHMARK.json``)."""
     return {
         "schema": BENCH_SCHEMA,
         "name": name,
@@ -314,7 +303,6 @@ def bench_record(
         },
         "config": dict(config),
         "metrics": dict(metrics),
-        "gate": dict(gate or {}),
     }
 
 
@@ -340,141 +328,6 @@ def _best_run(
         if best is None or run.wall_s < best.wall_s:
             best = run
     return best
-
-
-def compare_backends(
-    program: Any,
-    plan: Any,
-    streams: Sequence[Any],
-    *,
-    backends: Sequence[str] = ("threaded", "process"),
-    config: Optional[BenchConfig] = None,
-) -> BenchResult:
-    """Run the same program/plan/streams on several runtime backends
-    and report each one's best wall-clock throughput.
-
-    Unlike the offered-rate sweeps above (which measure the *simulated*
-    clock), this measures real elapsed time — the basis for the
-    threaded-vs-process speedup claim.  ``config.options`` is shared by
-    every backend (each substrate consults only the fields it owns, so
-    one RunOptions serves the whole comparison); every backend's
-    outputs are cross-checked against the others (multiset equality) so
-    a speedup can never come from dropping work.
-    """
-    from ..runtime import get_backend  # runtime does not import bench; no cycle
-
-    cfg = config if config is not None else BenchConfig()
-    points: Dict[str, WallClockPoint] = {}
-    metrics: Dict[str, Dict[str, float]] = {}
-    reference: Optional[Any] = None
-    for name in backends:
-        run = _best_run(
-            get_backend(name), program, plan, streams, cfg.options, cfg.repeats
-        )
-        if reference is None:
-            reference = run.output_multiset()
-        elif run.output_multiset() != reference:
-            raise AssertionError(
-                f"backend {name!r} produced different outputs than "
-                f"{backends[0]!r}; refusing to report throughput"
-            )
-        points[name] = WallClockPoint(name, run.events_in, run.wall_s)
-        summary = _metrics_summary(run)
-        if summary is not None:
-            metrics[name] = summary
-    return BenchResult(
-        kind="backends", points=points, outputs_equal=True, metrics=metrics
-    )
-
-
-def compare_transports(
-    program: Any,
-    plan: Any,
-    streams: Sequence[Any],
-    *,
-    configs: Mapping[str, RunOptions],
-    config: Optional[BenchConfig] = None,
-) -> BenchResult:
-    """Run the same workload on the *process* backend under several
-    data-plane configurations (``label -> RunOptions(transport=,
-    batch_size=, flush_ms=, nodes=, placement=, ...)``) and report each
-    one's best wall-clock throughput.
-
-    The config axis spans every data plane the backend offers:
-    ``transport="queue" | "pipe" | "tcp"`` for the one-process-per-
-    worker runtime, and ``nodes=N`` for a cluster deployment across
-    local node agents (see :mod:`repro.runtime.cluster`) — which is
-    how the queue/pipe/tcp benchmark matrix and the distributed smoke
-    lane share one measurement path.  Each label's RunOptions is used
-    as given, except that fields left at their defaults inherit from
-    ``config.options`` (so a shared timeout or ``metrics=True`` need
-    not be repeated per label).  Outputs are multiset-verified across
-    configurations — a transport can never look fast by corrupting or
-    dropping messages.
-
-    Repeats are *interleaved* round-robin across the labels (round 1
-    runs every config once, then round 2, ...) rather than exhausting
-    one label's repeats before starting the next.  Machine throughput
-    drifts on shared hosts — background load, thermal state, page
-    cache — on a timescale comparable to a best-of-N block, so
-    sequential per-label blocks hand whichever label ran during a
-    quiet window an unearned win.  Interleaving samples every label
-    across the same span of machine conditions, making the per-label
-    best a paired comparison instead of a lottery."""
-    from ..runtime import get_backend  # runtime does not import bench; no cycle
-
-    cfg = config if config is not None else BenchConfig()
-    backend = get_backend("process")
-    points: Dict[str, WallClockPoint] = {}
-    metrics: Dict[str, Dict[str, float]] = {}
-    reference: Optional[Any] = None
-    ref_label: Optional[str] = None
-    merged_opts: Dict[str, RunOptions] = {}
-    for label, label_opts in configs.items():
-        merged_opts[label] = RunOptions.collect(
-            cfg.options,
-            **{
-                f: getattr(label_opts, f)
-                for f in (
-                    "transport", "batch_size", "flush_ms", "nodes",
-                    "placement", "timeout_s", "metrics_port", "pace",
-                )
-            },
-            metrics=label_opts.metrics or None,
-        )
-    best_runs: Dict[str, Any] = {}
-    for _ in range(max(1, cfg.repeats)):
-        for label, merged in merged_opts.items():
-            run = backend.run(program, plan, streams, options=merged)
-            prev = best_runs.get(label)
-            if prev is None or run.wall_s < prev.wall_s:
-                best_runs[label] = run
-    for label, run in best_runs.items():
-        if reference is None:
-            reference = run.output_multiset()
-            ref_label = label
-        elif run.output_multiset() != reference:
-            raise AssertionError(
-                f"transport config {label!r} produced different outputs "
-                f"than {ref_label!r}; refusing to report throughput"
-            )
-        points[label] = WallClockPoint(label, run.events_in, run.wall_s)
-        summary = _metrics_summary(run)
-        if summary is not None:
-            metrics[label] = summary
-    return BenchResult(
-        kind="transports", points=points, outputs_equal=True, metrics=metrics
-    )
-
-
-def backend_speedup(
-    points: Dict[str, WallClockPoint], *, base: str = "threaded"
-) -> Dict[str, float]:
-    """Each backend's throughput relative to ``base``'s."""
-    base_eps = points[base].events_per_s
-    if base_eps <= 0:
-        return {name: math.nan for name in points}
-    return {name: p.events_per_s / base_eps for name, p in points.items()}
 
 
 # ---------------------------------------------------------------------------

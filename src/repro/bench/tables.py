@@ -102,9 +102,9 @@ def publish_json(name: str, record: Mapping[str, Any]) -> str:
     """Persist a machine-readable benchmark record as
     ``BENCH_<name>.json`` under benchmarks/results/.
 
-    Records are built by :func:`repro.bench.harness.bench_record`; the
-    CI perf gate (``benchmarks/perf_gate.py``) compares them against
-    the committed baselines in ``benchmarks/baselines/``."""
+    Records are built by :func:`repro.bench.harness.bench_record`.
+    They are reports, compared against nothing; the benchmark with
+    bounds is ``dgsbench`` (``BENCHMARK.json``)."""
     path = os.path.join(results_dir(), f"BENCH_{name}.json")
     with open(path, "w") as f:
         json.dump(record, f, indent=2, sort_keys=True)

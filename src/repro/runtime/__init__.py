@@ -52,7 +52,7 @@ from .faults import (
     WorkerCrash,
 )
 from .quiesce import QuiesceRecord, QuiesceSignal, RootReconfigView
-from .recovery import RecoveryStep, ReplayLog, assert_recovery_sound, suffix_streams
+from .recovery import RecoveryStep, ReplayLog, assert_recovery_sound
 from .reconfigure import (
     AttemptPerSeal,
     AutoScaler,
@@ -524,5 +524,4 @@ __all__ = [
     "run_on_backend",
     "run_sequential_reference",
     "run_with_reconfig",
-    "suffix_streams",
 ]

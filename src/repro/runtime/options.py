@@ -42,8 +42,10 @@ class RunOptions:
     threaded, 120 s process).  The process substrate's transport knobs:
 
     * ``transport`` — ``"pipe"`` (framed raw pipes, the default),
-      ``"queue"`` (the original ``multiprocessing.Queue`` fabric, kept
-      as a measurable baseline), ``"tcp"`` (the same frames over TCP
+      ``"queue"`` (the original ``multiprocessing.Queue`` fabric; it
+      stays because dgsbench's layer pass probes every name in
+      ``transport.TRANSPORTS``, and its removal is ROADMAP.md item
+      2a), ``"tcp"`` (the same frames over TCP
       stream sockets — the single-host form of the distributed data
       plane), or ``"shm"`` (fixed-slot shared-memory rings: zero
       syscalls per message, same-host only; ring geometry is tunable

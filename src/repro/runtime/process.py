@@ -18,7 +18,7 @@ Three design points keep IPC from eating the speedup:
   length-prefixed frames in the struct-packed wire format — no queue
   locks, no feeder threads, no per-message pickle on the hot path.
   ``transport="queue"`` keeps the original ``multiprocessing.Queue``
-  fabric as a measurable baseline.
+  fabric (see the transport module for why it stays).
 
 * **Adaptive batching.**  Every channel operation carries a *batch* of
   messages, so one encode + one pipe write + one consumer wakeup is

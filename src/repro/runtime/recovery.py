@@ -126,16 +126,6 @@ class ReplayLog:
         return out
 
 
-def suffix_streams(
-    streams: Sequence[InputStream], key: tuple
-) -> List[InputStream]:
-    """The input's suffix: every event strictly after ``key``
-    (:meth:`ReplayLog.drop_through`)."""
-    log = ReplayLog(streams)
-    log.drop_through(key)
-    return log.streams()
-
-
 def assert_recovery_sound(plan: SyncPlan, program: DGSProgram) -> None:
     """Reject plans whose root snapshots are not timestamp-prefix
     states (see module docstring).  Vacuously sound for roots with no

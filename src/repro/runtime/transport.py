@@ -17,8 +17,10 @@ protocol so the hot path can do better:
   full-duplex pressure can never deadlock the tree.
 
 * :class:`QueueTransport` — the original ``multiprocessing.Queue``
-  fabric, kept as a baseline (``transport="queue"``) so benchmarks can
-  measure exactly what the fast path buys.
+  fabric (``transport="queue"``).  It stays because dgsbench's layer
+  pass probes every name in :data:`TRANSPORTS`
+  (``transport.edge_ns_per_event.<name>``); pruning the same-host
+  transports is open work (ROADMAP.md, item 2a).
 
 * :class:`SocketTransport` (``transport="tcp"``) — the same
   length-prefixed frames carried over TCP stream sockets
@@ -369,7 +371,7 @@ class BatchingSender:
 
 
 # ---------------------------------------------------------------------------
-# Queue transport (the original fabric, kept as a measurable baseline)
+# Queue transport (the original fabric; see the module docstring)
 # ---------------------------------------------------------------------------
 
 class _QueueReceiver:

@@ -1,16 +1,21 @@
 """Tests for the measurement harness (§4 methodology) using synthetic
 result objects — no simulation needed."""
 
+import json
 import math
+import os
 from dataclasses import dataclass
 from typing import List, Sequence
 
 import pytest
 
 from repro.bench import (
+    BENCH_SCHEMA,
     RatePoint,
+    bench_record,
     latency_profile,
     max_throughput,
+    publish_json,
     render_matrix,
     render_table,
     scaling_curve,
@@ -139,3 +144,22 @@ class TestRenderers:
         publish("unit_test_artifact", "hello table")
         assert (tmp_path / "unit_test_artifact.txt").read_text() == "hello table\n"
         assert "hello table" in capsys.readouterr().out
+
+
+class TestBenchRecord:
+    def test_record_shape(self):
+        r = bench_record("x", config={"case": "x"}, metrics={"eps": 100})
+        assert r["schema"] == BENCH_SCHEMA
+        assert r["name"] == "x"
+        assert r["config"] == {"case": "x"}
+        assert r["metrics"] == {"eps": 100}
+        assert r["host"]["cores"] >= 1
+        assert "python" in r["host"]
+        assert "gate" not in r
+
+    def test_publish_json_writes_bench_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        path = publish_json("unit", bench_record("unit", config={}, metrics={"eps": 5}))
+        assert os.path.basename(path) == "BENCH_unit.json"
+        with open(path) as f:
+            assert json.load(f)["metrics"] == {"eps": 5}

@@ -1,0 +1,82 @@
+"""The packages' ``__all__`` lists are the public surface: every name
+in them must resolve.  Two surfaces that shrank on purpose are pinned
+whole, so a retired name cannot come back unnoticed: the measurement
+package (its backend/transport comparison functions went with the
+micros that were their only callers) and the recovery module (its
+commit cut is :meth:`ReplayLog.drop_through`)."""
+
+import importlib
+
+import pytest
+
+PACKAGES = (
+    "repro",
+    "repro.runtime",
+    "repro.bench",
+    "repro.serve",
+    "repro.apps",
+    "repro.core",
+    "repro.data",
+    "repro.flinklike",
+    "repro.plans",
+    "repro.sim",
+    "repro.timelylike",
+)
+
+BENCH_ALL = {
+    "BENCH_SCHEMA",
+    "BenchConfig",
+    "BenchResult",
+    "RatePoint",
+    "ReconfigPausePoint",
+    "RecoveryOverheadPoint",
+    "ScalingPoint",
+    "SweepResult",
+    "WallClockPoint",
+    "available_cores",
+    "bench_record",
+    "bursty_arrivals",
+    "fixed_rate_arrivals",
+    "latency_profile",
+    "max_throughput",
+    "measure_reconfig_pause",
+    "measure_recovery_overhead",
+    "publish",
+    "publish_json",
+    "render_matrix",
+    "render_table",
+    "results_dir",
+    "scaling_curve",
+    "speedup",
+}
+
+RECOVERY_DEFS = {"RecoveryStep", "ReplayLog", "assert_recovery_sound", "restart_from_crash"}
+
+
+def public_defs(module):
+    """Public names a module defines itself (not the ones it imports)."""
+    return {
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+    }
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_exported_name_resolves(package):
+    mod = importlib.import_module(package)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__), "duplicate names in __all__"
+
+
+def test_the_measurement_surface_is_pinned():
+    bench = importlib.import_module("repro.bench")
+    assert set(bench.__all__) == BENCH_ALL
+    harness = importlib.import_module("repro.bench.harness")
+    assert public_defs(harness) - {"ResultLike"} <= BENCH_ALL
+
+
+def test_the_recovery_surface_is_pinned():
+    recovery = importlib.import_module("repro.runtime.recovery")
+    assert public_defs(recovery) == RECOVERY_DEFS

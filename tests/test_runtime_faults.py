@@ -23,12 +23,12 @@ from repro.runtime import (
     DropHeartbeats,
     FaultPlan,
     InputStream,
+    ReplayLog,
     RunOptions,
     assert_recovery_sound,
     every_root_join,
     run_on_backend,
     run_sequential_reference,
-    suffix_streams,
 )
 from repro.runtime.faults import WorkerCrash
 
@@ -368,7 +368,7 @@ _SUFFIX_ITAGS = (
 
 
 def _filtered_suffix(streams, key):
-    """suffix_streams before the bisect: one order key per event."""
+    """The commit cut before the bisect: one order key per event."""
     return [
         InputStream(
             s.itag,
@@ -384,9 +384,10 @@ class TestSuffixStreams:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_bisect_cut_equals_the_filter(self, data):
-        """The commit cut bisects each stream (strictly increasing under
-        the order) instead of filtering it; on every key the service and
-        the restart driver can hand it, the suffix is tuple-equal."""
+        """``ReplayLog.drop_through`` bisects each stream (strictly
+        increasing under the order) instead of filtering it; on every key
+        the service and the restart driver can hand it, the suffix is
+        tuple-equal."""
         as_float = data.draw(st.booleans())
         streams = []
         for itag in _SUFFIX_ITAGS:
@@ -406,7 +407,9 @@ class TestSuffixStreams:
             probe = Event(other.tag, other.stream, e.ts)
             keys += [e.order_key, probe.order_key, (e.ts,), (e.ts + 0.5,)]
         key = data.draw(st.sampled_from(keys))
-        got = suffix_streams(streams, key)
+        log = ReplayLog(streams)
+        log.drop_through(key)
+        got = log.streams()
         assert got == _filtered_suffix(streams, key)
         assert all(type(s.events) is tuple for s in got)
 
