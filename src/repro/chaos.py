@@ -639,6 +639,19 @@ def _run_service_case(case: ChaosCase, options: RunOptions) -> ChaosOutcome:
 # Execution
 # ---------------------------------------------------------------------------
 
+def _metrics_mismatch(case: ChaosCase, run: Any) -> Optional[Mismatch]:
+    """The metrics plane against the protocol's own counts: summed over
+    workers, and merged across attempts (crashed ones included), the
+    workers' ``events_processed`` and ``joins_completed`` must be the
+    run's events processed and joins."""
+    merged = run.metrics.merged()
+    have = Counter(events=merged.events_processed, joins=merged.joins_completed)
+    want = Counter(events=run.events_processed, joins=run.joins)
+    if have == want:
+        return None
+    return Mismatch(f"{case.case_id} metrics", want - have, have - want)
+
+
 def run_chaos_case(
     case: ChaosCase,
     *,
@@ -651,7 +664,9 @@ def run_chaos_case(
     backend's data plane (ignored by the threaded backend) without
     entering the case derivation — see the module docstring.
     ``metrics=True`` arms the per-worker metrics plane: the outcome
-    then carries the run's merged per-attempt :class:`RunMetrics`."""
+    then carries the run's merged per-attempt :class:`RunMetrics`, and
+    metrics that disagree with the run's event and join counts are a
+    mismatch (:func:`_metrics_mismatch`)."""
     options = RunOptions(
         checkpoint_predicate=every_root_join(),
         timeout_s=timeout_s,
@@ -676,6 +691,8 @@ def run_chaos_case(
     run = run_on_backend(case.backend, prog, plan, streams, options=options)
     reference = run_sequential_reference(prog, streams)
     mismatch = compare_outputs(reference, run.outputs, case.case_id)
+    if mismatch is None and metrics:
+        mismatch = _metrics_mismatch(case, run)
     rec = run.reconfig if run.reconfig is not None else run.recovery
     widths = ()
     if run.reconfig is not None:

@@ -471,6 +471,10 @@ class ClusterLauncher:
         )
         metrics = spec.metrics  # epoch-stamped
         control = ControlPlane(self._ctx)
+        live = metrics is not None and self.metrics_port is not None
+        if live:
+            # Opened before the agents fork, so they inherit it.
+            control.metrics = self._ctx.Queue()
         log_dir = os.environ.get("REPRO_CLUSTER_LOG_DIR") or None
         log = _NodeLog(log_dir, "coordinator")
         # Per-run shared secret: agents get it at launch (fork args /
@@ -517,12 +521,11 @@ class ClusterLauncher:
         reg_conns: List[socket.socket] = []
 
         # Live observability: a Prometheus-text endpoint fed from the
-        # control plane's low-rate metrics queue (QShuf-style scrape
-        # target for later placement/autoscaling work).
+        # control plane's live metrics feed.
         drain_stop = threading.Event()
         drain_thread: Optional[threading.Thread] = None
         owns_exporter = True
-        if metrics is not None and self.metrics_port is not None:
+        if live:
             if isinstance(self.metrics_port, MetricsExporter):
                 # A recovering/elastic run hands each attempt's
                 # launcher the same live exporter (ProcessBackend owns
@@ -541,15 +544,13 @@ class ClusterLauncher:
                     "metrics exporter on "
                     f"127.0.0.1:{self.exporter.port}/metrics"
                 )
-            buckets = metrics.latency_buckets
 
             def drain_metrics() -> None:
                 while not drain_stop.is_set():
                     try:
-                        _node, wire = control.metrics.get(timeout=0.2)
+                        self.exporter.update(control.metrics.get(timeout=0.2))
                     except queue_mod.Empty:
                         continue
-                    self.exporter.update_wire(wire, buckets)
 
             drain_thread = threading.Thread(
                 target=drain_metrics, name="metrics-drain", daemon=True
@@ -573,8 +574,8 @@ class ClusterLauncher:
             sender = coordinator_sender()
             for wid in coord_socks:
                 sender.send_raw(wid, FRAME_LEN.pack(0))
-            # The reports (and what is left of the live feed) are
-            # collected from the queue the drainer reads.
+            # From here on the exporter shows the end-of-run reports;
+            # what is left on the live feed is dropped.
             stop_drainer()
 
         def connect() -> BatchingSender:

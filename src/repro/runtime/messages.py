@@ -22,11 +22,12 @@ Six message kinds flow between producers and workers:
 * :class:`JoinResponse` — a child's state traveling up;
 * :class:`ForkStateMsg` — a forked state traveling back down.
 
-All five kinds are plain picklable dataclasses over picklable fields
-(events, order-key tuples, and application states), so they can cross
-OS-process boundaries; :mod:`repro.runtime.wire` defines the compact
-tuple encoding the process runtime actually puts on its batched
-channels.
+All six kinds are picklable, over picklable fields (events, order-key
+tuples, columns and application states), so they can cross OS-process
+boundaries.  :mod:`repro.runtime.wire` encodes them for the channels:
+the queue transport ships compact tuples, and the frame codec packs
+the common kinds as structs and falls back to a pickled tuple.  Join
+and fork messages carry only what their receiver reads.
 """
 
 from __future__ import annotations
@@ -163,23 +164,17 @@ class JoinResponse:
     at the instant it surrendered its state.  Summed up the tree, the
     root observes the cluster-wide queue depth at every join, which is
     the load signal the elastic auto-scaler thresholds on
-    (:mod:`repro.runtime.reconfigure`).
-
-    ``metrics`` piggybacks worker metrics snapshots the same way when
-    the metrics plane is enabled (:mod:`repro.runtime.metrics`): a
-    tuple of per-worker wire snapshots from the answering subtree, or
-    ``None`` (the default, and always when metrics are off)."""
+    (:mod:`repro.runtime.reconfigure`)."""
 
     req_id: Tuple[str, int]
     side: str
     state: Any
-    state_size: float
     backlog: int = 0
-    metrics: Any = None
 
 
 @dataclass(frozen=True)
 class ForkStateMsg:
+    """A forked state traveling back down to a child."""
+
     req_id: Tuple[str, int]
     state: Any
-    state_size: float

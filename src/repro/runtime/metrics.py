@@ -1,12 +1,15 @@
-"""Per-worker metrics plane (ISSUE 6 / ROADMAP item 4).
+"""Per-worker metrics plane.
 
 The runtime measures itself with near-zero hot-path cost: each worker
 owns a :class:`WorkerMetrics` with plain-int counters and two
 fixed-bucket :class:`LatencyHistogram`\\ s (join/fork round-trip and
-end-to-end event latency).  Snapshots travel to the root piggybacked on
-the join-response path — exactly like ``backlog`` already does — so the
-metrics plane adds no new message types and costs a single ``is None``
-check when disabled.
+end-to-end event latency); events and joins are counted once, by the
+worker's output sink.  A worker's :class:`MetricsSnapshot` reaches the
+coordinator as itself, in the worker's end-of-run report — the one
+source of ``run.metrics``.  A cluster run with a live Prometheus
+endpoint also has its workers push snapshots on the control plane's
+live feed (:mod:`repro.runtime.process`).  Protocol messages never
+carry metrics, and a disabled plane costs a single ``is None`` check.
 
 Latency units are **seconds** throughout.  End-to-end latency is
 ``wall_now - (epoch + ts_ms / 1000)``: timestamps double as arrival
@@ -23,11 +26,10 @@ its wall-clock meaning differs but percentile math is identical.
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -145,31 +147,11 @@ class LatencyHistogram:
         h.sum = self.sum
         return h
 
-    # -- wire form: compact sparse tuple of plain scalars so snapshots
-    # ride the fast scalar-tuple frame codec (wire._pack_scalar).
-    def to_wire(self) -> Tuple[Any, ...]:
-        sparse: List[Any] = []
-        for i, c in enumerate(self.counts):
-            if c:
-                sparse.extend((i, c))
-        return (self.count, float(self.sum), tuple(sparse))
-
-    @classmethod
-    def from_wire(
-        cls, wire: Tuple[Any, ...], bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS
-    ) -> "LatencyHistogram":
-        h = cls(bounds)
-        h.count = int(wire[0])
-        h.sum = float(wire[1])
-        sparse = wire[2]
-        for j in range(0, len(sparse), 2):
-            h.counts[int(sparse[j])] = int(sparse[j + 1])
-        return h
-
 
 @dataclass
 class MetricsSnapshot:
-    """A picklable point-in-time copy of one worker's metrics."""
+    """A picklable point-in-time copy of one worker's metrics: what a
+    worker reports, and what the live feed carries."""
 
     worker: str
     events_processed: int = 0
@@ -188,37 +170,6 @@ class MetricsSnapshot:
         "messages_sent",
         "frames_received",
     )
-
-    def to_wire(self) -> Tuple[Any, ...]:
-        return (
-            self.worker,
-            self.events_processed,
-            self.joins_completed,
-            self.batches_sent,
-            self.messages_sent,
-            self.frames_received,
-            self.max_backlog,
-            self.join_rtt.to_wire() if self.join_rtt else None,
-            self.event_latency.to_wire() if self.event_latency else None,
-        )
-
-    @classmethod
-    def from_wire(
-        cls, wire: Tuple[Any, ...], bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS
-    ) -> "MetricsSnapshot":
-        return cls(
-            worker=str(wire[0]),
-            events_processed=int(wire[1]),
-            joins_completed=int(wire[2]),
-            batches_sent=int(wire[3]),
-            messages_sent=int(wire[4]),
-            frames_received=int(wire[5]),
-            max_backlog=int(wire[6]),
-            join_rtt=LatencyHistogram.from_wire(wire[7], bounds) if wire[7] else None,
-            event_latency=(
-                LatencyHistogram.from_wire(wire[8], bounds) if wire[8] else None
-            ),
-        )
 
     def to_json(self) -> Dict[str, Any]:
         d: Dict[str, Any] = {"worker": self.worker, "max_backlog": self.max_backlog}
@@ -267,15 +218,13 @@ class WorkerMetrics:
     """Mutable per-worker metrics; owned by exactly one worker loop.
 
     Hot-path hooks are attribute bumps or a single histogram observe.
-    The root's instance additionally accumulates subtree snapshots that
-    arrive piggybacked on join responses (``note_subtree``).
+    Events and joins are not counted here: the worker's output sink
+    counts them, and :meth:`snapshot` reads them from it.
     """
 
     __slots__ = (
         "worker",
         "config",
-        "events_processed",
-        "joins_completed",
         "batches_sent",
         "messages_sent",
         "frames_received",
@@ -283,15 +232,14 @@ class WorkerMetrics:
         "backlog_window",
         "join_rtt",
         "event_latency",
-        "subtree",
-        "_last_ship",
     )
+
+    #: The counters kept here; :meth:`next_window` restarts them.
+    _COUNTERS = ("batches_sent", "messages_sent", "frames_received")
 
     def __init__(self, worker: str, config: Optional[MetricsConfig] = None):
         self.worker = worker
         self.config = config or MetricsConfig()
-        self.events_processed = 0
-        self.joins_completed = 0
         self.batches_sent = 0
         self.messages_sent = 0
         self.frames_received = 0
@@ -299,9 +247,6 @@ class WorkerMetrics:
         self.backlog_window = 0
         self.join_rtt = LatencyHistogram(self.config.latency_buckets)
         self.event_latency = LatencyHistogram(self.config.latency_buckets)
-        # Root side: latest wire snapshot per descendant worker.
-        self.subtree: Dict[str, Tuple[Any, ...]] = {}
-        self._last_ship = 0.0
 
     # -- hot-path hooks -------------------------------------------------
     def note_backlog(self, depth: int) -> None:
@@ -350,44 +295,33 @@ class WorkerMetrics:
         if newest > 0.0:
             h.sum += n * (now_wall - epoch) - sum(ts_col) / 1000.0
 
-    # -- piggyback plumbing ---------------------------------------------
-    def wire_snapshot(self) -> Tuple[Any, ...]:
-        return self.snapshot().to_wire()
-
-    def maybe_wire_snapshot(self, now: float, interval: float = 0.25) -> Optional[tuple]:
-        """Rate-limited snapshot for piggybacking: at most one every
-        ``interval`` seconds, else None (costs one float compare)."""
-        if now - self._last_ship < interval:
-            return None
-        self._last_ship = now
-        return (self.wire_snapshot(),)
-
-    def note_subtree(self, wires: Optional[Iterable[Tuple[Any, ...]]]) -> None:
-        if not wires:
-            return
-        for w in wires:
-            self.subtree[str(w[0])] = w
-
     def next_window(self) -> None:
         """Start a new reporting window (a long-lived attempt reports
         one per seal): the counters, the backlog high-water and both
-        histograms restart at zero.  A snapshot taken before keeps its
-        own histograms."""
-        for k in MetricsSnapshot._COUNTERS:
+        histograms restart at zero."""
+        for k in self._COUNTERS:
             setattr(self, k, 0)
         self.max_backlog = 0
         self.join_rtt = LatencyHistogram(self.config.latency_buckets)
         self.event_latency = LatencyHistogram(self.config.latency_buckets)
 
-    def snapshot(self) -> MetricsSnapshot:
-        snap = MetricsSnapshot(worker=self.worker, max_backlog=self.max_backlog)
-        for k in MetricsSnapshot._COUNTERS:
-            setattr(snap, k, getattr(self, k))
-        if self.join_rtt.count:
-            snap.join_rtt = self.join_rtt
-        if self.event_latency.count:
-            snap.event_latency = self.event_latency
-        return snap
+    def snapshot(self, sink: Any) -> MetricsSnapshot:
+        """A copy of this worker's metrics as of now, with the events
+        and joins its output ``sink`` counted.  The histograms are
+        copied too: a snapshot may be pickled later (a
+        ``multiprocessing`` queue pickles in its feeder thread) while
+        the worker keeps observing."""
+        return MetricsSnapshot(
+            self.worker,
+            sink.events_processed,
+            sink.joins,
+            self.batches_sent,
+            self.messages_sent,
+            self.frames_received,
+            self.max_backlog,
+            self.join_rtt.copy() if self.join_rtt.count else None,
+            self.event_latency.copy() if self.event_latency.count else None,
+        )
 
 
 @dataclass
@@ -426,8 +360,8 @@ class RunMetrics:
     )
 
     def absorb(self, snap: MetricsSnapshot) -> None:
-        """Keep the richer snapshot when a worker reports twice (live
-        piggyback then end-of-run report)."""
+        """Keep the richer snapshot when a worker reports twice (an
+        exporter sees the live feed, then the end-of-run report)."""
         prev = self.per_worker.get(snap.worker)
         if prev is None or snap.events_processed >= prev.events_processed:
             self.per_worker[snap.worker] = snap
@@ -445,22 +379,13 @@ class RunMetrics:
                 mine.add(snap)
 
     def merged(self) -> MetricsSnapshot:
+        """Every worker's snapshot added into one (``worker="all"``)."""
         total = MetricsSnapshot(worker="all")
-        jr = LatencyHistogram(self.latency_buckets)
-        el = LatencyHistogram(self.latency_buckets)
         for snap in self.per_worker.values():
-            for k in MetricsSnapshot._COUNTERS:
-                setattr(total, k, getattr(total, k) + getattr(snap, k))
-            total.max_backlog = max(total.max_backlog, snap.max_backlog)
-            if snap.join_rtt:
-                jr.merge(snap.join_rtt)
-            if snap.event_latency:
-                el.merge(snap.event_latency)
-        total.join_rtt = jr if jr.count else None
-        total.event_latency = el if el.count else None
+            total.add(snap)
         return total
 
-    # Convenience accessors used by the perf gate / bench records.
+    # Convenience accessors for bench records and chaos artifacts.
     def latency_percentile(self, q: float) -> float:
         m = self.merged()
         return m.event_latency.percentile(q) if m.event_latency else 0.0
@@ -648,11 +573,6 @@ class MetricsExporter:
         with self._lock:
             self._by_attempt[self._attempt].absorb(snap)
 
-    def update_wire(
-        self, wire: Tuple[Any, ...], bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS
-    ) -> None:
-        self.update(MetricsSnapshot.from_wire(wire, bounds))
-
     def set_service_gauges(self, gauges: Dict[str, float]) -> None:
         """Publish service-tier gauges: each ``{name: value}`` renders
         as ``repro_serve_<name> <value>`` on /metrics.  The whole set is
@@ -701,8 +621,3 @@ class MetricsExporter:
     def stop(self) -> None:
         self._server.shutdown()
         self._server.server_close()
-
-
-def metrics_to_json_str(metrics: Optional[RunMetrics]) -> str:
-    """Stable JSON rendering for artifacts (chaos snapshots)."""
-    return json.dumps(metrics.to_json() if metrics else {}, indent=2, sort_keys=True)

@@ -245,7 +245,7 @@ class _Worker:
             self.core.unprocessed(),
             self.crash,
             self.quiesce,
-            wm.snapshot() if wm is not None else None,
+            wm.snapshot(self.sink) if wm is not None else None,
         )
 
 
@@ -257,9 +257,11 @@ def _drive_worker(
     a forked process per worker, or several workers as threads of a
     cluster node agent with channels over TCP.  A stopped worker's
     announcement goes on the dedicated queue; from then on it is
-    silent until the stop frame."""
+    silent until the stop frame.  With the metrics plane on and the
+    control plane's live feed open, a snapshot goes on the feed at most
+    every quarter second."""
     worker = _Worker(node_id, spec, batcher)
-    wm = worker.metrics
+    feed = control.metrics if worker.metrics is not None else None
     last_push = time.monotonic()
     while True:
         msgs = receiver.recv()
@@ -272,13 +274,12 @@ def _drive_worker(
         # still owes messages to others.  Event-level: a columnar run
         # of n events repays the n its sender charged the counter.
         control.mark_done(batch_message_count(msgs))
-        if wm is not None:
-            # Low-rate live feed for the coordinator's Prometheus
-            # exporter (an unbounded queue: the put never waits).
+        if feed is not None:
+            # An unbounded queue: the put never waits.
             now = time.monotonic()
             if now - last_push >= 0.25:
                 last_push = now
-                control.metrics.put_nowait((node_id, wm.wire_snapshot()))
+                feed.put_nowait(worker.metrics.snapshot(worker.sink))
     control.results.put(worker.report())
 
 
@@ -416,7 +417,8 @@ def _collect(
     timeout_s: float,
     metrics_cfg: Optional[MetricsConfig],
 ) -> None:
-    """Gather every worker's end-of-run report into ``result``."""
+    """Gather every worker's end-of-run report into ``result``: the
+    reports, not the live feed, are what the attempt's metrics hold."""
     reports, missing = _gather_reports(control, procs, workers, timeout_s)
     if missing:
         raise RuntimeFault(
@@ -424,16 +426,6 @@ def _collect(
             "crashed or produced unpicklable outputs"
         )
     merge_reports(result, reports, metrics_cfg)
-    if metrics_cfg is not None:
-        # Drain the live feed too: workers that only ever answered
-        # joins piggybacked snapshots there (absorb keeps the richest
-        # copy per worker).
-        try:
-            while True:
-                _node_id, wire = control.metrics.get_nowait()
-                result.metrics.absorb(MetricsSnapshot.from_wire(wire, metrics_cfg.latency_buckets))
-        except queue_mod.Empty:
-            pass
 
 
 def merge_reports(

@@ -34,7 +34,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from time import monotonic as _mono
 from time import perf_counter as _perf
 from time import time as _wall
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -391,10 +390,8 @@ class WorkerCore:
         self.sink.count_event()
         state, outs = self.update(state, event)
         self.sink.emit(outs, key=event.order_key)
-        m = self.metrics
-        if m is not None:
-            m.events_processed += 1
-            m.observe_event_latency(_wall(), event.ts)
+        if self.metrics is not None:
+            self.metrics.observe_event_latency(_wall(), event.ts)
         return state
 
     def _process_run(self, run: EventRun) -> None:
@@ -409,9 +406,6 @@ class WorkerCore:
         sink = self.sink
         n = len(run)
         sink.count_events(n)
-        m = self.metrics
-        if m is not None:
-            m.events_processed += n
         ub = self.update_batch
         if ub is not None:
             self.state, indexed = ub(self.state, run)
@@ -437,20 +431,15 @@ class WorkerCore:
                     if outs:
                         sink.emit(outs)
             self.state = state
-        if m is not None:
-            m.observe_run_latency(_wall(), run.ts)
+        if self.metrics is not None:
+            self.metrics.observe_run_latency(_wall(), run.ts)
 
     def _process_join_request(self, req: JoinRequest) -> None:
         if self.is_leaf:
             if not self.has_state:
                 raise self._violation("double absorb", req)
-            m = self.metrics
-            piggy = m.maybe_wire_snapshot(_mono()) if m is not None else None
             self.post(
-                req.reply_to,
-                JoinResponse(
-                    req.req_id, req.side, self.state, 1.0, self.unprocessed(), piggy
-                ),
+                req.reply_to, JoinResponse(req.req_id, req.side, self.state, self.unprocessed())
             )
             self.state = None
             self.has_state = False
@@ -485,10 +474,7 @@ class WorkerCore:
         self._current = None
         m = self.metrics
         if m is not None:
-            m.joins_completed += 1
             m.join_rtt.observe(_perf() - self._join_t0)
-            m.note_subtree(states["left"].metrics)
-            m.note_subtree(states["right"].metrics)
         if ctx[0] == "event":
             event: Event = ctx[1]
             joined = self._apply(joined, event)
@@ -523,25 +509,10 @@ class WorkerCore:
             self.blocked = False
         else:
             req: JoinRequest = ctx[1]
-            fwd = None
-            if m is not None:
-                # Relay everything collected from below plus (rate
-                # limited) our own snapshot; the root absorbs these
-                # into its live per-worker view.
-                own = m.maybe_wire_snapshot(_mono())
-                acc = tuple(m.subtree.values()) + (own or ())
-                if acc:
-                    fwd = acc
-                    m.subtree.clear()
             self.post(
                 req.reply_to,
                 JoinResponse(
-                    req.req_id,
-                    req.side,
-                    joined,
-                    1.0,
-                    subtree_backlog + self.unprocessed(),
-                    fwd,
+                    req.req_id, req.side, joined, subtree_backlog + self.unprocessed()
                 ),
             )
             self._absorb_restore = req_id
@@ -564,7 +535,7 @@ class WorkerCore:
     def _fork_down(self, req_id: Tuple[str, int], state: Any) -> None:
         s_l, s_r = self.fork_fn(state, self.pred_left, self.pred_right)
         for child, s in zip(self.children, (s_l, s_r)):
-            self.post(child, ForkStateMsg(req_id, s, 1.0))
+            self.post(child, ForkStateMsg(req_id, s))
         self._flush_due = True
 
     def _relay_frontiers(self) -> None:

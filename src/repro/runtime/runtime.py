@@ -38,7 +38,7 @@ from ..sim.core import Simulator
 from ..sim.network import NetworkStats, Topology
 from ..sim.params import DEFAULT_PARAMS, SimParams
 from .faults import FaultPlan, WorkerCrash
-from .messages import EventMsg, EventRun, ForkStateMsg, HeartbeatMsg, JoinResponse
+from .messages import ForkStateMsg, HeartbeatMsg, JoinResponse
 from .metrics import LatencyHistogram, MetricsConfig, MetricsSnapshot, RunMetrics
 from .protocol import (
     INIT_STATE,
@@ -221,13 +221,7 @@ class _SimWorker(Actor):
             return  # fail-stop: messages to a dead node are lost
         self.core.sink.now = self.now
         try:
-            if type(msg) is EventRun:
-                # The simulator models per-event cost: expand runs at
-                # the door.
-                for e in msg.events():
-                    self.core.handle(EventMsg(e))
-            else:
-                self.core.handle(msg)
+            self.core.handle(msg)
         except WorkerCrash as crash:
             # Sends queued by events processed before the crash still
             # depart (they happened before the failure); the

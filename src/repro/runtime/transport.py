@@ -252,12 +252,11 @@ class ControlPlane:
         #: Ids of workers that went fail-stop (an injected crash) or
         #: quiesced for a reconfiguration; either ends the attempt.
         self.aborts = ctx.Queue()
-        #: Live metrics feed: workers push (node_id, wire snapshot)
-        #: tuples at a low rate when the metrics plane is on; the
-        #: coordinator (cluster mode) drains it into the Prometheus
-        #: exporter.  Unused — never even written — when metrics are
-        #: off.
-        self.metrics = ctx.Queue()
+        #: The live metrics feed: a queue of MetricsSnapshot copies
+        #: that workers push at a low rate, opened only where a live
+        #: Prometheus exporter drains it (a cluster run with a metrics
+        #: port); None elsewhere, and then nothing is pushed.
+        self.metrics = None
         self.inflight = ctx.Value("q", 0, lock=True)
         # Raw ctypes view: reading `inflight.value` acquires the shared
         # lock; the adaptive policy's backlog heuristic must not add a

@@ -91,17 +91,9 @@ def encode_msg(msg: Any) -> WireMsg:
             msg.side,
         )
     if isinstance(msg, JoinResponse):
-        return (
-            _JOIN_RESP,
-            msg.req_id,
-            msg.side,
-            msg.state,
-            msg.state_size,
-            msg.backlog,
-            msg.metrics,
-        )
+        return (_JOIN_RESP, msg.req_id, msg.side, msg.state, msg.backlog)
     if isinstance(msg, ForkStateMsg):
-        return (_FORK, msg.req_id, msg.state, msg.state_size)
+        return (_FORK, msg.req_id, msg.state)
     raise RuntimeFault(f"cannot wire-encode {msg!r}")
 
 
@@ -117,13 +109,9 @@ def decode_msg(wire: WireMsg) -> Any:
             tuple(wire[1]), ImplTag(wire[2], wire[3]), tuple(wire[4]), wire[5], wire[6]
         )
     if code == _JOIN_RESP:
-        # len guards: tolerate pre-backlog / pre-metrics encodings
-        # (recorded traces).
-        backlog = wire[5] if len(wire) > 5 else 0
-        metrics = wire[6] if len(wire) > 6 else None
-        return JoinResponse(tuple(wire[1]), wire[2], wire[3], wire[4], backlog, metrics)
+        return JoinResponse(tuple(wire[1]), wire[2], wire[3], wire[4])
     if code == _FORK:
-        return ForkStateMsg(tuple(wire[1]), wire[2], wire[3])
+        return ForkStateMsg(tuple(wire[1]), wire[2])
     if code == _EVT_RUN:
         payloads = wire[5]
         return EventRun(

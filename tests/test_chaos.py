@@ -36,18 +36,22 @@ for the simulated-substrate slice (the CI command itself), or
 for the service slice (likewise).
 """
 
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
 from repro.chaos import (
     APPS,
     ChaosCase,
+    _metrics_mismatch,
     build_fault_schedule,
     build_reconfig_schedule,
     build_workload,
     generate_cases,
     run_chaos_case,
 )
-from repro.runtime import CrashFault, DropHeartbeats
+from repro.runtime import CrashFault, DropHeartbeats, MetricsSnapshot, RunMetrics
 
 SWEEP_SEED = 20260728
 N_CASES = 54  # acceptance floor is 50; a few extra for slack
@@ -412,3 +416,24 @@ def test_mode_field_keeps_default_case_ids_stable():
             seed=SWEEP_SEED, n_cases=N_CASES, backends=("threaded", "process")
         )
     ]
+
+
+@pytest.mark.parametrize("backend", ["sim", "threaded", "process"])
+def test_armed_metrics_agree_with_the_protocol_across_attempts(backend):
+    """With the metrics plane armed (``--metrics-out``), each worker's
+    events and joins, merged across attempts — crashed ones included —
+    sum to the run's own counts; this case crashes and re-plans."""
+    case = ChaosCase("keycounter", backend, 0, mode="reconfig-crash")
+    outcome = run_chaos_case(case, metrics=True)
+    assert outcome.ok, outcome.mismatch
+    assert outcome.recovered and outcome.reconfigured and outcome.attempts >= 3
+
+
+def test_metrics_that_disagree_with_the_protocol_are_a_mismatch():
+    metrics = RunMetrics()
+    metrics.absorb(MetricsSnapshot("w1", events_processed=9, joins_completed=2))
+    run = SimpleNamespace(metrics=metrics, events_processed=10, joins=2)
+    mismatch = _metrics_mismatch(ChaosCase("keycounter", "threaded", 1), run)
+    assert mismatch.missing == Counter(events=1) and not mismatch.extra
+    run.events_processed = 9
+    assert _metrics_mismatch(ChaosCase("keycounter", "threaded", 1), run) is None

@@ -82,6 +82,14 @@ class TestSimChaosSlice:
         slice_ = self.SLICE.replace("--backends sim", "--backends threaded")
         assert f"python -m repro.chaos {slice_}" in text
 
+    def test_the_in_process_slice_checks_metrics(self, jobs):
+        """The slice arms the metrics plane, so every crashed and
+        re-planned case also checks the cross-attempt metrics merge
+        against the protocol's counts (``run_chaos_case``)."""
+        text = " ".join(steps_text(jobs["tests"]).split())
+        slice_ = self.SLICE.replace("--backends sim", "--backends threaded")
+        assert f"python -m repro.chaos {slice_} --metrics-out " in text
+
     def test_tests_job_runs_the_service_slice(self, jobs):
         """A live service under a crash or re-plan between seals, on
         both kinds of attempt, on every push (tier-1's twin is

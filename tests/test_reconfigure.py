@@ -418,14 +418,8 @@ class TestBacklogSignal:
         from repro.runtime.messages import JoinResponse
         from repro.runtime.wire import decode_msg, encode_msg
 
-        msg = JoinResponse(("w1", 3), "left", {"s": 1}, 2.0, backlog=17)
+        msg = JoinResponse(("w1", 3), "left", {"s": 1}, backlog=17)
         assert decode_msg(encode_msg(msg)) == msg
-
-    def test_legacy_wire_tuple_decodes_with_zero_backlog(self):
-        from repro.runtime.wire import decode_msg
-
-        legacy = (3, ("w1", 3), "left", {"s": 1}, 2.0)
-        assert decode_msg(legacy).backlog == 0
 
     def test_root_observes_queue_depth_in_sim(self):
         """In the simulated cluster arrivals happen at event timestamps,

@@ -1,12 +1,15 @@
-"""The per-worker metrics plane: histogram math, wire round-trips,
-cross-worker merging, the piggyback relay, the RunOptions entry points,
-and the cluster coordinator's Prometheus endpoint.
+"""The per-worker metrics plane: histogram math, snapshots and
+cross-worker merging, the one path from a worker's report to the run's
+metrics, the RunOptions entry points, and the cluster coordinator's
+Prometheus endpoint.
 
 The differential class is the plane's most important property: turning
 metrics **on changes nothing** — every app produces the same output
 multiset with and without instrumentation, on every backend.
 """
 
+import multiprocessing
+import queue
 import socket
 import threading
 import time
@@ -20,8 +23,9 @@ from test_differential import ALL_APPS, _app_case
 from repro.apps import keycounter as kc
 from repro.apps import value_barrier as vb
 from repro.core import Event, ImplTag
+from repro.core.events import Heartbeat
 from repro.core.semantics import output_multiset
-from repro.plans import root_and_leaves_plan
+from repro.plans import root_and_leaves_plan, sequential_plan
 from repro.runtime import (
     DEFAULT_LATENCY_BUCKETS,
     CrashFault,
@@ -39,6 +43,10 @@ from repro.runtime import (
     run_on_backend,
     run_sequential_reference,
 )
+from repro.runtime.messages import EventMsg, HeartbeatMsg
+from repro.runtime.process import AttemptSpec, _collect, _drive_worker
+from repro.runtime.protocol import AttemptOutcome, OutputSink, initial_leaf_states
+from repro.runtime.transport import STOP, ControlPlane
 
 BACKENDS = ("sim", "threaded", "process")
 
@@ -97,19 +105,6 @@ class TestLatencyHistogram:
         with pytest.raises(ValueError):
             a.merge(LatencyHistogram((1.0, 3.0)))
 
-    def test_wire_round_trip_is_exact(self):
-        h = LatencyHistogram(DEFAULT_LATENCY_BUCKETS)
-        for v in (1e-5, 0.003, 0.003, 0.4, 1e4):
-            h.observe(v)
-        back = LatencyHistogram.from_wire(h.to_wire(), DEFAULT_LATENCY_BUCKETS)
-        assert back.counts == h.counts
-        assert back.count == h.count
-        assert back.sum == pytest.approx(h.sum)
-        # The wire form is a sparse scalar tuple (rides the fast frame
-        # codec): zero buckets must not appear.
-        count, total, sparse = h.to_wire()
-        assert len(sparse) == 2 * sum(1 for c in h.counts if c)
-
 
 class TestSnapshotsAndMerge:
     def _snap(self, worker, events, backlog=0, with_hist=True):
@@ -120,21 +115,10 @@ class TestSnapshotsAndMerge:
             s.event_latency = h
         return s
 
-    def test_snapshot_wire_round_trip(self):
-        s = self._snap("w3", 17, backlog=5)
-        s.joins_completed = 4
-        back = MetricsSnapshot.from_wire(s.to_wire(), DEFAULT_LATENCY_BUCKETS)
-        assert back.worker == "w3"
-        assert back.events_processed == 17
-        assert back.joins_completed == 4
-        assert back.max_backlog == 5
-        assert back.event_latency.count == 1
-        assert back.join_rtt is None  # None histograms survive as None
-
     def test_absorb_keeps_the_richer_snapshot(self):
         rm = RunMetrics()
         rm.absorb(self._snap("w1", 100))
-        rm.absorb(self._snap("w1", 40))  # stale live piggyback: ignored
+        rm.absorb(self._snap("w1", 40))  # a stale live snapshot: ignored
         assert rm.per_worker["w1"].events_processed == 100
         rm.absorb(self._snap("w1", 250))  # end-of-run report: wins
         assert rm.per_worker["w1"].events_processed == 250
@@ -200,23 +184,94 @@ class TestWorkerMetrics:
         assert by_run.event_latency.sum == pytest.approx(by_event.event_latency.sum)
         WorkerMetrics("w1", MetricsConfig()).observe_run_latency(now, ts_col)  # no epoch
 
-    def test_maybe_wire_snapshot_is_rate_limited(self):
-        m = WorkerMetrics("w1")
-        assert m.maybe_wire_snapshot(10.0, interval=0.25) is not None
-        assert m.maybe_wire_snapshot(10.1, interval=0.25) is None
-        assert m.maybe_wire_snapshot(10.3, interval=0.25) is not None
+    def test_a_snapshot_reads_events_and_joins_from_the_sink(self):
+        """Events and joins are counted once, by the sink; a snapshot
+        is a copy that later observations leave alone."""
+        m, sink = WorkerMetrics("w1"), OutputSink()
+        sink.count_events(3)
+        sink.count_join()
+        m.frames_received = 2
+        m.join_rtt.observe(0.01)
+        snap = m.snapshot(sink)
+        assert (snap.events_processed, snap.joins_completed, snap.frames_received) == (3, 1, 2)
+        m.join_rtt.observe(0.02)
+        assert snap.join_rtt.count == 1 and snap.event_latency is None
 
-    def test_subtree_relay_keeps_latest_per_worker(self):
-        root = WorkerMetrics("root")
-        leaf = WorkerMetrics("w1")
-        leaf.events_processed = 5
-        root.note_subtree((leaf.wire_snapshot(),))
-        leaf.events_processed = 9
-        root.note_subtree((leaf.wire_snapshot(),))
-        root.note_subtree(None)  # piggyback absent: no-op
-        assert root.snapshot().worker == "root" and set(root.subtree) == {"w1"}
-        relayed = MetricsSnapshot.from_wire(root.subtree["w1"], root.config.latency_buckets)
-        assert relayed.events_processed == 9
+
+class _Inbox:
+    """A receiver stub: the given batches, then the stop frame."""
+
+    def __init__(self, batches):
+        self._batches = iter([*batches, STOP])
+
+    def recv(self):
+        return next(self._batches)
+
+
+class _Sender:
+    """A sender stub for a one-worker plan, which posts nothing; the
+    worker hands it its WorkerMetrics."""
+
+    metrics = None
+
+    def post(self, dst, msg):
+        raise AssertionError(f"a lone worker posted {msg!r} to {dst}")
+
+    def flush(self):
+        pass
+
+
+class TestOneMetricsPath:
+    """A worker's metrics reach the attempt in its end-of-run report,
+    and only there; the live feed is the exporter's."""
+
+    def _drive(self, monkeypatch):
+        """One leaf driven through two frames: the first brings two
+        events and releases both, the second only moves the timers.
+        The clock lets only the first frame push a live snapshot."""
+        prog = kc.make_program(1)
+        inc, reset = ImplTag(kc.inc_tag(0), "i"), ImplTag(kc.reset_tag(0), "r")
+        plan = sequential_plan(prog, [inc, reset])
+        spec = AttemptSpec(
+            prog, plan, None, initial_leaf_states(plan, prog), None, None, False, None,
+            MetricsConfig().with_epoch(time.time()),
+        )
+
+        def heartbeats(ts):
+            return [HeartbeatMsg(t, Heartbeat(t.tag, t.stream, ts).order_key) for t in (inc, reset)]
+
+        events = [EventMsg(Event(inc.tag, inc.stream, ts)) for ts in (1.0, 2.0)]
+        control = ControlPlane(multiprocessing.get_context("fork"))
+        control.metrics = queue.Queue()  # the live feed, read in-process
+        sender = _Sender()
+        clock = iter([0.0, 1.0])
+        with monkeypatch.context() as m:
+            m.setattr(time, "monotonic", lambda: next(clock, 1.1))
+            _drive_worker(
+                "w1", spec, _Inbox([events + heartbeats(3.0), heartbeats(4.0)]), sender, control
+            )
+        return spec, control, sender.metrics
+
+    def test_a_stale_live_snapshot_does_not_replace_the_report(self, monkeypatch):
+        """The live feed saw the worker after its first frame, the
+        report after both; the attempt's metrics are the report's."""
+        spec, control, _wm = self._drive(monkeypatch)
+        result = AttemptOutcome()
+        _collect(control, [], result, ["w1"], 5.0, spec.metrics)
+        snap = result.metrics.per_worker["w1"]
+        assert (snap.frames_received, snap.events_processed) == (2, 2)
+        assert result.events_processed == 2
+
+    def test_the_live_feed_carries_a_copy(self, monkeypatch):
+        """A multiprocessing queue pickles after ``put_nowait`` returns,
+        while the worker goes on observing: what the feed carries
+        shares no histogram with the live WorkerMetrics."""
+        _spec, control, wm = self._drive(monkeypatch)
+        live = control.metrics.get_nowait()
+        assert (live.frames_received, live.events_processed) == (1, 2)
+        assert live.event_latency.count == 2
+        assert live.event_latency is not wm.event_latency
+        assert live.event_latency.counts is not wm.event_latency.counts
 
 
 class TestRunEntryPoints:
@@ -241,7 +296,7 @@ class TestRunEntryPoints:
             assert set(m.per_worker) == {"sim"}
         else:
             # The real substrates report the whole tree (root + leaves),
-            # assembled from piggybacked and end-of-run snapshots.
+            # one end-of-run snapshot per worker.
             assert set(m.per_worker) == {n.id for n in plan.workers()}
             assert merged.joins_completed > 0
 

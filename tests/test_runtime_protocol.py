@@ -88,7 +88,7 @@ class TestProtocolViolations:
 
     def test_unexpected_join_response(self, cores):
         root, leaf, value_itag, barrier_itag, posted = cores
-        stray = JoinResponse((root.node.id, 99), "left", 0, 1.0)
+        stray = JoinResponse((root.node.id, 99), "left", 0)
         with pytest.raises(RuntimeFault) as err:
             root.handle(stray)
         assert "unexpected join response" in str(err.value)
@@ -108,7 +108,7 @@ class TestProtocolViolations:
 
     def test_fork_state_without_absorption(self, cores):
         root, leaf, _value_itag, _barrier_itag, _ = cores
-        fork = ForkStateMsg((root.node.id, 1), 0, 1.0)
+        fork = ForkStateMsg((root.node.id, 1), 0)
         with pytest.raises(RuntimeFault) as err:
             root.handle(fork)
         assert f"worker {root.node.id}" in str(err.value)

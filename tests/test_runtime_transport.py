@@ -153,8 +153,8 @@ class TestFrameRoundTrips:
     def test_large_state_blob_over_64k(self):
         blob = {"state": b"x" * (1 << 17), "keys": list(range(500))}
         msgs = [
-            JoinResponse(("w1", 1), "left", blob, 1.0, 3),
-            ForkStateMsg(("w1", 1), blob, 1.0),
+            JoinResponse(("w1", 1), "left", blob, 3),
+            ForkStateMsg(("w1", 1), blob),
         ]
         back = roundtrip(msgs)
         assert back[0].state == blob
@@ -287,8 +287,8 @@ def random_message(rng: random.Random):
                            ImplTag(tag, stream), (ts,), "root", "left")
     if kind == 3:
         return JoinResponse(("w1", rng.randrange(9)), "right",
-                            rng.choice(payloads), 1.0, rng.randrange(5))
-    return ForkStateMsg(("w2", rng.randrange(9)), rng.choice(payloads), 1.0)
+                            rng.choice(payloads), rng.randrange(5))
+    return ForkStateMsg(("w2", rng.randrange(9)), rng.choice(payloads))
 
 
 class TestFastPathPickleEquivalence:
@@ -612,7 +612,7 @@ class TestFrameOverSocketTorture:
         # 997-byte slices so reassembly spans hundreds of feeds; two
         # trailing frames in the same stream must still decode after it.
         blob = {"state": b"x" * (200_000), "keys": list(range(100))}
-        big = [JoinResponse(("w1", 1), "left", blob, 1.0, 3)]
+        big = [JoinResponse(("w1", 1), "left", blob, 3)]
         small = [EventMsg(Event("v", "s", 1.0, payload=7))]
         records = b"".join(
             FRAME_LEN.pack(len(f)) + f

@@ -51,8 +51,8 @@ class TestBatchEdges:
             EventMsg(e),
             HeartbeatMsg(ImplTag("v", 0), (2.0, ("str", "v"), ("int", 0))),
             JoinRequest(("w1", 3), ImplTag("b", "s"), (2.5,), "w1", "left"),
-            JoinResponse(("w1", 3), "left", {"k": 1}, 1.0),
-            ForkStateMsg(("w1", 3), 7, 1.0),
+            JoinResponse(("w1", 3), "left", {"k": 1}, 1),
+            ForkStateMsg(("w1", 3), 7),
         ]
         assert decode_batch(encode_batch(msgs)) == msgs
 
@@ -134,9 +134,9 @@ def random_msg(rng: random.Random):
     if kind == 3:
         return JoinResponse((f"w{rng.randrange(9)}", rng.randrange(99)),
                             rng.choice(["left", "right"]), random_payload(rng),
-                            rng.uniform(0, 10))
+                            rng.randrange(10))
     return ForkStateMsg((f"w{rng.randrange(9)}", rng.randrange(99)),
-                        random_payload(rng), rng.uniform(0, 10))
+                        random_payload(rng))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 20260728])
@@ -371,9 +371,9 @@ class TestRouteFrames:
             "7401" "640000000000000440",
         ),
         "struct-packed wire tuple": (
-            [ForkStateMsg(("w1", 5), 9, 1.0)],
-            "01000000" "01" "7404" "690400000000000000" "7402" "7302007731"
-            "690500000000000000" "690900000000000000" "64000000000000f03f",
+            [ForkStateMsg(("w1", 5), 9)],
+            "01000000" "01" "7403" "690400000000000000" "7402" "7302007731"
+            "690500000000000000" "690900000000000000",
         ),
     }
 
@@ -386,7 +386,7 @@ class TestRouteFrames:
         assert batch_message_count(decoded) == batch_message_count(batch)
 
     def test_pickled_message_framing(self):
-        msg = ForkStateMsg(("w1", 5), {"a": 1}, 1.0)
+        msg = ForkStateMsg(("w1", 5), {"a": 1})
         frame = pack_frame([msg])
         assert frame[:5] == bytes.fromhex("01000000" "02")
         assert int.from_bytes(frame[5:9], "little") == len(frame) - 9
