@@ -89,6 +89,7 @@ from .cluster import (
 )
 from .process import ProcessRuntime
 from .transport import (
+    DEFAULT_TRANSPORT,
     BatchPolicy,
     PipeTransport,
     QueueTransport,
@@ -180,23 +181,13 @@ class RuntimeBackend:
         streams: Sequence[InputStream],
         *,
         options: Any = None,
-        **kwargs: Any,
     ) -> BackendRun:
-        if kwargs:
-            # The PR-6 deprecation grace is over: options= is the API.
-            raise TypeError(
-                f"backend.run()/run_on_backend() takes no loose keyword "
-                f"arguments (got {sorted(kwargs)}); build a "
-                f"RunOptions({', '.join(f'{k}=...' for k in sorted(kwargs))}) "
-                "and pass options= (RunOptions.collect merges overrides "
-                "onto a shared base)"
-            )
         opts = options if options is not None else RunOptions()
         driven = opts.fault_plan is not None or opts.reconfig_schedule is not None
         if driven:
             rec = self._run_driven(program, plan, streams, opts)
         else:
-            rec = self._execute(program, plan, streams, opts, INIT_STATE, None)
+            rec = self._execute(program, plan, streams, opts, INIT_STATE, None, False)
         return BackendRun(
             backend=self.name,
             outputs=rec.outputs,
@@ -239,7 +230,7 @@ class RuntimeBackend:
         backend forks a pristine copy anyway.
         """
         opts = _attempt_options(options)
-        return self._execute(program, plan, streams, opts, initial_state, reconfig_view)
+        return self._execute(program, plan, streams, opts, initial_state, reconfig_view, True)
 
     def open_attempt(
         self,
@@ -277,25 +268,28 @@ class RuntimeBackend:
         )
 
     def _execute(
-        self, program, plan, streams, opts: RunOptions, initial_state, reconfig_view
+        self, program, plan, streams, opts: RunOptions, initial_state, reconfig_view, record_keys
     ) -> AttemptOutcome:
         """Build the runtime for ``plan`` and run one attempt of
         ``streams`` under ``opts`` (the threaded, process and cluster
-        runtimes share one ``run()`` contract)."""
+        runtimes share one ``run()`` contract); ``record_keys`` is set
+        for an attempt, whose outputs commit by order-key prefix."""
         return self._make_runtime(program, plan, opts).run(
             streams,
             pace=opts.pace,
-            **self._attempt_kwargs(opts, initial_state, reconfig_view),
+            **self._attempt_kwargs(opts, initial_state, reconfig_view, record_keys),
         )
 
-    def _attempt_kwargs(self, opts: RunOptions, initial_state, reconfig_view) -> Dict[str, Any]:
+    def _attempt_kwargs(
+        self, opts: RunOptions, initial_state, reconfig_view, record_keys
+    ) -> Dict[str, Any]:
         """One attempt's configuration, as the runtimes take it."""
         return dict(
             timeout_s=opts.with_timeout_default(self.default_timeout_s),
             initial_state=initial_state,
             checkpoint_predicate=opts.checkpoint_predicate,
             faults=opts.fault_plan,
-            record_keys=opts.record_keys,
+            record_keys=record_keys,
             reconfig=reconfig_view,
             metrics=opts.metrics_config(),
         )
@@ -305,11 +299,10 @@ class RuntimeBackend:
 
 
 def _attempt_options(options: Any) -> RunOptions:
-    """``options`` for one attempt: output keys recorded, and a private
-    copy of a stateful checkpoint predicate."""
+    """``options`` for one attempt: a private copy of a stateful
+    checkpoint predicate."""
     opts = copy.copy(options) if options is not None else RunOptions()
     opts.checkpoint_predicate = copy.deepcopy(opts.checkpoint_predicate)
-    opts.record_keys = True
     return opts
 
 
@@ -318,7 +311,7 @@ class SimBackend(RuntimeBackend):
 
     name = "sim"
 
-    def _execute(self, program, plan, streams, opts, initial_state, reconfig_view):
+    def _execute(self, program, plan, streams, opts, initial_state, reconfig_view, record_keys):
         # Wall timeouts and pacing have no simulated analogue:
         # opts.timeout_s / opts.pace are simply not consulted here.
         return FluminaRuntime(
@@ -326,10 +319,9 @@ class SimBackend(RuntimeBackend):
             plan,
             checkpoint_predicate=opts.checkpoint_predicate,
             faults=opts.fault_plan,
-            record_keys=opts.record_keys,
+            record_keys=record_keys,
             reconfig=reconfig_view,
             metrics=opts.metrics_config(),
-            **opts.extra,
         ).run(streams, initial_state=initial_state).attempt
 
 
@@ -340,7 +332,7 @@ class ThreadedBackend(RuntimeBackend):
     name = "threaded"
 
     def _make_runtime(self, program, plan, opts: RunOptions):
-        return ThreadedRuntime(program, plan, **opts.extra)
+        return ThreadedRuntime(program, plan)
 
     def open_attempt(
         self, program, plan, *, options=None, initial_state=INIT_STATE, reconfig_view=None
@@ -349,7 +341,7 @@ class ThreadedBackend(RuntimeBackend):
         was admitted since the last one, plus a heartbeat."""
         opts = _attempt_options(options)
         return self._make_runtime(program, plan, opts).open(
-            **self._attempt_kwargs(opts, initial_state, reconfig_view)
+            **self._attempt_kwargs(opts, initial_state, reconfig_view, True)
         )
 
 
@@ -370,20 +362,15 @@ class ProcessBackend(RuntimeBackend):
                     "on would be silently ignored)"
                 )
             return ProcessRuntime(
-                program, plan, **opts.transport_kwargs(), **opts.extra
+                program,
+                plan,
+                batch_size=opts.batch_size,
+                transport=opts.transport or DEFAULT_TRANSPORT,
             )
         if opts.transport not in (None, "tcp"):
             raise RuntimeFault(
                 f"nodes= deploys over the TCP data plane; it cannot be "
                 f"combined with transport={opts.transport!r}"
-            )
-        if opts.extra:
-            # Loud, not silent: the single-host path would forward (or
-            # TypeError on) these, and a kwarg that quietly changes
-            # meaning between deployments is a debugging trap.
-            raise RuntimeFault(
-                f"cluster deployments accept no extra substrate kwargs: "
-                f"{sorted(opts.extra)}"
             )
         return ClusterLauncher(
             program,
@@ -391,7 +378,6 @@ class ProcessBackend(RuntimeBackend):
             nodes=opts.nodes,
             placement=opts.placement,
             batch_size=opts.batch_size,
-            flush_ms=opts.flush_ms,
             metrics_port=opts.metrics_port,
         )
 
@@ -437,18 +423,13 @@ def run_on_backend(
     program: DGSProgram,
     plan: SyncPlan,
     streams: Sequence[InputStream],
-    **opts: Any,
+    *,
+    options: Any = None,
 ) -> BackendRun:
     """Run a program + plan on the named backend (uniform entry point
-    for benchmarks, examples, and tests).
-
-    Run configuration travels as ``options=RunOptions(...)`` — the only
-    accepted keyword.  Loose keyword arguments (deprecated in the PR-6
-    release) now raise ``TypeError`` with a migration hint; use
-    :meth:`RunOptions.collect` to merge per-call overrides onto a
-    shared base ``RunOptions``.
-    """
-    return get_backend(name).run(program, plan, streams, **opts)
+    for benchmarks, examples, and tests).  Run configuration travels as
+    ``options=RunOptions(...)``, the only keyword."""
+    return get_backend(name).run(program, plan, streams, options=options)
 
 
 __all__ = [

@@ -421,7 +421,6 @@ class ClusterLauncher:
         nodes: Any,
         placement: Optional[Dict[str, str]] = None,
         batch_size: Optional[int] = None,
-        flush_ms: Optional[float] = None,
         validate: bool = True,
         registry_host: str = "127.0.0.1",
         metrics_port: Optional[int] = None,
@@ -440,7 +439,7 @@ class ClusterLauncher:
                     f"got {node!r}"
                 )
         self.placement = resolve_placement(plan, self.nodes, placement)
-        self.policy = resolve_policy(batch_size, flush_ms)
+        self.policy = resolve_policy(batch_size, None)
         self.registry_host = registry_host
         self.transport_name = "tcp"
         #: Serve live Prometheus text on 127.0.0.1:<metrics_port>

@@ -16,7 +16,7 @@ fields: they change between recovery/reconfiguration attempts while a
 :class:`ServeOptions` is the sibling for the long-running service mode
 (:mod:`repro.serve`): it wraps the ``RunOptions`` of the service's
 attempts and adds the ingest-tier knobs (listener address, seal
-cadence, admission watermarks, the exporter port).
+cadence, the admission watermark, the exporter port).
 
 Fields typed ``Any`` to keep this module a leaf of the import graph
 (the registry and the substrates both import it):
@@ -30,13 +30,19 @@ Fields typed ``Any`` to keep this module a leaf of the import graph
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional
+import math
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
 
 @dataclass
 class RunOptions:
     """One execution's cross-substrate configuration.
+
+    The lifecycle features (typed in the module docstring):
+    ``fault_plan`` injects crashes and drives restore-and-replay,
+    ``checkpoint_predicate`` arms snapshots at root joins, and
+    ``reconfig_schedule`` arms elastic re-planning.
 
     ``timeout_s`` of ``None`` means "substrate default" (60 s
     threaded, 120 s process).  The process substrate's transport knobs:
@@ -48,14 +54,13 @@ class RunOptions:
       2a), ``"tcp"`` (the same frames over TCP
       stream sockets — the single-host form of the distributed data
       plane), or ``"shm"`` (fixed-slot shared-memory rings: zero
-      syscalls per message, same-host only; ring geometry is tunable
-      via ``transport_options={"slots": ..., "slot_bytes": ...}``
-      forwarded through ``extra``);
+      syscalls per message, same-host only; ring geometry is a
+      :class:`~repro.runtime.process.ProcessRuntime` argument,
+      ``transport_options={"slots": ..., "slot_bytes": ...}``);
     * ``batch_size`` — ``None`` (default) selects *adaptive* batching
-      (flush on size or latency deadline, per-channel targets driven
-      by observed backlog); an explicit integer pins the old
+      (flush on size or a 1 ms latency deadline, per-channel targets
+      driven by observed backlog); an explicit integer pins the old
       fixed-size policy;
-    * ``flush_ms`` — the adaptive policy's latency deadline;
     * ``nodes`` — deploy across node agents instead of one process
       per worker (see :mod:`repro.runtime.cluster`): an int (that
       many loopback nodes) or a sequence of
@@ -75,12 +80,13 @@ class RunOptions:
       Prometheus text on ``http://127.0.0.1:<port>/metrics`` from the
       coordinator (``0`` picks a free port);
     * ``pace`` — open-loop producer pacing: timestamp units replayed
-      per wall-clock second (timestamps are milliseconds, so
-      ``pace=1000.0`` replays in real time; ``None`` keeps the
-      closed-loop as-fast-as-possible pump).
+      per wall-clock second, finite and above 0 (timestamps are
+      milliseconds, so ``pace=1000.0`` replays in real time; ``None``
+      keeps the closed-loop as-fast-as-possible pump).
 
-    ``extra`` holds substrate-specific passthrough kwargs (e.g. the
-    sim's ``track_event_latency=``)."""
+    Substrate-specific settings are not options: they are arguments of
+    the runtime classes (``FluminaRuntime(topology=,
+    track_event_latency=)``, ``ProcessRuntime(transport_options=)``)."""
 
     fault_plan: Any = None
     checkpoint_predicate: Any = None
@@ -88,33 +94,16 @@ class RunOptions:
     timeout_s: Optional[float] = None
     batch_size: Optional[int] = None
     transport: Optional[str] = None
-    flush_ms: Optional[float] = None
     nodes: Any = None
     placement: Any = None
-    record_keys: bool = False
     metrics: bool = False
     latency_buckets: Any = None
     metrics_port: Any = None
     pace: Optional[float] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
-    @classmethod
-    def collect(cls, options: Optional["RunOptions"] = None, **kwargs: Any) -> "RunOptions":
-        """Normalize an ``options=`` object plus loose keyword
-        arguments into one ``RunOptions``.
-
-        Non-``None`` keywords override the object's fields (so call
-        sites can tweak a shared options value); a ``None`` keyword
-        means *inherit* — it cannot clear a field the base object set
-        (build a fresh ``RunOptions`` for that).  Unknown keywords land
-        in ``extra`` and are forwarded verbatim to the substrate."""
-        base = options if options is not None else cls()
-        known = {f.name for f in fields(cls)} - {"extra"}
-        overrides = {k: v for k, v in kwargs.items() if k in known and v is not None}
-        extra = {**base.extra, **{k: v for k, v in kwargs.items() if k not in known}}
-        out = replace(base, **overrides)
-        out.extra = extra
-        return out
+    def __post_init__(self) -> None:
+        if self.pace is not None and not 0 < self.pace < math.inf:
+            raise ValueError(f"pace must be None or finite and > 0, got {self.pace!r}")
 
     def with_timeout_default(self, default_s: float) -> float:
         return self.timeout_s if self.timeout_s is not None else default_s
@@ -131,16 +120,6 @@ class RunOptions:
             tuple(self.latency_buckets) if self.latency_buckets else DEFAULT_LATENCY_BUCKETS
         )
         return MetricsConfig(latency_buckets=buckets)
-
-    def transport_kwargs(self) -> Dict[str, Any]:
-        """The process substrate's transport configuration (compact
-        form for ``ProcessRuntime(**...)``)."""
-        out: Dict[str, Any] = {"batch_size": self.batch_size}
-        if self.transport is not None:
-            out["transport"] = self.transport
-        if self.flush_ms is not None:
-            out["flush_ms"] = self.flush_ms
-        return out
 
 
 @dataclass
@@ -176,17 +155,10 @@ class ServeOptions:
       stream in timestamp units, read only by the per-seal substrates
       (forwarded to each seal's ``InputStream``\\ s); a seal on the
       open attempt needs only its own heartbeat;
-    * ``ingest_high_watermark`` / ``ingest_resume_watermark`` —
-      admission control on the count of admitted-but-uncommitted
-      events: admission pauses (events are *rejected, reported to the
-      client*) at the high watermark and resumes once the backlog
-      drains to the resume watermark (default: half the high);
-    * ``runtime_backlog_watermark`` — optional second signal from the
-      metrics plane: the latest seal's cluster-wide mailbox backlog
-      high-water (the same number the :class:`AutoScaler` reads from
-      join responses).  Crossing it pauses admission until a seal
-      completes below it.  Requires ``run.metrics=True`` (the service
-      enables it automatically when this is set);
+    * ``ingest_high_watermark`` — admission control on the count of
+      admitted-but-uncommitted events: admission pauses (events are
+      *rejected, reported to the client*) at the high watermark and
+      resumes once the backlog drains to half of it;
     * ``metrics_port`` — serve live Prometheus text (including the
       ``repro_serve_*`` gauges) on ``http://host:<port>/metrics``
       (``0`` picks a free port; ``None`` disables the exporter).
@@ -201,31 +173,14 @@ class ServeOptions:
     epoch_idle_ms: float = 50.0
     heartbeat_interval: Optional[float] = 10.0
     ingest_high_watermark: int = 4096
-    ingest_resume_watermark: Optional[int] = None
-    runtime_backlog_watermark: Optional[int] = None
     metrics_port: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.epoch_events < 1:
             raise ValueError("epoch_events must be >= 1")
-        if self.epoch_idle_ms < 0:
+        if not self.epoch_idle_ms >= 0:  # NaN fails too
             raise ValueError("epoch_idle_ms must be >= 0")
+        if self.heartbeat_interval is not None and not self.heartbeat_interval >= 0:
+            raise ValueError("heartbeat_interval must be None or >= 0")
         if self.ingest_high_watermark < 1:
             raise ValueError("ingest_high_watermark must be >= 1")
-        resume = self.ingest_resume_watermark
-        if resume is not None and not 0 <= resume < self.ingest_high_watermark:
-            raise ValueError(
-                "ingest_resume_watermark must be in "
-                "[0, ingest_high_watermark) — resuming at or above the "
-                "pause point would never resume"
-            )
-        if (
-            self.runtime_backlog_watermark is not None
-            and self.runtime_backlog_watermark < 1
-        ):
-            raise ValueError("runtime_backlog_watermark must be >= 1")
-
-    def resume_watermark(self) -> int:
-        if self.ingest_resume_watermark is not None:
-            return self.ingest_resume_watermark
-        return self.ingest_high_watermark // 2

@@ -597,7 +597,6 @@ class ProcessRuntime:
     through ``transport_options``).  ``batch_size=None`` (default)
     enables adaptive batching; an explicit integer pins the fixed
     policy (1 degenerates to per-message IPC, useful as a baseline).
-    ``flush_ms`` tunes the adaptive policy's latency deadline.
     """
 
     def __init__(
@@ -607,7 +606,6 @@ class ProcessRuntime:
         *,
         batch_size: Optional[int] = None,
         transport: str = DEFAULT_TRANSPORT,
-        flush_ms: Optional[float] = None,
         validate: bool = True,
         transport_options: Optional[dict] = None,
     ) -> None:
@@ -619,7 +617,7 @@ class ProcessRuntime:
         #: Transport-specific tuning (only the shm transport takes any:
         #: ``slots``, ``slot_bytes``); validated by ``make_transport``.
         self.transport_options = dict(transport_options or {})
-        self.policy = resolve_policy(batch_size, flush_ms)
+        self.policy = resolve_policy(batch_size, None)
         self._ctx = fork_context("the process runtime")
 
     def run(

@@ -72,13 +72,20 @@ class InputStream:
     the owning worker are local).  ``heartbeat_interval`` is the gap (in
     timestamp units == simulated ms) between heartbeats; ``None``
     disables periodic heartbeats (a closing heartbeat is still sent so
-    finite runs drain).
+    finite runs drain), and so does ``0``; a negative or NaN interval is
+    a ``ValueError``.
     """
 
     itag: ImplTag
     events: Tuple[Event, ...]
     source_host: Optional[str] = None
     heartbeat_interval: Optional[float] = 10.0
+
+    def __post_init__(self) -> None:
+        if self.heartbeat_interval is not None and not self.heartbeat_interval >= 0:
+            raise ValueError(
+                f"heartbeat_interval must be None or >= 0, got {self.heartbeat_interval!r}"
+            )
 
 
 @dataclass

@@ -68,14 +68,10 @@ floor.  A checkpoint the root takes during a seal therefore covers
 every posted event at or below its key and no other, every commit key
 comes from a sealed event, and every later event is strictly above it.
 
-**Backpressure.**  Admission pauses on either of two signals with
-pause/resume hysteresis (:class:`AdmissionGate`): the count of
-admitted-but-uncommitted events crossing ``ingest_high_watermark``,
-and — when ``runtime_backlog_watermark`` is set — the latest seal's
-cluster-wide mailbox-backlog high-water crossing it.  The
-latter is the same piggybacked queue-depth signal the
-:class:`~repro.runtime.reconfigure.AutoScaler` reads, surfaced here
-from the metrics plane.
+**Backpressure.**  Admission pauses with pause/resume hysteresis
+(:class:`AdmissionGate`) once the count of admitted-but-uncommitted
+events reaches ``ingest_high_watermark``, and resumes once it has
+drained to half of it.
 """
 
 from __future__ import annotations
@@ -125,34 +121,26 @@ _INF = math.inf
 
 
 class AdmissionGate:
-    """Two-signal pause/resume hysteresis for ingest admission.
+    """Pause/resume hysteresis for ingest admission.
 
-    Trips when either the ingest backlog reaches ``high`` or the
-    runtime backlog high-water reaches ``runtime_watermark`` (when
-    configured); clears only when the ingest backlog has drained to
-    ``resume`` *and* the runtime signal is back under its watermark.
-    Hysteresis (``resume < high``) keeps admission from flapping
-    per-event at the boundary.
+    Trips when the ingest backlog reaches ``high``; clears only once it
+    has drained to ``resume``.  Hysteresis (``resume < high``) keeps
+    admission from flapping per-event at the boundary.
     """
 
-    def __init__(
-        self, high: int, resume: int, runtime_watermark: Optional[int] = None
-    ) -> None:
+    def __init__(self, high: int, resume: int) -> None:
         if not 0 <= resume < high:
             raise ValueError("need 0 <= resume < high")
         self.high = high
         self.resume = resume
-        self.runtime_watermark = runtime_watermark
         self.paused = False
 
-    def decide(self, backlog: int, runtime_hw: int = 0) -> bool:
-        """Update and return the paused state for the current signals."""
-        rw = self.runtime_watermark
-        runtime_trip = rw is not None and runtime_hw >= rw
+    def decide(self, backlog: int) -> bool:
+        """Update and return the paused state for the current backlog."""
         if self.paused:
-            if backlog <= self.resume and not runtime_trip:
+            if backlog <= self.resume:
                 self.paused = False
-        elif backlog >= self.high or runtime_trip:
+        elif backlog >= self.high:
             self.paused = True
         return self.paused
 
@@ -224,8 +212,6 @@ class ServiceRuntime:
         if run.checkpoint_predicate is None:
             # The service cannot make progress without commit points.
             run = replace(run, checkpoint_predicate=every_root_join())
-        if self.options.runtime_backlog_watermark is not None and not run.metrics:
-            run = replace(run, metrics=True)
         backend = get_backend(self.options.backend)
         # Single-worker plans take no root-join snapshots, so nothing
         # would ever commit before finish(); that is a degenerate
@@ -270,17 +256,13 @@ class ServiceRuntime:
         #: exactly-once linchpin).
         self._seal_floor = -_INF
 
-        self._runtime_backlog_hw = 0
         #: Offers are rejected as "closed" from the moment the final
         #: epoch is sealed; ``finished`` only once it has committed.
         self._closed = False
         self._finished = False
 
-        self.gate = AdmissionGate(
-            self.options.ingest_high_watermark,
-            self.options.resume_watermark(),
-            self.options.runtime_backlog_watermark,
-        )
+        high = self.options.ingest_high_watermark
+        self.gate = AdmissionGate(high, high // 2)
         self.counters = ServiceCounters()
         #: The committed output log; index == egress sequence number.
         self.committed: List[Any] = []
@@ -360,9 +342,7 @@ class ServiceRuntime:
             reason = REJECT_LATE
         elif event.ts <= self._last_ts.get(itag, -_INF):
             reason = REJECT_ORDER
-        elif self.gate.decide(
-            self._inbox_count + self._pending_count, self._runtime_backlog_hw
-        ):
+        elif self.gate.decide(self._inbox_count + self._pending_count):
             reason = REJECT_BACKPRESSURE
         else:
             self._inbox[itag].append(event)
@@ -396,7 +376,7 @@ class ServiceRuntime:
             or not all(map(operator.lt, ts, ts[1:]))
             or not ts[-1] < _INF
             or backlog + len(ts) > self.gate.high
-            or self.gate.decide(backlog, self._runtime_backlog_hw)
+            or self.gate.decide(backlog)
         ):
             return False
         self._inbox[itag].append(run)
@@ -408,9 +388,7 @@ class ServiceRuntime:
     def admission_paused(self) -> bool:
         """Re-evaluate and return the gate state (without an offer)."""
         with self._lock:
-            return self.gate.decide(
-                self._inbox_count + self._pending_count, self._runtime_backlog_hw
-            )
+            return self.gate.decide(self._inbox_count + self._pending_count)
 
     # -- epochs ----------------------------------------------------------
     def inbox_size(self) -> int:
@@ -485,11 +463,7 @@ class ServiceRuntime:
         report.metrics = merged
         if merged is None:
             return
-        hw = merged.merged().max_backlog
         with self._lock:
-            # The runtime-backlog signal is windowed per epoch: the
-            # *latest* epoch's high-water, so a drained service recovers.
-            self._runtime_backlog_hw = hw
             if self.metrics is None:
                 self.metrics = RunMetrics(latency_buckets=merged.latency_buckets)
             self.metrics.accumulate(merged)

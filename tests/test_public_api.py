@@ -1,10 +1,13 @@
 """The packages' ``__all__`` lists are the public surface: every name
-in them must resolve.  Two surfaces that shrank on purpose are pinned
+in them must resolve.  Surfaces that shrank on purpose are pinned
 whole, so a retired name cannot come back unnoticed: the measurement
 package (its backend/transport comparison functions went with the
-micros that were their only callers) and the recovery module (its
-commit cut is :meth:`ReplayLog.drop_through`)."""
+micros that were their only callers), the recovery module (its
+commit cut is :meth:`ReplayLog.drop_through`) and the option classes
+(a field only tests set went with the code behind it; a new one edits
+the pin and the class docstring)."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -52,6 +55,34 @@ BENCH_ALL = {
 
 RECOVERY_DEFS = {"RecoveryStep", "ReplayLog", "assert_recovery_sound", "restart_from_crash"}
 
+RUN_OPTIONS_FIELDS = (
+    "fault_plan",
+    "checkpoint_predicate",
+    "reconfig_schedule",
+    "timeout_s",
+    "batch_size",
+    "transport",
+    "nodes",
+    "placement",
+    "metrics",
+    "latency_buckets",
+    "metrics_port",
+    "pace",
+)
+
+SERVE_OPTIONS_FIELDS = (
+    "backend",
+    "run",
+    "host",
+    "port",
+    "cookie",
+    "epoch_events",
+    "epoch_idle_ms",
+    "heartbeat_interval",
+    "ingest_high_watermark",
+    "metrics_port",
+)
+
 
 def public_defs(module):
     """Public names a module defines itself (not the ones it imports)."""
@@ -80,3 +111,14 @@ def test_the_measurement_surface_is_pinned():
 def test_the_recovery_surface_is_pinned():
     recovery = importlib.import_module("repro.runtime.recovery")
     assert public_defs(recovery) == RECOVERY_DEFS
+
+
+@pytest.mark.parametrize(
+    "name, pinned",
+    [("RunOptions", RUN_OPTIONS_FIELDS), ("ServeOptions", SERVE_OPTIONS_FIELDS)],
+)
+def test_the_option_surface_is_pinned(name, pinned):
+    cls = getattr(importlib.import_module("repro.runtime.options"), name)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == pinned
+    undocumented = [f for f in pinned if f"``{f}``" not in cls.__doc__]
+    assert undocumented == []

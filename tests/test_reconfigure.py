@@ -363,25 +363,12 @@ class TestElasticDriver:
 
 
 class TestRunOptions:
-    def test_collect_merges_and_overrides(self):
-        base = RunOptions(timeout_s=30.0, record_keys=True)
-        opts = RunOptions.collect(base, timeout_s=5.0, validate=False)
-        assert opts.timeout_s == 5.0
-        assert opts.record_keys is True
-        assert opts.extra == {"validate": False}
-        # The base object is untouched.
-        assert base.timeout_s == 30.0 and base.extra == {}
-
     def test_defaults_helpers(self):
         opts = RunOptions()
         assert opts.with_timeout_default(60.0) == 60.0
-        # batch_size=None rides through (adaptive batching downstream);
-        # transport/flush knobs appear only when set.
-        assert opts.transport_kwargs() == {"batch_size": None}
         assert RunOptions(timeout_s=1.0).with_timeout_default(60.0) == 1.0
-        assert RunOptions(
-            batch_size=8, transport="queue", flush_ms=2.0
-        ).transport_kwargs() == {"batch_size": 8, "transport": "queue", "flush_ms": 2.0}
+        assert opts.metrics_config() is None
+        assert RunOptions(metrics=True).metrics_config() is not None
 
     def test_options_object_accepted_by_backends(self):
         prog, streams, plan = vb_case(n_value_streams=2, values_per_barrier=10)

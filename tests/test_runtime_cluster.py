@@ -117,17 +117,6 @@ class TestPlacement:
                 options=RunOptions(placement={"w1": "node0"}),
             )
 
-    def test_nodes_reject_unknown_extra_kwargs(self):
-        # The single-host path forwards (or TypeErrors on) loose
-        # kwargs; the cluster path must refuse them loudly rather
-        # than silently change meaning between deployments.
-        prog, streams, plan = vb_case(n_value_streams=2)
-        with pytest.raises(RuntimeFault, match="extra substrate kwargs"):
-            run_on_backend(
-                "process", prog, plan, streams,
-                options=RunOptions(nodes=2, extra={"bacth_size": 8}),
-            )
-
 
 class TestHandshakeHellos:
     """The cookie-authenticated hello layer: JSON only (never pickle),

@@ -372,9 +372,8 @@ class TestRunEntryPoints:
 
     def test_loose_kwargs_raise_and_options_do_not(self):
         prog, streams, plan = _small_case(values_per_barrier=10, n_barriers=2)
-        # The PR-6 deprecation grace is over: loose kwargs are a
-        # TypeError carrying the migration hint.
-        with pytest.raises(TypeError, match=r"RunOptions\(timeout_s=\.\.\.\)"):
+        # options= is the one keyword: a loose one is a TypeError.
+        with pytest.raises(TypeError, match="unexpected keyword argument 'timeout_s'"):
             run_on_backend("threaded", prog, plan, streams, timeout_s=60.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -7,6 +7,7 @@ predecessor, and the producer pump posts a subsequence of it in
 chunked, interleaved rounds — as fast as it can, or each cut capped at
 the wall clock."""
 
+import math
 import random
 import threading
 import time
@@ -222,6 +223,14 @@ class TestHeartbeatGrid:
             if isinstance(m, HeartbeatMsg)
         ]
         assert hb[:2] == [5.0, 10.0] and len(hb) == 201
+
+    def test_a_negative_or_nan_interval_is_rejected(self):
+        """Such a grid would never reach the end of the stream."""
+        for interval in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="heartbeat_interval"):
+                InputStream(self.A, (), heartbeat_interval=interval)
+        for interval in (None, 0.0, 0.5):
+            InputStream(self.A, (), heartbeat_interval=interval)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +613,12 @@ class TestPacedPump:
         closed = [(dst, _expand(m)) for dst, m in _pump(streams, protocol.MAX_RUN)]
         assert paced == closed and not clock.slept
         assert any(len(m) > 1 for dst, m in paced)
+
+    def test_options_reject_a_pace_they_cannot_honour(self):
+        for pace in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="pace"):
+                RunOptions(pace=pace)
+        assert RunOptions(pace=1e-3).pace == 1e-3
 
 
 @pytest.mark.parametrize("backend", ["threaded", "process"])

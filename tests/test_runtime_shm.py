@@ -33,6 +33,7 @@ from repro.core.semantics import output_multiset
 from repro.runtime import (
     CrashFault,
     FaultPlan,
+    ProcessRuntime,
     RunOptions,
     every_root_join,
     run_on_backend,
@@ -214,16 +215,12 @@ class TestSegmentLifecycle:
         )
 
     def test_tiny_rings_via_transport_options_still_exact(self):
-        """RunOptions.extra plumbs ring geometry end to end; a ring
+        """ProcessRuntime plumbs ring geometry end to end; a ring
         smaller than any batch backpressures instead of corrupting."""
         prog, streams, plan = vb_case(values_per_barrier=25)
-        run = run_on_backend(
-            "process", prog, plan, streams,
-            options=RunOptions(
-                transport="shm",
-                extra={"transport_options": {"slots": 8, "slot_bytes": 128}},
-            ),
-        )
+        run = ProcessRuntime(
+            prog, plan, transport="shm", transport_options={"slots": 8, "slot_bytes": 128}
+        ).run(streams)
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
         )

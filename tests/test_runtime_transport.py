@@ -40,6 +40,7 @@ from repro.core.semantics import output_multiset
 from repro.runtime import (
     CrashFault,
     FaultPlan,
+    ProcessRuntime,
     RunOptions,
     every_root_join,
     run_on_backend,
@@ -696,9 +697,10 @@ class TestTransportDifferential:
             for it in itags
         ]
         plan = random_valid_plan(prog, itags, random.Random(4))
-        run = run_on_backend(
-            "process", prog, plan, streams, options=RunOptions(flush_ms=0.5)
-        )
+        runtime = ProcessRuntime(prog, plan)
+        # A deadline tighter than the 1 ms default.
+        runtime.policy = BatchPolicy.adaptive_policy(deadline_ms=0.5)
+        run = runtime.run(streams)
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
         )

@@ -98,20 +98,6 @@ class TestAdmissionGate:
         assert not gate.decide(5)
         assert not gate.decide(9)  # hysteresis: no flap below high
 
-    def test_runtime_backlog_signal(self):
-        gate = AdmissionGate(100, 50, runtime_watermark=8)
-        assert not gate.decide(0, runtime_hw=7)
-        assert gate.decide(0, runtime_hw=8)
-        # Ingest drained, but the runtime signal still holds it shut.
-        assert gate.decide(0, runtime_hw=8)
-        assert not gate.decide(0, runtime_hw=7)
-
-    def test_both_signals_must_clear(self):
-        gate = AdmissionGate(10, 5, runtime_watermark=8)
-        assert gate.decide(10, runtime_hw=0)
-        assert gate.decide(0, runtime_hw=9)  # ingest fine, runtime not
-        assert not gate.decide(0, runtime_hw=0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AdmissionGate(10, 10)
@@ -121,13 +107,12 @@ class TestAdmissionGate:
 
 class TestServeOptions:
     def test_resume_watermark_defaults_to_half(self):
-        assert ServeOptions(ingest_high_watermark=100).resume_watermark() == 50
-        assert (
-            ServeOptions(
-                ingest_high_watermark=100, ingest_resume_watermark=10
-            ).resume_watermark()
-            == 10
-        )
+        app = keycounter_app(shards=2)
+        for high, resume in ((100, 50), (7, 3), (1, 0)):
+            svc = ServiceRuntime(
+                app.program, app.plan, options=ServeOptions(ingest_high_watermark=high)
+            )
+            assert (svc.gate.high, svc.gate.resume) == (high, resume)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -135,16 +120,19 @@ class TestServeOptions:
         with pytest.raises(ValueError):
             ServeOptions(epoch_idle_ms=-1.0)
         with pytest.raises(ValueError):
+            ServeOptions(epoch_idle_ms=math.nan)
+        with pytest.raises(ValueError):
             ServeOptions(ingest_high_watermark=0)
-        with pytest.raises(ValueError):
-            ServeOptions(ingest_high_watermark=10, ingest_resume_watermark=10)
-        with pytest.raises(ValueError):
-            ServeOptions(runtime_backlog_watermark=0)
+        for interval in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="heartbeat_interval"):
+                ServeOptions(heartbeat_interval=interval)
+        ServeOptions(heartbeat_interval=None)
+        ServeOptions(heartbeat_interval=0.0)
 
 
 class TestRunEntryFinalized:
-    """PR 6 deprecated loose kwargs on the run entry; the grace period
-    is over — they now raise with a migration hint."""
+    """``options=`` is the run entry's one keyword: a loose one is a
+    ``TypeError``."""
 
     def _case(self):
         app = keycounter_app(shards=2)
@@ -159,9 +147,9 @@ class TestRunEntryFinalized:
 
     def test_loose_kwargs_raise_with_hint(self):
         app, streams = self._case()
-        with pytest.raises(TypeError, match=r"RunOptions\(timeout_s=\.\.\.\)"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'timeout_s'"):
             run_on_backend("threaded", app.program, app.plan, streams, timeout_s=30.0)
-        with pytest.raises(TypeError, match="no loose keyword"):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             get_backend("threaded").run(
                 app.program, app.plan, streams, fault_plan=None, metrics=True
             )
@@ -255,9 +243,7 @@ class TestServiceRuntimeEpochs:
         svc = ServiceRuntime(
             app.program,
             app.plan,
-            options=ServeOptions(
-                ingest_high_watermark=10, ingest_resume_watermark=3
-            ),
+            options=ServeOptions(ingest_high_watermark=10),
         )
         events = app.make_events(30)
         admitted = [e for e in events[:10] if svc.offer(e) == ADMITTED]
@@ -267,32 +253,15 @@ class TestServiceRuntimeEpochs:
         assert svc.admission_paused()
         assert svc.counters.rejected[REJECT_BACKPRESSURE] >= 1
         # An epoch commits through the sealed resets and drains the
-        # backlog below the resume watermark: admission resumes.
+        # backlog to half the high watermark: admission resumes.
+        assert svc.gate.resume == 5
         svc.run_epoch()
-        assert svc.backlog <= 3
+        assert svc.backlog <= 5
         assert not svc.admission_paused()
         assert svc.offer(events[11]) == ADMITTED
         svc.finish()
         final = admitted + [events[11]]
         assert _multiset(svc.committed) == _multiset(spec_outputs(app.program, final))
-
-    def test_runtime_backlog_watermark_pauses_admission(self):
-        app = keycounter_app(shards=2, reset_every=5)
-        svc = ServiceRuntime(
-            app.program,
-            app.plan,
-            options=ServeOptions(runtime_backlog_watermark=1),
-        )
-        events = app.make_events(40)
-        for e in events[:20]:
-            assert svc.offer(e) == ADMITTED
-        svc.run_epoch()
-        # The epoch's mailbox high-water crossed the (tiny) watermark:
-        # the metrics-plane signal now holds admission shut.
-        assert svc.metrics is not None
-        assert svc.metrics.merged().max_backlog >= 1
-        assert svc.offer(events[20]) == REJECT_BACKPRESSURE
-        assert svc.counters.rejected[REJECT_BACKPRESSURE] == 1
 
     def test_crash_before_first_checkpoint_replays_epoch(self):
         app = keycounter_app(shards=2, reset_every=10)
@@ -611,12 +580,10 @@ def _admission_script(draw):
             tag, stream, payload = draw(st.sampled_from(_ADMIT_ROUTES))
             ts = float(clock) if draw(st.integers(0, 4)) else clock
             events.append(Event(tag, stream, ts, payload))
-        runtime_hw = draw(st.sampled_from([0, 0, 0, 5]))
-        frames.append((events, runtime_hw, draw(st.booleans())))
+        frames.append((events, draw(st.booleans())))
     close_at = draw(st.one_of(st.none(), st.integers(0, len(frames) - 1)))
     high = draw(st.integers(2, 60))
-    runtime_wm = draw(st.sampled_from([None, 3]))
-    return frames, close_at, high, runtime_wm
+    return frames, close_at, high
 
 
 class TestRunAdmission:
@@ -626,20 +593,13 @@ class TestRunAdmission:
     @settings(max_examples=60, deadline=None)
     @given(_admission_script())
     def test_offer_batch_of_runs_equals_offer_per_event(self, script):
-        frames, close_at, high, runtime_wm = script
+        frames, close_at, high = script
         app = keycounter_app(shards=2, reset_every=5)
-        opts = ServeOptions(
-            backend="sim",
-            ingest_high_watermark=high,
-            runtime_backlog_watermark=runtime_wm,
-        )
+        opts = ServeOptions(backend="sim", ingest_high_watermark=high)
         by_run, by_event = (
             ServiceRuntime(app.program, app.plan, options=opts) for _ in range(2)
         )
-        for k, (events, runtime_hw, seal) in enumerate(frames):
-            for svc in (by_run, by_event):
-                # The metrics-plane signal, as an epoch would leave it.
-                svc._runtime_backlog_hw = runtime_hw
+        for k, (events, seal) in enumerate(frames):
             items = _decoded(events)
             got = by_run.offer_batch(items)
             verdicts = [by_event.offer(e) for e in _expanded(items)]
@@ -1005,7 +965,6 @@ class TestServiceAcceptance:
             epoch_events=10**9,  # epochs driven by flush below
             epoch_idle_ms=60_000.0,
             ingest_high_watermark=600,
-            ingest_resume_watermark=100,
             run=RunOptions(
                 fault_plan=FaultPlan(CrashFault(leaf, after_events=150)),
                 metrics=True,
