@@ -74,7 +74,7 @@ class ByTimestampInterval:
     since the previous snapshot."""
 
     def __init__(self, interval: float) -> None:
-        if interval <= 0:
+        if not interval > 0:  # NaN too: it would never snapshot
             raise ValueError("interval must be positive")
         self.interval = interval
         self.last_ts = float("-inf")

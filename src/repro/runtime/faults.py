@@ -32,6 +32,7 @@ workers, crash records back in worker reports).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -62,6 +63,8 @@ class CrashFault:
             )
         if self.after_events is not None and self.after_events < 1:
             raise ValueError("after_events must be >= 1")
+        if self.at_ts is not None and math.isnan(self.at_ts):
+            raise ValueError("at_ts must not be NaN")
 
     def due(self, events_seen: int, ts: float) -> bool:
         if self.after_events is not None:
@@ -84,6 +87,8 @@ class DropHeartbeats:
     count: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if math.isnan(self.before_ts):
+            raise ValueError("before_ts must not be NaN")
         if self.count is not None and self.count < 1:
             raise ValueError("count must be >= 1 (or None for unlimited)")
 

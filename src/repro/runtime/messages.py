@@ -26,10 +26,10 @@ Six message kinds flow between producers and workers:
 
 All six kinds are picklable, over picklable fields (events, order-key
 tuples, columns and application states), so they can cross OS-process
-boundaries.  :mod:`repro.runtime.wire` encodes them for the channels:
-the queue transport ships compact tuples, and the frame codec packs
-the common kinds as structs and falls back to a pickled tuple.  Join
-and fork messages carry only what their receiver reads.
+boundaries.  :mod:`repro.runtime.wire` encodes them for every
+channel in one frame format: events, self-keyed heartbeats and join
+requests pack as structs, everything else as a pickled compact tuple.
+Join and fork messages carry only what their receiver reads.
 """
 
 from __future__ import annotations

@@ -45,14 +45,15 @@ class RunOptions:
     ``reconfig_schedule`` arms elastic re-planning.
 
     ``timeout_s`` of ``None`` means "substrate default" (60 s
-    threaded, 120 s process).  The process substrate's transport knobs:
+    threaded, 120 s process); otherwise it is finite and above 0.
+    The process substrate's transport knobs:
 
     * ``transport`` — ``"pipe"`` (framed raw pipes, the default),
-      ``"queue"`` (the original ``multiprocessing.Queue`` fabric; it
-      stays because dgsbench's layer pass probes every name in
-      ``transport.TRANSPORTS``, and its removal is ROADMAP.md item
-      2a), ``"tcp"`` (the same frames over TCP
-      stream sockets — the single-host form of the distributed data
+      ``"queue"`` (the original ``multiprocessing.Queue`` fabric,
+      carrying the same frames; it stays because dgsbench's layer
+      pass probes every name in ``transport.TRANSPORTS``, and its
+      removal is ROADMAP.md item 2a), ``"tcp"`` (the same frames over
+      TCP stream sockets — the single-host form of the distributed data
       plane), or ``"shm"`` (fixed-slot shared-memory rings: zero
       syscalls per message, same-host only; ring geometry is a
       :class:`~repro.runtime.process.ProcessRuntime` argument,
@@ -102,6 +103,10 @@ class RunOptions:
     pace: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
+            raise ValueError(
+                f"timeout_s must be None or finite and > 0, got {self.timeout_s!r}"
+            )
         if self.pace is not None and not 0 < self.pace < math.inf:
             raise ValueError(f"pace must be None or finite and > 0, got {self.pace!r}")
 

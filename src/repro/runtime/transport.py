@@ -17,7 +17,8 @@ protocol so the hot path can do better:
   full-duplex pressure can never deadlock the tree.
 
 * :class:`QueueTransport` — the original ``multiprocessing.Queue``
-  fabric (``transport="queue"``).  It stays because dgsbench's layer
+  fabric (``transport="queue"``), carrying the same frames as
+  ``bytes`` objects, one per batch.  It stays because dgsbench's layer
   pass probes every name in :data:`TRANSPORTS`
   (``transport.edge_ns_per_event.<name>``); pruning the same-host
   transports is open work (ROADMAP.md, item 2a).
@@ -78,8 +79,6 @@ from .wire import (
     FRAME_LEN,
     FrameAssembler,
     batch_message_count,
-    decode_batch,
-    encode_batch,
     pack_frame,
     unpack_frame,
 )
@@ -91,10 +90,6 @@ COORDINATOR = "__coordinator__"
 #: Returned by ``Receiver.recv()`` when the coordinator shut the
 #: channel down; workers exit their loop on it.
 STOP = object()
-
-#: Queue-transport stop sentinel: a plain string so it crosses the
-#: wire untouched (kept from the original channel fabric).
-_QUEUE_STOP = "__stop__"
 
 _LEN = FRAME_LEN
 
@@ -380,10 +375,8 @@ class _QueueReceiver:
         self._q = q
 
     def recv(self) -> Any:
-        batch = self._q.get()
-        if batch == _QUEUE_STOP:
-            return STOP
-        return decode_batch(batch)
+        frame = self._q.get()
+        return unpack_frame(frame) if frame else STOP
 
     def poll(self) -> None:  # pragma: no cover - queue puts never block
         pass
@@ -405,7 +398,7 @@ class QueueTransport:
         on_block: Optional[Callable[[], None]] = None,
     ) -> BatchingSender:
         def send_batch(dst: str, batch: List[Any]) -> None:
-            self.queues[dst].put(encode_batch(batch))
+            self.queues[dst].put(pack_frame(batch))
 
         return BatchingSender(send_batch, control, policy)
 
@@ -423,7 +416,7 @@ class QueueTransport:
 
     def stop_all(self) -> None:
         for q in self.queues.values():
-            q.put(_QUEUE_STOP)
+            q.put(b"")  # empty frame = stop sentinel
 
     def drain(self) -> None:
         """Discard whatever is still sitting in worker inboxes after an

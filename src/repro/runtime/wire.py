@@ -1,32 +1,24 @@
-"""Compact wire encoding for runtime messages.
+"""Compact wire encoding for runtime messages: the frame codec.
 
-Two layers live here:
-
-* **Tuple codec** (``encode_msg``/``decode_msg``): each protocol
-  message becomes a small tuple headed by an integer type code.
-  Pickling the message dataclasses directly works but spends most of
-  the bytes on class metadata; the tuple form roughly halves the
-  serialized size and sidesteps dataclass-pickling quirks across
-  Python versions.  The queue transport ships lists of these tuples
-  (``multiprocessing`` pickles them internally).
-
-* **Frame codec** (``pack_frame``/``unpack_frame``): the pipe
-  transport's byte-level format.  A frame carries one batch of
-  messages.  The dominant message kinds — events, heartbeats and join
-  requests whose fields are scalars (ints, floats, strings, ``None``)
-  or tuples thereof — take a ``struct``-packed fast path with no
-  pickle involved, each behind a cached, self-describing *route*
-  prefix that names its implementation tag: a keyed app's tuple tag
-  (``("i", 3)``) rides it exactly like a ``str`` tag, and an
-  :class:`EventRun` travels as one columnar record.  The codec packs
-  what it is given and merges nothing: runs are built once, by the
-  producers (:func:`event_runs`).  Anything carrying
-  arbitrary application state (join responses, fork states, exotic
-  payloads) falls back to pickling that one message.  Both paths
-  round-trip exactly, including type identity (``3`` never comes back
-  as ``3.0``, ``True`` never as ``1``, ``("k", 1)`` never as ``("k",
-  True)``), which the cross-backend differential suites rely on
-  (output multisets compare ``repr``\\ s).
+Every data-plane channel — pipe, queue, TCP, shared memory, and the
+service's event frames — carries the same format
+(``pack_frame``/``unpack_frame``).  A frame carries one batch of
+messages.  The dominant message kinds — events, heartbeats and join
+requests whose fields are scalars (ints, floats, strings, ``None``) or
+tuples thereof — take a ``struct``-packed fast path with no pickle
+involved, each behind a cached, self-describing *route* prefix that
+names its implementation tag: a keyed app's tuple tag (``("i", 3)``)
+rides it exactly like a ``str`` tag, and an :class:`EventRun` travels
+as one columnar record.  The codec packs what it is given and merges
+nothing: runs are built once, by the producers (:func:`event_runs`).
+Every other message (join responses, fork states, exotic tags or
+payloads) takes the one fallback: a compact tuple headed by an integer
+type code, pickled.  The tuple spends far fewer bytes than pickling
+the message dataclass (no class metadata) and unpickles faster.  Both
+paths round-trip exactly, including type identity (``3`` never comes
+back as ``3.0``, ``True`` never as ``1``, ``("k", 1)`` never as
+``("k", True)``), which the cross-backend differential suites rely on
+(output multisets compare ``repr``\\ s).
 
 Messages travel in *batches* so producers and workers amortize one
 channel operation — one encode, one pipe write, one wakeup — over many
@@ -62,7 +54,7 @@ from .messages import (
     JoinResponse,
 )
 
-# Type codes: one small int per message kind.
+# Fallback tuple type codes: one small int per message kind.
 _EVENT = 0
 _HEARTBEAT = 1
 _JOIN_REQ = 2
@@ -73,8 +65,8 @@ _EVT_RUN = 5
 WireMsg = Tuple[Any, ...]
 
 
-def encode_msg(msg: Any) -> WireMsg:
-    """Encode one protocol message as a compact tuple."""
+def _encode_msg(msg: Any) -> WireMsg:
+    """The fallback record's compact tuple for one protocol message."""
     if isinstance(msg, EventMsg):
         e = msg.event
         return (_EVENT, e.tag, e.stream, e.ts, e.payload)
@@ -99,8 +91,8 @@ def encode_msg(msg: Any) -> WireMsg:
     raise RuntimeFault(f"cannot wire-encode {msg!r}")
 
 
-def decode_msg(wire: WireMsg) -> Any:
-    """Inverse of :func:`encode_msg`."""
+def _decode_msg(wire: WireMsg) -> Any:
+    """Inverse of :func:`_encode_msg`."""
     code = wire[0]
     if code == _EVENT:
         return EventMsg(Event(wire[1], wire[2], wire[3], wire[4]))
@@ -124,14 +116,6 @@ def decode_msg(wire: WireMsg) -> Any:
             tuple(payloads) if payloads is not None else None,
         )
     raise RuntimeFault(f"unknown wire type code {code!r}")
-
-
-def encode_batch(msgs: Sequence[Any]) -> List[WireMsg]:
-    return [encode_msg(m) for m in msgs]
-
-
-def decode_batch(batch: Sequence[WireMsg]) -> List[Any]:
-    return [decode_msg(w) for w in batch]
 
 
 def batch_message_count(msgs: Sequence[Any]) -> int:
@@ -206,7 +190,7 @@ class FrameAssembler:
 
 
 # ---------------------------------------------------------------------------
-# Frame codec: the pipe transport's byte-level format
+# Frame codec: the data plane's byte-level format
 # ---------------------------------------------------------------------------
 #
 # frame   := <u32 count> message*        (count is event-level: a run
@@ -217,12 +201,8 @@ class FrameAssembler:
 #          | 0x06 route selfkey                       (self-keyed heartbeat)
 #          | 0x07 route selfkey seq:i64 side:u8 str8(node) str8(reply_to)
 #                                                     (self-keyed join request)
-#          | 0x03 scalar(tag) scalar(stream) scalar(ts) scalar(payload)
-#                                                     (generic EventMsg)
-#          | 0x04 scalar(tag) scalar(stream) scalar(key)
-#                                                     (generic HeartbeatMsg)
-#          | 0x01 <scalar tree of the wire tuple>     (generic struct path)
-#          | 0x02 <u32 len> <pickle of the wire tuple>
+#          | 0x02 <u32 len> <pickle of the compact tuple>
+#                                                     (the one fallback)
 # route   := len:u8 <scalar(tag) scalar(stream)>      (len <= 255)
 # selfkey := tskind:u8 <f64 | i64>                    (0 float, 1 int)
 # str8    := len:u8 <utf-8 bytes>
@@ -247,7 +227,7 @@ class FrameAssembler:
 # values could hand one the other's bytes).  The keyed apps' tuple tags
 # (``("i", 3)``) are eligible like any ``str`` tag; a ``bool`` or a
 # subclass instance anywhere inside the tag, a big int, a ``frozenset``
-# are not, and travel per message on the generic paths below.
+# are not, and travel per message on the fallback.
 #
 # An :class:`EventRun` (events of one route and one field shape, as
 # the producers build them) is packed columnar: the route once, then
@@ -256,9 +236,10 @@ class FrameAssembler:
 # Heartbeats and join requests whose key is the canonical self key
 # ``(ts, stable(tag), stable(stream))`` of their own route collapse to
 # the route plus the timestamp (plus, for a request, its id and return
-# address).  Everything else walks the generic scalar grammar, and
-# anything carrying arbitrary application state (join states, exotic
-# payloads) falls back to pickling that one message.
+# address).  Everything else — join responses and fork states, whose
+# application state no struct can describe, and whatever misses the
+# records above — is pickled as its compact tuple, one message at a
+# time.
 #
 # Type checks are exact (``type(v) is int``) so bools, int subclasses,
 # numpy scalars, big ints (> 64 bit) and long strings all take a
@@ -268,10 +249,7 @@ class FrameAssembler:
 # routes compares their type trees too.  f64 packing is lossless for
 # floats (same IEEE bits, inf/NaN included).
 
-_MSG_PACKED = 0x01
 _MSG_PICKLED = 0x02
-_MSG_EVENT = 0x03
-_MSG_HEARTBEAT = 0x04
 _MSG_EVT_RUN = 0x05
 _MSG_HB_SELF = 0x06
 _MSG_JOIN_SELF = 0x07
@@ -508,7 +486,7 @@ def _intern_str(b: bytes) -> str:
 
 
 class _Unpackable(Exception):
-    """Internal: this wire tuple needs the pickle fallback."""
+    """Internal: this value is outside the scalar grammar."""
 
 
 def _pack_scalar(v: Any, out: List[bytes]) -> None:
@@ -620,53 +598,31 @@ def pack_frame(batch: Sequence[Any]) -> bytes:
     out: List[bytes] = [_U32.pack(batch_message_count(batch))]
     append = out.append
     for msg in batch:
-        mark = len(out)
-        try:
-            cls = type(msg)
-            if cls is EventRun:
-                if not _pack_columns(out, msg.tag, msg.stream, msg.shape, msg.ts, msg.payloads):
-                    raise _Unpackable
+        cls = type(msg)
+        if cls is EventRun:
+            if _pack_columns(out, msg.tag, msg.stream, msg.shape, msg.ts, msg.payloads):
                 continue
-            if cls is EventMsg:
-                e = msg.event
-                shape = _event_shape(e.ts, e.payload)
-                payloads = None if shape == _SHAPE_FN else (e.payload,)
-                if _pack_columns(out, e.tag, e.stream, shape, (e.ts,), payloads):
-                    continue
-                append(b"\x03")
-                _pack_scalar(e.tag, out)
-                _pack_scalar(e.stream, out)
-                _pack_scalar(e.ts, out)
-                _pack_scalar(e.payload, out)
+        elif cls is EventMsg:
+            e = msg.event
+            shape = _event_shape(e.ts, e.payload)
+            payloads = None if shape == _SHAPE_FN else (e.payload,)
+            if _pack_columns(out, e.tag, e.stream, shape, (e.ts,), payloads):
                 continue
-            if cls is HeartbeatMsg:
-                it = msg.itag
-                tag, stream = it.tag, it.stream
-                key = msg.key
-                route = _route(tag, stream)
-                if route is not None:
-                    self_key = _pack_self_key(route, key)
-                    if self_key is not None:
-                        append(bytes((_MSG_HB_SELF,)))
-                        append(route.prefix)
-                        append(self_key)
-                        continue
-                append(b"\x04")
-                _pack_scalar(tag, out)
-                _pack_scalar(stream, out)
-                _pack_scalar(key, out)
+        elif cls is HeartbeatMsg:
+            it = msg.itag
+            route = _route(it.tag, it.stream)
+            self_key = None if route is None else _pack_self_key(route, msg.key)
+            if self_key is not None:
+                append(bytes((_MSG_HB_SELF,)))
+                append(route.prefix)
+                append(self_key)
                 continue
-            if cls is JoinRequest:
-                packed = _pack_join_self(msg)
-                if packed is not None:
-                    append(packed)
-                    continue
-            append(b"\x01")
-            _pack_scalar(encode_msg(msg), out)
-            continue
-        except _Unpackable:
-            del out[mark:]
-        blob = pickle.dumps(encode_msg(msg), protocol=pickle.HIGHEST_PROTOCOL)
+        elif cls is JoinRequest:
+            packed = _pack_join_self(msg)
+            if packed is not None:
+                append(packed)
+                continue
+        blob = pickle.dumps(_encode_msg(msg), protocol=pickle.HIGHEST_PROTOCOL)
         append(b"\x02")
         append(_U32.pack(len(blob)))
         append(blob)
@@ -747,31 +703,14 @@ def unpack_frame(data: bytes, *, runs: bool = True) -> List[Any]:
                     )
                 )
                 continue
-            if kind == _MSG_EVENT:
-                tag, pos = _unpack_scalar(data, pos)
-                stream, pos = _unpack_scalar(data, pos)
-                ts, pos = _unpack_scalar(data, pos)
-                payload, pos = _unpack_scalar(data, pos)
-                mappend(EventMsg(Event(tag, stream, ts, payload)))
-                continue
-            if kind == _MSG_HEARTBEAT:
-                tag, pos = _unpack_scalar(data, pos)
-                stream, pos = _unpack_scalar(data, pos)
-                key, pos = _unpack_scalar(data, pos)
-                mappend(HeartbeatMsg(ImplTag(tag, stream), key))
-                continue
-            if kind == _MSG_PACKED:
-                wire, pos = _unpack_scalar(data, pos)
-            elif kind == _MSG_PICKLED:
-                n = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                if pos + n > len(data):
-                    raise RuntimeFault("corrupt frame: truncated pickle payload")
-                wire = pickle.loads(data[pos : pos + n])
-                pos += n
-            else:
+            if kind != _MSG_PICKLED:
                 raise RuntimeFault(f"corrupt frame: unknown message kind {kind:#x}")
-            mappend(decode_msg(wire))
+            n = _U32.unpack_from(data, pos)[0]
+            pos += 4
+            if pos + n > len(data):
+                raise RuntimeFault("corrupt frame: truncated pickle payload")
+            mappend(_decode_msg(pickle.loads(data[pos : pos + n])))
+            pos += n
     except (struct.error, IndexError, UnicodeDecodeError, pickle.UnpicklingError, EOFError) as exc:
         raise RuntimeFault(f"corrupt frame: {exc!r}") from exc
     if pos != len(data):

@@ -46,7 +46,10 @@ from ..runtime.messages import EventMsg, EventRun
 from ..runtime.wire import FRAME_LEN, event_runs, pack_frame, unpack_frame
 
 #: Protocol version, echoed in hellos; bumped on incompatible change.
-PROTOCOL_VERSION = 1
+#: Version 2: event frames carry only the frame codec's four record
+#: kinds (0x02, 0x05-0x07); a version-1 peer's 0x01, 0x03 and 0x04
+#: records no longer decode.
+PROTOCOL_VERSION = 2
 
 #: Frame kind bytes.
 KIND_CONTROL = 0x43  # 'C'

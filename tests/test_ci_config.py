@@ -100,6 +100,15 @@ class TestSimChaosSlice:
             in text
         )
 
+    def test_tests_job_runs_the_queue_transport_slice(self, jobs):
+        """The queue transport under crashes and re-plans on every push:
+        its frames and its drain() after an aborted attempt."""
+        text = " ".join(steps_text(jobs["tests"]).split())
+        slice_ = self.SLICE.replace(
+            "--backends sim", "--backends process --transport queue"
+        )
+        assert f"python -m repro.chaos {slice_}" in text
+
 
 class TestDgsbenchSmokeLane:
     def test_lane_runs_the_smoke_then_the_self_test(self, jobs):

@@ -370,6 +370,11 @@ class TestRunOptions:
         assert opts.metrics_config() is None
         assert RunOptions(metrics=True).metrics_config() is not None
 
+    @pytest.mark.parametrize("bad", [float("nan"), 0, 0.0, -1, float("inf")])
+    def test_timeout_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="timeout_s"):
+            RunOptions(timeout_s=bad)
+
     def test_options_object_accepted_by_backends(self):
         prog, streams, plan = vb_case(n_value_streams=2, values_per_barrier=10)
         opts = RunOptions(
@@ -403,10 +408,10 @@ class TestRunOptions:
 class TestBacklogSignal:
     def test_join_response_backlog_round_trips_on_wire(self):
         from repro.runtime.messages import JoinResponse
-        from repro.runtime.wire import decode_msg, encode_msg
+        from repro.runtime.wire import pack_frame, unpack_frame
 
         msg = JoinResponse(("w1", 3), "left", {"s": 1}, backlog=17)
-        assert decode_msg(encode_msg(msg)) == msg
+        assert unpack_frame(pack_frame([msg])) == [msg]
 
     def test_root_observes_queue_depth_in_sim(self):
         """In the simulated cluster arrivals happen at event timestamps,

@@ -75,6 +75,9 @@ class TestCheckpointPolicies:
     def test_interval_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             by_timestamp_interval(0.0)
+        # A NaN interval never compares true, so it would never snapshot.
+        with pytest.raises(ValueError):
+            by_timestamp_interval(float("nan"))
 
 
 class TestSnapshotConsistency:

@@ -56,6 +56,13 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             CrashFault("w1", after_events=0)
 
+    def test_nan_timestamps_are_rejected(self):
+        # A NaN bound never compares true: the fault would never fire.
+        with pytest.raises(ValueError):
+            CrashFault("w1", at_ts=float("nan"))
+        with pytest.raises(ValueError):
+            DropHeartbeats("w1", before_ts=float("nan"))
+
     def test_view_raises_worker_crash_at_count(self):
         plan = FaultPlan(CrashFault("w2", after_events=3))
         view = plan.view_for("w2")

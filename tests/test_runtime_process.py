@@ -26,7 +26,7 @@ from repro.runtime.messages import (
     JoinResponse,
 )
 from repro.runtime.process import ProcessRuntime
-from repro.runtime.wire import decode_batch, decode_msg, encode_batch, encode_msg
+from repro.runtime.wire import pack_frame, unpack_frame
 
 
 def spec_multiset(prog, streams):
@@ -45,16 +45,16 @@ class TestWireCodec:
 
     @pytest.mark.parametrize("msg", MSGS, ids=lambda m: type(m).__name__)
     def test_roundtrip(self, msg):
-        assert decode_msg(encode_msg(msg)) == msg
+        assert unpack_frame(pack_frame([msg])) == [msg]
 
     def test_batch_roundtrip(self):
-        assert decode_batch(encode_batch(self.MSGS)) == self.MSGS
+        assert unpack_frame(pack_frame(self.MSGS)) == self.MSGS
 
     def test_unknown_rejected(self):
         with pytest.raises(RuntimeFault):
-            encode_msg(object())
+            pack_frame([object()])
         with pytest.raises(RuntimeFault):
-            decode_msg((99, "?"))
+            unpack_frame(b"\x01\x00\x00\x00\x7f")
 
     def test_events_pickle_compactly(self):
         # __reduce__ keeps frozen slots dataclasses picklable on every

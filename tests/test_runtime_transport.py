@@ -73,8 +73,6 @@ from repro.runtime.transport import (
 from repro.runtime.wire import (
     FRAME_LEN,
     batch_message_count,
-    decode_batch,
-    encode_batch,
     event_runs,
     pack_frame,
     unpack_frame,
@@ -136,12 +134,12 @@ class TestFrameRoundTrips:
         ]
         assert_same_messages(roundtrip(msgs), msgs)
         # The producer builds the run; the codec packs it as given —
-        # route once + 16 bytes per event, far below the tuple-pickle
-        # encoding — and hands the same run back.
+        # route once + 16 bytes per event, under half of one record
+        # per event — and hands the same run back.
         (run,) = event_runs([m.event for m in msgs])
         (back,) = roundtrip([run])
         assert type(back) is EventRun and back.events() == run.events()
-        assert len(pack_frame([run])) < len(pickle.dumps(encode_batch(msgs)))
+        assert 2 * len(pack_frame([run])) < len(pack_frame(msgs))
 
     def test_all_event_shapes(self):
         msgs = [
@@ -260,6 +258,18 @@ class TestFrameRoundTrips:
             unpack_frame(data + b"\x00")  # trailing garbage
         with pytest.raises(RuntimeFault):
             unpack_frame(b"\x01\x00\x00\x00\xff")  # unknown message kind
+        # The record kinds of protocol version 1 that version 2 dropped:
+        # a struct-packed wire tuple, a generic event, a generic heartbeat.
+        for retired in (
+            "01000000" "01" "7403" "690400000000000000" "7402" "7302007731"
+            "690500000000000000" "690900000000000000",
+            "01000000" "03" "73010076" "690000000000000000" "64000000000000f03f"
+            "73010078",
+            "01000000" "04" "7402" "730100" "69" "690300000000000000" "73020073"
+            "30" "7401" "640000000000000440",
+        ):
+            with pytest.raises(RuntimeFault, match="unknown message kind"):
+                unpack_frame(bytes.fromhex(retired))
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +314,10 @@ class TestFastPathPickleEquivalence:
         for _ in range(20):
             msgs = [random_message(rng) for _ in range(rng.randrange(0, 60))]
             framed = roundtrip(msgs)
-            tupled = decode_batch(
-                pickle.loads(pickle.dumps(encode_batch(msgs)))
-            )
+            pickled = [pickle.loads(pickle.dumps(m)) for m in msgs]
             assert_same_messages(framed, msgs)
-            assert_same_messages(tupled, msgs)
-            assert_same_messages(framed, tupled)
+            assert_same_messages(pickled, msgs)
+            assert_same_messages(framed, pickled)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -335,9 +343,9 @@ class TestFastPathPickleEquivalence:
     def test_hypothesis_event_batches(self, specs):
         msgs = [EventMsg(Event(t, s, ts, p)) for (t, s, ts, p) in specs]
         framed = roundtrip(msgs)
-        tupled = decode_batch(pickle.loads(pickle.dumps(encode_batch(msgs))))
+        pickled = [pickle.loads(pickle.dumps(m)) for m in msgs]
         assert_same_messages(framed, msgs)
-        assert_same_messages(framed, tupled)
+        assert_same_messages(framed, pickled)
 
 
 # ---------------------------------------------------------------------------

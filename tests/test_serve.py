@@ -55,6 +55,7 @@ from repro.serve import (
     value_barrier_app,
 )
 from repro.serve.protocol import (
+    PROTOCOL_VERSION,
     control_frame,
     decode_outputs,
     events_frame,
@@ -879,12 +880,20 @@ class TestServiceTCP:
             sock.sendall(FRAME_LEN.pack(7) + b"Znoise!")
             assert sock.recv(1024) == b""  # server hung up, no crash
             sock.close()
+            # A version-1 hello, right cookie and all: version 2 dropped
+            # three event-record kinds a v1 peer may send.
+            assert PROTOCOL_VERSION == 2
+            sock = socket.create_connection(("127.0.0.1", handle.port), timeout=10)
+            hello = {"type": "hello", "v": 1, "cookie": handle.cookie, "mode": "ingest"}
+            sock.sendall(control_frame(hello))
+            assert sock.recv(1024) == b""  # no welcome
+            sock.close()
             # The service still works for authenticated clients.
             with connect(handle.port, handle.cookie) as ingest:
                 events = app.make_events(20)
                 assert ingest.send_events(events).admitted == 20
                 assert ingest.finish() == 4
-            assert handle.server.strays == 2
+            assert handle.server.strays == 3
 
     def test_process_backend_epochs(self):
         app = keycounter_app(reset_every=10)
