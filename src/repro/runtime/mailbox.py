@@ -58,6 +58,11 @@ class Buffered:
     item: Any
 
 
+def _last_key(b: Buffered) -> OrderKey:
+    """The key of the last event a buffered item holds."""
+    return b.item.last_key if type(b.item) is EventRun else b.key
+
+
 class Mailbox:
     """Selective reordering over a fixed set of known implementation tags."""
 
@@ -121,9 +126,9 @@ class Mailbox:
         if itag not in self.itags:
             raise InputError(f"mailbox does not know itag {itag!r}")
         buf = self._buffers[itag]
-        if buf and buf[-1].key >= key:
+        if buf and _last_key(buf[-1]) >= key:
             raise InputError(
-                f"non-monotone arrival for {itag!r}: {key} after {buf[-1].key}"
+                f"non-monotone arrival for {itag!r}: {key} after {_last_key(buf[-1])}"
             )
         if self._timers[itag] > key:
             raise InputError(
@@ -148,9 +153,9 @@ class Mailbox:
             raise InputError(f"mailbox does not know itag {itag!r}")
         first = run.first_key
         buf = self._buffers[itag]
-        if buf and buf[-1].key >= first:
+        if buf and _last_key(buf[-1]) >= first:
             raise InputError(
-                f"non-monotone arrival for {itag!r}: {first} after {buf[-1].key}"
+                f"non-monotone arrival for {itag!r}: {first} after {_last_key(buf[-1])}"
             )
         if self._timers[itag] > first:
             raise InputError(

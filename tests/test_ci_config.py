@@ -110,6 +110,21 @@ class TestSimChaosSlice:
         assert f"python -m repro.chaos {slice_}" in text
 
 
+class TestNightlyMailboxOracle:
+    def test_chaos_job_runs_the_oracle_at_the_nightly_profile(self, jobs):
+        """The scheduled job holds the mailbox against its per-event
+        reference at 20 000 examples, and the profile it names exists."""
+        from hypothesis import settings
+
+        text = " ".join(steps_text(jobs["chaos"]).split())
+        assert (
+            "python -m pytest -q tests/test_mailbox_oracle.py "
+            "--hypothesis-profile=nightly" in text
+        )
+        assert os.path.exists(os.path.join(ROOT, "tests", "test_mailbox_oracle.py"))
+        assert settings.get_profile("nightly").max_examples >= 10000
+
+
 class TestDgsbenchSmokeLane:
     def test_lane_runs_the_smoke_then_the_self_test(self, jobs):
         """The declared end-to-end benchmark runs on every push: the

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DependenceRelation, Event, ImplTag, InputError
 from repro.runtime import Mailbox
+from repro.runtime.messages import EventRun
 
 
 def key(tag, stream, ts):
@@ -113,6 +114,16 @@ class TestErrors:
         mb.insert(B, key("b", "bar", 5.0), "a")
         with pytest.raises(InputError, match="non-monotone"):
             mb.insert(B, key("b", "bar", 4.0), "b")
+
+    def test_duplicate_of_a_buffered_runs_last_event_rejected(self):
+        """A buffered run's last key, not its first, is what the next
+        arrival must pass (the timer check alone lets an equal key in)."""
+        mb = make_mailbox()
+        assert mb.insert_run(EventRun("v", 0, 0, (1.0, 2.0), None)) == []
+        with pytest.raises(InputError, match="non-monotone"):
+            mb.insert(V0, key("v", 0, 2.0), "dup")
+        with pytest.raises(InputError, match="non-monotone"):
+            mb.insert_run(EventRun("v", 0, 0, (2.0, 3.0), None))
 
     def test_insert_behind_timer_rejected(self):
         mb = Mailbox([V0], DEP)
