@@ -18,25 +18,45 @@ An item with tag ``s`` and key ``k`` is *released* to the worker when
    front of ``s'``'s buffer (if any) has key ``> k`` (earlier dependent
    items are processed first).
 
-Releases cascade through a tag workset exactly as described in the
-paper.  The mailbox is pure data-structure logic — no simulator
-dependencies — so it is unit-testable and reusable by both the
-simulated and the threaded runtimes.
+Release is incremental.  Every tag has a *limit*, the key up to which
+it lets its dependants pass: its buffer front's key, or its timer when
+nothing is buffered.  Every tag keeps a *release bound*, the minimum
+of the limits of the tags it depends on, and its front releases when
+its key is at most that bound.  A limit only ever rises, so an arrival
+or a heartbeat recomputes the bounds of the reverse dependencies of a
+tag whose limit actually moved, and release goes on from the tags
+whose bound now reaches their front: the paper's cascading release
+through a tag workset, doing work in proportion to what moved rather
+than to what is buffered.  An arrival behind a buffered front moves
+nothing and returns at once.
 
 Columnar runs (:class:`~repro.runtime.messages.EventRun`) buffer as a
-*single* item keyed at their first event and release under exactly the
-per-event rule: when a run's front is releasable, the mailbox releases
-the maximal prefix every event of which satisfies the release
-condition, splitting the run when a dependent tag's timer or buffered
-front caps it.  ``buffered_count`` stays event-level (a run of ``n``
-counts ``n``), so backlog signals and drain checks are unchanged.
+*single* item and release under exactly the per-event rule behind a
+*run cursor*: the front run's releasable prefix ends at the tag's
+bound (a bisect on the timestamp column plus one comparison of the
+key tail), goes out as a slice, and the cursor advances past it; the
+buffered run is never re-sliced.  ``buffered_count`` stays event-level
+(a run of ``n`` counts ``n``, less what its cursor has passed), so
+backlog signals and drain checks are unchanged.
+
+Released items come out in global key order.  When every pair of
+known tags is dependent this holds by construction: each release is
+bounded by every other tag's limit.  Only when the known tags contain
+a mutually independent pair (a property of the dependence relation,
+decided once) can a run released from one tag span an item released
+from another; then a batch released from more than one tag is sorted
+and each such run is split at the item it straddles.
+
+The mailbox is pure data-structure logic — no simulator dependencies —
+so it is unit-testable and reusable by every substrate.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from collections import deque
-from dataclasses import dataclass
+from itertools import permutations
+from operator import attrgetter
 from typing import Any, Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.dependence import DependenceRelation
@@ -49,18 +69,22 @@ OrderKey = Tuple
 NEG_INF_KEY: OrderKey = (float("-inf"),)
 
 
-@dataclass(frozen=True)
 class Buffered:
-    """An item awaiting release: its tag, order key and payload."""
+    """An item awaiting release (or released): its tag, its order key
+    (a run's first event's) and the item itself."""
 
-    itag: ImplTag
-    key: OrderKey
-    item: Any
+    __slots__ = ("itag", "key", "item")
+
+    def __init__(self, itag: ImplTag, key: OrderKey, item: Any) -> None:
+        self.itag = itag
+        self.key = key
+        self.item = item
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Buffered(itag={self.itag!r}, key={self.key!r}, item={self.item!r})"
 
 
-def _last_key(b: Buffered) -> OrderKey:
-    """The key of the last event a buffered item holds."""
-    return b.item.last_key if type(b.item) is EventRun else b.key
+_key_of = attrgetter("key")
 
 
 class Mailbox:
@@ -76,39 +100,57 @@ class Mailbox:
             t: deque() for t in self.itags
         }
         self._timers: Dict[ImplTag, OrderKey] = {t: NEG_INF_KEY for t in self.itags}
-        #: Incrementally-maintained total of all buffered items, so the
+        #: The run cursor: events of each tag's front run already released.
+        self._cursor: Dict[ImplTag, int] = {t: 0 for t in self.itags}
+        #: Incrementally-maintained total of all buffered events, so the
         #: backlog queries on the join path (every JoinResponse reports
         #: queue depth) stay O(1) instead of O(tags).
         self._total_buffered = 0
-        # Precompute, for each tag, which known tags it depends on
-        # (excluding itself: same-tag ordering is the buffer's FIFO).
-        self._deps: Dict[ImplTag, Tuple[ImplTag, ...]] = {}
-        for a in self.itags:
-            self._deps[a] = tuple(
-                b for b in self.itags if b != a and depends.itag_depends(a, b)
-            )
-        # Reverse direction: tags whose release may be unblocked when
-        # `a` makes progress.
-        self._rdeps: Dict[ImplTag, Tuple[ImplTag, ...]] = {}
-        for a in self.itags:
-            self._rdeps[a] = tuple(
-                b for b in self.itags if b != a and a in self._deps[b]
-            )
+        # For each tag, the known tags it depends on (excluding itself:
+        # same-tag ordering is the buffer's FIFO), and the reverse: the
+        # tags whose release may be unblocked when it makes progress.
+        self._deps: Dict[ImplTag, Tuple[ImplTag, ...]] = {
+            a: tuple(b for b in self.itags if b != a and depends.itag_depends(a, b))
+            for a in self.itags
+        }
+        self._rdeps: Dict[ImplTag, Tuple[ImplTag, ...]] = {
+            a: tuple(b for b in self.itags if b != a and a in self._deps[b])
+            for a in self.itags
+        }
+        #: Each tag's limit: its front's key, or its timer when empty.
+        self._limit: Dict[ImplTag, OrderKey] = dict(self._timers)
+        #: Each tag's release bound, the least limit among its
+        #: dependencies (None: it has none, and releases on arrival).
+        self._bound: Dict[ImplTag, Optional[OrderKey]] = {
+            a: NEG_INF_KEY if self._deps[a] else None for a in self.itags
+        }
+        #: Whether a released run can straddle another tag's item: only
+        #: if some pair of known tags is not dependent both ways.
+        self._straddles = any(
+            b not in self._deps[a] for a, b in permutations(self.itags, 2)
+        )
 
     # -- queries -----------------------------------------------------------
+    def _buffer(self, itag: ImplTag) -> Deque[Buffered]:
+        buf = self._buffers.get(itag)
+        if buf is None:
+            raise InputError(f"mailbox does not know itag {itag!r}")
+        return buf
+
     def timer(self, itag: ImplTag) -> OrderKey:
+        self._buffer(itag)
         return self._timers[itag]
 
     def buffered_count(self, itag: Optional[ImplTag] = None) -> int:
-        if itag is not None:
-            return sum(
-                len(b.item) if type(b.item) is EventRun else 1
-                for b in self._buffers[itag]
-            )
-        return self._total_buffered
+        if itag is None:
+            return self._total_buffered
+        n = -self._cursor.get(itag, 0)
+        for b in self._buffer(itag):
+            n += len(b.item) if type(b.item) is EventRun else 1
+        return n
 
     def buffer_empty(self, itag: ImplTag) -> bool:
-        return not self._buffers[itag]
+        return not self._buffer(itag)
 
     def frontier(self, itag: ImplTag) -> Optional[OrderKey]:
         """The key up to which this mailbox can *vouch* for ``itag``:
@@ -116,28 +158,34 @@ class Mailbox:
         (a buffered item may turn into a join request with a smaller
         key than the timer).  ``None`` = cannot vouch beyond what
         children already know."""
-        if self._buffers[itag]:
+        if self._buffer(itag):
             return None
         return self._timers[itag]
 
     # -- mutation -----------------------------------------------------------
-    def insert(self, itag: ImplTag, key: OrderKey, item: Any) -> List[Buffered]:
-        """Buffer an item and return everything releasable, in order."""
-        if itag not in self.itags:
-            raise InputError(f"mailbox does not know itag {itag!r}")
-        buf = self._buffers[itag]
-        if buf and _last_key(buf[-1]) >= key:
-            raise InputError(
-                f"non-monotone arrival for {itag!r}: {key} after {_last_key(buf[-1])}"
-            )
+    def _check_arrival(self, itag: ImplTag, buf: Deque[Buffered], key: OrderKey) -> None:
+        if buf:
+            last = buf[-1]
+            last_key = last.item.last_key if type(last.item) is EventRun else last.key
+            if last_key >= key:
+                raise InputError(
+                    f"non-monotone arrival for {itag!r}: {key} after {last_key}"
+                )
         if self._timers[itag] > key:
             raise InputError(
                 f"item for {itag!r} arrives behind its heartbeat frontier"
             )
+
+    def insert(self, itag: ImplTag, key: OrderKey, item: Any) -> List[Buffered]:
+        """Buffer an item and return everything releasable, in order."""
+        buf = self._buffer(itag)
+        self._check_arrival(itag, buf, key)
         buf.append(Buffered(itag, key, item))
         self._total_buffered += 1
         self._timers[itag] = key
-        return self._cascade(itag)
+        if len(buf) > 1:
+            return []  # behind a front that cannot release: nothing moved
+        return self._release(itag)
 
     def insert_run(self, run: EventRun) -> List[Buffered]:
         """Buffer a columnar run as one item (keyed at its first event)
@@ -149,130 +197,129 @@ class Mailbox:
         to the run's last key — exactly what inserting the events one
         by one would have left behind."""
         itag = run.itag
-        if itag not in self.itags:
-            raise InputError(f"mailbox does not know itag {itag!r}")
+        buf = self._buffer(itag)
         first = run.first_key
-        buf = self._buffers[itag]
-        if buf and _last_key(buf[-1]) >= first:
-            raise InputError(
-                f"non-monotone arrival for {itag!r}: {first} after {_last_key(buf[-1])}"
-            )
-        if self._timers[itag] > first:
-            raise InputError(
-                f"item for {itag!r} arrives behind its heartbeat frontier"
-            )
+        self._check_arrival(itag, buf, first)
         buf.append(Buffered(itag, first, run))
-        self._total_buffered += len(run)
+        self._total_buffered += len(run.ts)
         self._timers[itag] = run.last_key
-        return self._cascade(itag)
+        if len(buf) > 1:
+            return []
+        return self._release(itag)
 
     def advance(self, itag: ImplTag, key: OrderKey) -> List[Buffered]:
         """Heartbeat: advance the timer without buffering anything."""
-        if itag not in self.itags:
+        timers = self._timers
+        old = timers.get(itag)
+        if old is None:
             raise InputError(f"mailbox does not know itag {itag!r}")
-        if key <= self._timers[itag]:
+        if key <= old:
             return []  # stale heartbeat, nothing new
-        self._timers[itag] = key
-        return self._cascade(itag)
+        timers[itag] = key
+        if self._buffers[itag]:
+            return []  # the buffered front, not the timer, is the limit
+        return self._release(itag)
 
     # -- release machinery ----------------------------------------------------
-    def _releasable(self, front: Buffered) -> bool:
-        for dep in self._deps[front.itag]:
-            if self._timers[dep] < front.key:
-                return False
-            dep_buf = self._buffers[dep]
-            if dep_buf and dep_buf[0].key < front.key:
-                return False
-        return True
-
-    def _release_bound(self, tag: ImplTag) -> Optional[OrderKey]:
-        """Inclusive key bound up to which ``tag``'s events may release:
-        the minimum over dependent tags of their timer and (if buffered)
-        their front item's key.  ``None`` means unconstrained (no deps)."""
-        bound: Optional[OrderKey] = None
-        for dep in self._deps[tag]:
-            t = self._timers[dep]
-            if bound is None or t < bound:
-                bound = t
-            dep_buf = self._buffers[dep]
-            if dep_buf and dep_buf[0].key < bound:
-                bound = dep_buf[0].key
-        return bound
-
-    def _cascade(self, seed: ImplTag) -> List[Buffered]:
-        """The paper's cascading-release procedure with a tag workset."""
+    def _release(self, seed: ImplTag) -> List[Buffered]:
+        """Cascade from ``seed``, whose front or limit just moved: release
+        what each visited tag's bound allows, and where a tag's limit
+        rises, raise the bounds of its reverse dependencies and visit
+        those whose front the new bound reaches."""
         released: List[Buffered] = []
-        workset: List[ImplTag] = [seed]
-        workset.extend(self._rdeps[seed])
-        in_set = set(workset)
-        any_runs = False
-        while workset:
-            tag = workset.pop()
-            in_set.discard(tag)
-            buf = self._buffers[tag]
-            progressed = False
-            while buf and self._releasable(buf[0]):
-                front = buf[0]
-                item = front.item
-                if type(item) is EventRun:
-                    any_runs = True
-                    bound = self._release_bound(tag)
-                    if bound is not None and item.last_key > bound:
-                        # Only a prefix of the run is releasable; split
-                        # at the bound (inclusive).  The front being
-                        # releasable guarantees a non-empty prefix, and
-                        # the remainder is provably blocked, so stop.
-                        n_rel = bisect_right(item.keys(), bound)
-                        prefix, rest = item.split(n_rel)
-                        released.append(Buffered(tag, front.key, prefix))
-                        buf[0] = Buffered(tag, rest.first_key, rest)
-                        self._total_buffered -= n_rel
-                        progressed = True
-                        break
-                    buf.popleft()
-                    released.append(front)
-                    self._total_buffered -= len(item)
-                else:
-                    buf.popleft()
-                    released.append(front)
-                    self._total_buffered -= 1
-                progressed = True
-            if progressed:
-                for nxt in self._rdeps[tag]:
-                    if nxt not in in_set:
-                        workset.append(nxt)
-                        in_set.add(nxt)
-                # Our own later items may also now be releasable; the
-                # inner while loop already drained them greedily.
-        released.sort(key=lambda b: b.key)
-        if any_runs and len(released) > 1:
-            self._split_straddles(released)
+        buffers = self._buffers
+        timers = self._timers
+        limits = self._limit
+        bounds = self._bound
+        work = [seed]
+        while work:
+            tag = work.pop()
+            buf = buffers[tag]
+            if buf:
+                bound = bounds[tag]
+                if bound is None or buf[0].key <= bound:
+                    self._release_from(tag, buf, bound, released)
+                limit = buf[0].key if buf else timers[tag]
+            else:
+                limit = timers[tag]
+            old = limits[tag]
+            if limit == old:
+                continue
+            limits[tag] = limit
+            for dep in self._rdeps[tag]:
+                bound = bounds[dep]
+                if old > bound:
+                    continue  # ``tag`` was not what held ``dep`` back
+                deps = self._deps[dep]
+                bound = limit if len(deps) == 1 else min([limits[t] for t in deps])
+                bounds[dep] = bound
+                dep_buf = buffers[dep]
+                if dep_buf and dep_buf[0].key <= bound:
+                    work.append(dep)
+        if self._straddles and len(released) > 1:
+            tag = released[0].itag
+            if any(b.itag != tag for b in released):
+                released.sort(key=_key_of)
+                self._split_straddles(released)
         return released
+
+    def _release_from(
+        self,
+        tag: ImplTag,
+        buf: Deque[Buffered],
+        bound: Optional[OrderKey],
+        out: List[Buffered],
+    ) -> None:
+        """Release ``tag``'s buffer front-first, up to its ``bound``."""
+        while buf:
+            front = buf[0]
+            if bound is not None and front.key > bound:
+                return
+            item = front.item
+            if type(item) is not EventRun:
+                buf.popleft()
+                out.append(front)
+                self._total_buffered -= 1
+                continue
+            lo = self._cursor[tag]
+            n = len(item.ts)
+            hi = n
+            if bound is not None and item.ts[-1] >= bound[0]:
+                hi = item.count_through(bound, lo)
+            self._total_buffered -= hi - lo
+            if hi < n:
+                # Only a prefix is releasable, and the rest is provably
+                # blocked: hand the prefix out, advance the cursor.
+                out.append(Buffered(tag, front.key, item.slice(lo, hi)))
+                self._cursor[tag] = hi
+                front.key = item.key_at(hi)
+                return
+            buf.popleft()
+            if lo:
+                self._cursor[tag] = 0
+                front = Buffered(tag, front.key, item.slice(lo, n))
+            out.append(front)
 
     @staticmethod
     def _split_straddles(released: List[Buffered]) -> None:
         """Enforce global per-event key order across a released batch.
 
         ``released`` is sorted by (first) key, but a released run may
-        *span* a later-released item of another tag (possible under
-        asymmetric dependence: the run's tag has no dep on the other
-        tag, so its bound never saw it).  Split any such run at the next
-        item's key so consumers processing the list front-to-back see
-        events in global order, exactly as the per-event path would."""
+        *span* a later-released item of another tag (possible only
+        between independent tags: the run's bound never saw the other
+        tag).  Split any such run at the next item's key so consumers
+        processing the list front-to-back see events in global order,
+        exactly as the per-event path would."""
         i = 0
         while i < len(released) - 1:
             b = released[i]
             item = b.item
-            if type(item) is EventRun and item.last_key > released[i + 1].key:
-                n = bisect_right(item.keys(), released[i + 1].key)
-                prefix, rest = item.split(n)
-                released[i] = Buffered(b.itag, b.key, prefix)
-                insort(
-                    released,
-                    Buffered(b.itag, rest.first_key, rest),
-                    lo=i + 1,
-                    key=lambda x: x.key,
-                )
+            nxt = released[i + 1].key
+            if type(item) is EventRun and item.last_key > nxt:
+                n = item.count_through(nxt)
+                rest = item.slice(n, len(item.ts))
+                released[i] = Buffered(b.itag, b.key, item.slice(0, n))
+                insort(released, Buffered(b.itag, rest.first_key, rest), lo=i + 1, key=_key_of)
             i += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -10,7 +10,8 @@ Six message kinds flow between producers and workers:
   timestamp/payload columns instead of one
   :class:`~repro.core.events.Event` object per message.  A run is
   order-equivalent to the per-event sequence it packs — mailboxes
-  release (and may split) runs under exactly the per-event rule; a
+  release runs under exactly the per-event rule, a prefix at a time
+  behind a cursor; a
   leaf applies a released run in one dispatch (split at an armed crash
   fault), and an internal node, which joins per event, walks it with a
   cursor;
@@ -34,6 +35,7 @@ Join and fork messages carry only what their receiver reads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
@@ -53,10 +55,14 @@ class EventRun:
     ``ts`` holds the timestamp column and ``payloads`` the payload
     column (``None`` when every payload is ``None`` — the codec's FN
     shape).  ``shape`` is the wire codec's shape byte, kept so a run
-    re-packs without re-deriving it.  Order keys are materialized
-    lazily and cached: every event in a run shares the same
-    ``(stable(tag), stable(stream))`` suffix, so a run's keys cost one
-    tuple per event instead of two nested ones.
+    re-packs without re-deriving it.  Every event in a run shares the
+    order-key suffix ``key_tail`` = ``(stable(tag), stable(stream))``,
+    so event ``i``'s key is ``(ts[i], *key_tail)``: the first and last
+    keys cost one tuple each, and the full per-event list
+    (:meth:`keys`) is built only for a consumer that records keys.
+    Whoever already knows the tail (the codec's route caches, which key
+    by exact type) passes it in; otherwise it is derived once, on first
+    use.
 
     Runs are *not* wrapped in :class:`EventMsg`: a run is itself a
     protocol message, and its identity on the in-flight accounting
@@ -64,7 +70,7 @@ class EventRun:
     :func:`repro.runtime.wire.batch_message_count`).
     """
 
-    __slots__ = ("tag", "stream", "shape", "ts", "payloads", "_keys")
+    __slots__ = ("tag", "stream", "shape", "ts", "payloads", "_tail")
 
     def __init__(
         self,
@@ -73,13 +79,14 @@ class EventRun:
         shape: int,
         ts: Tuple,
         payloads: Optional[Tuple],
+        key_tail: Optional[Tuple] = None,
     ) -> None:
         self.tag = tag
         self.stream = stream
         self.shape = shape
         self.ts = ts
         self.payloads = payloads
-        self._keys: Optional[List[tuple]] = None
+        self._tail = key_tail
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -88,21 +95,55 @@ class EventRun:
     def itag(self) -> ImplTag:
         return ImplTag(self.tag, self.stream)
 
+    @property
+    def key_tail(self) -> Tuple:
+        """What follows the timestamp in every event's order key."""
+        tail = self._tail
+        if tail is None:
+            tail = self._tail = (_stable_key(self.tag), _stable_key(self.stream))
+        return tail
+
     def keys(self) -> List[tuple]:
-        ks = self._keys
-        if ks is None:
-            kt = _stable_key(self.tag)
-            ksm = _stable_key(self.stream)
-            ks = self._keys = [(t, kt, ksm) for t in self.ts]
-        return ks
+        """Every event's order key, in order."""
+        kt, ks = self.key_tail
+        return [(t, kt, ks) for t in self.ts]
+
+    def key_at(self, i: int) -> tuple:
+        return (self.ts[i], *self.key_tail)
 
     @property
     def first_key(self) -> tuple:
-        return self.keys()[0]
+        return (self.ts[0], *self.key_tail)
 
     @property
     def last_key(self) -> tuple:
-        return self.keys()[-1]
+        return (self.ts[-1], *self.key_tail)
+
+    def count_through(self, key: tuple, lo: int = 0) -> int:
+        """How many events have an order key ``<= key``, counting from
+        index ``lo`` (whose key the caller knows is ``<= key``) — a
+        bisect on the timestamp column plus, on a tie, one comparison
+        of the key tail.  Keys increase strictly along a run, so at
+        most one event shares ``key``'s timestamp."""
+        ts = self.ts
+        t = key[0]
+        n = bisect_left(ts, t, lo)
+        if n < len(ts) and ts[n] == t and self.key_tail <= key[1:]:
+            n += 1
+        return n
+
+    def slice(self, lo: int, hi: int) -> "EventRun":
+        """Events ``lo`` to ``hi - 1`` as a run of the same route,
+        shape and key tail."""
+        pl = self.payloads
+        return EventRun(
+            self.tag,
+            self.stream,
+            self.shape,
+            self.ts[lo:hi],
+            pl[lo:hi] if pl is not None else None,
+            self._tail,
+        )
 
     def event(self, i: int) -> Event:
         p = self.payloads[i] if self.payloads is not None else None
@@ -119,18 +160,14 @@ class EventRun:
 
     def split(self, n: int) -> Tuple["EventRun", "EventRun"]:
         """Split into (first ``n`` events, the rest); both share the
-        run's route and shape.  Used by the mailbox when only a prefix
-        is releasable, and by a leaf when a crash fault is due inside
-        the run."""
-        pl = self.payloads
-        a = EventRun(self.tag, self.stream, self.shape, self.ts[:n],
-                     pl[:n] if pl is not None else None)
-        b = EventRun(self.tag, self.stream, self.shape, self.ts[n:],
-                     pl[n:] if pl is not None else None)
-        if self._keys is not None:
-            a._keys = self._keys[:n]
-            b._keys = self._keys[n:]
-        return a, b
+        run's route and shape, and neither may be empty.  Used by a
+        leaf when a crash fault is due inside the run."""
+        if not 0 < n < len(self.ts):
+            raise ValueError(
+                f"EventRun.split({n}) on a run of {len(self.ts)} events: "
+                f"n must be in 1..{len(self.ts) - 1}"
+            )
+        return self.slice(0, n), self.slice(n, len(self.ts))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

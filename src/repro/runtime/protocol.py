@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from time import perf_counter as _perf
 from time import time as _wall
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import RuntimeFault
 from ..core.events import Event, Heartbeat, ImplTag
@@ -270,6 +270,13 @@ class WorkerCore:
         self._absorb_restore: Optional[Tuple[str, int]] = None
         self._last_relayed: Dict[ImplTag, Any] = {}
         self._inflight_tags: Dict[ImplTag, int] = {}
+        #: Tags whose frontier may have become relayable since the last
+        #: relay: a heartbeat moved the timer, or the tag's last released
+        #: item was dispatched.  (An arrival needs no mark: it is either
+        #: buffered, leaving no frontier, or released and so in flight.)
+        self._touched: Set[ImplTag] = set()
+        #: The relay visits touched tags in the mailbox's tag order.
+        self._relay_rank = {t: i for i, t in enumerate(self.mailbox.itags)}
 
     # -- entry point -----------------------------------------------------
     def handle(self, msg: Any) -> None:
@@ -281,6 +288,7 @@ class WorkerCore:
             if self.faults is not None and self.faults.should_drop_heartbeat(msg.key):
                 return
             self._enqueue(self.mailbox.advance(msg.itag, msg.key))
+            self._touched.add(msg.itag)
         elif isinstance(msg, JoinRequest):
             self._enqueue(self.mailbox.insert(msg.itag, msg.key, msg))
         elif isinstance(msg, JoinResponse):
@@ -339,11 +347,22 @@ class WorkerCore:
 
     # -- protocol --------------------------------------------------------
     def _enqueue(self, released: List[Buffered]) -> None:
+        if not released:
+            return
+        inflight = self._inflight_tags
         for b in released:
             item = b.item
             n = len(item) if type(item) is EventRun else 1
-            self._inflight_tags[b.itag] = self._inflight_tags.get(b.itag, 0) + n
+            inflight[b.itag] = inflight.get(b.itag, 0) + n
         self.pending.extend(released)
+
+    def _repay(self, itag: ImplTag, n: int) -> None:
+        """``n`` released items of ``itag`` were dispatched; the tag's
+        frontier may be relayable once none is left in flight."""
+        left = self._inflight_tags[itag] - n
+        self._inflight_tags[itag] = left
+        if not left:
+            self._touched.add(itag)
 
     def _drain(self) -> None:
         if self.metrics is not None:
@@ -355,7 +374,7 @@ class WorkerCore:
             if type(item) is EventRun:
                 if self.is_leaf:
                     pending.popleft()
-                    self._inflight_tags[buffered.itag] -= len(item)
+                    self._repay(buffered.itag, len(item))
                     self._process_run(item)
                     continue
                 # An internal node joins per event: walk the run with a
@@ -366,11 +385,11 @@ class WorkerCore:
                     self._run_pos = 0
                 else:
                     self._run_pos = i + 1
-                self._inflight_tags[buffered.itag] -= 1
+                self._repay(buffered.itag, 1)
                 self._process_event(item.event(i))
                 continue
             pending.popleft()
-            self._inflight_tags[buffered.itag] -= 1
+            self._repay(buffered.itag, 1)
             if isinstance(item, EventMsg):
                 self._process_event(item.event)
             else:
@@ -553,9 +572,18 @@ class WorkerCore:
         self._flush_due = True
 
     def _relay_frontiers(self) -> None:
-        if self.is_leaf:
+        """Relay, for every tag touched since the last relay and with
+        nothing released-but-undispatched, a frontier its children have
+        not yet been sent."""
+        touched = self._touched
+        if not touched:
             return
-        for itag in self.mailbox.itags:
+        if self.is_leaf:
+            touched.clear()
+            return
+        tags = sorted(touched, key=self._relay_rank.__getitem__)
+        touched.clear()
+        for itag in tags:
             if self._inflight_tags.get(itag, 0) > 0:
                 continue
             frontier = self.mailbox.frontier(itag)

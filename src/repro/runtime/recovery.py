@@ -103,7 +103,7 @@ class ReplayLog:
         for items in self.items:
             i = bisect_right(items, key, key=_last_key)
             if i < len(items) and type(items[i]) is EventRun:
-                n = bisect_right(items[i].keys(), key)
+                n = items[i].count_through(key)
                 if n:
                     items[i] = items[i].split(n)[1]
             del items[:i]

@@ -659,7 +659,7 @@ def unpack_frame(data: bytes, *, runs: bool = True) -> List[Any]:
             pos += 1
             seen += 1
             if kind == _MSG_EVT_RUN:
-                (tag, stream, _), pos = _read_route(data, pos)
+                (tag, stream, tail), pos = _read_route(data, pos)
                 shape = data[pos]
                 pos += 1
                 count = _U16.unpack_from(data, pos)[0]
@@ -675,9 +675,9 @@ def unpack_frame(data: bytes, *, runs: bool = True) -> List[Any]:
                     payload = None if shape == _SHAPE_FN else vals[1]
                     mappend(EventMsg(Event(tag, stream, vals[0], payload)))
                 elif shape == _SHAPE_FN:
-                    mappend(EventRun(tag, stream, shape, vals, None))
+                    mappend(EventRun(tag, stream, shape, vals, None, tail))
                 else:
-                    mappend(EventRun(tag, stream, shape, vals[0::2], vals[1::2]))
+                    mappend(EventRun(tag, stream, shape, vals[0::2], vals[1::2], tail))
                 continue
             if kind == _MSG_HB_SELF:
                 (tag, stream, tail), pos = _read_route(data, pos)
@@ -826,6 +826,7 @@ def event_runs(
                     shape,
                     tuple(ts_col[i:j]),
                     tuple(pl_col[i:j]) if shape != _SHAPE_FN else None,
+                    route.key_tail,
                 )
             )
         i = j

@@ -98,6 +98,45 @@ class TestEventRun:
         assert a.keys() == keys[:2] and b.keys() == keys[2:]
         assert (a.itag, b.itag, a.shape) == (run.itag, run.itag, run.shape)
 
+    @pytest.mark.parametrize("n", [-1, 0, 6, 7])
+    def test_split_outside_the_run_is_a_value_error(self, n):
+        """An empty side would fail far from here (its first_key raises
+        IndexError), so the split refuses it up front."""
+        run = one_run(vmsgs(6))
+        with pytest.raises(ValueError, match=rf"split\({n}\) on a run of 6 events"):
+            run.split(n)
+
+    def test_slice_and_count_through_need_no_key_list(self):
+        run = one_run(vmsgs(6, start=1))  # ts 1..6
+        keys = [m.event.order_key for m in vmsgs(6, start=1)]
+        assert run.slice(2, 5).keys() == keys[2:5]
+        assert run.key_at(3) == keys[3]
+        assert run.count_through(keys[3]) == 4
+        assert run.count_through(keys[3], 2) == 4
+        # A key at an event's timestamp with a smaller tail sorts before
+        # the event, one with a larger tail after it.
+        assert run.count_through((4.0, ("str", "a"))) == 3
+        assert run.count_through((4.0, ("str", "zz"))) == 4
+        assert run.count_through((0.5,)) == 0
+        assert run.count_through((99.0,)) == 6
+
+    def test_key_tail_keeps_equal_hashing_tags_apart(self):
+        """``("k", 1)``, ``("k", True)`` and ``("k", 1.0)`` compare and
+        hash equal; a run's key tail, built by the producer or decoded
+        through warm route caches, is still its own tag's."""
+        ts = (1.0, 2.0, 3.0)
+        coded = [("k", 1), ("k", 1.0), ("k", 1)]  # ("k", True) is off the fast path
+        runs = [event_runs([Event(tag, 0, t, 7) for t in ts])[0] for tag in coded]
+        checks = list(zip(coded, runs)) + list(zip(coded, unpack_frame(pack_frame(runs))))
+        for tag in [("k", 1), ("k", True), ("k", 1.0)]:
+            checks.append((tag, EventRun(tag, 0, runs[0].shape, ts, (7, 7, 7))))
+        for tag, run in checks:
+            want = [Event(tag, 0, t).order_key for t in ts]
+            assert type(run.tag[1]) is type(tag[1])
+            assert run.keys() == want
+            assert (run.first_key, run.key_at(1), run.last_key) == tuple(want)
+            assert run.key_tail[0][1][1] == (type(tag[1]).__name__, tag[1])
+
     def test_payloadless_run_has_no_payload_column(self):
         run = one_run(vmsgs(3, payload=lambda i: None))
         assert run.payloads is None

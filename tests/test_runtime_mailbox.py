@@ -108,6 +108,14 @@ class TestErrors:
         with pytest.raises(InputError):
             mb.advance(ImplTag("v", 99), key("v", 99, 1.0))
 
+    @pytest.mark.parametrize("query", ["timer", "buffer_empty", "frontier", "buffered_count"])
+    def test_queries_name_an_unknown_itag(self, query):
+        """Every per-tag query raises the same typed error as insert
+        and advance, naming the tag, not a bare KeyError."""
+        mb = Mailbox([V0], DEP)
+        with pytest.raises(InputError, match=r"does not know itag .*'v'@99"):
+            getattr(mb, query)(ImplTag("v", 99))
+
     def test_non_monotone_insert_rejected(self):
         # Use the barrier tag so the first item stays buffered.
         mb = make_mailbox()

@@ -123,6 +123,36 @@ class TestProtocolViolations:
         assert "absorbed=False" in str(err.value) and repr(fork) in str(err.value)
 
 
+class TestFrontierRelay:
+    def test_a_frontier_waits_for_its_tags_last_dispatch(self, cores):
+        """An internal node relays a tag's frontier once nothing of the
+        tag is released-but-undispatched, in whichever later handle
+        that happens, and a handle that moves nothing relays nothing."""
+        root, _leaf, _value_itag, b, posted = cores
+        for itag in root.mailbox.itags:
+            if itag != b:
+                root.handle(_far(itag))
+        posted.clear()
+
+        def relayed():
+            return [(dst, m.key) for dst, m in posted if isinstance(m, HeartbeatMsg)]
+
+        first = Event(b.tag, b.stream, 3.0)
+        root.handle(EventMsg(first))  # dispatched: its join starts
+        assert relayed() == [(child, first.order_key) for child in root.children]
+        root.handle(EventMsg(Event(b.tag, b.stream, 4.0)))  # released, not dispatched
+        hb = Event(b.tag, b.stream, 5.0).order_key
+        root.handle(HeartbeatMsg(b, hb))
+        (req, _) = [m for _dst, m in posted if isinstance(m, JoinRequest)]
+        root.handle(JoinResponse(req.req_id, "left", 0))
+        assert len(relayed()) == 2  # the event at 4.0 is still in flight
+        root.handle(JoinResponse(req.req_id, "right", 0))  # dispatches it
+        assert relayed()[2:] == [(child, hb) for child in root.children]
+        root.handle(HeartbeatMsg(b, hb))  # stale
+        root.handle(HeartbeatMsg(b, Event(b.tag, b.stream, 4.5).order_key))  # staler
+        assert len(relayed()) == 4
+
+
 class TestRunsAtTheWorker:
     """A run is one pending item everywhere: an internal node walks it
     with a cursor, an armed leaf splits it at the crash."""
