@@ -11,10 +11,9 @@ Six message kinds flow between producers and workers:
   :class:`~repro.core.events.Event` object per message.  A run is
   order-equivalent to the per-event sequence it packs — mailboxes
   release runs under exactly the per-event rule, a prefix at a time
-  behind a cursor; a
-  leaf applies a released run in one dispatch (split at an armed crash
-  fault), and an internal node, which joins per event, walks it with a
-  cursor;
+  behind a cursor; a leaf applies a released run in one dispatch
+  (split at an armed crash fault), and an internal node, which joins
+  per event, walks it with a cursor;
 * :class:`HeartbeatMsg` — progress promise for one implementation tag;
   producers send them to the tag's owner, and workers *relay* them down
   the tree so descendants' mailboxes can release buffered events;
