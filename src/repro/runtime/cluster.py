@@ -23,7 +23,7 @@ exchange runs across machines):
    inbound edge of their node is present.  Dials never wait on a peer's
    accept (TCP backlog), so the mesh comes up without ordering
    deadlocks.  The coordinator itself dials one edge per worker for
-   producer input and stop frames.
+   its stop frame; each worker pumps its own input streams.
 
 After the handshake the data plane is exactly the
 :class:`~repro.runtime.transport.SocketTransport` wire format — same
@@ -84,6 +84,7 @@ from .metrics import MetricsConfig, MetricsExporter
 from .process import (
     AttemptSpec,
     _drive_worker,
+    control_plane,
     coordinate_attempt,
     fork_context,
     raise_worker_faults,
@@ -466,10 +467,17 @@ class ClusterLauncher:
         """Execute one attempt (see :meth:`ProcessRuntime.run` for the
         fault-injection / reconfiguration parameter contract)."""
         spec = AttemptSpec.of(
-            self, initial_state, checkpoint_predicate, faults, record_keys, reconfig, metrics
+            self,
+            initial_state,
+            checkpoint_predicate,
+            faults,
+            record_keys,
+            reconfig,
+            metrics,
+            streams,
+            pace,
         )
-        metrics = spec.metrics  # epoch-stamped
-        control = ControlPlane(self._ctx)
+        control = control_plane(self._ctx, spec)
         live = metrics is not None and self.metrics_port is not None
         if live:
             # Opened before the agents fork, so they inherit it.
@@ -561,9 +569,9 @@ class ClusterLauncher:
             if drain_thread is not None:
                 drain_thread.join(timeout=2.0)
 
-        # Runs between registry accepts and while a producer write
-        # waits for socket space: a dead agent must surface as a fault,
-        # not a hang.
+        # Runs between registry accepts and while a stop frame waits
+        # for socket space: a dead agent must surface as a fault, not a
+        # hang.
         guard = functools.partial(raise_worker_faults, control, procs)
 
         def coordinator_sender() -> FrameSender:
@@ -577,7 +585,7 @@ class ClusterLauncher:
             # what is left on the live feed is dropped.
             stop_drainer()
 
-        def connect() -> BatchingSender:
+        def handshake() -> None:
             # Registry exchange: collect every node's hello, then send
             # each the full address map.  The accept timeout is short —
             # an agent that dies before registering puts its traceback
@@ -621,7 +629,7 @@ class ClusterLauncher:
             log(f"handshake complete: {addr_map}")
 
             # The coordinator's own edges: one dialed connection per
-            # worker, for producer input and the stop frame.
+            # worker, for its stop frame.
             for n in self.plan.workers():
                 s = socket.create_connection(
                     tuple(addr_map[self.placement[n.id]]),
@@ -631,19 +639,15 @@ class ClusterLauncher:
                 configure_stream_socket(s, nonblocking=True)
                 coord_socks[n.id] = s
 
-            return BatchingSender(coordinator_sender().send_batch, control, self.policy)
-
         try:
             result = coordinate_attempt(
                 "cluster",
                 spec,
-                streams,
                 control,
                 procs,
-                connect,
+                setup=handshake,
                 stop=stop,
                 timeout_s=timeout_s,
-                pace=pace,
                 transport=self.transport_name,
                 nodes=len(self.nodes),
             )

@@ -14,7 +14,7 @@ carry metrics, and a disabled plane costs a single ``is None`` check.
 Latency units are **seconds** throughout.  End-to-end latency is
 ``wall_now - (epoch + ts_ms / 1000)``: timestamps double as arrival
 offsets (milliseconds), and the substrate stamps ``epoch`` (wall-clock
-``time.time()``) just before releasing producers, so under open-loop
+``time.time()``) once every worker is up, so under open-loop
 pacing (``RunOptions.pace``) the histogram measures true source-to-commit
 latency.  Without pacing it measures pipeline residency relative to the
 run start — still useful for regression gating, and documented as such.
@@ -64,8 +64,9 @@ class MetricsConfig:
     """Immutable per-run metrics configuration.
 
     ``epoch`` is the wall-clock instant (``time.time()``) when producers
-    were released; substrates stamp it just before starting workers so
-    every process/node shares the same latency origin.
+    were released: the in-process substrate stamps it when it opens an
+    attempt, the forking ones once every worker is up (the origin every
+    worker shares and paces against).
     """
 
     latency_buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS

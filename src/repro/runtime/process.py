@@ -35,33 +35,44 @@ Three design points keep IPC from eating the speedup:
   messages (events, order keys, application states) cross process
   boundaries.
 
+* **Leaves own their input.**  The attempt's streams travel in the
+  :class:`AttemptSpec` every worker inherits, and each worker pumps the
+  streams it owns into its own core, round by round
+  (:func:`~repro.runtime.protocol.pump_producers`), serving its inbox
+  between rounds.  The coordinator only starts the workers, stamps the
+  shared origin once every one is up, waits, sends the stop frames and
+  collects the reports: it builds, packs and sends no event.
+
 Termination: a shared in-flight message counter is incremented when a
 batch is posted and decremented when it has been fully handled *and*
-its consequences flushed; the counter reaching zero after all producer
-input is posted means every channel has drained, at which point stop
-frames are delivered and each worker ships its locally-accumulated
-outputs back once.
+its consequences flushed.  Before it starts the workers the
+coordinator charges one unit per worker, and each worker repays its
+unit once its last own round is handled and flushed (a worker that
+crashed or quiesced mid-pump stops pumping and repays at once).  The
+counter reaching zero means every worker has pumped its input and
+every channel has drained, at which point stop frames are delivered
+and each worker ships its locally-accumulated outputs back once.
 
-Every real substrate shares the worker-loop body (:class:`_Worker`),
-the producer pump call (:func:`pump_attempt`) and the merge of worker
-reports into an attempt's outcome (:func:`merge_reports`).  The
-blocking loop around them (:func:`_drive_worker`) and the coordinator's
-half of an attempt (:func:`coordinate_attempt`) serve forked processes
-here and node agents over dialed TCP edges in
-:mod:`repro.runtime.cluster`; :mod:`repro.runtime.threaded` calls the
-shared three from its run queue.
+Every real substrate shares the worker-loop body (:class:`_Worker`)
+and the merge of worker reports into an attempt's outcome
+(:func:`merge_reports`).  The blocking loop around them
+(:func:`_drive_worker`) and the coordinator's half of an attempt
+(:func:`coordinate_attempt`) serve forked processes here and node
+agents over dialed TCP edges in :mod:`repro.runtime.cluster`;
+:mod:`repro.runtime.threaded` drives the worker body from its run
+queue.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
+import dataclasses
 import multiprocessing as mp
 import queue as queue_mod
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from ..core.program import DGSProgram
@@ -81,17 +92,15 @@ from .protocol import (
 )
 from .runtime import InputStream
 from .transport import (
-    COORDINATOR,
     DEFAULT_TRANSPORT,
     STOP,
-    BatchingSender,
     BatchPolicy,
     ControlPlane,
     make_transport,
     plan_edges,
     resolve_policy,
 )
-from .wire import batch_message_count
+from .wire import MAX_RUN, batch_message_count
 
 
 @dataclass(frozen=True)
@@ -113,16 +122,30 @@ class AttemptSpec:
     #: Armed on the root only.
     reconfig: Optional[RootReconfigView]
     metrics: Optional[MetricsConfig]
+    #: The attempt's input; each forked worker pumps the streams it
+    #: owns.  Empty on the in-process substrate, which is posted to.
+    streams: Tuple[InputStream, ...] = ()
+    #: Open-loop pacing of ``streams`` (see ``RunOptions.pace``).
+    pace: Optional[float] = None
 
     @classmethod
     def of(
-        cls, runtime, initial_state, checkpoint_predicate, faults, record_keys, reconfig, metrics
+        cls,
+        runtime,
+        initial_state,
+        checkpoint_predicate,
+        faults,
+        record_keys,
+        reconfig,
+        metrics,
+        streams: Sequence[InputStream] = (),
+        pace: Optional[float] = None,
     ) -> "AttemptSpec":
-        """The keyword arguments of ``runtime.run()`` as a spec."""
-        if metrics is not None and metrics.epoch is None:
-            # Stamp the latency origin before any worker starts, so all
-            # of them share the same epoch.
-            metrics = metrics.with_epoch(time.time())
+        """The keyword arguments of ``runtime.run()`` as a spec.  A
+        stream no worker owns raises ``PlanError`` here, in the caller,
+        not in every worker that would pump it."""
+        for s in streams:
+            runtime.plan.owner_of(s.itag)
         return cls(
             runtime.program,
             runtime.plan,
@@ -133,7 +156,23 @@ class AttemptSpec:
             record_keys,
             reconfig,
             metrics,
+            tuple(streams),
+            pace,
         )
+
+    def at_origin(self, origin: float) -> "AttemptSpec":
+        """This spec with ``origin`` as the metrics plane's latency
+        epoch, unless the caller fixed one."""
+        if self.metrics is None or self.metrics.epoch is not None:
+            return self
+        return dataclasses.replace(self, metrics=self.metrics.with_epoch(origin))
+
+
+#: Events a leaf may hold buffered while its state is away at a join
+#: before it stops pumping and waits for the fork: eight closed rounds
+#: of one stream.  Bounds how far a leaf's input runs ahead of its
+#: inbox.
+LEAF_LEAD = 8 * MAX_RUN
 
 
 @dataclass
@@ -219,7 +258,7 @@ class _Worker:
         wm = self.metrics
         if wm is not None:
             wm.frames_received += 1
-        if self.crash is not None or self.quiesce is not None:
+        if self.stopped:
             return False
         core = self.core
         try:
@@ -235,6 +274,11 @@ class _Worker:
             # withheld — the restart driver continues on a new plan.
             self.quiesce = sig.record
         self._flush()
+        return self.stopped
+
+    @property
+    def stopped(self) -> bool:
+        """The worker crashed or quiesced."""
         return self.crash is not None or self.quiesce is not None
 
     def report(self) -> _WorkerReport:
@@ -252,34 +296,86 @@ class _Worker:
 def _drive_worker(
     node_id: str, spec: AttemptSpec, receiver, batcher, control: ControlPlane
 ) -> None:
-    """Drive one worker from its inbox until the stop frame, then ship
-    its report — the blocking substrates' loop around :class:`_Worker`:
-    a forked process per worker, or several workers as threads of a
-    cluster node agent with channels over TCP.  A stopped worker's
-    announcement goes on the dedicated queue; from then on it is
-    silent until the stop frame.  With the metrics plane on and the
-    control plane's live feed open, a snapshot goes on the feed at most
-    every quarter second."""
+    """Drive one worker until the stop frame, then ship its report —
+    the blocking substrates' loop around :class:`_Worker`: a forked
+    process per worker, or several workers as threads of a cluster node
+    agent with channels over TCP.
+
+    The worker starts at the attempt's origin, once every worker is up,
+    and first pumps the streams it owns.  After each round it
+    handles what the round posted as one batch, then serves its inbox:
+    without blocking on a closed run, until the next round is due on a
+    paced one (joins are served while it waits).  Once its last round
+    is handled it repays the unit the coordinator charged for it and
+    serves its inbox until the stop frame, which also ends a pump early.
+    A leaf whose state is away at a join and that already holds
+    :data:`LEAF_LEAD` buffered events waits for the fork instead of
+    pumping more.  A stopped worker's announcement goes on the
+    dedicated queue, and it pumps no further.  With the metrics plane
+    on and the control plane's live feed open, a snapshot goes on the
+    feed at most every quarter second."""
+    origin = control.wait_origin()
+    spec = spec.at_origin(origin)
     worker = _Worker(node_id, spec, batcher)
     feed = control.metrics if worker.metrics is not None else None
     last_push = time.monotonic()
-    while True:
-        msgs = receiver.recv()
-        if msgs is STOP:
-            break
+
+    def handle(msgs) -> None:
+        nonlocal last_push
         if worker.handle(msgs):
             control.aborts.put(node_id)
-        # Declared done only after the flush inside handle(), so the
-        # in-flight counter can never dip to zero while this worker
-        # still owes messages to others.  Event-level: a columnar run
-        # of n events repays the n its sender charged the counter.
-        control.mark_done(batch_message_count(msgs))
         if feed is not None:
             # An unbounded queue: the put never waits.
             now = time.monotonic()
             if now - last_push >= 0.25:
                 last_push = now
                 feed.put_nowait(worker.metrics.snapshot(worker.sink))
+
+    def take(msgs) -> None:
+        handle(msgs)
+        # Declared done only after the flush inside handle(), so the
+        # in-flight counter can never dip to zero while this worker
+        # still owes messages to others.  Event-level: a columnar run
+        # of n events repays the n its sender charged the counter.
+        control.mark_done(batch_message_count(msgs))
+
+    own: List[Any] = []
+    core = worker.core
+    stopped = False
+    for delay in pump_producers(
+        spec.plan,
+        spec.streams,
+        lambda _dst, msg: own.append(msg),
+        owner=node_id,
+        pace=spec.pace,
+        origin=origin,
+    ):
+        deadline = time.monotonic() + delay
+        if own:
+            batch = own[:]
+            own.clear()
+            handle(batch)
+        while not worker.stopped:
+            if core.blocked and core.is_leaf and core.mailbox.buffered_count() >= LEAF_LEAD:
+                # Its state is away at a join, whose fork back does not
+                # wait on this leaf's input: wait for it.
+                msgs = receiver.recv()
+            else:
+                msgs = receiver.recv(max(0.0, deadline - time.monotonic()))
+            if msgs is None:
+                break
+            if msgs is STOP:
+                stopped = True
+                break
+            take(msgs)
+        if stopped or worker.stopped:
+            break
+    control.mark_done(1)
+    while not stopped:
+        msgs = receiver.recv()
+        if msgs is STOP:
+            break
+        take(msgs)
     control.results.put(worker.report())
 
 
@@ -459,54 +555,40 @@ def merge_reports(
         result.metrics = rm
 
 
-def pump_attempt(
-    plan: SyncPlan,
-    streams: Sequence[InputStream],
-    sender,
-    pace: Optional[float],
-    before_sleep: Callable[[], None],
-) -> None:
-    """Post the attempt's producer traffic through ``sender`` and flush
-    it — the real substrates' one :func:`pump_producers` call site.
-    ``before_sleep`` runs before every paced-pump sleep."""
-    pump_producers(plan, streams, sender.post, pace=pace, before_sleep=before_sleep)
-    sender.flush()
-
-
 def coordinate_attempt(
     substrate: str,
     spec: AttemptSpec,
-    streams: Sequence[InputStream],
     control: ControlPlane,
     procs,
-    connect: Callable[[], BatchingSender],
     *,
+    setup: Callable[[], None],
     stop: Callable[[], None],
     drain: Optional[Callable[[], None]] = None,
     timeout_s: float,
-    pace: Optional[float],
     transport: str,
     nodes: int = 0,
 ) -> AttemptOutcome:
     """The coordinator's half of one attempt over started workers
-    (``procs``: processes or node agents): ``connect`` the
-    coordinator's edges, pump the producers, wait for drain or an abort
+    (``procs``: processes or node agents, which pump their own input):
+    ``setup`` until every worker is up, stamp the shared origin
+    (:meth:`ControlPlane.release`), wait for drain or an abort
     announcement, ``stop`` the workers (one stop frame each), collect
     their reports, ``drain`` the data plane of an aborted attempt,
-    reap.  A failed attempt terminates its workers instead of waiting
-    them out — nobody will send them a stop frame."""
+    reap.  ``wall_s`` runs from the origin to drain.  A failed attempt
+    terminates its workers instead of waiting them out — nobody will
+    send them a stop frame."""
     workers = [n.id for n in spec.plan.workers()]
     result = AttemptOutcome(
-        events_in=sum(len(s.events) for s in streams),
+        events_in=sum(len(s.events) for s in spec.streams),
         n_workers=len(workers),
         transport=transport,
         batch=spec.policy.describe(),
         nodes=nodes,
     )
     try:
-        batcher = connect()
+        setup()
         t0 = time.perf_counter()
-        pump_attempt(spec.plan, streams, batcher, pace, batcher.flush)
+        control.release()
         aborted = _await_idle(substrate, control, procs, workers, stop, timeout_s)
         result.wall_s = time.perf_counter() - t0
         stop()
@@ -527,19 +609,22 @@ def coordinate_attempt(
     return result
 
 
+def control_plane(ctx, spec: AttemptSpec) -> ControlPlane:
+    """An attempt's control plane, charged one unit per worker: each
+    worker repays its unit once it has pumped its own input, so the
+    attempt cannot look drained before then."""
+    control = ControlPlane(ctx)
+    control.add_inflight(len(spec.plan.workers()))
+    return control
+
+
 def run_on_workers(
-    substrate: str,
-    ctx,
-    transport,
-    spec: AttemptSpec,
-    streams: Sequence[InputStream],
-    timeout_s: float,
-    pace: Optional[float],
+    substrate: str, ctx, transport, spec: AttemptSpec, timeout_s: float
 ) -> AttemptOutcome:
     """One attempt with one forked ``ctx.Process`` per plan worker
     over ``transport`` (pipes, queues, sockets or rings)."""
     try:
-        control = ControlPlane(ctx)
+        control = control_plane(ctx, spec)
         procs = [
             ctx.Process(
                 target=_worker_main,
@@ -551,24 +636,18 @@ def run_on_workers(
         ]
         for p in procs:
             p.start()
-        # Every worker holds its endpoints now; drop the parent's
-        # copies of the fds only workers use, so dead peers surface as
-        # EOF/EPIPE on the survivors' pipes.
-        transport.parent_setup()
-        # The guard runs while a producer write waits for channel
-        # space: a dead worker must surface as a fault, not a hang.
-        guard = functools.partial(raise_worker_faults, control, procs)
+        # Every worker holds its endpoints once forked; setup drops the
+        # parent's copies of the fds only workers use, so dead peers
+        # surface as EOF/EPIPE on the survivors' pipes.
         return coordinate_attempt(
             substrate,
             spec,
-            streams,
             control,
             procs,
-            functools.partial(transport.sender, COORDINATOR, control, spec.policy, guard),
+            setup=transport.parent_setup,
             stop=transport.stop_all,
             drain=transport.drain,
             timeout_s=timeout_s,
-            pace=pace,
             transport=transport.name,
         )
     finally:
@@ -645,7 +724,15 @@ class ProcessRuntime:
         :class:`~repro.runtime.protocol.AttemptOutcome`) rather than
         raising."""
         spec = AttemptSpec.of(
-            self, initial_state, checkpoint_predicate, faults, record_keys, reconfig, metrics
+            self,
+            initial_state,
+            checkpoint_predicate,
+            faults,
+            record_keys,
+            reconfig,
+            metrics,
+            streams,
+            pace,
         )
         transport = make_transport(
             self.transport_name,
@@ -653,4 +740,4 @@ class ProcessRuntime:
             plan_edges(self.plan),
             **self.transport_options,
         )
-        return run_on_workers("process", self._ctx, transport, spec, streams, timeout_s, pace)
+        return run_on_workers("process", self._ctx, transport, spec, timeout_s)

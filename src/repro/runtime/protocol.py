@@ -740,13 +740,25 @@ def pump_producers(
     streams: Sequence[Any],
     post: PostFn,
     *,
+    owner: Optional[str] = None,
     pace: Optional[float] = None,
-    before_sleep: Optional[Callable[[], None]] = None,
-) -> None:
+    origin: Optional[float] = None,
+) -> Iterator[float]:
     """Post every stream's producer traffic to the worker owning it —
     the one place the runtime builds runs from events.
 
-    The pump works in rounds.  Each round picks a timestamp ``cut`` and
+    A generator of rounds: each step posts one round, or nothing when
+    the next round is not due yet, then yields the seconds the caller
+    must let pass before resuming it (``0.0``: the next round is due
+    now).  Between two steps the caller acts on the round boundary: a
+    forked worker handles what the round posted and serves its inbox,
+    the in-process substrate runs its queue.  With ``owner`` set only
+    that worker's streams are pumped; ``start_ts`` and ``end_ts`` stay
+    those of all ``streams``, so the owner's grids and closing
+    heartbeats are the ones a pump of every stream would post, and an
+    owner of no stream pumps nothing.
+
+    Each round picks a timestamp ``cut`` and
     then, for every stream in turn, posts that stream's events with
     ``ts <= cut`` as columnar runs built straight from the
     ``stream.events`` slice (:func:`~repro.runtime.wire.event_runs`;
@@ -757,16 +769,16 @@ def pump_producers(
     :data:`~repro.runtime.wire.MAX_RUN` events (or its last one) to
     post; the round after the last event
     has ``cut = end_ts``, whose grid point is the closing heartbeat.
-    So every leaf has work from the first chunk, no stream runs more
+    So every stream has work from the first chunk, no stream runs more
     than one chunk ahead of another, and a round costs one heartbeat
     per stream, not one per grid point.
 
-    Closed loop (``pace=None``): rounds follow one another as fast as
-    ``post`` accepts.  Open loop: the input is replayed against the
-    wall clock at ``pace`` timestamp units per second from the first
-    event on, so a round's cut is also capped at the timestamp due now;
-    when nothing is due yet, ``before_sleep`` runs (a batching
-    substrate flushes) and the pump sleeps until the earliest unposted
+    Closed loop (``pace=None``): every step yields ``0.0``.  Open loop:
+    the input is replayed against the wall clock (``time.time()``) at
+    ``pace`` timestamp units per second, ``start_ts`` being due at
+    ``origin`` (default: the first step), so a round's cut is also
+    capped at the timestamp due now; when nothing is due yet, the step
+    posts nothing and yields the delay until the earliest unposted
     message is.
 
     Safety: the messages posted for a stream are a *subsequence* of
@@ -783,10 +795,14 @@ def pump_producers(
     :class:`RuntimeFault`, as on the simulated substrate.
     """
     start_ts, end_ts = start_timestamp(streams), end_timestamp(streams)
-    feeds = [
-        _Feed(s, plan.owner_of(s.itag).id, start_ts, end_ts) for s in streams
-    ]
-    t0 = time.monotonic()
+    feeds = []
+    for s in streams:
+        dst = plan.owner_of(s.itag).id
+        if owner is None or dst == owner:
+            feeds.append(_Feed(s, dst, start_ts, end_ts))
+    if not feeds:
+        return
+    t0 = time.time() if origin is None else origin
     while True:
         ends = [
             f.events[min(f.pos + MAX_RUN, len(f.events)) - 1].ts
@@ -795,14 +811,10 @@ def pump_producers(
         ]
         cut = min(ends) if ends else end_ts
         if pace is not None:
-            due = start_ts + (time.monotonic() - t0) * pace
-            nxt = min((f.next_ts() for f in feeds), default=end_ts)
+            due = start_ts + (time.time() - t0) * pace
+            nxt = min(f.next_ts() for f in feeds)
             if nxt > due:
-                if before_sleep is not None:
-                    before_sleep()
-                delay = t0 + (nxt - start_ts) / pace - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
+                yield max(0.0, t0 + (nxt - start_ts) / pace - time.time())
                 due = nxt
             cut = min(cut, due)
         for f in feeds:
@@ -827,5 +839,6 @@ def pump_producers(
             if hb is not None and hb > f.sent:
                 post(f.owner, HeartbeatMsg(itag, (hb, *f.key_tail)))
                 f.sent = hb
+        yield 0.0
         if not ends and cut >= end_ts:
             return

@@ -56,8 +56,8 @@ from .checkpoint import CheckpointPredicate
 from .faults import FaultPlan
 from .messages import EventRun, HeartbeatMsg
 from .metrics import MetricsConfig
-from .process import AttemptSpec, _Worker, merge_reports, pump_attempt, worker_fault
-from .protocol import INIT_STATE, AttemptOutcome, _heartbeat_key_tail
+from .process import AttemptSpec, _Worker, merge_reports, worker_fault
+from .protocol import INIT_STATE, AttemptOutcome, _heartbeat_key_tail, pump_producers
 from .recovery import ReplayLog
 from .runtime import InputStream
 from .wire import batch_message_count, event_runs
@@ -160,12 +160,14 @@ class _Attempt:
         heartbeats included; a paced pump runs the queue before each of
         its sleeps."""
         self._events_in += sum(len(s.events) for s in streams)
-
-        def before_sleep() -> None:
-            self.producers.flush()
-            self.run()
-
-        pump_attempt(self.spec.plan, streams, self.producers, pace, before_sleep)
+        producers = self.producers
+        for delay in pump_producers(self.spec.plan, streams, producers.post, pace=pace):
+            if delay > 0:
+                due = time.monotonic() + delay
+                producers.flush()
+                self.run()
+                time.sleep(max(0.0, due - time.monotonic()))
+        producers.flush()
 
     def seal(self, *, final: bool) -> AttemptOutcome:
         """Post one heartbeat per implementation tag just above the
@@ -288,7 +290,8 @@ class ThreadedRuntime:
         spec = AttemptSpec.of(
             self, initial_state, checkpoint_predicate, faults, record_keys, reconfig, metrics
         )
-        return _Attempt(spec, timeout_s)
+        # The latency epoch: the attempt's workers exist from here on.
+        return _Attempt(spec.at_origin(time.time()), timeout_s)
 
     def run(
         self,

@@ -64,6 +64,7 @@ not throughput.
 
 from __future__ import annotations
 
+import math
 import os
 import queue as queue_mod
 import select
@@ -84,12 +85,17 @@ from .wire import (
 )
 
 #: Destination/sender id of the run coordinator (the parent process
-#: pumping producer messages and collecting reports).
+#: that starts the workers, sends their stop frames and collects their
+#: reports).
 COORDINATOR = "__coordinator__"
 
 #: Returned by ``Receiver.recv()`` when the coordinator shut the
 #: channel down; workers exit their loop on it.
 STOP = object()
+
+# Every receiver has one receive: ``recv(timeout=None)`` returns the
+# next batch (a list of messages), ``STOP``, or None when ``timeout``
+# seconds pass without either (``0``: do not block; ``None``: block).
 
 _LEN = FRAME_LEN
 
@@ -238,8 +244,14 @@ class ControlPlane:
 
     The in-flight counter is incremented when a batch is posted and
     decremented when the receiver has fully handled it *and* flushed
-    its consequences; zero (after all producer input is posted) means
-    every channel and every buffer has drained."""
+    its consequences.  The coordinator also charges one unit per
+    worker before it starts them, repaid when the worker has handled
+    its own input; zero then means every worker has pumped its input
+    and every channel and every buffer has drained.
+
+    ``origin`` is the attempt's shared start, stamped by :meth:`release`
+    once every worker is up: the wall-clock instant paced workers pace
+    against and the metrics plane's latency epoch."""
 
     def __init__(self, ctx) -> None:
         self.results = ctx.Queue()
@@ -259,6 +271,19 @@ class ControlPlane:
         self._inflight_raw = self.inflight.get_obj()
         self.idle = ctx.Event()
         self.idle.set()  # vacuously idle until the first post
+        self.origin = ctx.Value("d", 0.0, lock=False)
+        self._released = ctx.Event()
+
+    def release(self) -> None:
+        """Stamp the shared origin (``time.time()``) and let every
+        worker waiting on it go."""
+        self.origin.value = time.time()
+        self._released.set()
+
+    def wait_origin(self) -> float:
+        """The origin :meth:`release` stamps, once it has."""
+        self._released.wait()
+        return self.origin.value
 
     def add_inflight(self, n: int) -> None:
         with self.inflight.get_lock():
@@ -374,8 +399,11 @@ class _QueueReceiver:
     def __init__(self, q) -> None:
         self._q = q
 
-    def recv(self) -> Any:
-        frame = self._q.get()
+    def recv(self, timeout: Optional[float] = None) -> Any:
+        try:
+            frame = self._q.get(timeout != 0, timeout)
+        except queue_mod.Empty:
+            return None
         return unpack_frame(frame) if frame else STOP
 
     def poll(self) -> None:  # pragma: no cover - queue puts never block
@@ -471,11 +499,21 @@ class FrameReceiver:
         self._n_live = len(rfds)
         self._ready: Deque[Any] = deque()
 
-    def recv(self) -> Any:
-        while not self._ready:
-            for fd, _events in self._poller.poll():
-                self._ingest(fd)
-        return self._ready.popleft()
+    def recv(self, timeout: Optional[float] = None) -> Any:
+        ready = self._ready
+        if not ready:
+            deadline = None if timeout is None else time.monotonic() + timeout
+            while True:
+                # poll() takes whole milliseconds: round up, never
+                # return before the deadline.
+                ms = None
+                if deadline is not None:
+                    ms = max(0, math.ceil((deadline - time.monotonic()) * 1e3))
+                for fd, _events in self._poller.poll(ms):
+                    self._ingest(fd)
+                if ready or (deadline is not None and time.monotonic() >= deadline):
+                    break
+        return ready.popleft() if ready else None
 
     def poll(self) -> None:
         while True:
@@ -1039,12 +1077,18 @@ class _ShmReceiver:
         self._ready: Deque[Any] = deque()
         self._bell_eof: set = set()
 
-    def recv(self) -> Any:
+    def recv(self, timeout: Optional[float] = None) -> Any:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        park_s = _SHM_PARK_S
         idle = 0
         while not self._ready:
             if self._ingest():
                 idle = 0
                 continue
+            if deadline is not None:
+                park_s = min(_SHM_PARK_S, deadline - time.monotonic())
+                if park_s <= 0:
+                    return None
             # A micro-lull (sender mid-batch) is far more common than a
             # real quiet period: give the producers a few timeslices
             # before paying for the full park/bell round-trip.
@@ -1076,7 +1120,7 @@ class _ShmReceiver:
             try:
                 if self._ingest():
                     continue
-                readable, _, _ = select.select(fds, [], [], _SHM_PARK_S)
+                readable, _, _ = select.select(fds, [], [], park_s)
                 for fd in readable:
                     try:
                         if os.read(fd, 1 << 16) == b"":
@@ -1291,7 +1335,7 @@ def make_transport(name: str, ctx, edges: Dict[str, Sequence[str]], **options):
 
 def plan_edges(plan) -> Dict[str, List[str]]:
     """The directed communication graph of a synchronization plan:
-    every worker hears from the coordinator (producer input + stop),
+    every worker hears from the coordinator (its stop frame),
     its parent (join requests, forked states, relayed heartbeats) and
     its children (join responses)."""
     edges: Dict[str, List[str]] = {}

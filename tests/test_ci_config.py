@@ -109,6 +109,15 @@ class TestSimChaosSlice:
         )
         assert f"python -m repro.chaos {slice_}" in text
 
+    def test_tests_job_runs_the_process_slice(self, jobs):
+        """The process backend on its default transport under crashes
+        and re-plans on every push: every forked worker pumps its own
+        input, so crashes land mid-pump and stop frames reach leaves
+        that are still pumping."""
+        text = " ".join(steps_text(jobs["tests"]).split())
+        slice_ = self.SLICE.replace("--backends sim", "--backends process")
+        assert f"python -m repro.chaos {slice_}" in text
+
 
 class TestNightlyMailboxOracle:
     def test_chaos_job_runs_the_oracle_at_the_nightly_profile(self, jobs):

@@ -242,6 +242,7 @@ class TestOneMetricsPath:
 
         events = [EventMsg(Event(inc.tag, inc.stream, ts)) for ts in (1.0, 2.0)]
         control = ControlPlane(multiprocessing.get_context("fork"))
+        control.release()  # every worker is up
         control.metrics = queue.Queue()  # the live feed, read in-process
         sender = _Sender()
         clock = iter([0.0, 1.0])

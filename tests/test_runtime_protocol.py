@@ -9,6 +9,7 @@ the wall clock."""
 
 import math
 import random
+import re
 import threading
 import time
 from types import SimpleNamespace
@@ -369,9 +370,10 @@ class _OnePlan:
 def _pump(streams, max_run, **kwargs):
     posted = []
     with mock.patch.object(protocol, "MAX_RUN", max_run):
-        pump_producers(
+        for delay in pump_producers(
             _OnePlan(), streams, lambda dst, msg: posted.append((dst, msg)), **kwargs
-        )
+        ):
+            assert delay == 0.0
     return posted
 
 
@@ -573,12 +575,12 @@ class TestClosedLoopPump:
 
 class _FakeClock:
     """``time`` for the paced pump: the clock moves ``tick`` per reading
-    and by exactly what the pump sleeps."""
+    and by exactly what the pump's caller sleeps."""
 
     def __init__(self, tick=0.0):
         self.now, self.tick, self.slept = 1_000.0, tick, []
 
-    def monotonic(self):
+    def time(self):
         self.now += self.tick
         return self.now
 
@@ -588,16 +590,21 @@ class _FakeClock:
 
 
 def _paced(streams, pace, clock, before_sleep=None):
-    """Paced-pump posts as ``(clock at post, dst, msg)``."""
+    """Paced-pump posts as ``(clock at post, dst, msg)``; the caller
+    sleeps what each round boundary asks, running ``before_sleep``
+    first."""
     posted = []
     with mock.patch.object(protocol, "time", clock):
-        pump_producers(
+        for delay in pump_producers(
             _OnePlan(),
             streams,
             lambda dst, msg: posted.append((clock.now, dst, msg)),
             pace=pace,
-            before_sleep=before_sleep,
-        )
+        ):
+            if delay > 0:
+                if before_sleep is not None:
+                    before_sleep()
+                clock.sleep(delay)
     return posted
 
 
@@ -651,10 +658,19 @@ class TestPacedPump:
         assert RunOptions(pace=1e-3).pace == 1e-3
 
 
-@pytest.mark.parametrize("backend", ["threaded", "process"])
-def test_real_substrates_reject_a_foreign_event(backend):
+REAL_SUBSTRATES = {
+    "threaded": ("threaded", {}),
+    "process": ("process", {}),
+    "nodes=2": ("process", {"nodes": 2}),
+}
+
+
+@pytest.mark.parametrize("substrate", sorted(REAL_SUBSTRATES))
+def test_real_substrates_reject_a_foreign_event(substrate):
     """What only the simulator used to check: an event filed under
-    another stream's tag is an input error, not traffic."""
+    another stream's tag is an input error, not traffic — named with
+    its stream, also where a forked worker pumps that stream."""
+    backend, extra = REAL_SUBSTRATES[substrate]
     prog = vb.make_program()
     wl = vb.make_workload(n_value_streams=2, values_per_barrier=5, n_barriers=1)
     plan = vb.make_plan(prog, wl)
@@ -664,8 +680,11 @@ def test_real_substrates_reject_a_foreign_event(backend):
     mixed = sorted(first.events + (stray,), key=lambda e: e.ts)
     streams[0] = InputStream(first.itag, tuple(mixed), heartbeat_interval=1.0)
     before = threading.active_count()
-    with pytest.raises(RuntimeFault, match="does not belong to stream"):
-        run_on_backend(backend, prog, plan, streams, options=RunOptions(timeout_s=20.0))
+    named = re.escape(f"does not belong to stream {first.itag!r}")
+    with pytest.raises(RuntimeFault, match=named):
+        run_on_backend(
+            backend, prog, plan, streams, options=RunOptions(timeout_s=20.0, **extra)
+        )
     deadline = time.monotonic() + 5.0
     while threading.active_count() > before and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -673,12 +692,6 @@ def test_real_substrates_reject_a_foreign_event(backend):
 
 
 # -- one worker loop, one coordinator: what a failed attempt looks like ------
-
-REAL_SUBSTRATES = {
-    "threaded": ("threaded", {}),
-    "process": ("process", {}),
-    "nodes=2": ("process", {"nodes": 2}),
-}
 
 
 def _vb_with_update(update, *, values_per_barrier=10):

@@ -28,6 +28,7 @@ import multiprocessing as mp
 import os
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -548,6 +549,91 @@ class TestTransportFabric:
         assert control.idle.is_set()
         tr.drain()
         tr.close()
+
+
+def _write_and_exit(tr, src, dst, msgs):
+    """A forked peer: keep only ``src``'s endpoints, send ``msgs`` to
+    ``dst`` as one frame, exit."""
+    tr.child_setup(src)
+    sender = tr.sender(src, ControlPlane(mp.get_context("fork")), BatchPolicy.fixed(100))
+    for m in msgs:
+        sender.post(dst, m)
+    sender.flush()
+    tr.child_teardown(src)
+
+
+class TestReceiverContract:
+    """Every receiver has one receive: ``recv(timeout)`` returns a
+    batch, ``STOP``, or None once ``timeout`` seconds pass without
+    either (``0``: do not block; ``None``: block)."""
+
+    MSGS = [EventMsg(Event("v", "s", float(i), payload=i)) for i in range(3)]
+
+    @pytest.fixture(params=["pipe", "queue", "tcp", "shm"])
+    def name(self, request):
+        return request.param
+
+    def _coordinator_edge(self, name):
+        ctx = mp.get_context("fork")
+        tr = make_transport(name, ctx, {"w1": [COORDINATOR]})
+        sender = tr.sender(COORDINATOR, ControlPlane(ctx), BatchPolicy.fixed(100))
+        return tr, sender, tr.receiver("w1")
+
+    def test_empty_inbox_times_out(self, name):
+        tr, _sender, rx = self._coordinator_edge(name)
+        try:
+            assert rx.recv(0) is None
+            t0 = time.monotonic()
+            assert rx.recv(0.05) is None
+            assert 0.05 <= time.monotonic() - t0 < 5.0
+        finally:
+            tr.close()
+
+    def test_one_frame_then_nothing(self, name):
+        tr, sender, rx = self._coordinator_edge(name)
+        try:
+            for m in self.MSGS:
+                sender.post("w1", m)
+            sender.flush()
+            assert_same_messages(expand_runs(rx.recv(5.0)), self.MSGS)
+            assert rx.recv(0) is None
+        finally:
+            tr.close()
+
+    def test_the_stop_frame(self, name):
+        tr, _sender, rx = self._coordinator_edge(name)
+        try:
+            tr.stop_all()
+            assert rx.recv(5.0) is STOP
+        finally:
+            tr.drain()
+            tr.close()
+
+    def test_a_peers_eof(self, name):
+        """A peer that sends one frame and exits: its frame arrives;
+        then a framed receiver whose last inbound stream is gone
+        returns STOP, while the queue fabric, which cannot observe an
+        exit, keeps timing out (the coordinator's liveness checks are
+        what surface a dead peer there)."""
+        ctx = mp.get_context("fork")
+        tr = make_transport(name, ctx, {"w1": ["w2"]})
+        try:
+            rx = tr.receiver("w1")
+            peer = ctx.Process(target=_write_and_exit, args=(tr, "w2", "w1", self.MSGS))
+            peer.start()
+            if isinstance(tr, PipeTransport):  # pipe and tcp
+                # Only the peer may hold the write end, or its exit is
+                # no end of stream.
+                tr._parent_close(tr._pipes[("w2", "w1")][1])
+            peer.join(10.0)
+            assert peer.exitcode == 0
+            assert_same_messages(expand_runs(rx.recv(5.0)), self.MSGS)
+            if name == "queue":
+                assert rx.recv(0.05) is None
+            else:
+                assert rx.recv(5.0) is STOP
+        finally:
+            tr.close()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.core.errors import RuntimeFault
 from repro.core.program import single_state_program
 from repro.plans import random_valid_plan, sequential_plan
 from repro.runtime import InputStream, every_root_join, run_sequential_reference
-from repro.runtime import process as runtime_process
+from repro.runtime import threaded as runtime_threaded
 from repro.runtime.messages import HeartbeatMsg
 from repro.runtime.threaded import ThreadedRuntime
 
@@ -174,16 +174,16 @@ class TestInProcessSubstrate:
         # No heartbeat grid: the closing heartbeat is each stream's only one.
         streams = vb.make_streams(wl, heartbeat_interval=None)
         victim = next(s for s in streams if s.itag != wl.barrier_itag)
-        real = runtime_process.pump_producers  # the one real-substrate call site
+        real = runtime_threaded.pump_producers  # the in-process pump's call site
 
         def dropping(plan, streams, post, **kwargs):
             def filtered(dst, msg):
                 if not (type(msg) is HeartbeatMsg and msg.itag == victim.itag):
                     post(dst, msg)
 
-            real(plan, streams, filtered, **kwargs)
+            return real(plan, streams, filtered, **kwargs)
 
-        monkeypatch.setattr(runtime_process, "pump_producers", dropping)
+        monkeypatch.setattr(runtime_threaded, "pump_producers", dropping)
         t0 = time.monotonic()
         with pytest.raises(RuntimeFault) as err:
             ThreadedRuntime(prog, plan).run(streams, timeout_s=60.0)
