@@ -11,7 +11,7 @@ asserted.  It is also the substrate with real preemption, and the one
 that can abandon a stuck worker: a handler that never returns costs a
 drain timeout here, not the caller's thread.
 
-Three design points keep IPC from eating the speedup:
+Four design points keep IPC from eating the speedup:
 
 * **A dedicated transport layer** (:mod:`repro.runtime.transport`).
   By default protocol traffic crosses raw per-edge pipes carrying
