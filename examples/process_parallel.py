@@ -41,7 +41,7 @@ def main() -> None:
         "--batch-size",
         type=int,
         default=None,
-        help="process-backend fixed batch size (default: adaptive batching)",
+        help="process-backend fixed batch size (default: 64 messages or 1 ms)",
     )
     parser.add_argument(
         "--transport",

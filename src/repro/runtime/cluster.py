@@ -27,15 +27,16 @@ exchange runs across machines):
 
 After the handshake the data plane is exactly the
 :class:`~repro.runtime.transport.SocketTransport` wire format — same
-frames, same adaptive :class:`~repro.runtime.transport.BatchPolicy`,
-same non-blocking deadlock-free sends, same fail-stop model (a dead
-peer is EOF/ECONNRESET, never a reconnect) — so fault injection,
-checkpoint recovery, and elastic reconfiguration run unchanged on a
-cluster deployment.
+frames, same :class:`~repro.runtime.transport.BatchPolicy`, same
+non-blocking deadlock-free sends, same fail-stop model (a dead peer is
+EOF/ECONNRESET, never a reconnect) — so fault injection, checkpoint
+recovery, and elastic reconfiguration run unchanged on a cluster
+deployment.
 
-The control plane (end-of-run reports, fault announcements, in-flight
-accounting) stays on ``multiprocessing`` primitives, which is what
-currently limits *launching* to one machine: agents are forked so they
+The control plane (end-of-run reports, worker errors, and each
+worker's done, crash or quiesce announcement) stays on
+``multiprocessing`` primitives, which is what currently limits
+*launching* to one machine: agents are forked so they
 inherit the (unpicklable) program closures, exactly like the process
 runtime.  A real multi-host deployment would start agents out-of-band
 (ssh/k8s) and carry control traffic over the registry connection; the
@@ -84,7 +85,6 @@ from .metrics import MetricsConfig, MetricsExporter
 from .process import (
     AttemptSpec,
     _drive_worker,
-    control_plane,
     coordinate_attempt,
     fork_context,
     raise_worker_faults,
@@ -477,7 +477,7 @@ class ClusterLauncher:
             streams,
             pace,
         )
-        control = control_plane(self._ctx, spec)
+        control = ControlPlane(self._ctx)
         live = metrics is not None and self.metrics_port is not None
         if live:
             # Opened before the agents fork, so they inherit it.

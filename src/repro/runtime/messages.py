@@ -64,8 +64,7 @@ class EventRun:
     use.
 
     Runs are *not* wrapped in :class:`EventMsg`: a run is itself a
-    protocol message, and its identity on the in-flight accounting
-    plane is ``len(run)`` messages (see
+    protocol message, and counts as ``len(run)`` messages (see
     :func:`repro.runtime.wire.batch_message_count`).
     """
 

@@ -58,10 +58,11 @@ class RunOptions:
       syscalls per message, same-host only; ring geometry is a
       :class:`~repro.runtime.process.ProcessRuntime` argument,
       ``transport_options={"slots": ..., "slot_bytes": ...}``);
-    * ``batch_size`` — ``None`` (default) selects *adaptive* batching
-      (flush on size or a 1 ms latency deadline, per-channel targets
-      driven by observed backlog); an explicit integer pins the old
-      fixed-size policy;
+    * ``batch_size`` — ``None`` (default) flushes a channel's buffer
+      at 64 messages or once its oldest has waited 1 ms; an int >= 1
+      flushes at that size only.  Either way a worker flushes at the
+      end of every batch it handles, so the target bounds only a long
+      stretch of posts;
     * ``nodes`` — deploy across node agents instead of one process
       per worker (see :mod:`repro.runtime.cluster`): an int (that
       many loopback nodes) or a sequence of
@@ -103,6 +104,9 @@ class RunOptions:
     pace: Optional[float] = None
 
     def __post_init__(self) -> None:
+        b = self.batch_size
+        if b is not None and (type(b) is not int or b < 1):
+            raise ValueError(f"batch_size must be None or an int >= 1, got {b!r}")
         if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
             raise ValueError(
                 f"timeout_s must be None or finite and > 0, got {self.timeout_s!r}"

@@ -20,14 +20,13 @@ Four design points keep IPC from eating the speedup:
   ``transport="queue"`` keeps the original ``multiprocessing.Queue``
   fabric (see the transport module for why it stays).
 
-* **Adaptive batching.**  Every channel operation carries a *batch* of
+* **Batching.**  Every channel operation carries a *batch* of
   messages, so one encode + one pipe write + one consumer wakeup is
-  amortized over the whole batch.  The batch policy adapts per
-  channel: batches grow while the observed backlog is high and shrink
-  when the system keeps up, with a latency deadline bounding how long
-  a message can sit buffered; join-critical messages flush
-  immediately (the protocol's flush hint).  An explicit ``batch_size``
-  pins the old fixed policy instead.
+  amortized over the whole batch.  A worker flushes what one handled
+  batch posted as one frame per destination, and join-critical
+  messages at once (the protocol's flush hint); the batch policy's
+  size target and 1 ms deadline bound only a long stretch of posts.
+  An explicit ``batch_size`` flushes at that size only.
 
 * **Fork start method.**  Workers are forked, so programs — which
   contain closures and are deliberately *not* picklable — are
@@ -43,15 +42,20 @@ Four design points keep IPC from eating the speedup:
   shared origin once every one is up, waits, sends the stop frames and
   collects the reports: it builds, packs and sends no event.
 
-Termination: a shared in-flight message counter is incremented when a
-batch is posted and decremented when it has been fully handled *and*
-its consequences flushed.  Before it starts the workers the
-coordinator charges one unit per worker, and each worker repays its
-unit once its last own round is handled and flushed (a worker that
-crashed or quiesced mid-pump stops pumping and repays at once).  The
-counter reaching zero means every worker has pumped its input and
-every channel has drained, at which point stop frames are delivered
-and each worker ships its locally-accumulated outputs back once.
+Termination is by frontier, as in the progress tracking of Naiad
+(Murray et al., SOSP 2013): producers end with a closing heartbeat,
+and frontiers are relayed down the tree over FIFO channels.  Each
+worker announces *done* once, when its own pump has finished, its
+consequences are flushed and its core has drained through the
+attempt's closing key (:meth:`WorkerCore.drained_through
+<repro.runtime.protocol.WorkerCore.drained_through>`).  A drained
+worker stays drained, so once every worker has announced, nothing is
+left in flight: stop frames are delivered and each worker ships its
+locally-accumulated outputs back once.  A crash or a quiesce is
+announced on the same queue and ends the attempt.  A drain timeout
+names every worker that has not announced, with the
+:meth:`~repro.runtime.protocol.WorkerCore.stall_state` its report
+carries.
 
 Every real substrate shares the worker-loop body (:class:`_Worker`)
 and the merge of worker reports into an attempt's outcome
@@ -87,6 +91,7 @@ from .protocol import (
     AttemptOutcome,
     OutputSink,
     WorkerCore,
+    end_timestamp,
     initial_leaf_states,
     pump_producers,
 )
@@ -100,7 +105,7 @@ from .transport import (
     plan_edges,
     resolve_policy,
 )
-from .wire import MAX_RUN, batch_message_count
+from .wire import MAX_RUN
 
 
 @dataclass(frozen=True)
@@ -193,6 +198,9 @@ class _WorkerReport:
     quiesce: Optional[QuiesceRecord] = None
     #: The worker's final MetricsSnapshot (metrics plane on), else None.
     metrics: Optional[MetricsSnapshot] = None
+    #: Its ``WorkerCore.stall_state()`` when it was stopped before it
+    #: announced done (forking substrates only), else None.
+    stall: Optional[str] = None
 
 
 class _Worker:
@@ -306,38 +314,33 @@ def _drive_worker(
     handles what the round posted as one batch, then serves its inbox:
     without blocking on a closed run, until the next round is due on a
     paced one (joins are served while it waits).  Once its last round
-    is handled it repays the unit the coordinator charged for it and
-    serves its inbox until the stop frame, which also ends a pump early.
-    A leaf whose state is away at a join and that already holds
+    is handled it serves its inbox until the stop frame, which also
+    ends a pump early; before each wait it announces *done*, once, if
+    its core has drained through the attempt's closing key.  A leaf
+    whose state is away at a join and that already holds
     :data:`LEAF_LEAD` buffered events waits for the fork instead of
-    pumping more.  A stopped worker's announcement goes on the
-    dedicated queue, and it pumps no further.  With the metrics plane
-    on and the control plane's live feed open, a snapshot goes on the
-    feed at most every quarter second."""
+    pumping more.  A stopped worker announces its crash or quiesce
+    instead, and pumps no further.  A worker stopped before it
+    announced anything ships its stall state in its report.  With the
+    metrics plane on and the control plane's live feed open, a
+    snapshot goes on the feed at most every quarter second."""
     origin = control.wait_origin()
     spec = spec.at_origin(origin)
     worker = _Worker(node_id, spec, batcher)
+    announce = control.announcements.put
     feed = control.metrics if worker.metrics is not None else None
     last_push = time.monotonic()
 
     def handle(msgs) -> None:
         nonlocal last_push
         if worker.handle(msgs):
-            control.aborts.put(node_id)
+            announce((node_id, "crash" if worker.crash is not None else "quiesce"))
         if feed is not None:
             # An unbounded queue: the put never waits.
             now = time.monotonic()
             if now - last_push >= 0.25:
                 last_push = now
                 feed.put_nowait(worker.metrics.snapshot(worker.sink))
-
-    def take(msgs) -> None:
-        handle(msgs)
-        # Declared done only after the flush inside handle(), so the
-        # in-flight counter can never dip to zero while this worker
-        # still owes messages to others.  Event-level: a columnar run
-        # of n events repays the n its sender charged the counter.
-        control.mark_done(batch_message_count(msgs))
 
     own: List[Any] = []
     core = worker.core
@@ -367,16 +370,24 @@ def _drive_worker(
             if msgs is STOP:
                 stopped = True
                 break
-            take(msgs)
+            handle(msgs)
         if stopped or worker.stopped:
             break
-    control.mark_done(1)
+    closing = end_timestamp(spec.streams)
+    itags = {s.itag for s in spec.streams}
+    done = False
     while not stopped:
+        if not (done or worker.stopped) and core.drained_through(closing, itags):
+            done = True
+            announce((node_id, "done"))
         msgs = receiver.recv()
         if msgs is STOP:
             break
-        take(msgs)
-    control.results.put(worker.report())
+        handle(msgs)
+    report = worker.report()
+    if not (done or worker.stopped):
+        report.stall = core.stall_state()
+    control.results.put(report)
 
 
 @contextlib.contextmanager
@@ -421,16 +432,6 @@ def _worker_main(node_id: str, spec: AttemptSpec, transport, control: ControlPla
 # The coordinator's half of an attempt, the same on every real substrate
 # ---------------------------------------------------------------------------
 
-def _aborted(control: ControlPlane) -> bool:
-    """True when a crash or a reconfiguration quiesce was announced
-    (either one ends the attempt early)."""
-    try:
-        control.aborts.get_nowait()
-    except queue_mod.Empty:
-        return False
-    return True
-
-
 def worker_fault(who: str, err: str) -> RuntimeFault:
     """A worker's escaped exception as the run's fault: the worker's
     name, then ``err`` — the exception's repr and its traceback."""
@@ -471,7 +472,7 @@ def _gather_reports(control: ControlPlane, procs, workers: Sequence[str], wait_s
     return reports, sorted(missing)
 
 
-def _await_idle(
+def _await_done(
     substrate: str,
     control: ControlPlane,
     procs,
@@ -479,30 +480,36 @@ def _await_idle(
     stop: Callable[[], None],
     timeout_s: float,
 ) -> bool:
-    """Wait for drain, an injected crash, or a reconfiguration quiesce
-    (returns True for an aborted attempt), surfacing worker faults
-    promptly.  A drain timeout says who is still busy: every worker is
-    sent its stop frame and given a second to report; the ones that
-    stay silent never came back from a handler."""
+    """Wait until every worker has announced done, or one announced a
+    crash or a reconfiguration quiesce (returns True for an aborted
+    attempt), surfacing worker faults promptly.  A drain timeout names
+    each worker that has not announced done: every worker is sent its
+    stop frame and given a second to report, and each named one comes
+    with the stall state its report carries, or as silent — it never
+    came back from a handler."""
     deadline = time.monotonic() + timeout_s
-    while True:
-        if _aborted(control):
+    waiting = set(workers)
+    while waiting:
+        try:
+            wid, kind = control.announcements.get(timeout=0.05)
+        except queue_mod.Empty:
+            raise_worker_faults(control, procs)
+            if time.monotonic() > deadline:
+                stop()
+                reports, silent = _gather_reports(control, procs, workers, 1.0)
+                stuck = {r.node_id: r.stall for r in reports if r.stall is not None}
+                stuck.update((w, "silent: no report when stopped") for w in silent)
+                lines = "".join(f"\n  worker {w}: {stuck[w]}" for w in sorted(stuck))
+                raise RuntimeFault(
+                    f"{substrate} runtime did not drain within {timeout_s:g}s: "
+                    f"{len(stuck)} of {len(workers)} worker(s) not drained through "
+                    f"the closing key, no report from {silent}{lines}"
+                ) from None
+            continue
+        if kind != "done":
             return True
-        if control.idle.wait(timeout=0.05):
-            # Drain and an abort can race: a crashed/quiesced worker
-            # absorbs its backlog, so the counter may reach zero right
-            # as the announcement lands.  Abort wins.
-            return _aborted(control)
-        raise_worker_faults(control, procs)
-        if time.monotonic() > deadline:
-            inflight = control.backlog()
-            stop()
-            _, silent = _gather_reports(control, procs, workers, 1.0)
-            raise RuntimeFault(
-                f"{substrate} runtime did not drain within {timeout_s:g}s: {inflight} "
-                f"message(s) in flight, {len(workers) - len(silent)} of {len(workers)} "
-                f"worker(s) stopped when asked, no report from {silent}"
-            )
+        waiting.discard(wid)
+    return False
 
 
 def _collect(
@@ -571,12 +578,12 @@ def coordinate_attempt(
     """The coordinator's half of one attempt over started workers
     (``procs``: processes or node agents, which pump their own input):
     ``setup`` until every worker is up, stamp the shared origin
-    (:meth:`ControlPlane.release`), wait for drain or an abort
-    announcement, ``stop`` the workers (one stop frame each), collect
-    their reports, ``drain`` the data plane of an aborted attempt,
-    reap.  ``wall_s`` runs from the origin to drain.  A failed attempt
-    terminates its workers instead of waiting them out — nobody will
-    send them a stop frame."""
+    (:meth:`ControlPlane.release`), wait for every worker's done
+    announcement or the first abort, ``stop`` the workers (one stop
+    frame each), collect their reports, ``drain`` the data plane of an
+    aborted attempt, reap.  ``wall_s`` runs from the origin to the last
+    done announcement.  A failed attempt terminates its workers instead
+    of waiting them out — nobody will send them a stop frame."""
     workers = [n.id for n in spec.plan.workers()]
     result = AttemptOutcome(
         events_in=sum(len(s.events) for s in spec.streams),
@@ -589,7 +596,7 @@ def coordinate_attempt(
         setup()
         t0 = time.perf_counter()
         control.release()
-        aborted = _await_idle(substrate, control, procs, workers, stop, timeout_s)
+        aborted = _await_done(substrate, control, procs, workers, stop, timeout_s)
         result.wall_s = time.perf_counter() - t0
         stop()
         _collect(control, procs, result, workers, timeout_s, spec.metrics)
@@ -609,22 +616,13 @@ def coordinate_attempt(
     return result
 
 
-def control_plane(ctx, spec: AttemptSpec) -> ControlPlane:
-    """An attempt's control plane, charged one unit per worker: each
-    worker repays its unit once it has pumped its own input, so the
-    attempt cannot look drained before then."""
-    control = ControlPlane(ctx)
-    control.add_inflight(len(spec.plan.workers()))
-    return control
-
-
 def run_on_workers(
     substrate: str, ctx, transport, spec: AttemptSpec, timeout_s: float
 ) -> AttemptOutcome:
     """One attempt with one forked ``ctx.Process`` per plan worker
     over ``transport`` (pipes, queues, sockets or rings)."""
     try:
-        control = control_plane(ctx, spec)
+        control = ControlPlane(ctx)
         procs = [
             ctx.Process(
                 target=_worker_main,
@@ -674,8 +672,9 @@ class ProcessRuntime:
     ``multiprocessing.Queue`` fabric), ``"tcp"`` (the same frames over
     loopback stream sockets) or ``"shm"`` (shared-memory rings; tuned
     through ``transport_options``).  ``batch_size=None`` (default)
-    enables adaptive batching; an explicit integer pins the fixed
-    policy (1 degenerates to per-message IPC, useful as a baseline).
+    flushes at 64 messages or after 1 ms; an explicit integer flushes
+    at that size only (1 degenerates to per-message IPC, useful as a
+    baseline).
     """
 
     def __init__(

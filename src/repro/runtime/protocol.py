@@ -313,6 +313,20 @@ class WorkerCore:
             n += len(b.item) if type(b.item) is EventRun else 1
         return n
 
+    def drained_through(self, ts: float, itags: Set[ImplTag]) -> bool:
+        """True when this worker will do no more work up to ``ts``, the
+        attempt's closing timestamp: every tag it knows that is in
+        ``itags`` (the attempt's streams; a tag without a stream is
+        ignored) has its timer at ``ts``, nothing is buffered or
+        pending, and it is not blocked (a worker absorbed or awaiting a
+        join is).  Stable: nothing can reach a drained worker but a
+        stale heartbeat, since channels are FIFO and a frontier is
+        relayed only behind everything released below it."""
+        mb = self.mailbox
+        if self.blocked or self.pending or mb.buffered_count():
+            return False
+        return all(mb.timer(t)[0] >= ts for t in mb.itags if t in itags)
+
     def protocol_state(self) -> str:
         """Where this worker stands in the join/fork protocol: blocked,
         absorbed (a leaf whose state is up at a join, an internal node

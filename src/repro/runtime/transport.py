@@ -47,19 +47,17 @@ protocol so the hot path can do better:
   unlinks them in ``close()``, workers flag their endpoints closed on
   the way out so peers observe EOF/EPIPE analogues.  Same-host only.
 
-All transports move *batches*.  :class:`BatchingSender` owns the
-policy: a :class:`BatchPolicy` either flushes at a fixed size (the old
-``batch_size`` behaviour) or adapts per channel — batches grow toward
-``max_batch`` while the observed global backlog is high (receivers are
-busy; amortize harder) and shrink toward ``min_batch`` when the system
-is keeping up, with a latency deadline bounding how long any message
-can sit buffered.
+All transports move *batches*.  :class:`BatchingSender` buffers a
+worker's posts per destination and flushes them as one frame; its
+:class:`BatchPolicy` flushes a buffer at a fixed size or, by default,
+also once its oldest message has waited past a short deadline.  A
+worker flushes every buffer at the end of each batch it handles, so on
+the forking substrates nearly every frame is one batch's consequences.
 
-The control plane (end-of-run reports, worker faults, crash/quiesce
-announcements, and the global in-flight accounting that detects
-quiescence) stays on ``multiprocessing`` primitives in
-:class:`ControlPlane` — it is low-rate and needs blocking semantics,
-not throughput.
+The control plane (end-of-run reports, worker faults, and each
+worker's one announcement: drained, crashed or quiesced) stays on
+``multiprocessing`` primitives in :class:`ControlPlane` — it is
+low-rate and needs blocking semantics, not throughput.
 """
 
 from __future__ import annotations
@@ -135,119 +133,66 @@ def configure_stream_socket(sock: socket.socket, *, nonblocking: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Batch policy: fixed size vs adaptive (size OR deadline, backlog-driven)
+# Batch policy: a size target, plus an optional deadline
 # ---------------------------------------------------------------------------
 
+#: The default policy's size target and flush deadline.
+DEFAULT_BATCH = 64
+DEFAULT_FLUSH_MS = 1.0
+
+
 class BatchPolicy:
-    """When to flush a per-destination outgoing buffer.
+    """When to flush a per-destination outgoing buffer: once it holds
+    ``batch`` messages, or — with ``deadline_ms`` — once its oldest
+    message has waited that long, so a long stretch of posts cannot
+    strand messages.  ``fixed(n)`` flushes at ``n`` messages only."""
 
-    ``fixed(n)`` reproduces the original behaviour: flush at ``n``
-    buffered messages, never on time.  ``adaptive()`` starts from
-    ``start_batch`` and moves each channel's target within
-    ``[min_batch, max_batch]``: observed backlog above
-    ``grow_watermark`` × target doubles it (receivers are saturated —
-    amortize harder), backlog below ``shrink_watermark`` × target
-    halves it (system keeping up — favour latency).  ``deadline_ms``
-    additionally flushes any buffer whose oldest message has waited
-    that long, so a slow stretch cannot strand messages.
-    """
+    __slots__ = ("batch", "deadline_s")
 
-    __slots__ = (
-        "adaptive",
-        "start_batch",
-        "min_batch",
-        "max_batch",
-        "deadline_s",
-        "grow_watermark",
-        "shrink_watermark",
-    )
-
-    def __init__(
-        self,
-        *,
-        adaptive: bool,
-        start_batch: int,
-        min_batch: int,
-        max_batch: int,
-        deadline_ms: Optional[float],
-        grow_watermark: float = 4.0,
-        shrink_watermark: float = 0.5,
-    ) -> None:
-        if not 1 <= min_batch <= start_batch <= max_batch:
+    def __init__(self, batch: int, deadline_ms: Optional[float] = None) -> None:
+        if type(batch) is not int or batch < 1:
             raise RuntimeFault(
-                f"invalid batch policy: need 1 <= min ({min_batch}) <= "
-                f"start ({start_batch}) <= max ({max_batch})"
+                f"invalid batch policy: need an int batch size >= 1, got {batch!r}"
             )
-        self.adaptive = adaptive
-        self.start_batch = start_batch
-        self.min_batch = min_batch
-        self.max_batch = max_batch
+        self.batch = batch
         # `is not None`: deadline_ms=0 means "flush immediately", the
         # tightest latency bound — not "no deadline".
         self.deadline_s = deadline_ms / 1000.0 if deadline_ms is not None else None
-        self.grow_watermark = grow_watermark
-        self.shrink_watermark = shrink_watermark
 
     @classmethod
     def fixed(cls, batch_size: int) -> "BatchPolicy":
-        n = max(1, batch_size)
-        return cls(
-            adaptive=False, start_batch=n, min_batch=n, max_batch=n, deadline_ms=None
-        )
-
-    @classmethod
-    def adaptive_policy(
-        cls,
-        *,
-        start_batch: int = 64,
-        min_batch: int = 16,
-        max_batch: int = 1024,
-        deadline_ms: float = 1.0,
-    ) -> "BatchPolicy":
-        return cls(
-            adaptive=True,
-            start_batch=start_batch,
-            min_batch=min_batch,
-            max_batch=max_batch,
-            deadline_ms=deadline_ms,
-        )
+        return cls(batch_size)
 
     def describe(self) -> str:
-        if not self.adaptive:
-            return f"fixed({self.start_batch})"
-        dl = self.deadline_s * 1000.0 if self.deadline_s is not None else None
-        return (
-            f"adaptive({self.min_batch}..{self.max_batch}, "
-            f"deadline={dl}ms)"
-        )
+        if self.deadline_s is None:
+            return f"fixed({self.batch})"
+        return f"fixed({self.batch}, deadline={self.deadline_s * 1000.0}ms)"
 
 
 def resolve_policy(batch_size: Optional[int], flush_ms: Optional[float]) -> BatchPolicy:
     """Map the user-facing knobs onto a policy: an explicit
-    ``batch_size`` selects the fixed policy (the pre-transport
-    behaviour, still useful as a baseline and in tests); ``None``
-    selects adaptive batching, optionally overriding the flush
-    deadline."""
+    ``batch_size`` flushes at that size only (a baseline, and what
+    tests pin); ``None`` flushes at :data:`DEFAULT_BATCH` messages or
+    after ``flush_ms`` (default :data:`DEFAULT_FLUSH_MS`)."""
     if batch_size is not None:
         return BatchPolicy.fixed(batch_size)
-    if flush_ms is not None:
-        return BatchPolicy.adaptive_policy(deadline_ms=flush_ms)
-    return BatchPolicy.adaptive_policy()
+    return BatchPolicy(DEFAULT_BATCH, DEFAULT_FLUSH_MS if flush_ms is None else flush_ms)
 
 
 # ---------------------------------------------------------------------------
-# Control plane: reports, faults, and quiescence accounting
+# Control plane: reports, faults, and announcements
 # ---------------------------------------------------------------------------
 
 class ControlPlane:
     """Low-rate cross-process coordination shared by all transports.
 
-    The in-flight counter is incremented when a batch is posted and
-    decremented when the receiver has fully handled it *and* flushed
-    its consequences.  The coordinator also charges one unit per
-    worker before it starts them, repaid when the worker has handled
-    its own input; zero then means every worker has pumped its input
-    and every channel and every buffer has drained.
+    ``announcements`` carries at most one ``(worker id, kind)`` per
+    worker and attempt: ``"done"`` once the worker has pumped its input
+    and drained through the attempt's closing key
+    (:meth:`~repro.runtime.protocol.WorkerCore.drained_through`), or
+    ``"crash"`` / ``"quiesce"`` when it stopped, which ends the attempt.
+    The coordinator waits for every worker's ``"done"`` or for the
+    first stop.
 
     ``origin`` is the attempt's shared start, stamped by :meth:`release`
     once every worker is up: the wall-clock instant paced workers pace
@@ -256,21 +201,12 @@ class ControlPlane:
     def __init__(self, ctx) -> None:
         self.results = ctx.Queue()
         self.errors = ctx.Queue()
-        #: Ids of workers that went fail-stop (an injected crash) or
-        #: quiesced for a reconfiguration; either ends the attempt.
-        self.aborts = ctx.Queue()
+        self.announcements = ctx.Queue()
         #: The live metrics feed: a queue of MetricsSnapshot copies
         #: that workers push at a low rate, opened only where a live
         #: Prometheus exporter drains it (a cluster run with a metrics
         #: port); None elsewhere, and then nothing is pushed.
         self.metrics = None
-        self.inflight = ctx.Value("q", 0, lock=True)
-        # Raw ctypes view: reading `inflight.value` acquires the shared
-        # lock; the adaptive policy's backlog heuristic must not add a
-        # second cross-process lock round per flush.
-        self._inflight_raw = self.inflight.get_obj()
-        self.idle = ctx.Event()
-        self.idle.set()  # vacuously idle until the first post
         self.origin = ctx.Value("d", 0.0, lock=False)
         self._released = ctx.Event()
 
@@ -285,105 +221,59 @@ class ControlPlane:
         self._released.wait()
         return self.origin.value
 
-    def add_inflight(self, n: int) -> None:
-        with self.inflight.get_lock():
-            self.inflight.value += n
-            self.idle.clear()
-
-    def mark_done(self, n: int) -> None:
-        with self.inflight.get_lock():
-            self.inflight.value -= n
-            if self.inflight.value == 0:
-                self.idle.set()
-
-    def backlog(self) -> int:
-        """Racy, lock-free read of the global in-flight count — a
-        heuristic load signal for the adaptive batch policy, not a
-        synchronization point."""
-        return self._inflight_raw.value
-
 
 # ---------------------------------------------------------------------------
 # Batching sender (transport-independent policy layer)
 # ---------------------------------------------------------------------------
 
 class BatchingSender:
-    """Per-destination outgoing buffers over a raw transport sender.
+    """Per-destination outgoing buffers over a raw transport sender,
+    flushed as :class:`BatchPolicy` says and on every :meth:`flush`.
+    ``control`` is not read; it stays positional for existing callers."""
 
-    In-flight accounting happens at flush granularity — increment just
-    before the batch hits the wire, decrement when the receiver
-    finishes it — so quiescence implies empty channels *and* empty
-    buffers."""
-
-    __slots__ = (
-        "_send",
-        "control",
-        "policy",
-        "_buffers",
-        "_first_ts",
-        "_targets",
-        "metrics",
-    )
+    __slots__ = ("_send", "policy", "_buffers", "_first_ts", "metrics")
 
     def __init__(
         self,
         send_batch: Callable[[str, List[Any]], None],
-        control: ControlPlane,
+        control: Optional[ControlPlane],
         policy: BatchPolicy,
     ) -> None:
         self._send = send_batch
-        self.control = control
         self.policy = policy
         self._buffers: Dict[str, List[Any]] = {}
         self._first_ts: Dict[str, float] = {}
-        self._targets: Dict[str, int] = {}
         #: Optional WorkerMetrics assigned by the worker loop after
         #: construction (metrics plane on); counts flushed batches.
         self.metrics = None
 
     def post(self, dst: str, msg: Any) -> None:
         buf = self._buffers.get(dst)
+        deadline_s = self.policy.deadline_s
         if buf is None:
             buf = self._buffers[dst] = []
-            if self.policy.deadline_s is not None:
+            if deadline_s is not None:
                 self._first_ts[dst] = time.monotonic()
         buf.append(msg)
-        target = self._targets.get(dst, self.policy.start_batch)
-        if len(buf) >= target:
-            self._flush_one(dst, target)
-        elif (
-            self.policy.deadline_s is not None
-            and time.monotonic() - self._first_ts[dst] >= self.policy.deadline_s
+        if len(buf) >= self.policy.batch or (
+            deadline_s is not None and time.monotonic() - self._first_ts[dst] >= deadline_s
         ):
-            self._flush_one(dst, target)
+            self._flush_one(dst)
 
-    def _flush_one(self, dst: str, target: int) -> None:
+    def _flush_one(self, dst: str) -> None:
         batch = self._buffers.pop(dst, None)
         if not batch:
             return
         self._first_ts.pop(dst, None)
-        # Event-level accounting: a columnar run of n events counts n,
-        # matching what the receiver marks done after decoding it.
-        n_msgs = batch_message_count(batch)
-        self.control.add_inflight(n_msgs)
         m = self.metrics
         if m is not None:
             m.batches_sent += 1
-            m.messages_sent += n_msgs
+            m.messages_sent += batch_message_count(batch)
         self._send(dst, batch)
-        if self.policy.adaptive:
-            # Per-channel target tracking the observed global backlog:
-            # saturated receivers -> bigger batches, idle system ->
-            # smaller ones.
-            backlog = self.control.backlog()
-            if backlog > self.policy.grow_watermark * target:
-                self._targets[dst] = min(target * 2, self.policy.max_batch)
-            elif backlog < self.policy.shrink_watermark * target:
-                self._targets[dst] = max(target // 2, self.policy.min_batch)
 
     def flush(self) -> None:
         for dst in list(self._buffers):
-            self._flush_one(dst, self._targets.get(dst, self.policy.start_batch))
+            self._flush_one(dst)
 
     def pending(self) -> int:
         return sum(len(b) for b in self._buffers.values())

@@ -120,10 +120,8 @@ def _decode_msg(wire: WireMsg) -> Any:
 
 def batch_message_count(msgs: Sequence[Any]) -> int:
     """Event-level message count of a batch: an :class:`EventRun`
-    counts as its length, everything else as one.  The in-flight
-    accounting (sender increment, receiver decrement) and the
-    ``messages_sent`` metric both use this, so the counter balances to
-    zero however a worker later splits or walks a run."""
+    counts as its length, everything else as one — the frame header's
+    count and the ``messages_sent`` metric."""
     n = 0
     for m in msgs:
         n += len(m.ts) if type(m) is EventRun else 1

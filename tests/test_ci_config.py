@@ -109,6 +109,18 @@ class TestSimChaosSlice:
         )
         assert f"python -m repro.chaos {slice_}" in text
 
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_tests_job_runs_the_shm_and_tcp_process_slices(self, jobs, transport):
+        """Completion by frontier rides every transport's end-of-attempt
+        path (the done announcements, then the stop frames), so the
+        rings and single-host TCP get crashes and re-plans on every
+        push too."""
+        text = " ".join(steps_text(jobs["tests"]).split())
+        slice_ = self.SLICE.replace(
+            "--backends sim", f"--backends process --transport {transport}"
+        )
+        assert f"python -m repro.chaos {slice_}" in text
+
     def test_tests_job_runs_the_process_slice(self, jobs):
         """The process backend on its default transport under crashes
         and re-plans on every push: every forked worker pumps its own

@@ -795,8 +795,10 @@ def test_an_aborted_threaded_attempt_stops_its_threads(how):
 @pytest.mark.parametrize("backend", ["threaded", "process"])
 def test_a_drain_timeout_names_its_substrate_and_who_is_busy(backend):
     """ROADMAP 6c, first instalment: the one drain timeout says which
-    substrate, how much is in flight, and which workers did not report
-    when sent their stop frame."""
+    substrate and which workers are still busy: on the in-process
+    substrate, what its run queue holds and who holds work; on the
+    forking ones, each worker not drained through the closing key,
+    with its state or as silent when sent its stop frame."""
 
     def slow_update(state, event):
         time.sleep(0.2)
@@ -812,7 +814,12 @@ def test_a_drain_timeout_names_its_substrate_and_who_is_busy(backend):
         run_on_backend(backend, prog, plan, streams, options=RunOptions(timeout_s=0.2))
     text = str(err.value)
     assert f"{backend} runtime did not drain within 0.2s" in text
-    assert "message(s) in flight" in text and " 0 message(s)" not in text
-    for leaf in plan.leaves():
-        assert repr(leaf.id) in text.split("no report from")[1]
+    if backend == "threaded":
+        assert "message(s) in flight" in text and " 0 message(s)" not in text
+        for leaf in plan.leaves():
+            assert repr(leaf.id) in text.split("no report from")[1]
+    else:
+        assert "not drained through the closing key" in text
+        for leaf in plan.leaves():
+            assert f"\n  worker {leaf.id}: silent" in text
     _assert_nothing_left_behind(before)

@@ -14,8 +14,8 @@ Four concerns:
   sweeps and hypothesis both drive mixed batches through the frame
   codec and the queue transport's tuple codec and compare.
 
-* **Batch policy** — fixed vs adaptive flushing, backlog-driven
-  target moves, deadline flushes.
+* **Batch policy** — size-target and deadline flushes, per
+  destination.
 
 * **End-to-end equivalence + crash-mid-frame recovery** — both
   transports run the full protocol to spec-identical outputs, and a
@@ -47,6 +47,7 @@ from repro.runtime import (
     run_on_backend,
     run_sequential_reference,
 )
+from repro.runtime.cluster import ClusterLauncher
 from repro.runtime.messages import (
     EventMsg,
     EventRun,
@@ -73,7 +74,6 @@ from repro.runtime.transport import (
 )
 from repro.runtime.wire import (
     FRAME_LEN,
-    batch_message_count,
     event_runs,
     pack_frame,
     unpack_frame,
@@ -353,28 +353,12 @@ class TestFastPathPickleEquivalence:
 # Batch policy
 # ---------------------------------------------------------------------------
 
-class _FakeControl:
-    """In-process stand-in for ControlPlane: records accounting and
-    serves a scripted backlog to the adaptive policy."""
-
-    def __init__(self):
-        self.inflight = 0
-        self.scripted_backlog = 0
-
-    def add_inflight(self, n):
-        self.inflight += n
-
-    def mark_done(self, n):
-        self.inflight -= n
-
-    def backlog(self):
-        return self.scripted_backlog
-
-
 class TestBatchPolicy:
     def test_resolve_policy_mapping(self):
         assert resolve_policy(8, None).describe() == "fixed(8)"
-        assert resolve_policy(None, None).adaptive
+        default = resolve_policy(None, None)
+        assert (default.batch, default.deadline_s) == (64, pytest.approx(0.001))
+        assert default.describe() == "fixed(64, deadline=1.0ms)"
         assert resolve_policy(None, 5.0).deadline_s == pytest.approx(0.005)
 
     def test_flush_ms_zero_means_flush_immediately(self):
@@ -383,26 +367,36 @@ class TestBatchPolicy:
         policy = resolve_policy(None, 0.0)
         assert policy.deadline_s == 0.0
         sent = []
-        sender = BatchingSender(
-            lambda dst, batch: sent.append(len(batch)), _FakeControl(), policy
-        )
+        sender = BatchingSender(lambda dst, batch: sent.append(len(batch)), None, policy)
         sender.post("w1", 1)
         sender.post("w1", 2)
         assert sent == [1, 1], "flush_ms=0 must flush every post immediately"
 
     def test_invalid_bounds_rejected(self):
-        with pytest.raises(RuntimeFault):
-            BatchPolicy(
-                adaptive=True, start_batch=4, min_batch=8, max_batch=16,
-                deadline_ms=1.0,
-            )
+        # Refused, not clamped to fixed(1).
+        for batch in (0, -5, True, 2.5, float("nan")):
+            with pytest.raises(RuntimeFault):
+                BatchPolicy.fixed(batch)
+            with pytest.raises(RuntimeFault):
+                BatchPolicy(batch, 1.0)
+
+    @pytest.mark.parametrize("batch", [0, -5, True, float("nan"), 2.5])
+    def test_an_invalid_batch_size_is_refused_not_clamped(self, batch):
+        """Refused where it is given, not run as fixed(1) or fixed(2.5)."""
+        with pytest.raises(ValueError, match="batch_size"):
+            RunOptions(batch_size=batch)
+        assert RunOptions(batch_size=1).batch_size == 1
+        prog, _streams, plan = vb_case()
+        with pytest.raises(RuntimeFault, match="batch size"):
+            ProcessRuntime(prog, plan, batch_size=batch)
+        with pytest.raises(RuntimeFault, match="batch size"):
+            ClusterLauncher(prog, plan, nodes=1, batch_size=batch)
 
     def test_fixed_policy_flushes_at_size_only(self):
         sent = []
-        control = _FakeControl()
         sender = BatchingSender(
             lambda dst, batch: sent.append((dst, list(batch))),
-            control,
+            None,
             BatchPolicy.fixed(4),
         )
         for i in range(10):
@@ -411,35 +405,6 @@ class TestBatchPolicy:
         assert sender.pending() == 2
         sender.flush()
         assert [len(b) for _, b in sent] == [4, 4, 2]
-        assert control.inflight == 10
-
-    def test_adaptive_target_grows_under_backlog(self):
-        sent = []
-        control = _FakeControl()
-        policy = BatchPolicy.adaptive_policy(
-            start_batch=4, min_batch=2, max_batch=16, deadline_ms=None
-        )
-        sender = BatchingSender(
-            lambda dst, batch: sent.append(len(batch)), control, policy
-        )
-        control.scripted_backlog = 1000  # saturated: grow every flush
-        for i in range(4 + 8 + 16 + 16):
-            sender.post("w1", i)
-        assert sent == [4, 8, 16, 16]
-
-    def test_adaptive_target_shrinks_when_idle(self):
-        sent = []
-        control = _FakeControl()
-        policy = BatchPolicy.adaptive_policy(
-            start_batch=16, min_batch=2, max_batch=64, deadline_ms=None
-        )
-        sender = BatchingSender(
-            lambda dst, batch: sent.append(len(batch)), control, policy
-        )
-        control.scripted_backlog = 0  # idle: shrink every flush
-        for i in range(16 + 8 + 4 + 2 + 2):
-            sender.post("w1", i)
-        assert sent == [16, 8, 4, 2, 2]
 
     def test_deadline_flushes_stale_buffer(self, monkeypatch):
         import repro.runtime.transport as T
@@ -447,26 +412,21 @@ class TestBatchPolicy:
         now = [0.0]
         monkeypatch.setattr(T.time, "monotonic", lambda: now[0])
         sent = []
-        control = _FakeControl()
-        policy = BatchPolicy.adaptive_policy(
-            start_batch=64, min_batch=2, max_batch=64, deadline_ms=10.0
-        )
         sender = BatchingSender(
-            lambda dst, batch: sent.append(len(batch)), control, policy
+            lambda dst, batch: sent.append(len(batch)), None, resolve_policy(None, None)
         )
         sender.post("w1", 0)
         sender.post("w1", 1)
         assert sent == []
-        now[0] = 0.5  # way past the 10ms deadline
+        now[0] = 0.5  # way past the 1 ms default deadline
         sender.post("w1", 2)
         assert sent == [3]
 
     def test_per_destination_buffers_are_independent(self):
         sent = []
-        control = _FakeControl()
         sender = BatchingSender(
             lambda dst, batch: sent.append((dst, len(batch))),
-            control,
+            None,
             BatchPolicy.fixed(3),
         )
         for i in range(5):
@@ -474,7 +434,6 @@ class TestBatchPolicy:
             sender.post("b", i)
         sender.flush()
         assert sent == [("a", 3), ("b", 3), ("a", 2), ("b", 2)]
-        assert control.inflight == 10
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +496,6 @@ class TestTransportFabric:
             if item is STOP:
                 break
             got.extend(item)
-            control.mark_done(batch_message_count(item))
         expanded = []
         for m in got:
             if type(m) is EventRun:
@@ -545,8 +503,6 @@ class TestTransportFabric:
             else:
                 expanded.append(m)
         assert_same_messages(expanded, msgs)
-        assert control.backlog() == 0
-        assert control.idle.is_set()
         tr.drain()
         tr.close()
 
@@ -772,7 +728,7 @@ class TestTransportDifferential:
         )
         assert run.raw.transport == transport
 
-    def test_keycounter_pipe_adaptive_matches_spec(self):
+    def test_keycounter_pipe_deadline_matches_spec(self):
         from repro.plans import random_valid_plan
         from repro.runtime import InputStream
 
@@ -793,7 +749,7 @@ class TestTransportDifferential:
         plan = random_valid_plan(prog, itags, random.Random(4))
         runtime = ProcessRuntime(prog, plan)
         # A deadline tighter than the 1 ms default.
-        runtime.policy = BatchPolicy.adaptive_policy(deadline_ms=0.5)
+        runtime.policy = resolve_policy(None, 0.5)
         run = runtime.run(streams)
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
