@@ -12,7 +12,7 @@ multi-core machine it is the only one that escapes the GIL.
 
 Run:  python examples/process_parallel.py
       python examples/process_parallel.py --backend process --workers 8 \\
-          --batch-size 128 --spin 600
+          --transport shm --spin 600
 """
 
 import argparse
@@ -37,12 +37,6 @@ def main() -> None:
         help="runtime backend to execute on (default: all of them)",
     )
     parser.add_argument("--workers", type=int, default=3, help="value streams / leaves")
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="process-backend fixed batch size (default: 64 messages or 1 ms)",
-    )
     parser.add_argument(
         "--transport",
         choices=("pipe", "queue", "tcp", "shm"),
@@ -77,11 +71,7 @@ def main() -> None:
     print(f"host cores: {cores}; per-event spin: {args.spin}\n")
     all_ok = True
     for name in backends:
-        opts = (
-            RunOptions(batch_size=args.batch_size, transport=args.transport)
-            if name == "process"
-            else RunOptions()
-        )
+        opts = RunOptions(transport=args.transport) if name == "process" else RunOptions()
         run = run_on_backend(name, program, plan, streams, options=opts)
         ok = output_multiset(run.outputs) == want
         all_ok = all_ok and ok

@@ -90,7 +90,6 @@ from .cluster import (
 from .process import ProcessRuntime
 from .transport import (
     DEFAULT_TRANSPORT,
-    BatchPolicy,
     PipeTransport,
     QueueTransport,
     SocketTransport,
@@ -364,7 +363,6 @@ class ProcessBackend(RuntimeBackend):
             return ProcessRuntime(
                 program,
                 plan,
-                batch_size=opts.batch_size,
                 transport=opts.transport or DEFAULT_TRANSPORT,
             )
         if opts.transport not in (None, "tcp"):
@@ -377,7 +375,6 @@ class ProcessBackend(RuntimeBackend):
             plan,
             nodes=opts.nodes,
             placement=opts.placement,
-            batch_size=opts.batch_size,
             metrics_port=opts.metrics_port,
         )
 
@@ -438,7 +435,6 @@ __all__ = [
     "AttemptPerSeal",
     "AutoScaler",
     "BackendRun",
-    "BatchPolicy",
     "Buffered",
     "ByTimestampInterval",
     "Checkpoint",

@@ -27,11 +27,11 @@ exchange runs across machines):
 
 After the handshake the data plane is exactly the
 :class:`~repro.runtime.transport.SocketTransport` wire format — same
-frames, same :class:`~repro.runtime.transport.BatchPolicy`, same
-non-blocking deadlock-free sends, same fail-stop model (a dead peer is
-EOF/ECONNRESET, never a reconnect) — so fault injection, checkpoint
-recovery, and elastic reconfiguration run unchanged on a cluster
-deployment.
+frames, same :class:`~repro.runtime.transport.BatchingSender` flush
+rule, same non-blocking deadlock-free sends, same fail-stop model (a
+dead peer is EOF/ECONNRESET, never a reconnect) — so fault injection,
+checkpoint recovery, and elastic reconfiguration run unchanged on a
+cluster deployment.
 
 The control plane (end-of-run reports, worker errors, and each
 worker's done, crash or quiesce announcement) stays on
@@ -101,7 +101,6 @@ from .transport import (
     FrameSender,
     configure_stream_socket,
     plan_edges,
-    resolve_policy,
 )
 from .wire import FRAME_LEN
 
@@ -364,7 +363,7 @@ def _agent_main(  # pragma: no cover - runs in forked node agents (like
                 }
                 receiver = FrameReceiver(rfds)
                 sender = FrameSender(wfds, on_block=receiver.poll)
-                batcher = BatchingSender(sender.send_batch, control, spec.policy)
+                batcher = BatchingSender(sender.send_batch)
                 _drive_worker(wid, spec, receiver, batcher, control)
                 log(f"worker {wid} done")
 
@@ -421,7 +420,6 @@ class ClusterLauncher:
         *,
         nodes: Any,
         placement: Optional[Dict[str, str]] = None,
-        batch_size: Optional[int] = None,
         validate: bool = True,
         registry_host: str = "127.0.0.1",
         metrics_port: Optional[int] = None,
@@ -440,7 +438,6 @@ class ClusterLauncher:
                     f"got {node!r}"
                 )
         self.placement = resolve_placement(plan, self.nodes, placement)
-        self.policy = resolve_policy(batch_size, None)
         self.registry_host = registry_host
         self.transport_name = "tcp"
         #: Serve live Prometheus text on 127.0.0.1:<metrics_port>

@@ -31,8 +31,21 @@ Fields typed ``Any`` to keep this module a leaf of the import graph
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Optional
+
+
+def _increasing_bounds(bounds: Any) -> bool:
+    """``bounds`` is a non-empty, strictly increasing sequence of finite
+    numbers above 0."""
+    if not isinstance(bounds, Sequence) or isinstance(bounds, str) or not bounds:
+        return False
+    try:
+        values = [float(x) for x in bounds]
+    except (TypeError, ValueError):
+        return False
+    return all(0 < x < math.inf for x in values) and all(a < b for a, b in zip(values, values[1:]))
 
 
 @dataclass
@@ -55,14 +68,7 @@ class RunOptions:
       removal is ROADMAP.md item 2a), ``"tcp"`` (the same frames over
       TCP stream sockets — the single-host form of the distributed data
       plane), or ``"shm"`` (fixed-slot shared-memory rings: zero
-      syscalls per message, same-host only; ring geometry is a
-      :class:`~repro.runtime.process.ProcessRuntime` argument,
-      ``transport_options={"slots": ..., "slot_bytes": ...}``);
-    * ``batch_size`` — ``None`` (default) flushes a channel's buffer
-      at 64 messages or once its oldest has waited 1 ms; an int >= 1
-      flushes at that size only.  Either way a worker flushes at the
-      end of every batch it handles, so the target bounds only a long
-      stretch of posts;
+      syscalls per message, same-host only);
     * ``nodes`` — deploy across node agents instead of one process
       per worker (see :mod:`repro.runtime.cluster`): an int (that
       many loopback nodes) or a sequence of
@@ -76,8 +82,9 @@ class RunOptions:
     * ``metrics`` — enable per-worker counters and latency histograms;
       the run result's ``metrics`` field carries the merged
       :class:`~repro.runtime.metrics.RunMetrics`;
-    * ``latency_buckets`` — histogram upper bounds in seconds
-      (``None`` selects the default geometric buckets);
+    * ``latency_buckets`` — histogram upper bounds in seconds: a
+      non-empty, strictly increasing sequence of finite numbers above
+      0 (``None`` selects the default geometric buckets);
     * ``metrics_port`` — in cluster (``nodes=``) mode, serve live
       Prometheus text on ``http://127.0.0.1:<port>/metrics`` from the
       coordinator (``0`` picks a free port);
@@ -86,15 +93,16 @@ class RunOptions:
       milliseconds, so ``pace=1000.0`` replays in real time; ``None``
       keeps the closed-loop as-fast-as-possible pump).
 
-    Substrate-specific settings are not options: they are arguments of
-    the runtime classes (``FluminaRuntime(topology=,
-    track_event_latency=)``, ``ProcessRuntime(transport_options=)``)."""
+    No option sets batching: on every substrate a worker's messages
+    leave at the protocol's flush hint or at the end of the batch that
+    posted them.  Substrate-specific settings are not options: they are
+    arguments of the runtime classes (``FluminaRuntime(topology=,
+    track_event_latency=)``)."""
 
     fault_plan: Any = None
     checkpoint_predicate: Any = None
     reconfig_schedule: Any = None
     timeout_s: Optional[float] = None
-    batch_size: Optional[int] = None
     transport: Optional[str] = None
     nodes: Any = None
     placement: Any = None
@@ -104,15 +112,18 @@ class RunOptions:
     pace: Optional[float] = None
 
     def __post_init__(self) -> None:
-        b = self.batch_size
-        if b is not None and (type(b) is not int or b < 1):
-            raise ValueError(f"batch_size must be None or an int >= 1, got {b!r}")
         if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
             raise ValueError(
                 f"timeout_s must be None or finite and > 0, got {self.timeout_s!r}"
             )
         if self.pace is not None and not 0 < self.pace < math.inf:
             raise ValueError(f"pace must be None or finite and > 0, got {self.pace!r}")
+        b = self.latency_buckets
+        if b is not None and not _increasing_bounds(b):
+            raise ValueError(
+                "latency_buckets must be None or a non-empty, strictly increasing "
+                f"sequence of finite numbers > 0, got {b!r}"
+            )
 
     def with_timeout_default(self, default_s: float) -> float:
         return self.timeout_s if self.timeout_s is not None else default_s

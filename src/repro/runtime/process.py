@@ -22,11 +22,10 @@ Four design points keep IPC from eating the speedup:
 
 * **Batching.**  Every channel operation carries a *batch* of
   messages, so one encode + one pipe write + one consumer wakeup is
-  amortized over the whole batch.  A worker flushes what one handled
-  batch posted as one frame per destination, and join-critical
-  messages at once (the protocol's flush hint); the batch policy's
-  size target and 1 ms deadline bound only a long stretch of posts.
-  An explicit ``batch_size`` flushes at that size only.
+  amortized over the whole batch.  Every substrate flushes by one
+  rule: what a handled batch posted leaves as one frame per
+  destination at the batch's end, and join-critical messages leave at
+  once, at the protocol's flush hint.
 
 * **Fork start method.**  Workers are forked, so programs — which
   contain closures and are deliberately *not* picklable — are
@@ -99,11 +98,9 @@ from .runtime import InputStream
 from .transport import (
     DEFAULT_TRANSPORT,
     STOP,
-    BatchPolicy,
     ControlPlane,
     make_transport,
     plan_edges,
-    resolve_policy,
 )
 from .wire import MAX_RUN
 
@@ -116,9 +113,6 @@ class AttemptSpec:
 
     program: DGSProgram
     plan: SyncPlan
-    #: None on the in-process substrate, where a batch is what one
-    #: flush moved.
-    policy: Optional[BatchPolicy]
     #: Leaf id -> the share of the initial state it starts from.
     leaf_states: Dict[str, Any]
     checkpoint_predicate: Optional[CheckpointPredicate]
@@ -154,7 +148,6 @@ class AttemptSpec:
         return cls(
             runtime.program,
             runtime.plan,
-            runtime.policy,
             initial_leaf_states(runtime.plan, runtime.program, initial_state),
             checkpoint_predicate,
             faults,
@@ -418,7 +411,7 @@ def _worker_main(node_id: str, spec: AttemptSpec, transport, control: ControlPla
             # While this worker waits for channel space it keeps
             # ingesting its own inbox (receiver.poll), so mutual
             # pressure cannot deadlock.
-            batcher = transport.sender(node_id, control, spec.policy, on_block=receiver.poll)
+            batcher = transport.sender(node_id, on_block=receiver.poll)
             _drive_worker(node_id, spec, receiver, batcher, control)
     finally:
         # Announce this worker's exit on transports that cannot observe
@@ -589,7 +582,6 @@ def coordinate_attempt(
         events_in=sum(len(s.events) for s in spec.streams),
         n_workers=len(workers),
         transport=transport,
-        batch=spec.policy.describe(),
         nodes=nodes,
     )
     try:
@@ -670,11 +662,7 @@ class ProcessRuntime:
     ``transport`` selects the data plane: ``"pipe"`` (framed raw
     pipes, the default), ``"queue"`` (the original
     ``multiprocessing.Queue`` fabric), ``"tcp"`` (the same frames over
-    loopback stream sockets) or ``"shm"`` (shared-memory rings; tuned
-    through ``transport_options``).  ``batch_size=None`` (default)
-    flushes at 64 messages or after 1 ms; an explicit integer flushes
-    at that size only (1 degenerates to per-message IPC, useful as a
-    baseline).
+    loopback stream sockets) or ``"shm"`` (shared-memory rings).
     """
 
     def __init__(
@@ -682,20 +670,14 @@ class ProcessRuntime:
         program: DGSProgram,
         plan: SyncPlan,
         *,
-        batch_size: Optional[int] = None,
         transport: str = DEFAULT_TRANSPORT,
         validate: bool = True,
-        transport_options: Optional[dict] = None,
     ) -> None:
         self.program = program
         if validate:
             assert_p_valid(plan, program)
         self.plan = plan
         self.transport_name = transport
-        #: Transport-specific tuning (only the shm transport takes any:
-        #: ``slots``, ``slot_bytes``); validated by ``make_transport``.
-        self.transport_options = dict(transport_options or {})
-        self.policy = resolve_policy(batch_size, None)
         self._ctx = fork_context("the process runtime")
 
     def run(
@@ -733,10 +715,5 @@ class ProcessRuntime:
             streams,
             pace,
         )
-        transport = make_transport(
-            self.transport_name,
-            self._ctx,
-            plan_edges(self.plan),
-            **self.transport_options,
-        )
+        transport = make_transport(self.transport_name, self._ctx, plan_edges(self.plan))
         return run_on_workers("process", self._ctx, transport, spec, timeout_s)

@@ -112,11 +112,9 @@ class AttemptOutcome(RunStatsMixin):
     #: delay: restart to re-commit.
     metrics: Any = None
     #: Deployment facts of the real substrates ("" / 0 on the sim): the
-    #: data plane and the batch policy ("" on the in-process substrate),
-    #: the worker count, and the node-agent count of a cluster
-    #: deployment (0 otherwise).
+    #: data plane ("" on the in-process substrate), the worker count,
+    #: and the node-agent count of a cluster deployment (0 otherwise).
     transport: str = ""
-    batch: str = ""
     n_workers: int = 0
     nodes: int = 0
 
@@ -217,13 +215,13 @@ class WorkerCore:
         #: Called once at the end of every ``handle`` that posted
         #: join-critical messages (join requests, join responses,
         #: forked states).  Substrates with batched channels pass their
-        #: flush here so synchronization traffic never waits out a
-        #: batch window — joins block the whole subtree, so their
-        #: latency is the protocol's critical path.  Once per
-        #: ``handle``, not once per post: a fork and the next join's
-        #: request to the same child then share a frame and a wake-up,
-        #: as do the heartbeats relayed behind them.  Substrates with
-        #: unbatched channels leave it None.
+        #: flush here so synchronization traffic never waits for the
+        #: end of the batch being handled — joins block the whole
+        #: subtree, so their latency is the protocol's critical path.
+        #: Once per ``handle``, not once per post: a fork and the next
+        #: join's request to the same child then share a frame and a
+        #: wake-up, as do the heartbeats relayed behind them.
+        #: Substrates with unbatched channels leave it None.
         self.flush_hint = flush_hint
         self._flush_due = False
         #: A RootReconfigView (repro.runtime.quiesce) when this worker

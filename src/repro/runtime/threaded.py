@@ -4,13 +4,15 @@ thread.
 An attempt's workers are the real substrates' worker-loop body
 (:class:`~repro.runtime.process._Worker`, one
 :class:`~repro.runtime.protocol.WorkerCore` each), driven from one FIFO
-run queue of ``(worker, batch)`` pairs.  A worker's ``post`` appends to
-its per-destination outbox; a flush — at the end of every batch, and
-mid-batch when the core asks for one (``flush_hint``) — moves each
-outbox onto the run queue as one batch.  The attempt is idle when the
-run queue is empty.  Nothing is forked, encoded, locked or handed
-between OS threads: a join step (root → leaves → root → fork down)
-costs queue appends, not thread wake-ups.
+run queue of ``(worker, batch)`` pairs.  Each worker, and the producer
+pump, posts through the forking substrates' sender
+(:class:`~repro.runtime.transport.BatchingSender`) under the same flush
+rule: at the end of every batch, and mid-batch when the core asks for
+one (``flush_hint``), each destination's buffer goes onto the run queue
+as one batch.  The attempt is idle when the run queue is empty.
+Nothing is forked, encoded, locked or handed between OS threads: a
+join step (root → leaves → root → fork down) costs queue appends, not
+thread wake-ups.
 
 An attempt is opened once and then fed and sealed any number of times
 (:class:`_Attempt`): a feed posts events to their owners, a seal posts
@@ -31,7 +33,7 @@ while some worker still holds items is a stall, raised at once with
 every stuck worker's protocol state.  A crash or a reconfiguration
 quiesce ends the attempt at the batch that raised it.
 
-One FIFO queue, outboxes flushed in first-post order: the schedule is
+One FIFO queue, buffers flushed in first-post order: the schedule is
 deterministic, and two runs of the same input give the same outputs in
 the same order.  Real preemption is the process backend's; the
 differential matrix runs every app on both.
@@ -46,7 +48,7 @@ import math
 import time
 import traceback
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from ..core.program import DGSProgram
@@ -60,42 +62,10 @@ from .process import AttemptSpec, _Worker, merge_reports, worker_fault
 from .protocol import INIT_STATE, AttemptOutcome, _heartbeat_key_tail, pump_producers
 from .recovery import ReplayLog
 from .runtime import InputStream
+from .transport import BatchingSender
 from .wire import batch_message_count, event_runs
 
 _SUBSTRATE = "threaded"
-
-
-class _Outbox:
-    """One sender's outgoing messages — a worker's, or the producers'
-    on the coordinator's behalf: ``post`` appends to the destination's
-    list, ``flush`` moves every list onto the run queue as one batch,
-    in first-post order."""
-
-    __slots__ = ("_runq", "_lists", "metrics")
-
-    def __init__(self, runq: Deque[Tuple[str, List[Any]]]) -> None:
-        self._runq = runq
-        self._lists: Dict[str, List[Any]] = {}
-        #: The worker's WorkerMetrics when the metrics plane is on:
-        #: counts the batches flushed, as a transport's sender does.
-        self.metrics = None
-
-    def post(self, dst: str, msg: Any) -> None:
-        batch = self._lists.get(dst)
-        if batch is None:
-            self._lists[dst] = [msg]
-        else:
-            batch.append(msg)
-
-    def flush(self) -> None:
-        lists = self._lists
-        if lists:
-            self._lists = {}
-            self._runq.extend(lists.items())
-            m = self.metrics
-            if m is not None:
-                m.batches_sent += len(lists)
-                m.messages_sent += sum(map(batch_message_count, lists.values()))
 
 
 def _holds_work(worker: _Worker) -> bool:
@@ -129,9 +99,16 @@ class _Attempt:
         self.spec = spec
         self.timeout_s = timeout_s
         self.runq: Deque[Tuple[str, List[Any]]] = deque()
-        self.workers = {n.id: _Worker(n.id, spec, _Outbox(self.runq)) for n in spec.plan.workers()}
+        enqueue = self.runq.append
+
+        def send(dst: str, batch: List[Any]) -> None:
+            enqueue((dst, batch))
+
+        self.workers = {
+            n.id: _Worker(n.id, spec, BatchingSender(send)) for n in spec.plan.workers()
+        }
         #: Events and heartbeats, posted on the coordinator's behalf.
-        self.producers = _Outbox(self.runq)
+        self.producers = BatchingSender(send)
         self._owners = {t: n.id for n in spec.plan.workers() for t in n.itags}
         #: Events posted since the last seal; the highest timestamp
         #: ever posted through :meth:`post`.
@@ -239,10 +216,13 @@ class _Attempt:
         busy = {wid for wid, _ in self.runq}
         busy.update(wid for wid, w in self.workers.items() if _holds_work(w))
         n = len(self.workers)
+        lines = "".join(
+            f"\n  worker {wid}: {self.workers[wid].core.stall_state()}" for wid in sorted(busy)
+        )
         return RuntimeFault(
             f"{_SUBSTRATE} runtime did not drain within {timeout_s:g}s: {queued} "
             f"message(s) in flight, {n - len(busy)} of {n} worker(s) idle, "
-            f"no report from {sorted(busy)} (still holding work)"
+            f"no report from {sorted(busy)} (still holding work){lines}"
         )
 
     def raise_stall(self) -> None:
@@ -261,9 +241,6 @@ class _Attempt:
 class ThreadedRuntime:
     """Run a DGS program on the in-process substrate: every plan worker
     on the caller's thread, from one run queue."""
-
-    #: No batch policy: a batch is what one flush moved.
-    policy = None
 
     def __init__(self, program: DGSProgram, plan: SyncPlan, *, validate: bool = True):
         self.program = program

@@ -48,11 +48,12 @@ protocol so the hot path can do better:
   the way out so peers observe EOF/EPIPE analogues.  Same-host only.
 
 All transports move *batches*.  :class:`BatchingSender` buffers a
-worker's posts per destination and flushes them as one frame; its
-:class:`BatchPolicy` flushes a buffer at a fixed size or, by default,
-also once its oldest message has waited past a short deadline.  A
-worker flushes every buffer at the end of each batch it handles, so on
-the forking substrates nearly every frame is one batch's consequences.
+worker's posts per destination and sends each buffer as one frame when
+it is flushed, and only then: at the protocol's flush hint after
+join-critical messages, and at the end of every batch the worker
+handles.  So every frame is what one handled batch (or one stretch of
+it before the hint) sent to one destination.  The in-process substrate
+uses the same sender over its run queue.
 
 The control plane (end-of-run reports, worker faults, and each
 worker's one announcement: drained, crashed or quiesced) stays on
@@ -133,53 +134,6 @@ def configure_stream_socket(sock: socket.socket, *, nonblocking: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Batch policy: a size target, plus an optional deadline
-# ---------------------------------------------------------------------------
-
-#: The default policy's size target and flush deadline.
-DEFAULT_BATCH = 64
-DEFAULT_FLUSH_MS = 1.0
-
-
-class BatchPolicy:
-    """When to flush a per-destination outgoing buffer: once it holds
-    ``batch`` messages, or — with ``deadline_ms`` — once its oldest
-    message has waited that long, so a long stretch of posts cannot
-    strand messages.  ``fixed(n)`` flushes at ``n`` messages only."""
-
-    __slots__ = ("batch", "deadline_s")
-
-    def __init__(self, batch: int, deadline_ms: Optional[float] = None) -> None:
-        if type(batch) is not int or batch < 1:
-            raise RuntimeFault(
-                f"invalid batch policy: need an int batch size >= 1, got {batch!r}"
-            )
-        self.batch = batch
-        # `is not None`: deadline_ms=0 means "flush immediately", the
-        # tightest latency bound — not "no deadline".
-        self.deadline_s = deadline_ms / 1000.0 if deadline_ms is not None else None
-
-    @classmethod
-    def fixed(cls, batch_size: int) -> "BatchPolicy":
-        return cls(batch_size)
-
-    def describe(self) -> str:
-        if self.deadline_s is None:
-            return f"fixed({self.batch})"
-        return f"fixed({self.batch}, deadline={self.deadline_s * 1000.0}ms)"
-
-
-def resolve_policy(batch_size: Optional[int], flush_ms: Optional[float]) -> BatchPolicy:
-    """Map the user-facing knobs onto a policy: an explicit
-    ``batch_size`` flushes at that size only (a baseline, and what
-    tests pin); ``None`` flushes at :data:`DEFAULT_BATCH` messages or
-    after ``flush_ms`` (default :data:`DEFAULT_FLUSH_MS`)."""
-    if batch_size is not None:
-        return BatchPolicy.fixed(batch_size)
-    return BatchPolicy(DEFAULT_BATCH, DEFAULT_FLUSH_MS if flush_ms is None else flush_ms)
-
-
-# ---------------------------------------------------------------------------
 # Control plane: reports, faults, and announcements
 # ---------------------------------------------------------------------------
 
@@ -223,60 +177,65 @@ class ControlPlane:
 
 
 # ---------------------------------------------------------------------------
-# Batching sender (transport-independent policy layer)
+# Batching sender (transport-independent)
 # ---------------------------------------------------------------------------
 
 class BatchingSender:
-    """Per-destination outgoing buffers over a raw transport sender,
-    flushed as :class:`BatchPolicy` says and on every :meth:`flush`.
-    ``control`` is not read; it stays positional for existing callers."""
+    """Per-destination outgoing buffers over a raw ``send_batch(dst,
+    batch)``: :meth:`post` only buffers, and :meth:`flush` sends every
+    buffer as one batch, in first-post order.  Nothing else flushes: a
+    worker's messages leave at the protocol's flush hint or at the end
+    of the batch that posted them.
 
-    __slots__ = ("_send", "policy", "_buffers", "_first_ts", "metrics")
+    ``control`` and ``policy`` are not read; they stay positional for
+    dgsbench's layer pass (see :func:`resolve_policy`)."""
+
+    __slots__ = ("_send", "_buffers", "metrics")
 
     def __init__(
         self,
         send_batch: Callable[[str, List[Any]], None],
-        control: Optional[ControlPlane],
-        policy: BatchPolicy,
+        control: Optional[ControlPlane] = None,
+        policy: None = None,
     ) -> None:
         self._send = send_batch
-        self.policy = policy
         self._buffers: Dict[str, List[Any]] = {}
-        self._first_ts: Dict[str, float] = {}
         #: Optional WorkerMetrics assigned by the worker loop after
         #: construction (metrics plane on); counts flushed batches.
         self.metrics = None
 
     def post(self, dst: str, msg: Any) -> None:
         buf = self._buffers.get(dst)
-        deadline_s = self.policy.deadline_s
         if buf is None:
-            buf = self._buffers[dst] = []
-            if deadline_s is not None:
-                self._first_ts[dst] = time.monotonic()
-        buf.append(msg)
-        if len(buf) >= self.policy.batch or (
-            deadline_s is not None and time.monotonic() - self._first_ts[dst] >= deadline_s
-        ):
-            self._flush_one(dst)
-
-    def _flush_one(self, dst: str) -> None:
-        batch = self._buffers.pop(dst, None)
-        if not batch:
-            return
-        self._first_ts.pop(dst, None)
-        m = self.metrics
-        if m is not None:
-            m.batches_sent += 1
-            m.messages_sent += batch_message_count(batch)
-        self._send(dst, batch)
+            self._buffers[dst] = [msg]
+        else:
+            buf.append(msg)
 
     def flush(self) -> None:
-        for dst in list(self._buffers):
-            self._flush_one(dst)
+        buffers = self._buffers
+        if not buffers:
+            return
+        self._buffers = {}
+        m = self.metrics
+        if m is not None:
+            m.batches_sent += len(buffers)
+            m.messages_sent += sum(map(batch_message_count, buffers.values()))
+        send = self._send
+        for dst, batch in buffers.items():
+            send(dst, batch)
 
-    def pending(self) -> int:
-        return sum(len(b) for b in self._buffers.values())
+
+def resolve_policy(size: None, deadline_ms: None) -> None:
+    """The ``policy`` dgsbench's layer pass hands a sender: there is no
+    batch policy, so only ``(None, None)`` is accepted, and it is
+    ``None``.  Kept, with the unread ``policy`` parameters, until the
+    layer pass stops naming them (ROADMAP.md, item 1e)."""
+    if size is not None or deadline_ms is not None:
+        raise RuntimeFault(
+            f"there is no batch policy (got {size!r}, {deadline_ms!r}): a sender "
+            "flushes at the protocol's flush hint and at the end of each batch"
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +270,14 @@ class QueueTransport:
     def sender(
         self,
         src: str,
-        control: ControlPlane,
-        policy: BatchPolicy,
+        control: Optional[ControlPlane] = None,
+        policy: None = None,
         on_block: Optional[Callable[[], None]] = None,
     ) -> BatchingSender:
         def send_batch(dst: str, batch: List[Any]) -> None:
             self.queues[dst].put(pack_frame(batch))
 
-        return BatchingSender(send_batch, control, policy)
+        return BatchingSender(send_batch)
 
     def receiver(self, wid: str) -> _QueueReceiver:
         return _QueueReceiver(self.queues[wid])
@@ -510,8 +469,8 @@ class PipeTransport:
     def sender(
         self,
         src: str,
-        control: ControlPlane,
-        policy: BatchPolicy,
+        control: Optional[ControlPlane] = None,
+        policy: None = None,
         on_block: Optional[Callable[[], None]] = None,
     ) -> BatchingSender:
         wfds = {
@@ -520,7 +479,7 @@ class PipeTransport:
             if s == src
         }
         raw = FrameSender(wfds, on_block)
-        return BatchingSender(raw.send_batch, control, policy)
+        return BatchingSender(raw.send_batch)
 
     def receiver(self, wid: str) -> FrameReceiver:
         rfds = [r for (_, d), (r, _) in self._pipes.items() if d == wid]
@@ -1115,15 +1074,15 @@ class SharedMemoryTransport:
     def sender(
         self,
         src: str,
-        control: ControlPlane,
-        policy: BatchPolicy,
+        control: Optional[ControlPlane] = None,
+        policy: None = None,
         on_block: Optional[Callable[[], None]] = None,
     ) -> BatchingSender:
         rings = {
             wid: ring for (s, wid), ring in self._rings.items() if s == src
         }
         raw = _ShmSender(rings, on_block)
-        return BatchingSender(raw.send_batch, control, policy)
+        return BatchingSender(raw.send_batch)
 
     def receiver(self, wid: str) -> _ShmReceiver:
         return _ShmReceiver(
@@ -1201,17 +1160,10 @@ class SharedMemoryTransport:
                     pass
 
 
-def make_transport(name: str, ctx, edges: Dict[str, Sequence[str]], **options):
-    """Instantiate a registered transport.  ``options`` are
-    transport-specific tuning knobs; only the shm transport takes any
-    (``slots``, ``slot_bytes``) — passing options to a stream transport
-    is an error rather than a silent ignore."""
+def make_transport(name: str, ctx, edges: Dict[str, Sequence[str]]):
+    """Instantiate a registered transport at its default tuning."""
     if name == "shm":
-        return SharedMemoryTransport(ctx, edges, **options)
-    if options:
-        raise RuntimeFault(
-            f"transport {name!r} takes no options (got {sorted(options)})"
-        )
+        return SharedMemoryTransport(ctx, edges)
     if name == "pipe":
         return PipeTransport(ctx, edges)
     if name == "queue":

@@ -130,6 +130,15 @@ class TestSimChaosSlice:
         slice_ = self.SLICE.replace("--backends sim", "--backends process")
         assert f"python -m repro.chaos {slice_}" in text
 
+    def test_the_process_slice_checks_metrics(self, jobs):
+        """The forked workers' metrics are checked against the
+        protocol's counts on every push too: their ``batches_sent`` /
+        ``messages_sent`` come from the sender the threaded slice's
+        workers also use."""
+        text = " ".join(steps_text(jobs["tests"]).split())
+        slice_ = self.SLICE.replace("--backends sim", "--backends process")
+        assert f"python -m repro.chaos {slice_} --metrics-out chaos-metrics/process" in text
+
 
 class TestNightlyMailboxOracle:
     def test_chaos_job_runs_the_oracle_at_the_nightly_profile(self, jobs):

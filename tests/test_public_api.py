@@ -60,7 +60,6 @@ RUN_OPTIONS_FIELDS = (
     "checkpoint_predicate",
     "reconfig_schedule",
     "timeout_s",
-    "batch_size",
     "transport",
     "nodes",
     "placement",

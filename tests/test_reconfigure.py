@@ -375,6 +375,20 @@ class TestRunOptions:
         with pytest.raises(ValueError, match="timeout_s"):
             RunOptions(timeout_s=bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(0.1, 0.01), (0.001, float("nan")), (-1.0, 0.5), (0.0, 0.0), ()],
+        ids=["decreasing", "nan", "negative", "zero", "empty"],
+    )
+    def test_latency_buckets_must_be_positive_finite_and_increasing(self, bad):
+        """Refused where it is given: otherwise one substrate raises at
+        the run, another crashes a worker or merges nothing, and a
+        negative or zero bound reads back as a nonsense percentile."""
+        with pytest.raises(ValueError, match="latency_buckets"):
+            RunOptions(metrics=True, latency_buckets=bad)
+        ok = RunOptions(metrics=True, latency_buckets=[0.001, 0.01])
+        assert ok.metrics_config().latency_buckets == (0.001, 0.01)
+
     def test_options_object_accepted_by_backends(self):
         prog, streams, plan = vb_case(n_value_streams=2, values_per_barrier=10)
         opts = RunOptions(
@@ -397,10 +411,10 @@ class TestRunOptions:
                 ReconfigPoint(at_ts=4.0, to_leaves=3),
                 autoscaler=AutoScaler(high_watermark=10),
             ),
-            batch_size=8,
+            transport="tcp",
         )
         clone = pickle.loads(pickle.dumps(opts))
-        assert clone.batch_size == 8
+        assert clone.transport == "tcp"
         assert clone.reconfig_schedule.points[0].to_leaves == 3
         assert clone.fault_plan.faults[0].worker == "w2"
 

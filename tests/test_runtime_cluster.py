@@ -212,11 +212,10 @@ class TestClusterRuns:
 
     def test_options_round_trip_through_registry(self):
         prog, streams, plan = vb_case(n_value_streams=2)
-        opts = RunOptions(nodes=2, batch_size=4)
+        opts = RunOptions(nodes=2)
         run = run_on_backend("process", prog, plan, streams, options=opts)
         assert run.raw.transport == "tcp"
         assert run.raw.nodes == 2
-        assert run.raw.batch == "fixed(4)"
 
     @pytest.mark.parametrize("app", ALL_APPS)
     def test_all_apps_on_two_nodes_match_spec(self, app):
@@ -246,7 +245,6 @@ class TestClusterFaultTolerance:
             "process", prog, plan, streams,
             options=RunOptions(
                 nodes=2,
-                batch_size=8,
                 fault_plan=FaultPlan(CrashFault(leaf, after_events=37)),
                 checkpoint_predicate=every_root_join(),
             ),

@@ -233,7 +233,7 @@ class TestOneMetricsPath:
         inc, reset = ImplTag(kc.inc_tag(0), "i"), ImplTag(kc.reset_tag(0), "r")
         plan = sequential_plan(prog, [inc, reset])
         spec = AttemptSpec(
-            prog, plan, None, initial_leaf_states(plan, prog), None, None, False, None,
+            prog, plan, initial_leaf_states(plan, prog), None, None, False, None,
             MetricsConfig().with_epoch(time.time()),
         )
 

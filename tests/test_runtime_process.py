@@ -83,16 +83,6 @@ class TestProcessValueBarrier:
         res = ProcessRuntime(prog, plan).run(vb.make_streams(wl))
         assert res.joins == len(plan.internal()) * len(wl.barrier_stream)
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 256])
-    def test_batch_sizes_agree(self, batch_size):
-        prog = vb.make_program()
-        wl = vb.make_workload(n_value_streams=3, values_per_barrier=25, n_barriers=3)
-        streams = vb.make_streams(wl)
-        res = ProcessRuntime(
-            prog, vb.make_plan(prog, wl), batch_size=batch_size
-        ).run(streams)
-        assert res.output_multiset() == spec_multiset(prog, streams)
-
     def test_sequential_plan_single_process(self):
         prog = vb.make_program()
         wl = vb.make_workload(n_value_streams=2, values_per_barrier=20, n_barriers=3)
@@ -155,7 +145,7 @@ class TestProcessRandomPlans:
             for it in itags
         ]
         plan = random_valid_plan(prog, itags, rng)
-        res = ProcessRuntime(prog, plan, batch_size=8).run(streams)
+        res = ProcessRuntime(prog, plan).run(streams)
         assert res.output_multiset() == spec_multiset(prog, streams), plan.pretty()
 
 

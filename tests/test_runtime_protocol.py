@@ -818,6 +818,7 @@ def test_a_drain_timeout_names_its_substrate_and_who_is_busy(backend):
         assert "message(s) in flight" in text and " 0 message(s)" not in text
         for leaf in plan.leaves():
             assert repr(leaf.id) in text.split("no report from")[1]
+            assert text.count(f"\n  worker {leaf.id}: ") == 1
     else:
         assert "not drained through the closing key" in text
         for leaf in plan.leaves():

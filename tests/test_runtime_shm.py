@@ -45,7 +45,6 @@ from repro.runtime.transport import (
     SharedMemoryTransport,
     _ShmReceiver,
     _ShmSender,
-    make_transport,
 )
 from repro.runtime.wire import pack_frame, unpack_frame
 
@@ -162,10 +161,6 @@ class TestRingProtocol:
         with pytest.raises(RuntimeFault, match="too small"):
             SharedMemoryTransport(CTX, {"w": ["c"]}, slot_bytes=8)
 
-    def test_stream_transports_reject_shm_options(self):
-        with pytest.raises(RuntimeFault, match="takes no options"):
-            make_transport("pipe", CTX, {"w": ["c"]}, slots=8)
-
 
 class TestSegmentLifecycle:
     def test_close_unlinks_every_segment_and_is_idempotent(self):
@@ -203,7 +198,6 @@ class TestSegmentLifecycle:
             "process", prog, plan, streams,
             options=RunOptions(
                 transport="shm",
-                batch_size=8,
                 fault_plan=FaultPlan(CrashFault(leaf, after_events=37)),
                 checkpoint_predicate=every_root_join(),
             ),
@@ -214,13 +208,19 @@ class TestSegmentLifecycle:
             run_sequential_reference(prog, streams)
         )
 
-    def test_tiny_rings_via_transport_options_still_exact(self):
-        """ProcessRuntime plumbs ring geometry end to end; a ring
-        smaller than any batch backpressures instead of corrupting."""
+    def test_tiny_rings_still_exact(self, monkeypatch):
+        """Rings of 8 slots x 128 bytes chunk and backpressure a whole
+        run's traffic instead of corrupting it (the run's transport is
+        built at that geometry instead of the default)."""
+        import repro.runtime.process as process_mod
+
+        monkeypatch.setattr(
+            process_mod,
+            "make_transport",
+            lambda _name, ctx, edges: SharedMemoryTransport(ctx, edges, slots=8, slot_bytes=128),
+        )
         prog, streams, plan = vb_case(values_per_barrier=25)
-        run = ProcessRuntime(
-            prog, plan, transport="shm", transport_options={"slots": 8, "slot_bytes": 128}
-        ).run(streams)
+        run = ProcessRuntime(prog, plan, transport="shm").run(streams)
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
         )

@@ -47,7 +47,6 @@ from repro.runtime import (
     run_on_backend,
     run_sequential_reference,
 )
-from repro.runtime.cluster import ClusterLauncher
 from repro.runtime.messages import (
     EventMsg,
     EventRun,
@@ -59,7 +58,6 @@ from repro.runtime.messages import (
 from repro.runtime.transport import (
     COORDINATOR,
     STOP,
-    BatchPolicy,
     BatchingSender,
     ControlPlane,
     FrameReceiver,
@@ -350,90 +348,42 @@ class TestFastPathPickleEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Batch policy
+# Batching sender
 # ---------------------------------------------------------------------------
 
-class TestBatchPolicy:
-    def test_resolve_policy_mapping(self):
-        assert resolve_policy(8, None).describe() == "fixed(8)"
-        default = resolve_policy(None, None)
-        assert (default.batch, default.deadline_s) == (64, pytest.approx(0.001))
-        assert default.describe() == "fixed(64, deadline=1.0ms)"
-        assert resolve_policy(None, 5.0).deadline_s == pytest.approx(0.005)
-
-    def test_flush_ms_zero_means_flush_immediately(self):
-        # 0 is the tightest deadline, not "no deadline" (regression
-        # test for the falsy-zero trap).
-        policy = resolve_policy(None, 0.0)
-        assert policy.deadline_s == 0.0
+class TestBatchingSender:
+    def test_posts_leave_only_at_flush_one_batch_per_destination(self):
+        """No size target and no deadline: 200 posts to one destination
+        send nothing until ``flush()``, which sends one batch per
+        destination, in first-post order."""
         sent = []
-        sender = BatchingSender(lambda dst, batch: sent.append(len(batch)), None, policy)
-        sender.post("w1", 1)
-        sender.post("w1", 2)
-        assert sent == [1, 1], "flush_ms=0 must flush every post immediately"
-
-    def test_invalid_bounds_rejected(self):
-        # Refused, not clamped to fixed(1).
-        for batch in (0, -5, True, 2.5, float("nan")):
-            with pytest.raises(RuntimeFault):
-                BatchPolicy.fixed(batch)
-            with pytest.raises(RuntimeFault):
-                BatchPolicy(batch, 1.0)
-
-    @pytest.mark.parametrize("batch", [0, -5, True, float("nan"), 2.5])
-    def test_an_invalid_batch_size_is_refused_not_clamped(self, batch):
-        """Refused where it is given, not run as fixed(1) or fixed(2.5)."""
-        with pytest.raises(ValueError, match="batch_size"):
-            RunOptions(batch_size=batch)
-        assert RunOptions(batch_size=1).batch_size == 1
-        prog, _streams, plan = vb_case()
-        with pytest.raises(RuntimeFault, match="batch size"):
-            ProcessRuntime(prog, plan, batch_size=batch)
-        with pytest.raises(RuntimeFault, match="batch size"):
-            ClusterLauncher(prog, plan, nodes=1, batch_size=batch)
-
-    def test_fixed_policy_flushes_at_size_only(self):
-        sent = []
-        sender = BatchingSender(
-            lambda dst, batch: sent.append((dst, list(batch))),
-            None,
-            BatchPolicy.fixed(4),
-        )
-        for i in range(10):
-            sender.post("w1", i)
-        assert [len(b) for _, b in sent] == [4, 4]
-        assert sender.pending() == 2
-        sender.flush()
-        assert [len(b) for _, b in sent] == [4, 4, 2]
-
-    def test_deadline_flushes_stale_buffer(self, monkeypatch):
-        import repro.runtime.transport as T
-
-        now = [0.0]
-        monkeypatch.setattr(T.time, "monotonic", lambda: now[0])
-        sent = []
-        sender = BatchingSender(
-            lambda dst, batch: sent.append(len(batch)), None, resolve_policy(None, None)
-        )
-        sender.post("w1", 0)
-        sender.post("w1", 1)
-        assert sent == []
-        now[0] = 0.5  # way past the 1 ms default deadline
-        sender.post("w1", 2)
-        assert sent == [3]
-
-    def test_per_destination_buffers_are_independent(self):
-        sent = []
-        sender = BatchingSender(
-            lambda dst, batch: sent.append((dst, len(batch))),
-            None,
-            BatchPolicy.fixed(3),
-        )
-        for i in range(5):
+        sender = BatchingSender(lambda dst, batch: sent.append((dst, list(batch))))
+        sender.post("b", -1)
+        for i in range(200):
             sender.post("a", i)
-            sender.post("b", i)
+            if i % 50 == 0:
+                sender.post("c", i)
+        assert sent == []
         sender.flush()
-        assert sent == [("a", 3), ("b", 3), ("a", 2), ("b", 2)]
+        assert [dst for dst, _ in sent] == ["b", "a", "c"]
+        assert sent[0][1] == [-1]
+        assert sent[1][1] == list(range(200))
+        assert sent[2][1] == [0, 50, 100, 150]
+        sender.flush()
+        assert len(sent) == 3, "an empty flush sends nothing"
+
+    def test_resolve_policy_is_a_none_only_shim(self):
+        """What the layer pass passes as ``policy``: ``None``, and
+        nothing else resolves."""
+        assert resolve_policy(None, None) is None
+        for args in ((8, None), (None, 1.0), (None, 0.0)):
+            with pytest.raises(RuntimeFault, match="no batch policy"):
+                resolve_policy(*args)
+        sent = []
+        sender = BatchingSender(lambda dst, batch: sent.append(batch), None, None)
+        sender.post("w1", 1)
+        sender.flush()
+        assert sent == [[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +405,6 @@ class TestTransportFabric:
         assert set(TRANSPORTS) == {"pipe", "queue", "tcp", "shm"}
         with pytest.raises(RuntimeFault):
             make_transport("carrier-pigeon", ctx, edges)
-        with pytest.raises(RuntimeFault):
-            # Options are shm-only; anything else must fail loudly.
-            make_transport("pipe", ctx, edges, slots=8)
 
     def test_plan_edges_covers_tree_and_coordinator(self):
         prog, _, plan = vb_case(n_value_streams=2)
@@ -483,7 +430,7 @@ class TestTransportFabric:
         ctx = mp.get_context("fork")
         tr = make_transport(name, ctx, {"w1": [COORDINATOR]})
         control = ControlPlane(ctx)
-        sender = tr.sender(COORDINATOR, control, BatchPolicy.fixed(3))
+        sender = tr.sender(COORDINATOR, control)
         rx = tr.receiver("w1")
         msgs = [EventMsg(Event("v", "s", float(i), payload=i)) for i in range(7)]
         for m in msgs:
@@ -511,7 +458,7 @@ def _write_and_exit(tr, src, dst, msgs):
     """A forked peer: keep only ``src``'s endpoints, send ``msgs`` to
     ``dst`` as one frame, exit."""
     tr.child_setup(src)
-    sender = tr.sender(src, ControlPlane(mp.get_context("fork")), BatchPolicy.fixed(100))
+    sender = tr.sender(src, ControlPlane(mp.get_context("fork")))
     for m in msgs:
         sender.post(dst, m)
     sender.flush()
@@ -532,7 +479,7 @@ class TestReceiverContract:
     def _coordinator_edge(self, name):
         ctx = mp.get_context("fork")
         tr = make_transport(name, ctx, {"w1": [COORDINATOR]})
-        sender = tr.sender(COORDINATOR, ControlPlane(ctx), BatchPolicy.fixed(100))
+        sender = tr.sender(COORDINATOR, ControlPlane(ctx))
         return tr, sender, tr.receiver("w1")
 
     def test_empty_inbox_times_out(self, name):
@@ -716,19 +663,17 @@ class TestFrameOverSocketTorture:
 
 class TestTransportDifferential:
     @pytest.mark.parametrize("transport", ["pipe", "queue", "tcp", "shm"])
-    @pytest.mark.parametrize("batch_size", [None, 1, 16])
-    def test_value_barrier_matches_spec(self, transport, batch_size):
+    def test_value_barrier_matches_spec(self, transport):
         prog, streams, plan = vb_case()
         run = run_on_backend(
-            "process", prog, plan, streams,
-            options=RunOptions(transport=transport, batch_size=batch_size),
+            "process", prog, plan, streams, options=RunOptions(transport=transport)
         )
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
         )
         assert run.raw.transport == transport
 
-    def test_keycounter_pipe_deadline_matches_spec(self):
+    def test_keycounter_pipe_matches_spec(self):
         from repro.plans import random_valid_plan
         from repro.runtime import InputStream
 
@@ -747,46 +692,40 @@ class TestTransportDifferential:
             for it in itags
         ]
         plan = random_valid_plan(prog, itags, random.Random(4))
-        runtime = ProcessRuntime(prog, plan)
-        # A deadline tighter than the 1 ms default.
-        runtime.policy = resolve_policy(None, 0.5)
-        run = runtime.run(streams)
+        run = ProcessRuntime(prog, plan).run(streams)
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
         )
 
     def test_transport_option_round_trips_through_options(self):
         prog, streams, plan = vb_case(n_value_streams=2)
-        opts = RunOptions(transport="queue", batch_size=4)
+        opts = RunOptions(transport="queue")
         run = run_on_backend("process", prog, plan, streams, options=opts)
         assert run.raw.transport == "queue"
-        assert run.raw.batch == "fixed(4)"
 
 
 class TestCrashMidFrame:
     @pytest.mark.parametrize("transport", ["pipe", "queue", "tcp", "shm"])
     def test_crash_mid_frame_recovers_exactly_once(self, transport):
-        """A leaf crashes on an event that sits mid-batch inside a
-        framed channel (fixed batches guarantee the triggering event
-        has neighbours in its frame).  The surviving prefix of the
-        frame was processed and flushed, the rest dies with the
-        worker; recovery must restore the last checkpoint and replay
-        to *exactly* the sequential outputs — no loss from the dead
-        remainder of the frame, no duplication of the flushed
-        prefix."""
+        """A leaf crashes on an event that sits mid-batch (each pump
+        round hands the leaf its streams' next events as one batch, so
+        the triggering event has neighbours in it).  The surviving
+        prefix of the batch was processed and its consequences flushed,
+        the rest dies with the worker; recovery must restore the last
+        checkpoint and replay to *exactly* the sequential outputs — no
+        loss from the dead remainder of the batch, no duplication of
+        the flushed prefix."""
         prog, streams, plan = vb_case(
             n_value_streams=3, values_per_barrier=30, n_barriers=4
         )
         leaf = plan.leaves()[0].id
         # after_events=37 fires at the 37th event the leaf processes:
         # past the first barrier (so a checkpoint exists to restore)
-        # and, with batch 8, mid-frame — neither first nor last of its
-        # batch, modulo heartbeats interleaved in the frame.
+        # and inside one of the leaf's pump batches.
         run = run_on_backend(
             "process", prog, plan, streams,
             options=RunOptions(
                 transport=transport,
-                batch_size=8,
                 fault_plan=FaultPlan(CrashFault(leaf, after_events=37)),
                 checkpoint_predicate=every_root_join(),
             ),
@@ -799,21 +738,20 @@ class TestCrashMidFrame:
         assert got == spec, "crash-mid-frame broke exactly-once delivery"
 
     def test_crash_on_every_frame_position(self):
-        """Sweep the crash point across one whole frame's worth of
-        events on the pipe transport: first-in-frame, interior, and
-        last-in-frame crashes all recover to the same multiset."""
+        """Sweep the crash point across six consecutive events on the
+        pipe transport: wherever it lands in the leaf's batch, the
+        crash recovers to the same multiset."""
         prog, streams, plan = vb_case(
             n_value_streams=2, values_per_barrier=20, n_barriers=3
         )
         spec = output_multiset(run_sequential_reference(prog, streams))
         leaf = plan.leaves()[0].id
-        # Crash points sweep one whole frame inside the second window
-        # (the first barrier's checkpoint exists by then).
+        # Crash points sweep six events inside the second window (the
+        # first barrier's checkpoint exists by then).
         for k in range(25, 25 + 6):
             run = run_on_backend(
                 "process", prog, plan, streams,
                 options=RunOptions(
-                    batch_size=6,
                     fault_plan=FaultPlan(CrashFault(leaf, after_events=k)),
                     checkpoint_predicate=every_root_join(),
                 ),
