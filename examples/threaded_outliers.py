@@ -10,8 +10,7 @@ Run:  python examples/threaded_outliers.py
 from collections import Counter
 
 from repro.apps import outlier as ol
-from repro.runtime import FluminaRuntime, run_sequential_reference
-from repro.runtime.threaded import ThreadedRuntime
+from repro.runtime import FluminaRuntime, run_on_backend, run_sequential_reference
 
 N_STREAMS = 4
 
@@ -29,7 +28,7 @@ def main() -> None:
     spec = run_sequential_reference(program, streams)
     want = Counter(map(repr, spec))
 
-    threaded = ThreadedRuntime(program, plan).run(streams)
+    threaded = run_on_backend("threaded", program, plan, streams)
     threaded_ok = threaded.output_multiset() == want
     print(f"\nthreaded runtime ({plan.size()} workers on one thread):")
     print(f"  outputs match spec: {threaded_ok}")

@@ -661,12 +661,15 @@ def run_chaos_case(
     metrics: bool = False,
 ) -> ChaosOutcome:
     """Run one case; ``transport``/``nodes`` select the process
-    backend's data plane (ignored by the threaded backend) without
-    entering the case derivation — see the module docstring.
+    backend's data plane (passed to process-backend cases only: the
+    other backends refuse them) without entering the case derivation —
+    see the module docstring.
     ``metrics=True`` arms the per-worker metrics plane: the outcome
     then carries the run's merged per-attempt :class:`RunMetrics`, and
     metrics that disagree with the run's event and join counts are a
     mismatch (:func:`_metrics_mismatch`)."""
+    if case.backend != "process":
+        transport = nodes = None
     options = RunOptions(
         checkpoint_predicate=every_root_join(),
         timeout_s=timeout_s,

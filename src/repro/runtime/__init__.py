@@ -6,11 +6,14 @@ Three execution substrates run the same synchronization-plan protocol
 
 * ``sim`` — the simulated cluster (:class:`FluminaRuntime`), used for
   the paper's figures: models network cost, latency, utilization;
-* ``threaded`` — the in-process substrate (:class:`ThreadedRuntime`):
-  every worker on the caller's thread from one run queue, a
-  deterministic schedule, no thread hand-off per message;
+* ``threaded`` — the in-process substrate
+  (:mod:`repro.runtime.threaded`): every worker on the caller's thread
+  from one run queue, a deterministic schedule, no thread hand-off per
+  message;
 * ``process`` — one OS process per worker with batched channels
-  (:class:`ProcessRuntime`): multi-core parallel speedup.
+  (:mod:`repro.runtime.process`): multi-core parallel speedup; with
+  ``nodes=``, one agent process per node over TCP
+  (:mod:`repro.runtime.cluster`).
 
 Benchmarks, examples, and tests select them uniformly through
 :func:`get_backend` / :func:`run_on_backend`.  Every substrate reports
@@ -19,7 +22,9 @@ loop (:class:`RestartDriver`) composes attempts into a
 :class:`ReconfiguredRun`; a :class:`BackendRun` wraps either.  Execution
 options — checkpointing, fault injection, and elastic reconfiguration
 (``reconfig_schedule=``, see :mod:`repro.runtime.reconfigure`) —
-travel as one :class:`RunOptions` through all three substrates.
+travel as one :class:`RunOptions` through all three substrates, and
+each attempt's values as one :class:`AttemptSpec`, built once by the
+backend.
 """
 
 from __future__ import annotations
@@ -32,8 +37,10 @@ from typing import Any, Dict, List, Sequence, Tuple
 from ..core.errors import NoCheckpointError, RecoveryUnsoundError, RuntimeFault
 from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
+from ..plans.validity import assert_p_valid
+from . import cluster, process, threaded
 from .options import RunOptions, ServeOptions
-from .protocol import INIT_STATE, AttemptOutcome, RunStatsMixin
+from .protocol import INIT_STATE, AttemptOutcome, RunStatsMixin, initial_leaf_states
 from .checkpoint import (
     ByTimestampInterval,
     Checkpoint,
@@ -82,12 +89,11 @@ from .messages import (
     JoinResponse,
 )
 from .cluster import (
-    ClusterLauncher,
     NodeSpec,
     local_nodes,
     resolve_placement,
 )
-from .process import ProcessRuntime
+from .process import AttemptSpec
 from .transport import (
     DEFAULT_TRANSPORT,
     PipeTransport,
@@ -102,7 +108,6 @@ from .runtime import (
     default_state_size,
     run_sequential_reference,
 )
-from .threaded import ThreadedRuntime
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +167,13 @@ class RuntimeBackend:
       snapshots (:mod:`repro.runtime.reconfigure`) — composable with
       the other two: crashes recover into the then-current plan shape.
 
-    A substrate supplies one hook, :meth:`_make_runtime` (the sim,
-    whose runtime takes its configuration at construction, overrides
-    :meth:`_execute` instead); plain runs, the public :meth:`attempt`
-    and the restart driver all go through :meth:`_execute` — except a
-    service's attempts on the in-process substrate, whose
-    :meth:`open_attempt` keeps one attempt open across seals.
+    Every attempt — a plain run's, the public :meth:`attempt`'s, the
+    restart driver's and the service's — is built once, by
+    :meth:`_spec`, into an :class:`AttemptSpec`.  A substrate supplies
+    one hook, :meth:`_execute`, which runs a spec as one closed attempt
+    with the deployment fields of the options; the in-process
+    substrate also overrides :meth:`open_attempt`, to keep one attempt
+    open across seals.
     """
 
     name: str = "?"
@@ -186,7 +192,7 @@ class RuntimeBackend:
         if driven:
             rec = self._run_driven(program, plan, streams, opts)
         else:
-            rec = self._execute(program, plan, streams, opts, INIT_STATE, None, False)
+            rec = self._execute(self._spec(program, plan, streams, opts), opts)
         return BackendRun(
             backend=self.name,
             outputs=rec.outputs,
@@ -222,14 +228,12 @@ class RuntimeBackend:
         Callers that sequence attempts themselves own the exactly-once
         bookkeeping; everyone else wants :meth:`run`.
 
-        Output keys are always recorded (the whole point of an attempt
-        is committing by order-key prefix), and stateful checkpoint
-        predicates (EveryNthJoin's counter, ...) are deep-copied so
-        they restart per attempt on every substrate — the process
-        backend forks a pristine copy anyway.
+        Output keys are always recorded: the whole point of an attempt
+        is committing by order-key prefix.
         """
-        opts = _attempt_options(options)
-        return self._execute(program, plan, streams, opts, initial_state, reconfig_view, True)
+        opts = options if options is not None else RunOptions()
+        spec = self._spec(program, plan, streams, opts, initial_state, reconfig_view, True)
+        return self._execute(spec, opts)
 
     def open_attempt(
         self,
@@ -266,43 +270,44 @@ class RuntimeBackend:
             fault_plan=opts.fault_plan,
         )
 
-    def _execute(
-        self, program, plan, streams, opts: RunOptions, initial_state, reconfig_view, record_keys
-    ) -> AttemptOutcome:
-        """Build the runtime for ``plan`` and run one attempt of
-        ``streams`` under ``opts`` (the threaded, process and cluster
-        runtimes share one ``run()`` contract); ``record_keys`` is set
-        for an attempt, whose outputs commit by order-key prefix."""
-        return self._make_runtime(program, plan, opts).run(
-            streams,
-            pace=opts.pace,
-            **self._attempt_kwargs(opts, initial_state, reconfig_view, record_keys),
+    def _spec(
+        self,
+        program: DGSProgram,
+        plan: SyncPlan,
+        streams: Sequence[InputStream],
+        opts: RunOptions,
+        initial_state: Any = INIT_STATE,
+        reconfig_view: Any = None,
+        record_keys: bool = False,
+    ) -> AttemptSpec:
+        """One attempt as every substrate runs it.  Before anything
+        starts, refuse a deployment field this backend never reads
+        (:meth:`RunOptions.refuse_unread`), an invalid plan and a
+        stream no worker owns (``PlanError``); fork the leaf states;
+        and deep-copy the checkpoint predicate, so a stateful one
+        (EveryNthJoin's counter) restarts with every attempt and the
+        caller's is never called."""
+        opts.refuse_unread(self.name)
+        assert_p_valid(plan, program)
+        for s in streams:
+            plan.owner_of(s.itag)
+        return AttemptSpec(
+            program,
+            plan,
+            initial_leaf_states(plan, program, initial_state),
+            copy.deepcopy(opts.checkpoint_predicate),
+            opts.fault_plan,
+            record_keys,
+            reconfig_view,
+            opts.metrics_config(),
+            tuple(streams),
+            opts.pace,
         )
 
-    def _attempt_kwargs(
-        self, opts: RunOptions, initial_state, reconfig_view, record_keys
-    ) -> Dict[str, Any]:
-        """One attempt's configuration, as the runtimes take it."""
-        return dict(
-            timeout_s=opts.with_timeout_default(self.default_timeout_s),
-            initial_state=initial_state,
-            checkpoint_predicate=opts.checkpoint_predicate,
-            faults=opts.fault_plan,
-            record_keys=record_keys,
-            reconfig=reconfig_view,
-            metrics=opts.metrics_config(),
-        )
-
-    def _make_runtime(self, program, plan, opts: RunOptions):
+    def _execute(self, spec: AttemptSpec, opts: RunOptions) -> AttemptOutcome:
+        """Run ``spec`` as one closed attempt; ``opts`` carries the
+        timeout and the deployment fields."""
         raise NotImplementedError
-
-
-def _attempt_options(options: Any) -> RunOptions:
-    """``options`` for one attempt: a private copy of a stateful
-    checkpoint predicate."""
-    opts = copy.copy(options) if options is not None else RunOptions()
-    opts.checkpoint_predicate = copy.deepcopy(opts.checkpoint_predicate)
-    return opts
 
 
 class SimBackend(RuntimeBackend):
@@ -310,18 +315,19 @@ class SimBackend(RuntimeBackend):
 
     name = "sim"
 
-    def _execute(self, program, plan, streams, opts, initial_state, reconfig_view, record_keys):
+    def _execute(self, spec, opts):
         # Wall timeouts and pacing have no simulated analogue:
-        # opts.timeout_s / opts.pace are simply not consulted here.
+        # opts.timeout_s / spec.pace are simply not consulted here.
         return FluminaRuntime(
-            program,
-            plan,
-            checkpoint_predicate=opts.checkpoint_predicate,
-            faults=opts.fault_plan,
-            record_keys=record_keys,
-            reconfig=reconfig_view,
-            metrics=opts.metrics_config(),
-        ).run(streams, initial_state=initial_state).attempt
+            spec.program,
+            spec.plan,
+            checkpoint_predicate=spec.checkpoint_predicate,
+            faults=spec.faults,
+            record_keys=spec.record_keys,
+            reconfig=spec.reconfig,
+            metrics=spec.metrics,
+            validate=False,
+        ).run(spec.streams, leaf_states=spec.leaf_states).attempt
 
 
 class ThreadedBackend(RuntimeBackend):
@@ -330,62 +336,47 @@ class ThreadedBackend(RuntimeBackend):
 
     name = "threaded"
 
-    def _make_runtime(self, program, plan, opts: RunOptions):
-        return ThreadedRuntime(program, plan)
+    def _execute(self, spec, opts):
+        return threaded.run_in_process(spec, opts.with_timeout_default(self.default_timeout_s))
 
     def open_attempt(
         self, program, plan, *, options=None, initial_state=INIT_STATE, reconfig_view=None
     ):
         """One attempt kept open across seals: each seal posts only what
         was admitted since the last one, plus a heartbeat."""
-        opts = _attempt_options(options)
-        return self._make_runtime(program, plan, opts).open(
-            **self._attempt_kwargs(opts, initial_state, reconfig_view, True)
-        )
+        opts = options if options is not None else RunOptions()
+        spec = self._spec(program, plan, (), opts, initial_state, reconfig_view, True)
+        return threaded.open_in_process(spec, opts.with_timeout_default(self.default_timeout_s))
 
 
 class ProcessBackend(RuntimeBackend):
     """One OS process per plan worker, batched channels (multi-core);
     with ``nodes=`` set, one agent process per named node over the TCP
-    data plane (:class:`~repro.runtime.cluster.ClusterLauncher`)."""
+    data plane (:mod:`repro.runtime.cluster`)."""
 
     name = "process"
     default_timeout_s = 120.0
 
-    def _make_runtime(self, program, plan, opts: RunOptions):
+    def _execute(self, spec, opts):
+        timeout_s = opts.with_timeout_default(self.default_timeout_s)
         if opts.nodes is None:
-            if opts.placement is not None:
-                raise RuntimeFault(
-                    "placement= pins workers to cluster nodes; it needs "
-                    "nodes= (a worker-placement with no nodes to place "
-                    "on would be silently ignored)"
-                )
-            return ProcessRuntime(
-                program,
-                plan,
-                transport=opts.transport or DEFAULT_TRANSPORT,
-            )
-        if opts.transport not in (None, "tcp"):
-            raise RuntimeFault(
-                f"nodes= deploys over the TCP data plane; it cannot be "
-                f"combined with transport={opts.transport!r}"
-            )
-        return ClusterLauncher(
-            program,
-            plan,
+            return process.run_on_workers(spec, timeout_s, opts.transport or DEFAULT_TRANSPORT)
+        return cluster.run_on_nodes(
+            spec,
+            timeout_s,
             nodes=opts.nodes,
             placement=opts.placement,
             metrics_port=opts.metrics_port,
         )
 
     def _run_driven(self, program, plan, streams, opts):
-        # Cluster attempts each construct a fresh ClusterLauncher, so a
-        # per-run exporter would bind, serve one attempt, and vanish —
-        # exactly when a scrape wants to watch a recovery.  Own one
-        # exporter here for the whole recovering/elastic run and hand
-        # the live instance down through metrics_port; the launcher
-        # reuses it, opening a new attempt="N" label group per attempt,
-        # and leaves stopping it to us.
+        # Cluster attempts each bind their own exporter, so a per-run
+        # one would bind, serve one attempt, and vanish — exactly when
+        # a scrape wants to watch a recovery.  Own one exporter here
+        # for the whole recovering/elastic run and hand the live
+        # instance down through metrics_port; each attempt reuses it,
+        # opening a new attempt="N" label group, and leaves stopping
+        # it to us.
         if opts.nodes is None or not opts.metrics or opts.metrics_port is None:
             return super()._run_driven(program, plan, streams, opts)
         exporter = MetricsExporter(port=int(opts.metrics_port)).start()
@@ -438,7 +429,6 @@ __all__ = [
     "Buffered",
     "ByTimestampInterval",
     "Checkpoint",
-    "ClusterLauncher",
     "CrashFault",
     "CrashRecord",
     "DEFAULT_LATENCY_BUCKETS",
@@ -463,7 +453,6 @@ __all__ = [
     "PhaseRecord",
     "PipeTransport",
     "ProcessBackend",
-    "ProcessRuntime",
     "QueueTransport",
     "QuiesceRecord",
     "QuiesceSignal",
@@ -485,7 +474,6 @@ __all__ = [
     "SocketTransport",
     "TRANSPORTS",
     "ThreadedBackend",
-    "ThreadedRuntime",
     "WorkerCrash",
     "WorkerMetrics",
     "assert_recovery_sound",

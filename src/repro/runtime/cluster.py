@@ -5,7 +5,10 @@ scales across cores; this module carries it across the *machine*
 boundary.  The unit of deployment is a **node agent**: one OS process
 per :class:`NodeSpec` that runs every plan worker placed on that node
 and speaks the framed wire protocol of :mod:`repro.runtime.wire` over
-TCP stream sockets to its peers.
+TCP stream sockets to its peers.  The process backend runs an attempt
+here (:func:`run_on_nodes`) when ``RunOptions.nodes`` is set, on the
+same :class:`~repro.runtime.process.AttemptSpec` it builds for a
+process per worker.
 
 Setup is a three-step handshake, deliberately free of any same-host
 assumption (locally every agent binds 127.0.0.1; on a real cluster
@@ -76,12 +79,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
-from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
-from ..plans.validity import assert_p_valid
-from .checkpoint import CheckpointPredicate
-from .faults import FaultPlan
-from .metrics import MetricsConfig, MetricsExporter
+from .metrics import MetricsExporter
 from .process import (
     AttemptSpec,
     _drive_worker,
@@ -90,9 +89,7 @@ from .process import (
     raise_worker_faults,
     report_errors,
 )
-from .protocol import INIT_STATE, AttemptOutcome
-from .quiesce import RootReconfigView
-from .runtime import InputStream
+from .protocol import AttemptOutcome
 from .transport import (
     COORDINATOR,
     BatchingSender,
@@ -392,284 +389,225 @@ def _agent_main(  # pragma: no cover - runs in forked node agents (like
 
 
 # ---------------------------------------------------------------------------
-# Cluster launcher (the coordinator side)
+# The coordinator side of a cluster attempt
 # ---------------------------------------------------------------------------
 
-class ClusterLauncher:
-    """Run a DGS program across named nodes (one agent process per
-    node, plan workers placed by ``placement``), with every channel a
-    framed TCP connection.
-
-    Mirrors :class:`~repro.runtime.process.ProcessRuntime`'s contract —
-    same ``run()`` signature, same
-    :class:`~repro.runtime.protocol.AttemptOutcome` (with
-    ``transport="tcp"`` and ``nodes`` set), same fail-stop fault and
-    quiesce semantics — so the backend registry and the restart driver
-    treat a cluster deployment as just another process substrate.
+def run_on_nodes(
+    spec: AttemptSpec,
+    timeout_s: float,
+    *,
+    nodes: Any,
+    placement: Optional[Dict[str, str]] = None,
+    metrics_port: Any = None,
+    registry_host: str = "127.0.0.1",
+) -> AttemptOutcome:
+    """One attempt with one agent process per node, every channel a
+    framed TCP connection; outcome, fail-stop and quiesce semantics are
+    the process backend's (``transport="tcp"``, ``nodes`` set).
 
     ``nodes`` is a sequence of :class:`NodeSpec` or an int (that many
-    loopback nodes).  ``placement`` pins workers to node names;
-    unpinned workers are spread round-robin (see
-    :func:`resolve_placement`).
-    """
+    loopback nodes); ``placement`` pins workers to node names, the rest
+    go round-robin (:func:`resolve_placement`).  With the metrics plane
+    on, ``metrics_port`` serves live Prometheus text on
+    ``127.0.0.1:<metrics_port>`` (``0`` picks a free port); a
+    :class:`MetricsExporter` instance is reused, and left running."""
+    nodes = local_nodes(nodes) if isinstance(nodes, int) else tuple(nodes)
+    for node in nodes:
+        if not isinstance(node, NodeSpec):
+            raise RuntimeFault(f"nodes= entries must be NodeSpec (or pass an int), got {node!r}")
+    placement = resolve_placement(spec.plan, nodes, placement)
+    ctx = fork_context("the cluster deployment")
+    control = ControlPlane(ctx)
+    live = spec.metrics is not None and metrics_port is not None
+    if live:
+        # Opened before the agents fork, so they inherit it.
+        control.metrics = ctx.Queue()
+    log_dir = os.environ.get("REPRO_CLUSTER_LOG_DIR") or None
+    log = _NodeLog(log_dir, "coordinator")
+    # Per-run shared secret: agents get it at launch (fork args /
+    # out-of-band on a real deployment), every hello must echo it,
+    # and it never travels to a peer that didn't already hold it.
+    cookie = secrets.token_hex(16)
 
-    def __init__(
-        self,
-        program: DGSProgram,
-        plan: SyncPlan,
-        *,
-        nodes: Any,
-        placement: Optional[Dict[str, str]] = None,
-        validate: bool = True,
-        registry_host: str = "127.0.0.1",
-        metrics_port: Optional[int] = None,
-    ) -> None:
-        self.program = program
-        if validate:
-            assert_p_valid(plan, program)
-        self.plan = plan
-        self.nodes: Tuple[NodeSpec, ...] = (
-            local_nodes(nodes) if isinstance(nodes, int) else tuple(nodes)
-        )
-        for node in self.nodes:
-            if not isinstance(node, NodeSpec):
-                raise RuntimeFault(
-                    f"nodes= entries must be NodeSpec (or pass an int), "
-                    f"got {node!r}"
-                )
-        self.placement = resolve_placement(plan, self.nodes, placement)
-        self.registry_host = registry_host
-        self.transport_name = "tcp"
-        #: Serve live Prometheus text on 127.0.0.1:<metrics_port>
-        #: while a metrics-enabled run executes (0 picks a free port;
-        #: the bound port is exposed as ``exporter.port`` via
-        #: ``self.exporter`` once the run starts).
-        self.metrics_port = metrics_port
-        self.exporter: Optional[MetricsExporter] = None
-        self._ctx = fork_context("the cluster launcher")
+    registry = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    registry.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    registry.bind((registry_host, 0))
+    registry.listen(len(nodes))
+    registry.settimeout(HANDSHAKE_TIMEOUT_S)
+    log(
+        f"registry {registry.getsockname()}; nodes={[n.name for n in nodes]}; "
+        f"placement={placement}"
+    )
 
-    def run(
-        self,
-        streams: Sequence[InputStream],
-        *,
-        timeout_s: float = 120.0,
-        initial_state: Any = INIT_STATE,
-        checkpoint_predicate: Optional[CheckpointPredicate] = None,
-        faults: Optional[FaultPlan] = None,
-        record_keys: bool = False,
-        reconfig: Optional[RootReconfigView] = None,
-        metrics: Optional[MetricsConfig] = None,
-        pace: Optional[float] = None,
-    ) -> AttemptOutcome:
-        """Execute one attempt (see :meth:`ProcessRuntime.run` for the
-        fault-injection / reconfiguration parameter contract)."""
-        spec = AttemptSpec.of(
-            self,
-            initial_state,
-            checkpoint_predicate,
-            faults,
-            record_keys,
-            reconfig,
-            metrics,
-            streams,
-            pace,
-        )
-        control = ControlPlane(self._ctx)
-        live = metrics is not None and self.metrics_port is not None
-        if live:
-            # Opened before the agents fork, so they inherit it.
-            control.metrics = self._ctx.Queue()
-        log_dir = os.environ.get("REPRO_CLUSTER_LOG_DIR") or None
-        log = _NodeLog(log_dir, "coordinator")
-        # Per-run shared secret: agents get it at launch (fork args /
-        # out-of-band on a real deployment), every hello must echo it,
-        # and it never travels to a peer that didn't already hold it.
-        cookie = secrets.token_hex(16)
-
-        registry = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        registry.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        registry.bind((self.registry_host, 0))
-        registry.listen(len(self.nodes))
-        registry.settimeout(HANDSHAKE_TIMEOUT_S)
-        log(
-            f"registry {registry.getsockname()}; nodes={[n.name for n in self.nodes]}; "
-            f"placement={self.placement}"
-        )
-
-        procs = [
-            self._ctx.Process(
-                target=_agent_main,
-                args=(
-                    node.name,
-                    node.host,
-                    spec,
-                    self.placement,
-                    registry.getsockname(),
-                    cookie,
-                    control,
-                    log_dir,
-                ),
-                daemon=True,
-                name=f"node:{node.name}",
-            )
-            for node in self.nodes
-        ]
-        for p in procs:
-            p.start()
-
-        result: Optional[AttemptOutcome] = None
-        coord_socks: Dict[str, socket.socket] = {}
-        #: Every connection the registry ever accepted — closed in the
-        #: finally block so a failed handshake (unexpected
-        #: registration, timeout) cannot leak fds across retried runs.
-        reg_conns: List[socket.socket] = []
-
-        # Live observability: a Prometheus-text endpoint fed from the
-        # control plane's live metrics feed.
-        drain_stop = threading.Event()
-        drain_thread: Optional[threading.Thread] = None
-        owns_exporter = True
-        if live:
-            if isinstance(self.metrics_port, MetricsExporter):
-                # A recovering/elastic run hands each attempt's
-                # launcher the same live exporter (ProcessBackend owns
-                # its lifetime): scrapes survive restarts, and every
-                # attempt's samples land under a fresh attempt="N"
-                # label group.
-                self.exporter = self.metrics_port
-                owns_exporter = False
-                attempt_no = self.exporter.begin_attempt()
-                log(f"metrics exporter reused (attempt {attempt_no})")
-            else:
-                self.exporter = MetricsExporter(
-                    port=int(self.metrics_port)
-                ).start()
-                log(
-                    "metrics exporter on "
-                    f"127.0.0.1:{self.exporter.port}/metrics"
-                )
-
-            def drain_metrics() -> None:
-                while not drain_stop.is_set():
-                    try:
-                        self.exporter.update(control.metrics.get(timeout=0.2))
-                    except queue_mod.Empty:
-                        continue
-
-            drain_thread = threading.Thread(
-                target=drain_metrics, name="metrics-drain", daemon=True
-            )
-            drain_thread.start()
-
-        def stop_drainer() -> None:
-            drain_stop.set()
-            if drain_thread is not None:
-                drain_thread.join(timeout=2.0)
-
-        # Runs between registry accepts and while a stop frame waits
-        # for socket space: a dead agent must surface as a fault, not a
-        # hang.
-        guard = functools.partial(raise_worker_faults, control, procs)
-
-        def coordinator_sender() -> FrameSender:
-            return FrameSender({wid: s.fileno() for wid, s in coord_socks.items()}, guard)
-
-        def stop() -> None:
-            sender = coordinator_sender()
-            for wid in coord_socks:
-                sender.send_raw(wid, FRAME_LEN.pack(0))
-            # From here on the exporter shows the end-of-run reports;
-            # what is left on the live feed is dropped.
-            stop_drainer()
-
-        def handshake() -> None:
-            # Registry exchange: collect every node's hello, then send
-            # each the full address map.  The accept timeout is short —
-            # an agent that dies before registering puts its traceback
-            # on the error queue, and that must surface within a poll
-            # interval, not after the full handshake window.
-            registry.settimeout(0.25)
-            deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
-            addr_map: Dict[str, Any] = {}
-            conns: List[socket.socket] = []
-            while len(addr_map) < len(self.nodes):
-                guard()
-                try:
-                    conn, _ = registry.accept()
-                except socket.timeout:
-                    if time.monotonic() > deadline:
-                        raise RuntimeFault(
-                            f"cluster handshake timed out: only "
-                            f"{sorted(addr_map)} of "
-                            f"{sorted(n.name for n in self.nodes)} registered "
-                            f"within {HANDSHAKE_TIMEOUT_S:.0f}s"
-                        ) from None
-                    continue
-                reg_conns.append(conn)
-                conn.settimeout(_HELLO_TIMEOUT_S)
-                hello = _recv_hello(conn, cookie)
-                if hello is None or len(hello) != 2:
-                    log("dropped a stray/unauthenticated registration")
-                    conn.close()
-                    continue
-                name, addr = hello
-                if name not in {n.name for n in self.nodes} or name in addr_map:
-                    raise RuntimeFault(
-                        f"cluster handshake: unexpected registration {name!r}"
-                    )
-                addr_map[name] = addr
-                conns.append(conn)
-            for conn in conns:
-                _send_blob(conn, addr_map)
-                conn.close()
-            registry.close()
-            log(f"handshake complete: {addr_map}")
-
-            # The coordinator's own edges: one dialed connection per
-            # worker, for its stop frame.
-            for n in self.plan.workers():
-                s = socket.create_connection(
-                    tuple(addr_map[self.placement[n.id]]),
-                    timeout=HANDSHAKE_TIMEOUT_S,
-                )
-                _send_blob(s, [cookie, COORDINATOR, n.id])
-                configure_stream_socket(s, nonblocking=True)
-                coord_socks[n.id] = s
-
-        try:
-            result = coordinate_attempt(
-                "cluster",
+    procs = [
+        ctx.Process(
+            target=_agent_main,
+            args=(
+                node.name,
+                node.host,
                 spec,
+                placement,
+                registry.getsockname(),
+                cookie,
                 control,
-                procs,
-                setup=handshake,
-                stop=stop,
-                timeout_s=timeout_s,
-                transport=self.transport_name,
-                nodes=len(self.nodes),
-            )
-        finally:
-            for s in list(coord_socks.values()) + reg_conns:
+                log_dir,
+            ),
+            daemon=True,
+            name=f"node:{node.name}",
+        )
+        for node in nodes
+    ]
+    for p in procs:
+        p.start()
+
+    result: Optional[AttemptOutcome] = None
+    coord_socks: Dict[str, socket.socket] = {}
+    #: Every connection the registry ever accepted — closed in the
+    #: finally block so a failed handshake (unexpected
+    #: registration, timeout) cannot leak fds across retried runs.
+    reg_conns: List[socket.socket] = []
+
+    # Live observability: a Prometheus-text endpoint fed from the
+    # control plane's live metrics feed.
+    drain_stop = threading.Event()
+    drain_thread: Optional[threading.Thread] = None
+    exporter: Optional[MetricsExporter] = None
+    owns_exporter = True
+    if live:
+        if isinstance(metrics_port, MetricsExporter):
+            # A recovering/elastic run hands each attempt the same
+            # live exporter (ProcessBackend owns its lifetime):
+            # scrapes survive restarts, and every attempt's samples
+            # land under a fresh attempt="N" label group.
+            exporter = metrics_port
+            owns_exporter = False
+            attempt_no = exporter.begin_attempt()
+            log(f"metrics exporter reused (attempt {attempt_no})")
+        else:
+            exporter = MetricsExporter(port=int(metrics_port)).start()
+            log(f"metrics exporter on 127.0.0.1:{exporter.port}/metrics")
+
+        def drain_metrics() -> None:
+            while not drain_stop.is_set():
                 try:
-                    s.close()
-                except OSError:  # pragma: no cover - defensive
-                    pass
+                    exporter.update(control.metrics.get(timeout=0.2))
+                except queue_mod.Empty:
+                    continue
+
+        drain_thread = threading.Thread(
+            target=drain_metrics, name="metrics-drain", daemon=True
+        )
+        drain_thread.start()
+
+    def stop_drainer() -> None:
+        drain_stop.set()
+        if drain_thread is not None:
+            drain_thread.join(timeout=2.0)
+
+    # Runs between registry accepts and while a stop frame waits
+    # for socket space: a dead agent must surface as a fault, not a
+    # hang.
+    guard = functools.partial(raise_worker_faults, control, procs)
+
+    def coordinator_sender() -> FrameSender:
+        return FrameSender({wid: s.fileno() for wid, s in coord_socks.items()}, guard)
+
+    def stop() -> None:
+        sender = coordinator_sender()
+        for wid in coord_socks:
+            sender.send_raw(wid, FRAME_LEN.pack(0))
+        # From here on the exporter shows the end-of-run reports;
+        # what is left on the live feed is dropped.
+        stop_drainer()
+
+    def handshake() -> None:
+        # Registry exchange: collect every node's hello, then send
+        # each the full address map.  The accept timeout is short —
+        # an agent that dies before registering puts its traceback
+        # on the error queue, and that must surface within a poll
+        # interval, not after the full handshake window.
+        registry.settimeout(0.25)
+        deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
+        addr_map: Dict[str, Any] = {}
+        conns: List[socket.socket] = []
+        while len(addr_map) < len(nodes):
+            guard()
             try:
-                registry.close()
+                conn, _ = registry.accept()
+            except socket.timeout:
+                if time.monotonic() > deadline:
+                    raise RuntimeFault(
+                        f"cluster handshake timed out: only "
+                        f"{sorted(addr_map)} of "
+                        f"{sorted(n.name for n in nodes)} registered "
+                        f"within {HANDSHAKE_TIMEOUT_S:.0f}s"
+                    ) from None
+                continue
+            reg_conns.append(conn)
+            conn.settimeout(_HELLO_TIMEOUT_S)
+            hello = _recv_hello(conn, cookie)
+            if hello is None or len(hello) != 2:
+                log("dropped a stray/unauthenticated registration")
+                conn.close()
+                continue
+            name, addr = hello
+            if name not in {n.name for n in nodes} or name in addr_map:
+                raise RuntimeFault(
+                    f"cluster handshake: unexpected registration {name!r}"
+                )
+            addr_map[name] = addr
+            conns.append(conn)
+        for conn in conns:
+            _send_blob(conn, addr_map)
+            conn.close()
+        registry.close()
+        log(f"handshake complete: {addr_map}")
+
+        # The coordinator's own edges: one dialed connection per
+        # worker, for its stop frame.
+        for n in spec.plan.workers():
+            s = socket.create_connection(
+                tuple(addr_map[placement[n.id]]),
+                timeout=HANDSHAKE_TIMEOUT_S,
+            )
+            _send_blob(s, [cookie, COORDINATOR, n.id])
+            configure_stream_socket(s, nonblocking=True)
+            coord_socks[n.id] = s
+
+    try:
+        result = coordinate_attempt(
+            "cluster",
+            spec,
+            control,
+            procs,
+            setup=handshake,
+            stop=stop,
+            timeout_s=timeout_s,
+            transport="tcp",
+            nodes=len(nodes),
+        )
+    finally:
+        for s in list(coord_socks.values()) + reg_conns:
+            try:
+                s.close()
             except OSError:  # pragma: no cover - defensive
                 pass
-            stop_drainer()
-            if self.exporter is not None:
-                # Final state stays scrapeable until stop(); publish
-                # the merged end-of-run snapshots, then shut down —
-                # unless the exporter is shared across attempts, in
-                # which case its owner (ProcessBackend) stops it after
-                # the whole recovering/elastic run.
-                if result is not None and result.metrics is not None:
-                    for snap in result.metrics.per_worker.values():
-                        self.exporter.update(snap)
-                if owns_exporter:
-                    self.exporter.stop()
-            log("run complete")
-            log.close()
-        return result
+        try:
+            registry.close()
+        except OSError:  # pragma: no cover - defensive
+            pass
+        stop_drainer()
+        if exporter is not None:
+            # Final state stays scrapeable until stop(); publish
+            # the merged end-of-run snapshots, then shut down —
+            # unless the exporter is shared across attempts, in
+            # which case its owner (ProcessBackend) stops it after
+            # the whole recovering/elastic run.
+            if result is not None and result.metrics is not None:
+                for snap in result.metrics.per_worker.values():
+                    exporter.update(snap)
+            if owns_exporter:
+                exporter.stop()
+        log("run complete")
+        log.close()
+    return result

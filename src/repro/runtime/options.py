@@ -35,6 +35,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from ..core.errors import RuntimeFault
+
 
 def _increasing_bounds(bounds: Any) -> bool:
     """``bounds`` is a non-empty, strictly increasing sequence of finite
@@ -77,6 +79,13 @@ class RunOptions:
     * ``placement`` — worker-id -> node-name pins for ``nodes=``
       deployments (unpinned workers are spread round-robin).
 
+    These and ``metrics_port`` are the deployment fields, and a backend
+    refuses one it would never read with a ``RuntimeFault``
+    (:meth:`refuse_unread`): ``sim`` and ``threaded`` refuse all four;
+    ``process`` refuses ``placement`` without ``nodes``, a ``transport``
+    other than ``"tcp"`` with ``nodes``, and ``metrics_port`` without
+    both ``nodes`` and ``metrics``.
+
     The metrics plane (:mod:`repro.runtime.metrics`):
 
     * ``metrics`` — enable per-worker counters and latency histograms;
@@ -95,8 +104,8 @@ class RunOptions:
 
     No option sets batching: on every substrate a worker's messages
     leave at the protocol's flush hint or at the end of the batch that
-    posted them.  Substrate-specific settings are not options: they are
-    arguments of the runtime classes (``FluminaRuntime(topology=,
+    posted them.  The simulator's own settings are not options: they are
+    arguments of its class (``FluminaRuntime(topology=,
     track_event_latency=)``)."""
 
     fault_plan: Any = None
@@ -123,6 +132,37 @@ class RunOptions:
             raise ValueError(
                 "latency_buckets must be None or a non-empty, strictly increasing "
                 f"sequence of finite numbers > 0, got {b!r}"
+            )
+
+    def refuse_unread(self, backend: str) -> None:
+        """Raise ``RuntimeFault`` for a deployment field the named
+        backend never reads (the rule is in the class docstring)."""
+        if backend != "process":
+            unread = [
+                f"{name}="
+                for name in ("transport", "nodes", "placement", "metrics_port")
+                if getattr(self, name) is not None
+            ]
+            if unread:
+                raise RuntimeFault(
+                    f"the {backend!r} backend never reads {', '.join(unread)}: "
+                    "they deploy the process backend"
+                )
+        elif self.placement is not None and self.nodes is None:
+            raise RuntimeFault(
+                "placement= pins workers to cluster nodes; it needs "
+                "nodes= (a worker-placement with no nodes to place "
+                "on would be silently ignored)"
+            )
+        elif self.nodes is not None and self.transport not in (None, "tcp"):
+            raise RuntimeFault(
+                f"nodes= deploys over the TCP data plane; it cannot be "
+                f"combined with transport={self.transport!r}"
+            )
+        elif self.metrics_port is not None and (self.nodes is None or not self.metrics):
+            raise RuntimeFault(
+                "metrics_port= serves a cluster run's live metrics; it needs "
+                "nodes= and metrics=True"
             )
 
     def with_timeout_default(self, default_s: float) -> float:
@@ -182,6 +222,9 @@ class ServeOptions:
     * ``metrics_port`` — serve live Prometheus text (including the
       ``repro_serve_*`` gauges) on ``http://host:<port>/metrics``
       (``0`` picks a free port; ``None`` disables the exporter).
+
+    ``run``'s deployment fields must be ones ``backend`` reads
+    (:meth:`RunOptions.refuse_unread`), checked here, at construction.
     """
 
     backend: str = "threaded"
@@ -204,3 +247,4 @@ class ServeOptions:
             raise ValueError("heartbeat_interval must be None or >= 0")
         if self.ingest_high_watermark < 1:
             raise ValueError("ingest_high_watermark must be >= 1")
+        self.run.refuse_unread(self.backend)

@@ -56,14 +56,15 @@ names every worker that has not announced, with the
 :meth:`~repro.runtime.protocol.WorkerCore.stall_state` its report
 carries.
 
-Every real substrate shares the worker-loop body (:class:`_Worker`)
-and the merge of worker reports into an attempt's outcome
-(:func:`merge_reports`).  The blocking loop around them
+Every real substrate runs the same :class:`AttemptSpec`, which the
+backend builds once per attempt, and shares the worker-loop body
+(:class:`_Worker`) and the merge of worker reports into an attempt's
+outcome (:func:`merge_reports`).  The blocking loop around them
 (:func:`_drive_worker`) and the coordinator's half of an attempt
-(:func:`coordinate_attempt`) serve forked processes here and node
-agents over dialed TCP edges in :mod:`repro.runtime.cluster`;
-:mod:`repro.runtime.threaded` drives the worker body from its run
-queue.
+(:func:`coordinate_attempt`) serve forked processes here
+(:func:`run_on_workers`) and node agents over dialed TCP edges in
+:mod:`repro.runtime.cluster`; :mod:`repro.runtime.threaded` drives the
+worker body from its run queue.
 """
 
 from __future__ import annotations
@@ -80,18 +81,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.errors import RuntimeFault
 from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
-from ..plans.validity import assert_p_valid
 from .checkpoint import CheckpointPredicate
 from .faults import CrashRecord, FaultPlan, WorkerCrash
 from .metrics import MetricsConfig, MetricsSnapshot, RunMetrics, WorkerMetrics
 from .quiesce import QuiesceRecord, QuiesceSignal, RootReconfigView
 from .protocol import (
-    INIT_STATE,
     AttemptOutcome,
     OutputSink,
     WorkerCore,
     end_timestamp,
-    initial_leaf_states,
     pump_producers,
 )
 from .runtime import InputStream
@@ -109,7 +107,8 @@ from .wire import MAX_RUN
 class AttemptSpec:
     """What one attempt runs — the same record for every worker of it,
     handed over at start (inherited by fork, shared by threads, never
-    pickled)."""
+    pickled).  Built in one place,
+    :meth:`RuntimeBackend._spec <repro.runtime.RuntimeBackend._spec>`."""
 
     program: DGSProgram
     plan: SyncPlan
@@ -122,41 +121,10 @@ class AttemptSpec:
     reconfig: Optional[RootReconfigView]
     metrics: Optional[MetricsConfig]
     #: The attempt's input; each forked worker pumps the streams it
-    #: owns.  Empty on the in-process substrate, which is posted to.
+    #: owns.  Empty for an attempt opened to be posted to.
     streams: Tuple[InputStream, ...] = ()
     #: Open-loop pacing of ``streams`` (see ``RunOptions.pace``).
     pace: Optional[float] = None
-
-    @classmethod
-    def of(
-        cls,
-        runtime,
-        initial_state,
-        checkpoint_predicate,
-        faults,
-        record_keys,
-        reconfig,
-        metrics,
-        streams: Sequence[InputStream] = (),
-        pace: Optional[float] = None,
-    ) -> "AttemptSpec":
-        """The keyword arguments of ``runtime.run()`` as a spec.  A
-        stream no worker owns raises ``PlanError`` here, in the caller,
-        not in every worker that would pump it."""
-        for s in streams:
-            runtime.plan.owner_of(s.itag)
-        return cls(
-            runtime.program,
-            runtime.plan,
-            initial_leaf_states(runtime.plan, runtime.program, initial_state),
-            checkpoint_predicate,
-            faults,
-            record_keys,
-            reconfig,
-            metrics,
-            tuple(streams),
-            pace,
-        )
 
     def at_origin(self, origin: float) -> "AttemptSpec":
         """This spec with ``origin`` as the metrics plane's latency
@@ -608,42 +576,6 @@ def coordinate_attempt(
     return result
 
 
-def run_on_workers(
-    substrate: str, ctx, transport, spec: AttemptSpec, timeout_s: float
-) -> AttemptOutcome:
-    """One attempt with one forked ``ctx.Process`` per plan worker
-    over ``transport`` (pipes, queues, sockets or rings)."""
-    try:
-        control = ControlPlane(ctx)
-        procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(n.id, spec, transport, control),
-                daemon=True,
-                name=f"worker:{n.id}",
-            )
-            for n in spec.plan.workers()
-        ]
-        for p in procs:
-            p.start()
-        # Every worker holds its endpoints once forked; setup drops the
-        # parent's copies of the fds only workers use, so dead peers
-        # surface as EOF/EPIPE on the survivors' pipes.
-        return coordinate_attempt(
-            substrate,
-            spec,
-            control,
-            procs,
-            setup=transport.parent_setup,
-            stop=transport.stop_all,
-            drain=transport.drain,
-            timeout_s=timeout_s,
-            transport=transport.name,
-        )
-    finally:
-        transport.close()
-
-
 def fork_context(who: str):
     """The ``multiprocessing`` context of the forking substrates.  fork
     (not spawn): children must inherit the program's closures; only
@@ -656,64 +588,44 @@ def fork_context(who: str):
     return mp.get_context("fork")
 
 
-class ProcessRuntime:
-    """Run a DGS program on OS processes (one per plan worker).
-
-    ``transport`` selects the data plane: ``"pipe"`` (framed raw
-    pipes, the default), ``"queue"`` (the original
-    ``multiprocessing.Queue`` fabric), ``"tcp"`` (the same frames over
-    loopback stream sockets) or ``"shm"`` (shared-memory rings).
-    """
-
-    def __init__(
-        self,
-        program: DGSProgram,
-        plan: SyncPlan,
-        *,
-        transport: str = DEFAULT_TRANSPORT,
-        validate: bool = True,
-    ) -> None:
-        self.program = program
-        if validate:
-            assert_p_valid(plan, program)
-        self.plan = plan
-        self.transport_name = transport
-        self._ctx = fork_context("the process runtime")
-
-    def run(
-        self,
-        streams: Sequence[InputStream],
-        *,
-        timeout_s: float = 120.0,
-        initial_state: Any = INIT_STATE,
-        checkpoint_predicate: Optional[CheckpointPredicate] = None,
-        faults: Optional[FaultPlan] = None,
-        record_keys: bool = False,
-        reconfig: Optional[RootReconfigView] = None,
-        metrics: Optional[MetricsConfig] = None,
-        pace: Optional[float] = None,
-    ) -> AttemptOutcome:
-        """Execute one attempt.
-
-        The fault-injection parameters (``initial_state``,
-        ``checkpoint_predicate``, ``faults``, ``record_keys``) default
-        to the plain fail-free execution; the restart driver
-        (:mod:`repro.runtime.reconfigure`) sets them when replaying
-        from a checkpoint and arms ``reconfig=`` (a per-attempt
-        :class:`~repro.runtime.quiesce.RootReconfigView`) on the root.
-        A crashed or quiesced attempt *returns* (see
-        :class:`~repro.runtime.protocol.AttemptOutcome`) rather than
-        raising."""
-        spec = AttemptSpec.of(
-            self,
-            initial_state,
-            checkpoint_predicate,
-            faults,
-            record_keys,
-            reconfig,
-            metrics,
-            streams,
-            pace,
+def run_on_workers(
+    spec: AttemptSpec, timeout_s: float, transport: str = DEFAULT_TRANSPORT
+) -> AttemptOutcome:
+    """One attempt with one forked process per plan worker over
+    ``transport``: ``"pipe"`` (framed raw pipes, the default),
+    ``"queue"`` (``multiprocessing.Queue``), ``"tcp"`` (loopback stream
+    sockets) or ``"shm"`` (shared-memory rings).  A crashed or quiesced
+    attempt returns (see
+    :class:`~repro.runtime.protocol.AttemptOutcome`) rather than
+    raising."""
+    ctx = fork_context("the process backend")
+    channels = make_transport(transport, ctx, plan_edges(spec.plan))
+    try:
+        control = ControlPlane(ctx)
+        procs = [
+            ctx.Process(
+                target=_worker_main,
+                args=(n.id, spec, channels, control),
+                daemon=True,
+                name=f"worker:{n.id}",
+            )
+            for n in spec.plan.workers()
+        ]
+        for p in procs:
+            p.start()
+        # Every worker holds its endpoints once forked; setup drops the
+        # parent's copies of the fds only workers use, so dead peers
+        # surface as EOF/EPIPE on the survivors' pipes.
+        return coordinate_attempt(
+            "process",
+            spec,
+            control,
+            procs,
+            setup=channels.parent_setup,
+            stop=channels.stop_all,
+            drain=channels.drain,
+            timeout_s=timeout_s,
+            transport=channels.name,
         )
-        transport = make_transport(self.transport_name, self._ctx, plan_edges(self.plan))
-        return run_on_workers("process", self._ctx, transport, spec, timeout_s)
+    finally:
+        channels.close()

@@ -44,6 +44,7 @@ Worked end-to-end by ``examples/elastic_scaling.py``; measured by
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -102,6 +103,8 @@ class ReconfigPoint:
             raise ValueError(
                 "ReconfigPoint needs exactly one of at_ts= / after_joins="
             )
+        if self.at_ts is not None and math.isnan(self.at_ts):
+            raise ValueError("at_ts must not be NaN")
         if self.after_joins is not None and self.after_joins < 1:
             raise ValueError("after_joins must be >= 1")
         if (self.to_leaves is None) == (self.to_plan is None):
@@ -145,11 +148,13 @@ class AutoScaler:
             raise ValueError("factor must be >= 2")
         if self.min_leaves < 1:
             raise ValueError("min_leaves must be >= 1")
+        if self.max_leaves is not None and self.max_leaves < self.min_leaves:
+            raise ValueError("max_leaves must be None or >= min_leaves")
         if self.max_reconfigs < 1:
             raise ValueError("max_reconfigs must be >= 1")
 
     def target_width(self, reason: str, current: int, ceiling: int) -> int:
-        hi = min(self.max_leaves, ceiling) if self.max_leaves else ceiling
+        hi = min(self.max_leaves, ceiling) if self.max_leaves is not None else ceiling
         hi = max(hi, self.min_leaves)
         if reason == SCALE_OUT:
             return min(current * self.factor, hi)

@@ -41,7 +41,6 @@ from .faults import FaultPlan, WorkerCrash
 from .messages import ForkStateMsg, HeartbeatMsg, JoinResponse
 from .metrics import LatencyHistogram, MetricsConfig, MetricsSnapshot, RunMetrics
 from .protocol import (
-    INIT_STATE,
     AttemptOutcome,
     OutputSink,
     WorkerCore,
@@ -295,8 +294,10 @@ class FluminaRuntime:
         streams: Sequence[InputStream],
         *,
         max_sim_events: int = 50_000_000,
-        initial_state: Any = INIT_STATE,
+        leaf_states: Optional[Dict[str, Any]] = None,
     ) -> RunResult:
+        """Run ``streams`` in simulated time, each leaf from its share
+        in ``leaf_states`` (default: the shares of ``init()``)."""
         t0 = time.perf_counter()
         system = ActorSystem(Simulator(), self.topology)
         sink = _SimSink(self.record_keys)
@@ -315,7 +316,8 @@ class FluminaRuntime:
         }
         for worker in workers.values():
             system.add(worker)
-        leaf_states = initial_leaf_states(self.plan, self.program, initial_state)
+        if leaf_states is None:
+            leaf_states = initial_leaf_states(self.plan, self.program)
         for leaf_id, state in leaf_states.items():
             workers[leaf_id].core.state = state
             workers[leaf_id].core.has_state = True

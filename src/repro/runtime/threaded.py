@@ -19,9 +19,10 @@ An attempt is opened once and then fed and sealed any number of times
 one heartbeat per implementation tag above everything posted, runs the
 queue to idle and reports what the attempt has not yet reported.  That
 is how the service tier keeps one attempt open for its whole life
-(:meth:`~repro.runtime.RuntimeBackend.open_attempt`); a closed run
-(:meth:`ThreadedRuntime.run`) is the special case open → pump → final
-seal, the seal's heartbeats being the pump's closing ones.
+(:func:`open_in_process`); a closed run (:func:`run_in_process`) is
+the special case open → pump → final seal, the seal's heartbeats being
+the pump's closing ones.  Both take the :class:`AttemptSpec` the
+backend builds (:meth:`~repro.runtime.RuntimeBackend._spec`).
 
 The closed-loop pump posts the whole input before the queue runs; the
 paced pump runs the queue to idle before each of its sleeps, so work
@@ -51,17 +52,10 @@ from collections import deque
 from typing import Any, Deque, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
-from ..core.program import DGSProgram
-from ..plans.plan import SyncPlan
-from ..plans.validity import assert_p_valid
-from .checkpoint import CheckpointPredicate
-from .faults import FaultPlan
 from .messages import EventRun, HeartbeatMsg
-from .metrics import MetricsConfig
 from .process import AttemptSpec, _Worker, merge_reports, worker_fault
-from .protocol import INIT_STATE, AttemptOutcome, _heartbeat_key_tail, pump_producers
+from .protocol import AttemptOutcome, _heartbeat_key_tail, pump_producers
 from .recovery import ReplayLog
-from .runtime import InputStream
 from .transport import BatchingSender
 from .wire import batch_message_count, event_runs
 
@@ -132,13 +126,13 @@ class _Attempt:
                 self._high_ts = max(self._high_ts, last_ts)
         self._events_in += len(log)
 
-    def pump(self, streams: Sequence[InputStream], pace: Optional[float]) -> None:
-        """Post closed-run input through the producer pump, closing
-        heartbeats included; a paced pump runs the queue before each of
-        its sleeps."""
-        self._events_in += sum(len(s.events) for s in streams)
-        producers = self.producers
-        for delay in pump_producers(self.spec.plan, streams, producers.post, pace=pace):
+    def pump(self) -> None:
+        """Post the spec's closed-run input through the producer pump,
+        closing heartbeats included; a paced pump runs the queue before
+        each of its sleeps."""
+        spec, producers = self.spec, self.producers
+        self._events_in += sum(len(s.events) for s in spec.streams)
+        for delay in pump_producers(spec.plan, spec.streams, producers.post, pace=spec.pace):
             if delay > 0:
                 due = time.monotonic() + delay
                 producers.flush()
@@ -238,53 +232,23 @@ class _Attempt:
             )
 
 
-class ThreadedRuntime:
-    """Run a DGS program on the in-process substrate: every plan worker
-    on the caller's thread, from one run queue."""
+def open_in_process(spec: AttemptSpec, timeout_s: float) -> _Attempt:
+    """Open an attempt to feed and seal; ``timeout_s`` bounds each
+    seal's drain.  Its fault views and checkpoint predicate live as
+    long as it does: an ``after_events`` trigger or a stateful
+    predicate counts over every seal of the attempt, and still fires
+    once."""
+    # The latency epoch: the attempt's workers exist from here on.
+    return _Attempt(spec.at_origin(time.time()), timeout_s)
 
-    def __init__(self, program: DGSProgram, plan: SyncPlan, *, validate: bool = True):
-        self.program = program
-        if validate:
-            assert_p_valid(plan, program)
-        self.plan = plan
 
-    def open(
-        self,
-        *,
-        timeout_s: float = 60.0,
-        initial_state: Any = INIT_STATE,
-        checkpoint_predicate: Optional[CheckpointPredicate] = None,
-        faults: Optional[FaultPlan] = None,
-        record_keys: bool = False,
-        reconfig: Any = None,
-        metrics: Optional[MetricsConfig] = None,
-    ) -> _Attempt:
-        """Open an attempt to feed and seal (the parameters are
-        :meth:`ProcessRuntime.run`'s).  Its fault views and checkpoint
-        predicate live as long as it does: an ``after_events`` trigger
-        or a stateful predicate counts over every seal of the attempt,
-        and still fires once."""
-        spec = AttemptSpec.of(
-            self, initial_state, checkpoint_predicate, faults, record_keys, reconfig, metrics
-        )
-        # The latency epoch: the attempt's workers exist from here on.
-        return _Attempt(spec.at_origin(time.time()), timeout_s)
-
-    def run(
-        self,
-        streams: Sequence[InputStream],
-        *,
-        pace: Optional[float] = None,
-        **kwargs: Any,
-    ) -> AttemptOutcome:
-        """Execute one closed attempt: :meth:`open` one with ``kwargs``,
-        pump ``streams`` into it, seal it once, final (see :meth:`ProcessRuntime.run`
-        for the parameters and the fault-injection / reconfiguration
-        contract: a crashed or quiesced attempt returns with ``crashes``
-        non-empty / ``quiesce`` set instead of raising)."""
-        attempt = self.open(**kwargs)
-        t0 = time.perf_counter()
-        attempt.pump(streams, pace)
-        result = attempt.seal(final=True)
-        result.wall_s = time.perf_counter() - t0
-        return result
+def run_in_process(spec: AttemptSpec, timeout_s: float) -> AttemptOutcome:
+    """One closed attempt: open it, pump ``spec.streams`` into it, seal
+    it once, final.  A crashed or quiesced attempt returns with
+    ``crashes`` non-empty / ``quiesce`` set instead of raising."""
+    attempt = open_in_process(spec, timeout_s)
+    t0 = time.perf_counter()
+    attempt.pump()
+    result = attempt.seal(final=True)
+    result.wall_s = time.perf_counter() - t0
+    return result

@@ -98,8 +98,8 @@ STOP = object()
 
 _LEN = FRAME_LEN
 
-#: Transport names accepted by ``RunOptions.transport`` /
-#: ``ProcessRuntime(transport=)``.
+#: Transport names accepted by ``RunOptions.transport`` (the process
+#: backend's ``process.run_on_workers``).
 TRANSPORTS = ("pipe", "queue", "tcp", "shm")
 DEFAULT_TRANSPORT = "pipe"
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 
+from ..core.errors import RuntimeFault
 from ..runtime.options import RunOptions, ServeOptions
 from .apps import SERVICE_APPS
 from .server import start_service
@@ -52,17 +53,20 @@ def main(argv=None) -> int:
         app = builder(n_value_streams=args.shards)
 
     run = RunOptions(nodes=args.nodes, metrics=args.metrics_port is not None)
-    options = ServeOptions(
-        backend=args.backend,
-        run=run,
-        host=args.host,
-        port=args.port,
-        cookie=args.cookie,
-        epoch_events=args.epoch_events,
-        epoch_idle_ms=args.epoch_idle_ms,
-        ingest_high_watermark=args.ingest_high_watermark,
-        metrics_port=args.metrics_port,
-    )
+    try:
+        options = ServeOptions(
+            backend=args.backend,
+            run=run,
+            host=args.host,
+            port=args.port,
+            cookie=args.cookie,
+            epoch_events=args.epoch_events,
+            epoch_idle_ms=args.epoch_idle_ms,
+            ingest_high_watermark=args.ingest_high_watermark,
+            metrics_port=args.metrics_port,
+        )
+    except RuntimeFault as exc:
+        parser.error(str(exc))
     handle = start_service(app.program, app.plan, options=options)
     print(
         json.dumps(

@@ -84,7 +84,7 @@ class ServiceServer:
         if opts.metrics_port is not None:
             self.exporter = MetricsExporter(port=int(opts.metrics_port)).start()
             if opts.run.nodes is not None and opts.run.metrics:
-                # Cluster epochs each build a fresh launcher; handing
+                # Cluster epochs each bind their own exporter; handing
                 # them the live exporter instance keeps one scrape
                 # endpoint across attempts (attempt="N" label groups),
                 # exactly like ProcessBackend._run_driven.

@@ -75,6 +75,13 @@ class TestSimChaosSlice:
         text = " ".join(steps_text(jobs[job]).split())
         assert f"python -m repro.chaos {self.SLICE}" in text
 
+    def test_the_sim_slice_checks_metrics(self, jobs):
+        """The sim's one pseudo-worker is checked against the protocol's
+        counts on every push too, as the threaded and process slices'
+        workers are."""
+        text = " ".join(steps_text(jobs["tests"]).split())
+        assert f"python -m repro.chaos {self.SLICE} --metrics-out chaos-metrics/sim" in text
+
     def test_tests_job_runs_the_in_process_slice(self, jobs):
         """The service's substrate under the same crashes and re-plans
         on every push, in the tests job (no job of its own)."""

@@ -30,7 +30,6 @@ from repro.runtime import (
     run_on_backend,
     run_sequential_reference,
 )
-from repro.runtime.threaded import ThreadedRuntime
 from repro.testing import compare_outputs, diff_plans, diff_against_spec, fuzz_plans
 
 
@@ -171,7 +170,7 @@ class TestCrossRuntimeDifferential:
             prog,
             streams,
             {
-                "threaded": lambda: ThreadedRuntime(prog, plan).run(streams).outputs,
+                "threaded": lambda: run_on_backend("threaded", prog, plan, streams).outputs,
             },
         )
         assert report.ok, [str(m) for m in report.mismatches]

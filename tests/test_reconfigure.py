@@ -125,6 +125,18 @@ class TestSchedulesAndTriggers:
         with pytest.raises(ValueError):
             ReconfigPoint(after_joins=0, to_leaves=2)
 
+    def test_a_nan_trigger_timestamp_is_rejected(self):
+        """No timestamp is >= NaN: the point would never fire."""
+        with pytest.raises(ValueError, match="at_ts"):
+            ReconfigPoint(at_ts=float("nan"), to_leaves=2)
+
+    @pytest.mark.parametrize("min_leaves, max_leaves", [(1, 0), (2, 1)])
+    def test_a_cap_below_the_floor_is_rejected(self, min_leaves, max_leaves):
+        """A cap of 0 must not read as "no cap" (a scale-out from 2 to
+        4), and a cap below min_leaves must not be ignored."""
+        with pytest.raises(ValueError, match="max_leaves"):
+            AutoScaler(high_watermark=10, min_leaves=min_leaves, max_leaves=max_leaves)
+
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
             ReconfigSchedule()

@@ -20,7 +20,6 @@ from repro.core.errors import RuntimeFault
 from repro.core.semantics import output_multiset
 from repro.plans import plan_width
 from repro.runtime import (
-    ClusterLauncher,
     CrashFault,
     FaultPlan,
     InputStream,
@@ -186,26 +185,27 @@ class TestHandshakeHellos:
 class TestClusterRuns:
     def test_value_barrier_on_two_nodes_matches_spec(self):
         prog, streams, plan = vb_case()
-        run = ClusterLauncher(prog, plan, nodes=2).run(streams)
+        run = run_on_backend("process", prog, plan, streams, options=RunOptions(nodes=2))
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
         )
-        assert run.transport == "tcp"
-        assert run.nodes == 2
-        assert run.n_workers == plan.size()
+        assert run.raw.transport == "tcp"
+        assert run.raw.nodes == 2
+        assert run.raw.n_workers == plan.size()
 
     def test_single_node_cluster_degenerates_cleanly(self):
         prog, streams, plan = vb_case(n_value_streams=2)
-        run = ClusterLauncher(prog, plan, nodes=1).run(streams)
+        run = run_on_backend("process", prog, plan, streams, options=RunOptions(nodes=1))
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
         )
-        assert run.nodes == 1
+        assert run.raw.nodes == 1
 
     def test_everything_pinned_to_one_of_two_nodes(self):
         prog, streams, plan = vb_case(n_value_streams=2)
         pins = {n.id: "node0" for n in plan.workers()}
-        run = ClusterLauncher(prog, plan, nodes=2, placement=pins).run(streams)
+        opts = RunOptions(nodes=2, placement=pins)
+        run = run_on_backend("process", prog, plan, streams, options=opts)
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
         )
@@ -307,7 +307,7 @@ class TestClusterLogs:
     def test_agents_write_lifecycle_logs_when_enabled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CLUSTER_LOG_DIR", str(tmp_path))
         prog, streams, plan = vb_case(n_value_streams=2)
-        ClusterLauncher(prog, plan, nodes=2).run(streams)
+        run_on_backend("process", prog, plan, streams, options=RunOptions(nodes=2))
         names = {p.name for p in tmp_path.iterdir()}
         assert {"coordinator.log", "node0.log", "node1.log"} <= names
         node_log = (tmp_path / "node0.log").read_text()

@@ -348,6 +348,27 @@ class TestStatefulPredicates:
         assert run.recovery.checkpoints_taken > 0
         assert pred.seen == 0  # never called directly, only copies
 
+    @pytest.mark.parametrize(
+        "backend, deploy",
+        [("sim", {}), ("threaded", {}), ("process", {}), ("process", {"nodes": 2})],
+        ids=["sim", "threaded", "process", "nodes=2"],
+    )
+    def test_plain_runs_never_mutate_the_callers_predicate(self, backend, deploy):
+        """Every attempt, a plain run's included, gets its own copy of
+        the predicate: two runs with one RunOptions take the same
+        checkpoints."""
+        from repro.runtime import every_nth_join
+
+        pred = every_nth_join(2)
+        prog, streams, plan = vb_case(n_barriers=5)
+        opts = RunOptions(checkpoint_predicate=pred, **deploy)
+        first, second = (
+            run_on_backend(backend, prog, plan, streams, options=opts) for _ in range(2)
+        )
+        keys = [c.key for c in first.raw.checkpoints]
+        assert keys and keys == [c.key for c in second.raw.checkpoints]
+        assert pred.seen == 0
+
 
 class TestRecoverySoundness:
     def test_sound_plan_accepted(self):

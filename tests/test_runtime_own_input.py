@@ -7,11 +7,12 @@ the streams it owns, and the coordinator stays off the data path.
   first fork;
 * a crash inside a leaf's first own round, and a root quiesce whose
   stop frames reach leaves still pumping, both end as exactly-once
-  runs;
-* a stream no worker owns is the caller's ``PlanError``.
+  runs.
 
-(That an event filed under another stream's tag fails the run, naming
-the stream, on every real substrate, is in test_runtime_protocol.py.)
+(That a stream no worker owns is the caller's ``PlanError``, raised
+before anything is forked, is in test_runtime_process.py; that an event
+filed under another stream's tag fails the run, naming the stream, on
+every real substrate, is in test_runtime_protocol.py.)
 """
 
 import time
@@ -20,13 +21,10 @@ import multiprocessing.process as mp_process
 import pytest
 
 from repro.apps import value_barrier as vb
-from repro.core import Event, ImplTag
-from repro.core.errors import PlanError
 from repro.core.semantics import output_multiset
 from repro.runtime import (
     CrashFault,
     FaultPlan,
-    InputStream,
     ReconfigPoint,
     ReconfigSchedule,
     RunOptions,
@@ -158,14 +156,3 @@ def test_a_root_quiesce_at_the_first_join_stops_leaves_mid_pump():
     assert time.monotonic() - t0 < 30.0
     assert run.reconfig.reconfigured and run.reconfig.attempts == 2
     assert output_multiset(run.outputs) == _spec(prog, streams)
-
-
-@pytest.mark.parametrize("substrate", sorted(FORKING))
-def test_a_stream_no_worker_owns_is_a_plan_error_in_the_caller(substrate):
-    """Raised before anything is forked, as the threaded pump raises it
-    — not as a crash of every worker that would have pumped it."""
-    prog, plan, streams = _vb()
-    stray = ImplTag(vb.VALUE_TAG, "nobody's")
-    streams.append(InputStream(stray, (Event(stray.tag, stray.stream, 1.5, 1),)))
-    with pytest.raises(PlanError, match="no worker responsible"):
-        run_on_backend("process", prog, plan, streams, options=RunOptions(**FORKING[substrate]))

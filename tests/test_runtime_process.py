@@ -1,7 +1,9 @@
 """Tests for the process-based runtime: the same protocol across OS
 processes with batched channels must match the sequential spec, for
-every batch size and for arbitrary P-valid plans."""
+arbitrary P-valid plans — and the backend registry every substrate is
+reached through."""
 
+import multiprocessing.process as mp_process
 import random
 from collections import Counter
 
@@ -9,15 +11,17 @@ import pytest
 
 from repro.apps import keycounter as kc, value_barrier as vb
 from repro.core import Event, ImplTag
-from repro.core.errors import RuntimeFault
-from repro.plans import random_valid_plan, sequential_plan
+from repro.core.errors import PlanError, RuntimeFault
+from repro.plans import PlanNode, SyncPlan, random_valid_plan, sequential_plan
 from repro.runtime import (
     InputStream,
+    RunOptions,
     available_backends,
     get_backend,
     run_on_backend,
     run_sequential_reference,
 )
+from repro.runtime.options import ServeOptions
 from repro.runtime.messages import (
     EventMsg,
     ForkStateMsg,
@@ -25,12 +29,20 @@ from repro.runtime.messages import (
     JoinRequest,
     JoinResponse,
 )
-from repro.runtime.process import ProcessRuntime
 from repro.runtime.wire import pack_frame, unpack_frame
 
 
 def spec_multiset(prog, streams):
     return Counter(map(repr, run_sequential_reference(prog, streams)))
+
+
+#: Every substrate, as (backend, deployment fields).
+SUBSTRATES = {
+    "sim": ("sim", {}),
+    "threaded": ("threaded", {}),
+    "process": ("process", {}),
+    "nodes=2": ("process", {"nodes": 2}),
+}
 
 
 class TestWireCodec:
@@ -71,7 +83,7 @@ class TestProcessValueBarrier:
         prog = vb.make_program()
         wl = vb.make_workload(n_value_streams=4, values_per_barrier=40, n_barriers=4)
         streams = vb.make_streams(wl)
-        res = ProcessRuntime(prog, vb.make_plan(prog, wl)).run(streams)
+        res = run_on_backend("process", prog, vb.make_plan(prog, wl), streams)
         assert res.output_multiset() == spec_multiset(prog, streams)
         assert res.events_in == sum(len(s.events) for s in streams)
         assert res.wall_s > 0
@@ -80,7 +92,7 @@ class TestProcessValueBarrier:
         prog = vb.make_program()
         wl = vb.make_workload(n_value_streams=4, values_per_barrier=20, n_barriers=3)
         plan = vb.make_plan(prog, wl)
-        res = ProcessRuntime(prog, plan).run(vb.make_streams(wl))
+        res = run_on_backend("process", prog, plan, vb.make_streams(wl))
         assert res.joins == len(plan.internal()) * len(wl.barrier_stream)
 
     def test_sequential_plan_single_process(self):
@@ -88,16 +100,15 @@ class TestProcessValueBarrier:
         wl = vb.make_workload(n_value_streams=2, values_per_barrier=20, n_barriers=3)
         streams = vb.make_streams(wl)
         itags = [it for it, _ in wl.all_streams()]
-        res = ProcessRuntime(prog, sequential_plan(prog, itags)).run(streams)
+        res = run_on_backend("process", prog, sequential_plan(prog, itags), streams)
         assert res.output_multiset() == spec_multiset(prog, streams)
         assert res.joins == 0
 
     def test_empty_streams(self):
         prog = kc.make_program(1)
         it = ImplTag(kc.inc_tag(0), 0)
-        res = ProcessRuntime(prog, sequential_plan(prog, [it])).run(
-            [InputStream(it, (), heartbeat_interval=None)]
-        )
+        streams = [InputStream(it, (), heartbeat_interval=None)]
+        res = run_on_backend("process", prog, sequential_plan(prog, [it]), streams)
         assert res.outputs == [] and res.events_processed == 0
 
     def test_worker_crash_is_surfaced(self):
@@ -121,8 +132,12 @@ class TestProcessValueBarrier:
             InputStream(it, (Event("a", 0, 1.0),), heartbeat_interval=None)
         ]
         with pytest.raises(RuntimeFault, match="crashed|drain"):
-            ProcessRuntime(prog, sequential_plan(prog, [it])).run(
-                streams, timeout_s=15.0
+            run_on_backend(
+                "process",
+                prog,
+                sequential_plan(prog, [it]),
+                streams,
+                options=RunOptions(timeout_s=15.0),
             )
 
 
@@ -145,7 +160,7 @@ class TestProcessRandomPlans:
             for it in itags
         ]
         plan = random_valid_plan(prog, itags, rng)
-        res = ProcessRuntime(prog, plan).run(streams)
+        res = run_on_backend("process", prog, plan, streams)
         assert res.output_multiset() == spec_multiset(prog, streams), plan.pretty()
 
 
@@ -167,3 +182,53 @@ class TestBackendRegistry:
         assert run.output_multiset() == spec_multiset(prog, streams)
         assert run.events_in == sum(len(s.events) for s in streams)
         assert run.raw is not None
+
+    @pytest.mark.parametrize("broken", ["invalid_plan", "unowned_stream"])
+    @pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
+    def test_bad_input_is_a_plan_error_before_any_process_starts(
+        self, monkeypatch, substrate, broken
+    ):
+        """The backend checks every attempt once, in the caller, on
+        every substrate: a plan that is not P-valid, and a stream no
+        worker owns, raise ``PlanError`` and fork nothing."""
+        started = []
+        monkeypatch.setattr(mp_process.BaseProcess, "start", lambda p: started.append(p))
+        prog = kc.make_program(1)
+        inc, reset = ImplTag(kc.inc_tag(0), 0), ImplTag(kc.reset_tag(0), 1)
+        streams = [InputStream(inc, (Event(inc.tag, inc.stream, 1.0),))]
+        if broken == "invalid_plan":
+            # inc and reset depend on each other but sit on sibling leaves.
+            a = PlanNode("a", "State0", frozenset({inc}))
+            b = PlanNode("b", "State0", frozenset({reset}))
+            plan = SyncPlan(PlanNode("r", "State0", frozenset(), (a, b)))
+        else:
+            plan = sequential_plan(prog, [reset])
+        backend, deploy = SUBSTRATES[substrate]
+        with pytest.raises(PlanError):
+            run_on_backend(backend, prog, plan, streams, options=RunOptions(**deploy))
+        assert started == []
+
+    @pytest.mark.parametrize(
+        "backend, fields",
+        [
+            ("sim", {"transport": "tcp"}),
+            ("sim", {"nodes": 2}),
+            ("threaded", {"transport": "bogus"}),
+            ("threaded", {"nodes": 2}),
+            ("threaded", {"placement": {"w": "node0"}}),
+            ("threaded", {"metrics_port": 0, "metrics": True}),
+            ("process", {"metrics_port": 0, "metrics": True}),
+            ("process", {"metrics_port": 0, "nodes": 2}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else ",".join(v),
+    )
+    def test_a_deployment_field_the_backend_never_reads_is_refused(self, backend, fields):
+        """Refused at once, naming the field, on the run and on the
+        service options alike: no substrate ignores it silently."""
+        prog = vb.make_program()
+        wl = vb.make_workload(n_value_streams=2, values_per_barrier=5, n_barriers=2)
+        opts = RunOptions(**fields)
+        with pytest.raises(RuntimeFault, match="metrics_port=|transport=|nodes=|placement="):
+            run_on_backend(backend, prog, vb.make_plan(prog, wl), vb.make_streams(wl), options=opts)
+        with pytest.raises(RuntimeFault):
+            ServeOptions(backend=backend, run=opts)

@@ -33,7 +33,6 @@ from repro.core.semantics import output_multiset
 from repro.runtime import (
     CrashFault,
     FaultPlan,
-    ProcessRuntime,
     RunOptions,
     every_root_join,
     run_on_backend,
@@ -220,7 +219,9 @@ class TestSegmentLifecycle:
             lambda _name, ctx, edges: SharedMemoryTransport(ctx, edges, slots=8, slot_bytes=128),
         )
         prog, streams, plan = vb_case(values_per_barrier=25)
-        run = ProcessRuntime(prog, plan, transport="shm").run(streams)
+        run = run_on_backend(
+            "process", prog, plan, streams, options=RunOptions(transport="shm")
+        )
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
         )

