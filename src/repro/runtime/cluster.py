@@ -36,14 +36,13 @@ dead peer is EOF/ECONNRESET, never a reconnect) — so fault injection,
 checkpoint recovery, and elastic reconfiguration run unchanged on a
 cluster deployment.
 
-The control plane (end-of-run reports, worker errors, and each
-worker's done, crash or quiesce announcement) stays on
-``multiprocessing`` primitives, which is what currently limits
-*launching* to one machine: agents are forked so they
-inherit the (unpicklable) program closures, exactly like the process
-runtime.  A real multi-host deployment would start agents out-of-band
-(ssh/k8s) and carry control traffic over the registry connection; the
-data-plane handshake above needs no change for that.
+Control rides one socketpair per agent, as on the process backend
+(:class:`~repro.runtime.transport.ControlPlane`), live metrics
+snapshots for the exporter included; a dead agent shows as EOF there.
+*Launching* is what stays on one machine: agents are forked to inherit
+the (unpicklable) program closures.  A multi-host deployment would
+start agents out-of-band (ssh/k8s) and carry the same records over a
+connection to the registry; the data plane needs no change for that.
 
 Trust model: handshake blobs are JSON (never unpickled), and every
 hello must carry the run's random cookie — generated by the
@@ -64,11 +63,9 @@ fails.
 
 from __future__ import annotations
 
-import functools
 import hmac
 import json
 import os
-import queue as queue_mod
 import secrets
 import socket
 import struct
@@ -86,13 +83,13 @@ from .process import (
     _drive_worker,
     coordinate_attempt,
     fork_context,
-    raise_worker_faults,
     report_errors,
 )
 from .protocol import AttemptOutcome
 from .transport import (
     COORDINATOR,
     BatchingSender,
+    ControlChannel,
     ControlPlane,
     FrameReceiver,
     FrameSender,
@@ -264,8 +261,8 @@ def _agent_main(  # pragma: no cover - runs in forked node agents (like
     placement: Dict[str, str],
     registry_addr: Tuple[str, int],
     cookie: str,
-    control: ControlPlane,
     log_dir: Optional[str],
+    control: ControlChannel,
 ) -> None:
     """Node-agent entry point: handshake, then run this node's workers
     (one thread each) over the established TCP edges."""
@@ -375,9 +372,7 @@ def _agent_main(  # pragma: no cover - runs in forked node agents (like
         log("all workers done")
     except BaseException as exc:
         log(f"agent FAILED: {exc!r}")
-        control.errors.put(
-            (f"node:{node_name}", f"{exc!r}\n{traceback.format_exc()}")
-        )
+        control.send("error", f"node:{node_name}", f"{exc!r}\n{traceback.format_exc()}")
         raise
     finally:
         for s in list(in_socks.values()) + list(out_socks.values()):
@@ -418,10 +413,8 @@ def run_on_nodes(
     placement = resolve_placement(spec.plan, nodes, placement)
     ctx = fork_context("the cluster deployment")
     control = ControlPlane(ctx)
-    live = spec.metrics is not None and metrics_port is not None
-    if live:
-        # Opened before the agents fork, so they inherit it.
-        control.metrics = ctx.Queue()
+    # Set before the agents fork, so their workers push live snapshots.
+    control.live = live = spec.metrics is not None and metrics_port is not None
     log_dir = os.environ.get("REPRO_CLUSTER_LOG_DIR") or None
     log = _NodeLog(log_dir, "coordinator")
     # Per-run shared secret: agents get it at launch (fork args /
@@ -439,38 +432,19 @@ def run_on_nodes(
         f"placement={placement}"
     )
 
-    procs = [
-        ctx.Process(
-            target=_agent_main,
-            args=(
-                node.name,
-                node.host,
-                spec,
-                placement,
-                registry.getsockname(),
-                cookie,
-                control,
-                log_dir,
-            ),
-            daemon=True,
-            name=f"node:{node.name}",
+    for node in nodes:
+        hosted = sorted(w for w, name in placement.items() if name == node.name)
+        control.spawn(
+            ctx, f"node:{node.name}", f"node {node.name} (workers {', '.join(hosted)})",
+            len(hosted), _agent_main, node.name, node.host, spec, placement,
+            registry.getsockname(), cookie, log_dir,
         )
-        for node in nodes
-    ]
-    for p in procs:
-        p.start()
 
     result: Optional[AttemptOutcome] = None
     coord_socks: Dict[str, socket.socket] = {}
-    #: Every connection the registry ever accepted — closed in the
-    #: finally block so a failed handshake (unexpected
-    #: registration, timeout) cannot leak fds across retried runs.
+    #: Every connection the registry accepted, closed at the end.
     reg_conns: List[socket.socket] = []
-
-    # Live observability: a Prometheus-text endpoint fed from the
-    # control plane's live metrics feed.
-    drain_stop = threading.Event()
-    drain_thread: Optional[threading.Thread] = None
+    # Live observability: the snapshots read off the control sockets.
     exporter: Optional[MetricsExporter] = None
     owns_exporter = True
     if live:
@@ -486,62 +460,34 @@ def run_on_nodes(
         else:
             exporter = MetricsExporter(port=int(metrics_port)).start()
             log(f"metrics exporter on 127.0.0.1:{exporter.port}/metrics")
-
-        def drain_metrics() -> None:
-            while not drain_stop.is_set():
-                try:
-                    exporter.update(control.metrics.get(timeout=0.2))
-                except queue_mod.Empty:
-                    continue
-
-        drain_thread = threading.Thread(
-            target=drain_metrics, name="metrics-drain", daemon=True
-        )
-        drain_thread.start()
-
-    def stop_drainer() -> None:
-        drain_stop.set()
-        if drain_thread is not None:
-            drain_thread.join(timeout=2.0)
-
-    # Runs between registry accepts and while a stop frame waits
-    # for socket space: a dead agent must surface as a fault, not a
-    # hang.
-    guard = functools.partial(raise_worker_faults, control, procs)
-
-    def coordinator_sender() -> FrameSender:
-        return FrameSender({wid: s.fileno() for wid, s in coord_socks.items()}, guard)
+        control.on_metrics = exporter.update
 
     def stop() -> None:
-        sender = coordinator_sender()
+        # While a stop frame waits for socket space, a dead agent raises.
+        socks = {wid: s.fileno() for wid, s in coord_socks.items()}
+        sender = FrameSender(socks, lambda: control.wait(0))
         for wid in coord_socks:
             sender.send_raw(wid, FRAME_LEN.pack(0))
-        # From here on the exporter shows the end-of-run reports;
-        # what is left on the live feed is dropped.
-        stop_drainer()
+        control.on_metrics = None  # the exporter shows the reports from here
 
     def handshake() -> None:
         # Registry exchange: collect every node's hello, then send
-        # each the full address map.  The accept timeout is short —
-        # an agent that dies before registering puts its traceback
-        # on the error queue, and that must surface within a poll
-        # interval, not after the full handshake window.
-        registry.settimeout(0.25)
+        # each the full address map.  The wait reads the control
+        # sockets too, so an agent that dies first raises at once.
+        registry.setblocking(False)
         deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
         addr_map: Dict[str, Any] = {}
         conns: List[socket.socket] = []
         while len(addr_map) < len(nodes):
-            guard()
+            if not control.wait(deadline, also=registry):
+                raise RuntimeFault(
+                    f"cluster handshake timed out: only {sorted(addr_map)} of "
+                    f"{sorted(n.name for n in nodes)} registered "
+                    f"within {HANDSHAKE_TIMEOUT_S:.0f}s"
+                )
             try:
                 conn, _ = registry.accept()
-            except socket.timeout:
-                if time.monotonic() > deadline:
-                    raise RuntimeFault(
-                        f"cluster handshake timed out: only "
-                        f"{sorted(addr_map)} of "
-                        f"{sorted(n.name for n in nodes)} registered "
-                        f"within {HANDSHAKE_TIMEOUT_S:.0f}s"
-                    ) from None
+            except BlockingIOError:
                 continue
             reg_conns.append(conn)
             conn.settimeout(_HELLO_TIMEOUT_S)
@@ -579,7 +525,6 @@ def run_on_nodes(
             "cluster",
             spec,
             control,
-            procs,
             setup=handshake,
             stop=stop,
             timeout_s=timeout_s,
@@ -587,16 +532,9 @@ def run_on_nodes(
             nodes=len(nodes),
         )
     finally:
-        for s in list(coord_socks.values()) + reg_conns:
-            try:
-                s.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        try:
-            registry.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        stop_drainer()
+        control.finish(failed=True)
+        for s in [*coord_socks.values(), *reg_conns, registry]:
+            s.close()
         if exporter is not None:
             # Final state stays scrapeable until stop(); publish
             # the merged end-of-run snapshots, then shut down —

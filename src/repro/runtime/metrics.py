@@ -7,8 +7,8 @@ end-to-end event latency); events and joins are counted once, by the
 worker's output sink.  A worker's :class:`MetricsSnapshot` reaches the
 coordinator as itself, in the worker's end-of-run report — the one
 source of ``run.metrics``.  A cluster run with a live Prometheus
-endpoint also has its workers push snapshots on the control plane's
-live feed (:mod:`repro.runtime.process`).  Protocol messages never
+endpoint also has its workers send snapshots up their control channel
+(:mod:`repro.runtime.process`).  Protocol messages never
 carry metrics, and a disabled plane costs a single ``is None`` check.
 
 Latency units are **seconds** throughout.  End-to-end latency is
@@ -152,7 +152,7 @@ class LatencyHistogram:
 @dataclass
 class MetricsSnapshot:
     """A picklable point-in-time copy of one worker's metrics: what a
-    worker reports, and what the live feed carries."""
+    worker reports, and what its live snapshots carry."""
 
     worker: str
     events_processed: int = 0
@@ -309,9 +309,8 @@ class WorkerMetrics:
     def snapshot(self, sink: Any) -> MetricsSnapshot:
         """A copy of this worker's metrics as of now, with the events
         and joins its output ``sink`` counted.  The histograms are
-        copied too: a snapshot may be pickled later (a
-        ``multiprocessing`` queue pickles in its feeder thread) while
-        the worker keeps observing."""
+        copied too: the worker keeps observing after a snapshot is
+        taken, and an in-process one is never pickled."""
         return MetricsSnapshot(
             self.worker,
             sink.events_processed,
@@ -362,7 +361,7 @@ class RunMetrics:
 
     def absorb(self, snap: MetricsSnapshot) -> None:
         """Keep the richer snapshot when a worker reports twice (an
-        exporter sees the live feed, then the end-of-run report)."""
+        exporter sees live snapshots, then the end-of-run report)."""
         prev = self.per_worker.get(snap.worker)
         if prev is None or snap.events_processed >= prev.events_processed:
             self.per_worker[snap.worker] = snap

@@ -50,11 +50,16 @@ attempt's closing key (:meth:`WorkerCore.drained_through
 <repro.runtime.protocol.WorkerCore.drained_through>`).  A drained
 worker stays drained, so once every worker has announced, nothing is
 left in flight: stop frames are delivered and each worker ships its
-locally-accumulated outputs back once.  A crash or a quiesce is
-announced on the same queue and ends the attempt.  A drain timeout
-names every worker that has not announced, with the
+locally-accumulated outputs back once.  A crash or a quiesce
+announced instead ends the attempt.  A drain timeout names every
+worker that has not announced, with the
 :meth:`~repro.runtime.protocol.WorkerCore.stall_state` its report
 carries.
+
+Control does not ride the transport: each forked child has one
+socketpair to the coordinator (:class:`~repro.runtime.transport.ControlPlane`),
+on which a child that dies shows as EOF.  The outcome returns once
+every report is in; a later attempt reaps the children.
 
 Every real substrate runs the same :class:`AttemptSpec`, which the
 backend builds once per attempt, and shares the worker-loop body
@@ -72,7 +77,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import multiprocessing as mp
-import queue as queue_mod
 import time
 import traceback
 from dataclasses import dataclass
@@ -96,9 +100,11 @@ from .runtime import InputStream
 from .transport import (
     DEFAULT_TRANSPORT,
     STOP,
+    ControlChannel,
     ControlPlane,
     make_transport,
     plan_edges,
+    reap,
 )
 from .wire import MAX_RUN
 
@@ -263,45 +269,39 @@ class _Worker:
 
 
 def _drive_worker(
-    node_id: str, spec: AttemptSpec, receiver, batcher, control: ControlPlane
+    node_id: str, spec: AttemptSpec, receiver, batcher, control: ControlChannel
 ) -> None:
-    """Drive one worker until the stop frame, then ship its report —
-    the blocking substrates' loop around :class:`_Worker`: a forked
-    process per worker, or several workers as threads of a cluster node
-    agent with channels over TCP.
+    """Drive one worker until the stop frame, then send its report up
+    ``control`` — the blocking substrates' loop around :class:`_Worker`:
+    a forked process per worker, or a thread per worker of a cluster
+    node agent.
 
-    The worker starts at the attempt's origin, once every worker is up,
-    and first pumps the streams it owns.  After each round it
-    handles what the round posted as one batch, then serves its inbox:
-    without blocking on a closed run, until the next round is due on a
-    paced one (joins are served while it waits).  Once its last round
-    is handled it serves its inbox until the stop frame, which also
-    ends a pump early; before each wait it announces *done*, once, if
-    its core has drained through the attempt's closing key.  A leaf
-    whose state is away at a join and that already holds
-    :data:`LEAF_LEAD` buffered events waits for the fork instead of
-    pumping more.  A stopped worker announces its crash or quiesce
-    instead, and pumps no further.  A worker stopped before it
-    announced anything ships its stall state in its report.  With the
-    metrics plane on and the control plane's live feed open, a
-    snapshot goes on the feed at most every quarter second."""
+    The worker starts at the attempt's origin and pumps the streams it
+    owns.  It handles each round's posts as one batch, then serves its
+    inbox: without blocking on a closed run, until the next round is
+    due on a paced one.  After its last round it serves its inbox until
+    the stop frame (which also ends a pump early), announcing *done*
+    once its core has drained through the closing key.  A leaf whose
+    state is away at a join and that holds :data:`LEAF_LEAD` buffered
+    events waits for the fork instead of pumping.  A stopped worker
+    announces its crash or quiesce instead and pumps no further; one
+    stopped before it announced ships its stall state in its report.
+    A ``live`` channel gets a metrics snapshot at most every 0.25 s."""
     origin = control.wait_origin()
     spec = spec.at_origin(origin)
     worker = _Worker(node_id, spec, batcher)
-    announce = control.announcements.put
-    feed = control.metrics if worker.metrics is not None else None
+    live = worker.metrics is not None and control.live
     last_push = time.monotonic()
 
     def handle(msgs) -> None:
         nonlocal last_push
         if worker.handle(msgs):
-            announce((node_id, "crash" if worker.crash is not None else "quiesce"))
-        if feed is not None:
-            # An unbounded queue: the put never waits.
+            control.send("crash" if worker.crash is not None else "quiesce", node_id)
+        if live:
             now = time.monotonic()
             if now - last_push >= 0.25:
                 last_push = now
-                feed.put_nowait(worker.metrics.snapshot(worker.sink))
+                control.send("metrics", node_id, worker.metrics.snapshot(worker.sink))
 
     own: List[Any] = []
     core = worker.core
@@ -340,7 +340,7 @@ def _drive_worker(
     while not stopped:
         if not (done or worker.stopped) and core.drained_through(closing, itags):
             done = True
-            announce((node_id, "done"))
+            control.send("done", node_id)
         msgs = receiver.recv()
         if msgs is STOP:
             break
@@ -348,12 +348,12 @@ def _drive_worker(
     report = worker.report()
     if not (done or worker.stopped):
         report.stall = core.stall_state()
-    control.results.put(report)
+    control.send("report", node_id, report)
 
 
 @contextlib.contextmanager
-def report_errors(control: ControlPlane, who: str, log=None):
-    """Whatever escapes a worker goes on the error queue with its
+def report_errors(control: ControlChannel, who: str, log=None):
+    """Whatever escapes a worker goes up its control channel with its
     traceback: the coordinator raises it as a :class:`RuntimeFault`
     naming ``who``.  An exception ends there (an exit status — a thread
     has none — would carry nothing more); an interrupt or exit goes on."""
@@ -362,12 +362,12 @@ def report_errors(control: ControlPlane, who: str, log=None):
     except BaseException as exc:
         if log is not None:
             log(f"worker {who} FAILED: {exc!r}")
-        control.errors.put((who, f"{exc!r}\n{traceback.format_exc()}"))
+        control.send("error", who, f"{exc!r}\n{traceback.format_exc()}")
         if not isinstance(exc, Exception):
             raise
 
 
-def _worker_main(node_id: str, spec: AttemptSpec, transport, control: ControlPlane) -> None:
+def _worker_main(node_id: str, spec: AttemptSpec, transport, control: ControlChannel) -> None:
     """Entry point of one forked worker: bind its transport endpoints,
     run the shared loop."""
     try:
@@ -393,103 +393,39 @@ def _worker_main(node_id: str, spec: AttemptSpec, transport, control: ControlPla
 # The coordinator's half of an attempt, the same on every real substrate
 # ---------------------------------------------------------------------------
 
-def worker_fault(who: str, err: str) -> RuntimeFault:
-    """A worker's escaped exception as the run's fault: the worker's
-    name, then ``err`` — the exception's repr and its traceback."""
-    return RuntimeFault(f"worker {who} crashed:\n{err}")
-
-
-def raise_worker_faults(control: ControlPlane, procs) -> None:
-    """Surface a reported worker error, or a worker that died without
-    reporting one, as a :class:`RuntimeFault`."""
-    try:
-        node_id, err = control.errors.get_nowait()
-    except queue_mod.Empty:
-        pass
-    else:
-        raise worker_fault(node_id, err)
-    if any(not p.is_alive() and p.exitcode not in (0, None) for p in procs):
-        raise RuntimeFault(
-            "a worker process died before the run drained "
-            f"(exitcodes: {[p.exitcode for p in procs]})"
-        )
-
-
-def _gather_reports(control: ControlPlane, procs, workers: Sequence[str], wait_s: float):
-    """End-of-run reports as they arrive, until every worker's is in or
-    ``wait_s`` has passed: ``(reports, ids still missing)``."""
-    deadline = time.monotonic() + wait_s
-    reports: List[_WorkerReport] = []
-    missing = set(workers)
-    while missing and time.monotonic() <= deadline:
-        try:
-            reports.append(control.results.get(timeout=0.05))
-            missing.discard(reports[-1].node_id)
-        except queue_mod.Empty:
-            # Poll results and faults together: a fault after
-            # quiescence (e.g. an unpicklable output killing the result
-            # put) must surface with its traceback, not as a timeout.
-            raise_worker_faults(control, procs)
-    return reports, sorted(missing)
-
-
 def _await_done(
     substrate: str,
     control: ControlPlane,
-    procs,
     workers: Sequence[str],
     stop: Callable[[], None],
     timeout_s: float,
 ) -> bool:
-    """Wait until every worker has announced done, or one announced a
-    crash or a reconfiguration quiesce (returns True for an aborted
-    attempt), surfacing worker faults promptly.  A drain timeout names
-    each worker that has not announced done: every worker is sent its
-    stop frame and given a second to report, and each named one comes
-    with the stall state its report carries, or as silent — it never
-    came back from a handler."""
+    """Wait until every worker has announced done, or one a crash or a
+    quiesce (True: an aborted attempt).  A drain timeout sends the stop
+    frames, gives the workers a second to report, and names each that
+    has not announced done with the stall state its report carries, or
+    as silent — it never came back from a handler."""
     deadline = time.monotonic() + timeout_s
     waiting = set(workers)
     while waiting:
-        try:
-            wid, kind = control.announcements.get(timeout=0.05)
-        except queue_mod.Empty:
-            raise_worker_faults(control, procs)
-            if time.monotonic() > deadline:
-                stop()
-                reports, silent = _gather_reports(control, procs, workers, 1.0)
-                stuck = {r.node_id: r.stall for r in reports if r.stall is not None}
-                stuck.update((w, "silent: no report when stopped") for w in silent)
-                lines = "".join(f"\n  worker {w}: {stuck[w]}" for w in sorted(stuck))
-                raise RuntimeFault(
-                    f"{substrate} runtime did not drain within {timeout_s:g}s: "
-                    f"{len(stuck)} of {len(workers)} worker(s) not drained through "
-                    f"the closing key, no report from {silent}{lines}"
-                ) from None
-            continue
+        said = control.next(deadline)
+        if said is None:
+            stop()
+            reports = control.collect(time.monotonic() + 1.0)
+            silent = sorted(set(workers) - set(reports))
+            stuck = {w: r.stall for w, r in reports.items() if r.stall is not None}
+            stuck.update((w, "silent: no report when stopped") for w in silent)
+            lines = "".join(f"\n  worker {w}: {stuck[w]}" for w in sorted(stuck))
+            raise RuntimeFault(
+                f"{substrate} runtime did not drain within {timeout_s:g}s: "
+                f"{len(stuck)} of {len(workers)} worker(s) not drained through "
+                f"the closing key, no report from {silent}{lines}"
+            )
+        wid, kind = said
         if kind != "done":
             return True
         waiting.discard(wid)
     return False
-
-
-def _collect(
-    control: ControlPlane,
-    procs,
-    result: AttemptOutcome,
-    workers: Sequence[str],
-    timeout_s: float,
-    metrics_cfg: Optional[MetricsConfig],
-) -> None:
-    """Gather every worker's end-of-run report into ``result``: the
-    reports, not the live feed, are what the attempt's metrics hold."""
-    reports, missing = _gather_reports(control, procs, workers, timeout_s)
-    if missing:
-        raise RuntimeFault(
-            f"no report from {missing} after drain; a worker likely "
-            "crashed or produced unpicklable outputs"
-        )
-    merge_reports(result, reports, metrics_cfg)
 
 
 def merge_reports(
@@ -527,7 +463,6 @@ def coordinate_attempt(
     substrate: str,
     spec: AttemptSpec,
     control: ControlPlane,
-    procs,
     *,
     setup: Callable[[], None],
     stop: Callable[[], None],
@@ -536,15 +471,14 @@ def coordinate_attempt(
     transport: str,
     nodes: int = 0,
 ) -> AttemptOutcome:
-    """The coordinator's half of one attempt over started workers
-    (``procs``: processes or node agents, which pump their own input):
-    ``setup`` until every worker is up, stamp the shared origin
-    (:meth:`ControlPlane.release`), wait for every worker's done
-    announcement or the first abort, ``stop`` the workers (one stop
-    frame each), collect their reports, ``drain`` the data plane of an
-    aborted attempt, reap.  ``wall_s`` runs from the origin to the last
-    done announcement.  A failed attempt terminates its workers instead
-    of waiting them out — nobody will send them a stop frame."""
+    """The coordinator's half of one attempt over started children
+    (processes or node agents, which pump their own input): ``setup``
+    until every worker is up, send the origin, wait for every worker's
+    done or the first abort, ``stop`` the workers (one stop frame
+    each), collect their reports, ``drain`` the data plane of an
+    aborted attempt.  ``wall_s`` runs from the origin to the last done.
+    It returns before the children are reaped (``transport.reap``); the
+    caller's ``control.finish(failed=True)`` terminates a failed one's."""
     workers = [n.id for n in spec.plan.workers()]
     result = AttemptOutcome(
         events_in=sum(len(s.events) for s in spec.streams),
@@ -552,39 +486,34 @@ def coordinate_attempt(
         transport=transport,
         nodes=nodes,
     )
-    try:
-        setup()
-        t0 = time.perf_counter()
-        control.release()
-        aborted = _await_done(substrate, control, procs, workers, stop, timeout_s)
-        result.wall_s = time.perf_counter() - t0
-        stop()
-        _collect(control, procs, result, workers, timeout_s, spec.metrics)
-        if aborted and drain is not None:
-            drain()
-    except BaseException:
-        for p in procs:
-            p.terminate()
-        raise
-    finally:
-        for p in procs:
-            p.join(timeout=5.0)
-        for p in procs:
-            if p.is_alive():  # pragma: no cover - defensive cleanup
-                p.terminate()
-                p.join(timeout=1.0)
+    setup()
+    t0 = time.perf_counter()
+    control.release()
+    aborted = _await_done(substrate, control, workers, stop, timeout_s)
+    result.wall_s = time.perf_counter() - t0
+    stop()
+    reports = control.collect(time.monotonic() + timeout_s)
+    missing = sorted(set(workers) - set(reports))
+    if missing:
+        raise RuntimeFault(f"no report from {missing} within {timeout_s:g}s of the stop frames")
+    # The reports, not the live snapshots, are what the metrics hold.
+    merge_reports(result, list(reports.values()), spec.metrics)
+    if aborted and drain is not None:
+        drain()
+    control.finish(failed=False)
     return result
 
 
 def fork_context(who: str):
     """The ``multiprocessing`` context of the forking substrates.  fork
     (not spawn): children must inherit the program's closures; only
-    messages are ever pickled."""
+    messages are ever pickled.  Reaps earlier attempts' exited children."""
     if "fork" not in mp.get_all_start_methods():
         raise RuntimeFault(
             f"{who} requires the 'fork' start method (Linux/macOS); use "
             "the 'threaded' or 'sim' backend on this platform"
         )
+    reap()
     return mp.get_context("fork")
 
 
@@ -600,19 +529,12 @@ def run_on_workers(
     raising."""
     ctx = fork_context("the process backend")
     channels = make_transport(transport, ctx, plan_edges(spec.plan))
+    control = ControlPlane(ctx)
     try:
-        control = ControlPlane(ctx)
-        procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(n.id, spec, channels, control),
-                daemon=True,
-                name=f"worker:{n.id}",
+        for n in spec.plan.workers():
+            control.spawn(
+                ctx, f"worker:{n.id}", f"worker {n.id}", 1, _worker_main, n.id, spec, channels
             )
-            for n in spec.plan.workers()
-        ]
-        for p in procs:
-            p.start()
         # Every worker holds its endpoints once forked; setup drops the
         # parent's copies of the fds only workers use, so dead peers
         # surface as EOF/EPIPE on the survivors' pipes.
@@ -620,7 +542,6 @@ def run_on_workers(
             "process",
             spec,
             control,
-            procs,
             setup=channels.parent_setup,
             stop=channels.stop_all,
             drain=channels.drain,
@@ -628,4 +549,5 @@ def run_on_workers(
             transport=channels.name,
         )
     finally:
+        control.finish(failed=True)
         channels.close()

@@ -53,10 +53,10 @@ from typing import Any, Deque, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from .messages import EventRun, HeartbeatMsg
-from .process import AttemptSpec, _Worker, merge_reports, worker_fault
+from .process import AttemptSpec, _Worker, merge_reports
 from .protocol import AttemptOutcome, _heartbeat_key_tail, pump_producers
 from .recovery import ReplayLog
-from .transport import BatchingSender
+from .transport import BatchingSender, worker_fault
 from .wire import batch_message_count, event_runs
 
 _SUBSTRATE = "threaded"

@@ -55,20 +55,22 @@ handles.  So every frame is what one handled batch (or one stretch of
 it before the hint) sent to one destination.  The in-process substrate
 uses the same sender over its run queue.
 
-The control plane (end-of-run reports, worker faults, and each
-worker's one announcement: drained, crashed or quiesced) stays on
-``multiprocessing`` primitives in :class:`ControlPlane` — it is
-low-rate and needs blocking semantics, not throughput.
+The control plane does not depend on the transport: one
+``socket.socketpair()`` per forked child (:class:`ControlPlane`)
+carries the origin down and the child's announcements, reports and
+escaped traceback up, and a dead child shows as EOF on it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 import queue as queue_mod
 import select
 import socket
 import struct
+import threading
 import time
 from collections import deque
 from multiprocessing import shared_memory
@@ -134,46 +136,183 @@ def configure_stream_socket(sock: socket.socket, *, nonblocking: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Control plane: reports, faults, and announcements
+# Control plane: one socketpair per forked child
 # ---------------------------------------------------------------------------
 
-class ControlPlane:
-    """Low-rate cross-process coordination shared by all transports.
+_ORIGIN = struct.Struct("<d")
 
-    ``announcements`` carries at most one ``(worker id, kind)`` per
-    worker and attempt: ``"done"`` once the worker has pumped its input
-    and drained through the attempt's closing key
-    (:meth:`~repro.runtime.protocol.WorkerCore.drained_through`), or
-    ``"crash"`` / ``"quiesce"`` when it stopped, which ends the attempt.
-    The coordinator waits for every worker's ``"done"`` or for the
-    first stop.
 
-    ``origin`` is the attempt's shared start, stamped by :meth:`release`
-    once every worker is up: the wall-clock instant paced workers pace
-    against and the metrics plane's latency epoch."""
+def worker_fault(who: str, err: str) -> RuntimeFault:
+    """A worker's escaped exception as the run's fault: the worker's
+    name, then ``err`` — the exception's repr and its traceback."""
+    return RuntimeFault(f"worker {who} crashed:\n{err}")
 
-    def __init__(self, ctx) -> None:
-        self.results = ctx.Queue()
-        self.errors = ctx.Queue()
-        self.announcements = ctx.Queue()
-        #: The live metrics feed: a queue of MetricsSnapshot copies
-        #: that workers push at a low rate, opened only where a live
-        #: Prometheus exporter drains it (a cluster run with a metrics
-        #: port); None elsewhere, and then nothing is pushed.
-        self.metrics = None
-        self.origin = ctx.Value("d", 0.0, lock=False)
-        self._released = ctx.Event()
 
-    def release(self) -> None:
-        """Stamp the shared origin (``time.time()``) and let every
-        worker waiting on it go."""
-        self.origin.value = time.time()
-        self._released.set()
+class ControlChannel:
+    """A forked child's end of its control socket (a node agent's worker
+    threads share it): the origin comes down first, then pickled,
+    length-prefixed ``(kind, who, payload)`` records go up — ``"done"``,
+    ``"crash"`` or ``"quiesce"``, ``"report"``, ``"error"`` (an escaped
+    traceback) and, while ``live``, ``"metrics"``."""
+
+    def __init__(self, sock: socket.socket, live: bool = False) -> None:
+        self._sock, self.live = sock, live
+        self._lock = threading.Lock()
+        self._origin: Optional[float] = None
 
     def wait_origin(self) -> float:
-        """The origin :meth:`release` stamps, once it has."""
-        self._released.wait()
-        return self.origin.value
+        with self._lock:
+            if self._origin is None:
+                data = self._sock.recv(_ORIGIN.size, socket.MSG_WAITALL)
+                if len(data) < _ORIGIN.size:
+                    raise RuntimeFault("the coordinator left before the attempt's origin")
+                (self._origin,) = _ORIGIN.unpack(data)
+        return self._origin
+
+    def send(self, kind: str, who: str, payload: Any = None) -> None:
+        data = pickle.dumps((kind, who, payload), pickle.HIGHEST_PROTOCOL)
+        with self._lock:
+            self._sock.sendall(_LEN.pack(len(data)) + data)
+
+
+class _Child:
+    __slots__ = ("who", "sock", "due", "proc", "asm")
+
+    def __init__(self, who: str, sock: socket.socket, due: int) -> None:
+        self.who, self.sock, self.due, self.proc, self.asm = who, sock, due, None, FrameAssembler()
+
+
+class ControlPlane:
+    """The coordinator's end of an attempt's control: a socketpair per
+    child it forks, none before (``ctx`` is unread, for dgsbench).
+    :meth:`release` sends the origin (the pacing clock's and latency
+    epoch's zero); then one ``poll`` waits on every child.  A child's
+    traceback, or EOF before its reports (it died), raises a
+    :class:`RuntimeFault`; live snapshots go to ``on_metrics``."""
+
+    def __init__(self, ctx=None) -> None:
+        self._children: Dict[int, _Child] = {}
+        self._poller = select.poll()
+        self._ready: Deque[Tuple[str, str]] = deque()
+        self.reports: Dict[str, Any] = {}
+        #: Set before forking: workers send live metrics snapshots.
+        self.live = False
+        self.on_metrics: Optional[Callable[[Any], None]] = None
+
+    def open(self, who: str, reports: int) -> socket.socket:
+        mine, theirs = socket.socketpair()  # theirs goes to the child
+        self._children[mine.fileno()] = _Child(who, mine, reports)
+        self._poller.register(mine, select.POLLIN)
+        return theirs
+
+    def spawn(self, ctx, name: str, who: str, reports: int, target, *args):
+        """Start process ``name`` running ``target(*args, channel)``."""
+        theirs = self.open(who, reports)
+        proc = ctx.Process(
+            target=self._child_main, args=(theirs, target, args), daemon=True, name=name
+        )
+        proc.start()
+        theirs.close()
+        next(reversed(self._children.values())).proc = proc
+        return proc
+
+    def _child_main(self, sock: socket.socket, target, args) -> None:
+        # Close the rest: each end lives in one process, so a death is EOF.
+        for child in self._children.values():
+            child.sock.close()
+        target(*args, ControlChannel(sock, self.live))
+        # Exit once the coordinator has every report and closes its end,
+        # so no exit's teardown competes with a sibling still reporting.
+        sock.recv(1)
+
+    def release(self) -> None:
+        origin = _ORIGIN.pack(time.time())
+        for child in self._children.values():
+            try:
+                child.sock.sendall(origin)
+            except OSError:
+                pass  # it died: its EOF raises on the next wait
+
+    def next(self, deadline: Optional[float] = None) -> Optional[Tuple[str, str]]:
+        """The next ``(worker id, kind)``; None once ``deadline`` passed."""
+        while not self._ready and self.wait(deadline):
+            pass
+        return self._ready.popleft() if self._ready else None
+
+    def collect(self, deadline: float) -> Dict[str, Any]:
+        """Worker id -> report, once all are in or ``deadline`` passed."""
+        while any(c.due for c in self._children.values()) and self.wait(deadline):
+            pass
+        return self.reports
+
+    def wait(self, deadline: Optional[float], also: Optional[socket.socket] = None) -> bool:
+        """Read what arrives until ``deadline`` or until ``also`` is
+        readable; False once ``deadline`` passed."""
+        ms = None if deadline is None else max(0, math.ceil((deadline - time.monotonic()) * 1e3))
+        if also is not None:
+            self._poller.register(also, select.POLLIN)
+        ready = self._poller.poll(ms)
+        if also is not None:
+            self._poller.unregister(also)
+        for fd, _events in ready:
+            if fd in self._children:
+                self._ingest(self._children[fd])
+        return deadline is None or time.monotonic() < deadline
+
+    def _ingest(self, child: _Child) -> None:
+        try:
+            data = child.sock.recv(1 << 20)
+        except OSError:
+            data = b""
+        if not data:
+            self._poller.unregister(child.sock)
+            if child.due:
+                child.proc.join(1.0)
+                code = child.proc.exitcode
+                how = f"signal {-code}" if code and code < 0 else f"exit status {code}"
+                raise RuntimeFault(f"{child.who} died before its report ({how})")
+        for frame in child.asm.feed(data):
+            kind, who, payload = pickle.loads(frame)
+            if kind == "error":
+                raise worker_fault(who, payload)
+            if kind == "report":
+                child.due -= 1
+                self.reports[who] = payload
+            elif kind != "metrics":
+                self._ready.append((who, kind))
+            elif self.on_metrics is not None:
+                self.on_metrics(payload)
+
+    def finish(self, failed: bool) -> None:
+        """Close the sockets; terminate and join a failed attempt's
+        children, leave a finished one's to :func:`reap`."""
+        if not failed:
+            reap(block=True)
+        for child in self._children.values():
+            child.sock.close()
+            if failed and child.proc is not None:  # None: its fork failed
+                child.proc.terminate()
+                child.proc.join(5.0)
+            elif not failed:
+                _UNREAPED.append((child.proc, time.monotonic()))
+        self._children.clear()
+
+
+#: Children of finished attempts, with when their reports were in.
+_UNREAPED: List[Tuple[Any, float]] = []
+
+
+def reap(block: bool = False) -> None:
+    """Reap earlier attempts' exited children (``block``: wait for them)
+    and terminate any alive 5 s after its report; no thread waits."""
+    for proc, since in list(_UNREAPED):
+        if block:
+            proc.join(max(0.0, since + 5.0 - time.monotonic()))
+        if proc.exitcode is None and time.monotonic() - since >= 5.0:
+            proc.terminate()
+            proc.join(5.0)
+        if proc.exitcode is not None:
+            _UNREAPED.remove((proc, since))
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,16 @@ class TestDgsbenchSmokeLane:
         assert "|| true" not in smoke
 
 
+class TestDistributedSmokeLane:
+    def test_the_pytest_step_runs_the_control_channel_suite(self, jobs):
+        """The kill and lifecycle tests of the forked children's control
+        channel run where node agents are exercised end to end."""
+        runs = [" ".join(str(s.get("run", "")).split()) for s in jobs["distributed-smoke"]["steps"]]
+        (step,) = [r for r in runs if r.startswith("python -m pytest")]
+        assert "tests/test_runtime_control.py" in step.split()
+        assert os.path.exists(os.path.join(ROOT, "tests", "test_runtime_control.py"))
+
+
 class TestServiceSmokeLane:
     def test_lane_runs_both_examples_and_the_service_suite(self, jobs):
         """The service front door end to end on every push: cluster

@@ -12,7 +12,6 @@ finishes when every worker has announced.
   (the twins of the in-process substrate's stall test).
 """
 
-import queue
 import time
 from collections import Counter, deque
 
@@ -136,28 +135,17 @@ def test_the_drained_through_predicate():
     assert all(t.drained().values())
 
 
-class _Tap:
-    """An announcement queue that remembers what the coordinator read."""
+class _Tap(deque):
+    """A control plane's announcement queue that remembers everything
+    the coordinator read off the children's sockets."""
 
-    def __init__(self, q):
-        self.q, self.read = q, []
+    def __init__(self):
+        super().__init__()
+        self.said = []
 
-    def put(self, item):
-        self.q.put(item)
-
-    def get(self, *args, **kwargs):
-        item = self.q.get(*args, **kwargs)
-        self.read.append(item)
-        return item
-
-    def everything(self):
-        """What was read, then what is left unread."""
-        left = []
-        while True:
-            try:
-                left.append(self.q.get(timeout=0.2))
-            except queue.Empty:
-                return self.read + left
+    def append(self, item):
+        self.said.append(item)
+        super().append(item)
 
 
 @pytest.fixture
@@ -168,8 +156,8 @@ def announcements(monkeypatch):
     class Recording(ControlPlane):
         def __init__(self, ctx):
             super().__init__(ctx)
-            self.announcements = _Tap(self.announcements)
-            taps.append(self.announcements)
+            self._ready = _Tap()
+            taps.append(self._ready)
 
     for module in (runtime_process, runtime_cluster):
         monkeypatch.setattr(module, "ControlPlane", Recording)
@@ -192,9 +180,10 @@ def test_each_worker_announces_done_once(announcements, substrate, pace):
     assert output_multiset(run.outputs) == output_multiset(
         run_sequential_reference(prog, streams)
     )
+    # Every record a worker sends precedes its report on its socket,
+    # and the attempt returned with every report in: nothing is unread.
     (tap,) = announcements
-    said = tap.everything()
-    assert Counter(said) == Counter((n.id, "done") for n in plan.workers())
+    assert Counter(tap.said) == Counter((n.id, "done") for n in plan.workers())
 
 
 @pytest.mark.parametrize("substrate", sorted(FORKING))

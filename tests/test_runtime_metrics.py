@@ -9,7 +9,6 @@ multiset with and without instrumentation, on every backend.
 """
 
 import multiprocessing
-import queue
 import socket
 import threading
 import time
@@ -44,9 +43,9 @@ from repro.runtime import (
     run_sequential_reference,
 )
 from repro.runtime.messages import EventMsg, HeartbeatMsg
-from repro.runtime.process import AttemptSpec, _collect, _drive_worker
+from repro.runtime.process import AttemptSpec, _drive_worker, merge_reports
 from repro.runtime.protocol import AttemptOutcome, OutputSink, initial_leaf_states
-from repro.runtime.transport import STOP, ControlPlane
+from repro.runtime.transport import STOP, ControlChannel, ControlPlane
 
 BACKENDS = ("sim", "threaded", "process")
 
@@ -241,34 +240,47 @@ class TestOneMetricsPath:
             return [HeartbeatMsg(t, Heartbeat(t.tag, t.stream, ts).order_key) for t in (inc, reset)]
 
         events = [EventMsg(Event(inc.tag, inc.stream, ts)) for ts in (1.0, 2.0)]
+        # The coordinator's end and the worker's, in one process: the
+        # worker's records wait in the socket until the coordinator
+        # reads them.
         control = ControlPlane(multiprocessing.get_context("fork"))
+        worker_end = control.open("worker w1", 1)
         control.release()  # every worker is up
-        control.metrics = queue.Queue()  # the live feed, read in-process
         sender = _Sender()
         clock = iter([0.0, 1.0])
         with monkeypatch.context() as m:
             m.setattr(time, "monotonic", lambda: next(clock, 1.1))
             _drive_worker(
-                "w1", spec, _Inbox([events + heartbeats(3.0), heartbeats(4.0)]), sender, control
+                "w1", spec, _Inbox([events + heartbeats(3.0), heartbeats(4.0)]), sender,
+                ControlChannel(worker_end, live=True),
             )
+        worker_end.close()
         return spec, control, sender.metrics
 
     def test_a_stale_live_snapshot_does_not_replace_the_report(self, monkeypatch):
         """The live feed saw the worker after its first frame, the
         report after both; the attempt's metrics are the report's."""
         spec, control, _wm = self._drive(monkeypatch)
+        fed = []
+        control.on_metrics = fed.append
         result = AttemptOutcome()
-        _collect(control, [], result, ["w1"], 5.0, spec.metrics)
+        merge_reports(result, list(control.collect(time.monotonic() + 5.0).values()), spec.metrics)
+        control.finish(failed=True)
+        assert [s.frames_received for s in fed] == [1]  # the stale one came first
         snap = result.metrics.per_worker["w1"]
         assert (snap.frames_received, snap.events_processed) == (2, 2)
         assert result.events_processed == 2
 
     def test_the_live_feed_carries_a_copy(self, monkeypatch):
-        """A multiprocessing queue pickles after ``put_nowait`` returns,
-        while the worker goes on observing: what the feed carries
-        shares no histogram with the live WorkerMetrics."""
+        """The worker goes on observing after it sends a snapshot: what
+        the feed carries shares no histogram with the live
+        WorkerMetrics."""
         _spec, control, wm = self._drive(monkeypatch)
-        live = control.metrics.get_nowait()
+        fed = []
+        control.on_metrics = fed.append
+        control.collect(time.monotonic() + 5.0)
+        control.finish(failed=True)
+        (live,) = fed
         assert (live.frames_received, live.events_processed) == (1, 2)
         assert live.event_latency.count == 2
         assert live.event_latency is not wm.event_latency
