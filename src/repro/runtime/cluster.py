@@ -442,9 +442,12 @@ def run_on_nodes(
 
     result: Optional[AttemptOutcome] = None
     coord_socks: Dict[str, socket.socket] = {}
-    #: Every connection the registry accepted, closed at the end.
+    #: Every connection the registry ever accepted — closed in the
+    #: finally block so a failed handshake (unexpected
+    #: registration, timeout) cannot leak fds across retried runs.
     reg_conns: List[socket.socket] = []
-    # Live observability: the snapshots read off the control sockets.
+    # Live observability: a Prometheus-text endpoint fed with the live
+    # snapshots the coordinator reads off the agents' control sockets.
     exporter: Optional[MetricsExporter] = None
     owns_exporter = True
     if live:
@@ -468,12 +471,16 @@ def run_on_nodes(
         sender = FrameSender(socks, lambda: control.wait(0))
         for wid in coord_socks:
             sender.send_raw(wid, FRAME_LEN.pack(0))
-        control.on_metrics = None  # the exporter shows the reports from here
+        # From here on the exporter shows the end-of-run reports;
+        # live snapshots still in flight are dropped.
+        control.on_metrics = None
 
     def handshake() -> None:
         # Registry exchange: collect every node's hello, then send
         # each the full address map.  The wait reads the control
-        # sockets too, so an agent that dies first raises at once.
+        # sockets too: an agent that dies before registering sends its
+        # traceback (or shows EOF) there, and that must raise at once,
+        # not after the full handshake window.
         registry.setblocking(False)
         deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
         addr_map: Dict[str, Any] = {}

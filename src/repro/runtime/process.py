@@ -58,8 +58,9 @@ carries.
 
 Control does not ride the transport: each forked child has one
 socketpair to the coordinator (:class:`~repro.runtime.transport.ControlPlane`),
-on which a child that dies shows as EOF.  The outcome returns once
-every report is in; a later attempt reaps the children.
+on which a child that dies shows as EOF.  A child exits once it has
+sent its report, and the coordinator joins every child before the
+outcome returns.
 
 Every real substrate runs the same :class:`AttemptSpec`, which the
 backend builds once per attempt, and shares the worker-loop body
@@ -104,7 +105,6 @@ from .transport import (
     ControlPlane,
     make_transport,
     plan_edges,
-    reap,
 )
 from .wire import MAX_RUN
 
@@ -273,20 +273,24 @@ def _drive_worker(
 ) -> None:
     """Drive one worker until the stop frame, then send its report up
     ``control`` — the blocking substrates' loop around :class:`_Worker`:
-    a forked process per worker, or a thread per worker of a cluster
-    node agent.
+    a forked process per worker, or several workers as threads of a
+    cluster node agent with channels over TCP.
 
-    The worker starts at the attempt's origin and pumps the streams it
-    owns.  It handles each round's posts as one batch, then serves its
-    inbox: without blocking on a closed run, until the next round is
-    due on a paced one.  After its last round it serves its inbox until
-    the stop frame (which also ends a pump early), announcing *done*
-    once its core has drained through the closing key.  A leaf whose
-    state is away at a join and that holds :data:`LEAF_LEAD` buffered
-    events waits for the fork instead of pumping.  A stopped worker
-    announces its crash or quiesce instead and pumps no further; one
-    stopped before it announced ships its stall state in its report.
-    A ``live`` channel gets a metrics snapshot at most every 0.25 s."""
+    The worker starts at the attempt's origin, once every worker is up,
+    and first pumps the streams it owns.  After each round it
+    handles what the round posted as one batch, then serves its inbox:
+    without blocking on a closed run, until the next round is due on a
+    paced one (joins are served while it waits).  Once its last round
+    is handled it serves its inbox until the stop frame, which also
+    ends a pump early; before each wait it announces *done*, once, if
+    its core has drained through the attempt's closing key.  A leaf
+    whose state is away at a join and that already holds
+    :data:`LEAF_LEAD` buffered events waits for the fork instead of
+    pumping more.  A stopped worker announces its crash or quiesce
+    instead, and pumps no further.  A worker stopped before it
+    announced anything ships its stall state in its report.  With the
+    metrics plane on and the channel ``live`` (a cluster exporter
+    listens), a snapshot goes up at most every quarter second."""
     origin = control.wait_origin()
     spec = spec.at_origin(origin)
     worker = _Worker(node_id, spec, batcher)
@@ -400,10 +404,12 @@ def _await_done(
     stop: Callable[[], None],
     timeout_s: float,
 ) -> bool:
-    """Wait until every worker has announced done, or one a crash or a
-    quiesce (True: an aborted attempt).  A drain timeout sends the stop
-    frames, gives the workers a second to report, and names each that
-    has not announced done with the stall state its report carries, or
+    """Wait until every worker has announced done, or one announced a
+    crash or a reconfiguration quiesce (returns True for an aborted
+    attempt); a child's fault raises from the wait as it arrives.  A
+    drain timeout names each worker that has not announced done: every
+    worker is sent its stop frame and given a second to report, and
+    each named one comes with the stall state its report carries, or
     as silent — it never came back from a handler."""
     deadline = time.monotonic() + timeout_s
     waiting = set(workers)
@@ -473,12 +479,14 @@ def coordinate_attempt(
 ) -> AttemptOutcome:
     """The coordinator's half of one attempt over started children
     (processes or node agents, which pump their own input): ``setup``
-    until every worker is up, send the origin, wait for every worker's
-    done or the first abort, ``stop`` the workers (one stop frame
-    each), collect their reports, ``drain`` the data plane of an
-    aborted attempt.  ``wall_s`` runs from the origin to the last done.
-    It returns before the children are reaped (``transport.reap``); the
-    caller's ``control.finish(failed=True)`` terminates a failed one's."""
+    until every worker is up, stamp the shared origin
+    (:meth:`ControlPlane.release`), wait for every worker's done
+    announcement or the first abort, ``stop`` the workers (one stop
+    frame each), collect their reports, ``drain`` the data plane of an
+    aborted attempt, reap.  ``wall_s`` runs from the origin to the last
+    done announcement.  A failed attempt terminates its children
+    instead of waiting them out — nobody will send them a stop frame:
+    that is the caller's ``control.finish(failed=True)``."""
     workers = [n.id for n in spec.plan.workers()]
     result = AttemptOutcome(
         events_in=sum(len(s.events) for s in spec.streams),
@@ -507,13 +515,12 @@ def coordinate_attempt(
 def fork_context(who: str):
     """The ``multiprocessing`` context of the forking substrates.  fork
     (not spawn): children must inherit the program's closures; only
-    messages are ever pickled.  Reaps earlier attempts' exited children."""
+    messages are ever pickled."""
     if "fork" not in mp.get_all_start_methods():
         raise RuntimeFault(
             f"{who} requires the 'fork' start method (Linux/macOS); use "
             "the 'threaded' or 'sim' backend on this platform"
         )
-    reap()
     return mp.get_context("fork")
 
 

@@ -221,9 +221,6 @@ class ControlPlane:
         for child in self._children.values():
             child.sock.close()
         target(*args, ControlChannel(sock, self.live))
-        # Exit once the coordinator has every report and closes its end,
-        # so no exit's teardown competes with a sibling still reporting.
-        sock.recv(1)
 
     def release(self) -> None:
         origin = _ORIGIN.pack(time.time())
@@ -284,35 +281,23 @@ class ControlPlane:
                 self.on_metrics(payload)
 
     def finish(self, failed: bool) -> None:
-        """Close the sockets; terminate and join a failed attempt's
-        children, leave a finished one's to :func:`reap`."""
-        if not failed:
-            reap(block=True)
+        """Close the sockets and join the children: a finished
+        attempt's exit once they have sent their reports, a failed
+        attempt's are terminated first, and any still alive 5 s later
+        is terminated."""
         for child in self._children.values():
             child.sock.close()
-            if failed and child.proc is not None:  # None: its fork failed
-                child.proc.terminate()
-                child.proc.join(5.0)
-            elif not failed:
-                _UNREAPED.append((child.proc, time.monotonic()))
-        self._children.clear()
-
-
-#: Children of finished attempts, with when their reports were in.
-_UNREAPED: List[Tuple[Any, float]] = []
-
-
-def reap(block: bool = False) -> None:
-    """Reap earlier attempts' exited children (``block``: wait for them)
-    and terminate any alive 5 s after its report; no thread waits."""
-    for proc, since in list(_UNREAPED):
-        if block:
-            proc.join(max(0.0, since + 5.0 - time.monotonic()))
-        if proc.exitcode is None and time.monotonic() - since >= 5.0:
-            proc.terminate()
+        for child in self._children.values():
+            proc = child.proc
+            if proc is None:  # its fork failed
+                continue
+            if failed:
+                proc.terminate()
             proc.join(5.0)
-        if proc.exitcode is not None:
-            _UNREAPED.remove((proc, since))
+            if proc.is_alive():  # pragma: no cover - defensive cleanup
+                proc.terminate()
+                proc.join(1.0)
+        self._children.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,14 @@ their children.
 Each forked child (a worker on ``process``, a node agent on ``nodes=``)
 has one socket to the coordinator: the origin goes down, announcements,
 reports and escaped tracebacks come up, and a child that dies shows as
-EOF on it.  An attempt returns once every report is in; its children
-are reaped later, without a thread.
+EOF on it.  A child exits once it has sent its report, and the
+attempt joins every child before it returns; no thread waits on them.
 
 * a child killed mid-run is named, with its signal, at once;
 * no ``multiprocessing`` queue, event or shared value is built, and the
   coordinator starts no thread of its own;
-* back-to-back runs leave at most one attempt's children unreaped, and
-  a recovering run returns with every earlier attempt's reaped.
+* back-to-back runs leave no child unreaped, and a recovering run
+  returns with every attempt's reaped.
 """
 
 import multiprocessing
@@ -131,16 +131,15 @@ def test_no_multiprocessing_primitive_and_no_coordinator_thread(
     assert [n for n in started if n != "metrics-exporter"] == []
 
 
-def test_back_to_back_runs_leave_one_attempt_unreaped():
+def test_back_to_back_runs_leave_no_child_unreaped():
     prog, plan, streams = _case()
     before = _children_of_this_process()
     for _ in range(10):
         run_on_backend("process", prog, plan, streams)
-    left = _children_of_this_process() - before
-    assert len(left) <= len(list(plan.workers()))
+    assert _children_of_this_process() - before == set()
 
 
-def test_a_recovering_run_returns_with_earlier_attempts_reaped(monkeypatch):
+def test_a_recovering_run_returns_with_every_attempt_reaped(monkeypatch):
     attempts = []
 
     class Recording(ControlPlane):
@@ -168,5 +167,5 @@ def test_a_recovering_run_returns_with_earlier_attempts_reaped(monkeypatch):
     )
     assert run.recovery.attempts == len(attempts) == 3
     unreaped = _children_of_this_process()
-    for control in attempts[:-1]:
+    for control in attempts:
         assert not unreaped & set(control.pids)

@@ -272,9 +272,17 @@ class TestOneMetricsPath:
         assert result.events_processed == 2
 
     def test_the_live_feed_carries_a_copy(self, monkeypatch):
-        """The worker goes on observing after it sends a snapshot: what
-        the feed carries shares no histogram with the live
-        WorkerMetrics."""
+        """The worker goes on observing after it takes a live snapshot:
+        the snapshot it hands the channel shares no histogram with the
+        live WorkerMetrics, so later observations leave it alone."""
+        taken = []
+        real = WorkerMetrics.snapshot
+
+        def snapshot(self, sink):
+            taken.append(real(self, sink))
+            return taken[-1]
+
+        monkeypatch.setattr(WorkerMetrics, "snapshot", snapshot)
         _spec, control, wm = self._drive(monkeypatch)
         fed = []
         control.on_metrics = fed.append
@@ -282,9 +290,11 @@ class TestOneMetricsPath:
         control.finish(failed=True)
         (live,) = fed
         assert (live.frames_received, live.events_processed) == (1, 2)
-        assert live.event_latency.count == 2
-        assert live.event_latency is not wm.event_latency
-        assert live.event_latency.counts is not wm.event_latency.counts
+        first = taken[0]  # in-process, as the worker took it
+        assert first.event_latency.count == live.event_latency.count == 2
+        wm.event_latency.observe(0.5)
+        wm.join_rtt.observe(0.5)
+        assert first.event_latency.count == 2 and first.join_rtt is None
 
 
 class TestRunEntryPoints:
