@@ -287,7 +287,6 @@ class ControlPlane:
         is terminated."""
         for child in self._children.values():
             child.sock.close()
-        for child in self._children.values():
             proc = child.proc
             if proc is None:  # its fork failed
                 continue
