@@ -6,15 +6,13 @@ without synchronization; related tags require ordered processing.
 
 We materialize the relation over the finite tag universe into an
 adjacency map, which makes symmetry checkable, lifts cheaply to
-implementation tags, and exports directly to a :mod:`networkx` graph
-for the Appendix-B optimizer.
+implementation tags, and splits a set of implementation tags into the
+connected components the Appendix-B optimizer decomposes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Set
-
-import networkx as nx
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Set
 
 from .errors import DependenceError
 from .events import ImplTag, Tag
@@ -113,33 +111,36 @@ class DependenceRelation:
     ) -> bool:
         return self.sets_independent({i.tag for i in left}, {i.tag for i in right})
 
-    # -- graph view --------------------------------------------------------
-    def graph(self) -> nx.Graph:
-        """Tag dependence graph: nodes = tags, edges = dependence.
-
-        Self-loops are included for self-dependent tags (networkx
-        supports them); the optimizer works on this graph.
-        """
-        g = nx.Graph()
-        g.add_nodes_from(self._universe)
-        for a in self._universe:
-            for b in self._adj[a]:
-                g.add_edge(a, b)
-        return g
-
-    def itag_graph(self, itags: Iterable[ImplTag]) -> nx.Graph:
-        """Dependence graph over a concrete set of implementation tags
-        (the structure the Appendix-B optimizer decomposes)."""
-        nodes = list(itags)
-        g = nx.Graph()
-        g.add_nodes_from(nodes)
-        for i, a in enumerate(nodes):
-            for b in nodes[i:]:
-                if self.itag_depends(a, b) and a != b:
-                    g.add_edge(a, b)
-                elif a != b and a.tag == b.tag and self.is_self_dependent(a.tag):
-                    g.add_edge(a, b)
-        return g
+    def itag_components(self, itags: Iterable[ImplTag]) -> List[Set[ImplTag]]:
+        """Connected components of the dependence graph over ``itags``
+        (the structure the Appendix-B optimizer decomposes): two itags
+        are adjacent iff they differ and their tags depend, so a
+        self-dependent tag joins its own streams.  The components come
+        as sets in the order NetworkX's ``connected_components`` yields
+        them for a graph built from ``itags`` in order: by each
+        component's first itag in ``itags``."""
+        nodes = list(dict.fromkeys(itags))
+        by_tag: Dict[Tag, List[ImplTag]] = {}
+        for it in nodes:
+            by_tag.setdefault(it.tag, []).append(it)
+        comps: List[Set[ImplTag]] = []
+        seen: Set[ImplTag] = set()
+        expanded: Set[Tag] = set()  # tags whose dependents' itags are placed
+        for start in nodes:
+            if start in seen:
+                continue
+            comp, todo = {start}, [start.tag]
+            while todo:
+                tag = todo.pop()
+                if tag not in expanded:
+                    expanded.add(tag)
+                    for it in (i for d in self.dependents_of(tag) for i in by_tag.get(d, ())):
+                        if it not in comp:
+                            comp.add(it)
+                            todo.append(it.tag)
+            seen |= comp
+            comps.append(comp)
+        return comps
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         n_edges = sum(len(v) for v in self._adj.values()) // 2

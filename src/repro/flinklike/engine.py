@@ -19,13 +19,11 @@ channels by timestamp can make progress on idle channels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..core.errors import RuntimeFault
+from ..runtime.metrics import percentiles
 from ..sim.actors import Actor, ActorSystem
 from ..sim.core import Simulator
 from ..sim.network import NetworkStats, Topology
@@ -257,10 +255,7 @@ class FlinkResult:
         return [lat for _, _, lat in self.outputs]
 
     def latency_percentiles(self, qs: Sequence[float] = (10, 50, 90)) -> List[float]:
-        lats = self.latencies()
-        if not lats:
-            return [math.nan for _ in qs]
-        return [float(p) for p in np.percentile(lats, qs)]
+        return percentiles(self.latencies(), qs)
 
     def output_values(self) -> List[Any]:
         return [v for v, _, _ in self.outputs]

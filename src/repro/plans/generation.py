@@ -25,8 +25,6 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..core.errors import PlanError
 from ..core.events import ImplTag
 from ..core.program import DGSProgram
@@ -221,8 +219,7 @@ def random_valid_plan(
             len(group) <= max_leaf_size and rng.random() < 0.4
         ):
             return PlanNode(ids.next(), st, frozenset(group))
-        g = program.depends.itag_graph(group)
-        comps = [sorted(c, key=repr) for c in nx.connected_components(g)]
+        comps = [sorted(c, key=repr) for c in program.depends.itag_components(group)]
         root_tags: List[ImplTag] = []
         remaining = sorted(group, key=repr)
         while len(comps) < 2 and remaining:
@@ -231,8 +228,7 @@ def random_valid_plan(
             root_tags.append(victim)
             if not remaining:
                 break
-            g = program.depends.itag_graph(remaining)
-            comps = [sorted(c, key=repr) for c in nx.connected_components(g)]
+            comps = [sorted(c, key=repr) for c in program.depends.itag_components(remaining)]
         if len(comps) < 2:
             return PlanNode(ids.next(), st, frozenset(group))
         rng.shuffle(comps)

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from typing import FrozenSet, List
 
-import networkx as nx
-
 from ..core.errors import PlanError
 from ..core.events import ImplTag
 from ..core.program import DGSProgram
@@ -72,7 +70,7 @@ def max_width(program: DGSProgram, plan: SyncPlan) -> int:
     rest = _leaf_itags(program, plan)
     if not rest:
         return 1
-    return max(1, nx.number_connected_components(program.depends.itag_graph(rest)))
+    return max(1, len(program.depends.itag_components(rest)))
 
 
 def _leaf_itags(program: DGSProgram, plan: SyncPlan) -> List[ImplTag]:
@@ -113,10 +111,7 @@ def repartition_plan(
             program, root_itags, [], state_type=state_type, shape=shape
         )
     components = sorted(
-        (sorted(c, key=repr) for c in nx.connected_components(
-            program.depends.itag_graph(rest)
-        )),
-        key=repr,
+        (sorted(c, key=repr) for c in program.depends.itag_components(rest)), key=repr
     )
     n = max(1, min(n_leaves, len(components)))
     buckets: List[List[ImplTag]] = [[] for _ in range(n)]

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..core.errors import PlanError
 from ..core.events import ImplTag
 from ..core.program import DGSProgram
@@ -65,8 +63,7 @@ def optimize(
     def build(group: List[ImplTag]) -> PlanNode:
         if len(group) == 1:
             return _leaf(group)
-        g = program.depends.itag_graph(group)
-        comps = _sorted_components(g)
+        comps = _sorted_components(program, group)
         if len(comps) >= 2:
             left, right = _balance_components(comps, rate_of)
             return _node(frozenset(), build(left), build(right))
@@ -75,8 +72,7 @@ def optimize(
         remaining = sorted(group, key=lambda t: (by_itag[t].rate, repr(t)))
         while len(remaining) > 1:
             root_tags.append(remaining.pop(0))
-            g = program.depends.itag_graph(remaining)
-            comps = _sorted_components(g)
+            comps = _sorted_components(program, remaining)
             if len(comps) >= 2:
                 left, right = _balance_components(comps, rate_of)
                 return _node(frozenset(root_tags), build(left), build(right))
@@ -118,8 +114,8 @@ def _subtree_tags(node: PlanNode) -> List[ImplTag]:
     return out
 
 
-def _sorted_components(g: nx.Graph) -> List[List[ImplTag]]:
-    return [sorted(c, key=repr) for c in nx.connected_components(g)]
+def _sorted_components(program: DGSProgram, itags: List[ImplTag]) -> List[List[ImplTag]]:
+    return [sorted(c, key=repr) for c in program.depends.itag_components(itags)]
 
 
 def _balance_components(

@@ -63,6 +63,11 @@ fails.
 
 from __future__ import annotations
 
+# A node agent's socket.create_connection encodes its host with the
+# idna codec, which imports encodings.idna on first use.  Import it
+# here, before any fork: a fork taken while another thread holds that
+# module's import lock leaves the lock held in the child forever.
+import encodings.idna  # noqa: F401
 import hmac
 import json
 import os

@@ -26,6 +26,7 @@ its wall-clock meaning differs but percentile math is identical.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ __all__ = [
     "RunMetrics",
     "MetricsExporter",
     "merge_attempt_metrics",
+    "percentiles",
     "prometheus_render",
 ]
 
@@ -74,6 +76,26 @@ class MetricsConfig:
 
     def with_epoch(self, epoch: float) -> "MetricsConfig":
         return MetricsConfig(latency_buckets=self.latency_buckets, epoch=epoch)
+
+
+def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
+    """The ``qs`` percentiles (0..100) of finite ``values``: what NumPy's
+    ``percentile(values, qs)`` returns with its default ``linear``
+    method, two-sided lerp included, bit for bit up to the sign of a
+    zero (NumPy's partition leaves -0.0 and 0.0 in no set order); NaN
+    for each q when ``values`` is empty."""
+    xs = sorted(values)
+    n = len(xs)
+    if not n:
+        return [math.nan for _ in qs]
+    out: List[float] = []
+    for q in qs:
+        v = (n - 1) * (q / 100)
+        lo = math.floor(v)
+        a, b = xs[lo], xs[min(lo + 1, n - 1)]
+        t = v - lo
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
 
 
 class LatencyHistogram:

@@ -20,12 +20,9 @@ so event latency is ``emit_time - ts``.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..core.errors import RuntimeFault
 from ..core.events import Event, ImplTag
@@ -39,7 +36,7 @@ from ..sim.network import NetworkStats, Topology
 from ..sim.params import DEFAULT_PARAMS, SimParams
 from .faults import FaultPlan, WorkerCrash
 from .messages import ForkStateMsg, HeartbeatMsg, JoinResponse
-from .metrics import LatencyHistogram, MetricsConfig, MetricsSnapshot, RunMetrics
+from .metrics import LatencyHistogram, MetricsConfig, MetricsSnapshot, RunMetrics, percentiles
 from .protocol import (
     AttemptOutcome,
     OutputSink,
@@ -118,9 +115,7 @@ class RunResult:
     ) -> List[float]:
         """Percentiles over *every processed event's* latency — the
         Appendix D.1 metric (requires track_event_latency=True)."""
-        if not self.event_latencies:
-            return [math.nan for _ in qs]
-        return [float(p) for p in np.percentile(self.event_latencies, qs)]
+        return percentiles(self.event_latencies, qs)
 
     def output_values(self) -> List[Any]:
         return [v for v, _, _ in self.outputs]
@@ -129,10 +124,7 @@ class RunResult:
         return [lat for _, _, lat in self.outputs]
 
     def latency_percentiles(self, qs: Sequence[float] = (10, 50, 90)) -> List[float]:
-        lats = self.latencies()
-        if not lats:
-            return [math.nan for _ in qs]
-        return [float(p) for p in np.percentile(lats, qs)]
+        return percentiles(self.latencies(), qs)
 
     @property
     def input_span_ms(self) -> float:

@@ -240,7 +240,7 @@ class FrameAssembler:
 # time.
 #
 # Type checks are exact (``type(v) is int``) so bools, int subclasses,
-# numpy scalars, big ints (> 64 bit) and long strings all take a
+# NumPy scalars, big ints (> 64 bit) and long strings all take a
 # slower path instead of coming back as a different type — and they
 # reach *inside* a tag: ``("k", 1)``, ``("k", True)`` and ``("k", 1.0)``
 # are ``==`` and hash alike but are three routes, so whatever compares

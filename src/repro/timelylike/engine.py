@@ -27,13 +27,11 @@ items)``, ``("broadcast", stage, items)``, ``("output", items)`` or
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..core.errors import RuntimeFault
+from ..runtime.metrics import percentiles
 from ..sim.actors import Actor, ActorSystem
 from ..sim.core import Simulator
 from ..sim.network import NetworkStats, Topology
@@ -180,10 +178,7 @@ class TimelyResult:
         return [lat for _, _, lat in self.outputs]
 
     def latency_percentiles(self, qs: Sequence[float] = (10, 50, 90)) -> List[float]:
-        lats = self.latencies()
-        if not lats:
-            return [math.nan for _ in qs]
-        return [float(p) for p in np.percentile(lats, qs)]
+        return percentiles(self.latencies(), qs)
 
     @property
     def input_span_ms(self) -> float:

@@ -11,6 +11,7 @@ those properties reviewable by ``pytest -q`` instead of by waiting
 for CI to misbehave.
 """
 
+import ast
 import glob
 import os
 import re
@@ -212,6 +213,42 @@ class TestServiceSmokeLane:
         for variant in ("--nodes 2", "--crash"):
             assert any(f"examples/service_mode.py {variant}" in r for r in runs), variant
         assert any("pytest" in r and "tests/test_serve.py" in r for r in runs)
+
+
+class TestBareInstallLane:
+    """The package installs and runs with no extras: numpy and networkx
+    are test oracles in the dev extra, not runtime dependencies."""
+
+    def test_lane_installs_with_no_extras_into_a_fresh_venv(self, jobs):
+        assert "bare-install" in jobs, "bare-install lane missing"
+        job = jobs["bare-install"]
+        assert job["timeout-minutes"] <= 15
+        assert "schedule" in job.get("if", "")
+        text = " ".join(steps_text(job).split())
+        assert "-m venv" in text
+        assert re.search(r"-m pip install \.(\s|$)", text)
+        assert "[dev]" not in text and "pip install -e" not in text
+
+    def test_lane_runs_the_three_checks_outside_the_checkout(self, jobs):
+        steps = [s for s in jobs["bare-install"]["steps"] if "bare/bin/python" in str(s.get("run"))]
+        checks = {
+            "import check": "import sys, repro, repro.serve, repro.chaos, repro.bench;",
+            "chaos smoke": "-m repro.chaos --smoke --cases 8",
+            "quickstart": "examples/quickstart.py",
+        }
+        for what, needle in checks.items():
+            (step,) = [s for s in steps if needle in " ".join(str(s["run"]).split())]
+            assert step.get("working-directory") == "${{ runner.temp }}", what
+        (imports,) = [s["run"] for s in steps if "set(sys.modules)" in str(s["run"])]
+        assert "'numpy'" in imports and "'networkx'" in imports
+        (quickstart,) = [s["run"] for s in steps if "quickstart.py" in str(s["run"])]
+        assert 'grep -q "outputs match sequential spec: True"' in quickstart
+
+    def test_the_package_declares_no_runtime_dependency(self):
+        with open(os.path.join(ROOT, "pyproject.toml")) as f:
+            text = f.read()
+        (deps,) = re.findall(r"^dependencies = (\[.*?\])$", text, re.M | re.S)
+        assert ast.literal_eval(deps) == []  # a TOML array of strings
 
 
 class TestOneBenchmarkGate:

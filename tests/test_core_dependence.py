@@ -1,6 +1,5 @@
 """Unit tests for repro.core.dependence (dependence relations)."""
 
-import networkx as nx
 import pytest
 
 from repro.core import DependenceError, DependenceRelation, ImplTag, pred_of
@@ -69,31 +68,31 @@ class TestImplTagLifting:
         assert dep.itag_depends(ImplTag("a", 0), ImplTag("b", 99))
         assert not dep.itag_depends(ImplTag("a", 0), ImplTag("c", 0))
 
-    def test_itag_graph_same_tag_different_streams(self):
+    def test_itag_components_same_tag_different_streams(self):
         # Self-dependent tags connect their own streams; independent
         # tags do not.
         dep = DependenceRelation(UNI, {"c": ["c"]})
         itags = [ImplTag("c", 0), ImplTag("c", 1), ImplTag("a", 0), ImplTag("a", 1)]
-        g = dep.itag_graph(itags)
-        assert g.has_edge(ImplTag("c", 0), ImplTag("c", 1))
-        assert not g.has_edge(ImplTag("a", 0), ImplTag("a", 1))
+        comps = dep.itag_components(itags)
+        assert {ImplTag("c", 0), ImplTag("c", 1)} in comps
+        assert {ImplTag("a", 0)} in comps and {ImplTag("a", 1)} in comps
 
 
-class TestGraphExport:
-    def test_graph_structure(self):
+class TestComponents:
+    def test_component_structure(self):
         dep = DependenceRelation(UNI, {"a": ["b"]})
-        g = dep.graph()
-        assert set(g.nodes) == set(UNI)
-        assert g.has_edge("a", "b")
-        assert not g.has_edge("a", "c")
+        comps = dep.itag_components([ImplTag(t, 0) for t in UNI])
+        # Every tag lands in exactly one component; a-b is an edge and
+        # c depends on neither.
+        assert sorted(it.tag for comp in comps for it in comp) == UNI
+        assert comps == [{ImplTag("a", 0), ImplTag("b", 0)}, {ImplTag("c", 0)}]
 
-    def test_keycounter_graph_components_by_key(self):
+    def test_keycounter_components_by_key(self):
         prog = kc.make_program(3)
-        g = prog.depends.graph()
-        # Remove self-loops for component analysis.
-        g.remove_edges_from(nx.selfloop_edges(g))
-        comps = list(nx.connected_components(g))
+        comps = prog.depends.itag_components([ImplTag(t, 0) for t in prog.tags])
         assert len(comps) == 3  # one component per key
+        for comp in comps:
+            assert len({it.tag[1] for it in comp}) == 1  # tags are (kind, key)
 
     def test_keycounter_increments_independent(self):
         prog = kc.make_program(2)

@@ -11,12 +11,18 @@ attempt joins every child before it returns; no thread waits on them.
 * no ``multiprocessing`` queue, event or shared value is built, and the
   coordinator starts no thread of its own;
 * back-to-back runs leave no child unreaped, and a recovering run
-  returns with every attempt's reaped.
+  returns with every attempt's reaped;
+* a child imports nothing between the fork and its report: a module
+  whose import lock another thread held at the fork would hang it.
 """
 
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from multiprocessing import context as mp_context
@@ -169,3 +175,76 @@ def test_a_recovering_run_returns_with_every_attempt_reaped(monkeypatch):
     unreaped = _children_of_this_process()
     for control in attempts:
         assert not unreaped & set(control.pids)
+
+
+@pytest.mark.parametrize("metrics", [False, True], ids=["plain", "metrics"])
+@pytest.mark.parametrize(
+    "options",
+    [{"transport": t} for t in ("pipe", "queue", "tcp", "shm")] + [{"nodes": 2}],
+    ids=["pipe", "queue", "tcp", "shm", "nodes=2"],
+)
+def test_a_forked_child_imports_nothing(monkeypatch, tmp_path, options, metrics):
+    """Every child writes the modules that entered its ``sys.modules``
+    between its entry and the return after its report; all are empty."""
+    child_main = ControlPlane._child_main
+
+    def recording(self, sock, target, args):
+        before = set(sys.modules)
+        child_main(self, sock, target, args)
+        new = sorted(set(sys.modules) - before)
+        (tmp_path / f"{os.getpid()}.json").write_text(json.dumps(new))
+
+    monkeypatch.setattr(ControlPlane, "_child_main", recording)
+    if metrics:
+        options = dict(options, metrics=True, metrics_port=0 if "nodes" in options else None)
+    prog, plan, streams = _case()
+    run_on_backend("process", prog, plan, streams, options=RunOptions(**options))
+    records = [json.loads(f.read_text()) for f in tmp_path.glob("*.json")]
+    assert len(records) == (2 if "nodes" in options else len(plan.workers()))
+    assert [r for r in records if r] == []
+
+
+def test_a_node_agent_forked_while_a_thread_holds_an_import_lock():
+    """A thread of a fresh interpreter holds ``encodings.idna``'s module
+    lock while a ``nodes=2`` run forks its agents: the agents' first
+    connect must not import that module, or it waits for a lock nobody
+    in the child will release, and the handshake times out after 30 s."""
+    script = textwrap.dedent(
+        """
+        import importlib._bootstrap, sys, threading
+        assert "encodings.idna" not in sys.modules
+        from repro.apps import value_barrier as vb
+        from repro.runtime import RunOptions, local_nodes, run_on_backend
+
+        lock = importlib._bootstrap._get_module_lock("encodings.idna")
+        held, done = threading.Event(), threading.Event()
+
+        def hold():
+            lock.acquire()
+            held.set()
+            done.wait()
+            lock.release()
+
+        threading.Thread(target=hold, daemon=True).start()
+        held.wait()
+        prog = vb.make_program()
+        wl = vb.make_workload(n_value_streams=2, values_per_barrier=30, n_barriers=2)
+        run_on_backend("process", prog, vb.make_plan(prog, wl), vb.make_streams(wl),
+                       options=RunOptions(nodes=local_nodes(2), timeout_s=8))
+        done.set()
+        print("ok")
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "ok"
+    assert time.monotonic() - t0 < 15.0
