@@ -2,19 +2,16 @@
 stopping it.
 
 The value-barrier application starts on a deliberately narrow plan
-(2 leaves).  A queue-depth auto-scaler watches the cluster-wide
-backlog the root observes at every join — leaves piggyback their
-mailbox depth on join responses — and, when it crosses the high
-watermark, quiesces the runtime at the next root join.  The joined
-root state at that instant is a *consistent snapshot* (the same
-fork/join property crash recovery exploits), so the driver forks it
-down a wider plan with the program's own fork primitives and replays
-the input suffix there.  Near the drained tail the low watermark
-scales back in.
+(2 leaves).  A schedule of planned reconfiguration points scales it out
+at the second root join and back in at the fifth barrier.  At each
+point the runtime quiesces at a root join: the joined root state at
+that instant is a *consistent snapshot* (the same fork/join property
+crash recovery exploits), so the driver forks it down the target plan
+with the program's own fork primitives and replays the input suffix
+there.
 
-A second, fully deterministic schedule shows planned reconfiguration
-points (fire at a chosen root join) — the form the seeded chaos suite
-sweeps.  Both runs must be multiset-equal to the sequential
+Planned points are deterministic and seedable — the form the seeded
+chaos suite sweeps.  The run must be multiset-equal to the sequential
 specification: outputs across a migration are exactly-once.
 """
 
@@ -22,30 +19,12 @@ from repro.apps import value_barrier as vb
 from repro.core.semantics import output_multiset
 from repro.plans import plan_width, repartition_plan
 from repro.runtime import (
-    AutoScaler,
     ReconfigPoint,
     ReconfigSchedule,
     RunOptions,
     run_on_backend,
     run_sequential_reference,
 )
-
-
-def describe(tag: str, run, reference) -> bool:
-    rec = run.reconfig
-    print(f"\n[{tag}]")
-    for step in rec.reconfigurations:
-        print(
-            f"  migrated {step.from_leaves} -> {step.to_leaves} leaves "
-            f"({step.reason}) at ts={step.ts:.2f}, "
-            f"queue depth {step.queue_depth}, "
-            f"migration pause {step.pause_s * 1e3:.2f} ms"
-        )
-    widths = " -> ".join(str(p.leaves) for p in rec.phases)
-    print(f"  phases (leaf widths): {widths}")
-    match = output_multiset(run.outputs) == output_multiset(reference)
-    print(f"  outputs match sequential spec: {match}")
-    return match
 
 
 def main() -> None:
@@ -60,29 +39,26 @@ def main() -> None:
     print(f"starting plan ({plan_width(narrow)} leaves):")
     print(narrow.pretty())
 
-    # 1) Load-driven: scale out while the backlog is deep, back in
-    #    near the tail.
-    auto = ReconfigSchedule(
-        autoscaler=AutoScaler(
-            high_watermark=50, low_watermark=5, factor=2, max_reconfigs=3
-        )
+    # Scale out at the second root join, back in at the fifth barrier.
+    schedule = ReconfigSchedule(
+        ReconfigPoint(after_joins=2, to_leaves=6),
+        ReconfigPoint(at_ts=streams[-1].events[4].ts - 0.001, to_leaves=2),
     )
     run = run_on_backend(
-        "threaded", prog, narrow, streams, options=RunOptions(reconfig_schedule=auto)
+        "threaded", prog, narrow, streams, options=RunOptions(reconfig_schedule=schedule)
     )
-    all_ok = describe("auto-scaler (queue-depth watermarks)", run, reference)
-
-    # 2) Planned: narrow at the second barrier, widen back at the
-    #    fourth — deterministic, reproducible, seedable.
-    planned = ReconfigSchedule(
-        ReconfigPoint(after_joins=2, to_leaves=3),
-        ReconfigPoint(at_ts=streams[-1].events[3].ts - 0.001, to_leaves=6),
-    )
-    run2 = run_on_backend(
-        "threaded", prog, narrow, streams, options=RunOptions(reconfig_schedule=planned)
-    )
-    all_ok = describe("planned points (seeded-schedule form)", run2, reference) and all_ok
-    if not all_ok:
+    rec = run.reconfig
+    for step in rec.reconfigurations:
+        print(
+            f"  migrated {step.from_leaves} -> {step.to_leaves} leaves "
+            f"at ts={step.ts:.2f}, "
+            f"migration pause {step.pause_s * 1e3:.2f} ms"
+        )
+    widths = " -> ".join(str(p.leaves) for p in rec.phases)
+    print(f"  phases (leaf widths): {widths}")
+    match = output_multiset(run.outputs) == output_multiset(reference)
+    print(f"  outputs match sequential spec: {match}")
+    if not match:
         raise SystemExit(1)  # checked, not asserted — and honest to $?
 
 

@@ -86,7 +86,7 @@ from .data.adversarial import (
     zipf_streams,
 )
 from .data.generators import uniform_stream
-from .plans.generation import root_and_leaves_plan
+from .plans.generation import SHAPES, root_and_leaves_plan
 from .plans.morph import max_width, plan_width
 from .plans.plan import SyncPlan
 from .runtime import (
@@ -229,7 +229,7 @@ def build_workload(case: ChaosCase):
     n_streams = rng.randint(2, 4)
     events_per_stream = rng.randint(8, 30)
     n_sync = rng.randint(3, 5)
-    shape = rng.choice(("balanced", "chain"))
+    shape = rng.choice(SHAPES)
 
     if case.app in ("value-barrier", "value-barrier-echo"):
         prog = vb.make_program() if case.app == "value-barrier" else make_echo_program()
@@ -438,7 +438,7 @@ def _sessionize_workload(case: ChaosCase, rng: random.Random):
         prog,
         wl,
         n_shards=rng.randint(2, n_keys),
-        shape=rng.choice(("balanced", "chain")),
+        shape=rng.choice(SHAPES),
     )
     streams = sz.make_streams(wl)
     sync_ts = [e.ts for e in wl.flush_stream]
@@ -520,7 +520,7 @@ def build_reconfig_schedule(
     for p in range(n_points):
         widths = [w for w in range(1, ceiling + 1) if w != plan_width(plan)] or [1]
         to_leaves = rng.choice(widths)
-        shape = rng.choice(("balanced", "chain"))
+        shape = rng.choice(SHAPES)
         if rng.random() < 0.5 and len(sync_ts) >= 2:
             lo = sync_ts[0] if p == 0 else sync_ts[len(sync_ts) // 2]
             t = rng.uniform(lo + 0.01, sync_ts[-1])
@@ -581,7 +581,7 @@ def build_service_script(
         point = ReconfigPoint(
             at_ts=rng.choice(roots).ts,
             to_leaves=rng.choice(widths),
-            shape=rng.choice(("balanced", "chain")),
+            shape=rng.choice(SHAPES),
         )
         return ServiceScript(frames, seal_before, None, ReconfigSchedule(point))
     victim = rng.choice(window)
@@ -901,7 +901,9 @@ def run_chaos_suite(
     )
 
 
-def _main(argv: Optional[Sequence[str]] = None) -> int:
+def _parse_args(argv: Optional[Sequence[str]] = None) -> Any:
+    """The CLI's flags as an ``argparse.Namespace``, with ``cases``
+    resolved (default 50, or 12 under ``--smoke``)."""
     import argparse
 
     ap = argparse.ArgumentParser(
@@ -970,14 +972,18 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         "by the nightly CI job",
     )
     args = ap.parse_args(argv)
-    n_cases = args.cases
-    if n_cases is None:
-        n_cases = 12 if args.smoke else 50
+    if args.cases is None:
+        args.cases = 12 if args.smoke else 50
     if args.nodes is not None and args.transport not in (None, "tcp"):
         ap.error("--nodes deploys over TCP; drop --transport or use tcp")
+    return args
+
+
+def _main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parse_args(argv)
     summary = run_chaos_suite(
         seed=args.seed,
-        n_cases=n_cases,
+        n_cases=args.cases,
         backends=tuple(args.backends.split(",")),
         apps=tuple(args.apps.split(",")),
         modes=tuple(args.modes.split(",")),

@@ -4,6 +4,7 @@ optimizer (paper §3.2-§3.3, Appendix B)."""
 
 from .cost import CostEstimate, compare_plans, estimate_cost
 from .generation import (
+    SHAPES,
     assign_hosts_round_robin,
     chain_plan,
     forest_plan,
@@ -16,11 +17,9 @@ from .generation import (
 )
 from .morph import (
     max_width,
-    narrow_plan,
     plan_width,
     repartition_plan,
     synchronizing_itags,
-    widen_plan,
 )
 from .optimizer import StreamInfo, optimize
 from .plan import PlanNode, SyncPlan
@@ -36,6 +35,7 @@ from .validity import (
 __all__ = [
     "CostEstimate",
     "PlanNode",
+    "SHAPES",
     "StreamInfo",
     "SyncPlan",
     "ValidityViolation",
@@ -49,7 +49,6 @@ __all__ = [
     "is_p_valid",
     "map_hosts",
     "max_width",
-    "narrow_plan",
     "optimize",
     "plan_width",
     "random_valid_plan",
@@ -61,5 +60,4 @@ __all__ = [
     "sharded_groups",
     "synchronizing_itags",
     "validity_violations",
-    "widen_plan",
 ]

@@ -32,6 +32,11 @@ from .plan import PlanNode, SyncPlan
 
 ItagGroup = FrozenSet[ImplTag]
 
+#: The layouts of the leaves under a root that :func:`root_and_leaves_plan`
+#: (and every builder and morph on top of it) can build: a balanced
+#: binary tree, or a left-deep chain.
+SHAPES = ("balanced", "chain")
+
 
 class _Ids:
     """Sequential worker-id allocator (w1, w2, ... as in Figure 3)."""
@@ -116,12 +121,9 @@ def root_and_leaves_plan(
     if len(leaves) == 1:
         merged = frozenset(root_itags) | leaves[0].itags
         return SyncPlan(PlanNode(root_id, st, merged))
-    if shape == "balanced":
-        subtree = _balanced(leaves, ids, st)
-    elif shape == "chain":
-        subtree = _chain(leaves, ids, st)
-    else:
+    if shape not in SHAPES:
         raise PlanError(f"unknown shape {shape!r}")
+    subtree = (_balanced if shape == "balanced" else _chain)(leaves, ids, st)
     # The subtree combiner returns a single node; attach the root tags
     # at the top.  If the combined subtree root is itself an internal
     # node with no itags, reuse it as the root to avoid a useless level.

@@ -5,17 +5,13 @@ A reconfiguration migrates the root's joined state — a consistent
 snapshot — into a *different* P-valid plan over the **same** streams.
 That constrains the target plan to cover exactly the same
 implementation tags (the input does not change, only how it is
-partitioned across workers), which is what these builders guarantee by
-construction:
-
-* :func:`repartition_plan` — the canonical elastic shape: every
-  globally-synchronizing itag (one whose tag depends on the whole tag
-  universe) stays at the root, and the remaining itags are regrouped
-  into ``n_leaves`` leaves along the connected components of the itag
-  dependence graph (tags that depend on each other can never be split
-  across unrelated workers — V2);
-* :func:`widen_plan` / :func:`narrow_plan` — scale the current leaf
-  width by a factor, clamped to ``[1, max_width]``.
+partitioned across workers), which :func:`repartition_plan` guarantees
+by construction.  It builds the canonical elastic shape: every
+globally-synchronizing itag (one whose tag depends on the whole tag
+universe) stays at the root, and the remaining itags are regrouped
+into ``n_leaves`` leaves along the connected components of the itag
+dependence graph (tags that depend on each other can never be split
+across unrelated workers — V2).
 
 ``max_width`` — the number of dependence components below the root —
 is the ceiling on useful parallelism for a program: beyond it there is
@@ -121,33 +117,3 @@ def repartition_plan(
         program, root_itags, buckets, state_type=state_type, shape=shape
     )
 
-
-def widen_plan(
-    program: DGSProgram,
-    plan: SyncPlan,
-    *,
-    factor: int = 2,
-    shape: str = "balanced",
-) -> SyncPlan:
-    """Scale out: multiply the leaf width by ``factor`` (clamped to the
-    program's maximum useful width)."""
-    if factor < 1:
-        raise PlanError("widen factor must be >= 1")
-    return repartition_plan(
-        program, plan, plan_width(plan) * factor, shape=shape
-    )
-
-
-def narrow_plan(
-    program: DGSProgram,
-    plan: SyncPlan,
-    *,
-    factor: int = 2,
-    shape: str = "balanced",
-) -> SyncPlan:
-    """Scale in: divide the leaf width by ``factor`` (floored at 1)."""
-    if factor < 1:
-        raise PlanError("narrow factor must be >= 1")
-    return repartition_plan(
-        program, plan, max(1, plan_width(plan) // factor), shape=shape
-    )

@@ -62,7 +62,6 @@ from .quiesce import QuiesceRecord, QuiesceSignal, RootReconfigView
 from .recovery import RecoveryStep, ReplayLog, assert_recovery_sound
 from .reconfigure import (
     AttemptPerSeal,
-    AutoScaler,
     PhaseRecord,
     ReconfigPoint,
     ReconfigSchedule,
@@ -424,7 +423,6 @@ __all__ = [
     "BACKENDS",
     "AttemptOutcome",
     "AttemptPerSeal",
-    "AutoScaler",
     "BackendRun",
     "Buffered",
     "ByTimestampInterval",

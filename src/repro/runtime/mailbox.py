@@ -102,9 +102,10 @@ class Mailbox:
         self._timers: Dict[ImplTag, OrderKey] = {t: NEG_INF_KEY for t in self.itags}
         #: The run cursor: events of each tag's front run already released.
         self._cursor: Dict[ImplTag, int] = {t: 0 for t in self.itags}
-        #: Incrementally-maintained total of all buffered events, so the
-        #: backlog queries on the join path (every JoinResponse reports
-        #: queue depth) stay O(1) instead of O(tags).
+        #: Incrementally-maintained total of all buffered events.
+        #: ``buffered_count()`` returns it for ``WorkerCore.unprocessed()``,
+        #: which the substrates ask at the end of an attempt (each
+        #: worker's leftover count) and on a stall or a timeout.
         self._total_buffered = 0
         # For each tag, the known tags it depends on (excluding itself:
         # same-tag ordering is the buffer's FIFO), and the reverse: the

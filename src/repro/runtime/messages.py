@@ -29,7 +29,9 @@ tuples, columns and application states), so they can cross OS-process
 boundaries.  :mod:`repro.runtime.wire` encodes them for every
 channel in one frame format: events, self-keyed heartbeats and join
 requests pack as structs, everything else as a pickled compact tuple.
-Join and fork messages carry only what their receiver reads.
+Join and fork messages carry only what their receiver reads: a join
+response is its request id, its side and the state, and no load
+signal rides on it.
 """
 
 from __future__ import annotations
@@ -195,19 +197,11 @@ class JoinRequest:
 
 @dataclass(frozen=True)
 class JoinResponse:
-    """A child's state traveling up.
-
-    ``backlog`` piggybacks the subtree's queue depth — the number of
-    buffered/pending mailbox items below (and at) the answering worker
-    at the instant it surrendered its state.  Summed up the tree, the
-    root observes the cluster-wide queue depth at every join, which is
-    the load signal the elastic auto-scaler thresholds on
-    (:mod:`repro.runtime.reconfigure`)."""
+    """A child's state traveling up."""
 
     req_id: Tuple[str, int]
     side: str
     state: Any
-    backlog: int = 0
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ endpoint also has its workers send snapshots up their control channel
 (:mod:`repro.runtime.process`).  Protocol messages never
 carry metrics, and a disabled plane costs a single ``is None`` check.
 
+The backlog signal is ``max_backlog``: each worker's high-water of
+released-but-undispatched items, noted once per drain.  It is a
+report; nothing in the runtime acts on it (plans change only at
+planned points, :mod:`repro.runtime.reconfigure`).
+
 Latency units are **seconds** throughout.  End-to-end latency is
 ``wall_now - (epoch + ts_ms / 1000)``: timestamps double as arrival
 offsets (milliseconds), and the substrate stamps ``epoch`` (wall-clock
@@ -252,7 +257,6 @@ class WorkerMetrics:
         "messages_sent",
         "frames_received",
         "max_backlog",
-        "backlog_window",
         "join_rtt",
         "event_latency",
     )
@@ -267,7 +271,6 @@ class WorkerMetrics:
         self.messages_sent = 0
         self.frames_received = 0
         self.max_backlog = 0
-        self.backlog_window = 0
         self.join_rtt = LatencyHistogram(self.config.latency_buckets)
         self.event_latency = LatencyHistogram(self.config.latency_buckets)
 
@@ -275,17 +278,6 @@ class WorkerMetrics:
     def note_backlog(self, depth: int) -> None:
         if depth > self.max_backlog:
             self.max_backlog = depth
-        if depth > self.backlog_window:
-            self.backlog_window = depth
-
-    def take_backlog_window(self) -> int:
-        """High-water backlog since the last call, then reset — the
-        windowed load signal the root feeds the auto-scaler (a spike
-        between two joins is visible even if the queue drained by the
-        instant of the join itself)."""
-        hw = self.backlog_window
-        self.backlog_window = 0
-        return hw
 
     def observe_event_latency(self, now_wall: float, ts_ms: float) -> None:
         epoch = self.config.epoch

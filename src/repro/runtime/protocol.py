@@ -483,9 +483,7 @@ class WorkerCore:
         if self.is_leaf:
             if not self.has_state:
                 raise self._violation("double absorb", req)
-            self.post(
-                req.reply_to, JoinResponse(req.req_id, req.side, self.state, self.unprocessed())
-            )
+            self.post(req.reply_to, JoinResponse(req.req_id, req.side, self.state))
             self.state = None
             self.has_state = False
             self.blocked = True
@@ -510,16 +508,14 @@ class WorkerCore:
         if self._current is None or self._current[0] != msg.req_id:
             raise self._violation("unexpected join response", msg)
         req_id, ctx, states = self._current
-        states[msg.side] = msg
+        states[msg.side] = msg.state
         if len(states) < 2:
             return
-        joined = self.join_fn(states["left"].state, states["right"].state)
-        subtree_backlog = states["left"].backlog + states["right"].backlog
+        joined = self.join_fn(states["left"], states["right"])
         self.sink.count_join()
         self._current = None
-        m = self.metrics
-        if m is not None:
-            m.join_rtt.observe(_perf() - self._join_t0)
+        if self.metrics is not None:
+            self.metrics.join_rtt.observe(_perf() - self._join_t0)
         if ctx[0] == "event":
             event: Event = ctx[1]
             joined = self._apply(joined, event)
@@ -536,30 +532,15 @@ class WorkerCore:
                 )
             if self.parent_id is None and self.reconfig is not None:
                 # Elastic reconfiguration hook: the joined state is a
-                # consistent snapshot, and the summed backlogs are the
-                # cluster-wide queue depth at this instant.  When the
-                # metrics plane is on, also hand over its backlog
-                # high-water since the last join — the AutoScaler's
-                # watermarks read the windowed peak, not just the
-                # instant the join happened to sample.  May raise
-                # QuiesceSignal (the substrate stops the attempt and
-                # the driver migrates; the fork below never happens).
-                self.reconfig.maybe_quiesce(
-                    event,
-                    subtree_backlog + self.unprocessed(),
-                    joined,
-                    backlog_hw=m.take_backlog_window() if m is not None else 0,
-                )
+                # consistent snapshot.  May raise QuiesceSignal (the
+                # substrate stops the attempt and the driver migrates;
+                # the fork below never happens).
+                self.reconfig.maybe_quiesce(event, joined)
             self._fork_down(req_id, joined)
             self.blocked = False
         else:
             req: JoinRequest = ctx[1]
-            self.post(
-                req.reply_to,
-                JoinResponse(
-                    req.req_id, req.side, joined, subtree_backlog + self.unprocessed()
-                ),
-            )
+            self.post(req.reply_to, JoinResponse(req.req_id, req.side, joined))
             self._absorb_restore = req_id
             self._flush_due = True
 

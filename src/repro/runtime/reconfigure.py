@@ -23,11 +23,8 @@ A :class:`ReconfigSchedule` mirrors :class:`~repro.runtime.faults
 .FaultPlan`: a seeded, declarative list of :class:`ReconfigPoint`\\ s
 (trigger + target shape), honored identically by the sim, threaded,
 and process substrates because the quiesce trigger lives inside the
-worker state machines (:mod:`repro.runtime.quiesce`).  Optionally an
-:class:`AutoScaler` adds load-driven elasticity: leaves piggyback
-their queue depth on join responses, and the root quiesces when the
-cluster-wide backlog crosses a watermark; the policy then widens or
-narrows the plan by its scaling factor.
+worker state machines (:mod:`repro.runtime.quiesce`).  Planned points
+are the one re-planning path: nothing re-plans on load.
 
 Reconfiguration composes with fault injection: a crash during a
 reconfigured execution recovers *into the current plan shape* — the
@@ -47,24 +44,18 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from ..core.program import DGSProgram
-from ..plans.morph import max_width, plan_width, repartition_plan
+from ..plans.generation import SHAPES
+from ..plans.morph import plan_width, repartition_plan
 from ..plans.plan import SyncPlan
 from ..plans.validity import assert_reconfig_compatible
 from .checkpoint import Checkpoint
 from .faults import CrashRecord, FaultPlan
 from .protocol import INIT_STATE, AttemptOutcome, RunStatsMixin
-from .quiesce import (
-    PointTrigger,
-    QuiesceRecord,
-    RootReconfigView,
-    SCALE_IN,
-    SCALE_OUT,
-    WatermarkTrigger,
-)
+from .quiesce import PointTrigger, QuiesceRecord, RootReconfigView
 from .recovery import (
     RecoveryStep,
     ReplayLog,
@@ -88,6 +79,9 @@ class ReconfigPoint:
     explicit target plan, checked for compatibility at migration
     time).
 
+    ``shape`` (one of :data:`~repro.plans.generation.SHAPES`) lays
+    out a ``to_leaves`` target; an explicit ``to_plan`` has its own.
+
     Note a plan narrowed to ``to_leaves=1`` is a single worker with no
     root joins — it cannot quiesce again, so later points are inert.
     """
@@ -105,158 +99,70 @@ class ReconfigPoint:
             )
         if self.at_ts is not None and math.isnan(self.at_ts):
             raise ValueError("at_ts must not be NaN")
-        if self.after_joins is not None and self.after_joins < 1:
-            raise ValueError("after_joins must be >= 1")
         if (self.to_leaves is None) == (self.to_plan is None):
             raise ValueError(
                 "ReconfigPoint needs exactly one of to_leaves= / to_plan="
             )
-        if self.to_leaves is not None and self.to_leaves < 1:
-            raise ValueError("to_leaves must be >= 1")
-
-
-@dataclass(frozen=True)
-class AutoScaler:
-    """Queue-depth-threshold elasticity policy.
-
-    At every root join the root observes the cluster-wide queue depth
-    (summed leaf backlogs piggybacked on join responses, see
-    :mod:`repro.runtime.quiesce`).  Depth ``>= high_watermark`` scales
-    *out* (leaf width × ``factor``); depth ``<= low_watermark`` scales
-    *in* (width ÷ ``factor``).  Width is clamped to ``[min_leaves,
-    min(max_leaves, program's max useful width)]`` — a decision that
-    would not change the width is suppressed (no quiesce, no pause).
-
-    ``cooldown_joins`` root joins must complete after each migration
-    before the next decision, and at most ``max_reconfigs`` scaling
-    steps fire per execution (both keep a bursty workload from
-    thrashing the cluster through plan churn)."""
-
-    high_watermark: Optional[int] = None
-    low_watermark: Optional[int] = None
-    factor: int = 2
-    min_leaves: int = 1
-    max_leaves: Optional[int] = None
-    cooldown_joins: int = 1
-    max_reconfigs: int = 4
-    shape: str = "balanced"
-
-    def __post_init__(self) -> None:
-        if self.high_watermark is None and self.low_watermark is None:
-            raise ValueError("AutoScaler needs high_watermark= or low_watermark=")
-        if self.factor < 2:
-            raise ValueError("factor must be >= 2")
-        if self.min_leaves < 1:
-            raise ValueError("min_leaves must be >= 1")
-        if self.max_leaves is not None and self.max_leaves < self.min_leaves:
-            raise ValueError("max_leaves must be None or >= min_leaves")
-        if self.max_reconfigs < 1:
-            raise ValueError("max_reconfigs must be >= 1")
-
-    def target_width(self, reason: str, current: int, ceiling: int) -> int:
-        hi = min(self.max_leaves, ceiling) if self.max_leaves is not None else ceiling
-        hi = max(hi, self.min_leaves)
-        if reason == SCALE_OUT:
-            return min(current * self.factor, hi)
-        if reason == SCALE_IN:
-            return max(current // self.factor, self.min_leaves)
-        raise ValueError(f"unknown scaling reason {reason!r}")
+        for name in ("after_joins", "to_leaves"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.shape not in SHAPES:
+            raise ValueError(f"shape must be one of {SHAPES}, not {self.shape!r}")
+        if self.to_plan is not None and self.shape != "balanced":
+            raise ValueError("shape= lays out a to_leaves= target; to_plan= has its own")
 
 
 class ReconfigSchedule:
-    """A schedule of planned reconfiguration points, optionally plus an
-    auto-scaler — the elastic analogue of a
-    :class:`~repro.runtime.faults.FaultPlan`.
+    """A schedule of planned reconfiguration points — the elastic
+    analogue of a :class:`~repro.runtime.faults.FaultPlan`.
 
     Pure declarative data: which points have fired (each fires exactly
-    once per execution; the auto-scaler up to its ``max_reconfigs``)
-    is tracked by the driver, so one schedule can be reused across
-    runs and backends."""
+    once per execution) is tracked by the driver, so one schedule can
+    be reused across runs and backends."""
 
-    def __init__(
-        self, *points: ReconfigPoint, autoscaler: Optional[AutoScaler] = None
-    ) -> None:
+    def __init__(self, *points: ReconfigPoint) -> None:
         self.points: Tuple[ReconfigPoint, ...] = tuple(points)
-        self.autoscaler = autoscaler
-        if not self.points and autoscaler is None:
-            raise ValueError(
-                "ReconfigSchedule needs at least one ReconfigPoint or an autoscaler="
-            )
+        if not self.points:
+            raise ValueError("ReconfigSchedule needs at least one ReconfigPoint")
 
     def root_view(
-        self,
-        worker: str,
-        *,
-        width: int = 0,
-        ceiling: int = 0,
-        fired: frozenset = frozenset(),
-        autoscale_spent: int = 0,
+        self, worker: str, fired: Collection[int] = ()
     ) -> Optional[RootReconfigView]:
         """A fresh per-attempt view for the current plan's root: the
-        planned triggers not in ``fired`` plus the watermarks while the
-        auto-scaler has budget left after ``autoscale_spent`` firings.
-        A watermark whose decision could not move the current ``width``
-        in its own direction (already at the ``ceiling``/floor, or a
-        clamp inversion) is disarmed, so the run never pauses for a
-        no-op or wrong-way migration.  None once everything is spent
-        (the final attempt then runs with no quiesce hook at all)."""
+        planned triggers not in ``fired``.  None once every point has
+        fired (the final attempt then runs with no quiesce hook at
+        all)."""
         triggers = [
             PointTrigger(i, p.at_ts, p.after_joins)
             for i, p in enumerate(self.points)
             if i not in fired
         ]
-        watermarks = None
-        auto = self.autoscaler
-        if auto is not None and autoscale_spent < auto.max_reconfigs:
-            high = auto.high_watermark
-            low = auto.low_watermark
-            if width:
-                # Disarm any decision that would not move the width in
-                # its own direction — including clamp inversions (e.g.
-                # already above max_leaves: "scale out" must not fire a
-                # migration that *shrinks* the plan).
-                if high is not None and auto.target_width(SCALE_OUT, width, ceiling) <= width:
-                    high = None
-                if low is not None and auto.target_width(SCALE_IN, width, ceiling) >= width:
-                    low = None
-            if high is not None or low is not None:
-                watermarks = WatermarkTrigger(high, low, auto.cooldown_joins)
-        if not triggers and watermarks is None:
-            return None
-        return RootReconfigView(worker, triggers, watermarks)
+        return RootReconfigView(worker, triggers) if triggers else None
 
     def target_plan(
         self, record: QuiesceRecord, current: SyncPlan, program: DGSProgram
     ) -> SyncPlan:
         """The plan to migrate into for a quiesce that just fired."""
-        if record.point_index >= 0:
-            point = self.points[record.point_index]
-            if point.to_plan is not None:
-                return point.to_plan
-            return repartition_plan(
-                program,
-                current,
-                point.to_leaves,
-                shape=point.shape,
-                # Preserve a custom root state type across the
-                # migration (R2: the snapshot is a value of it).
-                state_type=current.root.state_type,
-            )
-        assert self.autoscaler is not None
-        width = self.autoscaler.target_width(
-            record.reason, plan_width(current), max_width(program, current)
-        )
+        point = self.points[record.point_index]
+        if point.to_plan is not None:
+            return point.to_plan
         return repartition_plan(
             program,
             current,
-            width,
-            shape=self.autoscaler.shape,
+            point.to_leaves,
+            shape=point.shape,
+            # Preserve a custom root state type across the migration
+            # (R2: the snapshot is a value of it).
             state_type=current.root.state_type,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        auto = f", autoscaler={self.autoscaler!r}" if self.autoscaler else ""
-        return f"ReconfigSchedule({len(self.points)} points{auto})"
+        return f"ReconfigSchedule({len(self.points)} points)"
 
 
 @dataclass(frozen=True)
@@ -264,12 +170,10 @@ class ReconfigStep:
     """One completed migration between plans."""
 
     attempt: int
-    reason: str
     key: tuple
     ts: float
     from_leaves: int
     to_leaves: int
-    queue_depth: int
     #: Driver-side migration pause: suffix computation + target-plan
     #: construction + compatibility checks.  Worker restart and suffix
     #: replay are part of the next attempt's wall time — see
@@ -288,9 +192,8 @@ class PhaseRecord:
     events_processed: int
     joins: int
     wall_s: float
-    #: The phase's RunMetrics when the metrics plane was on — the
-    #: per-shape load/latency signal metrics-driven scaling reads
-    #: (each phase has its own latency epoch); None otherwise.
+    #: The phase's RunMetrics when the metrics plane was on (each
+    #: phase has its own latency epoch); None otherwise.
     metrics: Any = None
 
     @property
@@ -388,8 +291,8 @@ class RestartDriver:
     migration boundary; None before the first one), the ``pending``
     input suffix above it (a :class:`ReplayLog`), the attempt a clean
     step left open, and the schedule's firing bookkeeping (each planned
-    point fires once, the auto-scaler up to its budget; crash faults are
-    marked fired on the fault plan itself).
+    point fires once; crash faults are marked fired on the fault plan
+    itself).
 
     Attempts come from ``open_attempt(plan, *, initial_state,
     reconfig_view)`` and take three calls: ``post(log)`` hands one
@@ -429,7 +332,6 @@ class RestartDriver:
         # Firing bookkeeping is driver-local so the schedule itself
         # stays reusable pure data (one schedule, many runs/backends).
         self._fired: set = set()
-        self._autoscale_spent = 0
         self._assert_sound(plan)
 
     def _assert_sound(self, plan: SyncPlan) -> None:
@@ -449,15 +351,13 @@ class RestartDriver:
 
     def _attempt_budget(self) -> int:
         # Every unfired crash fault and planned point fires at most
-        # once and the auto-scaler is budgeted, so attempts per step
-        # are bounded by construction; the cap is a backstop.
+        # once, so attempts per step are bounded by construction; the
+        # cap is a backstop.
         budget = 2
         if self.fault_plan is not None:
             budget += len(set(self.fault_plan.crash_indices()) - self.fault_plan.fired)
         if self.schedule is not None:
             budget += len(self.schedule.points) - len(self._fired)
-            if self.schedule.autoscaler is not None:
-                budget += self.schedule.autoscaler.max_reconfigs - self._autoscale_spent
         return budget
 
     def _root_view(self) -> Optional[RootReconfigView]:
@@ -465,13 +365,7 @@ class RestartDriver:
         not fired yet."""
         if self.schedule is None:
             return None
-        return self.schedule.root_view(
-            self.plan.root.id,
-            width=plan_width(self.plan),
-            ceiling=max_width(self.program, self.plan),
-            fired=self._fired,
-            autoscale_spent=self._autoscale_spent,
-        )
+        return self.schedule.root_view(self.plan.root.id, self._fired)
 
     def _advance(self, out: AttemptOutcome, ckpt: Checkpoint, commit: CommitFn) -> None:
         """Make ``ckpt`` the restore point: keep the input suffix above
@@ -513,8 +407,8 @@ class RestartDriver:
                 if run.attempts == budget:
                     raise RuntimeFault(
                         f"execution did not converge after {run.attempts} attempts "
-                        "(each crash fault and planned point fires once and the "
-                        "auto-scaler is budgeted, so this indicates a driver bug)"
+                        "(each crash fault and planned point fires once, so this "
+                        "indicates a driver bug)"
                     )
                 attempt = self._open_attempt(
                     self.plan,
@@ -568,14 +462,11 @@ class RestartDriver:
             if out.quiesce is not None:
                 q = out.quiesce
                 t0 = time.perf_counter()
-                if q.point_index < 0:
-                    self._autoscale_spent += 1
-                elif q.point_index in self._fired:
+                if q.point_index in self._fired:
                     raise RuntimeFault(
                         f"reconfiguration point #{q.point_index} fired twice"
                     )
-                else:
-                    self._fired.add(q.point_index)
+                self._fired.add(q.point_index)
                 new_plan = self.schedule.target_plan(q, self.plan, self.program)
                 assert_reconfig_compatible(self.plan, new_plan, self.program)
                 self._assert_sound(new_plan)
@@ -587,12 +478,10 @@ class RestartDriver:
                 run.reconfigurations.append(
                     ReconfigStep(
                         attempt=run.attempts,
-                        reason=q.reason,
                         key=q.key,
                         ts=q.ts,
                         from_leaves=plan_width(self.plan),
                         to_leaves=plan_width(new_plan),
-                        queue_depth=q.queue_depth,
                         pause_s=time.perf_counter() - t0,
                     )
                 )

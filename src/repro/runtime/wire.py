@@ -85,7 +85,7 @@ def _encode_msg(msg: Any) -> WireMsg:
             msg.side,
         )
     if isinstance(msg, JoinResponse):
-        return (_JOIN_RESP, msg.req_id, msg.side, msg.state, msg.backlog)
+        return (_JOIN_RESP, msg.req_id, msg.side, msg.state)
     if isinstance(msg, ForkStateMsg):
         return (_FORK, msg.req_id, msg.state)
     raise RuntimeFault(f"cannot wire-encode {msg!r}")
@@ -103,7 +103,7 @@ def _decode_msg(wire: WireMsg) -> Any:
             tuple(wire[1]), ImplTag(wire[2], wire[3]), tuple(wire[4]), wire[5], wire[6]
         )
     if code == _JOIN_RESP:
-        return JoinResponse(tuple(wire[1]), wire[2], wire[3], wire[4])
+        return JoinResponse(tuple(wire[1]), wire[2], wire[3])
     if code == _FORK:
         return ForkStateMsg(tuple(wire[1]), wire[2])
     if code == _EVT_RUN:

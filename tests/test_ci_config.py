@@ -15,6 +15,7 @@ import ast
 import glob
 import os
 import re
+import shlex
 
 import pytest
 
@@ -146,6 +147,58 @@ class TestSimChaosSlice:
         text = " ".join(steps_text(jobs["tests"]).split())
         slice_ = self.SLICE.replace("--backends sim", "--backends process")
         assert f"python -m repro.chaos {slice_} --metrics-out chaos-metrics/process" in text
+
+
+def chaos_argvs(jobs):
+    """(job, step name, argv) of every ``repro.chaos`` command a step
+    runs: the words after ``-m repro.chaos`` up to the end of the
+    command."""
+    found = []
+    for name, job in jobs.items():
+        for step in job.get("steps", ()):
+            words = shlex.split(str(step.get("run", "")))
+            for i in range(len(words) - 1):
+                if words[i : i + 2] == ["-m", "repro.chaos"]:
+                    argv = []
+                    for word in words[i + 2 :]:
+                        if word in ("&&", "||", ";", "|"):
+                            break
+                        argv.append(word)
+                    found.append((name, step.get("name", ""), argv))
+    return found
+
+
+class TestChaosSlicesReachTheirModes:
+    def test_every_chaos_step_generates_every_mode_and_workload_it_names(self, jobs):
+        """``generate_cases`` moves to the next mode only every
+        apps × backends cases, and to the next workload every
+        apps × backends × modes cases: a step with too few ``--cases``
+        silently runs a prefix of what it names."""
+        from repro.chaos import _parse_args, generate_cases
+
+        steps = chaos_argvs(jobs)
+        assert len(steps) >= 10, steps
+        missing = []
+        for job, name, argv in steps:
+            args = _parse_args(argv)
+            modes = tuple(args.modes.split(","))
+            workloads = tuple(args.workloads.split(","))
+            cases = generate_cases(
+                seed=args.seed,
+                n_cases=args.cases,
+                backends=tuple(args.backends.split(",")),
+                apps=tuple(args.apps.split(",")),
+                modes=modes,
+                workloads=workloads,
+            )
+            for flag, wanted, got in (
+                ("--modes", modes, {c.mode for c in cases}),
+                ("--workloads", workloads, {c.workload for c in cases}),
+            ):
+                absent = [v for v in wanted if v not in got]
+                if absent:
+                    missing.append(f"{job} / {name}: {flag} {absent} never generated")
+        assert missing == []
 
 
 class TestNightlyMailboxOracle:

@@ -11,9 +11,8 @@ there: every substrate's execution attempt reports its own RunMetrics
 Also here: the cross-attempt merge primitives
 (`MetricsSnapshot.add`, `RunMetrics.accumulate`,
 `merge_attempt_metrics`), the overflow-aware percentile (+inf, never a
-silent clamp), the attempt-labelled exporter, the AutoScaler's
-metrics-plane backlog bridge, and the open-loop pacing anchor
-regression (offset timestamps must not stall the producer).
+silent clamp), the attempt-labelled exporter, and the open-loop pacing
+anchor regression (offset timestamps must not stall the producer).
 """
 
 import dataclasses
@@ -46,7 +45,6 @@ from repro.runtime import (
     run_sequential_reference,
 )
 from repro.runtime.metrics import merge_attempt_metrics
-from repro.runtime.quiesce import SCALE_IN, SCALE_OUT, WatermarkTrigger
 
 
 def _fault_options(plan, streams, **kw):
@@ -312,26 +310,6 @@ class TestExporterAttemptLabels:
         exp.update(MetricsSnapshot(worker="w1", events_processed=3))
         assert 'repro_worker_events_processed{worker="w1"} 3.0' in exp.render()
         assert "attempt=" not in exp.render()
-
-
-class TestAutoScalerBacklogBridge:
-    def test_windowed_high_water_triggers_scale_out(self):
-        """A burst that drained before the join still counts as load:
-        the metrics-plane high-water crosses the watermark even when
-        the instantaneous depth at the join is zero."""
-        t = WatermarkTrigger(high_watermark=10)
-        assert t.reason_for(0, joins_seen=1) is None  # bare scalar: calm
-        assert t.reason_for(0, joins_seen=1, backlog_hw=50) == SCALE_OUT
-
-    def test_scale_in_needs_both_signals_low(self):
-        t = WatermarkTrigger(high_watermark=100, low_watermark=2)
-        assert t.reason_for(0, joins_seen=1) == SCALE_IN
-        # A recent burst vetoes shedding width the run is about to need.
-        assert t.reason_for(0, joins_seen=1, backlog_hw=30) is None
-
-    def test_cooldown_still_applies(self):
-        t = WatermarkTrigger(high_watermark=1, cooldown_joins=3)
-        assert t.reason_for(99, joins_seen=2, backlog_hw=99) is None
 
 
 class TestOpenLoopPacingAnchor:

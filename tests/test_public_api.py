@@ -3,9 +3,11 @@ in them must resolve.  Surfaces that shrank on purpose are pinned
 whole, so a retired name cannot come back unnoticed: the measurement
 package (its backend/transport comparison functions went with the
 micros that were their only callers), the recovery module (its
-commit cut is :meth:`ReplayLog.drop_through`) and the option classes
+commit cut is :meth:`ReplayLog.drop_through`), the option classes
 (a field only tests set went with the code behind it; a new one edits
-the pin and the class docstring)."""
+the pin and the class docstring), and the re-planning records (plans
+change only at planned points, so no load field rides on a point, a
+migration step or a join response)."""
 
 import dataclasses
 import importlib
@@ -83,6 +85,22 @@ SERVE_OPTIONS_FIELDS = (
 )
 
 
+#: (module, class, fields) of the re-planning records.
+RECORD_FIELDS = (
+    (
+        "repro.runtime.reconfigure",
+        "ReconfigPoint",
+        ("at_ts", "after_joins", "to_leaves", "to_plan", "shape"),
+    ),
+    (
+        "repro.runtime.reconfigure",
+        "ReconfigStep",
+        ("attempt", "key", "ts", "from_leaves", "to_leaves", "pause_s"),
+    ),
+    ("repro.runtime.messages", "JoinResponse", ("req_id", "side", "state")),
+)
+
+
 def public_defs(module):
     """Public names a module defines itself (not the ones it imports)."""
     return {
@@ -121,3 +139,11 @@ def test_the_option_surface_is_pinned(name, pinned):
     assert tuple(f.name for f in dataclasses.fields(cls)) == pinned
     undocumented = [f for f in pinned if f"``{f}``" not in cls.__doc__]
     assert undocumented == []
+
+
+@pytest.mark.parametrize(
+    "module, name, pinned", RECORD_FIELDS, ids=[r[1] for r in RECORD_FIELDS]
+)
+def test_the_replanning_records_are_pinned(module, name, pinned):
+    cls = getattr(importlib.import_module(module), name)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == pinned

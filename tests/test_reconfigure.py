@@ -21,11 +21,8 @@ from repro.plans import (
     plan_width,
     reconfig_violations,
     repartition_plan,
-    narrow_plan,
-    widen_plan,
 )
 from repro.runtime import (
-    AutoScaler,
     CrashFault,
     FaultPlan,
     ReconfigPoint,
@@ -35,14 +32,16 @@ from repro.runtime import (
     run_on_backend,
     run_sequential_reference,
 )
-from repro.runtime.quiesce import (
-    PointTrigger,
-    QuiesceSignal,
-    RootReconfigView,
-    SCALE_IN,
-    SCALE_OUT,
-    WatermarkTrigger,
-)
+from repro.runtime.quiesce import PointTrigger, QuiesceSignal, RootReconfigView
+
+
+#: Every substrate a planned migration runs on: backend, deployment.
+SUBSTRATES = {
+    "sim": ("sim", {}),
+    "threaded": ("threaded", {}),
+    "process": ("process", {}),
+    "nodes=2": ("process", {"nodes": 2}),
+}
 
 
 def vb_case(n_value_streams=4, values_per_barrier=20, n_barriers=4):
@@ -74,13 +73,6 @@ class TestMorph:
         seq = repartition_plan(prog, plan, 1)
         assert seq.size() == 1
         assert seq.all_itags() == plan.all_itags()
-
-    def test_widen_and_narrow_clamp(self):
-        prog, _, plan = vb_case(n_value_streams=4)
-        narrow = narrow_plan(prog, plan)
-        assert plan_width(narrow) == 2
-        rewiden = widen_plan(prog, narrow, factor=4)
-        assert plan_width(rewiden) == 4  # clamped at max useful width
 
     def test_morph_is_deterministic(self):
         prog, _, plan = vb_case(n_value_streams=4)
@@ -130,61 +122,58 @@ class TestSchedulesAndTriggers:
         with pytest.raises(ValueError, match="at_ts"):
             ReconfigPoint(at_ts=float("nan"), to_leaves=2)
 
-    @pytest.mark.parametrize("min_leaves, max_leaves", [(1, 0), (2, 1)])
-    def test_a_cap_below_the_floor_is_rejected(self, min_leaves, max_leaves):
-        """A cap of 0 must not read as "no cap" (a scale-out from 2 to
-        4), and a cap below min_leaves must not be ignored."""
-        with pytest.raises(ValueError, match="max_leaves"):
-            AutoScaler(high_watermark=10, min_leaves=min_leaves, max_leaves=max_leaves)
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"after_joins": 1, "to_leaves": 2, "shape": "bogus"}, "shape"),
+            ({"after_joins": 1, "to_leaves": 2.5}, "to_leaves"),
+            ({"after_joins": 1.0, "to_leaves": 2}, "after_joins"),
+            ({"after_joins": True, "to_leaves": 2}, "after_joins"),
+            ({"after_joins": 1, "to_leaves": True}, "to_leaves"),
+        ],
+        ids=["unknown-shape", "float-width", "float-joins", "bool-joins", "bool-width"],
+    )
+    def test_a_bad_point_is_refused_when_built(self, kwargs, match):
+        """Refused where it is given, not after a first attempt has run
+        and quiesced (an unknown shape), mid-run as a bare TypeError (a
+        float width), or never (a bool is an int: ``to_leaves=True``
+        migrated to a one-leaf plan)."""
+        with pytest.raises(ValueError, match=match):
+            ReconfigPoint(**kwargs)
+
+    def test_a_shape_beside_an_explicit_plan_is_refused(self):
+        """``to_plan=`` brings its own layout: a ``shape=`` next to it
+        would be silently ignored."""
+        _, _, plan = vb_case()
+        with pytest.raises(ValueError, match="shape"):
+            ReconfigPoint(after_joins=1, to_plan=plan, shape="chain")
+        assert ReconfigPoint(after_joins=1, to_plan=plan).to_plan is plan
+
+    def test_every_shape_the_plan_builders_know_is_accepted(self):
+        from repro.plans import SHAPES
+
+        prog, _, plan = vb_case(n_value_streams=4)
+        for shape in SHAPES:
+            point = ReconfigPoint(after_joins=1, to_leaves=3, shape=shape)
+            target = repartition_plan(prog, plan, point.to_leaves, shape=point.shape)
+            assert plan_width(target) == 3
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
             ReconfigSchedule()
 
-    def test_autoscaler_validation_and_targets(self):
-        with pytest.raises(ValueError):
-            AutoScaler()
-        auto = AutoScaler(high_watermark=10, low_watermark=2, factor=2, max_leaves=8)
-        assert auto.target_width(SCALE_OUT, 3, ceiling=16) == 6
-        assert auto.target_width(SCALE_OUT, 6, ceiling=16) == 8  # max_leaves
-        assert auto.target_width(SCALE_OUT, 4, ceiling=5) == 5  # program ceiling
-        assert auto.target_width(SCALE_IN, 6, ceiling=16) == 3
-        assert auto.target_width(SCALE_IN, 1, ceiling=16) == 1
-
-    def test_view_excludes_fired_points_and_disarms_noop_watermarks(self):
+    def test_view_excludes_fired_points(self):
         sched = ReconfigSchedule(
             ReconfigPoint(after_joins=1, to_leaves=2),
-            autoscaler=AutoScaler(high_watermark=5, factor=2),
+            ReconfigPoint(after_joins=1, to_leaves=3),
         )
-        view = sched.root_view("w1", width=4, ceiling=4)
-        # Point armed; watermark disarmed (already at ceiling).
-        assert view is not None and view._watermarks is None
+        view = sched.root_view("w1", fired={0})
         ev = type("E", (), {"ts": 1.0, "order_key": (1.0, 0, 0)})()
         with pytest.raises(QuiesceSignal) as exc:
-            view.maybe_quiesce(ev, queue_depth=0, state=42)
-        assert exc.value.record.point_index == 0
+            view.maybe_quiesce(ev, state=42)
+        assert exc.value.record.point_index == 1
         # The driver tracks firings; a spent schedule yields no view.
-        assert (
-            sched.root_view("w1", width=4, ceiling=4, fired=frozenset({0}))
-            is None
-        )
-
-    def test_wrong_direction_watermarks_disarmed(self):
-        """A clamp inversion must not fire: already above max_leaves,
-        a high-watermark 'scale-out' would *shrink* the plan — the
-        view disarms it instead of quiescing."""
-        sched = ReconfigSchedule(
-            autoscaler=AutoScaler(high_watermark=1, low_watermark=0, max_leaves=4)
-        )
-        # width 8 > max_leaves 4: scale-out target (4) is narrower ->
-        # high disarmed; scale-in (4 < 8) stays armed.
-        view = sched.root_view("w1", width=8, ceiling=16)
-        assert view._watermarks.high_watermark is None
-        assert view._watermarks.low_watermark == 0
-        # width at the floor: scale-in disarmed, scale-out armed.
-        view = sched.root_view("w1", width=1, ceiling=16)
-        assert view._watermarks.high_watermark == 1
-        assert view._watermarks.low_watermark is None
+        assert sched.root_view("w1", fired={0, 1}) is None
 
     def test_schedules_are_reusable_pure_data(self):
         """Firing state lives in the driver, not the schedule: the same
@@ -201,22 +190,13 @@ class TestSchedulesAndTriggers:
                 run_sequential_reference(prog, streams)
             )
 
-    def test_watermark_cooldown(self):
-        trig = WatermarkTrigger(high_watermark=1, cooldown_joins=3)
-        assert trig.reason_for(queue_depth=100, joins_seen=2) is None
-        assert trig.reason_for(queue_depth=100, joins_seen=3) == SCALE_OUT
-
     def test_views_and_records_are_picklable(self):
-        view = RootReconfigView(
-            "w1",
-            [PointTrigger(0, at_ts=3.0)],
-            WatermarkTrigger(high_watermark=10, low_watermark=1),
-        )
+        view = RootReconfigView("w1", [PointTrigger(0, at_ts=3.0)])
         clone = pickle.loads(pickle.dumps(view))
         assert clone.worker == "w1"
         ev = type("Ev", (), {"ts": 5.0, "order_key": (5.0, 0, 0)})
         with pytest.raises(QuiesceSignal) as exc:
-            clone.maybe_quiesce(ev(), queue_depth=0, state={"s": 1})
+            clone.maybe_quiesce(ev(), state={"s": 1})
         rec = pickle.loads(pickle.dumps(exc.value.record))
         assert rec.point_index == 0 and rec.state == {"s": 1}
 
@@ -240,7 +220,33 @@ class TestElasticDriver:
         assert [s.to_leaves for s in rec.reconfigurations] == [4]
         assert [p.leaves for p in rec.phases] == [2, 4]
         assert [plan_width(p) for p in rec.plan_history] == [2, 4]
-        assert rec.reconfigurations[0].reason == "planned"
+
+    def test_a_planned_migration_happens_at_the_same_place_on_every_substrate(self):
+        """One ``after_joins`` point and one ``at_ts`` point: every
+        substrate quiesces at the same root join, so the migration
+        steps agree key for key, not only the outputs."""
+        prog, streams, plan = vb_case(n_value_streams=4)
+        narrow = repartition_plan(prog, plan, 2)
+        barriers = streams[-1].events
+        sched = ReconfigSchedule(
+            ReconfigPoint(after_joins=2, to_leaves=4),
+            ReconfigPoint(at_ts=barriers[3].ts - 0.001, to_leaves=2),
+        )
+        spec = output_multiset(run_sequential_reference(prog, streams))
+        steps = {}
+        for name, (backend, deploy) in SUBSTRATES.items():
+            run = run_on_backend(
+                backend, prog, narrow, streams,
+                options=RunOptions(reconfig_schedule=sched, timeout_s=120.0, **deploy),
+            )
+            assert output_multiset(run.outputs) == spec, name
+            steps[name] = [
+                (s.key, s.ts, s.from_leaves, s.to_leaves)
+                for s in run.reconfig.reconfigurations
+            ]
+        assert [s[2:] for s in steps["sim"]] == [(2, 4), (4, 2)]
+        assert steps["sim"][1][1] == barriers[3].ts
+        assert {name: steps["sim"] for name in steps} == steps
 
     def test_narrow_to_single_worker_completes(self):
         prog, streams, plan = vb_case(n_value_streams=3)
@@ -257,28 +263,6 @@ class TestElasticDriver:
             run_sequential_reference(prog, streams)
         )
         assert [p.leaves for p in run.reconfig.phases] == [3, 1]
-
-    def test_autoscaler_scales_out_under_backlog(self):
-        prog, streams, plan = vb_case(n_value_streams=4, values_per_barrier=40)
-        narrow = repartition_plan(prog, plan, 2)
-        sched = ReconfigSchedule(
-            autoscaler=AutoScaler(high_watermark=20, factor=2, max_reconfigs=2)
-        )
-        run = run_on_backend(
-            "threaded", prog, narrow, streams,
-            options=RunOptions(reconfig_schedule=sched),
-        )
-        assert output_multiset(run.outputs) == output_multiset(
-            run_sequential_reference(prog, streams)
-        )
-        rec = run.reconfig
-        # The threaded producers enqueue everything up-front, so the
-        # first decision join sees a deep queue and must scale out.
-        assert rec.reconfigured
-        first = rec.reconfigurations[0]
-        assert first.reason == "scale-out"
-        assert first.queue_depth >= 20
-        assert first.to_leaves == 4
 
     def test_crash_before_point_replays_trigger(self):
         """A crash that interrupts the phase before a timestamp-keyed
@@ -421,37 +405,15 @@ class TestRunOptions:
             checkpoint_predicate=every_root_join(),
             reconfig_schedule=ReconfigSchedule(
                 ReconfigPoint(at_ts=4.0, to_leaves=3),
-                autoscaler=AutoScaler(high_watermark=10),
+                ReconfigPoint(after_joins=2, to_leaves=2, shape="chain"),
             ),
             transport="tcp",
         )
         clone = pickle.loads(pickle.dumps(opts))
         assert clone.transport == "tcp"
         assert clone.reconfig_schedule.points[0].to_leaves == 3
+        assert clone.reconfig_schedule.points[1].shape == "chain"
         assert clone.fault_plan.faults[0].worker == "w2"
-
-
-class TestBacklogSignal:
-    def test_join_response_backlog_round_trips_on_wire(self):
-        from repro.runtime.messages import JoinResponse
-        from repro.runtime.wire import pack_frame, unpack_frame
-
-        msg = JoinResponse(("w1", 3), "left", {"s": 1}, backlog=17)
-        assert unpack_frame(pack_frame([msg])) == [msg]
-
-    def test_root_observes_queue_depth_in_sim(self):
-        """In the simulated cluster arrivals happen at event timestamps,
-        so the queue depth the root observes at a quiesce is the true
-        instantaneous backlog — assert it is recorded and plausible."""
-        prog, streams, plan = vb_case(n_value_streams=4, values_per_barrier=30)
-        sched = ReconfigSchedule(ReconfigPoint(after_joins=2, to_leaves=2))
-        run = run_on_backend(
-            "sim", prog, plan, streams, options=RunOptions(reconfig_schedule=sched)
-        )
-        rec = run.reconfig
-        assert rec.reconfigured
-        total_events = sum(len(s.events) for s in streams)
-        assert 0 <= rec.reconfigurations[0].queue_depth <= total_events
 
 
 def test_random_morph_targets_stay_valid():

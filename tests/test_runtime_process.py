@@ -51,7 +51,7 @@ class TestWireCodec:
         EventMsg(Event(("compound", 1), "s9", 7)),
         HeartbeatMsg(ImplTag("b", "s"), (5.0, ("str", "b"), ("str", "s"))),
         JoinRequest(("root", 3), ImplTag("b", "s"), (2.0,), "root", "left"),
-        JoinResponse(("root", 3), "right", {"k": 1}, 1),
+        JoinResponse(("root", 3), "right", {"k": 1}),
         ForkStateMsg(("root", 3), (0, 7)),
     ]
 

@@ -155,7 +155,7 @@ class TestFrameRoundTrips:
     def test_large_state_blob_over_64k(self):
         blob = {"state": b"x" * (1 << 17), "keys": list(range(500))}
         msgs = [
-            JoinResponse(("w1", 1), "left", blob, 3),
+            JoinResponse(("w1", 1), "left", blob),
             ForkStateMsg(("w1", 1), blob),
         ]
         back = roundtrip(msgs)
@@ -300,8 +300,7 @@ def random_message(rng: random.Random):
         return JoinRequest(("w%d" % rng.randrange(5), rng.randrange(9)),
                            ImplTag(tag, stream), (ts,), "root", "left")
     if kind == 3:
-        return JoinResponse(("w1", rng.randrange(9)), "right",
-                            rng.choice(payloads), rng.randrange(5))
+        return JoinResponse(("w1", rng.randrange(9)), "right", rng.choice(payloads))
     return ForkStateMsg(("w2", rng.randrange(9)), rng.choice(payloads))
 
 
@@ -614,7 +613,7 @@ class TestFrameOverSocketTorture:
         # 997-byte slices so reassembly spans hundreds of feeds; two
         # trailing frames in the same stream must still decode after it.
         blob = {"state": b"x" * (200_000), "keys": list(range(100))}
-        big = [JoinResponse(("w1", 1), "left", blob, 3)]
+        big = [JoinResponse(("w1", 1), "left", blob)]
         small = [EventMsg(Event("v", "s", 1.0, payload=7))]
         records = b"".join(
             FRAME_LEN.pack(len(f)) + f

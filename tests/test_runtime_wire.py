@@ -59,7 +59,7 @@ class TestBatchEdges:
             EventMsg(e),
             HeartbeatMsg(ImplTag("v", 0), (2.0, ("str", "v"), ("int", 0))),
             JoinRequest(("w1", 3), ImplTag("b", "s"), (2.5,), "w1", "left"),
-            JoinResponse(("w1", 3), "left", {"k": 1}, 1),
+            JoinResponse(("w1", 3), "left", {"k": 1}),
             ForkStateMsg(("w1", 3), 7),
         ]
         assert unpack_frame(pack_frame(msgs)) == msgs
@@ -141,8 +141,7 @@ def random_msg(rng: random.Random):
                            f"w{rng.randrange(9)}", rng.choice(["left", "right"]))
     if kind == 3:
         return JoinResponse((f"w{rng.randrange(9)}", rng.randrange(99)),
-                            rng.choice(["left", "right"]), random_payload(rng),
-                            rng.randrange(10))
+                            rng.choice(["left", "right"]), random_payload(rng))
     return ForkStateMsg((f"w{rng.randrange(9)}", rng.randrange(99)),
                         random_payload(rng))
 
