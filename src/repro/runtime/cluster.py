@@ -3,7 +3,8 @@
 The process runtime (:mod:`repro.runtime.process`) proves the protocol
 scales across cores; this module carries it across the *machine*
 boundary.  The unit of deployment is a **node agent**: one OS process
-per :class:`NodeSpec` that runs every plan worker placed on that node
+per :class:`NodeSpec` that drives every plan worker placed on that node
+as one place, on one thread (:class:`~repro.runtime.process._Place`),
 and speaks the framed wire protocol of :mod:`repro.runtime.wire` over
 TCP stream sockets to its peers.  The process backend runs an attempt
 here (:func:`run_on_nodes`) when ``RunOptions.nodes`` is set, on the
@@ -20,13 +21,15 @@ exchange runs across machines):
    address, and announces ``(node_name, listen_address)``.
 2. **Address exchange.**  Once every node has registered, the registry
    replies to each agent with the full ``{node_name: address}`` map.
-3. **Edge dial.**  Every sender dials the listener of each peer worker's
-   node and opens the connection with an edge-hello naming the directed
-   ``(src_worker, dst_worker)`` edge; receivers accept until every
-   inbound edge of their node is present.  Dials never wait on a peer's
-   accept (TCP backlog), so the mesh comes up without ordering
-   deadlocks.  The coordinator itself dials one edge per worker for
-   its stop frame; each worker pumps its own input streams.
+3. **Edge dial.**  Each agent dials, once, the node of every worker on
+   another node that one of its workers sends to, and opens the
+   connection with an edge-hello naming ``(its node, that worker)``;
+   receivers accept until every inbound edge of their node is present.
+   Two workers on one node have no edge: they share its run queue.
+   Dials never wait on a peer's accept (TCP backlog), so the mesh comes
+   up without ordering deadlocks.  The coordinator itself dials one
+   edge per agent for its stop frame; each agent pumps the input
+   streams its workers own.
 
 After the handshake the data plane is exactly the
 :class:`~repro.runtime.transport.SocketTransport` wire format — same
@@ -74,9 +77,7 @@ import os
 import secrets
 import socket
 import struct
-import threading
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -85,7 +86,7 @@ from ..plans.plan import SyncPlan
 from .metrics import MetricsExporter
 from .process import (
     AttemptSpec,
-    _drive_worker,
+    _drive_place,
     coordinate_attempt,
     fork_context,
     report_errors,
@@ -93,7 +94,6 @@ from .process import (
 from .protocol import AttemptOutcome
 from .transport import (
     COORDINATOR,
-    BatchingSender,
     ControlChannel,
     ControlPlane,
     FrameReceiver,
@@ -269,118 +269,96 @@ def _agent_main(  # pragma: no cover - runs in forked node agents (like
     log_dir: Optional[str],
     control: ControlChannel,
 ) -> None:
-    """Node-agent entry point: handshake, then run this node's workers
-    (one thread each) over the established TCP edges."""
+    """Node-agent entry point: handshake, then drive this node's workers
+    as one place over the established TCP edges."""
     log = _NodeLog(log_dir, node_name)
     in_socks: Dict[Tuple[str, str], socket.socket] = {}
-    out_socks: Dict[Tuple[str, str], socket.socket] = {}
+    out_socks: Dict[str, socket.socket] = {}
     try:
-        my_workers = [w for w, node in placement.items() if node == node_name]
-        edges = plan_edges(spec.plan)
+        with report_errors(control, f"node:{node_name}", log):
+            hosted = sorted(w for w, node in placement.items() if node == node_name)
+            edges = plan_edges(spec.plan)
 
-        # 1. Bind the data-plane listener, register, learn the map.
-        lst = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        lst.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        lst.bind((host, 0))
-        lst.listen(128)
-        lst.settimeout(HANDSHAKE_TIMEOUT_S)
-        reg = socket.create_connection(registry_addr, timeout=HANDSHAKE_TIMEOUT_S)
-        _send_blob(reg, [cookie, node_name, list(lst.getsockname())])
-        addr_map: Dict[str, Any] = _recv_blob(reg)
-        reg.close()
-        log(f"registered {lst.getsockname()}; cluster map: {addr_map}")
+            # 1. Bind the data-plane listener, register, learn the map.
+            lst = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            lst.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            lst.bind((host, 0))
+            lst.listen(128)
+            lst.settimeout(HANDSHAKE_TIMEOUT_S)
+            reg = socket.create_connection(registry_addr, timeout=HANDSHAKE_TIMEOUT_S)
+            _send_blob(reg, [cookie, node_name, list(lst.getsockname())])
+            addr_map: Dict[str, Any] = _recv_blob(reg)
+            reg.close()
+            log(f"registered {lst.getsockname()}; cluster map: {addr_map}")
 
-        # 2. Dial every outbound worker->worker edge this node owns
-        # (same-node edges dial too — loopback through the listener
-        # keeps one uniform path).  Connects land in peers' backlogs,
-        # so dial-before-accept cannot deadlock.
-        for dst, srcs in edges.items():
-            for src in srcs:
-                if src == COORDINATOR or placement.get(src) != node_name:
+            # 2. Dial one edge to each worker on another node that a
+            # hosted worker sends to; co-located workers share the run
+            # queue instead.  Connects land in peers' backlogs, so
+            # dial-before-accept cannot deadlock.
+            for dst, srcs in edges.items():
+                if placement[dst] != node_name and any(s in hosted for s in srcs):
+                    s = socket.create_connection(
+                        tuple(addr_map[placement[dst]]), timeout=HANDSHAKE_TIMEOUT_S
+                    )
+                    _send_blob(s, [cookie, node_name, dst])
+                    configure_stream_socket(s, nonblocking=True)
+                    out_socks[dst] = s
+            log(f"dialed {len(out_socks)} outbound edge(s)")
+
+            # 3. Accept the inbound edges: one from each other node that
+            # sends to a hosted worker, and the coordinator's, learning
+            # which edge each connection carries from its
+            # cookie-authenticated edge-hello; strays are dropped without
+            # joining (or crashing) the mesh.
+            expected = {(COORDINATOR, node_name)} | {
+                (placement[src], dst)
+                for dst in hosted
+                for src in edges[dst]
+                if src != COORDINATOR and placement[src] != node_name
+            }
+            # Short accept timeout so the deadline is actually enforced: a
+            # peer that registered and then died would otherwise park this
+            # agent in accept() for the whole window, and the diagnostic
+            # below (which edges are missing) would be unreachable.
+            lst.settimeout(0.25)
+            deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
+            while len(in_socks) < len(expected):
+                try:
+                    conn, _ = lst.accept()
+                except socket.timeout:
+                    if time.monotonic() > deadline:
+                        raise RuntimeFault(
+                            f"node {node_name}: only {len(in_socks)}/{len(expected)} "
+                            f"edges connected within {HANDSHAKE_TIMEOUT_S:.0f}s"
+                        ) from None
                     continue
-                s = socket.create_connection(
-                    tuple(addr_map[placement[dst]]), timeout=HANDSHAKE_TIMEOUT_S
-                )
-                _send_blob(s, [cookie, src, dst])
-                configure_stream_socket(s, nonblocking=True)
-                out_socks[(src, dst)] = s
-        log(f"dialed {len(out_socks)} outbound edge(s)")
+                conn.settimeout(_HELLO_TIMEOUT_S)
+                hello = _recv_hello(conn, cookie)
+                if hello is None or len(hello) != 2:
+                    log("dropped a stray/unauthenticated connection")
+                    conn.close()
+                    continue
+                edge = tuple(hello)
+                if edge not in expected or edge in in_socks:
+                    conn.close()
+                    raise RuntimeFault(f"node {node_name}: unexpected edge hello {edge!r}")
+                configure_stream_socket(conn, nonblocking=False)
+                in_socks[edge] = conn
+            lst.close()
+            log(f"accepted {len(in_socks)} inbound edge(s); starting workers")
 
-        # 3. Accept inbound edges until every (src -> my worker) edge
-        # is connected, learning which edge each connection carries
-        # from its cookie-authenticated edge-hello; strays are dropped
-        # without joining (or crashing) the mesh.
-        expected = sum(
-            len(srcs) for dst, srcs in edges.items() if placement[dst] == node_name
-        )
-        # Short accept timeout so the deadline is actually enforced: a
-        # peer that registered and then died would otherwise park this
-        # agent in accept() for the whole window, and the diagnostic
-        # below (which edges are missing) would be unreachable.
-        lst.settimeout(0.25)
-        deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
-        while len(in_socks) < expected:
-            try:
-                conn, _ = lst.accept()
-            except socket.timeout:
-                if time.monotonic() > deadline:
-                    raise RuntimeFault(
-                        f"node {node_name}: only {len(in_socks)}/{expected} "
-                        f"edges connected within {HANDSHAKE_TIMEOUT_S:.0f}s"
-                    ) from None
-                continue
-            conn.settimeout(_HELLO_TIMEOUT_S)
-            hello = _recv_hello(conn, cookie)
-            if hello is None or len(hello) != 2:
-                log("dropped a stray/unauthenticated connection")
-                conn.close()
-                continue
-            src, dst = hello
-            if placement.get(dst) != node_name or (src, dst) in in_socks:
-                conn.close()
-                raise RuntimeFault(
-                    f"node {node_name}: unexpected edge hello ({src!r} -> {dst!r})"
-                )
-            configure_stream_socket(conn, nonblocking=False)
-            in_socks[(src, dst)] = conn
-        lst.close()
-        log(f"accepted {len(in_socks)} inbound edge(s); starting workers")
-
-        # 4. Run this node's workers, one thread per worker.  Threads
-        # (not sub-processes) keep "one agent process per node" literal;
-        # cross-core parallelism is the per-worker process runtime's
-        # job — the cluster layer's is crossing machines.
-        def worker_thread(wid: str) -> None:
-            with report_errors(control, wid, log):
-                rfds = [
-                    s.fileno() for (src, dst), s in in_socks.items() if dst == wid
-                ]
-                wfds = {
-                    dst: s.fileno()
-                    for (src, dst), s in out_socks.items()
-                    if src == wid
-                }
-                receiver = FrameReceiver(rfds)
-                sender = FrameSender(wfds, on_block=receiver.poll)
-                batcher = BatchingSender(sender.send_batch)
-                _drive_worker(wid, spec, receiver, batcher, control)
-                log(f"worker {wid} done")
-
-        threads = [
-            threading.Thread(target=worker_thread, args=(wid,), name=f"worker:{wid}")
-            for wid in sorted(my_workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        log("all workers done")
-    except BaseException as exc:
-        log(f"agent FAILED: {exc!r}")
-        control.send("error", f"node:{node_name}", f"{exc!r}\n{traceback.format_exc()}")
-        raise
+            # 4. Drive this node's workers as one place on this thread:
+            # a batch between two of them is a run-queue append, one to
+            # another node goes out on its edge.
+            dsts = {s.fileno(): dst for (_src, dst), s in in_socks.items()}
+            receiver = FrameReceiver(list(dsts), dsts)
+            sender = FrameSender(
+                {dst: s.fileno() for dst, s in out_socks.items()}, on_block=receiver.poll
+            )
+            _drive_place(spec, hosted, receiver.recv, sender.send_batch, control)
+            log("all workers done")
     finally:
-        for s in list(in_socks.values()) + list(out_socks.values()):
+        for s in [*in_socks.values(), *out_socks.values()]:
             try:
                 s.close()
             except OSError:  # pragma: no cover - defensive
@@ -401,8 +379,8 @@ def run_on_nodes(
     metrics_port: Any = None,
     registry_host: str = "127.0.0.1",
 ) -> AttemptOutcome:
-    """One attempt with one agent process per node, every channel a
-    framed TCP connection; outcome, fail-stop and quiesce semantics are
+    """One attempt with one agent process per node, every channel between
+    two nodes a framed TCP connection; outcome, fail-stop and quiesce semantics are
     the process backend's (``transport="tcp"``, ``nodes`` set).
 
     ``nodes`` is a sequence of :class:`NodeSpec` or an int (that many
@@ -472,10 +450,10 @@ def run_on_nodes(
 
     def stop() -> None:
         # While a stop frame waits for socket space, a dead agent raises.
-        socks = {wid: s.fileno() for wid, s in coord_socks.items()}
+        socks = {name: s.fileno() for name, s in coord_socks.items()}
         sender = FrameSender(socks, lambda: control.wait(0))
-        for wid in coord_socks:
-            sender.send_raw(wid, FRAME_LEN.pack(0))
+        for name in coord_socks:
+            sender.send_raw(name, FRAME_LEN.pack(0))
         # From here on the exporter shows the end-of-run reports;
         # live snapshots still in flight are dropped.
         control.on_metrics = None
@@ -522,15 +500,12 @@ def run_on_nodes(
         log(f"handshake complete: {addr_map}")
 
         # The coordinator's own edges: one dialed connection per
-        # worker, for its stop frame.
-        for n in spec.plan.workers():
-            s = socket.create_connection(
-                tuple(addr_map[placement[n.id]]),
-                timeout=HANDSHAKE_TIMEOUT_S,
-            )
-            _send_blob(s, [cookie, COORDINATOR, n.id])
+        # agent, for its stop frame.
+        for node in nodes:
+            s = socket.create_connection(tuple(addr_map[node.name]), timeout=HANDSHAKE_TIMEOUT_S)
+            _send_blob(s, [cookie, COORDINATOR, node.name])
             configure_stream_socket(s, nonblocking=True)
-            coord_socks[n.id] = s
+            coord_socks[node.name] = s
 
     try:
         result = coordinate_attempt(

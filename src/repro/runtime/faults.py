@@ -33,11 +33,27 @@ workers, crash records back in worker reports).
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 OrderKey = Tuple
+
+
+def check_at_ts(at_ts: object) -> None:
+    """An unset time trigger, or a real number that is not a ``bool``,
+    below +inf and not NaN (no timestamp reaches either)."""
+    if at_ts is not None and (
+        isinstance(at_ts, bool) or not isinstance(at_ts, numbers.Real) or not at_ts < math.inf
+    ):
+        raise ValueError(f"at_ts must be a number below +inf, not {at_ts!r}")
+
+
+def check_count(name: str, value: object) -> None:
+    """An unset count, or an ``int >= 1`` that is not a ``bool``."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+        raise ValueError(f"{name} must be an int >= 1, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,10 +77,8 @@ class CrashFault:
             raise ValueError(
                 "CrashFault needs exactly one of after_events= / at_ts="
             )
-        if self.after_events is not None and self.after_events < 1:
-            raise ValueError("after_events must be >= 1")
-        if self.at_ts is not None and math.isnan(self.at_ts):
-            raise ValueError("at_ts must not be NaN")
+        check_count("after_events", self.after_events)
+        check_at_ts(self.at_ts)
 
     def due(self, events_seen: int, ts: float) -> bool:
         if self.after_events is not None:

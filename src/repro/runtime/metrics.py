@@ -450,7 +450,7 @@ def prometheus_render(groups: Sequence[Tuple[str, RunMetrics]]) -> str:
         ("batches_sent", "Transport batches flushed"),
         ("messages_sent", "Messages sent inside batches"),
         ("frames_received", "Wire frames received"),
-        ("max_backlog", "High-water mailbox/backlog depth"),
+        ("max_backlog", "High-water of released-but-undispatched items, noted per drain"),
     ):
         name = f"repro_worker_{counter}"
         lines.append(f"# HELP {name} {help_}")

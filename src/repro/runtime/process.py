@@ -34,17 +34,17 @@ Four design points keep IPC from eating the speedup:
   boundaries.
 
 * **Leaves own their input.**  The attempt's streams travel in the
-  :class:`AttemptSpec` every worker inherits, and each worker pumps the
-  streams it owns into its own core, round by round
+  :class:`AttemptSpec` every worker inherits, and each place pumps the
+  streams its workers own, round by round
   (:func:`~repro.runtime.protocol.pump_producers`), serving its inbox
-  between rounds.  The coordinator only starts the workers, stamps the
+  between rounds.  The coordinator only starts the places, stamps the
   shared origin once every one is up, waits, sends the stop frames and
   collects the reports: it builds, packs and sends no event.
 
 Termination is by frontier, as in the progress tracking of Naiad
 (Murray et al., SOSP 2013): producers end with a closing heartbeat,
 and frontiers are relayed down the tree over FIFO channels.  Each
-worker announces *done* once, when its own pump has finished, its
+worker announces *done* once, when its place's pump has finished, its
 consequences are flushed and its core has drained through the
 attempt's closing key (:meth:`WorkerCore.drained_through
 <repro.runtime.protocol.WorkerCore.drained_through>`).  A drained
@@ -63,14 +63,13 @@ sent its report, and the coordinator joins every child before the
 outcome returns.
 
 Every real substrate runs the same :class:`AttemptSpec`, which the
-backend builds once per attempt, and shares the worker-loop body
-(:class:`_Worker`) and the merge of worker reports into an attempt's
-outcome (:func:`merge_reports`).  The blocking loop around them
-(:func:`_drive_worker`) and the coordinator's half of an attempt
-(:func:`coordinate_attempt`) serve forked processes here
-(:func:`run_on_workers`) and node agents over dialed TCP edges in
-:mod:`repro.runtime.cluster`; :mod:`repro.runtime.threaded` drives the
-worker body from its run queue.
+backend builds once per attempt, and drives its workers (:class:`_Worker`)
+as *places*: co-located workers on one run queue (:class:`_Place`).
+:mod:`repro.runtime.threaded` is one place holding every worker.  A
+forked process here (:func:`run_on_workers`) is a place holding one, and
+a node agent (:mod:`repro.runtime.cluster`) holds the workers placed on
+its node; both run the blocking loop (:func:`_drive_place`) beside the
+coordinator's half of an attempt (:func:`coordinate_attempt`).
 """
 
 from __future__ import annotations
@@ -80,8 +79,9 @@ import dataclasses
 import multiprocessing as mp
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from ..core.program import DGSProgram
@@ -101,8 +101,10 @@ from .runtime import InputStream
 from .transport import (
     DEFAULT_TRANSPORT,
     STOP,
+    BatchingSender,
     ControlChannel,
     ControlPlane,
+    WorkerFault,
     make_transport,
     plan_edges,
 )
@@ -141,9 +143,9 @@ class AttemptSpec:
 
 
 #: Events a leaf may hold buffered while its state is away at a join
-#: before it stops pumping and waits for the fork: eight closed rounds
-#: of one stream.  Bounds how far a leaf's input runs ahead of its
-#: inbox.
+#: before its place stops pumping and waits for the fork: eight closed
+#: rounds of one stream.  Bounds how far a leaf's input runs ahead of
+#: its inbox.
 LEAF_LEAD = 8 * MAX_RUN
 
 
@@ -171,11 +173,9 @@ class _WorkerReport:
 
 
 class _Worker:
-    """One plan worker of an attempt, driven a batch at a time — the
-    one worker-loop body of the real substrates.  The blocking ones
-    (:func:`_drive_worker`) call :meth:`handle` from their ``recv``
-    loop; the in-process one (:mod:`repro.runtime.threaded`) calls it
-    from its run queue.
+    """One plan worker of an attempt, driven a batch at a time from its
+    place's run queue (:class:`_Place`) — the one worker-loop body of
+    the real substrates.
 
     ``sender`` carries the worker's outgoing messages: ``post(dst,
     msg)``, ``flush()``, and a settable ``metrics`` through which it
@@ -268,123 +268,176 @@ class _Worker:
         )
 
 
-def _drive_worker(
-    node_id: str, spec: AttemptSpec, receiver, batcher, control: ControlChannel
-) -> None:
-    """Drive one worker until the stop frame, then send its report up
-    ``control`` — the blocking substrates' loop around :class:`_Worker`:
-    a forked process per worker, or several workers as threads of a
-    cluster node agent with channels over TCP.
+class _Place:
+    """Co-located workers of an attempt on one FIFO run queue of
+    ``(worker, batch)`` pairs.  Each hosted worker, and the pump
+    (:attr:`producers`), flushes through its own ``BatchingSender``: a
+    batch for a hosted worker is appended to the run queue, any other
+    goes to ``remote`` (the transport's raw send).  So a join step
+    between co-located workers costs queue appends, not a wake-up."""
 
-    The worker starts at the attempt's origin, once every worker is up,
-    and first pumps the streams it owns.  After each round it
-    handles what the round posted as one batch, then serves its inbox:
-    without blocking on a closed run, until the next round is due on a
-    paced one (joins are served while it waits).  Once its last round
-    is handled it serves its inbox until the stop frame, which also
-    ends a pump early; before each wait it announces *done*, once, if
-    its core has drained through the attempt's closing key.  A leaf
-    whose state is away at a join and that already holds
-    :data:`LEAF_LEAD` buffered events waits for the fork instead of
-    pumping more.  A stopped worker announces its crash or quiesce
-    instead, and pumps no further.  A worker stopped before it
-    announced anything ships its stall state in its report.  With the
+    def __init__(self, spec: AttemptSpec, hosted: Sequence[str], remote=None) -> None:
+        self.spec = spec
+        self.runq: Deque[Tuple[str, List[Any]]] = deque()
+        enqueue = self.runq.append
+        workers: Dict[str, _Worker] = {}
+        self.workers = workers
+
+        def send(dst: str, batch: List[Any]) -> None:
+            if dst in workers:
+                enqueue((dst, batch))
+            else:
+                remote(dst, batch)
+
+        workers.update((wid, _Worker(wid, spec, BatchingSender(send))) for wid in hosted)
+        #: Events and heartbeats, posted on the coordinator's behalf.
+        self.producers = BatchingSender(send)
+        #: The hosted worker that crashed or quiesced: the place runs no
+        #: further.
+        self.stopped: Optional[_Worker] = None
+
+    def run(self, deadline: Optional[float] = None) -> Optional[_Worker]:
+        """Run the queue until it is empty, a worker stops (returned),
+        or ``deadline`` (``time.monotonic``) passes.  What a handler
+        raises is a :class:`WorkerFault` naming its worker."""
+        if self.stopped is not None:
+            return None
+        runq, workers = self.runq, self.workers
+        popleft, monotonic = runq.popleft, time.monotonic
+        while runq:
+            if deadline is not None and monotonic() > deadline:
+                return None
+            wid, batch = popleft()
+            worker = workers[wid]
+            try:
+                stopped = worker.handle(batch)
+            except Exception as exc:
+                raise WorkerFault(wid, f"{exc!r}\n{traceback.format_exc()}") from exc
+            if stopped:
+                self.stopped = worker
+                return worker
+        return None
+
+
+def _drive_place(
+    spec: AttemptSpec, hosted: Sequence[str], inbox, remote, control: ControlChannel
+) -> None:
+    """Drive one place's workers until the stop frame, then send one
+    report per worker up ``control`` — the blocking loop of a forked
+    process or a node agent.  ``inbox(timeout=None)`` returns the next
+    ``(worker, batch)``, ``STOP``, or None once ``timeout`` seconds pass.
+
+    The place starts at the attempt's origin and pumps the streams its
+    workers own.  After each round it runs the queue, then serves its
+    inbox, running the queue after each batch: without blocking on a
+    closed run, until the next round is due on a paced one.  Then it
+    serves its inbox until the stop frame, which also ends a pump
+    early; before each wait it announces *done*, once, for each worker
+    drained through the attempt's closing key.  The pump waits on the
+    inbox instead only while every hosted leaf's state is away at a
+    join and one of them buffers :data:`LEAF_LEAD` events: a leaf that
+    still holds its state may need more input to answer the join its
+    sibling waits at.  A worker that stops announces its crash or
+    quiesce, and the place runs and pumps no further; a worker stopped
+    before it announced anything ships its stall state.  With the
     metrics plane on and the channel ``live`` (a cluster exporter
-    listens), a snapshot goes up at most every quarter second."""
+    listens), a snapshot per worker goes up at most every 0.25 s."""
     origin = control.wait_origin()
     spec = spec.at_origin(origin)
-    worker = _Worker(node_id, spec, batcher)
-    live = worker.metrics is not None and control.live
+    place = _Place(spec, hosted, remote)
+    workers = list(place.workers.values())
+    leaves = [w.core for w in workers if w.core.is_leaf]
+    live = spec.metrics is not None and control.live
     last_push = time.monotonic()
 
-    def handle(msgs) -> None:
+    def run() -> None:
         nonlocal last_push
-        if worker.handle(msgs):
-            control.send("crash" if worker.crash is not None else "quiesce", node_id)
+        worker = place.run()
+        if worker is not None:
+            control.send("crash" if worker.crash is not None else "quiesce", worker.node_id)
         if live:
             now = time.monotonic()
             if now - last_push >= 0.25:
                 last_push = now
-                control.send("metrics", node_id, worker.metrics.snapshot(worker.sink))
+                for w in workers:
+                    control.send("metrics", w.node_id, w.metrics.snapshot(w.sink))
 
-    own: List[Any] = []
-    core = worker.core
-    stopped = False
+    got = None
     for delay in pump_producers(
-        spec.plan,
-        spec.streams,
-        lambda _dst, msg: own.append(msg),
-        owner=node_id,
-        pace=spec.pace,
-        origin=origin,
+        spec.plan, spec.streams, place.producers.post, owners=hosted, pace=spec.pace, origin=origin
     ):
         deadline = time.monotonic() + delay
-        if own:
-            batch = own[:]
-            own.clear()
-            handle(batch)
-        while not worker.stopped:
-            if core.blocked and core.is_leaf and core.mailbox.buffered_count() >= LEAF_LEAD:
-                # Its state is away at a join, whose fork back does not
-                # wait on this leaf's input: wait for it.
-                msgs = receiver.recv()
-            else:
-                msgs = receiver.recv(max(0.0, deadline - time.monotonic()))
-            if msgs is None:
+        place.producers.flush()
+        run()
+        while place.stopped is None:
+            held = all(c.blocked for c in leaves) and any(
+                c.mailbox.buffered_count() >= LEAF_LEAD for c in leaves
+            )
+            got = inbox(None if held else max(0.0, deadline - time.monotonic()))
+            if got is None or got is STOP:
                 break
-            if msgs is STOP:
-                stopped = True
-                break
-            handle(msgs)
-        if stopped or worker.stopped:
+            place.runq.append(got)
+            run()
+        if got is STOP or place.stopped is not None:
             break
     closing = end_timestamp(spec.streams)
     itags = {s.itag for s in spec.streams}
-    done = False
-    while not stopped:
-        if not (done or worker.stopped) and core.drained_through(closing, itags):
-            done = True
-            control.send("done", node_id)
-        msgs = receiver.recv()
-        if msgs is STOP:
-            break
-        handle(msgs)
-    report = worker.report()
-    if not (done or worker.stopped):
-        report.stall = core.stall_state()
-    control.send("report", node_id, report)
+    done = set()
+    while got is not STOP:
+        if place.stopped is None:
+            for w in workers:
+                if w.node_id not in done and w.core.drained_through(closing, itags):
+                    done.add(w.node_id)
+                    control.send("done", w.node_id)
+        got = inbox()
+        if got is not STOP:
+            place.runq.append(got)
+            run()
+    for w in workers:
+        report = w.report()
+        if not (w.node_id in done or w.stopped):
+            report.stall = w.core.stall_state()
+        control.send("report", w.node_id, report)
 
 
 @contextlib.contextmanager
 def report_errors(control: ControlChannel, who: str, log=None):
-    """Whatever escapes a worker goes up its control channel with its
+    """Whatever escapes a place goes up its control channel with its
     traceback: the coordinator raises it as a :class:`RuntimeFault`
-    naming ``who``.  An exception ends there (an exit status — a thread
-    has none — would carry nothing more); an interrupt or exit goes on."""
+    naming the worker whose handler raised it, else ``who``.  An
+    exception ends there (the exit status would carry nothing more); an
+    interrupt or exit goes on."""
     try:
         yield
     except BaseException as exc:
+        fault = isinstance(exc, WorkerFault)
+        who, err = (exc.who, exc.err) if fault else (who, f"{exc!r}\n{traceback.format_exc()}")
         if log is not None:
-            log(f"worker {who} FAILED: {exc!r}")
-        control.send("error", who, f"{exc!r}\n{traceback.format_exc()}")
+            log(f"{who} FAILED: {exc!r}")
+        control.send("error", who, err)
         if not isinstance(exc, Exception):
             raise
 
 
 def _worker_main(node_id: str, spec: AttemptSpec, transport, control: ControlChannel) -> None:
     """Entry point of one forked worker: bind its transport endpoints,
-    run the shared loop."""
+    drive the place holding it."""
     try:
         with report_errors(control, node_id):
             # Drop inherited channel endpoints this worker does not own,
             # so a dead peer surfaces as EOF/EPIPE instead of silence.
             transport.child_setup(node_id)
             receiver = transport.receiver(node_id)
+
+            def inbox(timeout: Optional[float] = None) -> Any:
+                msgs = receiver.recv(timeout)
+                return msgs if msgs is None or msgs is STOP else (node_id, msgs)
+
             # While this worker waits for channel space it keeps
             # ingesting its own inbox (receiver.poll), so mutual
             # pressure cannot deadlock.
-            batcher = transport.sender(node_id, on_block=receiver.poll)
-            _drive_worker(node_id, spec, receiver, batcher, control)
+            remote = transport.sender(node_id, on_block=receiver.poll).send_batch
+            _drive_place(spec, [node_id], inbox, remote, control)
     finally:
         # Announce this worker's exit on transports that cannot observe
         # it through the kernel (shared-memory rings have no EOF/EPIPE;

@@ -733,7 +733,7 @@ def pump_producers(
     streams: Sequence[Any],
     post: PostFn,
     *,
-    owner: Optional[str] = None,
+    owners: Optional[Sequence[str]] = None,
     pace: Optional[float] = None,
     origin: Optional[float] = None,
 ) -> Iterator[float]:
@@ -743,13 +743,12 @@ def pump_producers(
     A generator of rounds: each step posts one round, or nothing when
     the next round is not due yet, then yields the seconds the caller
     must let pass before resuming it (``0.0``: the next round is due
-    now).  Between two steps the caller acts on the round boundary: a
-    forked worker handles what the round posted and serves its inbox,
-    the in-process substrate runs its queue.  With ``owner`` set only
-    that worker's streams are pumped; ``start_ts`` and ``end_ts`` stay
-    those of all ``streams``, so the owner's grids and closing
-    heartbeats are the ones a pump of every stream would post, and an
-    owner of no stream pumps nothing.
+    now).  Between two steps the caller runs its queue on the round
+    boundary, and a forking place serves its inbox.  With ``owners``
+    set only those workers' streams are pumped; ``start_ts`` and
+    ``end_ts`` stay those of all ``streams``, so the owners' grids and
+    closing heartbeats are the ones a pump of every stream would post,
+    and owners of no stream pump nothing.
 
     Each round picks a timestamp ``cut`` and
     then, for every stream in turn, posts that stream's events with
@@ -791,7 +790,7 @@ def pump_producers(
     feeds = []
     for s in streams:
         dst = plan.owner_of(s.itag).id
-        if owner is None or dst == owner:
+        if owners is None or dst in owners:
             feeds.append(_Feed(s, dst, start_ts, end_ts))
     if not feeds:
         return

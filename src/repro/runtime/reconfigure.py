@@ -41,7 +41,6 @@ Worked end-to-end by ``examples/elastic_scaling.py``; measured by
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, List, Optional, Sequence, Tuple
@@ -53,7 +52,7 @@ from ..plans.morph import plan_width, repartition_plan
 from ..plans.plan import SyncPlan
 from ..plans.validity import assert_reconfig_compatible
 from .checkpoint import Checkpoint
-from .faults import CrashRecord, FaultPlan
+from .faults import CrashRecord, FaultPlan, check_at_ts, check_count
 from .protocol import INIT_STATE, AttemptOutcome, RunStatsMixin
 from .quiesce import PointTrigger, QuiesceRecord, RootReconfigView
 from .recovery import (
@@ -97,20 +96,13 @@ class ReconfigPoint:
             raise ValueError(
                 "ReconfigPoint needs exactly one of at_ts= / after_joins="
             )
-        if self.at_ts is not None and math.isnan(self.at_ts):
-            raise ValueError("at_ts must not be NaN")
+        check_at_ts(self.at_ts)
         if (self.to_leaves is None) == (self.to_plan is None):
             raise ValueError(
                 "ReconfigPoint needs exactly one of to_leaves= / to_plan="
             )
-        for name in ("after_joins", "to_leaves"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, not {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_count("after_joins", self.after_joins)
+        check_count("to_leaves", self.to_leaves)
         if self.shape not in SHAPES:
             raise ValueError(f"shape must be one of {SHAPES}, not {self.shape!r}")
         if self.to_plan is not None and self.shape != "balanced":

@@ -1,18 +1,12 @@
 """The in-process substrate: every worker of an attempt on the caller's
 thread.
 
-An attempt's workers are the real substrates' worker-loop body
-(:class:`~repro.runtime.process._Worker`, one
-:class:`~repro.runtime.protocol.WorkerCore` each), driven from one FIFO
-run queue of ``(worker, batch)`` pairs.  Each worker, and the producer
-pump, posts through the forking substrates' sender
-(:class:`~repro.runtime.transport.BatchingSender`) under the same flush
-rule: at the end of every batch, and mid-batch when the core asks for
-one (``flush_hint``), each destination's buffer goes onto the run queue
-as one batch.  The attempt is idle when the run queue is empty.
-Nothing is forked, encoded, locked or handed between OS threads: a
-join step (root → leaves → root → fork down) costs queue appends, not
-thread wake-ups.
+An attempt is one place (:class:`~repro.runtime.process._Place`)
+holding every worker: the real substrates' worker-loop body on one FIFO
+run queue, each worker flushing by the forking substrates' rule.  The
+attempt is idle when the run queue is empty.  Nothing is forked,
+encoded, locked or handed between OS threads: a join step (root →
+leaves → root → fork down) costs queue appends, not thread wake-ups.
 
 An attempt is opened once and then fed and sealed any number of times
 (:class:`_Attempt`): a feed posts events to their owners, a seal posts
@@ -47,16 +41,13 @@ from __future__ import annotations
 
 import math
 import time
-import traceback
-from collections import deque
-from typing import Any, Deque, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Sequence
 
 from ..core.errors import RuntimeFault
 from .messages import EventRun, HeartbeatMsg
-from .process import AttemptSpec, _Worker, merge_reports
+from .process import AttemptSpec, _Place, _Worker, merge_reports
 from .protocol import AttemptOutcome, _heartbeat_key_tail, pump_producers
 from .recovery import ReplayLog
-from .transport import BatchingSender, worker_fault
 from .wire import batch_message_count, event_runs
 
 _SUBSTRATE = "threaded"
@@ -84,32 +75,19 @@ def _log_messages(items: Sequence[Any]) -> Iterator[Any]:
         yield from event_runs(events)
 
 
-class _Attempt:
-    """One attempt's workers and their run queue: opened once, then fed
-    (:meth:`post`, :meth:`pump`) and sealed (:meth:`seal`) until a seal
-    is final or a worker crashes or quiesces."""
+class _Attempt(_Place):
+    """One attempt's workers, every one in one place: opened once, then
+    fed (:meth:`post`, :meth:`pump`) and sealed (:meth:`seal`) until a
+    seal is final or a worker crashes or quiesces."""
 
-    def __init__(self, spec: AttemptSpec, timeout_s: Optional[float]) -> None:
-        self.spec = spec
+    def __init__(self, spec: AttemptSpec, timeout_s: float) -> None:
+        super().__init__(spec, [n.id for n in spec.plan.workers()])
         self.timeout_s = timeout_s
-        self.runq: Deque[Tuple[str, List[Any]]] = deque()
-        enqueue = self.runq.append
-
-        def send(dst: str, batch: List[Any]) -> None:
-            enqueue((dst, batch))
-
-        self.workers = {
-            n.id: _Worker(n.id, spec, BatchingSender(send)) for n in spec.plan.workers()
-        }
-        #: Events and heartbeats, posted on the coordinator's behalf.
-        self.producers = BatchingSender(send)
         self._owners = {t: n.id for n in spec.plan.workers() for t in n.itags}
         #: Events posted since the last seal; the highest timestamp
         #: ever posted through :meth:`post`.
         self._events_in = 0
         self._high_ts = -math.inf
-        #: A worker crashed or quiesced: the attempt is over.
-        self.aborted = False
         #: True while the attempt can take another seal.
         self.live = True
 
@@ -162,15 +140,17 @@ class _Attempt:
                 post(owner, HeartbeatMsg(itag, key))
         self.producers.flush()
         t0 = time.perf_counter()
-        self.run(self.timeout_s)
+        self.run(time.monotonic() + self.timeout_s)
+        if self.stopped is None and self.runq:
+            raise self._timed_out(self.timeout_s)
         result = AttemptOutcome(
             events_in=self._events_in,
             n_workers=len(self.workers),
             wall_s=time.perf_counter() - t0,
         )
         self._events_in = 0
-        self.live = not (final or self.aborted)
-        if not self.aborted:
+        self.live = not (final or self.stopped is not None)
+        if self.stopped is None:
             self.raise_stall()
         merge_reports(result, [w.report() for w in self.workers.values()], self.spec.metrics)
         for w in self.workers.values():
@@ -184,26 +164,6 @@ class _Attempt:
         those outputs and the checkpoints taken there."""
         for w in self.workers.values():
             w.sink.drop_through(key)
-
-    def run(self, timeout_s: Optional[float] = None) -> None:
-        """Run the queue until it is empty or a worker stops, checking
-        ``timeout_s`` (if given) before each batch."""
-        if self.aborted:
-            return
-        runq, workers = self.runq, self.workers
-        popleft, monotonic = runq.popleft, time.monotonic
-        deadline = monotonic() + timeout_s if timeout_s is not None else None
-        while runq:
-            if deadline is not None and monotonic() > deadline:
-                raise self._timed_out(timeout_s)
-            wid, batch = popleft()
-            try:
-                stopped = workers[wid].handle(batch)
-            except Exception as exc:
-                raise worker_fault(wid, f"{exc!r}\n{traceback.format_exc()}") from exc
-            if stopped:
-                self.aborted = True
-                return
 
     def _timed_out(self, timeout_s: float) -> RuntimeFault:
         queued = sum(batch_message_count(batch) for _, batch in self.runq)

@@ -70,7 +70,6 @@ import queue as queue_mod
 import select
 import socket
 import struct
-import threading
 import time
 from collections import deque
 from multiprocessing import shared_memory
@@ -142,37 +141,34 @@ def configure_stream_socket(sock: socket.socket, *, nonblocking: bool) -> None:
 _ORIGIN = struct.Struct("<d")
 
 
-def worker_fault(who: str, err: str) -> RuntimeFault:
+class WorkerFault(RuntimeFault):
     """A worker's escaped exception as the run's fault: the worker's
-    name, then ``err`` — the exception's repr and its traceback."""
-    return RuntimeFault(f"worker {who} crashed:\n{err}")
+    name ``who``, then ``err`` — the exception's repr and traceback."""
+
+    def __init__(self, who: str, err: str) -> None:
+        super().__init__(f"worker {who} crashed:\n{err}")
+        self.who, self.err = who, err
 
 
 class ControlChannel:
-    """A forked child's end of its control socket (a node agent's worker
-    threads share it): the origin comes down first, then pickled,
-    length-prefixed ``(kind, who, payload)`` records go up — ``"done"``,
-    ``"crash"`` or ``"quiesce"``, ``"report"``, ``"error"`` (an escaped
-    traceback) and, while ``live``, ``"metrics"``."""
+    """A forked child's end of its control socket: the origin comes
+    down first, then pickled, length-prefixed ``(kind, who, payload)``
+    records go up — ``"done"``, ``"crash"`` or ``"quiesce"``,
+    ``"report"``, ``"error"`` (an escaped traceback) and, while
+    ``live``, ``"metrics"``.  Only the child's place loop uses it."""
 
     def __init__(self, sock: socket.socket, live: bool = False) -> None:
         self._sock, self.live = sock, live
-        self._lock = threading.Lock()
-        self._origin: Optional[float] = None
 
     def wait_origin(self) -> float:
-        with self._lock:
-            if self._origin is None:
-                data = self._sock.recv(_ORIGIN.size, socket.MSG_WAITALL)
-                if len(data) < _ORIGIN.size:
-                    raise RuntimeFault("the coordinator left before the attempt's origin")
-                (self._origin,) = _ORIGIN.unpack(data)
-        return self._origin
+        data = self._sock.recv(_ORIGIN.size, socket.MSG_WAITALL)
+        if len(data) < _ORIGIN.size:
+            raise RuntimeFault("the coordinator left before the attempt's origin")
+        return _ORIGIN.unpack(data)[0]
 
     def send(self, kind: str, who: str, payload: Any = None) -> None:
         data = pickle.dumps((kind, who, payload), pickle.HIGHEST_PROTOCOL)
-        with self._lock:
-            self._sock.sendall(_LEN.pack(len(data)) + data)
+        self._sock.sendall(_LEN.pack(len(data)) + data)
 
 
 class _Child:
@@ -271,7 +267,7 @@ class ControlPlane:
         for frame in child.asm.feed(data):
             kind, who, payload = pickle.loads(frame)
             if kind == "error":
-                raise worker_fault(who, payload)
+                raise WorkerFault(who, payload)
             if kind == "report":
                 child.due -= 1
                 self.reports[who] = payload
@@ -310,10 +306,12 @@ class BatchingSender:
     worker's messages leave at the protocol's flush hint or at the end
     of the batch that posted them.
 
-    ``control`` and ``policy`` are not read; they stay positional for
-    dgsbench's layer pass (see :func:`resolve_policy`)."""
+    ``send_batch`` is the raw send, which a place routes its workers'
+    remote batches through.  ``control`` and ``policy`` are not read;
+    they stay positional for dgsbench's layer pass (see
+    :func:`resolve_policy`)."""
 
-    __slots__ = ("_send", "_buffers", "metrics")
+    __slots__ = ("send_batch", "_buffers", "metrics")
 
     def __init__(
         self,
@@ -321,7 +319,7 @@ class BatchingSender:
         control: Optional[ControlPlane] = None,
         policy: None = None,
     ) -> None:
-        self._send = send_batch
+        self.send_batch = send_batch
         self._buffers: Dict[str, List[Any]] = {}
         #: Optional WorkerMetrics assigned by the worker loop after
         #: construction (metrics plane on); counts flushed batches.
@@ -343,7 +341,7 @@ class BatchingSender:
         if m is not None:
             m.batches_sent += len(buffers)
             m.messages_sent += sum(map(batch_message_count, buffers.values()))
-        send = self._send
+        send = self.send_batch
         for dst, batch in buffers.items():
             send(dst, batch)
 
@@ -458,11 +456,14 @@ class FrameReceiver:
     checks surface the actual fault.  A stream that ends *mid-frame*
     (torn write, ``ECONNRESET`` under buffered bytes) raises
     :class:`RuntimeFault` immediately — a half-delivered batch must
-    never decode as a shorter one."""
+    never decode as a shorter one.
 
-    __slots__ = ("_poller", "_n_live", "_asm", "_ready")
+    With ``dsts`` (fd -> the hosted worker its edge reaches: a node
+    agent's inbound edges), each batch comes as ``(worker, batch)``."""
 
-    def __init__(self, rfds: List[int]) -> None:
+    __slots__ = ("_poller", "_n_live", "_asm", "_ready", "_dsts")
+
+    def __init__(self, rfds: List[int], dsts: Optional[Dict[int, str]] = None) -> None:
         self._poller = select.poll()
         self._asm: Dict[int, FrameAssembler] = {}
         for fd in rfds:
@@ -470,6 +471,7 @@ class FrameReceiver:
             self._asm[fd] = FrameAssembler()
         self._n_live = len(rfds)
         self._ready: Deque[Any] = deque()
+        self._dsts = dsts
 
     def recv(self, timeout: Optional[float] = None) -> Any:
         ready = self._ready
@@ -514,8 +516,10 @@ class FrameReceiver:
             if self._n_live == 0:
                 self._ready.append(STOP)
             return
+        dst = None if self._dsts is None else self._dsts[fd]
         for frame in self._asm[fd].feed(data):
-            self._ready.append(unpack_frame(frame) if frame else STOP)
+            batch = unpack_frame(frame) if frame else STOP
+            self._ready.append(batch if dst is None or batch is STOP else (dst, batch))
 
 
 class FrameSender:

@@ -255,6 +255,19 @@ class TestDistributedSmokeLane:
         assert os.path.exists(os.path.join(ROOT, "tests", "test_runtime_control.py"))
 
 
+    def test_the_lane_runs_the_one_place_chaos_slice(self, jobs):
+        """Crashes and re-plans with every worker of a plan in one node
+        agent: its run queue carries every join step."""
+        runs = {
+            s.get("name"): " ".join(str(s.get("run", "")).split())
+            for s in jobs["distributed-smoke"]["steps"]
+        }
+        assert runs["Chaos slice with every worker in one place"] == (
+            "python -m repro.chaos --smoke --backends process --transport tcp "
+            "--nodes 1 --modes faults,reconfig,reconfig-crash"
+        )
+
+
 class TestServiceSmokeLane:
     def test_lane_runs_both_examples_and_the_service_suite(self, jobs):
         """The service front door end to end on every push: cluster

@@ -122,6 +122,15 @@ class TestSchedulesAndTriggers:
         with pytest.raises(ValueError, match="at_ts"):
             ReconfigPoint(at_ts=float("nan"), to_leaves=2)
 
+    @pytest.mark.parametrize("at_ts", [True, float("inf"), "3.0"], ids=["bool", "inf", "str"])
+    def test_a_trigger_timestamp_no_event_can_reach_is_refused(self, at_ts):
+        """``at_ts=True`` is an int to Python, ``inf`` is never reached,
+        and a non-number raised a bare TypeError from ``math.isnan``:
+        each is a ValueError when the point is built."""
+        with pytest.raises(ValueError, match="at_ts"):
+            ReconfigPoint(at_ts=at_ts, to_leaves=2)
+        assert ReconfigPoint(at_ts=-float("inf"), to_leaves=2).at_ts == -float("inf")
+
     @pytest.mark.parametrize(
         "kwargs, match",
         [

@@ -8,7 +8,11 @@ outputs multiset-equal to the sequential specification; here the
 execution is placed across two local node agents so every channel is a
 real TCP connection established by the address-exchange handshake."""
 
+import json
+import os
 import random
+import threading
+import time
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.core import Event, ImplTag
 from repro.core.errors import RuntimeFault
 from repro.core.semantics import output_multiset
 from repro.plans import plan_width
+from repro.plans.generation import root_and_leaves_plan
 from repro.runtime import (
     CrashFault,
     FaultPlan,
@@ -33,6 +38,10 @@ from repro.runtime import (
     run_on_backend,
     run_sequential_reference,
 )
+from repro.runtime import cluster, process
+from repro.runtime.process import LEAF_LEAD, AttemptSpec, _drive_place, merge_reports
+from repro.runtime.protocol import AttemptOutcome, initial_leaf_states
+from repro.runtime.transport import COORDINATOR, STOP, ControlChannel, ControlPlane
 
 from test_differential import ALL_APPS, _app_case, _elastic_app_case
 
@@ -301,6 +310,220 @@ class TestClusterFaultTolerance:
         )
         assert summary.ok, summary.describe()
         assert "tcp" in summary.describe()
+
+
+# ---------------------------------------------------------------------------
+# A node agent is one place: its workers on one run queue
+# ---------------------------------------------------------------------------
+
+def _placements(plan):
+    """All workers in one place, one worker per place, and the root
+    with its first leaf in one place beside the rest in another."""
+    root, first = plan.root.id, plan.leaves()[0].id
+    pins = {n.id: "node0" if n.id in (root, first) else "node1" for n in plan.workers()}
+    return {
+        "one-place": RunOptions(nodes=1),
+        "place-per-worker": RunOptions(nodes=plan.size()),
+        "root+leaf/rest": RunOptions(nodes=2, placement=pins),
+    }
+
+
+def _held_leaf_case():
+    """Value-barrier with one barrier at ts 50 and two value streams on
+    two leaves.  ``v0`` is dense (10 000 events over 100 ms); ``v1``
+    has two events, at 10 and 100.  Neither ``v1`` nor the barrier
+    stream has a heartbeat grid, so ``v1``'s frontier stays at 10 until
+    the pump posts its event at 100, and no barrier frontier releases
+    ``v0``'s events past 50.  So the root's join at 50 holds ``v0``
+    (its state is away, and ``LEAF_LEAD`` of its events are buffered)
+    long before ``v1`` can answer it."""
+    prog = vb.make_program()
+    barrier = ImplTag(vb.BARRIER_TAG, "b")
+    dense, sparse = ImplTag(vb.VALUE_TAG, "v0"), ImplTag(vb.VALUE_TAG, "v1")
+    streams = [
+        InputStream(
+            barrier, (Event(barrier.tag, barrier.stream, 50.0),), heartbeat_interval=None
+        ),
+        InputStream(
+            dense,
+            tuple(Event(dense.tag, dense.stream, i / 100, 1) for i in range(1, 10_001)),
+            heartbeat_interval=1.0,
+        ),
+        InputStream(
+            sparse,
+            tuple(Event(sparse.tag, sparse.stream, ts, 1) for ts in (10.0, 100.0)),
+            heartbeat_interval=None,
+        ),
+    ]
+    return prog, root_and_leaves_plan(prog, [barrier], [[dense], [sparse]]), streams
+
+
+def _remote(dst, batch):
+    raise AssertionError(f"a place holding every worker sent {batch!r} to {dst}")
+
+
+class TestPlaces:
+    @pytest.mark.parametrize("placement", ["one-place", "place-per-worker", "root+leaf/rest"])
+    @pytest.mark.parametrize("app", ALL_APPS)
+    def test_every_app_matches_the_spec_under_every_placement(self, app, placement):
+        prog, streams, plan = _app_case(app)
+        run = run_on_backend("process", prog, plan, streams, options=_placements(plan)[placement])
+        assert output_multiset(run.outputs) == output_multiset(
+            run_sequential_reference(prog, streams)
+        ), f"{app} / {placement}: outputs diverged from the sequential spec"
+        assert run.events_processed == run.events_in
+
+    def test_a_crash_in_a_place_holding_every_worker_recovers(self):
+        prog, streams, plan = vb_case(n_value_streams=3, values_per_barrier=30, n_barriers=4)
+        leaf = plan.leaves()[1].id
+        run = run_on_backend(
+            "process", prog, plan, streams,
+            options=RunOptions(
+                nodes=1,
+                fault_plan=FaultPlan(CrashFault(leaf, after_events=37)),
+                checkpoint_predicate=every_root_join(),
+            ),
+        )
+        assert [c.worker for c in run.recovery.crashes] == [leaf]
+        assert output_multiset(run.outputs) == output_multiset(
+            run_sequential_reference(prog, streams)
+        )
+
+    def test_a_planned_migration_in_a_place_holding_every_worker(self):
+        prog, streams, plan = _elastic_app_case("value_barrier")
+        w = plan_width(plan)
+        run = run_on_backend(
+            "process", prog, plan, streams,
+            options=RunOptions(
+                nodes=1,
+                reconfig_schedule=ReconfigSchedule(
+                    ReconfigPoint(after_joins=1, to_leaves=max(1, w // 2))
+                ),
+                timeout_s=60.0,
+            ),
+        )
+        assert run.reconfig.reconfigured
+        assert output_multiset(run.outputs) == output_multiset(
+            run_sequential_reference(prog, streams)
+        )
+
+    def test_a_held_leaf_does_not_stop_the_pump_for_its_sibling(self, monkeypatch):
+        """One place holds the root and both leaves, and nothing comes
+        from outside it.  While ``v0`` is held at the root's join, the
+        place keeps pumping until ``v1`` can answer that join: a place
+        that waited on its inbox instead would wait for ever."""
+        prog, plan, streams = _held_leaf_case()
+        spec = AttemptSpec(
+            prog, plan, initial_leaf_states(plan, prog), None, None, False, None, None,
+            tuple(streams),
+        )
+        held = []
+        real = process._Worker.handle
+
+        def handle(self, msgs):
+            stopped = real(self, msgs)
+            if self.core.is_leaf and self.core.blocked:
+                held.append(self.core.mailbox.buffered_count())
+            return stopped
+
+        monkeypatch.setattr(process._Worker, "handle", handle)
+        waits = []
+
+        def inbox(timeout=None):
+            waits.append(timeout)
+            return STOP if timeout is None else None
+
+        control = ControlPlane()
+        end = control.open("the place", len(plan.workers()))
+        control.release()
+        _drive_place(spec, [n.id for n in plan.workers()], inbox, _remote, ControlChannel(end))
+        end.close()
+        assert max(held) >= LEAF_LEAD
+        assert waits[-1] is None and None not in waits[:-1]  # it waited once: for STOP
+        said = {control.next(time.monotonic() + 1.0) for _ in plan.workers()}
+        assert said == {(n.id, "done") for n in plan.workers()}
+        result = AttemptOutcome()
+        merge_reports(result, list(control.collect(time.monotonic() + 5.0).values()), None)
+        control.finish(failed=True)
+        assert output_multiset(result.outputs) == output_multiset(
+            run_sequential_reference(prog, streams)
+        )
+
+    @pytest.mark.parametrize("where", ["one-place", "leaves-together"])
+    def test_a_held_leaf_on_a_node_agent_finishes_promptly(self, where):
+        prog, plan, streams = _held_leaf_case()
+        pins = {n.id: "node0" for n in plan.workers()}
+        if where == "leaves-together":
+            pins[plan.root.id] = "node1"
+        t0 = time.monotonic()
+        run = run_on_backend(
+            "process", prog, plan, streams,
+            options=RunOptions(nodes=2, placement=pins, timeout_s=30.0),
+        )
+        assert time.monotonic() - t0 < 10.0
+        assert output_multiset(run.outputs) == output_multiset(
+            run_sequential_reference(prog, streams)
+        )
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["one-node", "root+leaf/leaf"])
+    def test_an_agent_drives_its_workers_on_one_thread_with_no_edge_between_them(
+        self, monkeypatch, tmp_path, pinned
+    ):
+        """Each agent records the threads its workers' handlers ran on
+        and the edge hellos it accepted; the coordinator records the
+        stop edges it dialed."""
+        prog, streams, plan = vb_case(n_value_streams=2)
+        root, a, b = plan.root.id, *(leaf.id for leaf in plan.leaves())
+        pins = {root: "node0", a: "node0", b: "node1" if pinned else "node0"}
+        parent, dialed, hellos, threads = os.getpid(), [], [], set()
+        real_hello, real_blob = cluster._recv_hello, cluster._send_blob
+        real_handle, real_agent = process._Worker.handle, cluster._agent_main
+
+        def recv_hello(sock, cookie):
+            hellos.append(real_hello(sock, cookie))
+            return hellos[-1]
+
+        def send_blob(sock, obj):
+            if os.getpid() == parent and isinstance(obj, list) and obj[1] == COORDINATOR:
+                dialed.append(obj[2])
+            real_blob(sock, obj)
+
+        def handle(self, msgs):
+            threads.add((threading.get_ident(), threading.active_count()))
+            return real_handle(self, msgs)
+
+        def agent_main(node_name, *args):
+            try:
+                real_agent(node_name, *args)
+            finally:
+                record = {"threads": sorted(threads), "hellos": hellos}
+                (tmp_path / f"{node_name}.json").write_text(json.dumps(record))
+
+        monkeypatch.setattr(cluster, "_recv_hello", recv_hello)
+        monkeypatch.setattr(cluster, "_send_blob", send_blob)
+        monkeypatch.setattr(cluster, "_agent_main", agent_main)
+        monkeypatch.setattr(process._Worker, "handle", handle)
+        run = run_on_backend(
+            "process", prog, plan, streams,
+            options=RunOptions(nodes=2 if pinned else 1, placement=pins),
+        )
+        assert output_multiset(run.outputs) == output_multiset(
+            run_sequential_reference(prog, streams)
+        )
+        agents = {p.stem: json.loads(p.read_text()) for p in tmp_path.glob("*.json")}
+        expected = (
+            {
+                "node0": [[COORDINATOR, "node0"], ["node1", root]],
+                "node1": [[COORDINATOR, "node1"], ["node0", b]],
+            }
+            if pinned
+            else {"node0": [[COORDINATOR, "node0"]]}
+        )
+        assert sorted(dialed) == sorted(expected)
+        assert {name: sorted(r["hellos"]) for name, r in agents.items()} == expected
+        for name, record in agents.items():
+            # One thread, and it is the agent's only one.
+            assert [count for _ident, count in record["threads"]] == [1], name
 
 
 class TestClusterLogs:

@@ -63,6 +63,24 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             DropHeartbeats("w1", before_ts=float("nan"))
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"at_ts": True}, "at_ts"),
+            ({"at_ts": float("inf")}, "at_ts"),
+            ({"at_ts": "3.0"}, "at_ts"),
+            ({"after_events": True}, "after_events"),
+            ({"after_events": 2.5}, "after_events"),
+        ],
+        ids=["bool-ts", "inf-ts", "str-ts", "bool-count", "float-count"],
+    )
+    def test_a_trigger_that_is_not_a_trigger_is_refused(self, kwargs, match):
+        """A bool is an int to Python, no event reaches ``inf``, and a
+        fractional count was accepted and fired at its ceiling: each is
+        a ValueError when the fault is built, as for ReconfigPoint."""
+        with pytest.raises(ValueError, match=match):
+            CrashFault("w1", **kwargs)
+
     def test_view_raises_worker_crash_at_count(self):
         plan = FaultPlan(CrashFault("w2", after_events=3))
         view = plan.view_for("w2")

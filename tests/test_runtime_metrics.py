@@ -43,7 +43,7 @@ from repro.runtime import (
     run_sequential_reference,
 )
 from repro.runtime.messages import EventMsg, HeartbeatMsg
-from repro.runtime.process import AttemptSpec, _drive_worker, merge_reports
+from repro.runtime.process import AttemptSpec, _drive_place, merge_reports
 from repro.runtime.protocol import AttemptOutcome, OutputSink, initial_leaf_states
 from repro.runtime.transport import STOP, ControlChannel, ControlPlane
 
@@ -198,26 +198,18 @@ class TestWorkerMetrics:
 
 
 class _Inbox:
-    """A receiver stub: the given batches, then the stop frame."""
+    """An inbox stub for a one-worker place: the given batches for
+    ``w1``, then the stop frame."""
 
     def __init__(self, batches):
-        self._batches = iter([*batches, STOP])
+        self._batches = iter([*(("w1", b) for b in batches), STOP])
 
-    def recv(self):
+    def __call__(self):
         return next(self._batches)
 
 
-class _Sender:
-    """A sender stub for a one-worker plan, which posts nothing; the
-    worker hands it its WorkerMetrics."""
-
-    metrics = None
-
-    def post(self, dst, msg):
-        raise AssertionError(f"a lone worker posted {msg!r} to {dst}")
-
-    def flush(self):
-        pass
+def _remote(dst, batch):
+    raise AssertionError(f"a lone worker sent {batch!r} to {dst}")
 
 
 class TestOneMetricsPath:
@@ -246,21 +238,20 @@ class TestOneMetricsPath:
         control = ControlPlane(multiprocessing.get_context("fork"))
         worker_end = control.open("worker w1", 1)
         control.release()  # every worker is up
-        sender = _Sender()
         clock = iter([0.0, 1.0])
         with monkeypatch.context() as m:
             m.setattr(time, "monotonic", lambda: next(clock, 1.1))
-            _drive_worker(
-                "w1", spec, _Inbox([events + heartbeats(3.0), heartbeats(4.0)]), sender,
+            _drive_place(
+                spec, ["w1"], _Inbox([events + heartbeats(3.0), heartbeats(4.0)]), _remote,
                 ControlChannel(worker_end, live=True),
             )
         worker_end.close()
-        return spec, control, sender.metrics
+        return spec, control
 
     def test_a_stale_live_snapshot_does_not_replace_the_report(self, monkeypatch):
         """The live feed saw the worker after its first frame, the
         report after both; the attempt's metrics are the report's."""
-        spec, control, _wm = self._drive(monkeypatch)
+        spec, control = self._drive(monkeypatch)
         fed = []
         control.on_metrics = fed.append
         result = AttemptOutcome()
@@ -275,15 +266,17 @@ class TestOneMetricsPath:
         """The worker goes on observing after it takes a live snapshot:
         the snapshot it hands the channel shares no histogram with the
         live WorkerMetrics, so later observations leave it alone."""
-        taken = []
+        taken, owners = [], []
         real = WorkerMetrics.snapshot
 
         def snapshot(self, sink):
+            owners.append(self)
             taken.append(real(self, sink))
             return taken[-1]
 
         monkeypatch.setattr(WorkerMetrics, "snapshot", snapshot)
-        _spec, control, wm = self._drive(monkeypatch)
+        _spec, control = self._drive(monkeypatch)
+        wm = owners[0]
         fed = []
         control.on_metrics = fed.append
         control.collect(time.monotonic() + 5.0)
