@@ -360,25 +360,29 @@ class ProcessBackend(RuntimeBackend):
         timeout_s = opts.with_timeout_default(self.default_timeout_s)
         if opts.nodes is None:
             return process.run_on_workers(spec, timeout_s, opts.transport or DEFAULT_TRANSPORT)
-        return cluster.run_on_nodes(
-            spec,
-            timeout_s,
-            nodes=opts.nodes,
-            placement=opts.placement,
-            metrics_port=opts.metrics_port,
-        )
+        exporter = opts.metrics_port
+        if isinstance(exporter, int):
+            # This attempt's own exporter, serving while it runs.
+            exporter = MetricsExporter(port=exporter).start()
+        elif exporter is not None:
+            exporter.begin_attempt()
+        try:
+            agents = cluster.NodeEndpoints(spec.plan, opts.nodes, opts.placement)
+            return process.run_on_workers(spec, timeout_s, agents, exporter)
+        finally:
+            if exporter is not None and exporter is not opts.metrics_port:
+                exporter.stop()
 
     def _run_driven(self, program, plan, streams, opts):
-        # Cluster attempts each bind their own exporter, so a per-run
-        # one would bind, serve one attempt, and vanish — exactly when
-        # a scrape wants to watch a recovery.  Own one exporter here
-        # for the whole recovering/elastic run and hand the live
-        # instance down through metrics_port; each attempt reuses it,
-        # opening a new attempt="N" label group, and leaves stopping
-        # it to us.
+        # An exporter per attempt would bind, serve one attempt, and
+        # vanish — exactly when a scrape wants to watch a recovery.
+        # Own one exporter here for the whole recovering/elastic run
+        # and hand the live instance down through metrics_port; each
+        # attempt reuses it, opening a new attempt="N" label group, and
+        # leaves stopping it to us.
         if opts.nodes is None or not opts.metrics or opts.metrics_port is None:
             return super()._run_driven(program, plan, streams, opts)
-        exporter = MetricsExporter(port=int(opts.metrics_port)).start()
+        exporter = MetricsExporter(port=opts.metrics_port).start()
         opts = copy.copy(opts)
         opts.metrics_port = exporter
         try:

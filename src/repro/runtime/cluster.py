@@ -6,15 +6,17 @@ boundary.  The unit of deployment is a **node agent**: one OS process
 per :class:`NodeSpec` that drives every plan worker placed on that node
 as one place, on one thread (:class:`~repro.runtime.process._Place`),
 and speaks the framed wire protocol of :mod:`repro.runtime.wire` over
-TCP stream sockets to its peers.  The process backend runs an attempt
-here (:func:`run_on_nodes`) when ``RunOptions.nodes`` is set, on the
-same :class:`~repro.runtime.process.AttemptSpec` it builds for a
-process per worker.
+TCP stream sockets to its peers.  This module is the agents' endpoints
+(:class:`NodeEndpoints`), with the lifecycle of a transport's
+(:class:`~repro.runtime.transport.Endpoints`): when ``RunOptions.nodes``
+is set, the process backend hands them to the same
+:func:`~repro.runtime.process.run_on_workers` that forks a process per
+worker, so an agent is forked, driven and stopped like one.
 
-Setup is a three-step handshake, deliberately free of any same-host
-assumption (locally every agent binds 127.0.0.1; on a real cluster
-each :class:`NodeSpec` names a routable host and the identical
-exchange runs across machines):
+Its endpoint setup is a three-step handshake, deliberately free of
+any same-host assumption (locally every agent binds 127.0.0.1; on a
+real cluster each :class:`NodeSpec` names a routable host and the
+identical exchange runs across machines):
 
 1. **Bind + register.**  Each agent binds a data-plane listener on its
    node's host (ephemeral port), dials the coordinator's *registry*
@@ -39,7 +41,7 @@ dead peer is EOF/ECONNRESET, never a reconnect) — so fault injection,
 checkpoint recovery, and elastic reconfiguration run unchanged on a
 cluster deployment.
 
-Control rides one socketpair per agent, as on the process backend
+Control rides one socketpair per agent, as for a forked worker
 (:class:`~repro.runtime.transport.ControlPlane`), live metrics
 snapshots for the exporter included; a dead agent shows as EOF there.
 *Launching* is what stays on one machine: agents are forked to inherit
@@ -83,19 +85,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from ..plans.plan import SyncPlan
-from .metrics import MetricsExporter
-from .process import (
-    AttemptSpec,
-    _drive_place,
-    coordinate_attempt,
-    fork_context,
-    report_errors,
-)
-from .protocol import AttemptOutcome
 from .transport import (
     COORDINATOR,
-    ControlChannel,
     ControlPlane,
+    Endpoints,
     FrameReceiver,
     FrameSender,
     configure_stream_socket,
@@ -254,285 +247,205 @@ class _NodeLog:
 
 
 # ---------------------------------------------------------------------------
-# Node agent
+# The node agents' endpoints
 # ---------------------------------------------------------------------------
 
-def _agent_main(  # pragma: no cover - runs in forked node agents (like
-    # process._worker_main, invisible to the parent's coverage tracer);
-    # exercised end-to-end by tests/test_runtime_cluster.py.
-    node_name: str,
-    host: str,
-    spec: AttemptSpec,
-    placement: Dict[str, str],
-    registry_addr: Tuple[str, int],
-    cookie: str,
-    log_dir: Optional[str],
-    control: ControlChannel,
-) -> None:
-    """Node-agent entry point: handshake, then drive this node's workers
-    as one place over the established TCP edges."""
-    log = _NodeLog(log_dir, node_name)
-    in_socks: Dict[Tuple[str, str], socket.socket] = {}
-    out_socks: Dict[str, socket.socket] = {}
-    try:
-        with report_errors(control, f"node:{node_name}", log):
-            hosted = sorted(w for w, node in placement.items() if node == node_name)
-            edges = plan_edges(spec.plan)
+class NodeEndpoints(Endpoints):
+    """The data plane of a cluster attempt: one place per node, whose
+    agent drives the workers ``placement`` puts there (every node is a
+    place, an empty one included), over TCP edges set up by the
+    handshake in the module docstring.  The dial and accept sets come
+    from :func:`~repro.runtime.transport.plan_edges` over the
+    placement; the coordinator dials one stop edge per node.
 
-            # 1. Bind the data-plane listener, register, learn the map.
-            lst = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            lst.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            lst.bind((host, 0))
-            lst.listen(128)
-            lst.settimeout(HANDSHAKE_TIMEOUT_S)
-            reg = socket.create_connection(registry_addr, timeout=HANDSHAKE_TIMEOUT_S)
-            _send_blob(reg, [cookie, node_name, list(lst.getsockname())])
-            addr_map: Dict[str, Any] = _recv_blob(reg)
-            reg.close()
-            log(f"registered {lst.getsockname()}; cluster map: {addr_map}")
+    Built in the coordinator before the fork: it binds the registry
+    and draws the run's cookie, which each agent inherits."""
 
-            # 2. Dial one edge to each worker on another node that a
-            # hosted worker sends to; co-located workers share the run
-            # queue instead.  Connects land in peers' backlogs, so
-            # dial-before-accept cannot deadlock.
-            for dst, srcs in edges.items():
-                if placement[dst] != node_name and any(s in hosted for s in srcs):
-                    s = socket.create_connection(
-                        tuple(addr_map[placement[dst]]), timeout=HANDSHAKE_TIMEOUT_S
-                    )
-                    _send_blob(s, [cookie, node_name, dst])
-                    configure_stream_socket(s, nonblocking=True)
-                    out_socks[dst] = s
-            log(f"dialed {len(out_socks)} outbound edge(s)")
+    kind = "node"
+    name = "tcp"
 
-            # 3. Accept the inbound edges: one from each other node that
-            # sends to a hosted worker, and the coordinator's, learning
-            # which edge each connection carries from its
-            # cookie-authenticated edge-hello; strays are dropped without
-            # joining (or crashing) the mesh.
-            expected = {(COORDINATOR, node_name)} | {
-                (placement[src], dst)
-                for dst in hosted
-                for src in edges[dst]
-                if src != COORDINATOR and placement[src] != node_name
-            }
-            # Short accept timeout so the deadline is actually enforced: a
-            # peer that registered and then died would otherwise park this
-            # agent in accept() for the whole window, and the diagnostic
-            # below (which edges are missing) would be unreachable.
-            lst.settimeout(0.25)
-            deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
-            while len(in_socks) < len(expected):
-                try:
-                    conn, _ = lst.accept()
-                except socket.timeout:
-                    if time.monotonic() > deadline:
-                        raise RuntimeFault(
-                            f"node {node_name}: only {len(in_socks)}/{len(expected)} "
-                            f"edges connected within {HANDSHAKE_TIMEOUT_S:.0f}s"
-                        ) from None
-                    continue
-                conn.settimeout(_HELLO_TIMEOUT_S)
-                hello = _recv_hello(conn, cookie)
-                if hello is None or len(hello) != 2:
-                    log("dropped a stray/unauthenticated connection")
-                    conn.close()
-                    continue
-                edge = tuple(hello)
-                if edge not in expected or edge in in_socks:
-                    conn.close()
-                    raise RuntimeFault(f"node {node_name}: unexpected edge hello {edge!r}")
-                configure_stream_socket(conn, nonblocking=False)
-                in_socks[edge] = conn
-            lst.close()
-            log(f"accepted {len(in_socks)} inbound edge(s); starting workers")
-
-            # 4. Drive this node's workers as one place on this thread:
-            # a batch between two of them is a run-queue append, one to
-            # another node goes out on its edge.
-            dsts = {s.fileno(): dst for (_src, dst), s in in_socks.items()}
-            receiver = FrameReceiver(list(dsts), dsts)
-            sender = FrameSender(
-                {dst: s.fileno() for dst, s in out_socks.items()}, on_block=receiver.poll
-            )
-            _drive_place(spec, hosted, receiver.recv, sender.send_batch, control)
-            log("all workers done")
-    finally:
-        for s in [*in_socks.values(), *out_socks.values()]:
-            try:
-                s.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        log.close()
-
-
-# ---------------------------------------------------------------------------
-# The coordinator side of a cluster attempt
-# ---------------------------------------------------------------------------
-
-def run_on_nodes(
-    spec: AttemptSpec,
-    timeout_s: float,
-    *,
-    nodes: Any,
-    placement: Optional[Dict[str, str]] = None,
-    metrics_port: Any = None,
-    registry_host: str = "127.0.0.1",
-) -> AttemptOutcome:
-    """One attempt with one agent process per node, every channel between
-    two nodes a framed TCP connection; outcome, fail-stop and quiesce semantics are
-    the process backend's (``transport="tcp"``, ``nodes`` set).
-
-    ``nodes`` is a sequence of :class:`NodeSpec` or an int (that many
-    loopback nodes); ``placement`` pins workers to node names, the rest
-    go round-robin (:func:`resolve_placement`).  With the metrics plane
-    on, ``metrics_port`` serves live Prometheus text on
-    ``127.0.0.1:<metrics_port>`` (``0`` picks a free port); a
-    :class:`MetricsExporter` instance is reused, and left running."""
-    nodes = local_nodes(nodes) if isinstance(nodes, int) else tuple(nodes)
-    for node in nodes:
-        if not isinstance(node, NodeSpec):
-            raise RuntimeFault(f"nodes= entries must be NodeSpec (or pass an int), got {node!r}")
-    placement = resolve_placement(spec.plan, nodes, placement)
-    ctx = fork_context("the cluster deployment")
-    control = ControlPlane(ctx)
-    # Set before the agents fork, so their workers push live snapshots.
-    control.live = live = spec.metrics is not None and metrics_port is not None
-    log_dir = os.environ.get("REPRO_CLUSTER_LOG_DIR") or None
-    log = _NodeLog(log_dir, "coordinator")
-    # Per-run shared secret: agents get it at launch (fork args /
-    # out-of-band on a real deployment), every hello must echo it,
-    # and it never travels to a peer that didn't already hold it.
-    cookie = secrets.token_hex(16)
-
-    registry = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    registry.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    registry.bind((registry_host, 0))
-    registry.listen(len(nodes))
-    registry.settimeout(HANDSHAKE_TIMEOUT_S)
-    log(
-        f"registry {registry.getsockname()}; nodes={[n.name for n in nodes]}; "
-        f"placement={placement}"
-    )
-
-    for node in nodes:
-        hosted = sorted(w for w, name in placement.items() if name == node.name)
-        control.spawn(
-            ctx, f"node:{node.name}", f"node {node.name} (workers {', '.join(hosted)})",
-            len(hosted), _agent_main, node.name, node.host, spec, placement,
-            registry.getsockname(), cookie, log_dir,
+    def __init__(
+        self, plan: SyncPlan, nodes: Any, placement: Optional[Dict[str, str]] = None
+    ) -> None:
+        nodes = local_nodes(nodes) if isinstance(nodes, int) else tuple(nodes)
+        placement = resolve_placement(plan, nodes, placement)
+        self.places = {
+            n.name: sorted(w for w, name in placement.items() if name == n.name) for n in nodes
+        }
+        self._placement = placement
+        self._hosts = {n.name: n.host for n in nodes}
+        self._edges = plan_edges(plan, placement)
+        self._log_dir = os.environ.get("REPRO_CLUSTER_LOG_DIR") or None
+        self._log = _NodeLog(self._log_dir, "coordinator")
+        # Per-run shared secret: agents get it at launch (fork args /
+        # out-of-band on a real deployment), every hello must echo it,
+        # and it never travels to a peer that didn't already hold it.
+        self._cookie = secrets.token_hex(16)
+        #: The coordinator's stop edges, or an agent's outbound edges.
+        self._out: Dict[str, socket.socket] = {}
+        #: An agent's inbound edges: (sending place, hosted worker) -> socket.
+        self._in: Dict[Tuple[str, str], socket.socket] = {}
+        self._control: Optional[ControlPlane] = None
+        self._registry = registry = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        #: Every socket this process opened — closed on the way out, so
+        #: a failed handshake cannot leak fds across retried runs.
+        self._socks: List[socket.socket] = [registry]
+        registry.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        registry.bind(("127.0.0.1", 0))
+        registry.listen(len(nodes))
+        self._log(
+            f"registry {registry.getsockname()}; nodes={list(self.places)}; "
+            f"placement={placement}"
         )
 
-    result: Optional[AttemptOutcome] = None
-    coord_socks: Dict[str, socket.socket] = {}
-    #: Every connection the registry ever accepted — closed in the
-    #: finally block so a failed handshake (unexpected
-    #: registration, timeout) cannot leak fds across retried runs.
-    reg_conns: List[socket.socket] = []
-    # Live observability: a Prometheus-text endpoint fed with the live
-    # snapshots the coordinator reads off the agents' control sockets.
-    exporter: Optional[MetricsExporter] = None
-    owns_exporter = True
-    if live:
-        if isinstance(metrics_port, MetricsExporter):
-            # A recovering/elastic run hands each attempt the same
-            # live exporter (ProcessBackend owns its lifetime):
-            # scrapes survive restarts, and every attempt's samples
-            # land under a fresh attempt="N" label group.
-            exporter = metrics_port
-            owns_exporter = False
-            attempt_no = exporter.begin_attempt()
-            log(f"metrics exporter reused (attempt {attempt_no})")
-        else:
-            exporter = MetricsExporter(port=int(metrics_port)).start()
-            log(f"metrics exporter on 127.0.0.1:{exporter.port}/metrics")
-        control.on_metrics = exporter.update
+    def log(self, msg: str) -> None:
+        self._log(msg)
 
-    def stop() -> None:
-        # While a stop frame waits for socket space, a dead agent raises.
-        socks = {name: s.fileno() for name, s in coord_socks.items()}
-        sender = FrameSender(socks, lambda: control.wait(0))
-        for name in coord_socks:
-            sender.send_raw(name, FRAME_LEN.pack(0))
-        # From here on the exporter shows the end-of-run reports;
-        # live snapshots still in flight are dropped.
-        control.on_metrics = None
+    # -- the node agent ------------------------------------------------------
+    def child_setup(self, place: str) -> None:
+        """Bind, register, learn the address map, dial, accept."""
+        registry = self._registry.getsockname()
+        self._registry.close()
+        self._log.close()
+        self._log = log = _NodeLog(self._log_dir, place)
+        cookie = self._cookie
 
-    def handshake() -> None:
-        # Registry exchange: collect every node's hello, then send
-        # each the full address map.  The wait reads the control
-        # sockets too: an agent that dies before registering sends its
-        # traceback (or shows EOF) there, and that must raise at once,
-        # not after the full handshake window.
+        # 1. Bind the data-plane listener, register, learn the map.
+        lst = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._socks = [lst]
+        lst.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        lst.bind((self._hosts[place], 0))
+        lst.listen(128)
+        reg = socket.create_connection(registry, timeout=HANDSHAKE_TIMEOUT_S)
+        self._socks.append(reg)
+        _send_blob(reg, [cookie, place, list(lst.getsockname())])
+        addr_map: Dict[str, Any] = _recv_blob(reg)
+        reg.close()
+        log(f"registered {lst.getsockname()}; cluster map: {addr_map}")
+
+        # 2. Dial one edge to each worker in another place that a
+        # hosted worker sends to; co-located workers share the run
+        # queue instead.  Connects land in peers' backlogs, so
+        # dial-before-accept cannot deadlock.
+        for dst, srcs in self._edges.items():
+            if place in srcs:
+                s = socket.create_connection(
+                    tuple(addr_map[self._placement[dst]]), timeout=HANDSHAKE_TIMEOUT_S
+                )
+                self._socks.append(s)
+                _send_blob(s, [cookie, place, dst])
+                configure_stream_socket(s, nonblocking=True)
+                self._out[dst] = s
+        log(f"dialed {len(self._out)} outbound edge(s)")
+
+        # 3. Accept the inbound edges: one from each other place that
+        # sends to a hosted worker, and the coordinator's, learning
+        # which edge each connection carries from its
+        # cookie-authenticated edge-hello; strays are dropped without
+        # joining (or crashing) the mesh.
+        expected = {(COORDINATOR, place)} | {
+            (src, dst) for dst in self.places[place] for src in self._edges[dst]
+        }
+        # Short accept timeout so the deadline is actually enforced: a
+        # peer that registered and then died would otherwise park this
+        # agent in accept() for the whole window, and the diagnostic
+        # below (which edges are missing) would be unreachable.
+        lst.settimeout(0.25)
+        deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
+        while len(self._in) < len(expected):
+            try:
+                conn, _ = lst.accept()
+            except socket.timeout:
+                if time.monotonic() > deadline:
+                    raise RuntimeFault(
+                        f"node {place}: only {len(self._in)}/{len(expected)} "
+                        f"edges connected within {HANDSHAKE_TIMEOUT_S:.0f}s"
+                    ) from None
+                continue
+            self._socks.append(conn)
+            conn.settimeout(_HELLO_TIMEOUT_S)
+            hello = _recv_hello(conn, cookie)
+            if hello is None or len(hello) != 2:
+                log("dropped a stray/unauthenticated connection")
+                conn.close()
+                continue
+            edge = tuple(hello)
+            if edge not in expected or edge in self._in:
+                raise RuntimeFault(f"node {place}: unexpected edge hello {edge!r}")
+            configure_stream_socket(conn, nonblocking=False)
+            self._in[edge] = conn
+        lst.close()
+        log(f"accepted {len(self._in)} inbound edge(s); starting workers")
+
+    def receiver(self, place: str) -> FrameReceiver:
+        """Each batch as ``(hosted worker, batch)``."""
+        dsts = {s.fileno(): dst for (_src, dst), s in self._in.items()}
+        return FrameReceiver(list(dsts), dsts)
+
+    def sender(self, place: str, control=None, policy=None, on_block=None) -> FrameSender:
+        return FrameSender({dst: s.fileno() for dst, s in self._out.items()}, on_block)
+
+    def child_teardown(self, place: str) -> None:
+        for s in self._socks:
+            s.close()
+        self._log.close()
+
+    # -- the coordinator ---------------------------------------------------
+    def parent_setup(self, control: Optional[ControlPlane] = None) -> None:
+        """The registry exchange, then one stop edge per node.  The wait
+        reads the control sockets too: an agent that dies before
+        registering sends its traceback (or shows EOF) there, and that
+        must raise at once, not after the full handshake window."""
+        self._control = control
+        registry = self._registry
         registry.setblocking(False)
         deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
         addr_map: Dict[str, Any] = {}
         conns: List[socket.socket] = []
-        while len(addr_map) < len(nodes):
+        while len(addr_map) < len(self.places):
             if not control.wait(deadline, also=registry):
                 raise RuntimeFault(
                     f"cluster handshake timed out: only {sorted(addr_map)} of "
-                    f"{sorted(n.name for n in nodes)} registered "
+                    f"{sorted(self.places)} registered "
                     f"within {HANDSHAKE_TIMEOUT_S:.0f}s"
                 )
             try:
                 conn, _ = registry.accept()
             except BlockingIOError:
                 continue
-            reg_conns.append(conn)
+            self._socks.append(conn)
             conn.settimeout(_HELLO_TIMEOUT_S)
-            hello = _recv_hello(conn, cookie)
+            hello = _recv_hello(conn, self._cookie)
             if hello is None or len(hello) != 2:
-                log("dropped a stray/unauthenticated registration")
+                self._log("dropped a stray/unauthenticated registration")
                 conn.close()
                 continue
             name, addr = hello
-            if name not in {n.name for n in nodes} or name in addr_map:
-                raise RuntimeFault(
-                    f"cluster handshake: unexpected registration {name!r}"
-                )
+            if name not in self.places or name in addr_map:
+                raise RuntimeFault(f"cluster handshake: unexpected registration {name!r}")
             addr_map[name] = addr
             conns.append(conn)
         for conn in conns:
             _send_blob(conn, addr_map)
             conn.close()
         registry.close()
-        log(f"handshake complete: {addr_map}")
-
-        # The coordinator's own edges: one dialed connection per
-        # agent, for its stop frame.
-        for node in nodes:
-            s = socket.create_connection(tuple(addr_map[node.name]), timeout=HANDSHAKE_TIMEOUT_S)
-            _send_blob(s, [cookie, COORDINATOR, node.name])
+        self._log(f"handshake complete: {addr_map}")
+        for place in self.places:
+            s = socket.create_connection(tuple(addr_map[place]), timeout=HANDSHAKE_TIMEOUT_S)
+            self._socks.append(s)
+            _send_blob(s, [self._cookie, COORDINATOR, place])
             configure_stream_socket(s, nonblocking=True)
-            coord_socks[node.name] = s
+            self._out[place] = s
 
-    try:
-        result = coordinate_attempt(
-            "cluster",
-            spec,
-            control,
-            setup=handshake,
-            stop=stop,
-            timeout_s=timeout_s,
-            transport="tcp",
-            nodes=len(nodes),
+    def stop_all(self) -> None:
+        # While a stop frame waits for socket space, a dead agent raises.
+        control = self._control
+        sender = FrameSender(
+            {place: s.fileno() for place, s in self._out.items()}, lambda: control.wait(0)
         )
-    finally:
-        control.finish(failed=True)
-        for s in [*coord_socks.values(), *reg_conns, registry]:
-            s.close()
-        if exporter is not None:
-            # Final state stays scrapeable until stop(); publish
-            # the merged end-of-run snapshots, then shut down —
-            # unless the exporter is shared across attempts, in
-            # which case its owner (ProcessBackend) stops it after
-            # the whole recovering/elastic run.
-            if result is not None and result.metrics is not None:
-                for snap in result.metrics.per_worker.values():
-                    exporter.update(snap)
-            if owns_exporter:
-                exporter.stop()
-        log("run complete")
-        log.close()
-    return result
+        for place in self._out:
+            sender.send_raw(place, FRAME_LEN.pack(0))
+
+    def close(self) -> None:
+        self._log("run complete")
+        self.child_teardown(COORDINATOR)

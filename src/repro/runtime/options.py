@@ -31,17 +31,29 @@ Fields typed ``Any`` to keep this module a leaf of the import graph
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.errors import RuntimeFault
 
 
+def _both_str(pair: Any) -> bool:
+    return all(isinstance(x, str) for x in pair)
+
+
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_seq(x: Any) -> bool:
+    return isinstance(x, Sequence) and not isinstance(x, str)
+
+
 def _increasing_bounds(bounds: Any) -> bool:
     """``bounds`` is a non-empty, strictly increasing sequence of finite
     numbers above 0."""
-    if not isinstance(bounds, Sequence) or isinstance(bounds, str) or not bounds:
+    if not _is_seq(bounds) or not bounds:
         return False
     try:
         values = [float(x) for x in bounds]
@@ -67,7 +79,7 @@ class RunOptions:
       ``"queue"`` (the original ``multiprocessing.Queue`` fabric,
       carrying the same frames; it stays because dgsbench's layer
       pass probes every name in ``transport.TRANSPORTS``, and its
-      removal is ROADMAP.md item 2a), ``"tcp"`` (the same frames over
+      removal is ROADMAP.md item 2b), ``"tcp"`` (the same frames over
       TCP stream sockets — the single-host form of the distributed data
       plane), or ``"shm"`` (fixed-slot shared-memory rings: zero
       syscalls per message, same-host only);
@@ -133,6 +145,27 @@ class RunOptions:
                 "latency_buckets must be None or a non-empty, strictly increasing "
                 f"sequence of finite numbers > 0, got {b!r}"
             )
+        # Deferred: this module stays a leaf of the import graph.
+        from .cluster import NodeSpec
+        from .metrics import MetricsExporter
+
+        n, p, port = self.nodes, self.placement, self.metrics_port
+        if not (
+            n is None
+            or (_is_int(n) and n >= 1)
+            or (_is_seq(n) and n and all(isinstance(x, NodeSpec) for x in n))
+        ):
+            raise ValueError(f"nodes must be None, an int >= 1 or NodeSpecs, got {n!r}")
+        if not (p is None or isinstance(p, Mapping) and all(map(_both_str, p.items()))):
+            raise ValueError(f"placement must be None or a str -> str mapping, got {p!r}")
+        # Or the one live exporter a multi-attempt run owns and hands
+        # its attempts (ProcessBackend._run_driven, the service).
+        if not (
+            port is None
+            or (_is_int(port) and 0 <= port <= 65535)
+            or isinstance(port, MetricsExporter)
+        ):
+            raise ValueError(f"metrics_port must be None or a port in 0-65535, got {port!r}")
 
     def refuse_unread(self, backend: str) -> None:
         """Raise ``RuntimeFault`` for a deployment field the named

@@ -65,10 +65,14 @@ outcome returns.
 Every real substrate runs the same :class:`AttemptSpec`, which the
 backend builds once per attempt, and drives its workers (:class:`_Worker`)
 as *places*: co-located workers on one run queue (:class:`_Place`).
-:mod:`repro.runtime.threaded` is one place holding every worker.  A
-forked process here (:func:`run_on_workers`) is a place holding one, and
-a node agent (:mod:`repro.runtime.cluster`) holds the workers placed on
-its node; both run the blocking loop (:func:`_drive_place`) beside the
+:mod:`repro.runtime.threaded` is one place holding every worker.  The
+forking substrates are one function, :func:`run_on_workers`: it forks
+a child per place of its endpoints
+(:class:`~repro.runtime.transport.Endpoints`) — a place per worker
+over a transport, or a node agent's place, holding the workers placed
+on its node, over :class:`~repro.runtime.cluster.NodeEndpoints` — and
+every child runs one entry (:func:`_place_main`: bind its endpoints,
+drive the blocking loop :func:`_drive_place`, tear down) beside one
 coordinator's half of an attempt (:func:`coordinate_attempt`).
 """
 
@@ -81,7 +85,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import RuntimeFault
 from ..core.program import DGSProgram
@@ -104,6 +108,7 @@ from .transport import (
     BatchingSender,
     ControlChannel,
     ControlPlane,
+    Endpoints,
     WorkerFault,
     make_transport,
     plan_edges,
@@ -371,7 +376,7 @@ def _drive_place(
         run()
         while place.stopped is None:
             held = all(c.blocked for c in leaves) and any(
-                c.mailbox.buffered_count() >= LEAF_LEAD for c in leaves
+                c.unprocessed() >= LEAF_LEAD for c in leaves
             )
             got = inbox(None if held else max(0.0, deadline - time.monotonic()))
             if got is None or got is STOP:
@@ -401,49 +406,51 @@ def _drive_place(
 
 
 @contextlib.contextmanager
-def report_errors(control: ControlChannel, who: str, log=None):
+def report_errors(control: ControlChannel, who: str, log: Callable[[str], None]):
     """Whatever escapes a place goes up its control channel with its
-    traceback: the coordinator raises it as a :class:`RuntimeFault`
-    naming the worker whose handler raised it, else ``who``.  An
-    exception ends there (the exit status would carry nothing more); an
-    interrupt or exit goes on."""
+    traceback, and into ``log``: the coordinator raises it as a
+    :class:`RuntimeFault` naming the worker whose handler raised it,
+    else ``who``.  An exception ends there (the exit status would carry
+    nothing more); an interrupt or exit goes on."""
     try:
         yield
     except BaseException as exc:
         fault = isinstance(exc, WorkerFault)
         who, err = (exc.who, exc.err) if fault else (who, f"{exc!r}\n{traceback.format_exc()}")
-        if log is not None:
-            log(f"{who} FAILED: {exc!r}")
+        log(f"{who} FAILED: {exc!r}")
         control.send("error", who, err)
         if not isinstance(exc, Exception):
             raise
 
 
-def _worker_main(node_id: str, spec: AttemptSpec, transport, control: ControlChannel) -> None:
-    """Entry point of one forked worker: bind its transport endpoints,
-    drive the place holding it."""
+def _place_main(
+    place: str, hosted: Sequence[str], spec: AttemptSpec, endpoints, control: ControlChannel
+) -> None:
+    """Entry point of one forked place: bind its endpoints, drive its
+    workers, tear down."""
     try:
-        with report_errors(control, node_id):
-            # Drop inherited channel endpoints this worker does not own,
-            # so a dead peer surfaces as EOF/EPIPE instead of silence.
-            transport.child_setup(node_id)
-            receiver = transport.receiver(node_id)
+        with report_errors(control, place, endpoints.log):
+            # Drop inherited endpoints this place does not own, so a
+            # dead peer surfaces as EOF/EPIPE instead of silence.
+            endpoints.child_setup(place)
+            receiver = endpoints.receiver(place)
 
-            def inbox(timeout: Optional[float] = None) -> Any:
+            def tagged(timeout: Optional[float] = None) -> Any:
+                # A place of one: every batch is its worker's.
                 msgs = receiver.recv(timeout)
-                return msgs if msgs is None or msgs is STOP else (node_id, msgs)
+                return msgs if msgs is None or msgs is STOP else (place, msgs)
 
-            # While this worker waits for channel space it keeps
+            inbox = tagged if endpoints.kind == "worker" else receiver.recv
+            # While this place waits for channel space it keeps
             # ingesting its own inbox (receiver.poll), so mutual
             # pressure cannot deadlock.
-            remote = transport.sender(node_id, on_block=receiver.poll).send_batch
-            _drive_place(spec, [node_id], inbox, remote, control)
+            remote = endpoints.sender(place, on_block=receiver.poll).send_batch
+            _drive_place(spec, hosted, inbox, remote, control)
+            endpoints.log("all workers done")
     finally:
-        # Announce this worker's exit on transports that cannot observe
-        # it through the kernel (shared-memory rings have no EOF/EPIPE;
-        # peers watch the closed flags this sets).  Runs on every exit
-        # path, including crashes and KeyboardInterrupt.
-        transport.child_teardown(node_id)
+        # Shared-memory rings have no EOF/EPIPE: their teardown sets the
+        # closed flags peers watch, on every exit path.
+        endpoints.child_teardown(place)
 
 
 # ---------------------------------------------------------------------------
@@ -519,95 +526,96 @@ def merge_reports(
 
 
 def coordinate_attempt(
-    substrate: str,
-    spec: AttemptSpec,
-    control: ControlPlane,
-    *,
-    setup: Callable[[], None],
-    stop: Callable[[], None],
-    drain: Optional[Callable[[], None]] = None,
-    timeout_s: float,
-    transport: str,
-    nodes: int = 0,
+    spec: AttemptSpec, control: ControlPlane, endpoints: Endpoints, timeout_s: float
 ) -> AttemptOutcome:
-    """The coordinator's half of one attempt over started children
-    (processes or node agents, which pump their own input): ``setup``
-    until every worker is up, stamp the shared origin
-    (:meth:`ControlPlane.release`), wait for every worker's done
-    announcement or the first abort, ``stop`` the workers (one stop
-    frame each), collect their reports, ``drain`` the data plane of an
-    aborted attempt, reap.  ``wall_s`` runs from the origin to the last
-    done announcement.  A failed attempt terminates its children
-    instead of waiting them out — nobody will send them a stop frame:
-    that is the caller's ``control.finish(failed=True)``."""
+    """The coordinator's half of one attempt over forked places (which
+    pump their own input): set ``endpoints`` up once every place is
+    forked (a transport drops the parent's copies of the fds only
+    places use, so dead peers surface as EOF/EPIPE on the survivors'
+    channels), stamp the shared origin (:meth:`ControlPlane.release`),
+    wait for every worker's done announcement or the first abort, stop
+    the places (one stop frame each), collect the reports, drain the
+    data plane of an aborted attempt, reap.  ``wall_s`` runs from the
+    origin to the last done announcement.  A failed attempt terminates
+    its children instead of waiting them out — nobody will send them a
+    stop frame: that is the caller's ``control.finish(failed=True)``."""
     workers = [n.id for n in spec.plan.workers()]
+    per_node = endpoints.kind == "node"
     result = AttemptOutcome(
         events_in=sum(len(s.events) for s in spec.streams),
         n_workers=len(workers),
-        transport=transport,
-        nodes=nodes,
+        transport=endpoints.name,
+        nodes=len(endpoints.places) if per_node else 0,
     )
-    setup()
+    endpoints.parent_setup(control)
     t0 = time.perf_counter()
     control.release()
-    aborted = _await_done(substrate, control, workers, stop, timeout_s)
+    substrate = "cluster" if per_node else "process"
+    aborted = _await_done(substrate, control, workers, endpoints.stop_all, timeout_s)
     result.wall_s = time.perf_counter() - t0
-    stop()
+    # From here on the reports are the metrics; live snapshots still in
+    # flight are dropped.
+    control.on_metrics = None
+    endpoints.stop_all()
     reports = control.collect(time.monotonic() + timeout_s)
     missing = sorted(set(workers) - set(reports))
     if missing:
         raise RuntimeFault(f"no report from {missing} within {timeout_s:g}s of the stop frames")
-    # The reports, not the live snapshots, are what the metrics hold.
     merge_reports(result, list(reports.values()), spec.metrics)
-    if aborted and drain is not None:
-        drain()
+    if aborted:
+        endpoints.drain()
     control.finish(failed=False)
     return result
 
 
-def fork_context(who: str):
-    """The ``multiprocessing`` context of the forking substrates.  fork
-    (not spawn): children must inherit the program's closures; only
-    messages are ever pickled."""
+def run_on_workers(
+    spec: AttemptSpec,
+    timeout_s: float,
+    endpoints: Union[str, Endpoints] = DEFAULT_TRANSPORT,
+    exporter=None,
+) -> AttemptOutcome:
+    """One attempt with one forked child per place of ``endpoints``: a
+    transport name (``"pipe"``, framed raw pipes, the default;
+    ``"queue"``, ``multiprocessing.Queue``; ``"tcp"``, loopback stream
+    sockets; ``"shm"``, shared-memory rings) forks a place per worker,
+    and the node agents' handshake
+    (:class:`~repro.runtime.cluster.NodeEndpoints`) a place per node.
+    A crashed or quiesced attempt returns (see
+    :class:`~repro.runtime.protocol.AttemptOutcome`) rather than
+    raising.  With an ``exporter``
+    (:class:`~repro.runtime.metrics.MetricsExporter`), the places push
+    live snapshots to it, and the merged end-of-run reports replace them
+    once the attempt ends."""
+    # fork, not spawn: children inherit the program's closures; only
+    # messages are ever pickled.
     if "fork" not in mp.get_all_start_methods():
         raise RuntimeFault(
-            f"{who} requires the 'fork' start method (Linux/macOS); use "
+            "the process backend requires the 'fork' start method (Linux/macOS); use "
             "the 'threaded' or 'sim' backend on this platform"
         )
-    return mp.get_context("fork")
-
-
-def run_on_workers(
-    spec: AttemptSpec, timeout_s: float, transport: str = DEFAULT_TRANSPORT
-) -> AttemptOutcome:
-    """One attempt with one forked process per plan worker over
-    ``transport``: ``"pipe"`` (framed raw pipes, the default),
-    ``"queue"`` (``multiprocessing.Queue``), ``"tcp"`` (loopback stream
-    sockets) or ``"shm"`` (shared-memory rings).  A crashed or quiesced
-    attempt returns (see
-    :class:`~repro.runtime.protocol.AttemptOutcome`) rather than
-    raising."""
-    ctx = fork_context("the process backend")
-    channels = make_transport(transport, ctx, plan_edges(spec.plan))
+    ctx = mp.get_context("fork")
+    if isinstance(endpoints, str):
+        endpoints = make_transport(endpoints, ctx, plan_edges(spec.plan))
     control = ControlPlane(ctx)
+    control.live = exporter is not None
+    if exporter is not None:
+        control.on_metrics = exporter.update
+    kind = endpoints.kind
+    result = None
     try:
-        for n in spec.plan.workers():
+        for place, hosted in endpoints.places.items():
+            who = f"{kind} {place}"
+            if hosted != [place]:
+                who += f" (workers {', '.join(hosted)})"
             control.spawn(
-                ctx, f"worker:{n.id}", f"worker {n.id}", 1, _worker_main, n.id, spec, channels
+                ctx, f"{kind}:{place}", who, len(hosted), _place_main, place, hosted, spec,
+                endpoints,
             )
-        # Every worker holds its endpoints once forked; setup drops the
-        # parent's copies of the fds only workers use, so dead peers
-        # surface as EOF/EPIPE on the survivors' pipes.
-        return coordinate_attempt(
-            "process",
-            spec,
-            control,
-            setup=channels.parent_setup,
-            stop=channels.stop_all,
-            drain=channels.drain,
-            timeout_s=timeout_s,
-            transport=channels.name,
-        )
+        result = coordinate_attempt(spec, control, endpoints, timeout_s)
+        return result
     finally:
         control.finish(failed=True)
-        channels.close()
+        endpoints.close()
+        if exporter is not None and result is not None and result.metrics is not None:
+            for snap in result.metrics.per_worker.values():
+                exporter.update(snap)

@@ -21,7 +21,7 @@ protocol so the hot path can do better:
   ``bytes`` objects, one per batch.  It stays because dgsbench's layer
   pass probes every name in :data:`TRANSPORTS`
   (``transport.edge_ns_per_event.<name>``); pruning the same-host
-  transports is open work (ROADMAP.md, item 2a).
+  transports is open work (ROADMAP.md, item 2b).
 
 * :class:`SocketTransport` (``transport="tcp"``) — the same
   length-prefixed frames carried over TCP stream sockets
@@ -30,7 +30,9 @@ protocol so the hot path can do better:
   established before forking, so the fail-stop model is identical to
   the pipe backend: a dead peer surfaces as EOF/``ECONNRESET``, never
   as a reconnect.  :mod:`repro.runtime.cluster` carries the identical
-  frame protocol over *dialed* connections between node agents — that
+  frame protocol over *dialed* connections between node agents
+  (:class:`~repro.runtime.cluster.NodeEndpoints`, the same
+  :class:`Endpoints` lifecycle) — that
   is what crosses real machine boundaries; this transport is the
   single-host data plane and the benchmark baseline for it.
 
@@ -99,8 +101,9 @@ STOP = object()
 
 _LEN = FRAME_LEN
 
-#: Transport names accepted by ``RunOptions.transport`` (the process
-#: backend's ``process.run_on_workers``).
+#: Transport names accepted by ``RunOptions.transport``: the endpoints
+#: of a forked place per worker (``process.run_on_workers``, which forks
+#: a node agent's place over ``cluster.NodeEndpoints`` instead).
 TRANSPORTS = ("pipe", "queue", "tcp", "shm")
 DEFAULT_TRANSPORT = "pipe"
 
@@ -359,6 +362,53 @@ def resolve_policy(size: None, deadline_ms: None) -> None:
     return None
 
 
+class Endpoints:
+    """The data plane of one forked attempt
+    (:func:`repro.runtime.process.run_on_workers`), built by the
+    coordinator before it forks, so every place inherits it.
+    ``places`` maps each place, one forked child, to the workers it
+    hosts.
+
+    The coordinator calls :meth:`parent_setup` once every place is
+    forked, ``stop_all()`` to send each place its stop frame,
+    :meth:`drain` after an aborted attempt and :meth:`close` on every
+    exit.  A place calls :meth:`child_setup`, then
+    ``receiver(place)`` and ``sender(place, on_block=...)`` (whose
+    ``send_batch`` is the place's remote send), and
+    :meth:`child_teardown` on every exit path, a crash included.
+
+    A transport is a place per worker (``kind = "worker"``), and its
+    receiver returns bare batches.  The node agents' handshake
+    (:class:`repro.runtime.cluster.NodeEndpoints`, ``kind = "node"``)
+    is a place per node, and its receiver returns ``(worker, batch)``."""
+
+    kind = "worker"
+
+    def __init__(self, edges: Dict[str, Sequence[str]]) -> None:
+        self.places: Dict[str, List[str]] = {wid: [wid] for wid in edges}
+
+    def parent_setup(self, control: Optional[ControlPlane] = None) -> None:
+        """Once every place is forked; ``control`` is the attempt's
+        control plane."""
+
+    def child_setup(self, place: str) -> None:
+        """In a forked place, before it opens its endpoints."""
+
+    def child_teardown(self, place: str) -> None:
+        """As a place exits.  Stream transports need nothing: the kernel
+        closes fds with the process, which is the EOF/EPIPE peers watch
+        for."""
+
+    def log(self, msg: str) -> None:
+        """A place's lifecycle line (node agents keep a log)."""
+
+    def drain(self) -> None:
+        """After an aborted attempt: kernel buffers vanish with the fds."""
+
+    def close(self) -> None:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # Queue transport (the original fabric; see the module docstring)
 # ---------------------------------------------------------------------------
@@ -380,12 +430,13 @@ class _QueueReceiver:
         pass
 
 
-class QueueTransport:
+class QueueTransport(Endpoints):
     """``multiprocessing.Queue`` per worker — the legacy data plane."""
 
     name = "queue"
 
     def __init__(self, ctx, edges: Dict[str, Sequence[str]]) -> None:
+        super().__init__(edges)
         self.queues = {wid: ctx.Queue() for wid in edges}
 
     def sender(
@@ -403,15 +454,6 @@ class QueueTransport:
     def receiver(self, wid: str) -> _QueueReceiver:
         return _QueueReceiver(self.queues[wid])
 
-    def child_setup(self, wid: str) -> None:
-        pass
-
-    def child_teardown(self, wid: str) -> None:
-        pass
-
-    def parent_setup(self) -> None:
-        pass
-
     def stop_all(self) -> None:
         for q in self.queues.values():
             q.put(b"")  # empty frame = stop sentinel
@@ -427,9 +469,6 @@ class QueueTransport:
             except queue_mod.Empty:
                 pass
             q.cancel_join_thread()
-
-    def close(self) -> None:
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -566,17 +605,17 @@ class FrameSender:
             waiter.poll(2)
 
 
-class PipeTransport:
+class PipeTransport(Endpoints):
     """Raw-pipe data plane: one framed, single-writer pipe per directed
     edge of the communication graph."""
 
     name = "pipe"
 
     def __init__(self, ctx, edges: Dict[str, Sequence[str]]) -> None:
+        super().__init__(edges)
         # edges: receiver id -> sender ids allowed to reach it.
-        self._edges = {wid: tuple(srcs) for wid, srcs in edges.items()}
         self._pipes: Dict[tuple, tuple] = {}
-        for wid, srcs in self._edges.items():
+        for wid, srcs in edges.items():
             for src in srcs:
                 self._pipes[(src, wid)] = self._open_edge()
         #: Parent-side fds not yet closed.  Tracked explicitly so
@@ -625,14 +664,7 @@ class PipeTransport:
             if src != wid:
                 os.close(w)
 
-    def child_teardown(self, wid: str) -> None:
-        """Called in a worker as it exits (even on a crash path).
-        Stream transports need nothing — the kernel closes fds with the
-        process, which is exactly the EOF/EPIPE peers watch for; the
-        shared-memory transport overrides this to set its closed flags
-        explicitly (a vanished mapping is invisible to peers)."""
-
-    def parent_setup(self) -> None:
+    def parent_setup(self, control: Optional[ControlPlane] = None) -> None:
         """Called in the coordinator once every worker has forked:
         drop the parent's copies of the fds it never uses (all read
         ends, and write ends of worker-to-worker edges), completing
@@ -654,20 +686,10 @@ class PipeTransport:
     def stop_all(self) -> None:
         """Coordinator-side shutdown: a zero-length frame on every
         coordinator edge."""
-        stop = _LEN.pack(0)
-        sender = FrameSender(
-            {
-                wid: w
-                for (s, wid), (_, w) in self._pipes.items()
-                if s == COORDINATOR
-            },
-            None,
-        )
-        for wid in list(self._edges):
-            sender.send_raw(wid, stop)
-
-    def drain(self) -> None:
-        pass  # kernel buffers vanish with the fds
+        wfds = {wid: w for (s, wid), (_, w) in self._pipes.items() if s == COORDINATOR}
+        sender = FrameSender(wfds, None)
+        for wid in wfds:
+            sender.send_raw(wid, _LEN.pack(0))
 
     def close(self) -> None:
         for fd in list(self._parent_open):
@@ -1149,7 +1171,7 @@ class _ShmReceiver:
         return progress
 
 
-class SharedMemoryTransport:
+class SharedMemoryTransport(Endpoints):
     """Shared-memory data plane: one fixed-slot ring per directed edge
     over ``multiprocessing.shared_memory``.  Payload bytes never cross
     the kernel, and while every peer is busy the data plane makes no
@@ -1183,14 +1205,14 @@ class SharedMemoryTransport:
                 f"shm ring too small: need slots >= 2 (got {slots}) and "
                 f"slot_bytes >= 64 (got {slot_bytes})"
             )
-        self._edges = {wid: tuple(srcs) for wid, srcs in edges.items()}
+        super().__init__(edges)
         self.slots = slots
         self.slot_bytes = slot_bytes
         self._rings: Dict[tuple, _ShmRing] = {}
         self._closed = False
         size = _SHM_HDR + slots * (4 + slot_bytes)
         try:
-            for wid, srcs in self._edges.items():
+            for wid, srcs in edges.items():
                 for src in srcs:
                     shm = shared_memory.SharedMemory(create=True, size=size)
                     self._rings[(src, wid)] = _ShmRing(shm, slots, slot_bytes)
@@ -1216,9 +1238,6 @@ class SharedMemoryTransport:
             [ring for (_, d), ring in self._rings.items() if d == wid]
         )
 
-    def child_setup(self, wid: str) -> None:
-        pass  # nothing fd-like to prune; mappings are shared by design
-
     def child_teardown(self, wid: str) -> None:
         """Worker exit path (normal, crashed, or interrupted): mark this
         worker's endpoints closed so writers stop spinning and readers
@@ -1235,9 +1254,6 @@ class SharedMemoryTransport:
                 ring.set_rx_closed()
         for ring in self._rings.values():
             ring.release()
-
-    def parent_setup(self) -> None:
-        pass  # the parent keeps every segment: it owns unlink
 
     def stop_all(self) -> None:
         """Coordinator-side shutdown: a zero-length frame on every
@@ -1302,11 +1318,16 @@ def make_transport(name: str, ctx, edges: Dict[str, Sequence[str]]):
     )
 
 
-def plan_edges(plan) -> Dict[str, List[str]]:
-    """The directed communication graph of a synchronization plan:
-    every worker hears from the coordinator (its stop frame),
-    its parent (join requests, forked states, relayed heartbeats) and
-    its children (join responses)."""
+def plan_edges(plan, placement: Optional[Dict[str, str]] = None) -> Dict[str, List[str]]:
+    """The directed communication graph of a synchronization plan, as
+    worker -> the senders it hears from: the coordinator (its stop
+    frame), its parent (join requests, forked states, relayed
+    heartbeats) and its children (join responses).
+
+    With ``placement`` (worker -> place), the senders are the *places*
+    of those tree neighbours that sit in another place, each once: a
+    neighbour in the worker's own place shares its run queue, and the
+    coordinator's stop edges are one per place, the deployment's own."""
     edges: Dict[str, List[str]] = {}
     for node in plan.workers():
         srcs = [COORDINATOR]
@@ -1316,4 +1337,9 @@ def plan_edges(plan) -> Dict[str, List[str]]:
         if not node.is_leaf:
             srcs.extend(c.id for c in node.children)
         edges[node.id] = srcs
-    return edges
+    if placement is None:
+        return edges
+    return {
+        dst: sorted({placement[s] for s in srcs[1:]} - {placement[dst]})
+        for dst, srcs in edges.items()
+    }

@@ -255,6 +255,14 @@ class TestDistributedSmokeLane:
         assert os.path.exists(os.path.join(ROOT, "tests", "test_runtime_control.py"))
 
 
+    def test_the_lane_runs_the_cluster_example(self, jobs):
+        """The one user-facing ``nodes=`` example, which exits 1 on a
+        spec mismatch, runs spread over three agents and pinned."""
+        runs = [str(s.get("run", "")).strip() for s in jobs["distributed-smoke"]["steps"]]
+        assert "python examples/distributed.py --nodes 3 --workers 6" in runs
+        assert "python examples/distributed.py --placement w1=node0" in runs
+        assert os.path.exists(os.path.join(ROOT, "examples", "distributed.py"))
+
     def test_the_lane_runs_the_one_place_chaos_slice(self, jobs):
         """Crashes and re-plans with every worker of a plan in one node
         agent: its run queue carries every join step."""

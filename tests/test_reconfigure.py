@@ -25,6 +25,7 @@ from repro.plans import (
 from repro.runtime import (
     CrashFault,
     FaultPlan,
+    NodeSpec,
     ReconfigPoint,
     ReconfigSchedule,
     RunOptions,
@@ -379,6 +380,32 @@ class TestRunOptions:
     def test_timeout_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="timeout_s"):
             RunOptions(timeout_s=bad)
+
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("nodes", {"nodes": True}),
+            ("nodes", {"nodes": 2.5}),
+            ("nodes", {"nodes": 0}),
+            ("nodes", {"nodes": []}),
+            ("nodes", {"nodes": ["node0"]}),
+            ("nodes", {"nodes": "node0"}),
+            ("placement", {"nodes": 2, "placement": [1, 2]}),
+            ("placement", {"nodes": 2, "placement": {"w1": 0}}),
+            ("metrics_port", {"metrics": True, "nodes": 2, "metrics_port": -5}),
+            ("metrics_port", {"metrics": True, "nodes": 2, "metrics_port": 65536}),
+            ("metrics_port", {"metrics": True, "nodes": 2, "metrics_port": True}),
+            ("metrics_port", {"metrics": True, "nodes": 2, "metrics_port": "9100"}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else repr(v),
+    )
+    def test_a_malformed_deployment_field_is_refused_where_it_is_given(self, field, fields):
+        """Not a silent one-node run, a ``TypeError`` mid-run, an
+        ``OverflowError`` from ``bind`` or port 1."""
+        with pytest.raises(ValueError, match=field):
+            RunOptions(**fields)
+        RunOptions(nodes=1, placement={}, metrics=True, metrics_port=65535)
+        RunOptions(nodes=(NodeSpec("a"), NodeSpec("b")), placement={"w1": "a"})
 
     @pytest.mark.parametrize(
         "bad",

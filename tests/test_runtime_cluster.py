@@ -42,6 +42,7 @@ from repro.runtime import cluster, process
 from repro.runtime.process import LEAF_LEAD, AttemptSpec, _drive_place, merge_reports
 from repro.runtime.protocol import AttemptOutcome, initial_leaf_states
 from repro.runtime.transport import COORDINATOR, STOP, ControlChannel, ControlPlane
+from repro.runtime.wire import MAX_RUN
 
 from test_differential import ALL_APPS, _app_case, _elastic_app_case
 
@@ -328,21 +329,58 @@ def _placements(plan):
     }
 
 
-def _held_leaf_case():
+def _drive_held(monkeypatch, prog, plan, streams, hosted, remote):
+    """Drive one place holding ``hosted`` until its inbox is read
+    without a timeout, which returns the stop frame.  Returns what each
+    blocked leaf held (buffered and pending events) after each batch
+    it handled, the inbox timeouts and the control plane, whose
+    announcements and reports are still unread."""
+    spec = AttemptSpec(
+        prog, plan, initial_leaf_states(plan, prog), None, None, False, None, None,
+        tuple(streams),
+    )
+    held = []
+    real = process._Worker.handle
+
+    def handle(self, msgs):
+        stopped = real(self, msgs)
+        if self.core.is_leaf and self.core.blocked:
+            held.append(self.core.unprocessed())
+        return stopped
+
+    monkeypatch.setattr(process._Worker, "handle", handle)
+    waits = []
+
+    def inbox(timeout=None):
+        waits.append(timeout)
+        return STOP if timeout is None else None
+
+    control = ControlPlane()
+    end = control.open("the place", len(hosted))
+    control.release()
+    _drive_place(spec, hosted, inbox, remote, ControlChannel(end))
+    end.close()
+    return held, waits, control
+
+
+def _held_leaf_case(barrier_heartbeats=None):
     """Value-barrier with one barrier at ts 50 and two value streams on
     two leaves.  ``v0`` is dense (10 000 events over 100 ms); ``v1``
-    has two events, at 10 and 100.  Neither ``v1`` nor the barrier
-    stream has a heartbeat grid, so ``v1``'s frontier stays at 10 until
-    the pump posts its event at 100, and no barrier frontier releases
-    ``v0``'s events past 50.  So the root's join at 50 holds ``v0``
-    (its state is away, and ``LEAF_LEAD`` of its events are buffered)
-    long before ``v1`` can answer it."""
+    has two events, at 10 and 100.  ``v1`` has no heartbeat grid, so
+    its frontier stays at 10 until the pump posts its event at 100, and
+    the root's join at 50 holds ``v0`` (its state is away) long before
+    ``v1`` can answer it.  Without a barrier grid, no barrier frontier
+    releases ``v0``'s events past 50: they stay buffered.  With one,
+    the root relays the barrier frontier past its join key, and they
+    are released but wait undispatched."""
     prog = vb.make_program()
     barrier = ImplTag(vb.BARRIER_TAG, "b")
     dense, sparse = ImplTag(vb.VALUE_TAG, "v0"), ImplTag(vb.VALUE_TAG, "v1")
     streams = [
         InputStream(
-            barrier, (Event(barrier.tag, barrier.stream, 50.0),), heartbeat_interval=None
+            barrier,
+            (Event(barrier.tag, barrier.stream, 50.0),),
+            heartbeat_interval=barrier_heartbeats,
         ),
         InputStream(
             dense,
@@ -413,31 +451,9 @@ class TestPlaces:
         place keeps pumping until ``v1`` can answer that join: a place
         that waited on its inbox instead would wait for ever."""
         prog, plan, streams = _held_leaf_case()
-        spec = AttemptSpec(
-            prog, plan, initial_leaf_states(plan, prog), None, None, False, None, None,
-            tuple(streams),
+        held, waits, control = _drive_held(
+            monkeypatch, prog, plan, streams, [n.id for n in plan.workers()], _remote
         )
-        held = []
-        real = process._Worker.handle
-
-        def handle(self, msgs):
-            stopped = real(self, msgs)
-            if self.core.is_leaf and self.core.blocked:
-                held.append(self.core.mailbox.buffered_count())
-            return stopped
-
-        monkeypatch.setattr(process._Worker, "handle", handle)
-        waits = []
-
-        def inbox(timeout=None):
-            waits.append(timeout)
-            return STOP if timeout is None else None
-
-        control = ControlPlane()
-        end = control.open("the place", len(plan.workers()))
-        control.release()
-        _drive_place(spec, [n.id for n in plan.workers()], inbox, _remote, ControlChannel(end))
-        end.close()
         assert max(held) >= LEAF_LEAD
         assert waits[-1] is None and None not in waits[:-1]  # it waited once: for STOP
         said = {control.next(time.monotonic() + 1.0) for _ in plan.workers()}
@@ -448,6 +464,25 @@ class TestPlaces:
         assert output_multiset(result.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
         )
+
+    @pytest.mark.parametrize("barrier_heartbeats", [None, 1.0], ids=["buffered", "released"])
+    def test_a_blocked_leaf_holds_at_most_leaf_lead_and_one_run(
+        self, monkeypatch, barrier_heartbeats
+    ):
+        """The place holds the root and ``v0``; ``v1``, elsewhere, never
+        answers.  Once ``v0`` holds ``LEAF_LEAD`` events, buffered or
+        released but undispatched, the place stops pumping and waits on
+        its inbox: the held input stays within one more run."""
+        prog, plan, streams = _held_leaf_case(barrier_heartbeats)
+        root, v0, v1 = plan.root.id, *(leaf.id for leaf in plan.leaves())
+        sent = set()
+        held, waits, control = _drive_held(
+            monkeypatch, prog, plan, streams, [root, v0], lambda dst, batch: sent.add(dst)
+        )
+        control.finish(failed=True)
+        assert sent == {v1}
+        assert LEAF_LEAD <= max(held) <= LEAF_LEAD + MAX_RUN
+        assert waits[-1] is None  # it waited for the sibling's answer
 
     @pytest.mark.parametrize("where", ["one-place", "leaves-together"])
     def test_a_held_leaf_on_a_node_agent_finishes_promptly(self, where):
@@ -477,7 +512,7 @@ class TestPlaces:
         pins = {root: "node0", a: "node0", b: "node1" if pinned else "node0"}
         parent, dialed, hellos, threads = os.getpid(), [], [], set()
         real_hello, real_blob = cluster._recv_hello, cluster._send_blob
-        real_handle, real_agent = process._Worker.handle, cluster._agent_main
+        real_handle, real_place = process._Worker.handle, process._place_main
 
         def recv_hello(sock, cookie):
             hellos.append(real_hello(sock, cookie))
@@ -492,16 +527,16 @@ class TestPlaces:
             threads.add((threading.get_ident(), threading.active_count()))
             return real_handle(self, msgs)
 
-        def agent_main(node_name, *args):
+        def place_main(node_name, *args):
             try:
-                real_agent(node_name, *args)
+                real_place(node_name, *args)
             finally:
                 record = {"threads": sorted(threads), "hellos": hellos}
                 (tmp_path / f"{node_name}.json").write_text(json.dumps(record))
 
         monkeypatch.setattr(cluster, "_recv_hello", recv_hello)
         monkeypatch.setattr(cluster, "_send_blob", send_blob)
-        monkeypatch.setattr(cluster, "_agent_main", agent_main)
+        monkeypatch.setattr(process, "_place_main", place_main)
         monkeypatch.setattr(process._Worker, "handle", handle)
         run = run_on_backend(
             "process", prog, plan, streams,

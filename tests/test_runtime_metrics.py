@@ -32,6 +32,7 @@ from repro.runtime import (
     InputStream,
     LatencyHistogram,
     MetricsConfig,
+    MetricsExporter,
     MetricsSnapshot,
     RunMetrics,
     RunOptions,
@@ -473,3 +474,37 @@ class TestClusterPrometheusEndpoint:
         good = [b for b in scrapes if "repro_worker_events_processed" in b]
         assert good, f"no live scrape carried worker counters ({len(scrapes)} scrapes)"
         assert 'le="+Inf"' in good[-1]  # histograms exported too
+
+    @pytest.mark.parametrize("driven", [False, True], ids=["plain", "fault_plan"])
+    def test_the_exporter_does_not_outlive_its_run(self, monkeypatch, driven):
+        """Once the call returns, a connect to the exporter's port is
+        refused; a recovering run serves every attempt from one port."""
+        started, attempts = [], []
+        real_start, real_begin = MetricsExporter.start, MetricsExporter.begin_attempt
+
+        def start(self):
+            started.append(self.port)
+            return real_start(self)
+
+        def begin_attempt(self):
+            attempts.append(self.port)
+            return real_begin(self)
+
+        monkeypatch.setattr(MetricsExporter, "start", start)
+        monkeypatch.setattr(MetricsExporter, "begin_attempt", begin_attempt)
+        prog, streams, plan = _small_case()
+        options = RunOptions(metrics=True, nodes=2, metrics_port=0)
+        if driven:
+            barrier_ts = [e.ts for e in streams[-1].events]
+            leaf = plan.leaves()[0].id
+            options.fault_plan = FaultPlan(CrashFault(leaf, at_ts=barrier_ts[1] + 0.01))
+            options.checkpoint_predicate = every_root_join()
+        run = run_on_backend("process", prog, plan, streams, options=options)
+        assert output_multiset(run.outputs) == output_multiset(
+            run_sequential_reference(prog, streams)
+        )
+        (port,) = started
+        assert attempts == ([port] * run.recovery.attempts if driven else [])
+        assert not driven or run.recovery.attempts == 2
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=1.0)
