@@ -361,8 +361,9 @@ class ProcessBackend(RuntimeBackend):
         if opts.nodes is None:
             return process.run_on_workers(spec, timeout_s, opts.transport or DEFAULT_TRANSPORT)
         exporter = opts.metrics_port
-        if isinstance(exporter, int):
-            # This attempt's own exporter, serving while it runs.
+        owned = isinstance(exporter, int)
+        if owned:
+            # The attempt's own exporter, serving while it runs.
             exporter = MetricsExporter(port=exporter).start()
         elif exporter is not None:
             exporter.begin_attempt()
@@ -370,7 +371,7 @@ class ProcessBackend(RuntimeBackend):
             agents = cluster.NodeEndpoints(spec.plan, opts.nodes, opts.placement)
             return process.run_on_workers(spec, timeout_s, agents, exporter)
         finally:
-            if exporter is not None and exporter is not opts.metrics_port:
+            if owned:
                 exporter.stop()
 
     def _run_driven(self, program, plan, streams, opts):

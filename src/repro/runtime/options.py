@@ -91,7 +91,10 @@ class RunOptions:
     * ``placement`` — worker-id -> node-name pins for ``nodes=``
       deployments (unpinned workers are spread round-robin).
 
-    These and ``metrics_port`` are the deployment fields, and a backend
+    These and ``metrics_port`` are the deployment fields.  A malformed
+    one (``nodes`` a bool or below 1, a ``placement`` that is not a str
+    -> str mapping, a ``metrics_port`` outside 0-65535) raises
+    ``ValueError`` as the options are built, and a backend
     refuses one it would never read with a ``RuntimeFault``
     (:meth:`refuse_unread`): ``sim`` and ``threaded`` refuse all four;
     ``process`` refuses ``placement`` without ``nodes``, a ``transport``

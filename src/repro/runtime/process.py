@@ -406,18 +406,18 @@ def _drive_place(
 
 
 @contextlib.contextmanager
-def report_errors(control: ControlChannel, who: str, log: Callable[[str], None]):
+def report_errors(control: ControlChannel, log: Callable[[str], None]):
     """Whatever escapes a place goes up its control channel with its
     traceback, and into ``log``: the coordinator raises it as a
     :class:`RuntimeFault` naming the worker whose handler raised it,
-    else ``who``.  An exception ends there (the exit status would carry
-    nothing more); an interrupt or exit goes on."""
+    else the place.  An exception ends there (the exit status would
+    carry nothing more); an interrupt or exit goes on."""
     try:
         yield
     except BaseException as exc:
         fault = isinstance(exc, WorkerFault)
-        who, err = (exc.who, exc.err) if fault else (who, f"{exc!r}\n{traceback.format_exc()}")
-        log(f"{who} FAILED: {exc!r}")
+        who, err = (exc.who, exc.err) if fault else (None, f"{exc!r}\n{traceback.format_exc()}")
+        log(f"{who or 'the place'} FAILED: {exc!r}")
         control.send("error", who, err)
         if not isinstance(exc, Exception):
             raise
@@ -429,7 +429,7 @@ def _place_main(
     """Entry point of one forked place: bind its endpoints, drive its
     workers, tear down."""
     try:
-        with report_errors(control, place, endpoints.log):
+        with report_errors(control, endpoints.log):
             # Drop inherited endpoints this place does not own, so a
             # dead peer surfaces as EOF/EPIPE instead of silence.
             endpoints.child_setup(place)

@@ -157,7 +157,8 @@ class ControlChannel:
     """A forked child's end of its control socket: the origin comes
     down first, then pickled, length-prefixed ``(kind, who, payload)``
     records go up — ``"done"``, ``"crash"`` or ``"quiesce"``,
-    ``"report"``, ``"error"`` (an escaped traceback) and, while
+    ``"report"``, ``"error"`` (an escaped traceback; ``who`` is None
+    when no handler raised it) and, while
     ``live``, ``"metrics"``.  Only the child's place loop uses it."""
 
     def __init__(self, sock: socket.socket, live: bool = False) -> None:
@@ -270,6 +271,8 @@ class ControlPlane:
         for frame in child.asm.feed(data):
             kind, who, payload = pickle.loads(frame)
             if kind == "error":
+                if who is None:  # no handler raised it: name the child
+                    raise RuntimeFault(f"{child.who} crashed:\n{payload}")
                 raise WorkerFault(who, payload)
             if kind == "report":
                 child.due -= 1
@@ -406,7 +409,7 @@ class Endpoints:
         """After an aborted attempt: kernel buffers vanish with the fds."""
 
     def close(self) -> None:
-        pass
+        """In the coordinator, on every exit."""
 
 
 # ---------------------------------------------------------------------------

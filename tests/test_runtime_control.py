@@ -19,6 +19,7 @@ attempt joins every child before it returns; no thread waits on them.
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -41,7 +42,8 @@ from repro.runtime import (
     run_sequential_reference,
 )
 from repro.runtime import process as runtime_process
-from repro.runtime.transport import ControlPlane
+from repro.runtime.cluster import NodeEndpoints
+from repro.runtime.transport import ControlPlane, PipeTransport
 
 #: The forking substrates: a process per worker, and node agents.
 FORKING = {"process": {}, "nodes=2": {"nodes": 2}}
@@ -103,6 +105,29 @@ def test_a_killed_child_is_named_with_its_signal(substrate):
         assert "(workers w" in msg
     # A failed attempt terminates and joins its children.
     assert not [p for p in multiprocessing.active_children() if p.pid not in before]
+
+
+@pytest.mark.parametrize("substrate", sorted(FORKING))
+def test_a_place_that_fails_outside_a_handler_is_named(monkeypatch, substrate):
+    """An error while a place binds its endpoints names the child the
+    coordinator forked: the worker, or the node agent with the workers
+    placed on it."""
+
+    def refuse(self, place):
+        raise OSError("cannot bind")
+
+    endpoints = NodeEndpoints if substrate == "nodes=2" else PipeTransport
+    monkeypatch.setattr(endpoints, "child_setup", refuse)
+    prog, plan, streams = _case()
+    with pytest.raises(RuntimeFault) as err:
+        run_on_backend(
+            "process", prog, plan, streams,
+            options=RunOptions(timeout_s=30.0, **FORKING[substrate]),
+        )
+    first, *rest = str(err.value).splitlines()
+    named = r"node node\d \(workers w[\w, ]+\)" if substrate == "nodes=2" else r"worker w\d+"
+    assert re.fullmatch(named + " crashed:", first), first
+    assert "OSError('cannot bind')" in rest[0]
 
 
 @pytest.mark.parametrize(
