@@ -78,7 +78,6 @@ coordinator's half of an attempt (:func:`coordinate_attempt`).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import multiprocessing as mp
 import time
@@ -405,48 +404,45 @@ def _drive_place(
         control.send("report", w.node_id, report)
 
 
-@contextlib.contextmanager
-def report_errors(control: ControlChannel, log: Callable[[str], None]):
-    """Whatever escapes a place goes up its control channel with its
-    traceback, and into ``log``: the coordinator raises it as a
-    :class:`RuntimeFault` naming the worker whose handler raised it,
-    else the place.  An exception ends there (the exit status would
-    carry nothing more); an interrupt or exit goes on."""
-    try:
-        yield
-    except BaseException as exc:
-        fault = isinstance(exc, WorkerFault)
-        who, err = (exc.who, exc.err) if fault else (None, f"{exc!r}\n{traceback.format_exc()}")
-        log(f"{who or 'the place'} FAILED: {exc!r}")
-        control.send("error", who, err)
-        if not isinstance(exc, Exception):
-            raise
-
-
 def _place_main(
-    place: str, hosted: Sequence[str], spec: AttemptSpec, endpoints, control: ControlChannel
+    place: str,
+    hosted: Sequence[str],
+    spec: AttemptSpec,
+    endpoints: Endpoints,
+    control: ControlChannel,
 ) -> None:
     """Entry point of one forked place: bind its endpoints, drive its
     workers, tear down."""
     try:
-        with report_errors(control, endpoints.log):
-            # Drop inherited endpoints this place does not own, so a
-            # dead peer surfaces as EOF/EPIPE instead of silence.
-            endpoints.child_setup(place)
-            receiver = endpoints.receiver(place)
+        # A transport drops the inherited endpoints this place does not
+        # own, so a dead peer surfaces as EOF/EPIPE instead of silence;
+        # a node agent runs its handshake.
+        endpoints.child_setup(place)
+        receiver = endpoints.receiver(place)
 
-            def tagged(timeout: Optional[float] = None) -> Any:
-                # A place of one: every batch is its worker's.
-                msgs = receiver.recv(timeout)
-                return msgs if msgs is None or msgs is STOP else (place, msgs)
+        def tagged(timeout: Optional[float] = None) -> Any:
+            # A place of one: every batch is its worker's.
+            msgs = receiver.recv(timeout)
+            return msgs if msgs is None or msgs is STOP else (place, msgs)
 
-            inbox = tagged if endpoints.kind == "worker" else receiver.recv
-            # While this place waits for channel space it keeps
-            # ingesting its own inbox (receiver.poll), so mutual
-            # pressure cannot deadlock.
-            remote = endpoints.sender(place, on_block=receiver.poll).send_batch
-            _drive_place(spec, hosted, inbox, remote, control)
-            endpoints.log("all workers done")
+        inbox = tagged if endpoints.kind == "worker" else receiver.recv
+        # While this place waits for channel space it keeps ingesting
+        # its own inbox (receiver.poll), so mutual pressure cannot
+        # deadlock.
+        remote = endpoints.sender(place, on_block=receiver.poll).send_batch
+        _drive_place(spec, hosted, inbox, remote, control)
+        endpoints.log("all workers done")
+    except BaseException as exc:
+        # Up the control channel with its traceback: the coordinator
+        # raises it naming the worker whose handler raised it, else this
+        # place's child.  An exception ends here (the exit status would
+        # carry nothing more); an interrupt or exit goes on.
+        fault = isinstance(exc, WorkerFault)
+        who, err = (exc.who, exc.err) if fault else (None, f"{exc!r}\n{traceback.format_exc()}")
+        endpoints.log(f"{who or 'the place'} FAILED: {exc!r}")
+        control.send("error", who, err)
+        if not isinstance(exc, Exception):
+            raise
     finally:
         # Shared-memory rings have no EOF/EPIPE: their teardown sets the
         # closed flags peers watch, on every exit path.
