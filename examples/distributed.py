@@ -12,8 +12,10 @@ Two shapes of the same wire protocol:
   machines (agents are still forked locally today — see
   repro/runtime/cluster.py for the deployment boundary).
 * ``--transport tcp`` on the single-host comparison run — the same
-  frames over loopback TCP with one process per worker, the
-  benchmark baseline the CI perf gate holds within 2x of raw pipes.
+  frames over loopback TCP between the places of the process
+  backend's default placement (the root's place on a thread of this
+  process, the others forked), the single-host reference for the
+  cluster's edges.
 
 Outputs of every run are verified against the sequential
 specification, so the distribution story is checked, not asserted.
@@ -109,7 +111,7 @@ def main() -> None:
     ok = output_multiset(run.outputs) == want
     all_ok = all_ok and ok
     print(
-        f"single-host {run.raw.transport} transport, one process per worker  | "
+        f"single-host {run.raw.transport} transport, default placement  | "
         f"outputs match spec: {ok}  events={run.events_in}  "
         f"joins={run.joins}  wall={run.wall_s * 1e3:8.1f} ms"
     )

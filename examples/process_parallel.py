@@ -7,8 +7,9 @@ All three backends execute the identical synchronization-plan protocol
 relay); this example runs one workload through each via the uniform
 backend registry, verifies the output multisets against the sequential
 specification, and reports wall-clock throughput.  The process backend
-runs one OS process per plan worker with batched channels — on a
-multi-core machine it is the only one that escapes the GIL.
+runs a place per CPU with batched channels — the root's place on a
+thread of this process, the others forked — and on a multi-core
+machine it is the only one that escapes the GIL.
 
 Run:  python examples/process_parallel.py
       python examples/process_parallel.py --backend process --workers 8 \\

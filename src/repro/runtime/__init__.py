@@ -10,8 +10,9 @@ Three execution substrates run the same synchronization-plan protocol
   (:mod:`repro.runtime.threaded`): every worker on the caller's thread
   from one run queue, a deterministic schedule, no thread hand-off per
   message;
-* ``process`` — one OS process per worker with batched channels
-  (:mod:`repro.runtime.process`): multi-core parallel speedup; with
+* ``process`` — a place per CPU with batched channels
+  (:mod:`repro.runtime.process`): the root's place on a thread of the
+  coordinator, the rest forked, for multi-core parallel speedup; with
   ``nodes=``, one agent process per node over TCP
   (:mod:`repro.runtime.cluster`).
 
@@ -349,8 +350,11 @@ class ThreadedBackend(RuntimeBackend):
 
 
 class ProcessBackend(RuntimeBackend):
-    """One OS process per plan worker, batched channels (multi-core);
-    with ``nodes=`` set, one agent process per named node over the TCP
+    """A place per CPU, batched channels (multi-core): the plan's leaves
+    split into contiguous blocks, each internal node with its first
+    leaf (:func:`~repro.runtime.process.default_placement`); the root's
+    place runs on a thread of the coordinator and the others are forked.
+    With ``nodes=`` set, one agent process per named node over the TCP
     data plane (:mod:`repro.runtime.cluster`)."""
 
     name = "process"

@@ -10,8 +10,9 @@ TCP stream sockets to its peers.  This module is the agents' endpoints
 (:class:`NodeEndpoints`), with the lifecycle of a transport's
 (:class:`~repro.runtime.transport.Endpoints`): when ``RunOptions.nodes``
 is set, the process backend hands them to the same
-:func:`~repro.runtime.process.run_on_workers` that forks a process per
-worker, so an agent is forked, driven and stopped like one.
+:func:`~repro.runtime.process.run_on_workers` that forks the places of
+its default placement, so an agent is forked, driven and stopped like
+one.
 
 Its endpoint setup is a three-step handshake, deliberately free of
 any same-host assumption (locally every agent binds 127.0.0.1; on a
@@ -41,7 +42,7 @@ dead peer is EOF/ECONNRESET, never a reconnect) — so fault injection,
 checkpoint recovery, and elastic reconfiguration run unchanged on a
 cluster deployment.
 
-Control rides one socketpair per agent, as for a forked worker
+Control rides one socketpair per agent, as for any other place
 (:class:`~repro.runtime.transport.ControlPlane`), live metrics
 snapshots for the exporter included; a dead agent shows as EOF there.
 *Launching* is what stays on one machine: agents are forked to inherit
@@ -379,8 +380,7 @@ class NodeEndpoints(Endpoints):
 
     def receiver(self, place: str) -> FrameReceiver:
         """Each batch as ``(hosted worker, batch)``."""
-        dsts = {s.fileno(): dst for (_src, dst), s in self._in.items()}
-        return FrameReceiver(list(dsts), dsts)
+        return FrameReceiver({s.fileno(): dst for (_src, dst), s in self._in.items()})
 
     def sender(self, place: str, control=None, policy=None, on_block=None) -> FrameSender:
         return FrameSender({dst: s.fileno() for dst, s in self._out.items()}, on_block)
@@ -391,7 +391,7 @@ class NodeEndpoints(Endpoints):
         self._log.close()
 
     # -- the coordinator ---------------------------------------------------
-    def parent_setup(self, control: Optional[ControlPlane] = None) -> None:
+    def parent_setup(self, control: Optional[ControlPlane] = None, local=None) -> None:
         """The registry exchange, then one stop edge per node.  The wait
         reads the control sockets too: an agent that dies before
         registering sends its traceback (or shows EOF) there, and that

@@ -234,8 +234,9 @@ class ServeOptions:
       in-process substrate, every worker on the thread that runs the
       seal, which keeps **one attempt open** for the service's life —
       a seal posts what was admitted plus one heartbeat per stream) or
-      ``"process"`` / ``"sim"`` (a forked process per worker, or the
-      simulator; ``nodes=`` on ``run`` deploys cluster-wide), which
+      ``"process"`` / ``"sim"`` (a place per CPU, the root's in the
+      seal's own process and the rest forked, or the simulator;
+      ``nodes=`` on ``run`` deploys cluster-wide), which
       cannot ship outputs without ending an attempt and so run one
       closed attempt per seal over the whole uncommitted suffix (only
       those attempts read ``run.pace``);
@@ -260,7 +261,10 @@ class ServeOptions:
       (``0`` picks a free port; ``None`` disables the exporter).
 
     ``run``'s deployment fields must be ones ``backend`` reads
-    (:meth:`RunOptions.refuse_unread`), checked here, at construction.
+    (:meth:`RunOptions.refuse_unread`), checked here, at construction,
+    and a port in ``run.metrics_port`` needs ``metrics_port`` set: the
+    service serves one exporter, while a port on ``run`` would bind a
+    fresh one on each seal's attempt that nothing reports.
     """
 
     backend: str = "threaded"
@@ -284,3 +288,9 @@ class ServeOptions:
         if self.ingest_high_watermark < 1:
             raise ValueError("ingest_high_watermark must be >= 1")
         self.run.refuse_unread(self.backend)
+        if _is_int(self.run.metrics_port) and self.metrics_port is None:
+            raise ValueError(
+                f"run.metrics_port={self.run.metrics_port} would bind an exporter on each "
+                "seal's attempt that nothing reports; set ServeOptions.metrics_port, the "
+                "service's one exporter, instead"
+            )

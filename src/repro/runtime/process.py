@@ -3,13 +3,17 @@
 The in-process substrate (:mod:`repro.runtime.threaded`) runs every
 worker of an attempt on the caller's thread, one batch at a time.  This
 module executes the same :class:`~repro.runtime.protocol.WorkerCore`
-state machine with **one OS process per plan worker**, so independent
-events on different leaves genuinely run in parallel — the paper's
-central claim (dependency-guided synchronization lets independent
-events proceed concurrently) measured on real cores rather than
-asserted.  It is also the substrate with real preemption, and the one
-that can abandon a stuck worker: a handler that never returns costs a
-drain timeout here, not the caller's thread.
+state machine on **a place per CPU** (at least two, at most one per
+leaf): the plan's leaves, in depth-first order, split into contiguous
+blocks (:func:`default_placement`), the root's place runs on a thread
+of the coordinator and the others are forked, so independent events on
+different leaves genuinely run in parallel — the paper's central claim
+(dependency-guided synchronization lets independent events proceed
+concurrently) measured on real cores rather than asserted — while a
+subtree's joins stay inside one place.  A handler that never returns in a forked place costs
+a drain timeout and its process; in the coordinator's place it cannot
+be killed, as on ``threaded``: the drain timeout still raises and names
+its worker, and the place stops at its next batch boundary.
 
 Four design points keep IPC from eating the speedup:
 
@@ -27,19 +31,20 @@ Four design points keep IPC from eating the speedup:
   destination at the batch's end, and join-critical messages leave at
   once, at the protocol's flush hint.
 
-* **Fork start method.**  Workers are forked, so programs — which
+* **Fork start method.**  Places are forked, so programs — which
   contain closures and are deliberately *not* picklable — are
   inherited by child processes instead of serialized.  Only protocol
   messages (events, order keys, application states) cross process
   boundaries.
 
 * **Leaves own their input.**  The attempt's streams travel in the
-  :class:`AttemptSpec` every worker inherits, and each place pumps the
+  :class:`AttemptSpec` every place inherits, and each place pumps the
   streams its workers own, round by round
   (:func:`~repro.runtime.protocol.pump_producers`), serving its inbox
-  between rounds.  The coordinator only starts the places, stamps the
-  shared origin once every one is up, waits, sends the stop frames and
-  collects the reports: it builds, packs and sends no event.
+  between rounds.  The coordinator's control loop only starts the
+  places, stamps the shared origin once every one is up, waits, sends
+  the stop frames and collects the reports; its own place pumps like
+  any other, on its own thread.
 
 Termination is by frontier, as in the progress tracking of Naiad
 (Murray et al., SOSP 2013): producers end with a closing heartbeat,
@@ -56,23 +61,23 @@ worker that has not announced, with the
 :meth:`~repro.runtime.protocol.WorkerCore.stall_state` its report
 carries.
 
-Control does not ride the transport: each forked child has one
-socketpair to the coordinator (:class:`~repro.runtime.transport.ControlPlane`),
-on which a child that dies shows as EOF.  A child exits once it has
-sent its report, and the coordinator joins every child before the
-outcome returns.
+Control does not ride the transport: each place has one socketpair to
+the coordinator (:class:`~repro.runtime.transport.ControlPlane`), on
+which a child that dies shows as EOF.  A child exits once it has sent
+its report, and the coordinator joins every child, and its own place's
+thread, before the outcome returns.
 
 Every real substrate runs the same :class:`AttemptSpec`, which the
 backend builds once per attempt, and drives its workers (:class:`_Worker`)
 as *places*: co-located workers on one run queue (:class:`_Place`).
 :mod:`repro.runtime.threaded` is one place holding every worker.  The
-forking substrates are one function, :func:`run_on_workers`: it forks
-a child per place of its endpoints
-(:class:`~repro.runtime.transport.Endpoints`) — a place per worker
-over a transport, or a node agent's place, holding the workers placed
-on its node, over :class:`~repro.runtime.cluster.NodeEndpoints` — and
-every child runs one entry (:func:`_place_main`: bind its endpoints,
-drive the blocking loop :func:`_drive_place`, tear down) beside one
+forking substrates are one function, :func:`run_on_workers`, over the
+places of its endpoints (:class:`~repro.runtime.transport.Endpoints`):
+a transport's default placement, or a node agent's place, holding the
+workers placed on its node, over
+:class:`~repro.runtime.cluster.NodeEndpoints`.  Every place runs one
+entry (:func:`_place_main`: bind its endpoints when forked, drive the
+blocking loop :func:`_drive_place`, tear down) beside one
 coordinator's half of an attempt (:func:`coordinate_attempt`).
 """
 
@@ -80,6 +85,8 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing as mp
+import os
+import threading
 import time
 import traceback
 from collections import deque
@@ -132,8 +139,8 @@ class AttemptSpec:
     #: Armed on the root only.
     reconfig: Optional[RootReconfigView]
     metrics: Optional[MetricsConfig]
-    #: The attempt's input; each forked worker pumps the streams it
-    #: owns.  Empty for an attempt opened to be posted to.
+    #: The attempt's input; each place pumps the streams its workers
+    #: own.  Empty for an attempt opened to be posted to.
     streams: Tuple[InputStream, ...] = ()
     #: Open-loop pacing of ``streams`` (see ``RunOptions.pace``).
     pace: Optional[float] = None
@@ -278,10 +285,13 @@ class _Place:
     (:attr:`producers`), flushes through its own ``BatchingSender``: a
     batch for a hosted worker is appended to the run queue, any other
     goes to ``remote`` (the transport's raw send).  So a join step
-    between co-located workers costs queue appends, not a wake-up."""
+    between co-located workers costs queue appends, not a wake-up.
+    ``halt`` (a ``threading.Event``) stops the queue at its next batch
+    boundary once set: the coordinator's own place cannot be killed."""
 
-    def __init__(self, spec: AttemptSpec, hosted: Sequence[str], remote=None) -> None:
+    def __init__(self, spec: AttemptSpec, hosted: Sequence[str], remote=None, halt=None) -> None:
         self.spec = spec
+        self.halt = halt
         self.runq: Deque[Tuple[str, List[Any]]] = deque()
         enqueue = self.runq.append
         workers: Dict[str, _Worker] = {}
@@ -302,14 +312,17 @@ class _Place:
 
     def run(self, deadline: Optional[float] = None) -> Optional[_Worker]:
         """Run the queue until it is empty, a worker stops (returned),
-        or ``deadline`` (``time.monotonic``) passes.  What a handler
-        raises is a :class:`WorkerFault` naming its worker."""
+        ``deadline`` (``time.monotonic``) passes or ``halt`` is set.
+        What a handler raises is a :class:`WorkerFault` naming its
+        worker."""
         if self.stopped is not None:
             return None
-        runq, workers = self.runq, self.workers
+        runq, workers, halt = self.runq, self.workers, self.halt
         popleft, monotonic = runq.popleft, time.monotonic
         while runq:
             if deadline is not None and monotonic() > deadline:
+                return None
+            if halt is not None and halt.is_set():
                 return None
             wid, batch = popleft()
             worker = workers[wid]
@@ -324,12 +337,14 @@ class _Place:
 
 
 def _drive_place(
-    spec: AttemptSpec, hosted: Sequence[str], inbox, remote, control: ControlChannel
+    spec: AttemptSpec, hosted: Sequence[str], inbox, remote, control: ControlChannel, halt=None
 ) -> None:
     """Drive one place's workers until the stop frame, then send one
     report per worker up ``control`` — the blocking loop of a forked
-    process or a node agent.  ``inbox(timeout=None)`` returns the next
-    ``(worker, batch)``, ``STOP``, or None once ``timeout`` seconds pass.
+    place, a node agent or the coordinator's own place (whose run queue
+    stops at ``halt``, see :class:`_Place`).  ``inbox(timeout=None)``
+    returns the next ``(worker, batch)``, ``STOP``, or None once
+    ``timeout`` seconds pass.
 
     The place starts at the attempt's origin and pumps the streams its
     workers own.  After each round it runs the queue, then serves its
@@ -348,7 +363,7 @@ def _drive_place(
     listens), a snapshot per worker goes up at most every 0.25 s."""
     origin = control.wait_origin()
     spec = spec.at_origin(origin)
-    place = _Place(spec, hosted, remote)
+    place = _Place(spec, hosted, remote, halt)
     workers = list(place.workers.values())
     leaves = [w.core for w in workers if w.core.is_leaf]
     live = spec.metrics is not None and control.live
@@ -405,38 +420,33 @@ def _drive_place(
 
 
 def _place_main(
-    place: str,
-    hosted: Sequence[str],
-    spec: AttemptSpec,
-    endpoints: Endpoints,
-    control: ControlChannel,
+    place: str, hosted: Sequence[str], spec: AttemptSpec, endpoints: Endpoints,
+    control: ControlChannel, halt: Optional[threading.Event] = None,
 ) -> None:
-    """Entry point of one forked place: bind its endpoints, drive its
-    workers, tear down."""
+    """Entry point of one place: a forked child binds its endpoints,
+    drives its workers and tears down; the coordinator's own place, on a
+    thread (``halt`` given), only drives them, and once ``halt`` is set
+    it no longer reports."""
     try:
-        # A transport drops the inherited endpoints this place does not
-        # own, so a dead peer surfaces as EOF/EPIPE instead of silence;
-        # a node agent runs its handshake.
-        endpoints.child_setup(place)
+        if halt is None:
+            # A transport drops the inherited endpoints this place does
+            # not own, so a dead peer surfaces as EOF/EPIPE instead of
+            # silence; a node agent runs its handshake.
+            endpoints.child_setup(place)
         receiver = endpoints.receiver(place)
-
-        def tagged(timeout: Optional[float] = None) -> Any:
-            # A place of one: every batch is its worker's.
-            msgs = receiver.recv(timeout)
-            return msgs if msgs is None or msgs is STOP else (place, msgs)
-
-        inbox = tagged if endpoints.kind == "worker" else receiver.recv
         # While this place waits for channel space it keeps ingesting
         # its own inbox (receiver.poll), so mutual pressure cannot
         # deadlock.
         remote = endpoints.sender(place, on_block=receiver.poll).send_batch
-        _drive_place(spec, hosted, inbox, remote, control)
+        _drive_place(spec, hosted, receiver.recv, remote, control, halt)
         endpoints.log("all workers done")
     except BaseException as exc:
+        if halt is not None and halt.is_set():
+            return  # the coordinator stopped this place and closed its end
         # Up the control channel with its traceback: the coordinator
         # raises it naming the worker whose handler raised it, else this
-        # place's child.  An exception ends here (the exit status would
-        # carry nothing more); an interrupt or exit goes on.
+        # place.  An exception ends here (the exit status would carry
+        # nothing more); an interrupt or exit goes on.
         fault = isinstance(exc, WorkerFault)
         who, err = (exc.who, exc.err) if fault else (None, f"{exc!r}\n{traceback.format_exc()}")
         endpoints.log(f"{who or 'the place'} FAILED: {exc!r}")
@@ -444,9 +454,12 @@ def _place_main(
         if not isinstance(exc, Exception):
             raise
     finally:
-        # Shared-memory rings have no EOF/EPIPE: their teardown sets the
-        # closed flags peers watch, on every exit path.
-        endpoints.child_teardown(place)
+        if halt is None:
+            # Shared-memory rings have no EOF/EPIPE: their teardown sets
+            # the closed flags peers watch, on every exit path.
+            endpoints.child_teardown(place)
+        else:
+            control.close()
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +537,9 @@ def merge_reports(
 def coordinate_attempt(
     spec: AttemptSpec, control: ControlPlane, endpoints: Endpoints, timeout_s: float
 ) -> AttemptOutcome:
-    """The coordinator's half of one attempt over forked places (which
-    pump their own input): set ``endpoints`` up once every place is
-    forked (a transport drops the parent's copies of the fds only
-    places use, so dead peers surface as EOF/EPIPE on the survivors'
-    channels), stamp the shared origin (:meth:`ControlPlane.release`),
+    """The coordinator's half of one attempt over places that pump
+    their own input, once every place is forked and ``endpoints`` are
+    set up: stamp the shared origin (:meth:`ControlPlane.release`),
     wait for every worker's done announcement or the first abort, stop
     the places (one stop frame each), collect the reports, drain the
     data plane of an aborted attempt, reap.  ``wall_s`` runs from the
@@ -543,7 +554,6 @@ def coordinate_attempt(
         transport=endpoints.name,
         nodes=len(endpoints.places) if per_node else 0,
     )
-    endpoints.parent_setup(control)
     t0 = time.perf_counter()
     control.release()
     substrate = "cluster" if per_node else "process"
@@ -564,19 +574,51 @@ def coordinate_attempt(
     return result
 
 
+def default_placement(plan: SyncPlan) -> Dict[str, str]:
+    """Worker -> place, when the process backend has no ``nodes=``.
+
+    The leaves, in depth-first order, split into ``min(#leaves, max(2,
+    CPUs))`` contiguous blocks, a place each (CPUs: those this process
+    may run on), and each internal node joins its first leaf's place:
+    independent leaves run in parallel, and a subtree's joins stay in
+    one place as far as the CPUs allow.  A place is named after its
+    first worker in depth-first order, so the root's place is the
+    root's."""
+    leaves = [n.id for n in plan.leaves()]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - not Linux
+        cpus = os.cpu_count() or 1
+    n = min(len(leaves), max(2, cpus))
+    block = {leaf: i * n // len(leaves) for i, leaf in enumerate(leaves)}
+    blocks, leaf = {}, None
+    for w in reversed(plan.workers()):
+        leaf = w.id if w.is_leaf else leaf  # a node's first leaf is the next leaf
+        blocks[w.id] = block[leaf]
+    names = {b: wid for wid, b in blocks.items()}  # backwards: the first worker wins
+    return {w.id: names[blocks[w.id]] for w in plan.workers()}
+
+
+def _who(kind: str, place: str, hosted: Sequence[str]) -> str:
+    return f"{kind} {place}" + (f" (workers {', '.join(hosted)})" if hosted != [place] else "")
+
+
 def run_on_workers(
     spec: AttemptSpec,
     timeout_s: float,
     endpoints: Union[str, Endpoints] = DEFAULT_TRANSPORT,
     exporter=None,
 ) -> AttemptOutcome:
-    """One attempt with one forked child per place of ``endpoints``: a
-    transport name (``"pipe"``, framed raw pipes, the default;
-    ``"queue"``, ``multiprocessing.Queue``; ``"tcp"``, loopback stream
-    sockets; ``"shm"``, shared-memory rings) forks a place per worker,
-    and the node agents' handshake
-    (:class:`~repro.runtime.cluster.NodeEndpoints`) a place per node.
-    A crashed or quiesced attempt returns (see
+    """One attempt over the places of ``endpoints``.  A transport name
+    (``"pipe"``, framed raw pipes, the default; ``"queue"``,
+    ``multiprocessing.Queue``; ``"tcp"``, loopback stream sockets;
+    ``"shm"``, shared-memory rings) places the workers by
+    :func:`default_placement`: the root's place runs on a thread of the
+    coordinator, started once every other place is forked and joined
+    before the endpoints close, and a one-place attempt forks its place.
+    The node agents' handshake
+    (:class:`~repro.runtime.cluster.NodeEndpoints`) forks a place per
+    node.  A crashed or quiesced attempt returns (see
     :class:`~repro.runtime.protocol.AttemptOutcome`) rather than
     raising.  With an ``exporter``
     (:class:`~repro.runtime.metrics.MetricsExporter`), the places push
@@ -590,27 +632,50 @@ def run_on_workers(
             "the 'threaded' or 'sim' backend on this platform"
         )
     ctx = mp.get_context("fork")
+    local = None
     if isinstance(endpoints, str):
-        endpoints = make_transport(endpoints, ctx, plan_edges(spec.plan))
+        placement = default_placement(spec.plan)
+        endpoints = make_transport(endpoints, ctx, plan_edges(spec.plan, placement), placement)
+        if len(endpoints.places) > 1:
+            local = placement[spec.plan.root.id]
     control = ControlPlane(ctx)
     control.live = exporter is not None
     if exporter is not None:
         control.on_metrics = exporter.update
     kind = endpoints.kind
-    result = None
+    halt = threading.Event()
+    thread = result = None
     try:
         for place, hosted in endpoints.places.items():
-            who = f"{kind} {place}"
-            if hosted != [place]:
-                who += f" (workers {', '.join(hosted)})"
-            control.spawn(
-                ctx, f"{kind}:{place}", who, len(hosted), _place_main, place, hosted, spec,
-                endpoints,
+            if place != local:
+                control.spawn(
+                    ctx, f"{kind}:{place}", _who(kind, place, hosted), len(hosted), _place_main,
+                    place, hosted, spec, endpoints,
+                )
+        # A transport drops the parent's copies of the fds only forked
+        # places use, so dead peers surface as EOF/EPIPE on the
+        # survivors' channels; a node agent's handshake runs.
+        endpoints.parent_setup(control, local)
+        if local is not None:
+            hosted = endpoints.places[local]
+            channel = ControlChannel(control.open(_who(kind, local, hosted), len(hosted)))
+            thread = threading.Thread(
+                target=_place_main, args=(local, hosted, spec, endpoints, channel, halt),
+                name=f"{kind}:{local}", daemon=True,
             )
+            thread.start()
         result = coordinate_attempt(spec, control, endpoints, timeout_s)
         return result
     finally:
+        if result is None:
+            halt.set()
         control.finish(failed=True)
+        if thread is not None:
+            if result is None:
+                # Wake it from a wait on its inbox or on a peer now gone.
+                endpoints.stop_all()
+                endpoints.drain()
+            thread.join()
         endpoints.close()
         if exporter is not None and result is not None and result.metrics is not None:
             for snap in result.metrics.per_worker.values():

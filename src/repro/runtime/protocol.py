@@ -9,8 +9,9 @@ transport plumbing around :class:`WorkerCore`:
 * :mod:`repro.runtime.runtime` — one simulated actor per worker; the
   adapter adds only the virtual clock and the network/CPU cost model;
 * :mod:`repro.runtime.process` — one worker-loop body for the real
-  substrates: an OS process per worker over batched channels (escaping
-  the GIL for real parallelism), node agents over TCP
+  substrates: a place per CPU over batched channels, the root's in the
+  coordinator and the rest forked (escaping the GIL for real
+  parallelism), node agents over TCP
   (:mod:`repro.runtime.cluster`), or every worker on the caller's
   thread from one run queue (:mod:`repro.runtime.threaded`).
 

@@ -8,7 +8,8 @@ benchmark.  This module separates the *transport* concern from the
 protocol so the hot path can do better:
 
 * :class:`PipeTransport` (default) — one raw ``os.pipe`` per directed
-  communication edge (coordinator → worker, parent ↔ child), carrying
+  communication edge (a place to a worker of another place, and the
+  coordinator's stop edge to each place), carrying
   length-prefixed frames in the :mod:`repro.runtime.wire` frame format
   (struct-packed fast path, pickle fallback).  Single writer per pipe,
   so frames never interleave; readers ``select`` across their inbound
@@ -17,9 +18,9 @@ protocol so the hot path can do better:
   full-duplex pressure can never deadlock the tree.
 
 * :class:`QueueTransport` — the original ``multiprocessing.Queue``
-  fabric (``transport="queue"``), carrying the same frames as
-  ``bytes`` objects, one per batch.  It stays because dgsbench's layer
-  pass probes every name in :data:`TRANSPORTS`
+  fabric (``transport="queue"``), carrying the same frames, one per
+  batch, as ``(worker, frame)`` pairs on a queue per place.  It stays
+  because dgsbench's layer pass probes every name in :data:`TRANSPORTS`
   (``transport.edge_ns_per_event.<name>``); pruning the same-host
   transports is open work (ROADMAP.md, item 2b).
 
@@ -58,9 +59,9 @@ it before the hint) sent to one destination.  The in-process substrate
 uses the same sender over its run queue.
 
 The control plane does not depend on the transport: one
-``socket.socketpair()`` per forked child (:class:`ControlPlane`)
-carries the origin down and the child's announcements, reports and
-escaped traceback up, and a dead child shows as EOF on it.
+``socket.socketpair()`` per place (:class:`ControlPlane`) carries the
+origin down and the place's announcements, reports and escaped
+traceback up, and a dead child shows as EOF on it.
 """
 
 from __future__ import annotations
@@ -96,14 +97,15 @@ COORDINATOR = "__coordinator__"
 STOP = object()
 
 # Every receiver has one receive: ``recv(timeout=None)`` returns the
-# next batch (a list of messages), ``STOP``, or None when ``timeout``
-# seconds pass without either (``0``: do not block; ``None``: block).
+# next batch as ``(worker, batch)`` (the hosted worker it is for, a list
+# of messages), ``STOP``, or None when ``timeout`` seconds pass without
+# either (``0``: do not block; ``None``: block).
 
 _LEN = FRAME_LEN
 
 #: Transport names accepted by ``RunOptions.transport``: the endpoints
-#: of a forked place per worker (``process.run_on_workers``, which forks
-#: a node agent's place over ``cluster.NodeEndpoints`` instead).
+#: of the process backend's places on one host (``process.run_on_workers``,
+#: which forks a node agent's place over ``cluster.NodeEndpoints`` instead).
 TRANSPORTS = ("pipe", "queue", "tcp", "shm")
 DEFAULT_TRANSPORT = "pipe"
 
@@ -154,12 +156,13 @@ class WorkerFault(RuntimeFault):
 
 
 class ControlChannel:
-    """A forked child's end of its control socket: the origin comes
+    """A place's end of its control socket (a forked child's, or the
+    coordinator's own place's thread's): the origin comes
     down first, then pickled, length-prefixed ``(kind, who, payload)``
     records go up — ``"done"``, ``"crash"`` or ``"quiesce"``,
     ``"report"``, ``"error"`` (an escaped traceback; ``who`` is None
     when no handler raised it) and, while
-    ``live``, ``"metrics"``.  Only the child's place loop uses it."""
+    ``live``, ``"metrics"``.  Only the place loop uses it."""
 
     def __init__(self, sock: socket.socket, live: bool = False) -> None:
         self._sock, self.live = sock, live
@@ -174,6 +177,9 @@ class ControlChannel:
         data = pickle.dumps((kind, who, payload), pickle.HIGHEST_PROTOCOL)
         self._sock.sendall(_LEN.pack(len(data)) + data)
 
+    def close(self) -> None:
+        self._sock.close()
+
 
 class _Child:
     __slots__ = ("who", "sock", "due", "proc", "asm")
@@ -184,7 +190,9 @@ class _Child:
 
 class ControlPlane:
     """The coordinator's end of an attempt's control: a socketpair per
-    child it forks, none before (``ctx`` is unread, for dgsbench).
+    place, opened as the place's child is forked, or, for the place the
+    coordinator runs on a thread, by :meth:`open` (``ctx`` is unread,
+    for dgsbench).
     :meth:`release` sends the origin (the pacing clock's and latency
     epoch's zero); then one ``poll`` waits on every child.  A child's
     traceback, or EOF before its reports (it died), raises a
@@ -263,6 +271,8 @@ class ControlPlane:
             data = b""
         if not data:
             self._poller.unregister(child.sock)
+            if child.due and child.proc is None:  # a thread of this process
+                raise RuntimeFault(f"{child.who} ended before its report")
             if child.due:
                 child.proc.join(1.0)
                 code = child.proc.exitcode
@@ -366,41 +376,58 @@ def resolve_policy(size: None, deadline_ms: None) -> None:
 
 
 class Endpoints:
-    """The data plane of one forked attempt
+    """The data plane of one attempt's places
     (:func:`repro.runtime.process.run_on_workers`), built by the
-    coordinator before it forks, so every place inherits it.
-    ``places`` maps each place, one forked child, to the workers it
-    hosts.
+    coordinator before it forks, so every forked place inherits it.
+    ``placement`` maps each worker to its place (by default each worker
+    is a place of its own) and ``places`` each place to its workers.
+    ``edges`` (:func:`plan_edges`) maps each worker to the places it
+    hears from, an edge (sending place, worker) each, and the
+    coordinator has a stop edge (``COORDINATOR``, place) to each place.
+    A receiver returns each batch as ``(worker, batch)``.
 
     The coordinator calls :meth:`parent_setup` once every place is
     forked, ``stop_all()`` to send each place its stop frame,
     :meth:`drain` after an aborted attempt and :meth:`close` on every
-    exit.  A place calls :meth:`child_setup`, then
+    exit.  A place calls :meth:`child_setup` (a forked one only), then
     ``receiver(place)`` and ``sender(place, on_block=...)`` (whose
     ``send_batch`` is the place's remote send), and
-    :meth:`child_teardown` on every exit path, a crash included.
-
-    A transport is a place per worker (``kind = "worker"``), and its
-    receiver returns bare batches.  The node agents' handshake
-    (:class:`repro.runtime.cluster.NodeEndpoints`, ``kind = "node"``)
-    is a place per node, and its receiver returns ``(worker, batch)``."""
+    :meth:`child_teardown` on every exit path of a forked place, a crash
+    included.  The node agents' handshake
+    (:class:`repro.runtime.cluster.NodeEndpoints`) has the same
+    lifecycle, with a place per node."""
 
     kind = "worker"
+    #: The place the coordinator runs on a thread (``parent_setup``).
+    local: Optional[str] = None
 
-    def __init__(self, edges: Dict[str, Sequence[str]]) -> None:
-        self.places: Dict[str, List[str]] = {wid: [wid] for wid in edges}
+    def __init__(self, edges: Dict[str, Sequence[str]], placement=None) -> None:
+        placement = placement or {wid: wid for wid in edges}
+        self.places: Dict[str, List[str]] = {}
+        for wid, place in placement.items():
+            self.places.setdefault(place, []).append(wid)
+        #: An edge's receiving end (a worker, or a place) -> its place.
+        self.place_of = {**{p: p for p in self.places}, **placement}
+        self.links: List[Tuple[str, str]] = list(
+            dict.fromkeys(
+                [(COORDINATOR, place) for place in self.places]
+                + [(src, dst) for dst, srcs in edges.items() for src in srcs]
+            )
+        )
 
-    def parent_setup(self, control: Optional[ControlPlane] = None) -> None:
+    def parent_setup(self, control: Optional[ControlPlane] = None, local=None) -> None:
         """Once every place is forked; ``control`` is the attempt's
-        control plane."""
+        control plane, and ``local`` the place the coordinator runs on a
+        thread, whose endpoints it keeps."""
+        self.local = local
 
     def child_setup(self, place: str) -> None:
         """In a forked place, before it opens its endpoints."""
 
     def child_teardown(self, place: str) -> None:
-        """As a place exits.  Stream transports need nothing: the kernel
-        closes fds with the process, which is the EOF/EPIPE peers watch
-        for."""
+        """As a forked place exits.  Stream transports need nothing: the
+        kernel closes fds with the process, which is the EOF/EPIPE peers
+        watch for."""
 
     def log(self, msg: str) -> None:
         """A place's lifecycle line (node agents keep a log)."""
@@ -424,23 +451,24 @@ class _QueueReceiver:
 
     def recv(self, timeout: Optional[float] = None) -> Any:
         try:
-            frame = self._q.get(timeout != 0, timeout)
+            item = self._q.get(timeout != 0, timeout)
         except queue_mod.Empty:
             return None
-        return unpack_frame(frame) if frame else STOP
+        return STOP if item is None else (item[0], unpack_frame(item[1]))
 
     def poll(self) -> None:  # pragma: no cover - queue puts never block
         pass
 
 
 class QueueTransport(Endpoints):
-    """``multiprocessing.Queue`` per worker — the legacy data plane."""
+    """``multiprocessing.Queue`` per place, carrying ``(worker, frame)``
+    pairs and ``None`` as the stop sentinel — the legacy data plane."""
 
     name = "queue"
 
-    def __init__(self, ctx, edges: Dict[str, Sequence[str]]) -> None:
-        super().__init__(edges)
-        self.queues = {wid: ctx.Queue() for wid in edges}
+    def __init__(self, ctx, edges: Dict[str, Sequence[str]], placement=None) -> None:
+        super().__init__(edges, placement)
+        self.queues = {place: ctx.Queue() for place in self.places}
 
     def sender(
         self,
@@ -450,22 +478,25 @@ class QueueTransport(Endpoints):
         on_block: Optional[Callable[[], None]] = None,
     ) -> BatchingSender:
         def send_batch(dst: str, batch: List[Any]) -> None:
-            self.queues[dst].put(pack_frame(batch))
+            self.queues[self.place_of[dst]].put((dst, pack_frame(batch)))
 
         return BatchingSender(send_batch)
 
-    def receiver(self, wid: str) -> _QueueReceiver:
-        return _QueueReceiver(self.queues[wid])
+    def receiver(self, place: str) -> _QueueReceiver:
+        return _QueueReceiver(self.queues[place])
 
     def stop_all(self) -> None:
         for q in self.queues.values():
-            q.put(b"")  # empty frame = stop sentinel
+            q.put(None)
 
     def drain(self) -> None:
-        """Discard whatever is still sitting in worker inboxes after an
-        aborted attempt, so no queue feeder thread stays blocked on a
-        full pipe when the queues are torn down."""
-        for q in self.queues.values():
+        """Discard whatever is still sitting in forked places' inboxes
+        after an aborted attempt, so no queue feeder thread stays
+        blocked on a full pipe when the queues are torn down (the
+        coordinator's own place reads its stop frame itself)."""
+        for place, q in self.queues.items():
+            if place == self.local:
+                continue
             try:
                 while True:
                     q.get_nowait()
@@ -473,13 +504,18 @@ class QueueTransport(Endpoints):
                 pass
             q.cancel_join_thread()
 
+    def close(self) -> None:
+        """End the coordinator's feeder threads once they have flushed."""
+        for q in self.queues.values():
+            q.close()
+
 
 # ---------------------------------------------------------------------------
 # Pipe transport (raw os.pipe per directed edge, framed)
 # ---------------------------------------------------------------------------
 
 class FrameReceiver:
-    """Merges framed traffic from every inbound stream fd of one worker
+    """Merges framed traffic from every inbound stream fd of one place
     (raw pipes or TCP sockets — both deliver arbitrarily fragmented
     bytes; :class:`FrameAssembler` owns the reassembly).
 
@@ -500,18 +536,18 @@ class FrameReceiver:
     :class:`RuntimeFault` immediately — a half-delivered batch must
     never decode as a shorter one.
 
-    With ``dsts`` (fd -> the hosted worker its edge reaches: a node
-    agent's inbound edges), each batch comes as ``(worker, batch)``."""
+    ``dsts`` maps each inbound fd to the hosted worker its edge reaches,
+    which labels each batch: ``(worker, batch)``."""
 
     __slots__ = ("_poller", "_n_live", "_asm", "_ready", "_dsts")
 
-    def __init__(self, rfds: List[int], dsts: Optional[Dict[int, str]] = None) -> None:
+    def __init__(self, dsts: Dict[int, str]) -> None:
         self._poller = select.poll()
         self._asm: Dict[int, FrameAssembler] = {}
-        for fd in rfds:
+        for fd in dsts:
             self._poller.register(fd, select.POLLIN)
             self._asm[fd] = FrameAssembler()
-        self._n_live = len(rfds)
+        self._n_live = len(dsts)
         self._ready: Deque[Any] = deque()
         self._dsts = dsts
 
@@ -558,10 +594,9 @@ class FrameReceiver:
             if self._n_live == 0:
                 self._ready.append(STOP)
             return
-        dst = None if self._dsts is None else self._dsts[fd]
+        dst = self._dsts[fd]
         for frame in self._asm[fd].feed(data):
-            batch = unpack_frame(frame) if frame else STOP
-            self._ready.append(batch if dst is None or batch is STOP else (dst, batch))
+            self._ready.append((dst, unpack_frame(frame)) if frame else STOP)
 
 
 class FrameSender:
@@ -610,17 +645,15 @@ class FrameSender:
 
 class PipeTransport(Endpoints):
     """Raw-pipe data plane: one framed, single-writer pipe per directed
-    edge of the communication graph."""
+    edge."""
 
     name = "pipe"
 
-    def __init__(self, ctx, edges: Dict[str, Sequence[str]]) -> None:
-        super().__init__(edges)
-        # edges: receiver id -> sender ids allowed to reach it.
-        self._pipes: Dict[tuple, tuple] = {}
-        for wid, srcs in edges.items():
-            for src in srcs:
-                self._pipes[(src, wid)] = self._open_edge()
+    def __init__(self, ctx, edges: Dict[str, Sequence[str]], placement=None) -> None:
+        super().__init__(edges, placement)
+        self._pipes: Dict[Tuple[str, str], Tuple[int, int]] = {
+            link: self._open_edge() for link in self.links
+        }
         #: Parent-side fds not yet closed.  Tracked explicitly so
         #: ``parent_setup`` + ``close`` never double-close an fd number
         #: the OS may have reused for something else.
@@ -642,41 +675,40 @@ class PipeTransport(Endpoints):
         policy: None = None,
         on_block: Optional[Callable[[], None]] = None,
     ) -> BatchingSender:
-        wfds = {
-            wid: w
-            for (s, wid), (_, w) in self._pipes.items()
-            if s == src
-        }
-        raw = FrameSender(wfds, on_block)
-        return BatchingSender(raw.send_batch)
+        wfds = {dst: w for (s, dst), (_, w) in self._pipes.items() if s == src}
+        return BatchingSender(FrameSender(wfds, on_block).send_batch)
 
-    def receiver(self, wid: str) -> FrameReceiver:
-        rfds = [r for (_, d), (r, _) in self._pipes.items() if d == wid]
-        return FrameReceiver(rfds)
+    def receiver(self, place: str) -> FrameReceiver:
+        return FrameReceiver(
+            {r: dst for (_, dst), (r, _) in self._pipes.items() if self.place_of[dst] == place}
+        )
 
-    def child_setup(self, wid: str) -> None:
-        """Called in a forked worker before it opens its endpoints:
-        close every inherited fd this worker does not own (it keeps
-        read ends of inbound edges and write ends of outbound ones).
-        Without this, every pipe end lives in every process and a dead
-        peer can never be observed as EOF/EPIPE — only the
-        coordinator's exitcode polling would catch it, seconds later."""
+    def _close_unowned(self, place: Optional[str], close: Callable[[int], None]) -> None:
+        """Close each end ``place`` does not use: it keeps the read ends
+        of its inbound edges and the write ends of its outbound ones."""
         for (src, dst), (r, w) in self._pipes.items():
-            if dst != wid:
-                os.close(r)
-            if src != wid:
-                os.close(w)
+            if self.place_of[dst] != place:
+                close(r)
+            if src != place:
+                close(w)
 
-    def parent_setup(self, control: Optional[ControlPlane] = None) -> None:
-        """Called in the coordinator once every worker has forked:
-        drop the parent's copies of the fds it never uses (all read
-        ends, and write ends of worker-to-worker edges), completing
-        the ownership picture ``child_setup`` starts — after this,
-        each pipe end lives only in the process that uses it."""
-        for (src, _), (r, w) in self._pipes.items():
-            self._parent_close(r)
-            if src != COORDINATOR:
-                self._parent_close(w)
+    def child_setup(self, place: str) -> None:
+        """Called in a forked place before it opens its endpoints:
+        close every inherited fd it does not own.  Without this, every
+        pipe end lives in every process and a dead peer can never be
+        observed as EOF/EPIPE — only the coordinator's liveness checks
+        would catch it."""
+        self._close_unowned(place, os.close)
+
+    def parent_setup(self, control: Optional[ControlPlane] = None, local=None) -> None:
+        """Called in the coordinator once every place has forked: drop
+        the parent's copies of the fds neither it (the write ends of its
+        stop edges) nor its own place ``local`` uses, completing the
+        ownership picture ``child_setup`` starts — after this, each pipe
+        end lives only in the process that uses it."""
+        super().parent_setup(control, local)
+        stops = {w for (src, _), (_, w) in self._pipes.items() if src == COORDINATOR}
+        self._close_unowned(local, lambda fd: fd in stops or self._parent_close(fd))
 
     def _parent_close(self, fd: int) -> None:
         if fd in self._parent_open:
@@ -689,10 +721,10 @@ class PipeTransport(Endpoints):
     def stop_all(self) -> None:
         """Coordinator-side shutdown: a zero-length frame on every
         coordinator edge."""
-        wfds = {wid: w for (s, wid), (_, w) in self._pipes.items() if s == COORDINATOR}
+        wfds = {dst: w for (s, dst), (_, w) in self._pipes.items() if s == COORDINATOR}
         sender = FrameSender(wfds, None)
-        for wid in wfds:
-            sender.send_raw(wid, _LEN.pack(0))
+        for dst in wfds:
+            sender.send_raw(dst, _LEN.pack(0))
 
     def close(self) -> None:
         for fd in list(self._parent_open):
@@ -1050,7 +1082,8 @@ class _ShmSender:
 
 
 class _ShmReceiver:
-    """Merges framed traffic from every inbound ring of one worker.
+    """Merges framed traffic from every inbound ring of one place,
+    given as ``(ring, hosted worker it reaches)`` pairs.
 
     Mirrors :class:`FrameReceiver`: per-sender FIFO, opportunistic
     non-blocking ``poll`` for the senders' backpressure loops, STOP on
@@ -1071,9 +1104,9 @@ class _ShmReceiver:
 
     __slots__ = ("_entries", "_n_live", "_ready", "_bell_eof")
 
-    def __init__(self, rings: List[_ShmRing]) -> None:
-        # entry = [ring, partial-frame chunk list, live]
-        self._entries: List[list] = [[r, [], True] for r in rings]
+    def __init__(self, rings: List[Tuple[_ShmRing, str]]) -> None:
+        # entry = [ring, partial-frame chunk list, live, worker]
+        self._entries: List[list] = [[r, [], True, dst] for r, dst in rings]
         self._n_live = len(rings)
         self._ready: Deque[Any] = deque()
         self._bell_eof: set = set()
@@ -1140,7 +1173,7 @@ class _ShmReceiver:
     def _ingest(self) -> bool:
         progress = False
         for entry in self._entries:
-            ring, parts, live = entry
+            ring, parts, live, dst = entry
             if not live:
                 continue
             popped = ring.pop_chunk()
@@ -1156,7 +1189,7 @@ class _ShmReceiver:
                         parts.clear()
                     else:
                         frame = chunk
-                    self._ready.append(unpack_frame(frame) if frame else STOP)
+                    self._ready.append((dst, unpack_frame(frame)) if frame else STOP)
                 popped = ring.pop_chunk()
             if ring.tx_closed() and ring.drained():
                 entry[2] = False
@@ -1199,6 +1232,7 @@ class SharedMemoryTransport(Endpoints):
         self,
         ctx,
         edges: Dict[str, Sequence[str]],
+        placement=None,
         *,
         slots: int = SHM_SLOTS,
         slot_bytes: int = SHM_SLOT_BYTES,
@@ -1208,17 +1242,16 @@ class SharedMemoryTransport(Endpoints):
                 f"shm ring too small: need slots >= 2 (got {slots}) and "
                 f"slot_bytes >= 64 (got {slot_bytes})"
             )
-        super().__init__(edges)
+        super().__init__(edges, placement)
         self.slots = slots
         self.slot_bytes = slot_bytes
         self._rings: Dict[tuple, _ShmRing] = {}
         self._closed = False
         size = _SHM_HDR + slots * (4 + slot_bytes)
         try:
-            for wid, srcs in edges.items():
-                for src in srcs:
-                    shm = shared_memory.SharedMemory(create=True, size=size)
-                    self._rings[(src, wid)] = _ShmRing(shm, slots, slot_bytes)
+            for link in self.links:
+                shm = shared_memory.SharedMemory(create=True, size=size)
+                self._rings[link] = _ShmRing(shm, slots, slot_bytes)
         except BaseException:
             self.close()
             raise
@@ -1236,24 +1269,24 @@ class SharedMemoryTransport(Endpoints):
         raw = _ShmSender(rings, on_block)
         return BatchingSender(raw.send_batch)
 
-    def receiver(self, wid: str) -> _ShmReceiver:
+    def receiver(self, place: str) -> _ShmReceiver:
         return _ShmReceiver(
-            [ring for (_, d), ring in self._rings.items() if d == wid]
+            [(ring, dst) for (_, dst), ring in self._rings.items() if self.place_of[dst] == place]
         )
 
-    def child_teardown(self, wid: str) -> None:
-        """Worker exit path (normal, crashed, or interrupted): mark this
-        worker's endpoints closed so writers stop spinning and readers
+    def child_teardown(self, place: str) -> None:
+        """A forked place's exit path (normal, crashed, or interrupted):
+        mark its endpoints closed so writers stop spinning and readers
         see EOF, then drop the child's inherited mappings."""
         for (src, dst), ring in self._rings.items():
             if ring.buf is None:
                 continue
-            if src == wid:
+            if src == place:
                 ring.set_tx_closed()
                 # Wake a peer parked on this edge so it observes the
                 # EOF flag now rather than at its select timeout.
                 _ring_bell(ring.bell_w)
-            if dst == wid:
+            if self.place_of[dst] == place:
                 ring.set_rx_closed()
         for ring in self._rings.values():
             ring.release()
@@ -1306,43 +1339,28 @@ class SharedMemoryTransport(Endpoints):
                     pass
 
 
-def make_transport(name: str, ctx, edges: Dict[str, Sequence[str]]):
+def make_transport(
+    name: str, ctx, edges: Dict[str, Sequence[str]], placement: Optional[Dict[str, str]] = None
+) -> Endpoints:
     """Instantiate a registered transport at its default tuning."""
-    if name == "shm":
-        return SharedMemoryTransport(ctx, edges)
-    if name == "pipe":
-        return PipeTransport(ctx, edges)
-    if name == "queue":
-        return QueueTransport(ctx, edges)
-    if name == "tcp":
-        return SocketTransport(ctx, edges)
-    raise RuntimeFault(
-        f"unknown transport {name!r}; available: {TRANSPORTS}"
-    )
+    for kind in (PipeTransport, QueueTransport, SocketTransport, SharedMemoryTransport):
+        if kind.name == name:
+            return kind(ctx, edges, placement)
+    raise RuntimeFault(f"unknown transport {name!r}; available: {TRANSPORTS}")
 
 
 def plan_edges(plan, placement: Optional[Dict[str, str]] = None) -> Dict[str, List[str]]:
-    """The directed communication graph of a synchronization plan, as
-    worker -> the senders it hears from: the coordinator (its stop
-    frame), its parent (join requests, forked states, relayed
-    heartbeats) and its children (join responses).
-
-    With ``placement`` (worker -> place), the senders are the *places*
-    of those tree neighbours that sit in another place, each once: a
-    neighbour in the worker's own place shares its run queue, and the
-    coordinator's stop edges are one per place, the deployment's own."""
+    """The directed communication graph of a synchronization plan over
+    ``placement`` (worker -> place; by default each worker is a place of
+    its own), as worker -> the places it hears from: those of its parent
+    (join requests, forked states, relayed heartbeats) and of its
+    children (join responses), each once, unless it is the worker's own
+    place, whose workers share its run queue.  The coordinator's stop
+    edges, one per place, are the endpoints' own."""
+    place = placement or {n.id: n.id for n in plan.workers()}
     edges: Dict[str, List[str]] = {}
     for node in plan.workers():
-        srcs = [COORDINATOR]
         parent = plan.parent_of(node.id)
-        if parent is not None:
-            srcs.append(parent.id)
-        if not node.is_leaf:
-            srcs.extend(c.id for c in node.children)
-        edges[node.id] = srcs
-    if placement is None:
-        return edges
-    return {
-        dst: sorted({placement[s] for s in srcs[1:]} - {placement[dst]})
-        for dst, srcs in edges.items()
-    }
+        near = [c.id for c in node.children] + ([parent.id] if parent is not None else [])
+        edges[node.id] = sorted({place[w] for w in near} - {place[node.id]})
+    return edges

@@ -132,15 +132,27 @@ class TestSimChaosSlice:
 
     def test_tests_job_runs_the_process_slice(self, jobs):
         """The process backend on its default transport under crashes
-        and re-plans on every push: every forked worker pumps its own
+        and re-plans on every push: every place pumps its workers' own
         input, so crashes land mid-pump and stop frames reach leaves
         that are still pumping."""
         text = " ".join(steps_text(jobs["tests"]).split())
         slice_ = self.SLICE.replace("--backends sim", "--backends process")
         assert f"python -m repro.chaos {slice_}" in text
 
+    def test_tests_job_runs_the_process_slice_on_one_cpu(self, jobs):
+        """The coordinator's place and a forked place on one CPU, under
+        crashes and re-plans, on every push."""
+        runs = {
+            s.get("name"): " ".join(str(s.get("run", "")).split())
+            for s in jobs["tests"]["steps"]
+        }
+        slice_ = self.SLICE.replace("--backends sim", "--backends process")
+        assert runs["Chaos slice on the process backend, one CPU"] == (
+            f"taskset -c 0 python -m repro.chaos {slice_}"
+        )
+
     def test_the_process_slice_checks_metrics(self, jobs):
-        """The forked workers' metrics are checked against the
+        """The process backend's workers' metrics are checked against the
         protocol's counts on every push too: their ``batches_sent`` /
         ``messages_sent`` come from the sender the threaded slice's
         workers also use."""

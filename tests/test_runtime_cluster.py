@@ -318,14 +318,17 @@ class TestClusterFaultTolerance:
 # ---------------------------------------------------------------------------
 
 def _placements(plan):
-    """All workers in one place, one worker per place, and the root
-    with its first leaf in one place beside the rest in another."""
+    """All workers in one place, one worker per place, the root with
+    its first leaf in one place beside the rest in another, and the
+    process backend's own placement (no ``nodes=``: the root's place in
+    the coordinator, the rest forked)."""
     root, first = plan.root.id, plan.leaves()[0].id
     pins = {n.id: "node0" if n.id in (root, first) else "node1" for n in plan.workers()}
     return {
         "one-place": RunOptions(nodes=1),
         "place-per-worker": RunOptions(nodes=plan.size()),
         "root+leaf/rest": RunOptions(nodes=2, placement=pins),
+        "default": RunOptions(),
     }
 
 
@@ -401,7 +404,9 @@ def _remote(dst, batch):
 
 
 class TestPlaces:
-    @pytest.mark.parametrize("placement", ["one-place", "place-per-worker", "root+leaf/rest"])
+    @pytest.mark.parametrize(
+        "placement", ["one-place", "place-per-worker", "root+leaf/rest", "default"]
+    )
     @pytest.mark.parametrize("app", ALL_APPS)
     def test_every_app_matches_the_spec_under_every_placement(self, app, placement):
         prog, streams, plan = _app_case(app)

@@ -1,15 +1,16 @@
 """The control channel of the forking substrates and the lifecycle of
 their children.
 
-Each forked child (a worker on ``process``, a node agent on ``nodes=``)
-has one socket to the coordinator: the origin goes down, announcements,
-reports and escaped tracebacks come up, and a child that dies shows as
-EOF on it.  A child exits once it has sent its report, and the
-attempt joins every child before it returns; no thread waits on them.
+Each place (a forked place on ``process``, or the root's, which runs on
+a thread of the coordinator; a node agent on ``nodes=``) has one socket
+to the coordinator: the origin goes down, announcements, reports and
+escaped tracebacks come up, and a child that dies shows as EOF on it.
+A child exits once it has sent its report, and the attempt joins every
+child before it returns; no thread waits on them.
 
 * a child killed mid-run is named, with its signal, at once;
 * no ``multiprocessing`` queue, event or shared value is built, and the
-  coordinator starts no thread of its own;
+  coordinator starts no thread but its own place's;
 * back-to-back runs leave no child unreaped, and a recovering run
   returns with every attempt's reaped;
 * a child imports nothing between the fork and its report: a module
@@ -131,14 +132,14 @@ def test_a_place_that_fails_outside_a_handler_is_named(monkeypatch, substrate):
 
 
 @pytest.mark.parametrize(
-    "substrate, options",
+    "substrate, options, threads",
     [
-        ("process", {}),
-        ("nodes=2", {"nodes": 2, "metrics": True, "metrics_port": 0}),
+        ("process", {}, ["worker:w1"]),
+        ("nodes=2", {"nodes": 2, "metrics": True, "metrics_port": 0}, []),
     ],
 )
-def test_no_multiprocessing_primitive_and_no_coordinator_thread(
-    monkeypatch, substrate, options
+def test_no_multiprocessing_primitive_and_no_thread_but_the_root_place(
+    monkeypatch, substrate, options, threads
 ):
     def refuse(self, *args, **kwargs):
         raise AssertionError("the control plane built a multiprocessing primitive")
@@ -158,8 +159,20 @@ def test_no_multiprocessing_primitive_and_no_coordinator_thread(
     assert output_multiset(run.outputs) == output_multiset(
         run_sequential_reference(prog, streams)
     )
-    # The metrics exporter is an HTTP server, not part of the control.
-    assert [n for n in started if n != "metrics-exporter"] == []
+    # The metrics exporter is an HTTP server, not part of the control;
+    # on ``process`` the root's place (with w2) runs on a thread.
+    assert [n for n in started if n != "metrics-exporter"] == threads
+
+
+def test_a_place_thread_that_ends_before_its_report_is_named():
+    """The coordinator's own place has no process to join: its socket's
+    EOF before the report names it, with no exit status to read."""
+    control = ControlPlane()
+    control.open("worker w1 (workers w1, w2)", 2).close()
+    named = r"^worker w1 \(workers w1, w2\) ended before its report$"
+    with pytest.raises(RuntimeFault, match=named):
+        control.next(time.monotonic() + 5.0)
+    control.finish(failed=True)
 
 
 def test_back_to_back_runs_leave_no_child_unreaped():
@@ -225,7 +238,9 @@ def test_a_forked_child_imports_nothing(monkeypatch, tmp_path, options, metrics)
     prog, plan, streams = _case()
     run_on_backend("process", prog, plan, streams, options=RunOptions(**options))
     records = [json.loads(f.read_text()) for f in tmp_path.glob("*.json")]
-    assert len(records) == (2 if "nodes" in options else len(plan.workers()))
+    # Two node agents, or the one place the coordinator forks beside its
+    # own (w1 with w2 in the coordinator, w3 forked).
+    assert len(records) == (2 if "nodes" in options else 1)
     assert [r for r in records if r] == []
 
 

@@ -1,8 +1,10 @@
-"""Leaves own their input: on the forking substrates every worker pumps
-the streams it owns, and the coordinator stays off the data path.
+"""Leaves own their input: on the forking substrates every place pumps
+the streams its workers own, and the coordinator's control loop stays
+off the data path.
 
-* the coordinator process never calls the producer pump, closed or
-  paced, on forked workers and on node agents;
+* the coordinator calls the producer pump, closed or paced, only on the
+  thread of its own place (the root's, on ``process``), for that
+  place's streams, and never with ``nodes=``;
 * the latency epoch is stamped once every worker is up, not before the
   first fork;
 * a crash inside a leaf's first own round, and a root quiesce whose
@@ -15,6 +17,7 @@ filed under another stream's tag fails the run, naming the stream, on
 every real substrate, is in test_runtime_protocol.py.)
 """
 
+import threading
 import time
 
 import multiprocessing.process as mp_process
@@ -55,15 +58,17 @@ def _spec(prog, streams):
 
 @pytest.mark.parametrize("pace", [None, 2000.0], ids=["closed", "paced"])
 @pytest.mark.parametrize("substrate", sorted(FORKING))
-def test_the_coordinator_never_pumps(monkeypatch, substrate, pace):
-    """The pump is counted in this process only: a forked worker
-    increments its own copy of the counter.  So a count of zero here,
-    with every event processed, means the workers pumped it all."""
+def test_the_coordinator_pumps_only_its_own_place(monkeypatch, substrate, pace):
+    """The pump is counted in this process only: a forked place
+    increments its own copy of the counter.  So, with every event
+    processed, the one call here is the root's place's, for the streams
+    of the workers it hosts (the root and the first leaf), on its own
+    thread, and the places pumped the rest."""
     calls = []
     real = runtime_protocol.pump_producers
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("owner"))
+        calls.append((threading.current_thread().name, list(kwargs.get("owners"))))
         return real(*args, **kwargs)
 
     for module in (runtime_protocol, runtime_process):
@@ -73,7 +78,8 @@ def test_the_coordinator_never_pumps(monkeypatch, substrate, pace):
         "process", prog, plan, streams,
         options=RunOptions(pace=pace, timeout_s=30.0, **FORKING[substrate]),
     )
-    assert calls == []
+    root, first = plan.root.id, plan.leaves()[0].id
+    assert calls == ([] if substrate == "nodes=2" else [(f"worker:{root}", [root, first])])
     assert output_multiset(run.outputs) == _spec(prog, streams)
     assert run.events_processed == run.events_in == sum(len(s.events) for s in streams)
 

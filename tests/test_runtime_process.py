@@ -4,7 +4,9 @@ arbitrary P-valid plans — and the backend registry every substrate is
 reached through."""
 
 import multiprocessing.process as mp_process
+import os
 import random
+import threading
 from collections import Counter
 
 import pytest
@@ -13,6 +15,7 @@ from repro.apps import keycounter as kc, value_barrier as vb
 from repro.core import Event, ImplTag
 from repro.core.errors import PlanError, RuntimeFault
 from repro.plans import PlanNode, SyncPlan, random_valid_plan, sequential_plan
+from repro.plans.optimizer import StreamInfo, optimize
 from repro.runtime import (
     InputStream,
     RunOptions,
@@ -22,6 +25,7 @@ from repro.runtime import (
     run_sequential_reference,
 )
 from repro.runtime.options import ServeOptions
+from repro.runtime.process import default_placement
 from repro.runtime.messages import (
     EventMsg,
     ForkStateMsg,
@@ -162,6 +166,88 @@ class TestProcessRandomPlans:
         plan = random_valid_plan(prog, itags, rng)
         res = run_on_backend("process", prog, plan, streams)
         assert res.output_multiset() == spec_multiset(prog, streams), plan.pretty()
+
+
+def _places(placement):
+    """The placement's places in order, each as its list of workers."""
+    places = {}
+    for wid, place in placement.items():
+        places.setdefault(place, []).append(wid)
+    return list(places.values())
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _six_leaf_plan():
+    prog = vb.make_program()
+    wl = vb.make_workload(n_value_streams=6, values_per_barrier=5, n_barriers=2)
+    return vb.make_plan(prog, wl)
+
+
+class TestDefaultPlacement:
+    """Without ``nodes=``, the leaves in depth-first order split into
+    ``min(#leaves, max(2, CPUs))`` contiguous places, each internal node
+    joins its first leaf's place, and the root's place is named after
+    the root (the coordinator runs it)."""
+
+    def test_the_hand_plan(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        prog = vb.make_program()
+        wl = vb.make_workload(n_value_streams=2, values_per_barrier=5, n_barriers=2)
+        assert default_placement(vb.make_plan(prog, wl)) == {"w1": "w1", "w2": "w1", "w3": "w3"}
+
+    def test_the_optimizers_keycounter_plan(self, monkeypatch):
+        """The root with key 0's subtree, then key 1's subtree."""
+        _cpus(monkeypatch, 2)
+        prog = kc.make_program(2)
+        tags = [ImplTag(kc.reset_tag(k), "r") for k in range(2)] + [
+            ImplTag(kc.inc_tag(k), f"i{s}") for s in range(2) for k in range(2)
+        ]
+        plan = optimize(prog, [StreamInfo(t, 1, f"h_{t.stream}") for t in tags])
+        key0, key1 = plan.root.children
+        assert _places(default_placement(plan)) == [
+            [plan.root.id, key0.id, *(c.id for c in key0.children)],
+            [key1.id, *(c.id for c in key1.children)],
+        ]
+
+    @pytest.mark.parametrize("cpus, n_places", [(1, 2), (2, 2), (3, 3), (8, 6)])
+    def test_six_leaves_split_into_contiguous_places(self, monkeypatch, cpus, n_places):
+        _cpus(monkeypatch, cpus)
+        plan = _six_leaf_plan()
+        placement = default_placement(plan)
+        leaves = [n.id for n in plan.leaves()]
+        assert len(set(placement.values())) == n_places
+        blocks = [placement[leaf] for leaf in leaves]
+        assert blocks == sorted(blocks, key=blocks.index)  # contiguous
+        assert Counter(blocks).most_common()[-1][1] == len(leaves) // n_places
+        for node in plan.workers():
+            first = node
+            while not first.is_leaf:
+                first = first.children[0]
+            assert placement[node.id] == placement[first.id]
+        assert placement[plan.root.id] == plan.root.id
+
+    def test_a_one_leaf_plan_is_one_forked_place(self, monkeypatch):
+        """No thread in the coordinator: its only place is forked."""
+        _cpus(monkeypatch, 8)
+        prog = vb.make_program()
+        wl = vb.make_workload(n_value_streams=2, values_per_barrier=10, n_barriers=2)
+        streams = vb.make_streams(wl)
+        plan = sequential_plan(prog, [s.itag for s in streams])
+        assert default_placement(plan) == {"w1": "w1"}
+        forked, threads = [], []
+        real_fork, real_thread = mp_process.BaseProcess.start, threading.Thread.start
+        monkeypatch.setattr(
+            mp_process.BaseProcess, "start", lambda p: (forked.append(p.name), real_fork(p))
+        )
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda t: (threads.append(t.name), real_thread(t))
+        )
+        run = run_on_backend("process", prog, plan, streams)
+        assert run.output_multiset() == spec_multiset(prog, streams)
+        assert (forked, threads) == (["worker:w1"], [])
 
 
 class TestBackendRegistry:

@@ -759,11 +759,10 @@ def test_a_raising_update_surfaces_with_its_worker_and_text(substrate):
     _assert_nothing_left_behind(before)
 
 
-@pytest.mark.parametrize("how", ["crash", "quiesce"])
-def test_an_aborted_threaded_attempt_stops_its_threads(how):
-    """Crash / quiesce twin of the foreign-event case above: an attempt
-    that ends early (and is recovered / migrated by the driver) leaves
-    ``threading.active_count()`` where it was."""
+def _aborted_case(how):
+    """A value-barrier run whose first attempt ends early: a leaf
+    crashes (recovered from a checkpoint) or the root quiesces for a
+    planned re-plan."""
     from repro.runtime import (
         CrashFault,
         FaultPlan,
@@ -785,10 +784,54 @@ def test_an_aborted_threaded_attempt_stops_its_threads(how):
     else:
         sched = ReconfigSchedule(ReconfigPoint(after_joins=1, to_leaves=2))
         opts = RunOptions(reconfig_schedule=sched)
+    return prog, plan, streams, opts
+
+
+@pytest.mark.parametrize("how", ["crash", "quiesce"])
+def test_an_aborted_threaded_attempt_stops_its_threads(how):
+    """Crash / quiesce twin of the foreign-event case above: an attempt
+    that ends early (and is recovered / migrated by the driver) leaves
+    ``threading.active_count()`` where it was."""
+    prog, plan, streams, opts = _aborted_case(how)
     before = threading.active_count()
     run = run_on_backend("threaded", prog, plan, streams, options=opts)
     assert run.recovery.attempts >= 2
     assert (run.recovery.crashes if how == "crash" else run.reconfig.reconfigured)
+    _assert_nothing_left_behind(before)
+
+
+@pytest.mark.parametrize("how", ["crash", "quiesce"])
+def test_an_aborted_process_attempt_joins_its_place_thread_before_the_next_fork(
+    monkeypatch, how
+):
+    """The process twin: the coordinator runs the root's place on a
+    thread, which no fork may see alive — it starts after its attempt's
+    forks and is joined before the next attempt's — and the run leaves
+    no thread or child behind."""
+    import multiprocessing.process as mp_process
+
+    alive_at_fork, place_threads = [], []
+    real_fork, real_thread = mp_process.BaseProcess.start, threading.Thread.start
+
+    def fork(self):
+        names = [t.name for t in threading.enumerate()]
+        alive_at_fork.append([n for n in names if n.startswith("worker:")])
+        real_fork(self)
+
+    def thread(self):
+        place_threads.append(self.name)
+        real_thread(self)
+
+    monkeypatch.setattr(mp_process.BaseProcess, "start", fork)
+    monkeypatch.setattr(threading.Thread, "start", thread)
+    prog, plan, streams, opts = _aborted_case(how)
+    before = threading.active_count()
+    run = run_on_backend("process", prog, plan, streams, options=opts)
+    assert run.recovery.attempts >= 2
+    assert (run.recovery.crashes if how == "crash" else run.reconfig.reconfigured)
+    assert place_threads == [f"worker:{plan.root.id}"] * run.recovery.attempts
+    assert len(alive_at_fork) >= run.recovery.attempts
+    assert alive_at_fork == [[]] * len(alive_at_fork)
     _assert_nothing_left_behind(before)
 
 

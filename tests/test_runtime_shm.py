@@ -111,22 +111,22 @@ class TestRingProtocol:
             frame = pack_frame(batch)
             assert len(frame) > 4 * ring.slot_bytes, "want a many-chunk frame"
             sender = _ShmSender({"w": ring}, None)
-            receiver = _ShmReceiver([ring])
+            receiver = _ShmReceiver([(ring, "w")])
             sender.send_batch("w", batch)
-            assert receiver.recv() == unpack_frame(frame)
+            assert receiver.recv() == ("w", unpack_frame(frame))
         finally:
             t.close()
 
     def test_empty_frame_is_stop_sentinel(self, edge):
         _, ring = edge
         assert ring.push(b"", True)
-        assert _ShmReceiver([ring]).recv() is STOP
+        assert _ShmReceiver([(ring, "w")]).recv() is STOP
 
     def test_writer_death_mid_frame_raises_torn_frame(self, edge):
         _, ring = edge
         ring.push(b"half a frame", False)  # no final chunk ever comes
         ring.set_tx_closed()
-        receiver = _ShmReceiver([ring])
+        receiver = _ShmReceiver([(ring, "w")])
         with pytest.raises(RuntimeFault, match="torn shm ring"):
             receiver.poll()
 
@@ -136,8 +136,8 @@ class TestRingProtocol:
         batch = [EventMsg(Event("value", "v", 1.0, payload=1))]
         sender.send_batch("w", batch)
         ring.set_tx_closed()
-        receiver = _ShmReceiver([ring])
-        assert receiver.recv() == unpack_frame(pack_frame(batch))
+        receiver = _ShmReceiver([(ring, "w")])
+        assert receiver.recv() == ("w", unpack_frame(pack_frame(batch)))
         assert receiver.recv() is STOP
 
     def test_dead_reader_unblocks_sender(self, edge):
@@ -166,7 +166,7 @@ class TestSegmentLifecycle:
         before = dev_shm()
         t = SharedMemoryTransport(CTX, {"w": ["c", "x"], "x": ["c"]})
         names = [ring.shm.name for ring in t._rings.values()]
-        assert len(names) == 3
+        assert len(names) == 5  # three edges and a stop edge to each of w and x
         t.close()
         t.close()  # second close must be a no-op, not a double-unlink
         assert dev_shm() - before == set()
@@ -216,7 +216,9 @@ class TestSegmentLifecycle:
         monkeypatch.setattr(
             process_mod,
             "make_transport",
-            lambda _name, ctx, edges: SharedMemoryTransport(ctx, edges, slots=8, slot_bytes=128),
+            lambda _name, ctx, edges, placement: SharedMemoryTransport(
+                ctx, edges, placement, slots=8, slot_bytes=128
+            ),
         )
         prog, streams, plan = vb_case(values_per_barrier=25)
         run = run_on_backend(

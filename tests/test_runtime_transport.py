@@ -405,18 +405,28 @@ class TestTransportFabric:
             make_transport("carrier-pigeon", ctx, edges)
 
     def test_plan_edges_covers_tree_and_coordinator(self):
+        """Each worker hears from its tree neighbours' places; the
+        coordinator's stop edges, one per place, are the transport's."""
         prog, _, plan = vb_case(n_value_streams=2)
         edges = plan_edges(plan)
         assert set(edges) == {n.id for n in plan.workers()}
         for wid, srcs in edges.items():
-            assert COORDINATOR in srcs
+            near = [c.id for c in plan.node(wid).children]
             parent = plan.parent_of(wid)
             if parent is not None:
-                assert parent.id in srcs
-            node = plan.node(wid)
-            if not node.is_leaf:
-                for child in node.children:
-                    assert child.id in srcs
+                near.append(parent.id)
+            assert srcs == sorted(near)
+        root, a, b = plan.root.id, *(n.id for n in plan.leaves())
+        placement = {root: root, a: root, b: b}
+        assert plan_edges(plan, placement) == {root: [b], a: [], b: [root]}
+        tr = make_transport("pipe", mp.get_context("fork"), plan_edges(plan, placement), placement)
+        try:
+            assert tr.places == {root: [root, a], b: [b]}
+            assert sorted(tr.links) == sorted(
+                [(COORDINATOR, root), (COORDINATOR, b), (b, root), (root, b)]
+            )
+        finally:
+            tr.close()
 
     @pytest.mark.parametrize("name", ["pipe", "queue", "tcp", "shm"])
     def test_same_process_send_recv_stop(self, name):
@@ -440,7 +450,9 @@ class TestTransportFabric:
             item = rx.recv()
             if item is STOP:
                 break
-            got.extend(item)
+            wid, batch = item
+            assert wid == "w1"
+            got.extend(batch)
         expanded = []
         for m in got:
             if type(m) is EventRun:
@@ -496,7 +508,9 @@ class TestReceiverContract:
             for m in self.MSGS:
                 sender.post("w1", m)
             sender.flush()
-            assert_same_messages(expand_runs(rx.recv(5.0)), self.MSGS)
+            wid, batch = rx.recv(5.0)
+            assert wid == "w1"
+            assert_same_messages(expand_runs(batch), self.MSGS)
             assert rx.recv(0) is None
         finally:
             tr.close()
@@ -512,10 +526,11 @@ class TestReceiverContract:
 
     def test_a_peers_eof(self, name):
         """A peer that sends one frame and exits: its frame arrives;
-        then a framed receiver whose last inbound stream is gone
-        returns STOP, while the queue fabric, which cannot observe an
-        exit, keeps timing out (the coordinator's liveness checks are
-        what surface a dead peer there)."""
+        then a framed receiver whose last inbound stream is gone (the
+        coordinator's stop edge ends too) returns STOP, while the queue
+        fabric, which cannot observe an exit, keeps timing out (the
+        coordinator's liveness checks are what surface a dead peer
+        there)."""
         ctx = mp.get_context("fork")
         tr = make_transport(name, ctx, {"w1": ["w2"]})
         try:
@@ -526,9 +541,12 @@ class TestReceiverContract:
                 # Only the peer may hold the write end, or its exit is
                 # no end of stream.
                 tr._parent_close(tr._pipes[("w2", "w1")][1])
+                tr._parent_close(tr._pipes[(COORDINATOR, "w1")][1])
+            elif name == "shm":
+                tr._rings[(COORDINATOR, "w1")].set_tx_closed()
             peer.join(10.0)
             assert peer.exitcode == 0
-            assert_same_messages(expand_runs(rx.recv(5.0)), self.MSGS)
+            assert_same_messages(expand_runs(rx.recv(5.0)[1]), self.MSGS)
             if name == "queue":
                 assert rx.recv(0.05) is None
             else:
@@ -587,26 +605,26 @@ class TestFrameOverSocketTorture:
         msgs = [EventMsg(Event("v", "s", float(i), payload=i)) for i in range(5)]
         frame = pack_frame(msgs)
         record = FRAME_LEN.pack(len(frame)) + frame
-        rx = FrameReceiver([self.r])
+        rx = FrameReceiver({self.r: "w"})
         feed(self.w, record[:2], rx)  # half the length prefix
         rx.poll()
         assert not rx._ready, "half a length prefix must not decode"
         feed(self.w, record[2:], rx)
         rx.poll()
-        assert_same_messages(expand_runs(rx.recv()), msgs)
+        assert_same_messages(expand_runs(rx.recv()[1]), msgs)
 
     def test_split_mid_frame(self):
         msgs = [EventMsg(Event("v", "s", float(i), payload=i)) for i in range(40)]
         frame = pack_frame(msgs)
         record = FRAME_LEN.pack(len(frame)) + frame
-        rx = FrameReceiver([self.r])
+        rx = FrameReceiver({self.r: "w"})
         cut = 4 + len(frame) // 2
         feed(self.w, record[:cut], rx)
         rx.poll()
         assert not rx._ready, "half a frame must not decode"
         feed(self.w, record[cut:], rx)
         rx.poll()
-        assert_same_messages(expand_runs(rx.recv()), msgs)
+        assert_same_messages(expand_runs(rx.recv()[1]), msgs)
 
     def test_large_frame_straddles_many_segments(self):
         # A >64 KiB frame: far beyond one os.read(1 << 16), written in
@@ -620,26 +638,26 @@ class TestFrameOverSocketTorture:
             for f in (pack_frame(big), pack_frame(small), pack_frame(small))
         )
         assert len(records) > 3 * (1 << 16)
-        rx = FrameReceiver([self.r])
+        rx = FrameReceiver({self.r: "w"})
         feed(self.w, records, rx, chunk=997)
         rx.poll()
-        got = rx.recv()
+        _, got = rx.recv()
         assert got[0].state == blob
-        assert_same_messages(expand_runs(rx.recv()), small)
-        assert_same_messages(expand_runs(rx.recv()), small)
+        assert_same_messages(expand_runs(rx.recv()[1]), small)
+        assert_same_messages(expand_runs(rx.recv()[1]), small)
 
     def test_peer_close_mid_frame_raises(self):
         msgs = [EventMsg(Event("v", "s", float(i), payload=i)) for i in range(30)]
         frame = pack_frame(msgs)
         record = FRAME_LEN.pack(len(frame)) + frame
-        rx = FrameReceiver([self.r])
+        rx = FrameReceiver({self.r: "w"})
         feed(self.w, record[: len(record) - 11], rx)
         os.close(self.w)  # peer dies mid-frame
         with pytest.raises(RuntimeFault, match="mid-frame"):
             rx.recv()  # blocks until the EOF event, which must raise
 
     def test_peer_close_mid_length_prefix_raises(self):
-        rx = FrameReceiver([self.r])
+        rx = FrameReceiver({self.r: "w"})
         feed(self.w, b"\x99\x00", rx)  # 2 of 4 prefix bytes
         os.close(self.w)
         with pytest.raises(RuntimeFault, match="mid-frame"):
@@ -648,10 +666,10 @@ class TestFrameOverSocketTorture:
     def test_clean_close_at_frame_boundary_is_eof_not_fault(self):
         msgs = [EventMsg(Event("v", "s", 1.0, payload=1))]
         frame = pack_frame(msgs)
-        rx = FrameReceiver([self.r])
+        rx = FrameReceiver({self.r: "w"})
         feed(self.w, FRAME_LEN.pack(len(frame)) + frame, rx)
         os.close(self.w)  # exits cleanly between frames
-        assert_same_messages(expand_runs(rx.recv()), msgs)
+        assert_same_messages(expand_runs(rx.recv()[1]), msgs)
         assert rx.recv() is STOP  # last live stream gone -> STOP
 
 

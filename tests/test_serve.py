@@ -129,6 +129,14 @@ class TestServeOptions:
         ServeOptions(heartbeat_interval=None)
         ServeOptions(heartbeat_interval=0.0)
 
+    def test_a_port_on_run_needs_the_services_exporter(self):
+        """Each seal's attempt would bind its own exporter on a port
+        nothing reports: the service's ``metrics_port`` is the one."""
+        run = RunOptions(nodes=2, metrics=True, metrics_port=0)
+        with pytest.raises(ValueError, match=r"ServeOptions\.metrics_port"):
+            ServeOptions(backend="process", run=run)
+        ServeOptions(backend="process", run=run, metrics_port=0)
+
 
 class TestRunEntryFinalized:
     """``options=`` is the run entry's one keyword: a loose one is a
