@@ -1,50 +1,42 @@
 """A multi-process execution of synchronization plans.
 
 The in-process substrate (:mod:`repro.runtime.threaded`) runs every
-worker of an attempt on the caller's thread, one batch at a time.  This
-module executes the same :class:`~repro.runtime.protocol.WorkerCore`
-state machine on **a place per CPU** (at least two, at most one per
-leaf): the plan's leaves, in depth-first order, split into contiguous
-blocks (:func:`default_placement`), the root's place runs on a thread
-of the coordinator and the others are forked, so independent events on
-different leaves genuinely run in parallel — the paper's central claim
+worker of an attempt on the caller's thread.  This module runs the same
+:class:`~repro.runtime.protocol.WorkerCore` state machine on **a place
+per CPU** (:func:`default_placement`): the root's place on a thread of
+the coordinator, the others forked, so independent events on different
+leaves genuinely run in parallel — the paper's central claim
 (dependency-guided synchronization lets independent events proceed
-concurrently) measured on real cores rather than asserted — while a
-subtree's joins stay inside one place.  A handler that never returns in a forked place costs
-a drain timeout and its process; in the coordinator's place it cannot
-be killed, as on ``threaded``: the drain timeout still raises and names
-its worker, and the place stops at its next batch boundary.
+concurrently) measured on real cores — while a subtree's joins stay
+inside one place.  A handler that never returns costs a drain timeout
+that names its worker: a forked place is killed, and the coordinator's
+thread, which cannot be, is left behind (it stops at its next receive
+if the handler ever returns).
 
 Four design points keep IPC from eating the speedup:
 
-* **A dedicated transport layer** (:mod:`repro.runtime.transport`).
-  By default protocol traffic crosses raw per-edge pipes carrying
-  length-prefixed frames in the struct-packed wire format — no queue
-  locks, no feeder threads, no per-message pickle on the hot path.
-  ``transport="queue"`` keeps the original ``multiprocessing.Queue``
-  fabric (see the transport module for why it stays).
+* **A dedicated transport layer** (:mod:`repro.runtime.transport`):
+  by default, raw per-edge pipes carrying length-prefixed frames in the
+  struct-packed wire format — no queue locks, no feeder threads, no
+  per-message pickle on the hot path.
 
 * **Batching.**  Every channel operation carries a *batch* of
-  messages, so one encode + one pipe write + one consumer wakeup is
-  amortized over the whole batch.  Every substrate flushes by one
-  rule: what a handled batch posted leaves as one frame per
-  destination at the batch's end, and join-critical messages leave at
-  once, at the protocol's flush hint.
+  messages, amortizing one encode, pipe write and wakeup.  Every
+  substrate flushes by one rule: what a handled batch posted leaves as
+  one frame per destination at the batch's end, and join-critical
+  messages leave at once, at the protocol's flush hint.
 
-* **Fork start method.**  Places are forked, so programs — which
-  contain closures and are deliberately *not* picklable — are
-  inherited by child processes instead of serialized.  Only protocol
-  messages (events, order keys, application states) cross process
-  boundaries.
+* **Fork start method.**  Places are forked, so programs — closures,
+  deliberately *not* picklable — are inherited, not serialized.  Only
+  protocol messages (events, order keys, states) cross processes.
 
 * **Leaves own their input.**  The attempt's streams travel in the
   :class:`AttemptSpec` every place inherits, and each place pumps the
   streams its workers own, round by round
   (:func:`~repro.runtime.protocol.pump_producers`), serving its inbox
   between rounds.  The coordinator's control loop only starts the
-  places, stamps the shared origin once every one is up, waits, sends
-  the stop frames and collects the reports; its own place pumps like
-  any other, on its own thread.
+  places, stamps the shared origin once all are up, waits, sends the
+  stop frames and collects the reports; its own place pumps on a thread.
 
 Termination is by frontier, as in the progress tracking of Naiad
 (Murray et al., SOSP 2013): producers end with a closing heartbeat,
@@ -63,22 +55,20 @@ carries.
 
 Control does not ride the transport: each place has one socketpair to
 the coordinator (:class:`~repro.runtime.transport.ControlPlane`), on
-which a child that dies shows as EOF.  A child exits once it has sent
-its report, and the coordinator joins every child, and its own place's
-thread, before the outcome returns.
+which a dead child shows as EOF.  A child exits after its report, and
+the coordinator joins every child and its own thread before returning.
 
-Every real substrate runs the same :class:`AttemptSpec`, which the
-backend builds once per attempt, and drives its workers (:class:`_Worker`)
-as *places*: co-located workers on one run queue (:class:`_Place`).
-:mod:`repro.runtime.threaded` is one place holding every worker.  The
-forking substrates are one function, :func:`run_on_workers`, over the
-places of its endpoints (:class:`~repro.runtime.transport.Endpoints`):
-a transport's default placement, or a node agent's place, holding the
-workers placed on its node, over
-:class:`~repro.runtime.cluster.NodeEndpoints`.  Every place runs one
-entry (:func:`_place_main`: bind its endpoints when forked, drive the
-blocking loop :func:`_drive_place`, tear down) beside one
-coordinator's half of an attempt (:func:`coordinate_attempt`).
+Every real substrate runs the same :class:`AttemptSpec`, built once per
+attempt, and drives its workers (:class:`_Worker`) as *places*:
+co-located workers on one run queue (:class:`_Place`).
+:mod:`repro.runtime.threaded` is one place holding every worker.
+:func:`run_on_workers` runs the places of its endpoints
+(:class:`~repro.runtime.transport.Endpoints`: a transport's default
+placement, or a node agent per node over
+:class:`~repro.runtime.cluster.NodeEndpoints`) through one blocking
+loop, :func:`_drive_place` — forked through :func:`_place_main`, the
+coordinator's own through :func:`_coordinator_place` — beside
+:func:`coordinate_attempt`, the coordinator's half.
 """
 
 from __future__ import annotations
@@ -285,13 +275,10 @@ class _Place:
     (:attr:`producers`), flushes through its own ``BatchingSender``: a
     batch for a hosted worker is appended to the run queue, any other
     goes to ``remote`` (the transport's raw send).  So a join step
-    between co-located workers costs queue appends, not a wake-up.
-    ``halt`` (a ``threading.Event``) stops the queue at its next batch
-    boundary once set: the coordinator's own place cannot be killed."""
+    between co-located workers costs queue appends, not a wake-up."""
 
-    def __init__(self, spec: AttemptSpec, hosted: Sequence[str], remote=None, halt=None) -> None:
+    def __init__(self, spec: AttemptSpec, hosted: Sequence[str], remote=None) -> None:
         self.spec = spec
-        self.halt = halt
         self.runq: Deque[Tuple[str, List[Any]]] = deque()
         enqueue = self.runq.append
         workers: Dict[str, _Worker] = {}
@@ -312,17 +299,14 @@ class _Place:
 
     def run(self, deadline: Optional[float] = None) -> Optional[_Worker]:
         """Run the queue until it is empty, a worker stops (returned),
-        ``deadline`` (``time.monotonic``) passes or ``halt`` is set.
-        What a handler raises is a :class:`WorkerFault` naming its
-        worker."""
+        or ``deadline`` (``time.monotonic``) passes.  What a handler
+        raises is a :class:`WorkerFault` naming its worker."""
         if self.stopped is not None:
             return None
-        runq, workers, halt = self.runq, self.workers, self.halt
+        runq, workers = self.runq, self.workers
         popleft, monotonic = runq.popleft, time.monotonic
         while runq:
             if deadline is not None and monotonic() > deadline:
-                return None
-            if halt is not None and halt.is_set():
                 return None
             wid, batch = popleft()
             worker = workers[wid]
@@ -337,14 +321,13 @@ class _Place:
 
 
 def _drive_place(
-    spec: AttemptSpec, hosted: Sequence[str], inbox, remote, control: ControlChannel, halt=None
+    spec: AttemptSpec, hosted: Sequence[str], inbox, remote, control: ControlChannel
 ) -> None:
     """Drive one place's workers until the stop frame, then send one
     report per worker up ``control`` — the blocking loop of a forked
-    place, a node agent or the coordinator's own place (whose run queue
-    stops at ``halt``, see :class:`_Place`).  ``inbox(timeout=None)``
-    returns the next ``(worker, batch)``, ``STOP``, or None once
-    ``timeout`` seconds pass.
+    place, a node agent or the coordinator's own place.
+    ``inbox(timeout=None)`` returns the next ``(worker, batch)``,
+    ``STOP``, or None once ``timeout`` seconds pass.
 
     The place starts at the attempt's origin and pumps the streams its
     workers own.  After each round it runs the queue, then serves its
@@ -363,7 +346,7 @@ def _drive_place(
     listens), a snapshot per worker goes up at most every 0.25 s."""
     origin = control.wait_origin()
     spec = spec.at_origin(origin)
-    place = _Place(spec, hosted, remote, halt)
+    place = _Place(spec, hosted, remote)
     workers = list(place.workers.values())
     leaves = [w.core for w in workers if w.core.is_leaf]
     live = spec.metrics is not None and control.live
@@ -419,47 +402,67 @@ def _drive_place(
         control.send("report", w.node_id, report)
 
 
+def _send_fault(exc: BaseException, endpoints: Endpoints, control: ControlChannel) -> None:
+    """Send what escaped a place, with its traceback, up ``control``: the
+    coordinator raises it naming the handler's worker, else the place."""
+    fault = isinstance(exc, WorkerFault)
+    who, err = (exc.who, exc.err) if fault else (None, f"{exc!r}\n{traceback.format_exc()}")
+    endpoints.log(f"{who or 'the place'} FAILED: {exc!r}")
+    control.send("error", who, err)
+
+
 def _place_main(
     place: str, hosted: Sequence[str], spec: AttemptSpec, endpoints: Endpoints,
-    control: ControlChannel, halt: Optional[threading.Event] = None,
+    control: ControlChannel,
 ) -> None:
-    """Entry point of one place: a forked child binds its endpoints,
-    drives its workers and tears down; the coordinator's own place, on a
-    thread (``halt`` given), only drives them, and once ``halt`` is set
-    it no longer reports."""
+    """Entry point of one forked place: bind its endpoints, drive its
+    workers, tear down."""
     try:
-        if halt is None:
-            # A transport drops the inherited endpoints this place does
-            # not own, so a dead peer surfaces as EOF/EPIPE instead of
-            # silence; a node agent runs its handshake.
-            endpoints.child_setup(place)
+        # A transport drops the inherited endpoints this place does not
+        # own, so a dead peer surfaces as EOF/EPIPE instead of silence;
+        # a node agent runs its handshake.
+        endpoints.child_setup(place)
         receiver = endpoints.receiver(place)
         # While this place waits for channel space it keeps ingesting
         # its own inbox (receiver.poll), so mutual pressure cannot
         # deadlock.
         remote = endpoints.sender(place, on_block=receiver.poll).send_batch
-        _drive_place(spec, hosted, receiver.recv, remote, control, halt)
+        _drive_place(spec, hosted, receiver.recv, remote, control)
         endpoints.log("all workers done")
     except BaseException as exc:
-        if halt is not None and halt.is_set():
-            return  # the coordinator stopped this place and closed its end
-        # Up the control channel with its traceback: the coordinator
-        # raises it naming the worker whose handler raised it, else this
-        # place.  An exception ends here (the exit status would carry
-        # nothing more); an interrupt or exit goes on.
-        fault = isinstance(exc, WorkerFault)
-        who, err = (exc.who, exc.err) if fault else (None, f"{exc!r}\n{traceback.format_exc()}")
-        endpoints.log(f"{who or 'the place'} FAILED: {exc!r}")
-        control.send("error", who, err)
+        # An exception ends here (the exit status would carry nothing
+        # more); an interrupt or exit goes on.
+        _send_fault(exc, endpoints, control)
         if not isinstance(exc, Exception):
             raise
     finally:
-        if halt is None:
-            # Shared-memory rings have no EOF/EPIPE: their teardown sets
-            # the closed flags peers watch, on every exit path.
-            endpoints.child_teardown(place)
-        else:
-            control.close()
+        # Shared-memory rings have no EOF/EPIPE: their teardown sets the
+        # closed flags peers watch, on every exit path.
+        endpoints.child_teardown(place)
+
+
+def _coordinator_place(
+    place: str, hosted: Sequence[str], spec: AttemptSpec, endpoints: Endpoints,
+    control: ControlChannel, halt: threading.Event,
+) -> None:
+    """The coordinator's own place, on a thread, over endpoints the
+    coordinator owns.  Once ``halt`` is set, it stops at its next
+    receive and sends nothing more up ``control``."""
+
+    def inbox(timeout: Optional[float] = None) -> Any:
+        if halt.is_set():
+            raise RuntimeFault("the coordinator stopped its place")
+        return receiver.recv(timeout)
+
+    try:
+        receiver = endpoints.receiver(place)
+        remote = endpoints.sender(place, on_block=receiver.poll).send_batch
+        _drive_place(spec, hosted, inbox, remote, control)
+    except Exception as exc:
+        if not halt.is_set():
+            _send_fault(exc, endpoints, control)
+    finally:
+        control.close()
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +588,8 @@ def default_placement(plan: SyncPlan) -> Dict[str, str]:
     first worker in depth-first order, so the root's place is the
     root's."""
     leaves = [n.id for n in plan.leaves()]
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # pragma: no cover - not Linux
-        cpus = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
     n = min(len(leaves), max(2, cpus))
     block = {leaf: i * n // len(leaves) for i, leaf in enumerate(leaves)}
     blocks, leaf = {}, None
@@ -609,16 +610,14 @@ def run_on_workers(
     endpoints: Union[str, Endpoints] = DEFAULT_TRANSPORT,
     exporter=None,
 ) -> AttemptOutcome:
-    """One attempt over the places of ``endpoints``.  A transport name
+    """One attempt over the places of ``endpoints``: a transport name
     (``"pipe"``, framed raw pipes, the default; ``"queue"``,
     ``multiprocessing.Queue``; ``"tcp"``, loopback stream sockets;
     ``"shm"``, shared-memory rings) places the workers by
-    :func:`default_placement`: the root's place runs on a thread of the
-    coordinator, started once every other place is forked and joined
-    before the endpoints close, and a one-place attempt forks its place.
-    The node agents' handshake
-    (:class:`~repro.runtime.cluster.NodeEndpoints`) forks a place per
-    node.  A crashed or quiesced attempt returns (see
+    :func:`default_placement`, the root's place on a thread started once
+    every other place is forked (a one-place attempt forks its place);
+    the node agents' handshake (:class:`~repro.runtime.cluster.NodeEndpoints`)
+    forks a place per node.  A crashed or quiesced attempt returns (see
     :class:`~repro.runtime.protocol.AttemptOutcome`) rather than
     raising.  With an ``exporter``
     (:class:`~repro.runtime.metrics.MetricsExporter`), the places push
@@ -658,9 +657,10 @@ def run_on_workers(
         endpoints.parent_setup(control, local)
         if local is not None:
             hosted = endpoints.places[local]
-            channel = ControlChannel(control.open(_who(kind, local, hosted), len(hosted)))
+            sock = control.open(_who(kind, local, hosted), len(hosted))
             thread = threading.Thread(
-                target=_place_main, args=(local, hosted, spec, endpoints, channel, halt),
+                target=_coordinator_place,
+                args=(local, hosted, spec, endpoints, ControlChannel(sock, control.live), halt),
                 name=f"{kind}:{local}", daemon=True,
             )
             thread.start()
@@ -675,8 +675,17 @@ def run_on_workers(
                 # Wake it from a wait on its inbox or on a peer now gone.
                 endpoints.stop_all()
                 endpoints.drain()
-            thread.join()
-        endpoints.close()
+            thread.join(2.0)
+        if thread is not None and thread.is_alive():
+            # A handler that has not returned: the caller gets the error,
+            # and the endpoints the place still holds close once it stops.
+            def close_once_stopped() -> None:
+                thread.join()
+                endpoints.close()
+
+            threading.Thread(target=close_once_stopped, name=f"close:{local}", daemon=True).start()
+        else:
+            endpoints.close()
         if exporter is not None and result is not None and result.metrics is not None:
             for snap in result.metrics.per_worker.values():
                 exporter.update(snap)

@@ -22,8 +22,8 @@ The closed-loop pump posts the whole input before the queue runs; the
 paced pump runs the queue to idle before each of its sleeps, so work
 overlaps with waiting.  ``timeout_s`` bounds each seal's drain and is
 checked between batches, so a handler that never returns hangs the
-caller, as it would on the simulated substrate and in the process
-backend's own place (a forked place can be abandoned).  A run queue that empties
+caller, as it would on the simulated substrate: the process backend
+abandons a stuck worker at its drain timeout.  A run queue that empties
 while some worker still holds items is a stall, raised at once with
 every stuck worker's protocol state.  A crash or a reconfiguration
 quiesce ends the attempt at the batch that raised it.

@@ -9,9 +9,9 @@ protocol so the hot path can do better:
 
 * :class:`PipeTransport` (default) — one raw ``os.pipe`` per directed
   communication edge (a place to a worker of another place, and the
-  coordinator's stop edge to each place), carrying
-  length-prefixed frames in the :mod:`repro.runtime.wire` frame format
-  (struct-packed fast path, pickle fallback).  Single writer per pipe,
+  coordinator's stop edge to each place), carrying length-prefixed
+  frames in the :mod:`repro.runtime.wire` frame format (struct-packed
+  fast path, pickle fallback).  Single writer per pipe,
   so frames never interleave; readers ``select`` across their inbound
   pipes.  Writes are non-blocking with an ``on_block`` hook so a
   worker waiting for pipe space keeps ingesting its own inbox —
@@ -33,9 +33,9 @@ protocol so the hot path can do better:
   as a reconnect.  :mod:`repro.runtime.cluster` carries the identical
   frame protocol over *dialed* connections between node agents
   (:class:`~repro.runtime.cluster.NodeEndpoints`, the same
-  :class:`Endpoints` lifecycle) — that
-  is what crosses real machine boundaries; this transport is the
-  single-host data plane and the benchmark baseline for it.
+  :class:`Endpoints` lifecycle) — that is what crosses real machine
+  boundaries; this transport is the single-host data plane and the
+  benchmark baseline for it.
 
 * :class:`SharedMemoryTransport` (``transport="shm"``) — the same
   framed byte stream carried through fixed-slot ring buffers over
@@ -44,8 +44,8 @@ protocol so the hot path can do better:
   hot-path syscalls (an idle reader parks in ``select`` on a doorbell
   pipe and is woken by a 1-byte write — writers skip the bell while
   the reader is running), non-blocking writes with the same
-  ``on_block`` ingest
-  hook (slot exhaustion backpressures exactly like a full pipe), and
+  ``on_block`` ingest hook (slot exhaustion backpressures exactly like
+  a full pipe), and
   crash-safe lifecycle — the coordinator owns every segment and
   unlinks them in ``close()``, workers flag their endpoints closed on
   the way out so peers observe EOF/EPIPE analogues.  Same-host only.
@@ -190,11 +190,10 @@ class _Child:
 
 class ControlPlane:
     """The coordinator's end of an attempt's control: a socketpair per
-    place, opened as the place's child is forked, or, for the place the
-    coordinator runs on a thread, by :meth:`open` (``ctx`` is unread,
-    for dgsbench).
-    :meth:`release` sends the origin (the pacing clock's and latency
-    epoch's zero); then one ``poll`` waits on every child.  A child's
+    place, opened as its child is forked, or by :meth:`open` for the
+    place the coordinator runs on a thread (``ctx`` is unread, for
+    dgsbench).  :meth:`release` sends the origin (the pacing clock's and
+    latency epoch's zero); then one ``poll`` waits on every child.  A child's
     traceback, or EOF before its reports (it died), raises a
     :class:`RuntimeFault`; live snapshots go to ``on_metrics``."""
 
@@ -377,14 +376,13 @@ def resolve_policy(size: None, deadline_ms: None) -> None:
 
 class Endpoints:
     """The data plane of one attempt's places
-    (:func:`repro.runtime.process.run_on_workers`), built by the
-    coordinator before it forks, so every forked place inherits it.
-    ``placement`` maps each worker to its place (by default each worker
-    is a place of its own) and ``places`` each place to its workers.
-    ``edges`` (:func:`plan_edges`) maps each worker to the places it
-    hears from, an edge (sending place, worker) each, and the
-    coordinator has a stop edge (``COORDINATOR``, place) to each place.
-    A receiver returns each batch as ``(worker, batch)``.
+    (:func:`repro.runtime.process.run_on_workers`), built before the
+    coordinator forks, so every forked place inherits it.  ``placement``
+    maps each worker to its place (by default, a place of its own),
+    ``places`` each place to its workers, and ``edges``
+    (:func:`plan_edges`) each worker to the places it hears from: a link
+    (sending place, worker) each, beside a stop link (``COORDINATOR``,
+    place) per place.  A receiver returns batches as ``(worker, batch)``.
 
     The coordinator calls :meth:`parent_setup` once every place is
     forked, ``stop_all()`` to send each place its stop frame,
@@ -408,12 +406,8 @@ class Endpoints:
             self.places.setdefault(place, []).append(wid)
         #: An edge's receiving end (a worker, or a place) -> its place.
         self.place_of = {**{p: p for p in self.places}, **placement}
-        self.links: List[Tuple[str, str]] = list(
-            dict.fromkeys(
-                [(COORDINATOR, place) for place in self.places]
-                + [(src, dst) for dst, srcs in edges.items() for src in srcs]
-            )
-        )
+        stops = [(COORDINATOR, place) for place in self.places]
+        self.links = list(dict.fromkeys(stops + [(s, d) for d, ss in edges.items() for s in ss]))
 
     def parent_setup(self, control: Optional[ControlPlane] = None, local=None) -> None:
         """Once every place is forked; ``control`` is the attempt's
@@ -490,10 +484,9 @@ class QueueTransport(Endpoints):
             q.put(None)
 
     def drain(self) -> None:
-        """Discard whatever is still sitting in forked places' inboxes
-        after an aborted attempt, so no queue feeder thread stays
-        blocked on a full pipe when the queues are torn down (the
-        coordinator's own place reads its stop frame itself)."""
+        """Discard what is left in forked places' inboxes after an
+        aborted attempt, so no feeder thread stays blocked on a full
+        pipe at teardown (the coordinator's place reads its own)."""
         for place, q in self.queues.items():
             if place == self.local:
                 continue

@@ -33,7 +33,7 @@ from repro.runtime.protocol import (
 )
 from repro.runtime.transport import ControlPlane
 
-#: The forking substrates: a process per worker, and node agents.
+#: The forking substrates: the default placement, and node agents.
 FORKING = {"process": {}, "nodes=2": {"nodes": 2}}
 
 

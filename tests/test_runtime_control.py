@@ -46,7 +46,7 @@ from repro.runtime import process as runtime_process
 from repro.runtime.cluster import NodeEndpoints
 from repro.runtime.transport import ControlPlane, PipeTransport
 
-#: The forking substrates: a process per worker, and node agents.
+#: The forking substrates: the default placement, and node agents.
 FORKING = {"process": {}, "nodes=2": {"nodes": 2}}
 
 

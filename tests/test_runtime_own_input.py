@@ -40,7 +40,7 @@ from repro.runtime import protocol as runtime_protocol
 from repro.runtime.metrics import WorkerMetrics
 from repro.runtime.wire import MAX_RUN
 
-#: The forking substrates: a process per worker, and node agents.
+#: The forking substrates: the default placement, and node agents.
 FORKING = {"process": {}, "nodes=2": {"nodes": 2}}
 
 

@@ -867,3 +867,38 @@ def test_a_drain_timeout_names_its_substrate_and_who_is_busy(backend):
         for leaf in plan.leaves():
             assert f"\n  worker {leaf.id}: silent" in text
     _assert_nothing_left_behind(before)
+
+
+def test_a_handler_stuck_in_the_coordinators_place_still_times_out():
+    """A handler that never returns on the root's first leaf, which the
+    default placement runs on the coordinator's own thread: that thread
+    cannot be killed, but the drain timeout still raises, within a few
+    seconds of ``timeout_s``, naming the worker.  Once the handler
+    returns, the place stops and nothing is left behind."""
+    from repro.runtime.process import default_placement
+
+    release = threading.Event()
+    seen = {}
+
+    def update(state, event):
+        if seen["plan"].owner_of(event.itag).id == seen["stuck"]:
+            release.wait(60.0)
+        return vb._update(state, event)
+
+    prog, plan, streams = _vb_with_update(update)
+    stuck = plan.leaves()[0].id
+    placement = default_placement(plan)
+    assert placement[stuck] == placement[plan.root.id]
+    seen.update(plan=plan, stuck=stuck)
+    before = threading.active_count()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(RuntimeFault) as err:
+            run_on_backend("process", prog, plan, streams, options=RunOptions(timeout_s=1.0))
+        assert time.monotonic() - t0 < 1.0 + 8.0
+    finally:
+        release.set()
+    text = str(err.value)
+    assert "process runtime did not drain within 1s" in text
+    assert f"\n  worker {stuck}: silent" in text
+    _assert_nothing_left_behind(before)
