@@ -2,20 +2,19 @@
 """Distributed deployment: the value-barrier program placed across
 named nodes over the TCP data plane.
 
-Two shapes of the same wire protocol:
+Two placements over the same wire protocol:
 
-* ``--nodes N`` (default 2) — the cluster launcher: one node agent
-  process per :class:`NodeSpec`, a registry handshake that exchanges
-  listen addresses, and every channel a framed TCP connection.
-  Locally all agents bind 127.0.0.1; on a real cluster each NodeSpec
-  names a routable host and the identical handshake runs across
-  machines (agents are still forked locally today — see
-  repro/runtime/cluster.py for the deployment boundary).
+* ``--nodes N`` (default 2) — the workers placed on N named nodes
+  (:func:`resolve_placement`), one forked node agent per node that
+  hosts workers, and every channel between two agents a framed TCP
+  connection of the ``tcp`` transport, opened by this process before
+  it forks.  Each node's inbound edges listen on its NodeSpec host
+  (127.0.0.1 here).  Agents are forked on this host; launching them on
+  other hosts is parked (see repro/runtime/cluster.py).
 * ``--transport tcp`` on the single-host comparison run — the same
   frames over loopback TCP between the places of the process
   backend's default placement (the root's place on a thread of this
-  process, the others forked), the single-host reference for the
-  cluster's edges.
+  process, the others forked).
 
 Outputs of every run are verified against the sequential
 specification, so the distribution story is checked, not asserted.
@@ -23,7 +22,6 @@ specification, so the distribution story is checked, not asserted.
 Run:  python examples/distributed.py
       python examples/distributed.py --nodes 3 --workers 6
       python examples/distributed.py --placement w1=node0
-      REPRO_CLUSTER_LOG_DIR=/tmp/cluster-logs python examples/distributed.py
 """
 
 import argparse

@@ -13,8 +13,9 @@ Three execution substrates run the same synchronization-plan protocol
 * ``process`` — a place per CPU with batched channels
   (:mod:`repro.runtime.process`): the root's place on a thread of the
   coordinator, the rest forked, for multi-core parallel speedup; with
-  ``nodes=``, one agent process per node over TCP
-  (:mod:`repro.runtime.cluster`).
+  ``nodes=``, the workers placed on named nodes
+  (:mod:`repro.runtime.cluster`) and one forked agent per node that
+  hosts workers, over the ``tcp`` transport.
 
 Benchmarks, examples, and tests select them uniformly through
 :func:`get_backend` / :func:`run_on_backend`.  Every substrate reports
@@ -39,7 +40,7 @@ from ..core.errors import NoCheckpointError, RecoveryUnsoundError, RuntimeFault
 from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
 from ..plans.validity import assert_p_valid
-from . import cluster, process, threaded
+from . import process, threaded
 from .options import RunOptions, ServeOptions
 from .protocol import INIT_STATE, AttemptOutcome, RunStatsMixin, initial_leaf_states
 from .checkpoint import (
@@ -354,8 +355,10 @@ class ProcessBackend(RuntimeBackend):
     split into contiguous blocks, each internal node with its first
     leaf (:func:`~repro.runtime.process.default_placement`); the root's
     place runs on a thread of the coordinator and the others are forked.
-    With ``nodes=`` set, one agent process per named node over the TCP
-    data plane (:mod:`repro.runtime.cluster`)."""
+    With ``nodes=`` set, the workers are placed on the named nodes
+    (:func:`~repro.runtime.cluster.resolve_placement`), and one agent
+    per node that hosts workers is forked, over the ``tcp`` transport;
+    none runs in the coordinator."""
 
     name = "process"
     default_timeout_s = 120.0
@@ -372,8 +375,9 @@ class ProcessBackend(RuntimeBackend):
         elif exporter is not None:
             exporter.begin_attempt()
         try:
-            agents = cluster.NodeEndpoints(spec.plan, opts.nodes, opts.placement)
-            return process.run_on_workers(spec, timeout_s, agents, exporter)
+            nodes = local_nodes(opts.nodes) if isinstance(opts.nodes, int) else tuple(opts.nodes)
+            placement = resolve_placement(spec.plan, nodes, opts.placement)
+            return process.run_on_workers(spec, timeout_s, "tcp", exporter, nodes, placement)
         finally:
             if owned:
                 exporter.stop()

@@ -83,11 +83,11 @@ class RunOptions:
       TCP stream sockets — the single-host form of the distributed data
       plane), or ``"shm"`` (fixed-slot shared-memory rings: zero
       syscalls per message, same-host only);
-    * ``nodes`` — deploy across node agents instead of one process
-      per worker (see :mod:`repro.runtime.cluster`): an int (that
-      many loopback nodes) or a sequence of
-      :class:`~repro.runtime.cluster.NodeSpec`; implies the TCP data
-      plane;
+    * ``nodes`` — place the workers on named nodes instead of the
+      default placement, one forked agent per node that hosts workers
+      (see :mod:`repro.runtime.cluster`): an int (that many loopback
+      nodes) or a sequence of :class:`~repro.runtime.cluster.NodeSpec`;
+      implies the TCP data plane;
     * ``placement`` — worker-id -> node-name pins for ``nodes=``
       deployments (unpinned workers are spread round-robin).
 

@@ -62,10 +62,10 @@ Every real substrate runs the same :class:`AttemptSpec`, built once per
 attempt, and drives its workers (:class:`_Worker`) as *places*:
 co-located workers on one run queue (:class:`_Place`).
 :mod:`repro.runtime.threaded` is one place holding every worker.
-:func:`run_on_workers` runs the places of its endpoints
-(:class:`~repro.runtime.transport.Endpoints`: a transport's default
-placement, or a node agent per node over
-:class:`~repro.runtime.cluster.NodeEndpoints`) through one blocking
+:func:`run_on_workers` runs the places of a placement over a
+transport's endpoints (:class:`~repro.runtime.transport.Endpoints`:
+the default placement over the chosen transport, or a node agent per
+node of a ``nodes=`` deployment over ``tcp``) through one blocking
 loop, :func:`_drive_place` — forked through :func:`_place_main`, the
 coordinator's own through :func:`_coordinator_place` — beside
 :func:`coordinate_attempt`, the coordinator's half.
@@ -81,12 +81,13 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from ..core.program import DGSProgram
 from ..plans.plan import SyncPlan
 from .checkpoint import CheckpointPredicate
+from .cluster import NodeSpec
 from .faults import CrashRecord, FaultPlan, WorkerCrash
 from .metrics import MetricsConfig, MetricsSnapshot, RunMetrics, WorkerMetrics
 from .quiesce import QuiesceRecord, QuiesceSignal, RootReconfigView
@@ -105,6 +106,7 @@ from .transport import (
     ControlChannel,
     ControlPlane,
     Endpoints,
+    SocketTransport,
     WorkerFault,
     make_transport,
     plan_edges,
@@ -275,22 +277,23 @@ class _Place:
     (:attr:`producers`), flushes through its own ``BatchingSender``: a
     batch for a hosted worker is appended to the run queue, any other
     goes to ``remote`` (the transport's raw send).  So a join step
-    between co-located workers costs queue appends, not a wake-up."""
+    between co-located workers costs queue appends, not a wake-up.
+    The senders route by the hosted ids, not through :attr:`workers`,
+    which holds them: a place leaves no reference cycle behind."""
 
     def __init__(self, spec: AttemptSpec, hosted: Sequence[str], remote=None) -> None:
         self.spec = spec
         self.runq: Deque[Tuple[str, List[Any]]] = deque()
         enqueue = self.runq.append
-        workers: Dict[str, _Worker] = {}
-        self.workers = workers
+        here = frozenset(hosted)
 
         def send(dst: str, batch: List[Any]) -> None:
-            if dst in workers:
+            if dst in here:
                 enqueue((dst, batch))
             else:
                 remote(dst, batch)
 
-        workers.update((wid, _Worker(wid, spec, BatchingSender(send))) for wid in hosted)
+        self.workers = {wid: _Worker(wid, spec, BatchingSender(send)) for wid in hosted}
         #: Events and heartbeats, posted on the coordinator's behalf.
         self.producers = BatchingSender(send)
         #: The hosted worker that crashed or quiesced: the place runs no
@@ -402,12 +405,11 @@ def _drive_place(
         control.send("report", w.node_id, report)
 
 
-def _send_fault(exc: BaseException, endpoints: Endpoints, control: ControlChannel) -> None:
+def _send_fault(exc: BaseException, control: ControlChannel) -> None:
     """Send what escaped a place, with its traceback, up ``control``: the
     coordinator raises it naming the handler's worker, else the place."""
     fault = isinstance(exc, WorkerFault)
     who, err = (exc.who, exc.err) if fault else (None, f"{exc!r}\n{traceback.format_exc()}")
-    endpoints.log(f"{who or 'the place'} FAILED: {exc!r}")
     control.send("error", who, err)
 
 
@@ -419,8 +421,7 @@ def _place_main(
     workers, tear down."""
     try:
         # A transport drops the inherited endpoints this place does not
-        # own, so a dead peer surfaces as EOF/EPIPE instead of silence;
-        # a node agent runs its handshake.
+        # own, so a dead peer surfaces as EOF/EPIPE instead of silence.
         endpoints.child_setup(place)
         receiver = endpoints.receiver(place)
         # While this place waits for channel space it keeps ingesting
@@ -428,11 +429,10 @@ def _place_main(
         # deadlock.
         remote = endpoints.sender(place, on_block=receiver.poll).send_batch
         _drive_place(spec, hosted, receiver.recv, remote, control)
-        endpoints.log("all workers done")
     except BaseException as exc:
         # An exception ends here (the exit status would carry nothing
         # more); an interrupt or exit goes on.
-        _send_fault(exc, endpoints, control)
+        _send_fault(exc, control)
         if not isinstance(exc, Exception):
             raise
     finally:
@@ -460,7 +460,7 @@ def _coordinator_place(
         _drive_place(spec, hosted, inbox, remote, control)
     except Exception as exc:
         if not halt.is_set():
-            _send_fault(exc, endpoints, control)
+            _send_fault(exc, control)
     finally:
         control.close()
 
@@ -538,7 +538,11 @@ def merge_reports(
 
 
 def coordinate_attempt(
-    spec: AttemptSpec, control: ControlPlane, endpoints: Endpoints, timeout_s: float
+    spec: AttemptSpec,
+    control: ControlPlane,
+    endpoints: Endpoints,
+    timeout_s: float,
+    nodes: int = 0,
 ) -> AttemptOutcome:
     """The coordinator's half of one attempt over places that pump
     their own input, once every place is forked and ``endpoints`` are
@@ -546,20 +550,20 @@ def coordinate_attempt(
     wait for every worker's done announcement or the first abort, stop
     the places (one stop frame each), collect the reports, drain the
     data plane of an aborted attempt, reap.  ``wall_s`` runs from the
-    origin to the last done announcement.  A failed attempt terminates
-    its children instead of waiting them out — nobody will send them a
+    origin to the last done announcement; ``nodes`` is the node count
+    of a ``nodes=`` deployment.  A failed attempt terminates its
+    children instead of waiting them out — nobody will send them a
     stop frame: that is the caller's ``control.finish(failed=True)``."""
     workers = [n.id for n in spec.plan.workers()]
-    per_node = endpoints.kind == "node"
     result = AttemptOutcome(
         events_in=sum(len(s.events) for s in spec.streams),
         n_workers=len(workers),
         transport=endpoints.name,
-        nodes=len(endpoints.places) if per_node else 0,
+        nodes=nodes,
     )
     t0 = time.perf_counter()
     control.release()
-    substrate = "cluster" if per_node else "process"
+    substrate = "cluster" if nodes else "process"
     aborted = _await_done(substrate, control, workers, endpoints.stop_all, timeout_s)
     result.wall_s = time.perf_counter() - t0
     # From here on the reports are the metrics; live snapshots still in
@@ -607,19 +611,23 @@ def _who(kind: str, place: str, hosted: Sequence[str]) -> str:
 def run_on_workers(
     spec: AttemptSpec,
     timeout_s: float,
-    endpoints: Union[str, Endpoints] = DEFAULT_TRANSPORT,
+    transport: str = DEFAULT_TRANSPORT,
     exporter=None,
+    nodes: Sequence[NodeSpec] = (),
+    placement: Optional[Dict[str, str]] = None,
 ) -> AttemptOutcome:
-    """One attempt over the places of ``endpoints``: a transport name
+    """One attempt over the places of a placement.  Without ``nodes``,
+    :func:`default_placement` places the workers over ``transport``
     (``"pipe"``, framed raw pipes, the default; ``"queue"``,
     ``multiprocessing.Queue``; ``"tcp"``, loopback stream sockets;
-    ``"shm"``, shared-memory rings) places the workers by
-    :func:`default_placement`, the root's place on a thread started once
-    every other place is forked (a one-place attempt forks its place);
-    the node agents' handshake (:class:`~repro.runtime.cluster.NodeEndpoints`)
-    forks a place per node.  A crashed or quiesced attempt returns (see
-    :class:`~repro.runtime.protocol.AttemptOutcome`) rather than
-    raising.  With an ``exporter``
+    ``"shm"``, shared-memory rings), the root's place on a thread
+    started once every other place is forked (a one-place attempt forks
+    its place).  With ``nodes``, ``placement`` maps each worker to one
+    of them (:func:`~repro.runtime.cluster.resolve_placement`): a node
+    agent is forked per node that hosts workers, over ``tcp``, each
+    node's inbound edges listening on its host.  A crashed or quiesced
+    attempt returns (see :class:`~repro.runtime.protocol.AttemptOutcome`)
+    rather than raising.  With an ``exporter``
     (:class:`~repro.runtime.metrics.MetricsExporter`), the places push
     live snapshots to it, and the merged end-of-run reports replace them
     once the attempt ends."""
@@ -632,16 +640,21 @@ def run_on_workers(
         )
     ctx = mp.get_context("fork")
     local = None
-    if isinstance(endpoints, str):
-        placement = default_placement(spec.plan)
-        endpoints = make_transport(endpoints, ctx, plan_edges(spec.plan, placement), placement)
+    if nodes:
+        # A place per node that hosts workers, in node order, each
+        # with its workers in sorted order.
+        placement = {w: n.name for n in nodes for w in sorted(placement) if placement[w] == n.name}
+        kind, hosts = "node", {n.name: n.host for n in nodes}
+        endpoints = SocketTransport(ctx, plan_edges(spec.plan, placement), placement, hosts)
+    else:
+        kind, placement = "worker", default_placement(spec.plan)
+        endpoints = make_transport(transport, ctx, plan_edges(spec.plan, placement), placement)
         if len(endpoints.places) > 1:
             local = placement[spec.plan.root.id]
     control = ControlPlane(ctx)
     control.live = exporter is not None
     if exporter is not None:
         control.on_metrics = exporter.update
-    kind = endpoints.kind
     halt = threading.Event()
     thread = result = None
     try:
@@ -653,8 +666,8 @@ def run_on_workers(
                 )
         # A transport drops the parent's copies of the fds only forked
         # places use, so dead peers surface as EOF/EPIPE on the
-        # survivors' channels; a node agent's handshake runs.
-        endpoints.parent_setup(control, local)
+        # survivors' channels.
+        endpoints.parent_setup(local)
         if local is not None:
             hosted = endpoints.places[local]
             sock = control.open(_who(kind, local, hosted), len(hosted))
@@ -664,7 +677,7 @@ def run_on_workers(
                 name=f"{kind}:{local}", daemon=True,
             )
             thread.start()
-        result = coordinate_attempt(spec, control, endpoints, timeout_s)
+        result = coordinate_attempt(spec, control, endpoints, timeout_s, len(nodes))
         return result
     finally:
         if result is None:

@@ -11,7 +11,7 @@ transport plumbing around :class:`WorkerCore`:
 * :mod:`repro.runtime.process` — one worker-loop body for the real
   substrates: a place per CPU over batched channels, the root's in the
   coordinator and the rest forked (escaping the GIL for real
-  parallelism), node agents over TCP
+  parallelism), a forked node agent per node over TCP
   (:mod:`repro.runtime.cluster`), or every worker on the caller's
   thread from one run queue (:mod:`repro.runtime.threaded`).
 

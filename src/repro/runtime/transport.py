@@ -27,15 +27,12 @@ protocol so the hot path can do better:
 * :class:`SocketTransport` (``transport="tcp"``) — the same
   length-prefixed frames carried over TCP stream sockets
   (``TCP_NODELAY``, widened kernel buffers, non-blocking sends with
-  the same ``on_block`` ingest hook).  Edges are loopback connections
+  the same ``on_block`` ingest hook).  Edges are connections
   established before forking, so the fail-stop model is identical to
   the pipe backend: a dead peer surfaces as EOF/``ECONNRESET``, never
-  as a reconnect.  :mod:`repro.runtime.cluster` carries the identical
-  frame protocol over *dialed* connections between node agents
-  (:class:`~repro.runtime.cluster.NodeEndpoints`, the same
-  :class:`Endpoints` lifecycle) — that is what crosses real machine
-  boundaries; this transport is the single-host data plane and the
-  benchmark baseline for it.
+  as a reconnect.  It is also the data plane of ``nodes=``
+  (:mod:`repro.runtime.cluster`): a place per node, each node's
+  inbound edges listening on its host.
 
 * :class:`SharedMemoryTransport` (``transport="shm"``) — the same
   framed byte stream carried through fixed-slot ring buffers over
@@ -104,8 +101,8 @@ STOP = object()
 _LEN = FRAME_LEN
 
 #: Transport names accepted by ``RunOptions.transport``: the endpoints
-#: of the process backend's places on one host (``process.run_on_workers``,
-#: which forks a node agent's place over ``cluster.NodeEndpoints`` instead).
+#: of the process backend's places (``process.run_on_workers``; ``nodes=``
+#: runs over ``tcp``).
 TRANSPORTS = ("pipe", "queue", "tcp", "shm")
 DEFAULT_TRANSPORT = "pipe"
 
@@ -249,16 +246,10 @@ class ControlPlane:
             pass
         return self.reports
 
-    def wait(self, deadline: Optional[float], also: Optional[socket.socket] = None) -> bool:
-        """Read what arrives until ``deadline`` or until ``also`` is
-        readable; False once ``deadline`` passed."""
+    def wait(self, deadline: Optional[float]) -> bool:
+        """Read what arrives until ``deadline``; False once it passed."""
         ms = None if deadline is None else max(0, math.ceil((deadline - time.monotonic()) * 1e3))
-        if also is not None:
-            self._poller.register(also, select.POLLIN)
-        ready = self._poller.poll(ms)
-        if also is not None:
-            self._poller.unregister(also)
-        for fd, _events in ready:
+        for fd, _events in self._poller.poll(ms):
             if fd in self._children:
                 self._ingest(self._children[fd])
         return deadline is None or time.monotonic() < deadline
@@ -391,11 +382,8 @@ class Endpoints:
     ``receiver(place)`` and ``sender(place, on_block=...)`` (whose
     ``send_batch`` is the place's remote send), and
     :meth:`child_teardown` on every exit path of a forked place, a crash
-    included.  The node agents' handshake
-    (:class:`repro.runtime.cluster.NodeEndpoints`) has the same
-    lifecycle, with a place per node."""
+    included."""
 
-    kind = "worker"
     #: The place the coordinator runs on a thread (``parent_setup``).
     local: Optional[str] = None
 
@@ -409,10 +397,9 @@ class Endpoints:
         stops = [(COORDINATOR, place) for place in self.places]
         self.links = list(dict.fromkeys(stops + [(s, d) for d, ss in edges.items() for s in ss]))
 
-    def parent_setup(self, control: Optional[ControlPlane] = None, local=None) -> None:
-        """Once every place is forked; ``control`` is the attempt's
-        control plane, and ``local`` the place the coordinator runs on a
-        thread, whose endpoints it keeps."""
+    def parent_setup(self, local: Optional[str] = None) -> None:
+        """Once every place is forked; ``local`` is the place the
+        coordinator runs on a thread, whose endpoints it keeps."""
         self.local = local
 
     def child_setup(self, place: str) -> None:
@@ -422,9 +409,6 @@ class Endpoints:
         """As a forked place exits.  Stream transports need nothing: the
         kernel closes fds with the process, which is the EOF/EPIPE peers
         watch for."""
-
-    def log(self, msg: str) -> None:
-        """A place's lifecycle line (node agents keep a log)."""
 
     def drain(self) -> None:
         """After an aborted attempt: kernel buffers vanish with the fds."""
@@ -644,18 +628,20 @@ class PipeTransport(Endpoints):
 
     def __init__(self, ctx, edges: Dict[str, Sequence[str]], placement=None) -> None:
         super().__init__(edges, placement)
-        self._pipes: Dict[Tuple[str, str], Tuple[int, int]] = {
-            link: self._open_edge() for link in self.links
-        }
+        self._pipes: Dict[Tuple[str, str], Tuple[int, int]] = {}
         #: Parent-side fds not yet closed.  Tracked explicitly so
         #: ``parent_setup`` + ``close`` never double-close an fd number
         #: the OS may have reused for something else.
-        self._parent_open = {fd for pair in self._pipes.values() for fd in pair}
+        self._parent_open = set()
+        for src, dst in self.links:
+            self._pipes[src, dst] = pair = self._open_edge(self.place_of[dst])
+            self._parent_open.update(pair)
 
-    def _open_edge(self) -> Tuple[int, int]:
-        """One directed channel as a (read fd, write fd) pair; the
-        write side non-blocking (:class:`SocketTransport` overrides
-        this with a TCP connection, everything else is shared)."""
+    def _open_edge(self, place: str) -> Tuple[int, int]:
+        """One directed channel into ``place`` as a (read fd, write fd)
+        pair; the write side non-blocking (:class:`SocketTransport`
+        overrides this with a TCP connection, everything else is
+        shared)."""
         r, w = os.pipe()
         os.set_blocking(w, False)
         _widen_pipe(w)
@@ -693,13 +679,13 @@ class PipeTransport(Endpoints):
         would catch it."""
         self._close_unowned(place, os.close)
 
-    def parent_setup(self, control: Optional[ControlPlane] = None, local=None) -> None:
+    def parent_setup(self, local: Optional[str] = None) -> None:
         """Called in the coordinator once every place has forked: drop
         the parent's copies of the fds neither it (the write ends of its
         stop edges) nor its own place ``local`` uses, completing the
         ownership picture ``child_setup`` starts — after this, each pipe
         end lives only in the process that uses it."""
-        super().parent_setup(control, local)
+        super().parent_setup(local)
         stops = {w for (src, _), (_, w) in self._pipes.items() if src == COORDINATOR}
         self._close_unowned(local, lambda fd: fd in stops or self._parent_close(fd))
 
@@ -728,53 +714,71 @@ class PipeTransport(Endpoints):
 # Socket transport (the same frames over TCP stream sockets)
 # ---------------------------------------------------------------------------
 
+def _tcp_edge(host: str) -> Tuple[int, int]:
+    """One TCP connection to a listener on ``host`` (an address of this
+    host), as a (read fd, write fd) pair: the read side blocking, the
+    write side non-blocking."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as lst:
+        lst.bind((host, 0))
+        lst.listen(8)
+        lst.settimeout(5.0)
+        w_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            # A local connect completes against the backlog; no
+            # accept has to be sitting there first.
+            w_sock.connect(lst.getsockname())
+            local = w_sock.getsockname()
+            # Accept until the peer is our own just-dialed socket:
+            # an ephemeral port is visible to every local user, and a
+            # stray connect racing ours must never be paired into the
+            # mesh (its frames would later be trusted, including the
+            # codec's pickle fallback).
+            while True:
+                r_sock, peer = lst.accept()
+                if peer == local:
+                    break
+                r_sock.close()
+        except BaseException:  # pragma: no cover - defensive
+            w_sock.close()
+            raise
+    configure_stream_socket(r_sock, nonblocking=False)
+    configure_stream_socket(w_sock, nonblocking=True)
+    # detach(): from here on the endpoints are plain fds managed by
+    # the shared pipe-ownership machinery (child_setup/parent_setup
+    # close the ends each process does not own).
+    return r_sock.detach(), w_sock.detach()
+
+
 class SocketTransport(PipeTransport):
     """TCP data plane: one framed, single-writer stream socket per
     directed edge of the communication graph.
 
-    Each edge is a real TCP connection (listen/connect/accept on
-    loopback, established before forking so fd ownership works exactly
-    like pipes): ``TCP_NODELAY`` on both ends, non-blocking writes
-    with the deadlock-free ``on_block`` ingest hook, and fail-stop
-    fault surfacing — a dead peer is EOF (or ``ECONNRESET``, raised as
+    Each edge is a real TCP connection (listen/connect/accept,
+    established before forking so fd ownership works exactly like
+    pipes): ``TCP_NODELAY`` on both ends, non-blocking writes with the
+    deadlock-free ``on_block`` ingest hook, and fail-stop fault
+    surfacing — a dead peer is EOF (or ``ECONNRESET``, raised as
     :class:`RuntimeFault` when it tears a frame), never a reconnect.
-    The frame protocol on the wire is byte-identical to what
-    :mod:`repro.runtime.cluster` speaks between node agents on
-    different hosts, which makes this transport the single-host
-    reference point for the distributed deployment."""
+    ``hosts`` maps a place to the address its inbound edges listen on
+    (a ``nodes=`` deployment's :class:`~repro.runtime.cluster.NodeSpec`
+    hosts); any other place listens on loopback."""
 
     name = "tcp"
 
-    def _open_edge(self) -> Tuple[int, int]:
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as lst:
-            lst.bind(("127.0.0.1", 0))
-            lst.listen(8)
-            lst.settimeout(5.0)
-            w_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            try:
-                # Loopback connect completes against the backlog; no
-                # accept has to be sitting there first.
-                w_sock.connect(lst.getsockname())
-                local = w_sock.getsockname()
-                # Accept until the peer is our own just-dialed socket:
-                # an ephemeral loopback port is visible to every local
-                # user, and a stray connect racing ours must never be
-                # paired into the mesh (its frames would later be
-                # trusted, including the codec's pickle fallback).
-                while True:
-                    r_sock, peer = lst.accept()
-                    if peer == local:
-                        break
-                    r_sock.close()
-            except BaseException:  # pragma: no cover - defensive
-                w_sock.close()
-                raise
-        configure_stream_socket(r_sock, nonblocking=False)
-        configure_stream_socket(w_sock, nonblocking=True)
-        # detach(): from here on the endpoints are plain fds managed by
-        # the shared pipe-ownership machinery (child_setup/parent_setup
-        # close the ends each process does not own).
-        return r_sock.detach(), w_sock.detach()
+    def __init__(
+        self, ctx, edges: Dict[str, Sequence[str]], placement=None,
+        hosts: Optional[Dict[str, str]] = None,
+    ) -> None:
+        self._hosts = hosts or {}
+        super().__init__(ctx, edges, placement)
+
+    def _open_edge(self, place: str) -> Tuple[int, int]:
+        host = self._hosts.get(place, "127.0.0.1")
+        try:
+            return _tcp_edge(host)
+        except OSError as exc:
+            self.close()  # the edges opened so far
+            raise RuntimeFault(f"{place}'s edges cannot listen on {host}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -1216,8 +1220,7 @@ class SharedMemoryTransport(Endpoints):
     leak-free and the resource tracker quiet.  Workers set their rings'
     closed flags on the way out (``child_teardown`` runs in the worker
     ``finally``), so peers observe crashes as EOF/EPIPE analogues just
-    like on the stream transports.  Same-host only — the cluster
-    runtime keeps speaking TCP between node agents."""
+    like on the stream transports.  Same-host only."""
 
     name = "shm"
 

@@ -9,7 +9,7 @@ prefix, the first byte selects the payload kind:
 * ``C`` (0x43) — a JSON control blob (hello, welcome, ack, flush,
   finish, eof).  JSON, never pickle: control frames arrive from
   sockets that are not yet trusted, and unpickling attacker bytes is
-  code execution — the same rule the cluster handshake follows.
+  code execution.
 * ``E`` (0x45) — a batch of protocol messages in the frame codec
   (:func:`~repro.runtime.wire.pack_frame`).  Ingest clients send each
   batch grouped by implementation tag, as columnar
@@ -28,10 +28,10 @@ carried in the timestamp.  Sequence numbers are the exactly-once
 handle: the server assigns them at commit time, subscribers resume
 from any ``from_seq`` and deduplicate by seq across reconnects.
 
-The hello handshake mirrors the cluster registry: the first frame must
-be a control blob carrying the service cookie (compared with
-``hmac.compare_digest``), and anything malformed, mis-cookied, or slow
-is dropped without joining — or crashing — the service.
+The hello handshake: the first frame must be a control blob carrying
+the service cookie (compared with ``hmac.compare_digest``), and
+anything malformed, mis-cookied, or slow is dropped without joining —
+or crashing — the service.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ One listener serves both roles; the hello handshake picks the mode:
   service finishes.  Sequence numbers make redelivery detectable, so a
   subscriber reconnecting mid-stream still sees the exactly-once log.
 
-The handshake follows the cluster registry's stray-connection model:
-the first frame must be a control hello carrying the service cookie
-(compared with ``hmac.compare_digest``); anything slow, malformed, or
-mis-cookied is counted and dropped without disturbing the service.
+The handshake drops strays: the first frame must be a control hello
+carrying the service cookie (compared with ``hmac.compare_digest``);
+anything slow, malformed, or mis-cookied is counted and dropped without
+disturbing the service.
 
 Epochs are sealed by a background task — when the inbox reaches
 ``epoch_events``, or after ``epoch_idle_ms`` of a non-empty buffer —
@@ -59,7 +59,7 @@ from .protocol import (
 from .service import ServiceRuntime
 
 #: A client that has not said a valid hello within this window is a
-#: stray (same posture as the cluster registry's handshake).
+#: stray.
 HELLO_TIMEOUT_S = 5.0
 
 #: Egress push chunking: one frame per this many committed outputs.

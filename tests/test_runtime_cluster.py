@@ -1,16 +1,17 @@
-"""The multi-node cluster runtime (repro.runtime.cluster): placement,
-the registry handshake, and the full protocol — fault injection,
-checkpoint recovery, and elastic reconfiguration — running unchanged
-across node agents over TCP.
+"""The node deployment (``nodes=``, repro.runtime.cluster): placement,
+and the full protocol — fault injection, checkpoint recovery, and
+elastic reconfiguration — running unchanged across node agents over
+the tcp transport.
 
 The differential shape mirrors tests/test_differential.py: every app,
 outputs multiset-equal to the sequential specification; here the
-execution is placed across two local node agents so every channel is a
-real TCP connection established by the address-exchange handshake."""
+execution is placed across two local node agents so every channel
+between them is a TCP connection."""
 
 import json
 import os
 import random
+import socket
 import threading
 import time
 
@@ -38,10 +39,16 @@ from repro.runtime import (
     run_on_backend,
     run_sequential_reference,
 )
-from repro.runtime import cluster, process
+from repro.runtime import process
 from repro.runtime.process import LEAF_LEAD, AttemptSpec, _drive_place, merge_reports
 from repro.runtime.protocol import AttemptOutcome, initial_leaf_states
-from repro.runtime.transport import COORDINATOR, STOP, ControlChannel, ControlPlane
+from repro.runtime.transport import (
+    COORDINATOR,
+    STOP,
+    ControlChannel,
+    ControlPlane,
+    SocketTransport,
+)
 from repro.runtime.wire import MAX_RUN
 
 from test_differential import ALL_APPS, _app_case, _elastic_app_case
@@ -127,67 +134,6 @@ class TestPlacement:
             )
 
 
-class TestHandshakeHellos:
-    """The cookie-authenticated hello layer: JSON only (never pickle),
-    strays and mis-cookied peers rejected as None, well-formed hellos
-    round-tripped."""
-
-    def _pair(self):
-        import socket as socket_mod
-
-        return socket_mod.socketpair()
-
-    def test_valid_hello_round_trips(self):
-        from repro.runtime.cluster import _recv_hello, _send_blob
-
-        a, b = self._pair()
-        _send_blob(a, ["secret", "node0", ["127.0.0.1", 4242]])
-        assert _recv_hello(b, "secret") == ["node0", ["127.0.0.1", 4242]]
-        a.close(), b.close()
-
-    def test_wrong_cookie_rejected(self):
-        from repro.runtime.cluster import _recv_hello, _send_blob
-
-        a, b = self._pair()
-        _send_blob(a, ["wrong", "w1", "w2"])
-        assert _recv_hello(b, "secret") is None
-        a.close(), b.close()
-
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            b"",  # peer closes immediately
-            b"\x03\x00\x00\x00abc",  # not JSON
-            b"\xff\xff\xff\x7fx",  # implausible length prefix
-            b'\x0e\x00\x00\x00"just-a-string"',  # JSON, wrong shape
-        ],
-    )
-    def test_garbage_hellos_rejected_not_crashed(self, raw):
-        from repro.runtime.cluster import _recv_hello
-
-        a, b = self._pair()
-        a.sendall(raw)
-        a.close()
-        assert _recv_hello(b, "secret") is None
-        b.close()
-
-    def test_hellos_are_json_not_pickle(self):
-        # A pickle payload must be rejected at the decode layer — the
-        # handshake accepts bytes from unauthenticated peers, and
-        # unpickling those would be code execution.
-        import pickle
-        import struct as struct_mod
-
-        from repro.runtime.cluster import _recv_hello
-
-        a, b = self._pair()
-        blob = pickle.dumps(["secret", "w1", "w2"])
-        a.sendall(struct_mod.pack("<I", len(blob)) + blob)
-        a.close()
-        assert _recv_hello(b, "secret") is None
-        b.close()
-
-
 # ---------------------------------------------------------------------------
 # Plain cluster runs
 # ---------------------------------------------------------------------------
@@ -220,12 +166,32 @@ class TestClusterRuns:
             run_sequential_reference(prog, streams)
         )
 
-    def test_options_round_trip_through_registry(self):
+    def test_each_nodes_inbound_edges_listen_on_its_host(self, monkeypatch):
+        heard = set()
+
+        class Recording(SocketTransport):
+            def _open_edge(self, place):
+                r, w = super()._open_edge(place)
+                with socket.socket(fileno=os.dup(r)) as sock:
+                    heard.add((place, sock.getsockname()[0]))
+                return r, w
+
+        monkeypatch.setattr(process, "SocketTransport", Recording)
         prog, streams, plan = vb_case(n_value_streams=2)
-        opts = RunOptions(nodes=2)
-        run = run_on_backend("process", prog, plan, streams, options=opts)
-        assert run.raw.transport == "tcp"
-        assert run.raw.nodes == 2
+        nodes = (NodeSpec("node0"), NodeSpec("node1", "127.0.0.2"))
+        run = run_on_backend("process", prog, plan, streams, options=RunOptions(nodes=nodes))
+        assert output_multiset(run.outputs) == output_multiset(
+            run_sequential_reference(prog, streams)
+        )
+        assert heard == {("node0", "127.0.0.1"), ("node1", "127.0.0.2")}
+
+    def test_a_host_that_is_not_this_ones_is_refused_without_a_leak(self):
+        prog, streams, plan = vb_case(n_value_streams=2)
+        nodes = (NodeSpec("node0"), NodeSpec("node1", "192.0.2.1"))  # TEST-NET-1
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(RuntimeFault, match="node1's edges cannot listen on 192.0.2.1"):
+            run_on_backend("process", prog, plan, streams, options=RunOptions(nodes=nodes))
+        assert len(os.listdir("/proc/self/fd")) == fds
 
     @pytest.mark.parametrize("app", ALL_APPS)
     def test_all_apps_on_two_nodes_match_spec(self, app):
@@ -509,24 +475,19 @@ class TestPlaces:
     def test_an_agent_drives_its_workers_on_one_thread_with_no_edge_between_them(
         self, monkeypatch, tmp_path, pinned
     ):
-        """Each agent records the threads its workers' handlers ran on
-        and the edge hellos it accepted; the coordinator records the
-        stop edges it dialed."""
+        """Each agent records the threads its workers' handlers ran on;
+        the transport's links give each agent's inbound edges and the
+        coordinator's stop edges."""
         prog, streams, plan = vb_case(n_value_streams=2)
         root, a, b = plan.root.id, *(leaf.id for leaf in plan.leaves())
         pins = {root: "node0", a: "node0", b: "node1" if pinned else "node0"}
-        parent, dialed, hellos, threads = os.getpid(), [], [], set()
-        real_hello, real_blob = cluster._recv_hello, cluster._send_blob
+        built, threads = [], set()
         real_handle, real_place = process._Worker.handle, process._place_main
 
-        def recv_hello(sock, cookie):
-            hellos.append(real_hello(sock, cookie))
-            return hellos[-1]
-
-        def send_blob(sock, obj):
-            if os.getpid() == parent and isinstance(obj, list) and obj[1] == COORDINATOR:
-                dialed.append(obj[2])
-            real_blob(sock, obj)
+        class Recording(SocketTransport):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
 
         def handle(self, msgs):
             threads.add((threading.get_ident(), threading.active_count()))
@@ -536,11 +497,10 @@ class TestPlaces:
             try:
                 real_place(node_name, *args)
             finally:
-                record = {"threads": sorted(threads), "hellos": hellos}
+                record = {"threads": sorted(threads)}
                 (tmp_path / f"{node_name}.json").write_text(json.dumps(record))
 
-        monkeypatch.setattr(cluster, "_recv_hello", recv_hello)
-        monkeypatch.setattr(cluster, "_send_blob", send_blob)
+        monkeypatch.setattr(process, "SocketTransport", Recording)
         monkeypatch.setattr(process, "_place_main", place_main)
         monkeypatch.setattr(process._Worker, "handle", handle)
         run = run_on_backend(
@@ -551,6 +511,12 @@ class TestPlaces:
             run_sequential_reference(prog, streams)
         )
         agents = {p.stem: json.loads(p.read_text()) for p in tmp_path.glob("*.json")}
+        (transport,) = built
+        inbound = {name: [] for name in agents}
+        for src, dst in transport.links:
+            inbound[transport.place_of[dst]].append([src, dst])
+        inbound = {name: sorted(edges) for name, edges in inbound.items()}
+        dialed = [dst for src, dst in transport.links if src == COORDINATOR]
         expected = (
             {
                 "node0": [[COORDINATOR, "node0"], ["node1", root]],
@@ -560,22 +526,10 @@ class TestPlaces:
             else {"node0": [[COORDINATOR, "node0"]]}
         )
         assert sorted(dialed) == sorted(expected)
-        assert {name: sorted(r["hellos"]) for name, r in agents.items()} == expected
+        assert inbound == expected
         for name, record in agents.items():
             # One thread, and it is the agent's only one.
             assert [count for _ident, count in record["threads"]] == [1], name
-
-
-class TestClusterLogs:
-    def test_agents_write_lifecycle_logs_when_enabled(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CLUSTER_LOG_DIR", str(tmp_path))
-        prog, streams, plan = vb_case(n_value_streams=2)
-        run_on_backend("process", prog, plan, streams, options=RunOptions(nodes=2))
-        names = {p.name for p in tmp_path.iterdir()}
-        assert {"coordinator.log", "node0.log", "node1.log"} <= names
-        node_log = (tmp_path / "node0.log").read_text()
-        assert "registered" in node_log
-        assert "all workers done" in node_log
 
 
 # ---------------------------------------------------------------------------

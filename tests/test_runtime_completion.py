@@ -21,7 +21,6 @@ from repro.apps import value_barrier as vb
 from repro.core.errors import RuntimeFault
 from repro.core.semantics import output_multiset
 from repro.runtime import RunOptions, run_on_backend, run_sequential_reference
-from repro.runtime import cluster as runtime_cluster
 from repro.runtime import process as runtime_process
 from repro.runtime.messages import HeartbeatMsg
 from repro.runtime.protocol import (
@@ -159,8 +158,7 @@ def announcements(monkeypatch):
             self._ready = _Tap()
             taps.append(self._ready)
 
-    for module in (runtime_process, runtime_cluster):
-        monkeypatch.setattr(module, "ControlPlane", Recording)
+    monkeypatch.setattr(runtime_process, "ControlPlane", Recording)
     return taps
 
 

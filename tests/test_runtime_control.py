@@ -43,8 +43,7 @@ from repro.runtime import (
     run_sequential_reference,
 )
 from repro.runtime import process as runtime_process
-from repro.runtime.cluster import NodeEndpoints
-from repro.runtime.transport import ControlPlane, PipeTransport
+from repro.runtime.transport import ControlPlane, PipeTransport, SocketTransport
 
 #: The forking substrates: the default placement, and node agents.
 FORKING = {"process": {}, "nodes=2": {"nodes": 2}}
@@ -117,7 +116,7 @@ def test_a_place_that_fails_outside_a_handler_is_named(monkeypatch, substrate):
     def refuse(self, place):
         raise OSError("cannot bind")
 
-    endpoints = NodeEndpoints if substrate == "nodes=2" else PipeTransport
+    endpoints = SocketTransport if substrate == "nodes=2" else PipeTransport
     monkeypatch.setattr(endpoints, "child_setup", refuse)
     prog, plan, streams = _case()
     with pytest.raises(RuntimeFault) as err:
@@ -246,9 +245,10 @@ def test_a_forked_child_imports_nothing(monkeypatch, tmp_path, options, metrics)
 
 def test_a_node_agent_forked_while_a_thread_holds_an_import_lock():
     """A thread of a fresh interpreter holds ``encodings.idna``'s module
-    lock while a ``nodes=2`` run forks its agents: the agents' first
-    connect must not import that module, or it waits for a lock nobody
-    in the child will release, and the handshake times out after 30 s."""
+    lock while a ``nodes=2`` run forks its agents: neither the
+    coordinator opening the agents' TCP edges nor an agent may import
+    that module, or it waits for a lock nobody will release, and the
+    run times out."""
     script = textwrap.dedent(
         """
         import importlib._bootstrap, sys, threading

@@ -3,10 +3,12 @@ processes with batched channels must match the sequential spec, for
 arbitrary P-valid plans — and the backend registry every substrate is
 reached through."""
 
+import gc
 import multiprocessing.process as mp_process
 import os
 import random
 import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -24,6 +26,7 @@ from repro.runtime import (
     run_on_backend,
     run_sequential_reference,
 )
+from repro.runtime import process
 from repro.runtime.options import ServeOptions
 from repro.runtime.process import default_placement
 from repro.runtime.messages import (
@@ -248,6 +251,35 @@ class TestDefaultPlacement:
         run = run_on_backend("process", prog, plan, streams)
         assert run.output_multiset() == spec_multiset(prog, streams)
         assert (forked, threads) == (["worker:w1"], [])
+
+
+@pytest.mark.parametrize("backend", ["threaded", "process"])
+def test_a_place_is_freed_without_the_cycle_collector(monkeypatch, backend):
+    """With the cyclic collector off, each place this process built
+    (``threaded``'s one place, the root's place on ``process``) is gone
+    once the run returns, and so are its workers' cores, which hold the
+    plan, the program and the sinks: no sender refers back to them."""
+    _cpus(monkeypatch, 2)
+    refs = []
+    real = process._Place.__init__
+
+    def init(self, *args):
+        real(self, *args)
+        refs.extend(map(weakref.ref, [self, *(w.core for w in self.workers.values())]))
+
+    monkeypatch.setattr(process._Place, "__init__", init)
+    prog = vb.make_program()
+    wl = vb.make_workload(n_value_streams=2, values_per_barrier=10, n_barriers=2)
+    streams = vb.make_streams(wl)
+    gc.collect()
+    gc.disable()
+    try:
+        run = run_on_backend(backend, prog, vb.make_plan(prog, wl), streams)
+        alive = [r() is not None for r in refs]
+    finally:
+        gc.enable()
+    assert run.output_multiset() == spec_multiset(prog, streams)
+    assert alive and not any(alive), alive
 
 
 class TestBackendRegistry:

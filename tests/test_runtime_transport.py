@@ -65,6 +65,7 @@ from repro.runtime.transport import (
     SharedMemoryTransport,
     SocketTransport,
     TRANSPORTS,
+    _tcp_edge,
     make_transport,
     plan_edges,
     resolve_policy,
@@ -563,7 +564,7 @@ def tcp_edge():
     """One configured TCP loopback edge as (read fd, write fd), built
     by the socket transport's own connection setup (NODELAY, widened
     buffers, non-blocking write side)."""
-    return SocketTransport._open_edge(None)
+    return _tcp_edge("127.0.0.1")
 
 
 def feed(w_fd, data, rx, chunk=None):
