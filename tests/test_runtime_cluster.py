@@ -166,6 +166,29 @@ class TestClusterRuns:
             run_sequential_reference(prog, streams)
         )
 
+    def test_a_place_per_node_that_hosts_workers_in_node_order(self, monkeypatch):
+        built = []
+
+        class Recording(SocketTransport):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(process, "SocketTransport", Recording)
+        prog, streams, plan = vb_case(n_value_streams=3)
+        workers = sorted(n.id for n in plan.workers())
+        pins = {w: "node2" if i % 2 else "node0" for i, w in enumerate(reversed(workers))}
+        opts = RunOptions(nodes=3, placement=pins)
+        run = run_on_backend("process", prog, plan, streams, options=opts)
+        assert output_multiset(run.outputs) == output_multiset(
+            run_sequential_reference(prog, streams)
+        )
+        (transport,) = built
+        # node1 hosts nothing, so nothing is forked for it.
+        assert list(transport.places) == ["node0", "node2"]
+        for name, hosted in transport.places.items():
+            assert hosted == sorted(w for w in workers if pins[w] == name)
+
     def test_each_nodes_inbound_edges_listen_on_its_host(self, monkeypatch):
         heard = set()
 

@@ -28,6 +28,7 @@ import multiprocessing as mp
 import os
 import pickle
 import random
+import socket
 import time
 
 import pytest
@@ -672,6 +673,82 @@ class TestFrameOverSocketTorture:
         os.close(self.w)  # exits cleanly between frames
         assert_same_messages(expand_runs(rx.recv()[1]), msgs)
         assert rx.recv() is STOP  # last live stream gone -> STOP
+
+
+STRAY_FRAME = pack_frame([EventMsg(Event("v", "s", 9.0, payload="stray"))])
+STRAY_PICKLE = pickle.dumps([EventMsg(Event("v", "s", 9.0, payload="stray"))])
+
+
+class TestTcpEdgeSetup:
+    """How the tcp transport opens its edges: each listener pairs only
+    with the coordinator's own dial, and each place's inbound edges
+    listen on its host."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"",  # connects and closes at once
+            b"\x03\x00\x00\x00abc",  # not a frame
+            FRAME_LEN.pack(len(STRAY_FRAME)) + STRAY_FRAME,  # a well-formed frame
+            FRAME_LEN.pack(len(STRAY_PICKLE)) + STRAY_PICKLE,  # a pickle
+        ],
+        ids=["closes", "garbage", "a-frame", "a-pickle"],
+    )
+    def test_a_stray_connect_is_never_paired_into_the_mesh(self, monkeypatch, raw):
+        # The listener's port is visible to every local user; a stray
+        # that dials it before the coordinator does must be refused,
+        # whatever it sends, and the edge must carry only our frames.
+        real, strays = socket.socket, []
+
+        class StrayDialsFirst(real):
+            def listen(self, *args):
+                super().listen(*args)
+                stray = real(socket.AF_INET, socket.SOCK_STREAM)
+                stray.connect(self.getsockname())
+                stray.sendall(raw)
+                stray.shutdown(socket.SHUT_WR)
+                strays.append(stray)
+
+        monkeypatch.setattr(socket, "socket", StrayDialsFirst)
+        r, w = _tcp_edge("127.0.0.1")
+        monkeypatch.undo()
+        (stray,) = strays
+        try:
+            msgs = [EventMsg(Event("v", "s", 1.0, payload=1))]
+            frame = pack_frame(msgs)
+            rx = FrameReceiver({r: "w"})
+            feed(w, FRAME_LEN.pack(len(frame)) + frame, rx)
+            os.close(w)
+            assert_same_messages(expand_runs(rx.recv(5.0)[1]), msgs)
+            assert rx.recv(5.0) is STOP
+            stray.settimeout(5.0)
+            try:
+                refused = stray.recv(1) == b""
+            except ConnectionResetError:  # closed with its bytes unread
+                refused = True
+            assert refused
+        finally:
+            stray.close()
+            os.close(r)
+
+    def test_each_place_listens_on_its_host_and_the_rest_on_loopback(self):
+        edges = {"w1": [COORDINATOR], "w2": ["p1"], "w3": ["p1"]}
+        placement = {"w1": "p1", "w2": "p2", "w3": "p2"}
+        tr = SocketTransport(mp.get_context("fork"), edges, placement, {"p2": "127.0.0.2"})
+        try:
+            heard = {}
+            for (src, dst), (r, _w) in tr._pipes.items():
+                with socket.socket(fileno=os.dup(r)) as sock:
+                    heard[src, dst] = sock.getsockname()[0]
+            assert heard == {
+                (COORDINATOR, "p1"): "127.0.0.1",
+                (COORDINATOR, "p2"): "127.0.0.2",
+                (COORDINATOR, "w1"): "127.0.0.1",
+                ("p1", "w2"): "127.0.0.2",
+                ("p1", "w3"): "127.0.0.2",
+            }
+        finally:
+            tr.close()
 
 
 # ---------------------------------------------------------------------------
