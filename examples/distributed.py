@@ -77,6 +77,7 @@ def main() -> None:
     if args.placement:
         pins = dict(pair.split("=", 1) for pair in args.placement.split(","))
     placement = resolve_placement(plan, nodes, pins)
+    # A node that hosts no worker is declared but not forked.
     per_node = Counter(placement.values())
 
     print(f"plan ({plan.size()} workers):\n{plan.pretty()}\n")
@@ -96,7 +97,7 @@ def main() -> None:
     ok = output_multiset(run.outputs) == want
     all_ok = all_ok and ok
     print(
-        f"cluster   {run.raw.nodes} node agent(s), "
+        f"cluster   {run.raw.nodes} node(s), {len(per_node)} agent(s) forked, "
         f"{max(per_node.values())} worker(s) on the busiest node | "
         f"outputs match spec: {ok}  events={run.events_in}  "
         f"joins={run.joins}  wall={run.wall_s * 1e3:8.1f} ms"

@@ -13,7 +13,7 @@ that names its worker: a forked place is killed, and the coordinator's
 thread, which cannot be, is left behind (it stops at its next receive
 if the handler ever returns).
 
-Four design points keep IPC from eating the speedup:
+Five design points keep IPC from eating the speedup:
 
 * **A dedicated transport layer** (:mod:`repro.runtime.transport`):
   by default, raw per-edge pipes carrying length-prefixed frames in the
@@ -37,6 +37,15 @@ Four design points keep IPC from eating the speedup:
   between rounds.  The coordinator's control loop only starts the
   places, stamps the shared origin once all are up, waits, sends the
   stop frames and collects the reports; its own place pumps on a thread.
+
+* **Spin, then park, at a join.**  A join that crosses places crosses
+  twice, and a place that parks in its receive on each crossing pays
+  a sleep and a wake-up on the join's critical path.  While one of its
+  workers has a join outstanding, a place polls its inbox without
+  blocking for up to :data:`JOIN_SPIN_S` before it parks (the
+  two-phase waiting of Ousterhout, ICDCS 1982; Karlin et al., SOSP
+  1991).  It yields the CPU between polls, so on one CPU, or on a busy
+  host, the spin does not hold the CPU the answering place needs.
 
 Termination is by frontier, as in the progress tracking of Naiad
 (Murray et al., SOSP 2013): producers end with a closing heartbeat,
@@ -150,6 +159,40 @@ class AttemptSpec:
 #: rounds of one stream.  Bounds how far a leaf's input runs ahead of
 #: its inbox.
 LEAF_LEAD = 8 * MAX_RUN
+
+#: How long a place polls its inbox without blocking, yielding the CPU
+#: between polls, before it parks in a blocking receive, while one of
+#: its workers has a join outstanding.  A join across places answers in
+#: a few hundred microseconds; a park and its wake-up cost about as
+#: much again, on both sides of each crossing.
+JOIN_SPIN_S = 1e-3
+
+
+def _wait(inbox, cores: Sequence[WorkerCore], timeout: Optional[float] = None) -> Any:
+    """``inbox(timeout)``, spinning first while a join is outstanding.
+
+    When one of ``cores`` is blocked at a join and the wait may block
+    (``timeout`` is not 0), poll ``inbox(0)`` for up to
+    :data:`JOIN_SPIN_S` (and no longer than ``timeout``), calling
+    ``os.sched_yield()`` between polls, then park in ``inbox`` for what
+    is left of ``timeout``.  The yield keeps a spin from holding the CPU
+    that the place it waits on needs, on one CPU or a busy host."""
+    if timeout != 0 and any(c.blocked for c in cores):
+        start = time.monotonic()
+        until = start + (JOIN_SPIN_S if timeout is None else min(JOIN_SPIN_S, timeout))
+        while True:
+            got = inbox(0)
+            if got is not None:
+                return got
+            now = time.monotonic()
+            if now >= until:
+                break
+            os.sched_yield()
+        if timeout is not None:
+            timeout = start + timeout - now
+            if timeout <= 0:
+                return None
+    return inbox(timeout)
 
 
 @dataclass
@@ -330,7 +373,7 @@ def _drive_place(
     report per worker up ``control`` — the blocking loop of a forked
     place, a node agent or the coordinator's own place.
     ``inbox(timeout=None)`` returns the next ``(worker, batch)``,
-    ``STOP``, or None once ``timeout`` seconds pass.
+    ``STOP``, or None once ``timeout`` seconds pass (0: at once).
 
     The place starts at the attempt's origin and pumps the streams its
     workers own.  After each round it runs the queue, then serves its
@@ -344,14 +387,17 @@ def _drive_place(
     still holds its state may need more input to answer the join its
     sibling waits at.  A worker that stops announces its crash or
     quiesce, and the place runs and pumps no further; a worker stopped
-    before it announced anything ships its stall state.  With the
+    before it announced anything ships its stall state.  Each wait on
+    the inbox spins briefly first while a join is outstanding
+    (:func:`_wait`).  With the
     metrics plane on and the channel ``live`` (a cluster exporter
     listens), a snapshot per worker goes up at most every 0.25 s."""
     origin = control.wait_origin()
     spec = spec.at_origin(origin)
     place = _Place(spec, hosted, remote)
     workers = list(place.workers.values())
-    leaves = [w.core for w in workers if w.core.is_leaf]
+    cores = [w.core for w in workers]
+    leaves = [c for c in cores if c.is_leaf]
     live = spec.metrics is not None and control.live
     last_push = time.monotonic()
 
@@ -378,7 +424,7 @@ def _drive_place(
             held = all(c.blocked for c in leaves) and any(
                 c.unprocessed() >= LEAF_LEAD for c in leaves
             )
-            got = inbox(None if held else max(0.0, deadline - time.monotonic()))
+            got = _wait(inbox, cores, None if held else max(0.0, deadline - time.monotonic()))
             if got is None or got is STOP:
                 break
             place.runq.append(got)
@@ -394,7 +440,7 @@ def _drive_place(
                 if w.node_id not in done and w.core.drained_through(closing, itags):
                     done.add(w.node_id)
                     control.send("done", w.node_id)
-        got = inbox()
+        got = _wait(inbox, cores)
         if got is not STOP:
             place.runq.append(got)
             run()

@@ -605,14 +605,20 @@ def initial_leaf_states(
 
     C2-consistency makes the forked distribution equivalent to the
     sequential state; running the forks in the coordinating parent
-    means worker substrates only ever receive ready-made states.
+    means worker substrates only ever receive ready-made states.  The
+    forks run left subtree first, over an explicit stack: a recursive
+    closure would be a reference cycle holding the plan, the program
+    and the states until the cycle collector ran.
     """
     states: Dict[str, Any] = {}
-
-    def rec(node: PlanNode, state: Any) -> None:
+    stack: List[Tuple[PlanNode, Any]] = [
+        (plan.root, program.init() if root_state is INIT_STATE else root_state)
+    ]
+    while stack:
+        node, state = stack.pop()
         if node.is_leaf:
             states[node.id] = state
-            return
+            continue
         left, right = node.children
         fork = program.fork_for(node.state_type, left.state_type, right.state_type)
         pred_l = program.true_pred().restrict(
@@ -622,10 +628,8 @@ def initial_leaf_states(
             {t.tag for t in plan.subtree_itags(right.id)}
         )
         s_l, s_r = fork(state, pred_l, pred_r)
-        rec(left, s_l)
-        rec(right, s_r)
-
-    rec(plan.root, program.init() if root_state is INIT_STATE else root_state)
+        stack.append((right, s_r))
+        stack.append((left, s_l))
     return states
 
 

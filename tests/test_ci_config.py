@@ -275,6 +275,28 @@ class TestDistributedSmokeLane:
         assert "python examples/distributed.py --placement w1=node0" in runs
         assert os.path.exists(os.path.join(ROOT, "examples", "distributed.py"))
 
+    def test_the_lane_runs_the_example_with_a_node_that_hosts_no_worker(self, jobs):
+        """The example's pins leave one of its three nodes without a
+        worker: the node is declared, and no agent is forked for it."""
+        from repro.apps import value_barrier as vb
+        from repro.runtime import local_nodes, resolve_placement
+
+        runs = {
+            s.get("name"): " ".join(str(s.get("run", "")).split())
+            for s in jobs["distributed-smoke"]["steps"]
+        }
+        cmd = runs["Cluster example, a node that hosts no worker"]
+        assert cmd == (
+            "python examples/distributed.py --nodes 3 --workers 2 "
+            "--placement w1=node0,w2=node0,w3=node1"
+        )
+        prog = vb.make_program()
+        plan = vb.make_plan(prog, vb.make_workload(n_value_streams=2))
+        pins = dict(pair.split("=") for pair in cmd.split("--placement ")[1].split(","))
+        nodes = local_nodes(3)
+        hosting = set(resolve_placement(plan, nodes, pins).values())
+        assert hosting < {n.name for n in nodes}
+
     def test_the_lane_runs_the_one_place_chaos_slice(self, jobs):
         """Crashes and re-plans with every worker of a plan in one node
         agent: its run queue carries every join step."""

@@ -200,12 +200,12 @@ class TestWorkerMetrics:
 
 class _Inbox:
     """An inbox stub for a one-worker place: the given batches for
-    ``w1``, then the stop frame."""
+    ``w1``, then the stop frame, whatever the timeout."""
 
     def __init__(self, batches):
         self._batches = iter([*(("w1", b) for b in batches), STOP])
 
-    def __call__(self):
+    def __call__(self, timeout=None):
         return next(self._batches)
 
 

@@ -10,6 +10,7 @@ import random
 import threading
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,6 +37,8 @@ from repro.runtime.messages import (
     JoinRequest,
     JoinResponse,
 )
+from repro.runtime.protocol import initial_leaf_states
+from repro.runtime.transport import STOP
 from repro.runtime.wire import pack_frame, unpack_frame
 
 
@@ -280,6 +283,119 @@ def test_a_place_is_freed_without_the_cycle_collector(monkeypatch, backend):
         gc.enable()
     assert run.output_multiset() == spec_multiset(prog, streams)
     assert alive and not any(alive), alive
+
+
+@pytest.mark.parametrize("backend", ["threaded", "process"])
+def test_a_run_leaves_no_cycle_for_the_collector(monkeypatch, backend):
+    """With the cyclic collector off, one run leaves nothing that only
+    the collector could free: the initial leaf states are forked
+    without a self-referencing closure."""
+    _cpus(monkeypatch, 2)
+    prog = vb.make_program()
+    wl = vb.make_workload(n_value_streams=2, values_per_barrier=10, n_barriers=2)
+    streams = vb.make_streams(wl)
+    plan = vb.make_plan(prog, wl)
+    gc.collect()
+    gc.disable()
+    try:
+        run = run_on_backend(backend, prog, plan, streams)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert run.output_multiset() == spec_multiset(prog, streams)
+    assert found == 0
+
+
+def test_the_initial_leaf_states_are_forked_left_subtree_first():
+    plan = _six_leaf_plan()
+    states = initial_leaf_states(plan, vb.make_program())
+    assert list(states) == [n.id for n in plan.leaves()]
+
+
+class _FakeInbox:
+    """A receiver on a fake clock (``now``): each non-blocking poll
+    takes ``poll_s`` and returns the next of ``batches`` (None once none
+    is left); a receive that may block returns ``STOP`` at once.
+    Records ``(timeout, now)`` per call."""
+
+    def __init__(self, batches=(), poll_s=0.0):
+        self.batches = list(batches)
+        self.poll_s = poll_s
+        self.now = 0.0
+        self.calls = []
+
+    def __call__(self, timeout=None):
+        self.calls.append((timeout, self.now))
+        if timeout != 0:
+            return STOP
+        self.now += self.poll_s
+        return self.batches.pop(0) if self.batches else None
+
+
+class TestJoinSpin:
+    """A place's wait on its inbox (``process._wait``): while a hosted
+    worker has a join outstanding it polls without blocking, yielding
+    between polls, for at most ``JOIN_SPIN_S``, then parks."""
+
+    BUDGET = process.JOIN_SPIN_S
+    BLOCKED = [SimpleNamespace(blocked=False), SimpleNamespace(blocked=True)]
+    FREE = [SimpleNamespace(blocked=False), SimpleNamespace(blocked=False)]
+
+    @pytest.fixture
+    def yields(self, monkeypatch):
+        count = [0]
+
+        def sched_yield():
+            count[0] += 1
+
+        monkeypatch.setattr(process.os, "sched_yield", sched_yield)
+        return count
+
+    @staticmethod
+    def _wait(monkeypatch, inbox, cores, *timeout):
+        """``process._wait`` with the inbox's clock as its own."""
+        monkeypatch.setattr(process, "time", SimpleNamespace(monotonic=lambda: inbox.now))
+        return process._wait(inbox, cores, *timeout)
+
+    def test_a_batch_within_the_budget_is_taken_by_polls(self, monkeypatch, yields):
+        batch = ("w2", ["msg"])
+        inbox = _FakeInbox([None, None, batch], poll_s=self.BUDGET / 10)
+        assert self._wait(monkeypatch, inbox, self.BLOCKED) is batch
+        assert [timeout for timeout, _ in inbox.calls] == [0, 0, 0]
+        assert yields[0] == 2
+
+    @pytest.mark.parametrize("timeout", [None, 0.5])
+    def test_no_blocked_core_parks_at_once(self, monkeypatch, yields, timeout):
+        inbox = _FakeInbox([("w2", ["msg"])])
+        assert self._wait(monkeypatch, inbox, self.FREE, timeout) is STOP
+        assert inbox.calls == [(timeout, 0.0)]
+        assert yields[0] == 0
+
+    def test_a_wait_that_may_not_block_does_not_spin(self, monkeypatch, yields):
+        inbox = _FakeInbox([("w2", ["msg"])])
+        assert self._wait(monkeypatch, inbox, self.BLOCKED, 0) == ("w2", ["msg"])
+        assert inbox.calls == [(0, 0.0)]
+        assert yields[0] == 0
+
+    @pytest.mark.parametrize("timeout", [None, 10.0])
+    def test_a_spin_that_finds_nothing_parks_within_the_budget(self, monkeypatch, yields, timeout):
+        """Every poll starts within the budget, so the park follows the
+        budget by at most one poll, with what is left of the timeout."""
+        poll_s = self.BUDGET / 8
+        inbox = _FakeInbox(poll_s=poll_s)
+        assert self._wait(monkeypatch, inbox, self.BLOCKED, timeout) is STOP
+        *polls, (parked, at) = inbox.calls
+        assert polls and all(t == 0 and now < self.BUDGET for t, now in polls)
+        assert self.BUDGET <= at < self.BUDGET + poll_s
+        assert yields[0] == len(polls) - 1
+        assert parked == (None if timeout is None else pytest.approx(timeout - at))
+
+    def test_a_timeout_inside_the_budget_ends_the_spin(self, monkeypatch, yields):
+        timeout = self.BUDGET / 4
+        inbox = _FakeInbox(poll_s=self.BUDGET / 10)
+        assert self._wait(monkeypatch, inbox, self.BLOCKED, timeout) is None
+        assert inbox.calls and all(t == 0 and now < timeout for t, now in inbox.calls)
+        assert inbox.now >= timeout
 
 
 class TestBackendRegistry:
