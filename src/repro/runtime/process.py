@@ -162,9 +162,10 @@ LEAF_LEAD = 8 * MAX_RUN
 
 #: How long a place polls its inbox without blocking, yielding the CPU
 #: between polls, before it parks in a blocking receive, while one of
-#: its workers has a join outstanding.  A join across places answers in
-#: a few hundred microseconds; a park and its wake-up cost about as
-#: much again, on both sides of each crossing.
+#: its workers has a join outstanding: long enough to cover a join that
+#: crosses places (a median round trip of about 0.1 ms on dgsbench's
+#: ``kc_sync``), short enough that a place waiting on a slow join soon
+#: gives its CPU back.
 JOIN_SPIN_S = 1e-3
 
 
