@@ -15,12 +15,20 @@ Lists are held as the SHA-256 of their ``repr`` (floats ``repr``
 exactly, dicts in insertion order), scalars verbatim.  The one
 deliberate difference from the capture: ``events_processed`` counts a
 synchronizing event once (at its update), so it equals ``events_in``.
+
+The second table, ``ENGINE_PARENT``, pins the Flink-like, Timely-like
+and Flumina engines the same way through every runner factory of
+:mod:`repro.bench.experiments` (each variant, at two offered rates):
+the figures and Table 1 reach the engines only through these, and read
+only the fields pinned here.  It was captured before the three engines
+shared one run record (``repro.sim.SimRun``).
 """
 
 import hashlib
 
 import pytest
 
+from repro.bench import experiments
 from repro.runtime import FluminaRuntime, every_root_join
 
 from test_differential import ALL_APPS, _app_case
@@ -148,3 +156,321 @@ def test_sim_results_match_parent_to_the_bit(app):
     assert got == PARENT[app]
     assert res.events_processed == res.events_in
     assert res.output_values() == [v for _k, v in res.keyed_outputs]
+
+
+# -- The three engines through the figure factories ----------------------
+
+#: Every runner factory of :mod:`repro.bench.experiments` (the figures'
+#: and Table 1's only way into the engines), each variant once.
+ENGINE_FACTORIES = {
+    "flink_event_window": lambda p: experiments.flink_event_window(p),
+    "flink_event_window_sequential": lambda p: experiments.flink_event_window(
+        p, mode="sequential"
+    ),
+    "flink_fraud": lambda p: experiments.flink_fraud(p),
+    "flink_fraud_splan": lambda p: experiments.flink_fraud_splan(p),
+    "flink_pageview": lambda p: experiments.flink_pageview(p),
+    "flink_pageview_splan": lambda p: experiments.flink_pageview_splan(p),
+    "timely_event_window": lambda p: experiments.timely_event_window(p),
+    "timely_fraud": lambda p: experiments.timely_fraud(p),
+    "timely_pageview": lambda p: experiments.timely_pageview(p),
+    "timely_pageview_manual": lambda p: experiments.timely_pageview(p, manual=True),
+    "flumina_event_window": lambda p: experiments.flumina_event_window(p),
+    "flumina_fraud": lambda p: experiments.flumina_fraud(p),
+    "flumina_pageview": lambda p: experiments.flumina_pageview(p),
+}
+
+ENGINE_PARALLELISM = 3
+ENGINE_RATES = (40.0, 400.0)
+
+
+def _engine_fingerprint(factory, rate):
+    res = ENGINE_FACTORIES[factory](ENGINE_PARALLELISM)(rate)
+    net = res.network
+    return (
+        res.duration_ms,
+        res.events_in,
+        (net.local_messages, net.remote_messages, net.local_bytes, net.remote_bytes),
+        res.throughput_events_per_ms,
+        res.input_span_ms,
+        res.latency_percentiles(),
+        _digest(res.outputs),
+        _digest(sorted(res.host_utilization.items())),
+    )
+
+
+#: (factory, rate) -> (duration_ms, events_in, network (as above),
+#: throughput_events_per_ms, input_span_ms, latency_percentiles(), then
+#: the digests of outputs [(value, emit time, latency)] and
+#: host_utilization (sorted items)), at parallelism 3.
+ENGINE_PARENT = {
+    ('flink_event_window', 40.0): (
+        39.908500000000004,
+        4503,
+        (4634, 4707, 296576, 301248),
+        112.83310572935589,
+        38.5,
+        [0.6143999999999984, 0.6143999999999998, 0.654880000000005],
+        '94e21a1d7ed5aacf00f37dcdf61de4c9801c1d175d5753c6e56efa2659f8976a',
+        '9caf6656675506e91ff31bc4ba851032d7b58ce280b2566f551b5876d28fd1c6',
+    ),
+    ('flink_event_window', 400.0): (
+        8.179500000000033,
+        4503,
+        (4690, 4791, 300160, 306624),
+        550.5226480836214,
+        4.75,
+        [3.594600000000046, 4.255000000000098, 4.567160000000105],
+        '8f61354c126c1a07814e98159125e1c2880747b8fc0b35ccda9161f49de6d02c',
+        '149d8d2d214e705271c63bb2bb6295ba1ecd5774bf199b3180eed06467ff44f5',
+    ),
+    ('flink_event_window_sequential', 40.0): (
+        39.9055,
+        4503,
+        (1567, 7695, 100288, 492480),
+        112.84158825224593,
+        38.5,
+        [0.42039999999999933, 0.4204000000000008, 0.608480000000003],
+        '5d38281ef0e0e46b07f3a698a97709e05d891a211ec188c5fc175a94c8a2c9c4',
+        'a9cd267d9e7fdaeecf5eec024502b182f7986e79554d718dcef7f70d288e89ea',
+    ),
+    ('flink_event_window_sequential', 400.0): (
+        17.16720000000007,
+        4503,
+        (1595, 7779, 102080, 497856),
+        262.3025304068213,
+        4.75,
+        [12.456300000000205, 12.646700000000667, 12.800300000000501],
+        'a94b4865367f8011bfec287c092f7b6632be68211dc3330c12805a6a4999a0ae',
+        '6621a89342a60438354e1f0baa2714127ee5d765e89f3ed2acbbab5a9e14cdcf',
+    ),
+    ('flink_fraud', 40.0): (
+        39.9055,
+        4503,
+        (1567, 7695, 100288, 492480),
+        112.84158825224593,
+        38.5,
+        [0.42040000000000044, 0.4554999999999998, 0.6146199999999993],
+        '6ce91ea4d7ef24e684578158bae9db0f3496655fe1f75e5e53cb39ffd7547627',
+        'a9cd267d9e7fdaeecf5eec024502b182f7986e79554d718dcef7f70d288e89ea',
+    ),
+    ('flink_fraud', 400.0): (
+        17.16720000000007,
+        4503,
+        (1595, 7779, 102080, 497856),
+        262.3025304068213,
+        4.75,
+        [0.5221999999999962, 12.446700000000089, 12.685100000000626],
+        'b0409b78bfb3887f04f16e4f88ca8e2d767a43fc97a8660d9541afa169b381bf',
+        '6621a89342a60438354e1f0baa2714127ee5d765e89f3ed2acbbab5a9e14cdcf',
+    ),
+    ('flink_fraud_splan', 40.0): (
+        39.9095,
+        4503,
+        (4678, 4713, 299440, 301728),
+        112.83027850511783,
+        38.5,
+        [0.5776199999999987, 0.6445000000000001, 0.7943999999999989],
+        'bf2d95412ef7c56f01fe891f1d46373e350dae2e67c61c1f28f33f12ef33e6ab',
+        '654d74e9bc26d4055de5795887347aff65ff2f6f447bd5e3e9d6d404484a0305',
+    ),
+    ('flink_fraud_splan', 400.0): (
+        8.852300000000135,
+        4503,
+        (4748, 4797, 303920, 307104),
+        508.68135964663776,
+        4.75,
+        [0.7465599999999938, 3.726600000000137, 4.937560000000122],
+        'bfedd1f81cac8b7884f4e1175233b1ddd382a42012441997e08e91b7cdd1e2d4',
+        '369e76948eaf5db6035de5b6fdb23ccb9741a7313edaeedfafee609080f5401b',
+    ),
+    ('flink_pageview', 40.0): (
+        39.92835714285715,
+        4506,
+        (3131, 6393, 200384, 409152),
+        112.85212621892423,
+        38.517857142857146,
+        [0.6396428571428565, 0.641414285714287, 0.6432000000000055],
+        'c00138768045efc7c3af8462ee484d7261212e9a49b9c1b01daf0ece5a554b9d',
+        'e9bfb744d35770e462d6c999fb707c80e62200eb413edaf8bb95b3ed93088865',
+    ),
+    ('flink_pageview', 400.0): (
+        12.83540000000102,
+        4506,
+        (3188, 6564, 204032, 420096),
+        351.0603487230349,
+        4.751785714285714,
+        [4.504914285714391, 6.357442857143226, 8.192971428572264],
+        'c363601541c7e705c410bedfac6586148508ad40baf8edd18419ef092b9f9f8a',
+        'fbeb73b7b7417b41f07349e23f8bac833d528074795ed7e5ff32060ba4c27096',
+    ),
+    ('flink_pageview_splan', 40.0): (
+        39.92735714285715,
+        4506,
+        (4690, 4722, 300208, 302304),
+        112.85495265508968,
+        38.517857142857146,
+        [0.6254285714285723, 0.6401142857142883, 0.6696285714285892],
+        '13dd04793e24a39fd3d103faae4114439518cd6a6b525b6c37351670412642a8',
+        '505dcd1a2f41611fcc3cb0e66cef74255c9f2eeadfc924616ab898e49bf44028',
+    ),
+    ('flink_pageview_splan', 400.0): (
+        9.282200000000149,
+        4506,
+        (4762, 4809, 304816, 307872),
+        485.44526082178015,
+        4.751785714285714,
+        [4.1413928571430105, 4.981192857143012, 5.88324285714296],
+        '69efcb57426e816f2c57fbde865808836d4a0f809c7545089de66e25c4502cd9',
+        '6feb5231da46a7d49f3eb58deace0542bfd3467056932151bb833e43e9d1d995',
+    ),
+    ('timely_event_window', 40.0): (
+        39.911,
+        4500,
+        (3, 15, 192, 288384),
+        112.75087068727919,
+        38.5,
+        [1.4109999999999971, 1.4110000000000014, 1.4110000000000014],
+        'd1657f58c031e0e52eed51ef2f5a44434301b67b07095d67cd03ab22c744edfe',
+        'f4d1acc88b7a39a6695b4e95d1769c6f5013fdaa08a7e34e3b4af86954f8b0f4',
+    ),
+    ('timely_event_window', 400.0): (
+        6.161,
+        4500,
+        (3, 15, 192, 288384),
+        730.4009089433534,
+        4.75,
+        [1.4109999999999996, 1.4109999999999996, 1.411],
+        'c437f815df24e97c1f5a62546896d655554ef260b9dc330ff759ba4d380680df',
+        '02197e6194535d83f7ee20943e717bb731f5d3796f38c830ab768208080e45b1',
+    ),
+    ('timely_fraud', 40.0): (
+        40.118,
+        4500,
+        (6, 21, 384, 288768),
+        112.16910115160276,
+        38.5,
+        [1.2019999999999982, 1.2020000000000053, 1.4110000000000014],
+        '006d3dfbe76a33328d2e6ade09fb0b2e77cdfac18b9db79441dca84958eea8b1',
+        'e4c46b144a91b5bfe88a670ec5f1362d95f7e9d873532b99ad31768b211afe3d',
+    ),
+    ('timely_fraud', 400.0): (
+        6.371999999999999,
+        4500,
+        (6, 21, 384, 288768),
+        706.2146892655369,
+        4.75,
+        [1.202, 1.2059999999999995, 1.4149999999999991],
+        '1494831c67ab21f9ad995155dbbb6c2a04081862c0f1b1c5b5045639ee845774',
+        'd3cc328ef4945f52ec8625a62d16f15c0da0c25646bf0f31e745b7f3c94c2957',
+    ),
+    ('timely_pageview', 40.0): (
+        41.734285714285726,
+        4506,
+        (18, 54, 192768, 386880),
+        107.96878209077836,
+        38.51428571428571,
+        [2.220000000000004, 2.723000000000007, 3.2289999999999965],
+        '7c0b94c25abf1e61eeadf9b61f2ad6b4f9d2e81ba2593cb56c90da4c0236d5c5',
+        '741883cdaff546e7e088d2aa9ef598ca45cec90336a7a5cd9ad5eb7fb27ee7c9',
+    ),
+    ('timely_pageview', 400.0): (
+        11.529428571428573,
+        4506,
+        (18, 54, 192768, 386880),
+        390.82596089510065,
+        4.751428571428572,
+        [2.728999999999999, 4.487999999999998, 6.9],
+        'b8366ca3dd3dd795cde57c990d7891e0a99c5aca240016fcc34dc3c316780b66',
+        '936925ac5ab8b6cf9d5be4bc8970114c0807ad932c56c0f777b733944b3b6302',
+    ),
+    ('timely_pageview_manual', 40.0): (
+        39.92928571428572,
+        4506,
+        (9, 36, 768, 290304),
+        112.84950179782113,
+        38.51428571428571,
+        [1.4100000000000037, 1.4140000000000033, 1.4179999999999984],
+        '887de425fb7b51fcd01efa699c0f96071881c30cadb4db36d2e6751a45e26aa6',
+        'd87338d5d1957baf7f87411b9a6f46137cbf38a4dd9e796838a98432f7c2b1d8',
+    ),
+    ('timely_pageview_manual', 400.0): (
+        6.166428571428573,
+        4506,
+        (9, 36, 768, 290304),
+        730.7309162515926,
+        4.751428571428572,
+        [1.4099999999999995, 1.4140000000000004, 1.4180000000000001],
+        '80216b559fc4609669aba88fb03bbe36a982786be08b6b7870fbb894a6c1f004',
+        '969b963740efd99b3c3ac45566d8667309cfa9cf3bf12e65b6fdc4e3376da3a4',
+    ),
+    ('flumina_event_window', 40.0): (
+        39.71700000000002,
+        4503,
+        (4719, 88, 302208, 5824),
+        116.32052076875382,
+        37.495,
+        [0.4453999999999965, 0.44539999999999935, 0.4659600000000054],
+        '15288482a0bcb26b09ea26abb8908d406f8094adb4a736a22be32a9ede88ecee',
+        'a7d115826e37751ca5ebe662d7f1ee0d8e0d27ff0e9d32b38f05aaf82bcc2780',
+    ),
+    ('flumina_event_window', 400.0): (
+        7.689999999999746,
+        4503,
+        (4718, 62, 302144, 4160),
+        673.144480155493,
+        3.7495000000000003,
+        [2.8834799999997465, 3.527799999999746, 4.173719999999746],
+        '0868abe38cac66285229d5418f758f8e5b758159e321e2320fb40fe0b50c9b5c',
+        'b478fe730048f447c0080ada3a08002d62d31e6f1be61a4aced66a475a61c54a',
+    ),
+    ('flumina_fraud', 40.0): (
+        39.71700000000002,
+        4503,
+        (4719, 88, 302400, 6016),
+        116.32052076875382,
+        37.495,
+        [0.39635999999999627, 0.4458000000000002, 0.6057200000000037],
+        '41bba239292396ea17d58b037c058b79cff8c8a41c632304202eac8850df801d',
+        'cd050c19c9973a77f735209d079d0475809c68a555b8967062094c1ded108af6',
+    ),
+    ('flumina_fraud', 400.0): (
+        7.692399999999741,
+        4503,
+        (4718, 62, 302336, 4352),
+        672.9030619106942,
+        3.7495000000000003,
+        [0.5464600000000068, 2.533299999999743, 3.6905599999997434],
+        'c53d64d7849ae4d59888972d326487c7170dc896982571db86e3f0347f6e0830',
+        '6c10c8fe060c22c46eac03784f895be47b3e3b76d65f44e3dfa8aed437c92d5e',
+    ),
+    ('flumina_pageview', 40.0): (
+        39.72735714285716,
+        4506,
+        (4710, 44, 301520, 2896),
+        116.36258999175473,
+        37.51428571428572,
+        [0.022885714285715508, 0.3302214285714289, 0.43500714285714714],
+        '4a582cb6d5dad684a9c3a0e4129c3f5505027f3cb979b660062686e31fe1a570',
+        'd432658215638105d9b3b40b3645517679807d3ebf69793dfe4a1af1310738b7',
+    ),
+    ('flumina_pageview', 400.0): (
+        7.307371428571198,
+        4506,
+        (4744, 38, 303696, 2512),
+        714.4426500200718,
+        3.751428571428571,
+        [0.8568142857142831, 2.022328571428339, 3.3061071428569515],
+        '36c3e455b8574cf89b374cb0234ceb42fdb154a496e7fd577594aaed6a86fc65',
+        'be245ae1fc5f4c1bb4ce4e7f326027fde27233db78aef9ff4c7dac2fd0e26446',
+    ),
+}
+
+
+def test_engine_fingerprint_covers_every_factory():
+    assert set(ENGINE_PARENT) == {(f, r) for f in ENGINE_FACTORIES for r in ENGINE_RATES}
+
+
+@pytest.mark.parametrize("factory, rate", sorted(ENGINE_PARENT))
+def test_engine_results_match_parent_to_the_bit(factory, rate):
+    assert _engine_fingerprint(factory, rate) == ENGINE_PARENT[factory, rate]
