@@ -11,9 +11,8 @@ percentiles at a fixed offered rate.  The harness mirrors that:
   ramp of offered rates (Figure 6's axes).
 
 ``run_at_rate`` callbacks receive an events-per-millisecond *per
-input stream* rate and return any object exposing
-``throughput_events_per_ms`` and ``latency_percentiles`` (all engine
-results in this repository do).
+input stream* rate and return the run's :class:`repro.sim.SimRun`
+(every simulated engine's ``run()`` does).
 """
 
 from __future__ import annotations
@@ -23,16 +22,9 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..runtime.options import RunOptions  # leaf module; no import cycle
-
-
-class ResultLike(Protocol):  # pragma: no cover - structural typing only
-    @property
-    def throughput_events_per_ms(self) -> float: ...
-
-    def latency_percentiles(self, qs: Sequence[float] = (10, 50, 90)) -> List[float]: ...
 
 
 @dataclass(frozen=True)
@@ -72,17 +64,11 @@ class SweepResult:
 def _measure(run_at_rate: Callable[[float], Any], rate: float) -> RatePoint:
     res = run_at_rate(rate)
     p10, p50, p90 = res.latency_percentiles((10, 50, 90))
-    # Offered load = total events over the injection window; results
-    # expose input_span_ms precisely so efficiency is scale-free
-    # (duration converging to the input span means "keeping up").
-    span = getattr(res, "input_span_ms", None)
-    events_in = getattr(res, "events_in", None)
-    if span and events_in:
-        offered = events_in / span
-    else:  # pragma: no cover - non-standard result object
-        offered = rate
+    # Offered load = total events over the injection window, so
+    # efficiency is scale-free (duration converging to the input span
+    # means "keeping up").
     return RatePoint(
-        offered_per_ms=offered,
+        offered_per_ms=res.events_in / res.input_span_ms,
         achieved_per_ms=res.throughput_events_per_ms,
         latency_p10=p10,
         latency_p50=p50,

@@ -26,10 +26,6 @@ class DependenceError(ProgramError):
     """The dependence relation is malformed (e.g. not symmetric)."""
 
 
-class ConsistencyError(ProgramError):
-    """A program violates one of the consistency conditions C1-C3."""
-
-
 class PlanError(ReproError):
     """A synchronization plan is structurally invalid."""
 

@@ -19,7 +19,7 @@ the given timestamp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Iterator, NamedTuple
+from typing import Any, Hashable, Iterable, NamedTuple
 
 Tag = Hashable
 StreamId = Hashable
@@ -162,12 +162,3 @@ def check_valid_input_instance(streams: list[list[Record]]) -> list[str]:
                     f"event of stream {i}"
                 )
     return problems
-
-
-def iter_stream_tags(streams: Iterable[Iterable[Record]]) -> Iterator[ImplTag]:
-    seen: set[ImplTag] = set()
-    for stream in streams:
-        for rec in stream:
-            if rec.itag not in seen:
-                seen.add(rec.itag)
-                yield rec.itag

@@ -61,9 +61,6 @@ class StateType:
     update: UpdateFn
     update_batch: Optional[BatchUpdateFn] = None
 
-    def can_handle(self, tag: Tag) -> bool:
-        return tag in self.pred
-
 
 @dataclass(frozen=True)
 class ForkFn:

@@ -27,9 +27,6 @@ from typing import Dict, List, Tuple
 
 from ..core.events import Event, ImplTag
 
-EPS = 1e-3
-
-
 def uniform_stream(
     itag: ImplTag,
     *,

@@ -5,7 +5,6 @@ Appendix G)."""
 from .apps import build_event_window_job, build_fraud_job, build_pageview_job
 from .engine import (
     FlinkJob,
-    FlinkResult,
     JobGraph,
     OperatorInstance,
     Rec,
@@ -20,7 +19,6 @@ from .splan import (
 
 __all__ = [
     "FlinkJob",
-    "FlinkResult",
     "ForkJoinService",
     "JobGraph",
     "OperatorInstance",

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
-from ..runtime.metrics import percentiles
-from ..sim.actors import Actor, ActorSystem
+from ..sim.actors import Actor, ActorSystem, SimRun
 from ..sim.core import Simulator
-from ..sim.network import NetworkStats, Topology
+from ..sim.network import Topology
 from ..sim.params import DEFAULT_PARAMS, SimParams
 
 
@@ -236,39 +235,6 @@ class _InstanceActor(Actor):
     def _channel_id(self) -> int:
         return self.job.channel_base[self.op.name] + self.index
 
-    def output(self, value: Any, ts: float) -> None:
-        self.job.outputs.append((value, self.now, self.now - ts))
-
-
-@dataclass
-class FlinkResult:
-    outputs: List[Tuple[Any, float, float]]
-    duration_ms: float
-    first_input_ms: float
-    last_input_ms: float
-    events_in: int
-    records_processed: int
-    network: NetworkStats
-    host_utilization: Dict[str, float]
-
-    def latencies(self) -> List[float]:
-        return [lat for _, _, lat in self.outputs]
-
-    def latency_percentiles(self, qs: Sequence[float] = (10, 50, 90)) -> List[float]:
-        return percentiles(self.latencies(), qs)
-
-    def output_values(self) -> List[Any]:
-        return [v for v, _, _ in self.outputs]
-
-    @property
-    def input_span_ms(self) -> float:
-        return max(self.last_input_ms - self.first_input_ms, 1e-9)
-
-    @property
-    def throughput_events_per_ms(self) -> float:
-        span = self.duration_ms - self.first_input_ms
-        return self.events_in / span if span > 0 else 0.0
-
 
 class FlinkJob:
     """Deploy a JobGraph onto a simulated cluster and run it."""
@@ -285,7 +251,6 @@ class FlinkJob:
         self.topology = topology or Topology.cluster(n_hosts, params=params)
         self.sim = Simulator()
         self.system = ActorSystem(self.sim, self.topology)
-        self.outputs: List[Tuple[Any, float, float]] = []
         self.records_processed = 0
         self.services: Dict[str, Actor] = {}
         # Globally unique channel ids per (operator, instance).
@@ -310,6 +275,12 @@ class FlinkJob:
                 self._actors[actor.name] = actor
         self._fed_channels: Dict[str, List[Tuple[int, int]]] = {}
         self._opened = False
+        self._events_in = 0
+        #: One past the last fed record's ts: the closing watermark.
+        self._end_ts = 0.0
+        #: (instance, source channel, watermark times, source host)
+        #: per fed instance; injected by run() once _end_ts is final.
+        self._pending_wm: List[Tuple[str, int, List[float], Optional[str]]] = []
 
     @staticmethod
     def instance_name(op_name: str, index: int) -> str:
@@ -341,11 +312,10 @@ class FlinkJob:
                 f"parallelism {op.parallelism}"
             )
         n = 0
-        self._events_in = getattr(self, "_events_in", 0)
         end_ts = max(
             (recs[-1].ts for recs in per_instance if recs), default=0.0
         )
-        self._end_ts = max(getattr(self, "_end_ts", 0.0), end_ts + 1.0)
+        self._end_ts = max(self._end_ts, end_ts + 1.0)
         for i, recs in enumerate(per_instance):
             dst = self.instance_name(op_name, i)
             src_host = source_hosts[i] if source_hosts else None
@@ -364,7 +334,6 @@ class FlinkJob:
                 while t < self._end_ts:
                     times.append(t)
                     t += heartbeat_interval
-            self._pending_wm = getattr(self, "_pending_wm", [])
             self._pending_wm.append((dst, i, times, src_host))
             self._fed_channels.setdefault(op_name, []).append((i, -1 - i))
         self._events_in += n
@@ -394,32 +363,19 @@ class FlinkJob:
             actor.logic.open()
         self._opened = True
 
-    def run(self, *, max_sim_events: int = 50_000_000) -> FlinkResult:
+    def run(self, *, max_sim_events: int = 50_000_000) -> SimRun:
         if not self._opened:
             self._compute_expected_channels()
         # Inject watermarks (incl. closing ones) now that the global
         # end time is known.
-        end = getattr(self, "_end_ts", 1.0)
-        for dst, i, times, src_host in getattr(self, "_pending_wm", []):
-            for t in times + [end]:
+        for dst, i, times, src_host in self._pending_wm:
+            for t in times + [self._end_ts]:
                 self.system.inject(
                     dst, _Delivery(0, -1 - i, Watermark(t)), at=t, from_host=src_host
                 )
-        self.sim.run(max_events=max_sim_events)
-        duration = max(self.sim.now, self.system.last_completion)
-        util = {
-            name: host.utilization(duration) if duration > 0 else 0.0
-            for name, host in self.topology.hosts.items()
-        }
-        return FlinkResult(
-            outputs=list(self.outputs),
-            duration_ms=duration,
-            first_input_ms=0.0,
-            last_input_ms=max(getattr(self, "_end_ts", 1.0) - 1.0, 1e-9),
-            events_in=getattr(self, "_events_in", 0),
-            records_processed=self.records_processed,
-            network=self.topology.stats,
-            host_utilization=util,
+        self.system.run(max_events=max_sim_events)
+        return self.system.result(
+            self._events_in, 0.0, max(self._end_ts - 1.0, 1e-9)
         )
 
 

@@ -23,14 +23,12 @@ and produce plans over a single state type by default.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import PlanError
 from ..core.events import ImplTag
 from ..core.program import DGSProgram
 from .plan import PlanNode, SyncPlan
-
-ItagGroup = FrozenSet[ImplTag]
 
 #: The layouts of the leaves under a root that :func:`root_and_leaves_plan`
 #: (and every builder and morph on top of it) can build: a balanced

@@ -10,8 +10,9 @@ outputs, the per-message CPU cost, and the state-transfer cost of
 joins and forks.  The runtime forks the initial state down the tree
 (consistent by C2), injects every stream's producer traffic (events
 plus periodic heartbeats, §3.4) at its timestamp, runs the simulation
-to completion, and returns a :class:`RunResult` with outputs,
-latencies, throughput, and network statistics.
+to completion, and returns a :class:`RunResult`: the simulator's run
+record (:class:`~repro.sim.SimRun`: outputs, latencies, throughput,
+network statistics) plus the protocol's attempt record.
 
 Timestamps double as simulated arrival times: an event with timestamp
 ``ts`` departs its producer at ``ts`` milliseconds of simulated time,
@@ -30,9 +31,9 @@ from ..core.program import DGSProgram
 from ..plans.generation import assign_hosts_round_robin
 from ..plans.plan import PlanNode, SyncPlan
 from ..plans.validity import assert_p_valid
-from ..sim.actors import Actor, ActorSystem
+from ..sim.actors import Actor, ActorSystem, SimRun
 from ..sim.core import Simulator
-from ..sim.network import NetworkStats, Topology
+from ..sim.network import Topology
 from ..sim.params import DEFAULT_PARAMS, SimParams
 from .faults import FaultPlan, WorkerCrash
 from .messages import ForkStateMsg, HeartbeatMsg, JoinResponse
@@ -85,21 +86,15 @@ class InputStream:
 
 
 @dataclass
-class RunResult:
+class RunResult(SimRun):
     """The simulator's virtual-time measurement of one attempt.
 
     Protocol counters and logs (``joins``, ``checkpoints``,
-    ``events_in``, ``keyed_outputs``, ``crashes``, ``metrics``, ...)
-    live on the substrate-independent ``attempt`` record and read
-    through from here."""
+    ``keyed_outputs``, ``crashes``, ``metrics``, ...) live on the
+    substrate-independent ``attempt`` record and read through from
+    here."""
 
     attempt: AttemptOutcome
-    outputs: List[Tuple[Any, float, float]]  # (value, emit_time, latency)
-    duration_ms: float
-    first_input_ms: float
-    last_input_ms: float
-    network: NetworkStats
-    host_utilization: Dict[str, float]
     #: per-event processing latency (update time - event.ts) for every
     #: update, recorded only when track_event_latency is set (the
     #: heartbeat-sensitivity experiments of Appendix D.1 need it).
@@ -117,44 +112,24 @@ class RunResult:
         Appendix D.1 metric (requires track_event_latency=True)."""
         return percentiles(self.event_latencies, qs)
 
-    def output_values(self) -> List[Any]:
-        return [v for v, _, _ in self.outputs]
-
-    def latencies(self) -> List[float]:
-        return [lat for _, _, lat in self.outputs]
-
-    def latency_percentiles(self, qs: Sequence[float] = (10, 50, 90)) -> List[float]:
-        return percentiles(self.latencies(), qs)
-
-    @property
-    def input_span_ms(self) -> float:
-        """Length of the input injection window (offered-load basis)."""
-        return max(self.last_input_ms - self.first_input_ms, 1e-9)
-
-    @property
-    def throughput_events_per_ms(self) -> float:
-        span = self.duration_ms - self.first_input_ms
-        if span <= 0:
-            return 0.0
-        return self.events_in / span
-
 
 class _SimSink(OutputSink):
-    """The simulated cluster's sink: the plain accumulator plus every
-    output's virtual emit time and latency.  ``now`` is the handling
-    actor's clock, set at the door of each handler."""
+    """The simulated cluster's sink: the plain accumulator, and every
+    output with its virtual emit time and latency in the system's
+    output ``log``.  ``now`` is the handling actor's clock, set at the
+    door of each handler."""
 
-    __slots__ = ("now", "timed")
+    __slots__ = ("now", "log")
 
-    def __init__(self, record_keys: bool) -> None:
+    def __init__(self, record_keys: bool, log: List[Tuple[Any, float, float]]) -> None:
         super().__init__(record_keys)
         self.now = 0.0
-        self.timed: List[Tuple[Any, float, float]] = []
+        self.log = log
 
     def emit(self, outs: Sequence[Any], key: Optional[tuple] = None) -> None:
         super().emit(outs, key)
         now = self.now
-        self.timed.extend((out, now, now - key[0]) for out in outs)
+        self.log.extend((out, now, now - key[0]) for out in outs)
 
 
 class _SimWorker(Actor):
@@ -292,7 +267,7 @@ class FluminaRuntime:
         in ``leaf_states`` (default: the shares of ``init()``)."""
         t0 = time.perf_counter()
         system = ActorSystem(Simulator(), self.topology)
-        sink = _SimSink(self.record_keys)
+        sink = _SimSink(self.record_keys, system.outputs)
         attempt = AttemptOutcome(
             outputs=sink.outputs,
             keyed_outputs=sink.keyed_outputs,
@@ -327,8 +302,7 @@ class FluminaRuntime:
             for msg in producer_messages(stream, end_ts, start_ts):
                 system.inject(owner.id, msg, at=message_ts(msg), from_host=src_host)
 
-        system.sim.run(max_events=max_sim_events)
-        duration = max(system.sim.now, system.last_completion)
+        system.run(max_events=max_sim_events)
         if not attempt.crashes and attempt.quiesce is None:
             # A crashed or quiesced attempt legitimately strands
             # buffered items (the stopped worker's, and its blocked
@@ -353,26 +327,19 @@ class FluminaRuntime:
                 events_processed=sink.events_processed,
                 joins_completed=sink.joins,
             )
-            if sink.timed:
+            if system.outputs:
                 h = LatencyHistogram(buckets)
-                for _, _, lat in sink.timed:
+                for _, _, lat in system.outputs:
                     h.observe(max(lat, 0.0) / 1000.0)
                 snap.event_latency = h
             attempt.metrics = RunMetrics(latency_buckets=buckets)
             attempt.metrics.absorb(snap)
         # Host wall-clock of the simulation, not simulated time.
         attempt.wall_s = time.perf_counter() - t0
+        last_ts = max((e.ts for s in streams for e in s.events), default=0.0)
         return RunResult(
+            **vars(system.result(attempt.events_in, start_ts, last_ts)),
             attempt=attempt,
-            outputs=sink.timed,
-            duration_ms=duration,
-            first_input_ms=start_ts,
-            last_input_ms=max((e.ts for s in streams for e in s.events), default=0.0),
-            network=self.topology.stats,
-            host_utilization={
-                name: host.utilization(duration)
-                for name, host in self.topology.hosts.items()
-            },
             event_latencies=event_latencies or [],
         )
 

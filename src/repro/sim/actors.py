@@ -20,20 +20,49 @@ schedule, same statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .core import Simulator
-from .network import Host, Topology
+from .network import Host, NetworkStats, Topology
 from .params import SimParams
 
 
 @dataclass
-class OutputRecord:
-    """An output emitted by an actor, with emission time."""
+class SimRun:
+    """One simulated run's record, the same for every engine.
 
-    time: float
-    actor: str
-    value: Any
+    ``outputs`` is the system's output log: ``(value, emit time,
+    latency)`` per output.  ``duration_ms`` is the makespan, and
+    ``first_input_ms``/``last_input_ms`` bound the input window."""
+
+    outputs: List[Tuple[Any, float, float]]
+    duration_ms: float
+    events_in: int
+    first_input_ms: float
+    last_input_ms: float
+    network: NetworkStats
+    host_utilization: Dict[str, float]
+
+    def output_values(self) -> List[Any]:
+        return [v for v, _, _ in self.outputs]
+
+    def latencies(self) -> List[float]:
+        return [lat for _, _, lat in self.outputs]
+
+    def latency_percentiles(self, qs: Sequence[float] = (10, 50, 90)) -> List[float]:
+        from ..runtime.metrics import percentiles  # repro.runtime imports repro.sim
+
+        return percentiles(self.latencies(), qs)
+
+    @property
+    def input_span_ms(self) -> float:
+        """Length of the input injection window (offered-load basis)."""
+        return max(self.last_input_ms - self.first_input_ms, 1e-9)
+
+    @property
+    def throughput_events_per_ms(self) -> float:
+        span = self.duration_ms - self.first_input_ms
+        return self.events_in / span if span > 0 else 0.0
 
 
 class Actor:
@@ -69,8 +98,9 @@ class Actor:
         """
         self._outbox.append((dst, msg, units, state_size))
 
-    def emit(self, value: Any) -> None:
-        self.system.record_output(OutputRecord(self.now, self.name, value))
+    def output(self, value: Any, ts: float) -> None:
+        """Log an output of an input stamped ``ts``, emitted now."""
+        self.system.outputs.append((value, self.now, self.now - ts))
 
     def set_timer(self, delay: float, key: Any = None) -> None:
         """Schedule :meth:`on_timer` to fire ``delay`` from now (no CPU
@@ -93,7 +123,8 @@ class ActorSystem:
         self.topology = topology
         self.params: SimParams = topology.params
         self.actors: Dict[str, Actor] = {}
-        self.outputs: List[OutputRecord] = []
+        #: The output log: (value, emit time, latency) per output.
+        self.outputs: List[Tuple[Any, float, float]] = []
         self.messages_delivered = 0
         #: Latest handler completion time; the simulator clock only
         #: advances on *scheduled* events, so a busy tail of handlers
@@ -108,9 +139,6 @@ class ActorSystem:
         actor.system = self
         self.actors[actor.name] = actor
         return actor
-
-    def record_output(self, rec: OutputRecord) -> None:
-        self.outputs.append(rec)
 
     # -- message transport -------------------------------------------------
     def inject(
@@ -206,9 +234,24 @@ class ActorSystem:
         for dst, m, u, ssz in outbox:
             self._send_from(actor, dst, m, u, ssz)
 
-    # -- measurement helpers -------------------------------------------------
-    def output_values(self) -> List[Any]:
-        return [rec.value for rec in self.outputs]
-
+    # -- measurement ---------------------------------------------------------
     def run(self, **kwargs) -> float:
         return self.sim.run(**kwargs)
+
+    def result(
+        self, events_in: int, first_input_ms: float, last_input_ms: float
+    ) -> SimRun:
+        """The record of the run so far; call it after :meth:`run`."""
+        duration = max(self.sim.now, self.last_completion)
+        return SimRun(
+            outputs=list(self.outputs),
+            duration_ms=duration,
+            events_in=events_in,
+            first_input_ms=first_input_ms,
+            last_input_ms=last_input_ms,
+            network=self.topology.stats,
+            host_utilization={
+                name: host.utilization(duration)
+                for name, host in self.topology.hosts.items()
+            },
+        )

@@ -118,11 +118,5 @@ class Topology:
     def record_message(self, src: str, dst: str, nbytes: int) -> None:
         self.stats.record(remote=src != dst, nbytes=nbytes)
 
-    def reset_stats(self) -> None:
-        self.stats = NetworkStats()
-        for h in self.hosts.values():
-            h.busy_until = 0.0
-            h.busy_time = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Topology({len(self.hosts)} hosts)"

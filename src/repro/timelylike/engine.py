@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
-from ..runtime.metrics import percentiles
-from ..sim.actors import Actor, ActorSystem
+from ..sim.actors import Actor, ActorSystem, SimRun
 from ..sim.core import Simulator
-from ..sim.network import NetworkStats, Topology
+from ..sim.network import Topology
 from ..sim.params import DEFAULT_PARAMS, SimParams
 
 StageFn = Callable[["TimelyWorker", int, Dict[str, List[Any]]], List[Tuple]]
@@ -147,7 +146,7 @@ class TimelyWorker(Actor):
             elif kind == "output":
                 _, items = route
                 for item in items:
-                    self.job.outputs.append((item, self.now, self.now - ts))
+                    self.output(item, ts)
             else:  # pragma: no cover - defensive
                 raise RuntimeFault(f"unknown route {route!r}")
 
@@ -159,34 +158,6 @@ class TimelyWorker(Actor):
             _Batch(stage, channel, epoch, tuple(items), ts),
             units=max(1, len(items)),
         )
-
-
-@dataclass
-class TimelyResult:
-    outputs: List[Tuple[Any, float, float]]
-    duration_ms: float
-    last_input_ms: float
-    events_in: int
-    batches_processed: int
-    network: NetworkStats
-    host_utilization: Dict[str, float]
-
-    def output_values(self) -> List[Any]:
-        return [v for v, _, _ in self.outputs]
-
-    def latencies(self) -> List[float]:
-        return [lat for _, _, lat in self.outputs]
-
-    def latency_percentiles(self, qs: Sequence[float] = (10, 50, 90)) -> List[float]:
-        return percentiles(self.latencies(), qs)
-
-    @property
-    def input_span_ms(self) -> float:
-        return max(self.last_input_ms, 1e-9)
-
-    @property
-    def throughput_events_per_ms(self) -> float:
-        return self.events_in / self.duration_ms if self.duration_ms > 0 else 0.0
 
 
 class TimelyJob:
@@ -204,9 +175,9 @@ class TimelyJob:
         self.sim = Simulator()
         self.system = ActorSystem(self.sim, self.topology)
         self.stages: Dict[str, StageDef] = {}
-        self.outputs: List[Tuple[Any, float, float]] = []
         self.batches_processed = 0
         self._events_in = 0
+        self._last_input = 0.0
         hosts = self.topology.host_names()
         self.workers = [
             TimelyWorker(self.worker_name(i), hosts[i % len(hosts)], i, self)
@@ -238,7 +209,6 @@ class TimelyJob:
         epoch closes at the source)."""
         if len(batches) != self.n_workers:
             raise RuntimeFault("need one batch list per worker")
-        self._last_input = getattr(self, "_last_input", 0.0)
         if epoch_times:
             self._last_input = max(self._last_input, max(epoch_times))
         for w, per_epoch in enumerate(batches):
@@ -251,22 +221,9 @@ class TimelyJob:
                     units=max(1, len(items)),
                 )
 
-    def run(self, *, max_sim_events: int = 50_000_000) -> TimelyResult:
+    def run(self, *, max_sim_events: int = 50_000_000) -> SimRun:
         for w in self.workers:
             for stage in self.stages.values():
                 w._seed_feedback(stage, 0)
-        self.sim.run(max_events=max_sim_events)
-        duration = max(self.sim.now, self.system.last_completion)
-        util = {
-            name: host.utilization(duration) if duration > 0 else 0.0
-            for name, host in self.topology.hosts.items()
-        }
-        return TimelyResult(
-            outputs=list(self.outputs),
-            duration_ms=duration,
-            last_input_ms=getattr(self, "_last_input", 0.0),
-            events_in=self._events_in,
-            batches_processed=self.batches_processed,
-            network=self.topology.stats,
-            host_utilization=util,
-        )
+        self.system.run(max_events=max_sim_events)
+        return self.system.result(self._events_in, 0.0, self._last_input)

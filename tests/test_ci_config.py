@@ -377,5 +377,23 @@ class TestOneBenchmarkGate:
                 )
 
     def test_bench_smoke_runs_every_bench_file(self, jobs):
-        runs = [" ".join(str(s.get("run", "")).split()) for s in jobs["bench-smoke"]["steps"]]
-        assert any("pytest benchmarks/bench_*.py --smoke" in r for r in runs)
+        """On every push, at smoke size: the paper figures and Table 1
+        reach the three simulated engines (Flumina, Flink-like,
+        Timely-like) only through this lane, so nothing after the
+        command may deselect a file or a test, or forgive a failure."""
+        job = jobs["bench-smoke"]
+        assert "schedule" in job.get("if", "")
+        (step,) = [
+            str(s["run"]) for s in job["steps"] if "benchmarks/" in str(s.get("run", ""))
+        ]
+        words = shlex.split(step)
+        assert words[:5] == ["python", "-m", "pytest", "benchmarks/bench_*.py", "--smoke"]
+        assert not {"-k", "-m", "--deselect", "--ignore", "||"} & set(words[5:])
+        figures = ("fig4_flink", "fig4_timely", "fig6_splan", "fig8_flumina",
+                   "fig10_latency", "table1_tradeoffs")
+        missing = [
+            f for f in figures
+            if not os.path.exists(os.path.join(ROOT, "benchmarks", f"bench_{f}.py"))
+        ]
+        assert missing == []
+

@@ -194,8 +194,9 @@ class TestFraudJobs:
 
     def test_result_metrics(self):
         wl = fraud.make_workload(n_txn_streams=2, txns_per_rule=20, n_rules=2)
-        res = build_fraud_job(wl, parallelism=2).run()
+        job = build_fraud_job(wl, parallelism=2)
+        res = job.run()
         assert res.events_in == wl.total_events
-        assert res.records_processed > 0
+        assert job.records_processed > 0
         assert res.input_span_ms > 0
         assert len(res.latency_percentiles()) == 3

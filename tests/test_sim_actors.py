@@ -137,18 +137,28 @@ class TestActorDelivery:
 
 
 class TestOutputsAndTimers:
-    def test_emit_records_output(self):
-        sys = make_system(1)
+    def test_output_is_logged_into_the_run_record(self):
+        # The message departs at 0.5 and arrives at 1.5; its 2 of CPU
+        # plus the 0.5 receive overhead complete the handler at 4.0.
+        sys = make_system(
+            1, remote_latency_ms=1.0, cpu_per_event_ms=2.0, recv_overhead_ms=0.5
+        )
 
         class Out(Actor):
             def handle(self, msg, sender):
-                self.emit(msg * 2)
+                self.output(msg * 2, ts=0.5)
 
         sys.add(Out("o", "node0"))
-        sys.inject("o", 21, at=0.0)
+        sys.inject("o", 21, at=0.5)
         sys.run()
-        assert sys.output_values() == [42]
-        assert sys.outputs[0].actor == "o"
+        run = sys.result(events_in=1, first_input_ms=0.5, last_input_ms=0.5)
+        assert run.outputs == [(42, 4.0, 3.5)]
+        assert run.output_values() == [42] and run.latencies() == [3.5]
+        assert run.duration_ms == 4.0  # the last completion, past sim.now
+        assert run.input_span_ms == 1e-9
+        assert run.throughput_events_per_ms == 1 / 3.5
+        assert run.host_utilization == {"node0": 2.5 / 4.0}
+        assert run.network.remote_messages == 1
 
     def test_timer_fires(self):
         sys = make_system(1)
