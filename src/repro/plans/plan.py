@@ -16,7 +16,7 @@ validity checker and the runtime need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.errors import PlanError
 from ..core.events import ImplTag
@@ -160,13 +160,6 @@ class SyncPlan:
 
     def size(self) -> int:
         return len(self._nodes)
-
-    def iter_topdown(self) -> Iterator[PlanNode]:
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            yield n
-            stack.extend(reversed(n.children))
 
     def pretty(self) -> str:
         """ASCII rendering in the style of the paper's Figure 3."""

@@ -2,10 +2,12 @@
 sequential reference oracle, and the runtime-backend registry.
 
 Three execution substrates run the same synchronization-plan protocol
-(one :class:`~repro.runtime.protocol.WorkerCore` per worker):
+(one :class:`~repro.runtime.protocol.WorkerCore` per worker) through
+the same worker loop (:class:`~repro.runtime.process._Place`):
 
 * ``sim`` — the simulated cluster (:class:`FluminaRuntime`), used for
-  the paper's figures: models network cost, latency, utilization;
+  the paper's figures: a one-worker place per simulated actor; models
+  network cost, latency, utilization;
 * ``threaded`` — the in-process substrate
   (:mod:`repro.runtime.threaded`): every worker on the caller's thread
   from one run queue, a deterministic schedule, no thread hand-off per
@@ -106,6 +108,7 @@ from .runtime import (
     FluminaRuntime,
     InputStream,
     RunResult,
+    _simulate,
     default_state_size,
     run_sequential_reference,
 )
@@ -317,18 +320,9 @@ class SimBackend(RuntimeBackend):
     name = "sim"
 
     def _execute(self, spec, opts):
-        # Wall timeouts and pacing have no simulated analogue:
-        # opts.timeout_s / spec.pace are simply not consulted here.
-        return FluminaRuntime(
-            spec.program,
-            spec.plan,
-            checkpoint_predicate=spec.checkpoint_predicate,
-            faults=spec.faults,
-            record_keys=spec.record_keys,
-            reconfig=spec.reconfig,
-            metrics=spec.metrics,
-            validate=False,
-        ).run(spec.streams, leaf_states=spec.leaf_states).attempt
+        # Wall timeouts have no simulated analogue: opts.timeout_s is
+        # simply not consulted here.
+        return _simulate(spec).attempt
 
 
 class ThreadedBackend(RuntimeBackend):

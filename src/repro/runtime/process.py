@@ -90,7 +90,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from ..core.program import DGSProgram
@@ -107,7 +107,6 @@ from .protocol import (
     end_timestamp,
     pump_producers,
 )
-from .runtime import InputStream
 from .transport import (
     DEFAULT_TRANSPORT,
     STOP,
@@ -121,6 +120,9 @@ from .transport import (
     plan_edges,
 )
 from .wire import MAX_RUN
+
+if TYPE_CHECKING:  # runtime.py runs its simulated workers as places
+    from .runtime import InputStream
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,18 @@
 The join/fork worker state machine — selective-reordering mailbox,
 join-request fan-out, fork-state fan-in, heartbeat relay — is the same
 whether workers are simulated actors, OS threads, or OS processes.
-This module holds the protocol once so every concrete runtime is just
-transport plumbing around :class:`WorkerCore`:
+This module holds the protocol once, and :mod:`repro.runtime.process`
+holds the one worker-loop body that drives :class:`WorkerCore` on every
+substrate: a *place*, co-located workers on one run queue.  The
+substrates are only plumbing around places:
 
-* :mod:`repro.runtime.runtime` — one simulated actor per worker; the
-  adapter adds only the virtual clock and the network/CPU cost model;
-* :mod:`repro.runtime.process` — one worker-loop body for the real
-  substrates: a place per CPU over batched channels, the root's in the
-  coordinator and the rest forked (escaping the GIL for real
-  parallelism), a forked node agent per node over TCP
-  (:mod:`repro.runtime.cluster`), or every worker on the caller's
-  thread from one run queue (:mod:`repro.runtime.threaded`).
+* a place per CPU over batched channels, the root's in the coordinator
+  and the rest forked (escaping the GIL for real parallelism), or a
+  forked node agent per node over TCP (:mod:`repro.runtime.cluster`);
+* every worker in one place on the caller's thread
+  (:mod:`repro.runtime.threaded`);
+* a one-worker place per simulated actor (:mod:`repro.runtime.runtime`),
+  which adds only the virtual clock and the network/CPU cost model.
 
 A ``WorkerCore`` is driven by ``handle(msg)`` calls and talks to the
 outside world through two injected callables:
@@ -123,8 +124,9 @@ class AttemptOutcome(RunStatsMixin):
 class OutputSink:
     """Collects one execution's outputs and protocol counters.
 
-    A plain in-memory accumulator, one per worker (the sim's subclass
-    stamps outputs with virtual time).
+    A plain in-memory accumulator, one per worker (the simulator's
+    subclass also logs each output through the worker's actor, stamped
+    with virtual time).
 
     With ``record_keys=True`` every output is additionally logged as a
     ``(order_key, value)`` pair and root-join checkpoints are kept.

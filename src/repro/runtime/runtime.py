@@ -1,18 +1,20 @@
 """The end-to-end Flumina-style runtime on the cluster simulator.
 
-:class:`FluminaRuntime` instantiates a P-valid synchronization plan as
-one simulated actor per worker, each driving the substrate-independent
-:class:`~repro.runtime.protocol.WorkerCore` (paper §3.4: the
+:class:`FluminaRuntime` runs a P-valid synchronization plan through the
+worker loop of every real substrate: each worker is a one-worker
+:class:`~repro.runtime.process._Place` (paper §3.4: the
 selective-reordering mailbox and the event-processing worker are
-co-located on one host in Flumina too, so one actor carries both).  The
-actor adds only what is simulation: the virtual clock that stamps
+co-located on one host in Flumina too), wrapped by one simulated actor,
+and :class:`~repro.sim.ActorSystem` is the one virtual-time scheduler.
+The actor adds only what is simulation: the virtual clock that stamps
 outputs, the per-message CPU cost, and the state-transfer cost of
-joins and forks.  The runtime forks the initial state down the tree
+joins and forks.  A run forks the initial state down the tree
 (consistent by C2), injects every stream's producer traffic (events
 plus periodic heartbeats, §3.4) at its timestamp, runs the simulation
 to completion, and returns a :class:`RunResult`: the simulator's run
 record (:class:`~repro.sim.SimRun`: outputs, latencies, throughput,
-network statistics) plus the protocol's attempt record.
+network statistics) plus the attempt record, merged from the workers'
+reports as on every real substrate.
 
 Timestamps double as simulated arrival times: an event with timestamp
 ``ts`` departs its producer at ``ts`` milliseconds of simulated time,
@@ -21,9 +23,11 @@ so event latency is ``emit_time - ts``.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
 from ..core.events import Event, ImplTag
@@ -34,23 +38,19 @@ from ..plans.validity import assert_p_valid
 from ..sim.actors import Actor, ActorSystem, SimRun
 from ..sim.core import Simulator
 from ..sim.network import Topology
-from ..sim.params import DEFAULT_PARAMS, SimParams
-from .faults import FaultPlan, WorkerCrash
+from ..sim.params import SimParams
+from .checkpoint import CheckpointPredicate
 from .messages import ForkStateMsg, HeartbeatMsg, JoinResponse
-from .metrics import LatencyHistogram, MetricsConfig, MetricsSnapshot, RunMetrics, percentiles
+from .metrics import LatencyHistogram, MetricsSnapshot, RunMetrics, percentiles
+from .process import AttemptSpec, _Place, merge_reports
 from .protocol import (
     AttemptOutcome,
     OutputSink,
-    WorkerCore,
     end_timestamp,
-    initial_leaf_states,
     message_ts,
     producer_messages,
     start_timestamp,
 )
-from .quiesce import QuiesceSignal
-
-StateSizeFn = Callable[[Any], float]
 
 
 def default_state_size(state: Any) -> float:
@@ -114,29 +114,30 @@ class RunResult(SimRun):
 
 
 class _SimSink(OutputSink):
-    """The simulated cluster's sink: the plain accumulator, and every
-    output with its virtual emit time and latency in the system's
-    output ``log``.  ``now`` is the handling actor's clock, set at the
-    door of each handler."""
+    """A simulated worker's sink: the plain accumulator, each output also
+    logged through its actor (:meth:`Actor.output`), stamped with the
+    actor's virtual clock."""
 
-    __slots__ = ("now", "log")
+    __slots__ = ("actor",)
 
-    def __init__(self, record_keys: bool, log: List[Tuple[Any, float, float]]) -> None:
+    def __init__(self, record_keys: bool, actor: Actor) -> None:
         super().__init__(record_keys)
-        self.now = 0.0
-        self.log = log
+        self.actor = actor
 
     def emit(self, outs: Sequence[Any], key: Optional[tuple] = None) -> None:
         super().emit(outs, key)
-        now = self.now
-        self.log.extend((out, now, now - key[0]) for out in outs)
+        for out in outs:
+            self.actor.output(out, key[0])
 
 
-class _SimWorker(Actor):
-    """One plan worker on the simulator: a :class:`WorkerCore` plus the
-    cost model.  Its ``post`` is :meth:`Actor.send` (state-carrying
-    messages charge their size to the receiver); an injected crash or
-    a quiesce turns the actor fail-stop."""
+class _SimPlace(Actor):
+    """One plan worker on the simulator: a one-worker place, the real
+    substrates' worker loop, as an actor.  A delivered batch joins the
+    place's run queue and runs at once; the place's outgoing batches
+    leave through :meth:`Actor.send`, and the state a batch carries
+    (join responses, forked states) charges its size to the receiver.
+    A worker that crashed or quiesced stops its place: it runs no
+    further."""
 
     #: Flumina's per-event CPU multiplier relative to the bare update:
     #: the mailbox's selective-reordering bookkeeping (buffer insert,
@@ -146,71 +147,119 @@ class _SimWorker(Actor):
     MAILBOX_OVERHEAD = 1.8
 
     def __init__(
-        self,
-        node: PlanNode,
-        runtime: "FluminaRuntime",
-        sink: _SimSink,
-        attempt: AttemptOutcome,
-        event_latencies: Optional[List[float]],
+        self, spec: AttemptSpec, node: PlanNode, event_latencies: Optional[List[float]]
     ) -> None:
         super().__init__(node.id, node.host)  # type: ignore[arg-type]
-        faults = runtime.faults
-        self.core = core = WorkerCore(
-            node,
-            runtime.plan,
-            runtime.program,
-            self._post,
-            sink,
-            checkpoint_predicate=runtime.checkpoint_predicate,
-            faults=faults.view_for(node.id) if faults is not None else None,
-            reconfig=runtime.reconfig if node.id == runtime.plan.root.id else None,
-        )
-        self.state_size = runtime.state_size
-        self.attempt = attempt
-        self.stopped = False
+        self.place = _Place(spec, [node.id], self._send)
+        self.worker = worker = self.place.workers[node.id]
+        worker.sink = worker.core.sink = _SimSink(spec.record_keys, self)
         if event_latencies is not None:
-            update = core.update
+            update = worker.core.update
 
             def timed_update(state: Any, event: Event) -> Any:
                 event_latencies.append(self.now - event.ts)
                 return update(state, event)
 
-            core.update = timed_update
+            worker.core.update = timed_update
 
-    def _post(self, dst: str, msg: Any) -> None:
-        if isinstance(msg, (JoinResponse, ForkStateMsg)):
-            self.send(dst, msg, state_size=self.state_size(msg.state))
-        else:
-            self.send(dst, msg)
+    def _send(self, dst: str, batch: List[Any]) -> None:
+        state = sum(
+            default_state_size(m.state)
+            for m in batch
+            if isinstance(m, (JoinResponse, ForkStateMsg))
+        )
+        self.send(dst, batch, units=len(batch), state_size=state)
 
-    def service_time(self, msg: Any) -> float:
+    def service_time(self, batch: List[Any]) -> float:
         p = self.system.params
-        if isinstance(msg, HeartbeatMsg):
-            return p.recv_overhead_ms * 0.5
-        return p.cpu_per_event_ms * self.MAILBOX_OVERHEAD
+        heartbeat, other = p.recv_overhead_ms * 0.5, p.cpu_per_event_ms * self.MAILBOX_OVERHEAD
+        return sum(heartbeat if isinstance(m, HeartbeatMsg) else other for m in batch)
 
-    def handle(self, msg: Any, sender: Optional[str]) -> None:
-        if self.stopped:
-            return  # fail-stop: messages to a dead node are lost
-        self.core.sink.now = self.now
-        try:
-            self.core.handle(msg)
-        except WorkerCrash as crash:
-            # Sends queued by events processed before the crash still
-            # depart (they happened before the failure); the
-            # triggering event did not.
-            self.stopped = True
-            self.attempt.crashes.append(crash.record)
-        except QuiesceSignal as sig:
-            # Planned stop for reconfiguration: the triggering event IS
-            # fully processed (outputs recorded, snapshot captured);
-            # only the fork back down was withheld.
-            self.stopped = True
-            self.attempt.quiesce = sig.record
+    def handle(self, batch: List[Any], sender: Optional[str]) -> None:
+        self.place.runq.append((self.name, batch))
+        self.place.run()
+
+
+def _placed(plan: SyncPlan, topology: Topology) -> SyncPlan:
+    """``plan`` with every worker on a host of ``topology``: placed
+    round-robin when a worker has none."""
+    if any(n.host is None for n in plan.workers()):
+        plan = assign_hosts_round_robin(plan, topology.host_names())
+    for node in plan.workers():
+        if node.host not in topology.hosts:
+            raise RuntimeFault(f"worker {node.id} placed on unknown host {node.host!r}")
+    return plan
+
+
+def _simulate(
+    spec: AttemptSpec, topology: Optional[Topology] = None, track_event_latency: bool = False
+) -> RunResult:
+    """Run ``spec`` in simulated time on ``topology`` (default: a host
+    per leaf), every message departing its producer at its timestamp —
+    the one runner of :class:`FluminaRuntime` and the ``sim`` backend.
+    Wall timeouts and pacing have no simulated analogue: ``spec.pace``
+    is not read."""
+    t0 = time.perf_counter()
+    if topology is None:
+        topology = Topology.cluster(max(1, len(spec.plan.leaves())))
+    plan = _placed(spec.plan, topology)
+    system = ActorSystem(Simulator(), topology)
+    event_latencies: Optional[List[float]] = [] if track_event_latency else None
+    # The metrics plane's wall-clock histograms mean nothing in virtual
+    # time: the places run without it, and the run reports one
+    # pseudo-worker instead (below).
+    place_spec = dataclasses.replace(spec, plan=plan, metrics=None)
+    actors = [
+        system.add(_SimPlace(place_spec, node, event_latencies)) for node in plan.workers()
+    ]
+    streams = spec.streams
+    start_ts, end_ts = start_timestamp(streams), end_timestamp(streams)
+    for stream in streams:
+        for e in stream.events:
+            if e.itag != stream.itag:
+                raise RuntimeFault(f"event {e!r} does not belong to stream {stream.itag!r}")
+        owner = plan.owner_of(stream.itag)
+        src_host = stream.source_host or owner.host
+        for msg in producer_messages(stream, end_ts, start_ts):
+            system.inject(owner.id, [msg], at=message_ts(msg), from_host=src_host)
+
+    system.run()
+    attempt = AttemptOutcome(events_in=sum(len(s.events) for s in streams))
+    merge_reports(attempt, [a.worker.report() for a in actors], None)
+    if spec.metrics is not None:
+        # One pseudo-worker for the whole simulated cluster: the run's
+        # counters, and the end-to-end histogram fed from per-output
+        # latencies (simulated ms -> seconds).
+        buckets = spec.metrics.latency_buckets
+        snap = MetricsSnapshot(
+            worker="sim", events_processed=attempt.events_processed, joins_completed=attempt.joins
+        )
+        if system.outputs:
+            h = LatencyHistogram(buckets)
+            for _, _, lat in system.outputs:
+                h.observe(max(lat, 0.0) / 1000.0)
+            snap.event_latency = h
+        attempt.metrics = RunMetrics(latency_buckets=buckets)
+        attempt.metrics.absorb(snap)
+    # Host wall-clock of the simulation, not simulated time.
+    attempt.wall_s = time.perf_counter() - t0
+    last_ts = max((e.ts for s in streams for e in s.events), default=0.0)
+    return RunResult(
+        **vars(system.result(attempt.events_in, start_ts, last_ts)),
+        attempt=attempt,
+        event_latencies=event_latencies or [],
+    )
 
 
 class FluminaRuntime:
-    """Instantiate a program + plan on a simulated cluster and run it."""
+    """Instantiate a program + plan on a simulated cluster and run it.
+
+    ``topology`` defaults to a host per leaf, and a worker without a
+    host is placed round-robin.  Every :meth:`run` starts from fresh
+    state: a copy of the topology, and the attempt that
+    :meth:`RuntimeBackend._spec <repro.runtime.RuntimeBackend._spec>`
+    builds (the leaves' shares of ``init()``, a private copy of
+    ``checkpoint_predicate``)."""
 
     def __init__(
         self,
@@ -218,130 +267,33 @@ class FluminaRuntime:
         plan: SyncPlan,
         *,
         topology: Optional[Topology] = None,
-        params: SimParams = DEFAULT_PARAMS,
-        state_size: StateSizeFn = default_state_size,
-        checkpoint_predicate: Optional[Callable[[Event, int], bool]] = None,
-        track_event_latency: bool = False,
-        faults: Optional[FaultPlan] = None,
+        checkpoint_predicate: Optional[CheckpointPredicate] = None,
         record_keys: bool = False,
-        reconfig: Optional[Any] = None,
-        metrics: Optional[MetricsConfig] = None,
-        validate: bool = True,
+        track_event_latency: bool = False,
     ) -> None:
+        assert_p_valid(plan, program)
         self.program = program
-        if validate:
-            assert_p_valid(plan, program)
         if topology is None:
-            n_hosts = max(1, len(plan.leaves()))
-            topology = Topology.cluster(n_hosts, params=params)
+            topology = Topology.cluster(max(1, len(plan.leaves())))
         self.topology = topology
-        if any(n.host is None for n in plan.workers()):
-            plan = assign_hosts_round_robin(plan, topology.host_names())
-        for node in plan.workers():
-            if node.host not in topology.hosts:
-                raise RuntimeFault(
-                    f"worker {node.id} placed on unknown host {node.host!r}"
-                )
-        self.plan = plan
-        self.params = topology.params
-        self.state_size = state_size
+        self.plan = _placed(plan, topology)
         self.checkpoint_predicate = checkpoint_predicate
-        self.track_event_latency = track_event_latency
-        self.faults = faults
         self.record_keys = record_keys
-        #: RootReconfigView handed to the root worker (elastic runs).
-        self.reconfig = reconfig
-        #: MetricsConfig when the metrics plane is on (the simulated
-        #: substrate reports a single "sim" pseudo-worker).
-        self.metrics = metrics
+        self.track_event_latency = track_event_latency
 
-    # -- execution ------------------------------------------------------------
-    def run(
-        self,
-        streams: Sequence[InputStream],
-        *,
-        max_sim_events: int = 50_000_000,
-        leaf_states: Optional[Dict[str, Any]] = None,
-    ) -> RunResult:
-        """Run ``streams`` in simulated time, each leaf from its share
-        in ``leaf_states`` (default: the shares of ``init()``)."""
-        t0 = time.perf_counter()
-        system = ActorSystem(Simulator(), self.topology)
-        sink = _SimSink(self.record_keys, system.outputs)
-        attempt = AttemptOutcome(
-            outputs=sink.outputs,
-            keyed_outputs=sink.keyed_outputs,
-            checkpoints=sink.checkpoints,
-            events_in=sum(len(s.events) for s in streams),
-        )
-        event_latencies: Optional[List[float]] = (
-            [] if self.track_event_latency else None
-        )
-        workers = {
-            node.id: _SimWorker(node, self, sink, attempt, event_latencies)
-            for node in self.plan.workers()
-        }
-        for worker in workers.values():
-            system.add(worker)
-        if leaf_states is None:
-            leaf_states = initial_leaf_states(self.plan, self.program)
-        for leaf_id, state in leaf_states.items():
-            workers[leaf_id].core.state = state
-            workers[leaf_id].core.has_state = True
+    @property
+    def params(self) -> SimParams:
+        return self.topology.params
 
-        # Producers: every message departs at its own timestamp.
-        start_ts, end_ts = start_timestamp(streams), end_timestamp(streams)
-        for stream in streams:
-            for e in stream.events:
-                if e.itag != stream.itag:
-                    raise RuntimeFault(
-                        f"event {e!r} does not belong to stream {stream.itag!r}"
-                    )
-            owner = self.plan.owner_of(stream.itag)
-            src_host = stream.source_host or owner.host
-            for msg in producer_messages(stream, end_ts, start_ts):
-                system.inject(owner.id, msg, at=message_ts(msg), from_host=src_host)
+    def run(self, streams: Sequence[InputStream]) -> RunResult:
+        """Run ``streams`` in simulated time."""
+        from . import RunOptions, get_backend  # repro.runtime imports this module
 
-        system.run(max_events=max_sim_events)
-        if not attempt.crashes and attempt.quiesce is None:
-            # A crashed or quiesced attempt legitimately strands
-            # buffered items (the stopped worker's, and its blocked
-            # ancestors'); the restart driver replays them, so only
-            # fail-free runs must prove they drained.
-            for worker in workers.values():
-                if worker.core.unprocessed():
-                    raise RuntimeFault(
-                        f"run ended with {worker.core.unprocessed()} unprocessed "
-                        f"items at {worker.name}; "
-                        "check heartbeats / dependence relation"
-                    )
-        attempt.events_processed = sink.events_processed
-        attempt.joins = sink.joins
-        if self.metrics is not None:
-            # One pseudo-worker for the whole simulated cluster:
-            # counters from the sink, the end-to-end histogram fed
-            # from per-output latencies (simulated ms -> seconds).
-            buckets = self.metrics.latency_buckets
-            snap = MetricsSnapshot(
-                worker="sim",
-                events_processed=sink.events_processed,
-                joins_completed=sink.joins,
-            )
-            if system.outputs:
-                h = LatencyHistogram(buckets)
-                for _, _, lat in system.outputs:
-                    h.observe(max(lat, 0.0) / 1000.0)
-                snap.event_latency = h
-            attempt.metrics = RunMetrics(latency_buckets=buckets)
-            attempt.metrics.absorb(snap)
-        # Host wall-clock of the simulation, not simulated time.
-        attempt.wall_s = time.perf_counter() - t0
-        last_ts = max((e.ts for s in streams for e in s.events), default=0.0)
-        return RunResult(
-            **vars(system.result(attempt.events_in, start_ts, last_ts)),
-            attempt=attempt,
-            event_latencies=event_latencies or [],
+        options = RunOptions(checkpoint_predicate=self.checkpoint_predicate)
+        spec = get_backend("sim")._spec(
+            self.program, self.plan, streams, options, record_keys=self.record_keys
         )
+        return _simulate(spec, copy.deepcopy(self.topology), self.track_event_latency)
 
 
 def run_sequential_reference(

@@ -78,7 +78,6 @@ class Actor:
         self.system: "ActorSystem" = None  # type: ignore[assignment]
         self.now: float = 0.0  # completion time of the current handler
         self._outbox: List[Tuple[str, Any, int, float]] = []
-        self.messages_handled = 0
 
     # -- to override -----------------------------------------------------
     def handle(self, msg: Any, sender: Optional[str]) -> None:
@@ -102,14 +101,6 @@ class Actor:
         """Log an output of an input stamped ``ts``, emitted now."""
         self.system.outputs.append((value, self.now, self.now - ts))
 
-    def set_timer(self, delay: float, key: Any = None) -> None:
-        """Schedule :meth:`on_timer` to fire ``delay`` from now (no CPU
-        cost is charged for the timer interrupt itself)."""
-        self.system.sim.schedule(delay, lambda: self.system._deliver_timer(self, key))
-
-    def on_timer(self, key: Any) -> None:  # pragma: no cover - default no-op
-        pass
-
     @property
     def host(self) -> Host:
         return self.system.topology.host(self.host_name)
@@ -125,7 +116,6 @@ class ActorSystem:
         self.actors: Dict[str, Actor] = {}
         #: The output log: (value, emit time, latency) per output.
         self.outputs: List[Tuple[Any, float, float]] = []
-        self.messages_delivered = 0
         #: Latest handler completion time; the simulator clock only
         #: advances on *scheduled* events, so a busy tail of handlers
         #: that send nothing would otherwise be invisible in makespans.
@@ -194,7 +184,6 @@ class ActorSystem:
         remote: bool,
     ) -> None:
         """Delivery event: reserve CPU, run the handler, ship outbox."""
-        self.messages_delivered += 1
         cost = actor.service_time(msg)
         if remote:
             cost += self.params.recv_overhead_ms
@@ -204,7 +193,6 @@ class ActorSystem:
         start_guard = self.sim.now
         completion = host.reserve(start_guard, cost)
         actor.now = completion
-        actor.messages_handled += 1
         actor._outbox = []
         actor.handle(msg, sender)
         outbox = actor._outbox
@@ -224,15 +212,6 @@ class ActorSystem:
                     self._send_from(actor, dst, m, u, ssz)
 
             self.sim.schedule_at(completion, ship)
-
-    def _deliver_timer(self, actor: Actor, key: Any) -> None:
-        actor.now = self.sim.now
-        actor._outbox = []
-        actor.on_timer(key)
-        outbox = actor._outbox
-        actor._outbox = []
-        for dst, m, u, ssz in outbox:
-            self._send_from(actor, dst, m, u, ssz)
 
     # -- measurement ---------------------------------------------------------
     def run(self, **kwargs) -> float:

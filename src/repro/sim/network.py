@@ -112,9 +112,6 @@ class Topology:
             return self._pair_latency[key]
         return self.params.remote_latency_ms
 
-    def set_latency(self, a: str, b: str, latency_ms: float) -> None:
-        self._pair_latency[(a, b)] = latency_ms
-
     def record_message(self, src: str, dst: str, nbytes: int) -> None:
         self.stats.record(remote=src != dst, nbytes=nbytes)
 

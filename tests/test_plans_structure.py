@@ -87,10 +87,10 @@ class TestSyncPlanStructure:
         with pytest.raises(PlanError, match="duplicate"):
             SyncPlan(PlanNode("root", "State0", frozenset(), (a, b)))
 
-    def test_iter_topdown_starts_at_root(self):
-        ids = [n.id for n in self.plan.iter_topdown()]
-        assert ids[0] == "w1"
-        assert set(ids) == {"w1", "w2", "w3", "w4", "w5"}
+    def test_workers_are_listed_top_down(self):
+        # Depth-first, each node before its children:
+        # process.default_placement relies on it.
+        assert [n.id for n in self.plan.workers()] == ["w1", "w2", "w3", "w4", "w5"]
 
     def test_pretty_renders_all_workers(self):
         s = self.plan.pretty()

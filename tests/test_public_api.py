@@ -7,10 +7,13 @@ commit cut is :meth:`ReplayLog.drop_through`), the option classes
 (a field only tests set went with the code behind it; a new one edits
 the pin and the class docstring), and the re-planning records (plans
 change only at planned points, so no load field rides on a point, a
-migration step or a join response)."""
+migration step or a join response), and the simulator's entry point
+(the ``sim`` backend alone sets faults, re-planning, metrics and leaf
+states, through the private runner both share)."""
 
 import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -84,6 +87,15 @@ SERVE_OPTIONS_FIELDS = (
     "metrics_port",
 )
 
+#: FluminaRuntime's keyword parameters, and its run's.
+FLUMINA_RUNTIME_KEYWORDS = (
+    "topology",
+    "checkpoint_predicate",
+    "record_keys",
+    "track_event_latency",
+)
+FLUMINA_RUN_PARAMETERS = ("streams",)
+
 
 #: (module, class, fields) of the re-planning records.
 RECORD_FIELDS = (
@@ -147,3 +159,12 @@ def test_the_option_surface_is_pinned(name, pinned):
 def test_the_replanning_records_are_pinned(module, name, pinned):
     cls = getattr(importlib.import_module(module), name)
     assert tuple(f.name for f in dataclasses.fields(cls)) == pinned
+
+
+def test_the_simulator_surface_is_pinned():
+    cls = importlib.import_module("repro.runtime").FluminaRuntime
+    init = inspect.signature(cls.__init__).parameters.values()
+    keywords = tuple(p.name for p in init if p.kind is inspect.Parameter.KEYWORD_ONLY)
+    assert keywords == FLUMINA_RUNTIME_KEYWORDS
+    run = tuple(inspect.signature(cls.run).parameters)[1:]
+    assert run == FLUMINA_RUN_PARAMETERS

@@ -16,7 +16,7 @@ from repro.plans import (
     root_and_leaves_plan,
     sequential_plan,
 )
-from repro.runtime import FluminaRuntime, InputStream, run_sequential_reference
+from repro.runtime import FluminaRuntime, InputStream, every_nth_join, run_sequential_reference
 from repro.apps import keycounter as kc
 
 
@@ -177,6 +177,30 @@ class TestRunMetrics:
         plan = sequential_plan(prog, [it])
         res = FluminaRuntime(prog, plan).run([InputStream(it, evs)])
         assert all(math.isnan(p) for p in res.latency_percentiles())
+
+
+    def test_each_run_starts_from_fresh_state(self):
+        """A second run of one runtime repeats the first: it neither
+        inherits the hosts' busy time and the network counters of the
+        first run, nor the join count of its stateful predicate."""
+        prog = kc.make_program(1)
+        streams = value_barrier_streams(3, 40)
+        leaf = [[s.itag] for s in streams[:-1]]
+        plan = root_and_leaves_plan(prog, [streams[-1].itag], leaf)
+        rt = FluminaRuntime(prog, plan, checkpoint_predicate=every_nth_join(3))
+
+        def record(res):
+            net = res.network
+            return (
+                res.duration_ms,
+                (net.local_messages, net.remote_messages, net.local_bytes, net.remote_bytes),
+                [c.key for c in res.checkpoints],
+                res.outputs,
+            )
+
+        first = record(rt.run(streams))
+        assert first[2], "the predicate fired in the first run"
+        assert record(rt.run(streams)) == first
 
 
 class TestHeartbeatSensitivity:

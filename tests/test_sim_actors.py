@@ -49,8 +49,7 @@ class TestTopology:
         assert topo.latency("node0", "node1") == topo.params.remote_latency_ms
 
     def test_pair_latency_override_symmetric(self):
-        topo = Topology.cluster(2)
-        topo.set_latency("node0", "node1", 9.0)
+        topo = Topology(["node0", "node1"], pair_latency={("node0", "node1"): 9.0})
         assert topo.latency("node0", "node1") == 9.0
         assert topo.latency("node1", "node0") == 9.0
 
@@ -159,23 +158,6 @@ class TestOutputsAndTimers:
         assert run.throughput_events_per_ms == 1 / 3.5
         assert run.host_utilization == {"node0": 2.5 / 4.0}
         assert run.network.remote_messages == 1
-
-    def test_timer_fires(self):
-        sys = make_system(1)
-        fired = []
-
-        class T(Actor):
-            def handle(self, msg, sender):
-                self.set_timer(5.0, "k")
-
-            def on_timer(self, key):
-                fired.append((self.now, key))
-
-        sys.add(T("t", "node0"))
-        sys.inject("t", "go", at=0.0)
-        sys.run()
-        assert len(fired) == 1
-        assert fired[0][1] == "k"
 
     def test_send_overhead_charged(self):
         # Broadcasting to N destinations extends the sender's busy time.
