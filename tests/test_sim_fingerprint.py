@@ -1,30 +1,35 @@
 """The simulated substrate's results, pinned to the bit.
 
-The values below were captured at the commit *before* the simulator
-switched from its own copy of the worker protocol (``WorkerActor``) to
-driving the shared :class:`~repro.runtime.protocol.WorkerCore`: for
-each of the seven ``tests/test_differential.py::_app_case`` instances,
-run as ``FluminaRuntime(prog, plan, checkpoint_predicate=
-every_root_join(), record_keys=True).run(streams)``.  The simulator is
-deterministic, so any change to the protocol's message order, to the
-producer schedule (heartbeat grid included) or to the cost model moves
-at least one of them — virtual time is the most sensitive schedule
-detector the repo has.
+``PARENT`` holds, for each of the seven
+``tests/test_differential.py::_app_case`` instances, the run of
+``FluminaRuntime(prog, plan, checkpoint_predicate=every_root_join(),
+record_keys=True).run(streams)``.  The simulator is deterministic, so
+any change to the protocol's message order, to the producer schedule
+(heartbeat grid included) or to the cost model moves at least one of
+them — virtual time is the most sensitive schedule detector the repo
+has.
 
 Lists are held as the SHA-256 of their ``repr`` (floats ``repr``
-exactly, dicts in insertion order), scalars verbatim.  The one
-deliberate difference from the capture: ``events_processed`` counts a
-synchronizing event once (at its update), so it equals ``events_in``.
+exactly, dicts in insertion order), scalars verbatim.  The output log
+(virtual emit order) and the keyed output log (worker by worker, as
+every substrate merges its workers' reports) hold the same multiset;
+each order is pinned by its own digest.
 
 The second table, ``ENGINE_PARENT``, pins the Flink-like, Timely-like
 and Flumina engines the same way through every runner factory of
 :mod:`repro.bench.experiments` (each variant, at two offered rates):
 the figures and Table 1 reach the engines only through these, and read
-only the fields pinned here.  It was captured before the three engines
-shared one run record (``repro.sim.SimRun``).
+only the fields pinned here.  Its Flink-like and Timely-like rows were
+captured before the three engines shared one run record
+(``repro.sim.SimRun``).  ``PARENT`` and the three ``flumina_*`` rows
+were re-captured once when each simulated worker became a one-worker
+place of the production worker loop (``repro.runtime.process._Place``):
+a place sends what one handled batch posts to a worker as one message,
+so fewer, larger messages cross the simulated network.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -47,11 +52,11 @@ PARENT = {
         9.717000000000004,
         6,
         228,
-        (309, 42, 19968, 2880),
+        (303, 36, 19968, 2880),
         3,
         3,
-        "a38dd67c7ea2e8a44b2907e2bef25e7a3ddc67eff3102841017c2b3d1bdfef4c",
-        "c8d8d049bcd499dad92d7242a8e1a40a886a2bf7b583af4c9c82733b65f86954",
+        "7bf3c62099a18317ae144ff6839e831e0ce11d4b10938d7477341a11a3b9bf9e",
+        "e8fdcd982fc5f20d22ecc61429d50e6dbecca4d7beb09e28e6a257605def1710",
         "d1e03099498faed9092fcaa8dc7f8e4fe59b3f7bf7f666ed3101f8c00fdd0f0e",
         "064288bede0d6de08aaade9eec543a6b68307e855629d9c10592159bb938f59e",
     ),
@@ -59,13 +64,13 @@ PARENT = {
         9.717000000000004,
         6,
         228,
-        (309, 42, 20160, 3072),
+        (303, 36, 20160, 3072),
         6,
         3,
-        "68e621a2614b89ac0f3bb3496df624cd004a2ec987b749f76d78695a66de7cb7",
-        "42e904830adf782bb2c8b17f0b6bfe6568d9721c4b55d837bb1b69324488e706",
+        "8a13ad12e1d29911ad00ba499ac6aaf065ffaef384d98a6ee398c6570ab5dd00",
+        "ee3d4a077ead0aab52045a451235b221a48eabdda0f5c07b971c63c5948857ae",
         "efa4a68fcb41afec135fdac99c2acfbe7d8e8657078a1d6d96d4d4f01f36f566",
-        "c0e3240af545d16cb3c2c5775b344c7329944456904fa33327e4a7c829e5f049",
+        "88823850b065e4a6cf3b87e03651e92dfac751d1a31f7895b58863d3df6b72c2",
     ),
     "pageview": (
         8.072666666666668,
@@ -77,7 +82,7 @@ PARENT = {
         "700a96f87c06be3754b8ad7fe8e24993e79f37f529948568d7a27efeca649bb1",
         "4e87c0eb2384c60b40e1caf5d8b75c9f767350a6fabc6a4bd641b8a299c7eb90",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "a6549dca63c3fc1b6ac36c7bed108e8810d2b32fc6efa45b86d2a123e6d4e77e",
+        "f738f70f6329d4d97391e40746d567ecda6407cb5a22fb30731306bfe58dc1b4",
     ),
     "keycounter": (
         60.00600000000001,
@@ -89,17 +94,17 @@ PARENT = {
         "7e41cf876a6f1f48d4e9f7f99d887f0125e7696f315652d28c75ecf9c6cf794b",
         "f630c659327fa6949578cb8ac4460b0022567675206a85c970d1faf953de3d37",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "c1c90e8562227e300792f345a1fe1fd6d5b2b5609552d22aea164ddbd1c454ef",
+        "d3840086459678c49680b0d3db24c7e520f68a551c05d514003d2fe68050e98d",
     ),
     "outlier": (
         8.419699999999999,
         2,
         62,
-        (98, 14, 6592, 1216),
+        (96, 12, 6592, 1216),
         0,
         2,
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "ee1338c5a1545b1ffa18ef29133ce53bdaccbd77ea521447454510cc7c1213a9",
+        "0389709e0bf31363737424daf5e5c86748121094be27857a0ced58771603a9d8",
         "2ae6646723a86a6dd6c3a7fe6cbe34b0c9acf2828faef65708ccac15016edc6e",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
@@ -107,11 +112,11 @@ PARENT = {
         6.209499999999999,
         2,
         82,
-        (110, 12, 7616, 1312),
+        (108, 10, 7616, 1312),
         35,
         2,
-        "24f2ac8add682a614200b63bc851b0967402ff884da238c6b80b5f25c54723cb",
-        "23b0189d0e1bdd0c17c686db439cdf3f11f335face0fe0d07e2a274874efbe76",
+        "879d80f46e533e0a5e613a9b4eb43c6b950373876f0d302caa3ad7270e923dde",
+        "fcaf0b2d5e5bbd62deaf4ca7cfc18c626b5d6daeb0e0068b32ecf2042a530ce4",
         "f5ffc1ede54db527316d7cd161185875eb3ae70a382727d47c66463544165c76",
         "fac68df1ce0ac879928a34a39676208f019c5ae8ec986aeb01922bd0b1f269bb",
     ),
@@ -119,13 +124,13 @@ PARENT = {
         10.517000000000005,
         8,
         64,
-        (162, 54, 10672, 3632),
+        (154, 46, 10672, 3632),
         29,
         4,
-        "0fbf550392dfd85ca8203d79b9b745009ef89d2b308219e753c69308f1415603",
-        "1e61722570d85649e8603ce753681e7243bbd17d2249a580b0ada8bce99241c3",
+        "e2a6e1403a79181627b72e31611f4605fc96f90e9a5c34dbe6d14249eb134cfb",
+        "3342502a623627f379c2610d868c9eb54afb4bfd99dc603e73a02fe738cdd319",
         "43cc46a862a640f9de20f2815c8fe3022d0de1c69e61d32e404c29ebb8b1312f",
-        "d2c30d1ae9bdd7a1e937cfb76875b8437316ccf6f41ac67871585bcb1e2b96bd",
+        "76d55568f1bb25d0b6193e6cceafa09ecddc8afc1b7da33b3e54823a2d603b55",
     ),
 }
 
@@ -155,7 +160,11 @@ def test_sim_results_match_parent_to_the_bit(app):
     )
     assert got == PARENT[app]
     assert res.events_processed == res.events_in
-    assert res.output_values() == [v for _k, v in res.keyed_outputs]
+    # The output log runs in virtual emit order, the keyed log worker by
+    # worker: the same multiset, each sequence pinned by its digest.
+    assert Counter(map(repr, res.output_values())) == Counter(
+        repr(v) for _k, v in res.keyed_outputs
+    )
 
 
 # -- The three engines through the figure factories ----------------------
@@ -407,62 +416,62 @@ ENGINE_PARENT = {
     ('flumina_event_window', 40.0): (
         39.71700000000002,
         4503,
-        (4719, 88, 302208, 5824),
+        (4713, 82, 302208, 5824),
         116.32052076875382,
         37.495,
-        [0.4453999999999965, 0.44539999999999935, 0.4659600000000054],
-        '15288482a0bcb26b09ea26abb8908d406f8094adb4a736a22be32a9ede88ecee',
-        'a7d115826e37751ca5ebe662d7f1ee0d8e0d27ff0e9d32b38f05aaf82bcc2780',
+        [0.44239999999999713, 0.4424000000000028, 0.4653600000000061],
+        'eacc7a348e9dcb574bfca6f5bc4ca9d469404080f1a01adf4a11bb7b91532e81',
+        '3aeb7157b5b76f4525d7a581fe7f29bd630e7ec31aef44eddb25cbc78c519b16',
     ),
     ('flumina_event_window', 400.0): (
-        7.689999999999746,
+        7.6890999999997485,
         4503,
-        (4718, 62, 302144, 4160),
-        673.144480155493,
+        (4711, 55, 302144, 4160),
+        673.2350566636021,
         3.7495000000000003,
-        [2.8834799999997465, 3.527799999999746, 4.173719999999746],
-        '0868abe38cac66285229d5418f758f8e5b758159e321e2320fb40fe0b50c9b5c',
-        'b478fe730048f447c0080ada3a08002d62d31e6f1be61a4aced66a475a61c54a',
+        [2.882219999999748, 3.525099999999747, 4.169979999999747],
+        '08754e33f5e3e60ccf6fdc314b34c48c078e8ee317506f033c697eeb464316f1',
+        'a5f957e2786a8e0bdd9c5e7aadf7d4810bea92b9113b2fa3631aec3a8006590e',
     ),
     ('flumina_fraud', 40.0): (
         39.71700000000002,
         4503,
-        (4719, 88, 302400, 6016),
+        (4713, 82, 302400, 6016),
         116.32052076875382,
         37.495,
-        [0.39635999999999627, 0.4458000000000002, 0.6057200000000037],
-        '41bba239292396ea17d58b037c058b79cff8c8a41c632304202eac8850df801d',
-        'cd050c19c9973a77f735209d079d0475809c68a555b8967062094c1ded108af6',
+        [0.3939600000000075, 0.4444999999999999, 0.6039200000000051],
+        '860f710ba2c55660c5838c9f5c0cb0acf4f8044c99b8a186b333c034f3a9d70d',
+        '5fc11cf7dd3a09a412113f15f54468a549b1602904d8ee7525bd6c70d58e3d04',
     ),
     ('flumina_fraud', 400.0): (
-        7.692399999999741,
+        7.691899999999743,
         4503,
-        (4718, 62, 302336, 4352),
-        672.9030619106942,
+        (4711, 55, 302336, 4352),
+        672.9533430971355,
         3.7495000000000003,
-        [0.5464600000000068, 2.533299999999743, 3.6905599999997434],
-        'c53d64d7849ae4d59888972d326487c7170dc896982571db86e3f0347f6e0830',
-        '6c10c8fe060c22c46eac03784f895be47b3e3b76d65f44e3dfa8aed437c92d5e',
+        [0.5464600000000068, 2.526299999999744, 3.6877599999997446],
+        '1cf5cf5c76eb178847322ac30adb3a0bcc1b8a78aba6c27376ee9bd46ed01f84',
+        '86d3364499b0cff2212a11121c9abb8944c654c31a584eda035b557515f3978e',
     ),
     ('flumina_pageview', 40.0): (
         39.72735714285716,
         4506,
-        (4710, 44, 301520, 2896),
+        (4707, 41, 301520, 2896),
         116.36258999175473,
         37.51428571428572,
-        [0.022885714285715508, 0.3302214285714289, 0.43500714285714714],
-        '4a582cb6d5dad684a9c3a0e4129c3f5505027f3cb979b660062686e31fe1a570',
-        'd432658215638105d9b3b40b3645517679807d3ebf69793dfe4a1af1310738b7',
+        [0.022885714285715508, 0.32947142857142975, 0.43425714285714534],
+        '6eb90ff24e2837081453c669419152e1ee519bccbbc9e9eee6da3cb55b9842e3',
+        'b49146d24a73d3a6979fd8ef4dec82dcba4ff1114b7a1b1cfd1ea6c1a1df5589',
     ),
     ('flumina_pageview', 400.0): (
-        7.307371428571198,
+        7.301371428571197,
         4506,
-        (4744, 38, 303696, 2512),
-        714.4426500200718,
+        (4739, 33, 303696, 2512),
+        715.1229620628235,
         3.751428571428571,
-        [0.8568142857142831, 2.022328571428339, 3.3061071428569515],
-        '36c3e455b8574cf89b374cb0234ceb42fdb154a496e7fd577594aaed6a86fc65',
-        'be245ae1fc5f4c1bb4ce4e7f326027fde27233db78aef9ff4c7dac2fd0e26446',
+        [0.8568142857142831, 2.0193285714283387, 3.302557142856952],
+        'c397dc5cf125773e415ff49f5fdaa373b88177602995df0a7978e9223674cec8',
+        '63804aa8c6f1905f5c5a233885cf273865607e88c86ccea571169686eeaf0bc2',
     ),
 }
 
