@@ -121,7 +121,7 @@ from .transport import (
 )
 from .wire import MAX_RUN
 
-if TYPE_CHECKING:  # runtime.py runs its simulated workers as places
+if TYPE_CHECKING:  # runtime.py imports this module
     from .runtime import InputStream
 
 

@@ -176,8 +176,10 @@ class _SimPlace(Actor):
         return sum(heartbeat if isinstance(m, HeartbeatMsg) else other for m in batch)
 
     def handle(self, batch: List[Any], sender: Optional[str]) -> None:
-        self.place.runq.append((self.name, batch))
-        self.place.run()
+        place = self.place
+        if place.stopped is None:  # a stopped place's queue would only grow
+            place.runq.append((self.name, batch))
+            place.run()
 
 
 def _placed(plan: SyncPlan, topology: Topology) -> SyncPlan:
