@@ -4,9 +4,9 @@ histograms must be close to free on the hot path.
 The metrics plane samples inside ``WorkerCore`` (every event, every
 join) and inside the transport flush path — places where a careless
 implementation would tax the paper's throughput claims.  A run's
-metrics come from each worker's end-of-run report; live snapshots go
-up the control socket only for a cluster exporter, and a join response
-carries its request id, side and state, nothing more.  This bench runs
+metrics come from each worker's end-of-run report, the one metrics
+record on the control socket, and a join response carries its request
+id, side and state, nothing more.  This bench runs
 the communication-bound value-barrier workload (trivial updates, so
 wall clock is dominated by message passing — the worst case for
 instrumentation overhead) with metrics off and on, and asserts the

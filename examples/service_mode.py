@@ -87,8 +87,14 @@ def main() -> None:
         scrape = urllib.request.urlopen(
             f"http://127.0.0.1:{handle.metrics_port}/metrics", timeout=10
         ).read().decode()
-        gauges = [l for l in scrape.splitlines() if l.startswith("repro_serve_")]
+        lines = scrape.splitlines()
+        gauges = [l for l in lines if l.startswith("repro_serve_")]
         print("prometheus gauges:\n  " + "\n  ".join(sorted(gauges)))
+        # The one scrape shape on every backend: the service's gauges
+        # and the run's merged worker counters, refreshed per epoch.
+        workers = [l for l in lines if l.startswith("repro_worker_events_processed{")]
+        scraped = f"repro_serve_committed_total {float(total)}" in lines and bool(workers)
+        print(f"scrape carries the committed total and worker counters: {scraped}")
 
         # The exactly-once contract: the subscriber's (seq, value) log
         # is gapless and its values match the sequential spec over the
@@ -97,7 +103,7 @@ def main() -> None:
         gapless = seqs == list(range(len(seqs)))
         want = Counter(map(repr, spec_outputs(app.program, events)))
         got = Counter(repr(value) for _seq, value in received)
-        ok = gapless and got == want and not subscriber.is_alive()
+        ok = scraped and gapless and got == want and not subscriber.is_alive()
         print(f"subscriber log gapless: {gapless}")
         print(f"committed outputs match sequential spec: {got == want}")
         if args.crash:

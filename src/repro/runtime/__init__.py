@@ -361,37 +361,9 @@ class ProcessBackend(RuntimeBackend):
         timeout_s = opts.with_timeout_default(self.default_timeout_s)
         if opts.nodes is None:
             return process.run_on_workers(spec, timeout_s, opts.transport or DEFAULT_TRANSPORT)
-        exporter = opts.metrics_port
-        owned = isinstance(exporter, int)
-        if owned:
-            # The attempt's own exporter, serving while it runs.
-            exporter = MetricsExporter(port=exporter).start()
-        elif exporter is not None:
-            exporter.begin_attempt()
-        try:
-            nodes = local_nodes(opts.nodes) if isinstance(opts.nodes, int) else tuple(opts.nodes)
-            placement = resolve_placement(spec.plan, nodes, opts.placement)
-            return process.run_on_workers(spec, timeout_s, "tcp", exporter, nodes, placement)
-        finally:
-            if owned:
-                exporter.stop()
-
-    def _run_driven(self, program, plan, streams, opts):
-        # An exporter per attempt would bind, serve one attempt, and
-        # vanish — exactly when a scrape wants to watch a recovery.
-        # Own one exporter here for the whole recovering/elastic run
-        # and hand the live instance down through metrics_port; each
-        # attempt reuses it, opening a new attempt="N" label group, and
-        # leaves stopping it to us.
-        if opts.nodes is None or not opts.metrics or opts.metrics_port is None:
-            return super()._run_driven(program, plan, streams, opts)
-        exporter = MetricsExporter(port=opts.metrics_port).start()
-        opts = copy.copy(opts)
-        opts.metrics_port = exporter
-        try:
-            return super()._run_driven(program, plan, streams, opts)
-        finally:
-            exporter.stop()
+        nodes = local_nodes(opts.nodes) if isinstance(opts.nodes, int) else tuple(opts.nodes)
+        placement = resolve_placement(spec.plan, nodes, opts.placement)
+        return process.run_on_workers(spec, timeout_s, "tcp", nodes, placement)
 
 
 BACKENDS: Dict[str, RuntimeBackend] = {

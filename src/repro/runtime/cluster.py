@@ -19,8 +19,8 @@ fail-stop model (a dead peer is EOF/``ECONNRESET``, never a reconnect),
 so fault injection, checkpoint recovery and elastic reconfiguration
 run unchanged on a node deployment.  Control rides one socketpair per
 agent, as for any other place
-(:class:`~repro.runtime.transport.ControlPlane`), live metrics
-snapshots for the exporter included; a dead agent shows as EOF there.
+(:class:`~repro.runtime.transport.ControlPlane`), the end-of-attempt
+reports and their metrics included; a dead agent shows as EOF there.
 
 Every agent is forked on this host, to inherit the (unpicklable)
 program closures.  Launching agents on other hosts would need an

@@ -6,10 +6,8 @@ fixed-bucket :class:`LatencyHistogram`\\ s (join/fork round-trip and
 end-to-end event latency); events and joins are counted once, by the
 worker's output sink.  A worker's :class:`MetricsSnapshot` reaches the
 coordinator as itself, in the worker's end-of-run report — the one
-source of ``run.metrics``.  A cluster run with a live Prometheus
-endpoint also has its workers send snapshots up their control channel
-(:mod:`repro.runtime.process`).  Protocol messages never
-carry metrics, and a disabled plane costs a single ``is None`` check.
+source of ``run.metrics``.  Protocol messages never carry metrics,
+and a disabled plane costs a single ``is None`` check.
 
 The backlog signal is ``max_backlog``: each worker's high-water of
 released-but-undispatched items, noted once per drain.  It is a
@@ -47,7 +45,6 @@ __all__ = [
     "MetricsExporter",
     "merge_attempt_metrics",
     "percentiles",
-    "prometheus_render",
 ]
 
 
@@ -179,7 +176,7 @@ class LatencyHistogram:
 @dataclass
 class MetricsSnapshot:
     """A picklable point-in-time copy of one worker's metrics: what a
-    worker reports, and what its live snapshots carry."""
+    worker reports."""
 
     worker: str
     events_processed: int = 0
@@ -225,9 +222,7 @@ class MetricsSnapshot:
     def add(self, other: "MetricsSnapshot") -> None:
         """Accumulate ``other`` into this snapshot: counters sum,
         backlogs take the high-water, histograms merge (bucket-checked).
-        This is the cross-*attempt* combinator — unlike
-        :meth:`RunMetrics.absorb`, which keeps the richest of several
-        reports of the *same* attempt."""
+        This is the cross-*attempt* combinator."""
         for k in self._COUNTERS:
             setattr(self, k, getattr(self, k) + getattr(other, k))
         self.max_backlog = max(self.max_backlog, other.max_backlog)
@@ -374,11 +369,9 @@ class RunMetrics:
     )
 
     def absorb(self, snap: MetricsSnapshot) -> None:
-        """Keep the richer snapshot when a worker reports twice (an
-        exporter sees live snapshots, then the end-of-run report)."""
-        prev = self.per_worker.get(snap.worker)
-        if prev is None or snap.events_processed >= prev.events_processed:
-            self.per_worker[snap.worker] = snap
+        """Store a worker's snapshot (each worker reports once per
+        attempt), replacing any earlier one under its name."""
+        self.per_worker[snap.worker] = snap
 
     def accumulate(self, other: "RunMetrics") -> None:
         """Fold another attempt's metrics into this one as totals:
@@ -421,82 +414,51 @@ class RunMetrics:
             out["recovery"] = {k: getattr(self, k) for k in self._RECOVERY_COUNTERS}
         return out
 
-    def prometheus_text(self, extra_labels: str = "") -> str:
-        """Render in Prometheus text exposition format.
-
-        ``extra_labels`` (e.g. ``attempt="2"``) is prefixed to every
-        sample's label set — how the cluster exporter distinguishes
-        attempts of a recovering/elastic run on one endpoint."""
-        return prometheus_render([(extra_labels, self)])
-
-
-def prometheus_render(groups: Sequence[Tuple[str, RunMetrics]]) -> str:
-    """Prometheus text for one or more label-prefixed metric groups.
-
-    Each group is ``(extra_labels, metrics)``; ``extra_labels`` (e.g.
-    ``attempt="1"``) is prefixed to every sample from that group.  HELP
-    and TYPE headers are emitted once per metric name even when several
-    groups carry it, keeping multi-attempt exposition valid."""
-    lines: List[str] = []
-
-    def lbl(extra: str, labels: str) -> str:
-        if extra and labels:
-            return f"{extra},{labels}"
-        return extra or labels
-
-    for counter, help_ in (
-        ("events_processed", "Events processed by the worker loop"),
-        ("joins_completed", "Join/fork rounds completed"),
-        ("batches_sent", "Transport batches flushed"),
-        ("messages_sent", "Messages sent inside batches"),
-        ("frames_received", "Wire frames received"),
-        ("max_backlog", "High-water of released-but-undispatched items, noted per drain"),
-    ):
-        name = f"repro_worker_{counter}"
-        lines.append(f"# HELP {name} {help_}")
-        lines.append(f"# TYPE {name} gauge")
-        for extra, rm in groups:
-            for w, s in sorted(rm.per_worker.items()):
-                labels = lbl(extra, f'worker="{w}"')
-                lines.append(f"{name}{{{labels}}} {float(getattr(s, counter))}")
-    for hname, attr in (("join_rtt", "join_rtt"), ("event_latency", "event_latency")):
-        base = f"repro_{hname}_seconds"
-        lines.append(f"# HELP {base} Latency histogram ({hname})")
-        lines.append(f"# TYPE {base} histogram")
-        for extra, rm in groups:
-            for w, s in sorted(rm.per_worker.items()):
-                h: Optional[LatencyHistogram] = getattr(s, attr)
+    def prometheus_text(self) -> str:
+        """Render in Prometheus text exposition format."""
+        lines: List[str] = []
+        for counter, help_ in (
+            ("events_processed", "Events processed by the worker loop"),
+            ("joins_completed", "Join/fork rounds completed"),
+            ("batches_sent", "Transport batches flushed"),
+            ("messages_sent", "Messages sent inside batches"),
+            ("frames_received", "Wire frames received"),
+            ("max_backlog", "High-water of released-but-undispatched items, noted per drain"),
+        ):
+            name = f"repro_worker_{counter}"
+            lines.append(f"# HELP {name} {help_}")
+            lines.append(f"# TYPE {name} gauge")
+            for w, s in sorted(self.per_worker.items()):
+                lines.append(f'{name}{{worker="{w}"}} {float(getattr(s, counter))}')
+        for hname in ("join_rtt", "event_latency"):
+            base = f"repro_{hname}_seconds"
+            lines.append(f"# HELP {base} Latency histogram ({hname})")
+            lines.append(f"# TYPE {base} histogram")
+            for w, s in sorted(self.per_worker.items()):
+                h: Optional[LatencyHistogram] = getattr(s, hname)
                 if h is None:
                     continue
                 cum = 0
-                wl = lbl(extra, f'worker="{w}"')
+                wl = f'worker="{w}"'
                 for i, bound in enumerate(h.bounds):
                     cum += h.counts[i]
-                    bl = lbl(wl, f'le="{bound:g}"')
-                    lines.append(f"{base}_bucket{{{bl}}} {cum}")
-                bl = lbl(wl, 'le="+Inf"')
-                lines.append(f"{base}_bucket{{{bl}}} {h.count}")
+                    lines.append(f'{base}_bucket{{{wl},le="{bound:g}"}} {cum}')
+                lines.append(f'{base}_bucket{{{wl},le="+Inf"}} {h.count}')
                 lines.append(f"{base}_sum{{{wl}}} {h.sum}")
                 lines.append(f"{base}_count{{{wl}}} {h.count}")
-    for counter, help_ in (
-        ("attempts", "Execution attempts the metrics cover"),
-        ("replayed_events", "Events replayed by crash recoveries"),
-        ("checkpoints_restored", "Checkpoint restores performed"),
-        ("reconfigurations", "Completed plan migrations"),
-        ("migration_pause_s", "Total driver-side migration pause (s)"),
-    ):
-        rows = [
-            (extra, rm) for extra, rm in groups if rm.attempts
-        ]
-        if not rows:
-            continue
-        name = f"repro_run_{counter}"
-        lines.append(f"# HELP {name} {help_}")
-        lines.append(f"# TYPE {name} gauge")
-        for extra, rm in rows:
-            labels = f"{{{extra}}}" if extra else ""
-            lines.append(f"{name}{labels} {float(getattr(rm, counter))}")
-    return "\n".join(lines) + "\n"
+        if self.attempts:
+            for counter, help_ in (
+                ("attempts", "Execution attempts the metrics cover"),
+                ("replayed_events", "Events replayed by crash recoveries"),
+                ("checkpoints_restored", "Checkpoint restores performed"),
+                ("reconfigurations", "Completed plan migrations"),
+                ("migration_pause_s", "Total driver-side migration pause (s)"),
+            ):
+                name = f"repro_run_{counter}"
+                lines.append(f"# HELP {name} {help_}")
+                lines.append(f"# TYPE {name} gauge")
+                lines.append(f"{name} {float(getattr(self, counter))}")
+        return "\n".join(lines) + "\n"
 
 
 def merge_attempt_metrics(
@@ -521,14 +483,9 @@ def merge_attempt_metrics(
 class MetricsExporter:
     """Tiny stdlib HTTP server publishing Prometheus text on /metrics.
 
-    The coordinator updates the store with whatever snapshots have
-    arrived; scrapes never block the data plane.  A plain run uses the
-    default attempt bucket (no ``attempt`` label); the recovering and
-    elastic cluster paths call :meth:`begin_attempt` before each
-    attempt, which keeps every prior attempt's final state scrapeable
-    under its ``attempt="n"`` label while the live attempt updates —
-    the exporter stays up across the whole multi-attempt run instead
-    of going dark at every crash or migration.
+    The service tier (:mod:`repro.serve`) owns one, and after each
+    epoch stores the run's merged metrics (:meth:`update`) and its
+    service gauges; scrapes never block the data plane.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
@@ -553,10 +510,7 @@ class MetricsExporter:
                 pass
 
         self._lock = threading.Lock()
-        #: attempt index -> that attempt's live/final RunMetrics; key 0
-        #: is the unlabeled bucket plain (single-attempt) runs use.
-        self._attempt = 0
-        self._by_attempt: Dict[int, RunMetrics] = {0: RunMetrics()}
+        self._metrics = RunMetrics()
         #: Service-tier gauges (repro.serve): name suffix -> value,
         #: rendered as ``repro_serve_<name>``.  Empty outside service
         #: mode, so closed runs expose nothing extra.
@@ -575,17 +529,9 @@ class MetricsExporter:
         self._thread.start()
         return self
 
-    def begin_attempt(self) -> int:
-        """Open a new ``attempt="n"`` bucket (1-based) for subsequent
-        updates; earlier attempts' final state stays scrapeable."""
-        with self._lock:
-            self._attempt += 1
-            self._by_attempt[self._attempt] = RunMetrics()
-            return self._attempt
-
     def update(self, snap: MetricsSnapshot) -> None:
         with self._lock:
-            self._by_attempt[self._attempt].absorb(snap)
+            self._metrics.absorb(snap)
 
     def set_service_gauges(self, gauges: Dict[str, float]) -> None:
         """Publish service-tier gauges: each ``{name: value}`` renders
@@ -622,15 +568,7 @@ class MetricsExporter:
 
     def render(self) -> str:
         with self._lock:
-            service = self._render_service()
-            if self._attempt == 0:
-                return service + self._by_attempt[0].prometheus_text()
-            groups = [
-                (f'attempt="{a}"', rm)
-                for a, rm in sorted(self._by_attempt.items())
-                if a > 0
-            ]
-        return service + prometheus_render(groups)
+            return self._render_service() + self._metrics.prometheus_text()
 
     def stop(self) -> None:
         self._server.shutdown()

@@ -91,27 +91,24 @@ class RunOptions:
     * ``placement`` — worker-id -> node-name pins for ``nodes=``
       deployments (unpinned workers are spread round-robin).
 
-    These and ``metrics_port`` are the deployment fields.  A malformed
-    one (``nodes`` a bool or below 1, a ``placement`` that is not a str
-    -> str mapping, a ``metrics_port`` outside 0-65535) raises
-    ``ValueError`` as the options are built, and a backend
+    These are the deployment fields.  A malformed one (``nodes`` a
+    bool or below 1, a ``placement`` that is not a str -> str mapping)
+    raises ``ValueError`` as the options are built, and a backend
     refuses one it would never read with a ``RuntimeFault``
-    (:meth:`refuse_unread`): ``sim`` and ``threaded`` refuse all four;
-    ``process`` refuses ``placement`` without ``nodes``, a ``transport``
-    other than ``"tcp"`` with ``nodes``, and ``metrics_port`` without
-    both ``nodes`` and ``metrics``.
+    (:meth:`refuse_unread`): ``sim`` and ``threaded`` refuse all
+    three; ``process`` refuses ``placement`` without ``nodes``, and a
+    ``transport`` other than ``"tcp"`` with ``nodes``.
 
     The metrics plane (:mod:`repro.runtime.metrics`):
 
     * ``metrics`` — enable per-worker counters and latency histograms;
       the run result's ``metrics`` field carries the merged
-      :class:`~repro.runtime.metrics.RunMetrics`;
+      :class:`~repro.runtime.metrics.RunMetrics`, built from each
+      worker's end-of-attempt report (its ``prometheus_text()`` renders
+      it; the service tier's ``ServeOptions.metrics_port`` serves it);
     * ``latency_buckets`` — histogram upper bounds in seconds: a
       non-empty, strictly increasing sequence of finite numbers above
       0 (``None`` selects the default geometric buckets);
-    * ``metrics_port`` — in cluster (``nodes=``) mode, serve live
-      Prometheus text on ``http://127.0.0.1:<port>/metrics`` from the
-      coordinator (``0`` picks a free port);
     * ``pace`` — open-loop producer pacing: timestamp units replayed
       per wall-clock second, finite and above 0 (timestamps are
       milliseconds, so ``pace=1000.0`` replays in real time; ``None``
@@ -132,7 +129,6 @@ class RunOptions:
     placement: Any = None
     metrics: bool = False
     latency_buckets: Any = None
-    metrics_port: Any = None
     pace: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -150,9 +146,8 @@ class RunOptions:
             )
         # Deferred: this module stays a leaf of the import graph.
         from .cluster import NodeSpec
-        from .metrics import MetricsExporter
 
-        n, p, port = self.nodes, self.placement, self.metrics_port
+        n, p = self.nodes, self.placement
         if not (
             n is None
             or (_is_int(n) and n >= 1)
@@ -161,14 +156,6 @@ class RunOptions:
             raise ValueError(f"nodes must be None, an int >= 1 or NodeSpecs, got {n!r}")
         if not (p is None or isinstance(p, Mapping) and all(map(_both_str, p.items()))):
             raise ValueError(f"placement must be None or a str -> str mapping, got {p!r}")
-        # Or the one live exporter a multi-attempt run owns and hands
-        # its attempts (ProcessBackend._run_driven, the service).
-        if not (
-            port is None
-            or (_is_int(port) and 0 <= port <= 65535)
-            or isinstance(port, MetricsExporter)
-        ):
-            raise ValueError(f"metrics_port must be None or a port in 0-65535, got {port!r}")
 
     def refuse_unread(self, backend: str) -> None:
         """Raise ``RuntimeFault`` for a deployment field the named
@@ -176,7 +163,7 @@ class RunOptions:
         if backend != "process":
             unread = [
                 f"{name}="
-                for name in ("transport", "nodes", "placement", "metrics_port")
+                for name in ("transport", "nodes", "placement")
                 if getattr(self, name) is not None
             ]
             if unread:
@@ -194,11 +181,6 @@ class RunOptions:
             raise RuntimeFault(
                 f"nodes= deploys over the TCP data plane; it cannot be "
                 f"combined with transport={self.transport!r}"
-            )
-        elif self.metrics_port is not None and (self.nodes is None or not self.metrics):
-            raise RuntimeFault(
-                "metrics_port= serves a cluster run's live metrics; it needs "
-                "nodes= and metrics=True"
             )
 
     def with_timeout_default(self, default_s: float) -> float:
@@ -256,15 +238,15 @@ class ServeOptions:
       admitted-but-uncommitted events: admission pauses (events are
       *rejected, reported to the client*) at the high watermark and
       resumes once the backlog drains to half of it;
-    * ``metrics_port`` — serve live Prometheus text (including the
-      ``repro_serve_*`` gauges) on ``http://host:<port>/metrics``
-      (``0`` picks a free port; ``None`` disables the exporter).
+    * ``metrics_port`` — serve Prometheus text on
+      ``http://host:<port>/metrics``: the ``repro_serve_*`` gauges and,
+      with ``run.metrics`` on, the run's merged worker metrics
+      (``worker="all"``), both refreshed after each epoch — the same
+      shape on every backend (``0`` picks a free port; ``None``
+      disables the exporter).
 
     ``run``'s deployment fields must be ones ``backend`` reads
-    (:meth:`RunOptions.refuse_unread`), checked here, at construction,
-    and a port in ``run.metrics_port`` needs ``metrics_port`` set: the
-    service serves one exporter, while a port on ``run`` would bind a
-    fresh one on each seal's attempt that nothing reports.
+    (:meth:`RunOptions.refuse_unread`), checked here, at construction.
     """
 
     backend: str = "threaded"
@@ -288,9 +270,3 @@ class ServeOptions:
         if self.ingest_high_watermark < 1:
             raise ValueError("ingest_high_watermark must be >= 1")
         self.run.refuse_unread(self.backend)
-        if _is_int(self.run.metrics_port) and self.metrics_port is None:
-            raise ValueError(
-                f"run.metrics_port={self.run.metrics_port} would bind an exporter on each "
-                "seal's attempt that nothing reports; set ServeOptions.metrics_port, the "
-                "service's one exporter, instead"
-            )

@@ -392,29 +392,18 @@ def _drive_place(
     quiesce, and the place runs and pumps no further; a worker stopped
     before it announced anything ships its stall state.  Each wait on
     the inbox spins briefly first while a join is outstanding
-    (:func:`_wait`).  With the
-    metrics plane on and the channel ``live`` (a cluster exporter
-    listens), a snapshot per worker goes up at most every 0.25 s."""
+    (:func:`_wait`)."""
     origin = control.wait_origin()
     spec = spec.at_origin(origin)
     place = _Place(spec, hosted, remote)
     workers = list(place.workers.values())
     cores = [w.core for w in workers]
     leaves = [c for c in cores if c.is_leaf]
-    live = spec.metrics is not None and control.live
-    last_push = time.monotonic()
 
     def run() -> None:
-        nonlocal last_push
         worker = place.run()
         if worker is not None:
             control.send("crash" if worker.crash is not None else "quiesce", worker.node_id)
-        if live:
-            now = time.monotonic()
-            if now - last_push >= 0.25:
-                last_push = now
-                for w in workers:
-                    control.send("metrics", w.node_id, w.metrics.snapshot(w.sink))
 
     got = None
     for delay in pump_producers(
@@ -615,9 +604,6 @@ def coordinate_attempt(
     substrate = "cluster" if nodes else "process"
     aborted = _await_done(substrate, control, workers, endpoints.stop_all, timeout_s)
     result.wall_s = time.perf_counter() - t0
-    # From here on the reports are the metrics; live snapshots still in
-    # flight are dropped.
-    control.on_metrics = None
     endpoints.stop_all()
     reports = control.collect(time.monotonic() + timeout_s)
     missing = sorted(set(workers) - set(reports))
@@ -661,7 +647,6 @@ def run_on_workers(
     spec: AttemptSpec,
     timeout_s: float,
     transport: str = DEFAULT_TRANSPORT,
-    exporter=None,
     nodes: Sequence[NodeSpec] = (),
     placement: Optional[Dict[str, str]] = None,
 ) -> AttemptOutcome:
@@ -676,10 +661,7 @@ def run_on_workers(
     agent is forked per node that hosts workers, over ``tcp``, each
     node's inbound edges listening on its host.  A crashed or quiesced
     attempt returns (see :class:`~repro.runtime.protocol.AttemptOutcome`)
-    rather than raising.  With an ``exporter``
-    (:class:`~repro.runtime.metrics.MetricsExporter`), the places push
-    live snapshots to it, and the merged end-of-run reports replace them
-    once the attempt ends."""
+    rather than raising."""
     # fork, not spawn: children inherit the program's closures; only
     # messages are ever pickled.
     if "fork" not in mp.get_all_start_methods():
@@ -701,9 +683,6 @@ def run_on_workers(
         if len(endpoints.places) > 1:
             local = placement[spec.plan.root.id]
     control = ControlPlane(ctx)
-    control.live = exporter is not None
-    if exporter is not None:
-        control.on_metrics = exporter.update
     halt = threading.Event()
     thread = result = None
     try:
@@ -722,7 +701,7 @@ def run_on_workers(
             sock = control.open(_who(kind, local, hosted), len(hosted))
             thread = threading.Thread(
                 target=_coordinator_place,
-                args=(local, hosted, spec, endpoints, ControlChannel(sock, control.live), halt),
+                args=(local, hosted, spec, endpoints, ControlChannel(sock), halt),
                 name=f"{kind}:{local}", daemon=True,
             )
             thread.start()
@@ -748,6 +727,3 @@ def run_on_workers(
             threading.Thread(target=close_once_stopped, name=f"close:{local}", daemon=True).start()
         else:
             endpoints.close()
-        if exporter is not None and result is not None and result.metrics is not None:
-            for snap in result.metrics.per_worker.values():
-                exporter.update(snap)

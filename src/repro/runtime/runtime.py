@@ -136,8 +136,8 @@ class _SimPlace(Actor):
     place's run queue and runs at once; the place's outgoing batches
     leave through :meth:`Actor.send`, and the state a batch carries
     (join responses, forked states) charges its size to the receiver.
-    A worker that crashed or quiesced stops its place: it runs no
-    further."""
+    A worker that crashed or quiesced stops the simulation: the attempt
+    ends at its first crash or quiesce, as on the real substrates."""
 
     #: Flumina's per-event CPU multiplier relative to the bare update:
     #: the mailbox's selective-reordering bookkeeping (buffer insert,
@@ -176,10 +176,9 @@ class _SimPlace(Actor):
         return sum(heartbeat if isinstance(m, HeartbeatMsg) else other for m in batch)
 
     def handle(self, batch: List[Any], sender: Optional[str]) -> None:
-        place = self.place
-        if place.stopped is None:  # a stopped place's queue would only grow
-            place.runq.append((self.name, batch))
-            place.run()
+        self.place.runq.append((self.name, batch))
+        if self.place.run() is not None:
+            self.system.sim.stop()
 
 
 def _placed(plan: SyncPlan, topology: Topology) -> SyncPlan:

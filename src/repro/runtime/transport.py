@@ -157,12 +157,11 @@ class ControlChannel:
     coordinator's own place's thread's): the origin comes
     down first, then pickled, length-prefixed ``(kind, who, payload)``
     records go up — ``"done"``, ``"crash"`` or ``"quiesce"``,
-    ``"report"``, ``"error"`` (an escaped traceback; ``who`` is None
-    when no handler raised it) and, while
-    ``live``, ``"metrics"``.  Only the place loop uses it."""
+    ``"report"`` and ``"error"`` (an escaped traceback; ``who`` is None
+    when no handler raised it).  Only the place loop uses it."""
 
-    def __init__(self, sock: socket.socket, live: bool = False) -> None:
-        self._sock, self.live = sock, live
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
 
     def wait_origin(self) -> float:
         data = self._sock.recv(_ORIGIN.size, socket.MSG_WAITALL)
@@ -192,16 +191,13 @@ class ControlPlane:
     dgsbench).  :meth:`release` sends the origin (the pacing clock's and
     latency epoch's zero); then one ``poll`` waits on every child.  A child's
     traceback, or EOF before its reports (it died), raises a
-    :class:`RuntimeFault`; live snapshots go to ``on_metrics``."""
+    :class:`RuntimeFault`."""
 
     def __init__(self, ctx=None) -> None:
         self._children: Dict[int, _Child] = {}
         self._poller = select.poll()
         self._ready: Deque[Tuple[str, str]] = deque()
         self.reports: Dict[str, Any] = {}
-        #: Set before forking: workers send live metrics snapshots.
-        self.live = False
-        self.on_metrics: Optional[Callable[[Any], None]] = None
 
     def open(self, who: str, reports: int) -> socket.socket:
         mine, theirs = socket.socketpair()  # theirs goes to the child
@@ -224,7 +220,7 @@ class ControlPlane:
         # Close the rest: each end lives in one process, so a death is EOF.
         for child in self._children.values():
             child.sock.close()
-        target(*args, ControlChannel(sock, self.live))
+        target(*args, ControlChannel(sock))
 
     def release(self) -> None:
         origin = _ORIGIN.pack(time.time())
@@ -277,10 +273,8 @@ class ControlPlane:
             if kind == "report":
                 child.due -= 1
                 self.reports[who] = payload
-            elif kind != "metrics":
+            else:
                 self._ready.append((who, kind))
-            elif self.on_metrics is not None:
-                self.on_metrics(payload)
 
     def finish(self, failed: bool) -> None:
         """Close the sockets and join the children: a finished

@@ -27,10 +27,9 @@ Epochs are sealed by a background task — when the inbox reaches
 and executed on a worker thread so the event loop keeps admitting and
 acking while a (possibly crashing, possibly reconfiguring) epoch runs.
 The :mod:`~repro.runtime.metrics` exporter, when enabled, publishes
-the ``repro_serve_*`` gauges plus the accumulated run metrics; cluster
-epochs (``run.nodes``) additionally stream per-worker gauges through
-the same exporter via the shared-exporter idiom the recovering and
-elastic cluster paths use.
+the ``repro_serve_*`` gauges plus the accumulated run metrics
+(``worker="all"``), refreshed after each epoch from the attempts'
+end-of-attempt reports: one scrape shape on every backend.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import asyncio
 import hmac
 import secrets
 import threading
-from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 from ..core.errors import RuntimeFault
@@ -82,15 +80,7 @@ class ServiceServer:
         self.cookie = opts.cookie if opts.cookie is not None else secrets.token_hex(16)
         self.exporter: Optional[MetricsExporter] = None
         if opts.metrics_port is not None:
-            self.exporter = MetricsExporter(port=int(opts.metrics_port)).start()
-            if opts.run.nodes is not None and opts.run.metrics:
-                # Cluster epochs each bind their own exporter; handing
-                # them the live exporter instance keeps one scrape
-                # endpoint across attempts (attempt="N" label groups),
-                # exactly like ProcessBackend._run_driven.
-                opts = replace(
-                    opts, run=replace(opts.run, metrics_port=self.exporter)
-                )
+            self.exporter = MetricsExporter(opts.host, int(opts.metrics_port)).start()
         self.options = opts
         self.runtime = ServiceRuntime(program, plan, options=opts)
         #: Connections dropped at the handshake (bad cookie, garbage,

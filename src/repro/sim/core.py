@@ -22,19 +22,21 @@ Callback = Callable[[], None]
 class Simulator:
     """An event-heap simulator with deterministic tie-breaking."""
 
-    __slots__ = ("now", "_heap", "_seq", "_running", "events_processed")
+    __slots__ = ("now", "_heap", "_seq", "_stopped", "events_processed")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Callback]] = []
         self._seq: int = 0
-        self._running: bool = False
+        self._stopped: bool = False
         self.events_processed: int = 0
 
     def schedule_at(self, time: float, fn: Callback) -> None:
         """Schedule ``fn`` to run at absolute time ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
+        if self._stopped:
+            return
         heapq.heappush(self._heap, (time, self._seq, fn))
         self._seq += 1
 
@@ -67,6 +69,13 @@ class Simulator:
         if until is not None and self.now < until and not heap:
             self.now = until
         return self.now
+
+    def stop(self) -> None:
+        """End the simulation: drop every scheduled event, and schedule
+        nothing from here on — :meth:`run` returns once the running
+        callback does."""
+        self._heap.clear()
+        self._stopped = True
 
     def step(self) -> bool:
         """Process a single event; return False if the heap is empty."""

@@ -11,7 +11,7 @@ there: every substrate's execution attempt reports its own RunMetrics
 Also here: the cross-attempt merge primitives
 (`MetricsSnapshot.add`, `RunMetrics.accumulate`,
 `merge_attempt_metrics`), the overflow-aware percentile (+inf, never a
-silent clamp), the attempt-labelled exporter, and the open-loop pacing
+silent clamp), the exporter's one unlabelled store, and the open-loop pacing
 anchor regression (offset timestamps must not stall the producer).
 """
 
@@ -229,11 +229,10 @@ class TestMergePrimitives:
         assert b.events_processed == 7  # other untouched
 
     def test_accumulate_vs_absorb(self):
-        """absorb keeps the richest snapshot (within one attempt's
-        live/final feed); accumulate sums (across attempts)."""
+        """absorb stores a worker's one report of an attempt;
+        accumulate sums (across attempts)."""
         rm1, rm2 = RunMetrics(), RunMetrics()
         rm1.absorb(self._snap("w1", 10))
-        rm1.absorb(self._snap("w1", 4))  # stale: ignored
         rm2.absorb(self._snap("w1", 5))
         rm1.accumulate(rm2)
         assert rm1.per_worker["w1"].events_processed == 15
@@ -287,22 +286,21 @@ class TestOverflowPercentile:
         assert s.to_json()["event_latency"]["overflow"] == 1
 
 
-class TestExporterAttemptLabels:
-    def test_attempt_label_groups(self):
+class TestExporter:
+    def test_an_update_replaces_the_workers_sample(self):
+        """The service refreshes its exporter after each epoch: the
+        scrape carries the latest snapshot per worker, once."""
         exp = MetricsExporter(port=0).start()
         try:
-            exp.begin_attempt()
-            exp.update(MetricsSnapshot(worker="w1", events_processed=3))
-            exp.begin_attempt()
-            exp.update(MetricsSnapshot(worker="w1", events_processed=4))
+            exp.update(MetricsSnapshot(worker="all", events_processed=3))
+            exp.update(MetricsSnapshot(worker="all", events_processed=7))
             body = urllib.request.urlopen(
                 f"http://127.0.0.1:{exp.port}/metrics", timeout=2
             ).read().decode()
         finally:
             exp.stop()
-        assert 'repro_worker_events_processed{attempt="1",worker="w1"} 3.0' in body
-        assert 'repro_worker_events_processed{attempt="2",worker="w1"} 4.0' in body
-        # HELP/TYPE headers appear once per metric, not per attempt.
+        samples = [x for x in body.splitlines() if x.startswith("repro_worker_events_processed")]
+        assert samples == ['repro_worker_events_processed{worker="all"} 7.0']
         assert body.count("# TYPE repro_worker_events_processed gauge") == 1
 
     def test_plain_runs_stay_unlabelled(self):

@@ -70,7 +70,6 @@ RUN_OPTIONS_FIELDS = (
     "placement",
     "metrics",
     "latency_buckets",
-    "metrics_port",
     "pace",
 )
 

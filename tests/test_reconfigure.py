@@ -392,19 +392,14 @@ class TestRunOptions:
             ("nodes", {"nodes": "node0"}),
             ("placement", {"nodes": 2, "placement": [1, 2]}),
             ("placement", {"nodes": 2, "placement": {"w1": 0}}),
-            ("metrics_port", {"metrics": True, "nodes": 2, "metrics_port": -5}),
-            ("metrics_port", {"metrics": True, "nodes": 2, "metrics_port": 65536}),
-            ("metrics_port", {"metrics": True, "nodes": 2, "metrics_port": True}),
-            ("metrics_port", {"metrics": True, "nodes": 2, "metrics_port": "9100"}),
         ],
         ids=lambda v: v if isinstance(v, str) else repr(v),
     )
     def test_a_malformed_deployment_field_is_refused_where_it_is_given(self, field, fields):
-        """Not a silent one-node run, a ``TypeError`` mid-run, an
-        ``OverflowError`` from ``bind`` or port 1."""
+        """Not a silent one-node run or a ``TypeError`` mid-run."""
         with pytest.raises(ValueError, match=field):
             RunOptions(**fields)
-        RunOptions(nodes=1, placement={}, metrics=True, metrics_port=65535)
+        RunOptions(nodes=1, placement={}, metrics=True)
         RunOptions(nodes=(NodeSpec("a"), NodeSpec("b")), placement={"w1": "a"})
 
     @pytest.mark.parametrize(

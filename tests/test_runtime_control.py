@@ -134,7 +134,7 @@ def test_a_place_that_fails_outside_a_handler_is_named(monkeypatch, substrate):
     "substrate, options, threads",
     [
         ("process", {}, ["worker:w1"]),
-        ("nodes=2", {"nodes": 2, "metrics": True, "metrics_port": 0}, []),
+        ("nodes=2", {"nodes": 2, "metrics": True}, []),
     ],
 )
 def test_no_multiprocessing_primitive_and_no_thread_but_the_root_place(
@@ -158,9 +158,8 @@ def test_no_multiprocessing_primitive_and_no_thread_but_the_root_place(
     assert output_multiset(run.outputs) == output_multiset(
         run_sequential_reference(prog, streams)
     )
-    # The metrics exporter is an HTTP server, not part of the control;
-    # on ``process`` the root's place (with w2) runs on a thread.
-    assert [n for n in started if n != "metrics-exporter"] == threads
+    # On ``process`` the root's place (with w2) runs on a thread.
+    assert started == threads
 
 
 def test_a_place_thread_that_ends_before_its_report_is_named():
@@ -233,7 +232,7 @@ def test_a_forked_child_imports_nothing(monkeypatch, tmp_path, options, metrics)
 
     monkeypatch.setattr(ControlPlane, "_child_main", recording)
     if metrics:
-        options = dict(options, metrics=True, metrics_port=0 if "nodes" in options else None)
+        options = dict(options, metrics=True)
     prog, plan, streams = _case()
     run_on_backend("process", prog, plan, streams, options=RunOptions(**options))
     records = [json.loads(f.read_text()) for f in tmp_path.glob("*.json")]

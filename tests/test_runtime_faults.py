@@ -6,6 +6,7 @@ with the recovery bookkeeping (attempts, commits, replays) asserted
 exactly rather than just the end-to-end output equivalence.
 """
 
+import dataclasses
 import pickle
 import random
 
@@ -27,6 +28,7 @@ from repro.runtime import (
     RunOptions,
     assert_recovery_sound,
     every_root_join,
+    get_backend,
     run_on_backend,
     run_sequential_reference,
 )
@@ -489,6 +491,49 @@ class TestSuffixStreams:
         got = log.streams()
         assert got == _filtered_suffix(streams, key)
         assert all(type(s.events) is tuple for s in got)
+
+
+class TestSimAttemptEndsAtItsFirstStop:
+    """As on the real substrates, a simulated attempt ends at its first
+    crash: the other places process nothing more."""
+
+    def _case(self):
+        """Two long barrier intervals, the first barrier moved up to
+        follow each stream's 5th value: the first leaf's 10th value
+        follows a checkpoint, and every other leaf could go on to the
+        second barrier (its 200th value) without it."""
+        prog, streams, plan = vb_case(values_per_barrier=100, n_barriers=2)
+        barriers = streams[-1]
+        moved = (dataclasses.replace(barriers.events[0], ts=1.5), *barriers.events[1:])
+        streams = [*streams[:-1], dataclasses.replace(barriers, events=moved)]
+        faults = FaultPlan(CrashFault(plan.leaves()[0].id, after_events=10))
+        return prog, streams, plan, faults
+
+    def test_a_crashed_attempt_processes_far_fewer_events(self):
+        prog, streams, plan, faults = self._case()
+        sim = get_backend("sim")
+        armed = RunOptions(fault_plan=faults, checkpoint_predicate=every_root_join())
+        crashed = sim.attempt(prog, plan, streams, options=armed)
+        clean = sim.attempt(
+            prog, plan, streams, options=RunOptions(checkpoint_predicate=every_root_join())
+        )
+        assert [c.worker for c in crashed.crashes] == [plan.leaves()[0].id]
+        assert clean.crashes == [] and clean.events_processed == sum(
+            len(s.events) for s in streams
+        )
+        # Each of the three leaves gets to about its 10th value.
+        assert crashed.events_processed < clean.events_processed // 10
+
+    def test_the_recovered_run_matches_the_spec(self):
+        prog, streams, plan, faults = self._case()
+        run = run_on_backend(
+            "sim", prog, plan, streams,
+            options=RunOptions(fault_plan=faults, checkpoint_predicate=every_root_join()),
+        )
+        assert output_multiset(run.outputs) == output_multiset(
+            run_sequential_reference(prog, streams)
+        )
+        assert run.recovery.attempts == 2
 
 
 class TestDeterminism:

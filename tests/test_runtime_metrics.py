@@ -1,7 +1,7 @@
 """The per-worker metrics plane: histogram math, snapshots and
 cross-worker merging, the one path from a worker's report to the run's
-metrics, the RunOptions entry points, and the cluster coordinator's
-Prometheus endpoint.
+metrics, the RunOptions entry points, and a cluster run's Prometheus
+rendering of its reports.
 
 The differential class is the plane's most important property: turning
 metrics **on changes nothing** — every app produces the same output
@@ -9,10 +9,7 @@ multiset with and without instrumentation, on every backend.
 """
 
 import multiprocessing
-import socket
-import threading
 import time
-import urllib.request
 import warnings
 
 import pytest
@@ -32,14 +29,12 @@ from repro.runtime import (
     InputStream,
     LatencyHistogram,
     MetricsConfig,
-    MetricsExporter,
     MetricsSnapshot,
     RunMetrics,
     RunOptions,
     WorkerMetrics,
     every_root_join,
     get_backend,
-    local_nodes,
     run_on_backend,
     run_sequential_reference,
 )
@@ -115,13 +110,14 @@ class TestSnapshotsAndMerge:
             s.event_latency = h
         return s
 
-    def test_absorb_keeps_the_richer_snapshot(self):
+    def test_absorb_stores_the_workers_snapshot(self):
         rm = RunMetrics()
         rm.absorb(self._snap("w1", 100))
-        rm.absorb(self._snap("w1", 40))  # a stale live snapshot: ignored
+        rm.absorb(self._snap("w2", 40))
         assert rm.per_worker["w1"].events_processed == 100
-        rm.absorb(self._snap("w1", 250))  # end-of-run report: wins
-        assert rm.per_worker["w1"].events_processed == 250
+        rm.absorb(self._snap("w1", 30))  # one store per worker: the last one
+        assert rm.per_worker["w1"].events_processed == 30
+        assert sorted(rm.per_worker) == ["w1", "w2"]
 
     def test_merged_totals_counters_and_histograms(self):
         rm = RunMetrics()
@@ -215,12 +211,13 @@ def _remote(dst, batch):
 
 class TestOneMetricsPath:
     """A worker's metrics reach the attempt in its end-of-run report,
-    and only there; the live feed is the exporter's."""
+    and only there."""
 
-    def _drive(self, monkeypatch):
+    def test_the_report_is_the_only_metrics_record(self):
         """One leaf driven through two frames: the first brings two
-        events and releases both, the second only moves the timers.
-        The clock lets only the first frame push a live snapshot."""
+        events and releases both, the second only moves the timers.  Its
+        control channel carries the report and nothing else with
+        metrics, and the attempt's metrics are the report's."""
         prog = kc.make_program(1)
         inc, reset = ImplTag(kc.inc_tag(0), "i"), ImplTag(kc.reset_tag(0), "r")
         plan = sequential_plan(prog, [inc, reset])
@@ -233,62 +230,43 @@ class TestOneMetricsPath:
             return [HeartbeatMsg(t, Heartbeat(t.tag, t.stream, ts).order_key) for t in (inc, reset)]
 
         events = [EventMsg(Event(inc.tag, inc.stream, ts)) for ts in (1.0, 2.0)]
+        sent = []
+
+        class Recording(ControlChannel):
+            def send(self, kind, who, payload=None):
+                sent.append((kind, payload))
+                super().send(kind, who, payload)
+
         # The coordinator's end and the worker's, in one process: the
         # worker's records wait in the socket until the coordinator
         # reads them.
         control = ControlPlane(multiprocessing.get_context("fork"))
         worker_end = control.open("worker w1", 1)
         control.release()  # every worker is up
-        clock = iter([0.0, 1.0])
-        with monkeypatch.context() as m:
-            m.setattr(time, "monotonic", lambda: next(clock, 1.1))
-            _drive_place(
-                spec, ["w1"], _Inbox([events + heartbeats(3.0), heartbeats(4.0)]), _remote,
-                ControlChannel(worker_end, live=True),
-            )
+        _drive_place(
+            spec, ["w1"], _Inbox([events + heartbeats(3.0), heartbeats(4.0)]), _remote,
+            Recording(worker_end),
+        )
         worker_end.close()
-        return spec, control
-
-    def test_a_stale_live_snapshot_does_not_replace_the_report(self, monkeypatch):
-        """The live feed saw the worker after its first frame, the
-        report after both; the attempt's metrics are the report's."""
-        spec, control = self._drive(monkeypatch)
-        fed = []
-        control.on_metrics = fed.append
         result = AttemptOutcome()
         merge_reports(result, list(control.collect(time.monotonic() + 5.0).values()), spec.metrics)
         control.finish(failed=True)
-        assert [s.frames_received for s in fed] == [1]  # the stale one came first
+        assert [kind for kind, payload in sent if payload is not None] == ["report"]
         snap = result.metrics.per_worker["w1"]
         assert (snap.frames_received, snap.events_processed) == (2, 2)
         assert result.events_processed == 2
 
-    def test_the_live_feed_carries_a_copy(self, monkeypatch):
-        """The worker goes on observing after it takes a live snapshot:
-        the snapshot it hands the channel shares no histogram with the
-        live WorkerMetrics, so later observations leave it alone."""
-        taken, owners = [], []
-        real = WorkerMetrics.snapshot
-
-        def snapshot(self, sink):
-            owners.append(self)
-            taken.append(real(self, sink))
-            return taken[-1]
-
-        monkeypatch.setattr(WorkerMetrics, "snapshot", snapshot)
-        _spec, control = self._drive(monkeypatch)
-        wm = owners[0]
-        fed = []
-        control.on_metrics = fed.append
-        control.collect(time.monotonic() + 5.0)
-        control.finish(failed=True)
-        (live,) = fed
-        assert (live.frames_received, live.events_processed) == (1, 2)
-        first = taken[0]  # in-process, as the worker took it
-        assert first.event_latency.count == live.event_latency.count == 2
+    def test_a_snapshot_carries_a_copy(self):
+        """A worker goes on observing after it takes a snapshot (the
+        in-process substrate takes one per seal): the snapshot shares
+        no histogram with the WorkerMetrics, so later observations
+        leave it alone."""
+        wm = WorkerMetrics("w1", MetricsConfig().with_epoch(time.time()))
+        wm.event_latency.observe(0.1)
+        snap = wm.snapshot(OutputSink(False))
         wm.event_latency.observe(0.5)
         wm.join_rtt.observe(0.5)
-        assert first.event_latency.count == 2 and first.join_rtt is None
+        assert snap.event_latency.count == 1 and snap.join_rtt is None
 
 
 class TestRunEntryPoints:
@@ -420,80 +398,14 @@ class TestMetricsChangeNothing:
         assert output_multiset(metered.outputs) == output_multiset(plain.outputs)
 
 
-class TestClusterPrometheusEndpoint:
-    def test_coordinator_serves_live_scrapes(self):
-        """A cluster-mode run with ``metrics_port=`` serves Prometheus
-        text from the coordinator *while the run is live*: a background
-        poller must see per-worker counters before the run finishes."""
-        prog, streams, plan = _small_case(
-            values_per_barrier=30, n_barriers=5, n_value_streams=2
-        )
-        s = socket.socket()
-        s.bind(("127.0.0.1", 0))
-        port = s.getsockname()[1]
-        s.close()
-
-        scrapes = []
-        stop = threading.Event()
-
-        def poll():
-            while not stop.is_set():
-                try:
-                    body = urllib.request.urlopen(
-                        f"http://127.0.0.1:{port}/metrics", timeout=1
-                    ).read().decode()
-                    scrapes.append(body)
-                except Exception:
-                    pass
-                time.sleep(0.05)
-
-        t = threading.Thread(target=poll, daemon=True)
-        t.start()
-        try:
-            # pace=20 stretches the ~150ms-of-timestamps input to a few
-            # wall seconds so the poller reliably lands mid-run.
-            run = run_on_backend(
-                "process",
-                prog,
-                plan,
-                streams,
-                options=RunOptions(
-                    metrics=True,
-                    nodes=local_nodes(2),
-                    metrics_port=port,
-                    pace=20.0,
-                    timeout_s=120.0,
-                ),
-            )
-        finally:
-            stop.set()
-            t.join(timeout=2)
-
-        assert len(run.outputs) == 5
-        assert run.metrics is not None
-        good = [b for b in scrapes if "repro_worker_events_processed" in b]
-        assert good, f"no live scrape carried worker counters ({len(scrapes)} scrapes)"
-        assert 'le="+Inf"' in good[-1]  # histograms exported too
-
+class TestClusterRunReport:
     @pytest.mark.parametrize("driven", [False, True], ids=["plain", "fault_plan"])
-    def test_the_exporter_does_not_outlive_its_run(self, monkeypatch, driven):
-        """Once the call returns, a connect to the exporter's port is
-        refused; a recovering run serves every attempt from one port."""
-        started, attempts = [], []
-        real_start, real_begin = MetricsExporter.start, MetricsExporter.begin_attempt
-
-        def start(self):
-            started.append(self.port)
-            return real_start(self)
-
-        def begin_attempt(self):
-            attempts.append(self.port)
-            return real_begin(self)
-
-        monkeypatch.setattr(MetricsExporter, "start", start)
-        monkeypatch.setattr(MetricsExporter, "begin_attempt", begin_attempt)
+    def test_a_cluster_run_renders_its_reports(self, driven):
+        """A ``nodes=`` run's metrics are its workers' end-of-attempt
+        reports, rendered once it returns: every worker, no attempt
+        label, and (recovering) the recovery counters."""
         prog, streams, plan = _small_case()
-        options = RunOptions(metrics=True, nodes=2, metrics_port=0)
+        options = RunOptions(metrics=True, nodes=2)
         if driven:
             barrier_ts = [e.ts for e in streams[-1].events]
             leaf = plan.leaves()[0].id
@@ -503,8 +415,10 @@ class TestClusterPrometheusEndpoint:
         assert output_multiset(run.outputs) == output_multiset(
             run_sequential_reference(prog, streams)
         )
-        (port,) = started
-        assert attempts == ([port] * run.recovery.attempts if driven else [])
-        assert not driven or run.recovery.attempts == 2
-        with pytest.raises(ConnectionRefusedError):
-            socket.create_connection(("127.0.0.1", port), timeout=1.0)
+        assert sorted(run.metrics.per_worker) == sorted(n.id for n in plan.workers())
+        assert run.metrics.merged().events_processed == run.events_processed
+        text = run.metrics.prometheus_text()
+        for w in run.metrics.per_worker:
+            assert f'repro_worker_events_processed{{worker="{w}"}}' in text
+        assert 'le="+Inf"' in text and "attempt=" not in text
+        assert ("repro_run_attempts 2.0" in text) == driven

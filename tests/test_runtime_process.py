@@ -450,9 +450,8 @@ class TestBackendRegistry:
             ("threaded", {"transport": "bogus"}),
             ("threaded", {"nodes": 2}),
             ("threaded", {"placement": {"w": "node0"}}),
-            ("threaded", {"metrics_port": 0, "metrics": True}),
-            ("process", {"metrics_port": 0, "metrics": True}),
-            ("process", {"metrics_port": 0, "nodes": 2}),
+            ("process", {"placement": {"w": "node0"}}),
+            ("process", {"nodes": 2, "transport": "pipe"}),
         ],
         ids=lambda v: v if isinstance(v, str) else ",".join(v),
     )
@@ -462,7 +461,7 @@ class TestBackendRegistry:
         prog = vb.make_program()
         wl = vb.make_workload(n_value_streams=2, values_per_barrier=5, n_barriers=2)
         opts = RunOptions(**fields)
-        with pytest.raises(RuntimeFault, match="metrics_port=|transport=|nodes=|placement="):
+        with pytest.raises(RuntimeFault, match="transport=|nodes=|placement="):
             run_on_backend(backend, prog, vb.make_plan(prog, wl), vb.make_streams(wl), options=opts)
         with pytest.raises(RuntimeFault):
             ServeOptions(backend=backend, run=opts)

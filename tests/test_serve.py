@@ -129,14 +129,6 @@ class TestServeOptions:
         ServeOptions(heartbeat_interval=None)
         ServeOptions(heartbeat_interval=0.0)
 
-    def test_a_port_on_run_needs_the_services_exporter(self):
-        """Each seal's attempt would bind its own exporter on a port
-        nothing reports: the service's ``metrics_port`` is the one."""
-        run = RunOptions(nodes=2, metrics=True, metrics_port=0)
-        with pytest.raises(ValueError, match=r"ServeOptions\.metrics_port"):
-            ServeOptions(backend="process", run=run)
-        ServeOptions(backend="process", run=run, metrics_port=0)
-
 
 class TestRunEntryFinalized:
     """``options=`` is the run entry's one keyword: a loose one is a
@@ -918,6 +910,51 @@ class TestServiceTCP:
                 ingest.finish()
             got = _multiset(handle.runtime.committed)
         assert got == _multiset(spec_outputs(app.program, events))
+
+    @pytest.mark.parametrize(
+        "backend, run",
+        [
+            ("threaded", RunOptions(metrics=True)),
+            ("process", RunOptions(metrics=True)),
+            ("process", RunOptions(nodes=2, metrics=True)),
+        ],
+        ids=["threaded", "process", "process-nodes=2"],
+    )
+    def test_one_scrape_shape_on_every_backend(self, backend, run):
+        """The service's exporter is the one scrape endpoint, refreshed
+        after each epoch from the attempts' end-of-attempt reports: the
+        same samples, and no attempt label, on every backend."""
+        app = keycounter_app(reset_every=10)
+        opts = ServeOptions(
+            backend=backend, run=run, epoch_events=10**9, epoch_idle_ms=30_000.0, metrics_port=0
+        )
+        events = app.make_events(120)
+        with start_service(app.program, app.plan, options=opts) as handle:
+            with connect(handle.port, handle.cookie) as ingest:
+                assert ingest.send_events(events[:60]).admitted == 60
+                ingest.flush()
+                assert ingest.send_events(events[60:]).admitted == 60
+                total = ingest.finish()
+            scrape = urllib.request.urlopen(
+                f"http://127.0.0.1:{handle.metrics_port}/metrics", timeout=10
+            ).read().decode()
+            merged = handle.runtime.metrics.merged()
+        assert total == len(handle.runtime.committed) > 0
+        assert f"repro_serve_committed_total {float(total)}" in scrape
+        assert merged.events_processed >= len(events)
+        want = f'repro_worker_events_processed{{worker="all"}} {float(merged.events_processed)}'
+        assert want in scrape.splitlines()
+        assert "attempt=" not in scrape
+
+    @pytest.mark.parametrize("host", [None, "0.0.0.0"], ids=["default", "any"])
+    def test_the_exporter_binds_the_service_host(self, host):
+        """``metrics_port`` serves on ``http://host:<port>/metrics``:
+        the exporter binds the listener's host, loopback by default."""
+        app = keycounter_app()
+        opts = ServeOptions(metrics_port=0, **({} if host is None else {"host": host}))
+        with start_service(app.program, app.plan, options=opts) as handle:
+            bound = handle.server.exporter._server.server_address[0]
+        assert bound == (host or "127.0.0.1")
 
 
 class TestServiceCLI:

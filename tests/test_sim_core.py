@@ -41,6 +41,22 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
 
+    def test_stop_ends_the_run(self):
+        """A stopped simulator drops what is scheduled and schedules
+        nothing more, even from the callback that stopped it."""
+        sim = Simulator()
+        log = []
+
+        def stop():
+            log.append(sim.now)
+            sim.stop()
+            sim.schedule(1.0, lambda: log.append("after"))
+
+        sim.schedule_at(1.0, stop)
+        sim.schedule_at(2.0, lambda: log.append("dropped"))
+        assert sim.run() == 1.0
+        assert log == [1.0] and sim.pending == 0
+
     def test_nested_scheduling(self):
         sim = Simulator()
         log = []
