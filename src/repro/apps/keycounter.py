@@ -20,6 +20,7 @@ from ..core.dependence import DependenceRelation
 from ..core.events import Event, Tag
 from ..core.predicates import TagPredicate
 from ..core.program import DGSProgram, single_state_program
+from ._columns import sum_as_ints
 
 KeyCounterState = Dict[int, int]
 
@@ -49,10 +50,15 @@ def depends_fn(t1: Tag, t2: Tag) -> bool:
     return not (kind1 == "i" and kind2 == "i")
 
 
+def _amount(payload: Any) -> int:
+    """What one increment adds: its payload as an int, 1 for None."""
+    return 1 if payload is None else int(payload)
+
+
 def _update(state: KeyCounterState, event: Event) -> Tuple[KeyCounterState, List[Any]]:
     kind, key = event.tag
     if kind == "i":
-        amount = 1 if event.payload is None else int(event.payload)
+        amount = _amount(event.payload)
         new = dict(state)
         new[key] = new.get(key, 0) + amount
         return new, []
@@ -70,13 +76,15 @@ def _update_batch(
     """Vectorized update over a columnar run (single tag per run).
 
     An increment run for key ``k`` folds to one summed add — counting
-    is commutative, so the column sum is exactly the per-event fold.
-    Read-reset runs keep per-event semantics (the first read observes
-    the count; later reads in the same run observe zero)."""
+    is commutative, so the column sum is exactly the per-event fold,
+    each payload taken as ``update`` takes it (a run's payloads may mix
+    types, ``None`` among them).  Read-reset runs keep per-event
+    semantics (the first read observes the count; later reads in the
+    same run observe zero)."""
     kind, key = run.tag
     if kind == "i":
         pl = run.payloads
-        amount = len(run.ts) if pl is None else sum(map(int, pl))
+        amount = len(run.ts) if pl is None else sum_as_ints(pl, _amount)
         new = dict(state)
         new[key] = new.get(key, 0) + amount
         return new, []

@@ -27,6 +27,7 @@ from ..core.dependence import DependenceRelation
 from ..core.events import Event
 from ..core.predicates import TagPredicate
 from ..core.program import DGSProgram, single_state_program
+from ._columns import sum_as_ints
 from ._cpuwork import burn
 from ..data.generators import ValueBarrierWorkload, value_barrier_workload
 from ..plans.generation import root_and_leaves_plan
@@ -55,11 +56,14 @@ def _update(state: State, event: Event) -> Tuple[State, List[Any]]:
 def _update_batch(state: State, run: Any) -> Tuple[State, List[Tuple[int, Any]]]:
     """Vectorized update over a columnar run (one tag per run).
 
-    A value run folds to one ``sum`` over the packed payload column —
-    this is where the batch data plane pays off.  Barrier runs are rare
-    (and usually length 1); emit per event to keep window boundaries."""
+    A value run folds to one sum over the payload column — this is
+    where the batch data plane pays off.  A run has one tag but not one
+    value type, so the sum takes ``int`` of each payload as ``update``
+    does (:func:`~repro.apps._columns.sum_as_ints`).  Barrier runs are
+    rare (and usually length 1); emit per event to keep window
+    boundaries."""
     if run.tag == VALUE_TAG:
-        return state + sum(run.payloads), []
+        return state + sum_as_ints(run.payloads), []
     outs: List[Tuple[int, Any]] = []
     for i, ts in enumerate(run.ts):
         outs.append((i, ("window_sum", ts, state)))

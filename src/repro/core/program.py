@@ -34,11 +34,13 @@ from .predicates import TagPredicate, true_pred
 State = Any
 Output = Any
 UpdateFn = Callable[[State, Event], Tuple[State, List[Output]]]
-#: Vectorized update over a columnar run of same-tag events
-#: (:class:`repro.runtime.messages.EventRun`): returns the folded state
-#: and ``(event_index, output)`` pairs so outputs keep their per-event
-#: order keys.  Must be output-equivalent to folding ``update`` over
-#: the run's events.
+#: Vectorized update over a columnar run of consecutive events of one
+#: route (:class:`repro.runtime.messages.EventRun`): returns the folded
+#: state and ``(event_index, output)`` pairs so outputs keep their
+#: per-event order keys.  A run has one tag, not one value type: its
+#: ``ts`` and ``payloads`` columns may mix types (``payloads`` is None
+#: only when every payload is).  Must be output-equivalent to folding
+#: ``update`` over the run's events, whatever their types.
 BatchUpdateFn = Callable[[State, Any], Tuple[State, List[Tuple[int, Output]]]]
 ForkImpl = Callable[[State, TagPredicate, TagPredicate], Tuple[State, State]]
 JoinImpl = Callable[[State, State], State]
@@ -52,7 +54,10 @@ class StateType:
 
     ``update_batch`` is an optional vectorized opt-in: when present,
     leaf workers on the runs-enabled data plane hand whole columnar
-    runs to it instead of calling ``update`` per event.  Programs that
+    runs to it instead of calling ``update`` per event.  A run is the
+    events of one route, of whatever value types, so a fast path over
+    its columns must fall back where a value's type would make it
+    disagree with ``update`` (:data:`BatchUpdateFn`).  Programs that
     leave it ``None`` still benefit from runs (framing and mailbox
     costs amortize); the worker just folds ``update`` over the run."""
 

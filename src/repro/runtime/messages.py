@@ -4,11 +4,11 @@ Six message kinds flow between producers and workers:
 
 * :class:`EventMsg` — an application event, producer -> owning worker;
 * :class:`EventRun` — a columnar *run* of consecutive events sharing
-  one implementation tag and one scalar field shape.  Producers build
-  runs (the pump, the service's ingest and egress frames); the frame
-  codec carries them as they are, so the hot path moves packed
-  timestamp/payload columns instead of one
-  :class:`~repro.core.events.Event` object per message.  A run is
+  one route: one implementation tag, of exact types.  Producers build
+  runs (the pump, the service's ingest and egress frames) without
+  looking at the values; the frame codec validates, and splits, what
+  it packs, so the hot path moves timestamp/payload columns instead
+  of one :class:`~repro.core.events.Event` object per message.  A run is
   order-equivalent to the per-event sequence it packs — mailboxes
   release runs under exactly the per-event rule, a prefix at a time
   behind a cursor; a leaf applies a released run in one dispatch
@@ -51,12 +51,15 @@ class EventMsg:
 
 
 class EventRun:
-    """A columnar run of consecutive events with one route and shape.
+    """A columnar run of consecutive events with one route.
 
-    ``ts`` holds the timestamp column and ``payloads`` the payload
-    column (``None`` when every payload is ``None`` — the codec's FN
-    shape).  ``shape`` is the wire codec's shape byte, kept so a run
-    re-packs without re-deriving it.  Every event in a run shares the
+    A run has one route — one (tag, stream), of exact types — and not
+    one value type: ``ts`` holds the events' timestamps and
+    ``payloads`` their payloads (``None`` when every payload is
+    ``None``), and either column may mix types.  ``shape`` is a hint:
+    the wire codec's shape byte of the first event, which the codec
+    derives again, checking every event, when it packs the run
+    (:func:`repro.runtime.wire.pack_frame`).  Every event in a run shares the
     order-key suffix ``key_tail`` = ``(stable(tag), stable(stream))``,
     so event ``i``'s key is ``(ts[i], *key_tail)``: the first and last
     keys cost one tuple each, and the full per-event list
@@ -134,7 +137,7 @@ class EventRun:
 
     def slice(self, lo: int, hi: int) -> "EventRun":
         """Events ``lo`` to ``hi - 1`` as a run of the same route,
-        shape and key tail."""
+        shape hint and key tail."""
         pl = self.payloads
         return EventRun(
             self.tag,
@@ -160,7 +163,7 @@ class EventRun:
 
     def split(self, n: int) -> Tuple["EventRun", "EventRun"]:
         """Split into (first ``n`` events, the rest); both share the
-        run's route and shape, and neither may be empty.  Used by a
+        run's route and shape hint, and neither may be empty.  Used by a
         leaf when a crash fault is due inside the run."""
         if not 0 < n < len(self.ts):
             raise ValueError(

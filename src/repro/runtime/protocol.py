@@ -759,10 +759,11 @@ def pump_producers(
 
     Each round picks a timestamp ``cut`` and
     then, for every stream in turn, posts that stream's events with
-    ``ts <= cut`` as columnar runs built straight from the
-    ``stream.events`` slice (:func:`~repro.runtime.wire.event_runs`;
-    what is not run-eligible travels as ``EventMsg``, order preserved)
-    followed by **at most one** heartbeat: the last grid point ``<=
+    ``ts <= cut`` as columnar runs of one route built straight from the
+    ``stream.events`` slice (:func:`~repro.runtime.wire.event_runs`:
+    the values are not looked at, and an event whose route the codec
+    cannot carry travels as ``EventMsg``, order preserved) followed by
+    **at most one** heartbeat: the last grid point ``<=
     cut``, if it lies after the stream's last posted message.  The cut
     is the earliest point at which some unfinished stream has
     :data:`~repro.runtime.wire.MAX_RUN` events (or its last one) to
@@ -792,6 +793,11 @@ def pump_producers(
 
     An event whose implementation tag is not its stream's raises
     :class:`RuntimeFault`, as on the simulated substrate.
+
+    A place pumps only its own workers' streams (``owners``), so the
+    runs built here are handed to workers in the same place and never
+    packed; whatever does pack a run, :func:`~repro.runtime.wire.pack_frame`
+    validates its columns and splits it where they mix value types.
     """
     start_ts, end_ts = start_timestamp(streams), end_timestamp(streams)
     feeds = []

@@ -9,8 +9,10 @@ tuples thereof — take a ``struct``-packed fast path with no pickle
 involved, each behind a cached, self-describing *route* prefix that
 names its implementation tag: a keyed app's tuple tag (``("i", 3)``)
 rides it exactly like a ``str`` tag, and an :class:`EventRun` travels
-as one columnar record.  The codec packs what it is given and merges
-nothing: runs are built once, by the producers (:func:`event_runs`).
+as columnar records.  The codec packs what it is given and merges
+nothing: runs are built once, by the producers (:func:`event_runs`),
+by route alone.  A run has one route; the codec validates, and
+splits, what it packs.
 Every other message (join responses, fork states, exotic tags or
 payloads) takes the one fallback: a compact tuple headed by an integer
 type code, pickled.  The tuple spends far fewer bytes than pickling
@@ -41,6 +43,8 @@ from __future__ import annotations
 
 import pickle
 import struct
+from itertools import repeat
+from operator import is_
 from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeFault
@@ -227,10 +231,14 @@ class FrameAssembler:
 # subclass instance anywhere inside the tag, a big int, a ``frozenset``
 # are not, and travel per message on the fallback.
 #
-# An :class:`EventRun` (events of one route and one field shape, as
-# the producers build them) is packed columnar: the route once, then
-# one precompiled struct for all (ts, payload) columns; an eligible
-# lone event is a record of one.
+# An :class:`EventRun` (events of one route, as the producers build
+# them) is packed columnar: the route once, then one precompiled struct
+# for all (ts, payload) columns.  Its columns are checked here, a whole
+# column at a time, against the shape the run's hint names; a run they
+# do not fit is split into maximal stretches of one exact shape, each
+# event that fits no shape pickled on its own — the records its events
+# would get one by one, merged wherever they can be.  An eligible lone
+# event is a record of one.
 # Heartbeats and join requests whose key is the canonical self key
 # ``(ts, stable(tag), stable(stream))`` of their own route collapse to
 # the route plus the timestamp (plus, for a request, its id and return
@@ -262,6 +270,8 @@ _SHAPE_II = 2  # ts int,   payload int    -> "qq"
 _SHAPE_FF = 3  # ts float, payload float  -> "dd"
 _SHAPE_COLS = ("dq", "d", "qq", "dd")
 _SHAPE_WIDTH = (16, 8, 16, 16)
+#: Column types of each run shape, indexed by shape byte.
+_SHAPE_TYPES = ((float, int), (float, type(None)), (int, int), (float, float))
 
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
@@ -269,6 +279,11 @@ _F64 = struct.Struct("<d")
 _U16 = struct.Struct("<H")
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _in_i64(col: Sequence[int]) -> bool:
+    return _I64_MIN <= min(col) and max(col) <= _I64_MAX
+
 
 #: Memoized per-(shape, run-length) structs for the columnar event
 #: path; run lengths repeat heavily (the batch policy's flush sizes),
@@ -542,69 +557,133 @@ def _unpack_scalar(buf: bytes, pos: int) -> Tuple[Any, int]:
 
 
 def _event_shape(ts: Any, payload: Any) -> int:
-    """Shape code of one event's (ts, payload) pair, or -1."""
+    """Shape code of one event's (ts, payload) pair, or -1 when no
+    struct column holds it exactly: an exotic type, or an int outside
+    i64."""
     tts = type(ts)
     if tts is float:
         tp = type(payload)
         if tp is int:
-            return _SHAPE_FI
+            return _SHAPE_FI if _I64_MIN <= payload <= _I64_MAX else -1
         if payload is None:
             return _SHAPE_FN
         if tp is float:
             return _SHAPE_FF
         return -1
-    if tts is int and type(payload) is int:
+    if (
+        tts is int
+        and type(payload) is int
+        and _I64_MIN <= ts <= _I64_MAX
+        and _I64_MIN <= payload <= _I64_MAX
+    ):
         return _SHAPE_II
     return -1
 
 
-def _pack_columns(
-    out: List[bytes], tag: Any, stream: Any, shape: int, ts: Sequence[Any], payloads: Any
-) -> bool:
-    """Append one columnar event record — route, shape, count, packed
-    ``(ts, payload)`` columns — and return True; return False, having
-    appended nothing, when the route or a value does not fit."""
-    route = _route(tag, stream) if shape >= 0 else None
-    count = len(ts)
-    if route is None or not 1 <= count <= 0xFFFE:
+def _columns_fit(shape: Any, ts: Sequence[Any], payloads: Optional[Sequence[Any]]) -> bool:
+    """True when every event of the columns has exactly the run shape
+    ``shape`` — one exact type per column, int columns within i64 —
+    checked a whole column at a time."""
+    if type(shape) is not int or not 0 <= shape <= _SHAPE_FF:
+        return False
+    ts_t, pl_t = _SHAPE_TYPES[shape]
+    if set(map(type, ts)) != {ts_t} or (ts_t is int and not _in_i64(ts)):
         return False
     if payloads is None:
+        return shape == _SHAPE_FN
+    return set(map(type, payloads)) == {pl_t} and (pl_t is not int or _in_i64(payloads))
+
+
+def _pack_columns(
+    out: List[bytes], route: _Route, shape: int, ts: Sequence[Any], payloads: Any
+) -> None:
+    """Append one columnar event record — route, shape, count, packed
+    ``(ts, payload)`` columns — for columns that fit ``shape``
+    (``payloads`` is not read for the FN shape)."""
+    count = len(ts)
+    if shape == _SHAPE_FN:
         flat: Any = ts
     else:
         flat = [None] * (2 * count)
         flat[0::2] = ts
         flat[1::2] = payloads
-    try:
-        body = _run_struct(shape, count).pack(*flat)
-    except (struct.error, IndexError):
+    out += (
+        bytes((_MSG_EVT_RUN,)),
+        route.prefix,
+        bytes((shape,)),
+        _U16.pack(count),
+        _run_struct(shape, count).pack(*flat),
+    )
+
+
+def _pack_pickled(out: List[bytes], wire_msg: WireMsg) -> None:
+    """Append the one fallback record: a compact tuple, pickled."""
+    blob = pickle.dumps(wire_msg, protocol=pickle.HIGHEST_PROTOCOL)
+    out += (b"\x02", _U32.pack(len(blob)), blob)
+
+
+def _pack_run(out: List[bytes], run: EventRun) -> bool:
+    """Append ``run`` as columnar records and return True: one record
+    when its columns fit its shape hint, else one record per maximal
+    stretch of one exact shape, with each event no column can hold
+    pickled on its own — the records its events would get as lone
+    :class:`EventMsg`\\ s, merged wherever they could be.  Return
+    False, having appended nothing, when the route is not fast-path
+    eligible or the run is too long for one record."""
+    ts, payloads = run.ts, run.payloads
+    count = len(ts)
+    route = _route(run.tag, run.stream)
+    if route is None or not 1 <= count <= 0xFFFE:
         return False
-    out += (bytes((_MSG_EVT_RUN,)), route.prefix, bytes((shape,)), _U16.pack(count), body)
+    if _columns_fit(run.shape, ts, payloads):
+        _pack_columns(out, route, run.shape, ts, payloads)
+        return True
+    pl = payloads if payloads is not None else (None,) * count
+    i = 0
+    while i < count:
+        shape = _event_shape(ts[i], pl[i])
+        j = i + 1
+        if shape < 0:
+            _pack_pickled(out, (_EVENT, run.tag, run.stream, ts[i], pl[i]))
+        else:
+            while j < count and _event_shape(ts[j], pl[j]) == shape:
+                j += 1
+            _pack_columns(out, route, shape, ts[i:j], pl[i:j])
+        i = j
     return True
 
 
 def pack_frame(batch: Sequence[Any]) -> bytes:
     """Encode one batch of protocol messages as a self-contained frame.
 
-    The codec packs what it is given: an :class:`EventRun` becomes one
-    columnar record and an :class:`EventMsg` one record of its own —
-    runs are built by the producers (:func:`event_runs`), never here.
-    Order is preserved exactly (per-sender FIFO is a mailbox
-    invariant), so fast-path and fallback messages interleave freely
-    within a frame.  The frame header counts *event-level* messages
+    The codec packs what it is given and merges nothing: an
+    :class:`EventMsg` becomes one record of its own, and an
+    :class:`EventRun` — events of one route, built by the producers
+    (:func:`event_runs`) — one columnar record when its timestamp and
+    payload columns fit a struct shape exactly.  Those columns are
+    validated here, run by run: a run that mixes value types, or holds
+    a value no column can carry, is split into maximal exact-type
+    records, each event that fits none pickled on its own, so a frame
+    never depends on what its runs' builder checked.  Order is
+    preserved exactly (per-sender FIFO is a mailbox invariant), so
+    fast-path and fallback messages interleave freely within a frame.
+    The frame header counts *event-level* messages
     (:func:`batch_message_count`): an :class:`EventRun` batch item of
-    ``n`` events contributes ``n``."""
+    ``n`` events contributes ``n``, however many records it packs
+    into."""
     out: List[bytes] = [_U32.pack(batch_message_count(batch))]
     append = out.append
     for msg in batch:
         cls = type(msg)
         if cls is EventRun:
-            if _pack_columns(out, msg.tag, msg.stream, msg.shape, msg.ts, msg.payloads):
+            if _pack_run(out, msg):
                 continue
         elif cls is EventMsg:
             e = msg.event
             shape = _event_shape(e.ts, e.payload)
-            payloads = None if shape == _SHAPE_FN else (e.payload,)
-            if _pack_columns(out, e.tag, e.stream, shape, (e.ts,), payloads):
+            route = _route(e.tag, e.stream) if shape >= 0 else None
+            if route is not None:
+                _pack_columns(out, route, shape, (e.ts,), (e.payload,))
                 continue
         elif cls is HeartbeatMsg:
             it = msg.itag
@@ -620,10 +699,7 @@ def pack_frame(batch: Sequence[Any]) -> bytes:
             if packed is not None:
                 append(packed)
                 continue
-        blob = pickle.dumps(_encode_msg(msg), protocol=pickle.HIGHEST_PROTOCOL)
-        append(b"\x02")
-        append(_U32.pack(len(blob)))
-        append(blob)
+        _pack_pickled(out, _encode_msg(msg))
     return b"".join(out)
 
 
@@ -718,27 +794,9 @@ def unpack_frame(data: bytes, *, runs: bool = True) -> List[Any]:
     return msgs
 
 
-def _run_vals_packable(shape: int, ts: Any, payload: Any) -> bool:
-    """True when (ts, payload) of a shape-eligible event also fits the
-    struct columns (i64 range for int columns) — the producer-side
-    guard that keeps :func:`pack_frame`'s run branch from ever hitting
-    ``struct.error`` on a coalesced run."""
-    if shape == _SHAPE_FI:
-        return _I64_MIN <= payload <= _I64_MAX
-    if shape == _SHAPE_II:
-        return _I64_MIN <= ts <= _I64_MAX and _I64_MIN <= payload <= _I64_MAX
-    return True
-
-
 #: Longest run the producers build: bounds frame size and the mailbox's
 #: release granularity, and is the closed-loop pump's chunk size.
 MAX_RUN = 512
-
-#: Column types of each run shape, indexed by shape byte.
-_SHAPE_TYPES = ((float, int), (float, type(None)), (int, int), (float, float))
-
-def _in_i64(col: Sequence[int]) -> bool:
-    return _I64_MIN <= min(col) and max(col) <= _I64_MAX
 
 
 def event_runs(
@@ -747,54 +805,49 @@ def event_runs(
     max_run: int = MAX_RUN,
     msgs: Optional[Sequence[Any]] = None,
 ) -> List[Any]:
-    """Pack consecutive events into columnar :class:`EventRun`\\ s.
+    """Pack consecutive events of one route into :class:`EventRun`\\ s.
 
-    Every maximal stretch (at most ``max_run`` long) of events that
-    continue the run its first event opens becomes one run: same route
-    — types before ``==``, all the way into a tuple tag, since ``True
-    == 1`` and a ``str`` subclass equals its ``str`` — same exact-type
-    shape, and int columns within i64, so :func:`pack_frame`'s run
-    branch never sees ``struct.error``.  An event that is not
-    run-eligible (a route outside the scalar grammar: a ``bool`` or a
-    subclass instance in the tag, a ``frozenset``; an exotic scalar
-    shape; an out-of-i64 int) or that stands alone travels as an
-    :class:`EventMsg` — ``msgs[i]`` when the caller
+    Every maximal stretch (at most ``max_run`` long) of events with the
+    route its first event opens becomes one run: the same (tag,
+    stream), types before ``==`` all the way into a tuple tag, since
+    ``True == 1`` and a ``str`` subclass equals its ``str``.  A run's
+    columns hold the events' own timestamp and payload objects, and
+    ``payloads`` is None only when every payload is None.  The values
+    are not looked at: a run may mix int and float timestamps or
+    payload types, and :func:`pack_frame` validates — and splits —
+    the runs it packs, so a run that stays in its place costs no check.
+    An event whose route is outside the scalar grammar (a ``bool`` or a
+    subclass instance in the tag, a ``frozenset``) or that stands alone
+    travels as an :class:`EventMsg` — ``msgs[i]`` when the caller
     already holds the wrappers, a new one otherwise.  Order is
     preserved: expanding the result event by event gives back
     ``events``.
 
-    A producer's stream is uniform almost always, so a window is first
-    tested a whole column at a time and walked event by event only
-    when that fails — or while whole windows cannot pay for themselves:
-    on an input, or after a run, shorter than a quarter window."""
+    A producer's stream is one route almost always, so a window is
+    first tested a whole column at a time and walked event by event
+    only when that fails — or while whole windows cannot pay for
+    themselves: on an input, or after a run, shorter than a quarter
+    window."""
     out: List[Any] = []
     n = len(events)
     if not n:
         return out
     tags = [e.tag for e in events]
     streams = [e.stream for e in events]
-    ts_col = [e.ts for e in events]
-    pl_col = [e.payload for e in events]
     whole = n * 4 >= max_run
     i = 0
     while i < n:
-        tag, stream, ts, p = tags[i], streams[i], ts_col[i], pl_col[i]
-        shape = _event_shape(ts, p)
+        tag, stream = tags[i], streams[i]
+        route = _route(tag, stream)
         j = i + 1
-        route = _route(tag, stream) if shape >= 0 else None
-        if route is not None and _run_vals_packable(shape, ts, p):
+        if route is not None:
             hi = min(i + max_run, n)
-            ts_t, pl_t = _SHAPE_TYPES[shape]
             if (
                 whole
                 and tags[i:hi].count(tag) == hi - i
                 and streams[i:hi].count(stream) == hi - i
                 and _same_types(tags[i:hi], route.tag_types)
                 and _same_types(streams[i:hi], route.stream_types)
-                and set(map(type, ts_col[i:hi])) == {ts_t}
-                and set(map(type, pl_col[i:hi])) == {pl_t}
-                and (ts_t is not int or _in_i64(ts_col[i:hi]))
-                and (pl_t is not int or _in_i64(pl_col[i:hi]))
             ):
                 j = hi
             else:
@@ -808,8 +861,6 @@ def event_runs(
                     and streams[j] == stream
                     and type(tags[j]) is tag_t
                     and tags[j] == tag
-                    and _event_shape(ts_col[j], pl_col[j]) == shape
-                    and _run_vals_packable(shape, ts_col[j], pl_col[j])
                     and (shallow or _route(tags[j], streams[j]) is route)
                 ):
                     j += 1
@@ -817,13 +868,16 @@ def event_runs(
         if j - i == 1:
             out.append(msgs[i] if msgs is not None else EventMsg(events[i]))
         else:
+            run = events[i:j]
+            ts = tuple([e.ts for e in run])
+            pl = [e.payload for e in run]
             out.append(
                 EventRun(
                     tag,
                     stream,
-                    shape,
-                    tuple(ts_col[i:j]),
-                    tuple(pl_col[i:j]) if shape != _SHAPE_FN else None,
+                    _event_shape(ts[0], pl[0]),
+                    ts,
+                    None if all(map(is_, pl, repeat(None))) else tuple(pl),
                     route.key_tail,
                 )
             )
@@ -832,13 +886,13 @@ def event_runs(
 
 
 def coalesce_event_runs(msgs: Sequence[Any], *, max_run: int = MAX_RUN) -> List[Any]:
-    """Merge consecutive same-route, same-shape :class:`EventMsg`
-    items into columnar :class:`EventRun`\\ s (:func:`event_runs` over
-    every stretch of event messages): a per-message schedule such as
+    """Merge consecutive same-route :class:`EventMsg` items into
+    columnar :class:`EventRun`\\ s (:func:`event_runs` over every
+    stretch of event messages): a per-message schedule such as
     :func:`~repro.runtime.protocol.producer_messages` as the runs a
     producer posts.  Messages that are not run-eligible (heartbeats,
-    heterogeneous routes, exotic scalar shapes) pass through
-    untouched, order preserved."""
+    events whose route the codec cannot carry, lone events) pass
+    through untouched, order preserved."""
     out: List[Any] = []
     i, n = 0, len(msgs)
     while i < n:

@@ -14,12 +14,19 @@ prefix, the first byte selects the payload kind:
   (:func:`~repro.runtime.wire.pack_frame`).  Ingest clients send each
   batch grouped by implementation tag, as columnar
   :class:`~repro.runtime.messages.EventRun`\\ s (one
-  :class:`~repro.runtime.messages.EventMsg` per event a run cannot
-  carry), and the server decodes them as runs and admits them run by
-  run (:func:`ingest_events_frame`).  Per-event ``EventMsg`` frames are
-  the same codec and still admit, event by event.  The egress channel
-  sends committed outputs wrapped as events, in runs (below).  The
-  codec packs what it is given: whoever builds a frame builds its runs.
+  :class:`~repro.runtime.messages.EventMsg` per event whose route a
+  run cannot carry), and the server decodes them as runs and admits
+  them run by run (:func:`ingest_events_frame`).  Per-event
+  ``EventMsg`` frames are the same codec and still admit, event by
+  event.  The egress channel sends committed outputs wrapped as
+  events, in runs (below).  The codec packs what it is given: whoever
+  builds a frame builds its runs.  A run has one route; the codec
+  validates, and splits, what it packs — a run whose values mix types,
+  or fit no struct column, goes out as maximal exact-type records,
+  each event no column holds pickled on its own.  Those are the
+  records a builder that checked the values used to write, so the
+  frames of uniform streams, and :data:`PROTOCOL_VERSION`, are
+  unchanged by where the check lives.
 
 Committed outputs are opaque application values; the egress channel
 wraps each as ``Event(OUT_TAG, OUT_STREAM, ts=float(seq), payload=v)``
@@ -106,9 +113,9 @@ def ingest_events_frame(events: Sequence[Event]) -> bytes:
     interleaving *across* itags changes, and the service orders nothing
     across itags within a batch.  Grouping is by Python equality — the
     itag identity the service's admission uses — so ``("k", 1)`` and
-    ``("k", True)`` stay one group in their given order (the codec
-    still gives them separate, type-exact runs).  A batch whose tags
-    or streams cannot be hashed goes out in arrival order."""
+    ``("k", True)`` stay one group in their given order (still
+    separate, type-exact runs).  A batch whose tags or streams cannot
+    be hashed goes out in arrival order."""
     groups: Dict[Tuple[Any, Any], List[Event]] = defaultdict(list)
     try:
         for e in events:
@@ -123,8 +130,8 @@ def ingest_events_frame(events: Sequence[Event]) -> bytes:
 
 def outputs_frame(values: Sequence[Any], start_seq: int) -> bytes:
     """The egress side's event frame: committed output values wrapped
-    with their commit-log sequence numbers riding the timestamp, packed
-    into columnar runs where the values allow."""
+    with their commit-log sequence numbers riding the timestamp, in
+    runs that the codec packs columnar where the values allow."""
     return events_frame(
         event_runs(
             [Event(OUT_TAG, OUT_STREAM, float(start_seq + i), v) for i, v in enumerate(values)]

@@ -102,6 +102,9 @@ class ServiceServer:
         #: key -> [writer, cursor]; cursors only move under _epoch_lock.
         self._subscribers: Dict[int, List[Any]] = {}
         self._next_sub = 0
+        #: Every open connection's handler task -> its writer, ingest
+        #: and subscribe alike: a stop closes each and awaits them all.
+        self._conns: Dict[asyncio.Task, Any] = {}
 
     # -- lifecycle -------------------------------------------------------
     async def run(self, *, ready: Optional[threading.Event] = None) -> None:
@@ -122,10 +125,15 @@ class ServiceServer:
         finally:
             self._sealer.cancel()
             self._server.close()
-            await self._server.wait_closed()
-            for writer, _cursor in list(self._subscribers.values()):
+            # Each handler sees its connection end and returns: a
+            # handler cancelled by the loop's shutdown instead would
+            # have its stream callback log the CancelledError.
+            handlers = list(self._conns)
+            for writer in self._conns.values():
                 writer.close()
-            self._subscribers.clear()
+            if handlers:
+                await asyncio.wait(handlers)
+            await self._server.wait_closed()
             if self.exporter is not None:
                 self.exporter.stop()
 
@@ -197,13 +205,23 @@ class ServiceServer:
 
     # -- connections -----------------------------------------------------
     async def _on_conn(self, reader, writer) -> None:
+        """One connection's handler, registered while it runs so that a
+        stop can close the connection and await its return."""
+        task = asyncio.current_task()
+        self._conns[task] = writer
+        try:
+            await self._converse(reader, writer)
+        finally:
+            del self._conns[task]
+            writer.close()
+
+    async def _converse(self, reader, writer) -> None:
         try:
             blob = await asyncio.wait_for(self._hello(reader), HELLO_TIMEOUT_S)
         except (asyncio.TimeoutError, RuntimeFault, ConnectionError, OSError):
             blob = None
         if blob is None:
             self.strays += 1
-            writer.close()
             return
         mode = blob["mode"]
         try:
@@ -226,8 +244,6 @@ class ServiceServer:
                 await self._serve_ingest(reader, writer)
         except (RuntimeFault, ConnectionError, OSError):
             pass  # a broken client never disturbs the service
-        finally:
-            writer.close()
 
     async def _hello(self, reader) -> Optional[dict]:
         body = await self._read_frame(reader)

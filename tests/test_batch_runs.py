@@ -10,6 +10,7 @@ final state — or the fast path is a semantics change, not an
 optimization.
 """
 
+import operator
 import random
 
 import pytest
@@ -35,12 +36,20 @@ from repro.runtime import (
 from repro.runtime.messages import EventMsg, EventRun, HeartbeatMsg
 from repro.runtime.wire import (
     _MSG_EVT_RUN,
+    _MSG_PICKLED,
     batch_message_count,
     coalesce_event_runs,
     event_runs,
     pack_frame,
     unpack_frame,
 )
+
+
+def examples(n):
+    """Hypothesis examples for a codec property: ``n``, or the loaded
+    profile's count when that is higher — CI's nightly chaos job runs
+    this file at the ``nightly`` profile (tests/conftest.py)."""
+    return max(n, settings.default.max_examples)
 
 
 class StrTag(str):
@@ -59,6 +68,64 @@ def one_run(msgs):
     out = coalesce_event_runs(msgs)
     assert len(out) == 1 and type(out[0]) is EventRun
     return out[0]
+
+
+def mixed_traffic(seed):
+    """Event and heartbeat messages over sticky random routes: tags and
+    streams that are equal across types, exotic and out-of-range
+    values, int and float timestamps."""
+    rng = random.Random(seed)
+    tags = ["a", "b", StrTag("a"), ("t", 1), ("t", True), ("t", 1.0), ("t", (1,))]
+    streams = [0, 1, True, "s"]
+    values = [None, 1, 2.5, "x", 1 << 70, -(1 << 63), True]
+    msgs, sticky = [], rng.random()
+    t, s, p, fl = "a", 0, 1, True
+    for k in range(rng.randint(0, 40)):
+        if rng.random() > sticky:
+            t, s, p = rng.choice(tags), rng.choice(streams), rng.choice(values)
+            fl = rng.random() < 0.7
+        if rng.random() < 0.05:
+            msgs.append(HeartbeatMsg(ImplTag("a", 0), (k,)))
+        else:
+            ts = float(k) if fl else (k if rng.random() < 0.95 else 1 << 65)
+            msgs.append(EventMsg(Event(t, s, ts, p)))
+    return msgs
+
+
+def _types(v):
+    return tuple(map(_types, v)) if type(v) is tuple else type(v)
+
+
+def route_of(e):
+    """An event's exact route: repr and type tree, since ``True == 1``
+    and a ``str`` subclass equals its ``str``."""
+    return (_types(e.tag), repr(e.tag), _types(e.stream), repr(e.stream))
+
+
+def signature(e):
+    return (route_of(e), type(e.ts), type(e.payload))
+
+
+def packable(e):
+    """The frame codec's own verdict: a lone event packs columnar."""
+    return pack_frame([EventMsg(e)])[4] == _MSG_EVT_RUN
+
+
+def route_packable(e):
+    """Whether the event's route is on the codec's fast path at all."""
+    return packable(Event(e.tag, e.stream, 1.0, None))
+
+
+def frame_records(item):
+    """The records ``pack_frame`` writes for one batch item, as
+    ``(kind byte, decoded message)`` pairs: the frame must be exactly
+    the decoded messages' own one-message frames, end to end."""
+    frame = pack_frame([item])
+    back = unpack_frame(frame)
+    parts = [pack_frame([m]) for m in back]
+    assert b"".join(p[4:] for p in parts) == frame[4:]
+    assert batch_message_count(back) == batch_message_count([item])
+    return [(p[4], m) for p, m in zip(parts, back)]
 
 
 def expand(batch):
@@ -166,64 +233,113 @@ class TestCoalesce:
         assert [type(m) for m in out] == [EventRun, HeartbeatMsg, EventRun]
         assert expand(out) == msgs
 
-    def test_exotic_shapes_stay_per_event(self):
+    def test_exotic_shapes_pack_as_per_event_records(self):
+        """A run has one route, whatever its values: the codec packs
+        what no struct column holds as the records of lone events."""
         stringy = vmsgs(3, payload=lambda i: f"s{i}")
-        assert coalesce_event_runs(stringy) == stringy
         huge = vmsgs(3, payload=lambda i: 2**70 + i)  # overflows i64 columns
-        assert coalesce_event_runs(huge) == huge
+        for msgs in (stringy, huge):
+            (run,) = coalesce_event_runs(msgs)
+            assert expand([run]) == msgs
+            assert pack_frame([run]) == pack_frame(msgs)
+            assert unpack_frame(pack_frame([run])) == msgs
 
     def test_single_event_is_not_wrapped(self):
         msgs = vmsgs(1)
         assert coalesce_event_runs(msgs) == msgs
 
-    @settings(max_examples=200, deadline=None)
+    def test_a_run_mixing_value_types_packs_as_maximal_exact_type_records(self):
+        cols = [
+            (1.0, 1), (2.0, 2), (3, 3), (4, 4), (5.0, 2.5), (6.0, None),
+            (7.0, None), (8.0, True), (9.0, "x"), (10.0, 5), (11.0, 1 << 70),
+            (12.0, 6),
+        ]  # fmt: skip
+        events = [Event("v", 0, t, p) for t, p in cols]
+        (run,) = event_runs(events)
+        assert run.ts == tuple(t for t, _ in cols)
+        recs = frame_records(run)
+        assert [(kind, len(expand([m]))) for kind, m in recs] == [
+            (_MSG_EVT_RUN, 2), (_MSG_EVT_RUN, 2), (_MSG_EVT_RUN, 1),
+            (_MSG_EVT_RUN, 2), (_MSG_PICKLED, 1), (_MSG_PICKLED, 1),
+            (_MSG_EVT_RUN, 1), (_MSG_PICKLED, 1), (_MSG_EVT_RUN, 1),
+        ]  # fmt: skip
+        back = [m.event for m in expand(unpack_frame(pack_frame([run])))]
+        assert list(map(signature, back)) == list(map(signature, events))
+        assert back == events
+
+    @settings(max_examples=examples(200), deadline=None)
     @given(st.integers(0, 1 << 30), st.sampled_from([2, 3, 5, 512]))
-    def test_mixed_traffic_packs_into_maximal_uniform_runs(self, seed, max_run):
-        """Whatever the mix of routes, shapes and non-events: expanding
-        gives back the input, a run is uniform in exact types and
-        within ``max_run``, and no two neighbours could have been one
-        run (so whole-window and event-by-event packing agree)."""
-        rng = random.Random(seed)
-        tags = ["a", "b", StrTag("a"), ("t", 1), ("t", True), ("t", 1.0), ("t", (1,))]
-        streams = [0, 1, True, "s"]
-        values = [None, 1, 2.5, "x", 1 << 70, -(1 << 63), True]
-        msgs, sticky = [], rng.random()
-        t, s, p, fl = "a", 0, 1, True
-        for k in range(rng.randint(0, 40)):
-            if rng.random() > sticky:
-                t, s, p = rng.choice(tags), rng.choice(streams), rng.choice(values)
-                fl = rng.random() < 0.7
-            if rng.random() < 0.05:
-                msgs.append(HeartbeatMsg(ImplTag("a", 0), (k,)))
-            else:
-                ts = float(k) if fl else (k if rng.random() < 0.95 else 1 << 65)
-                msgs.append(EventMsg(Event(t, s, ts, p)))
+    def test_mixed_traffic_builds_maximal_runs_in_place(self, seed, max_run):
+        """Whatever the mix of routes, values and non-events: a run is
+        the events' own timestamp and payload objects under one exact
+        route, within ``max_run``, ``payloads`` is None exactly when
+        every payload is; every other message is the one given; and no
+        two neighbours could have been one run (so whole-window and
+        event-by-event building agree)."""
+        msgs = mixed_traffic(seed)
         out = coalesce_event_runs(msgs, max_run=max_run)
-
-        def signature(e):  # repr: the types inside a tuple tag count too
-            return (type(e.tag), repr(e.tag), type(e.stream), e.stream, type(e.ts), type(e.payload))
-
-        def packable(e):  # the frame codec's own verdict: a columnar record
-            return pack_frame([EventMsg(e)])[4] == _MSG_EVT_RUN
-
-        flat = expand(out)
-        assert flat == msgs
-        assert [signature(m.event) for m in flat if type(m) is EventMsg] == [
-            signature(m.event) for m in msgs if type(m) is EventMsg
-        ]
-        for a, b in zip(out, out[1:] + [None]):
-            if type(a) is EventRun:
-                assert 2 <= len(a) <= max_run
-                assert len({signature(e) for e in a.events()}) == 1
-                assert all(packable(e) for e in a.events())
-            if b is None or HeartbeatMsg in (type(a), type(b)):
+        pos = 0
+        for item in out:
+            if type(item) is EventRun:
+                given = msgs[pos : pos + len(item)]
+                assert all(type(m) is EventMsg for m in given)
+                evs = [m.event for m in given]
+                assert 2 <= len(item) <= max_run
+                assert {route_of(e) for e in evs} == {route_of(item.event(0))}
+                assert all(map(operator.is_, item.ts, (e.ts for e in evs)))
+                if item.payloads is None:
+                    assert all(e.payload is None for e in evs)
+                else:
+                    assert any(e.payload is not None for e in evs)
+                    assert all(map(operator.is_, item.payloads, (e.payload for e in evs)))
+                pos += len(item)
+            else:
+                assert item is msgs[pos]
+                pos += 1
+        assert pos == len(msgs)
+        for a, b in zip(out, out[1:]):
+            if HeartbeatMsg in (type(a), type(b)):
                 continue
-            last = a.events()[-1] if type(a) is EventRun else a.event
-            nxt = b.events()[0] if type(b) is EventRun else b.event
-            mergeable = (
-                signature(last) == signature(nxt) and packable(last) and packable(nxt)
-            )
+            last = a.event(len(a) - 1) if type(a) is EventRun else a.event
+            nxt = b.event(0) if type(b) is EventRun else b.event
+            mergeable = route_of(last) == route_of(nxt) and route_packable(last)
             assert not mergeable or (type(a) is EventRun and len(a) == max_run)
+        events = [m.event for m in msgs if type(m) is EventMsg]
+        for item in event_runs(events, max_run=max_run):
+            if type(item) is EventMsg:
+                assert any(item.event is e for e in events)
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(st.integers(0, 1 << 30), st.sampled_from([2, 3, 5, 512]))
+    def test_mixed_traffic_packs_into_maximal_uniform_records(self, seed, max_run):
+        """The exact-type guarantee lives in the frame: for the same
+        traffic, each built run packs into records that are uniform in
+        exact types — a columnar record, or one pickled event no column
+        holds — that decode type for type, and no two neighbouring
+        records of one run could have been one record."""
+        out = coalesce_event_runs(mixed_traffic(seed), max_run=max_run)
+        for item in out:
+            if type(item) is HeartbeatMsg:
+                continue
+            sent = [m.event for m in expand([item])]
+            recs = frame_records(item)
+            got = [m.event for m in expand([m for _, m in recs])]
+            assert list(map(signature, got)) == list(map(signature, sent))
+            assert got == sent
+            for (kind, m), nxt in zip(recs, recs[1:] + [None]):
+                evs = [x.event for x in expand([m])]
+                if kind == _MSG_EVT_RUN:
+                    assert len(set(map(signature, evs))) == 1
+                    assert all(map(packable, evs))
+                else:
+                    assert kind == _MSG_PICKLED
+                    assert len(evs) == 1 and not packable(evs[0])
+                if nxt is not None:
+                    first = expand([nxt[1]])[0].event
+                    assert not (
+                        kind == nxt[0] == _MSG_EVT_RUN
+                        and signature(evs[-1]) == signature(first)
+                    )
 
     def test_wire_roundtrip_and_message_accounting(self):
         """A coalesced batch frames, counts, and decodes as the same

@@ -227,6 +227,16 @@ class TestNightlyMailboxOracle:
         assert os.path.exists(os.path.join(ROOT, "tests", "test_mailbox_oracle.py"))
         assert settings.get_profile("nightly").max_examples >= 10000
 
+    def test_chaos_job_runs_the_codec_properties_at_the_nightly_profile(self, jobs):
+        """Producers build runs by route alone, so the frame codec's
+        properties are the one guard of exact-type round trips; the
+        scheduled job runs them at the nightly profile too."""
+        text = " ".join(steps_text(jobs["chaos"]).split())
+        files = ("tests/test_batch_runs.py", "tests/test_runtime_wire.py")
+        assert f"python -m pytest -q {' '.join(files)} --hypothesis-profile=nightly" in text
+        for name in files:
+            assert os.path.exists(os.path.join(ROOT, name))
+
 
 class TestDgsbenchSmokeLane:
     def test_lane_runs_the_smoke_then_the_self_test(self, jobs):

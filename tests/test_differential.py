@@ -386,3 +386,137 @@ class TestSessionizeFullMatrix:
         ref = run_sequential_reference(prog, streams)
         mismatch = compare_outputs(ref, run.outputs, backend)
         assert mismatch is None, str(mismatch)
+
+
+class IntSub(int):
+    """An int subclass that keeps int's arithmetic."""
+
+
+def _repr_multiset(outputs):
+    """Outputs compared type for type: ``16`` and ``16.0`` are equal
+    values but not the same output."""
+    return sorted(map(repr, outputs))
+
+
+def _typed_sum_program(*, batch):
+    """Between barriers, sum ``len(repr((tag, ts, payload)))`` over the
+    value events: a runtime that changes any event's tag, timestamp or
+    payload type — ``True`` for ``1``, ``2`` for ``2.0`` — changes a
+    sum.  ``batch`` adds an ``update_batch`` that reads the columns."""
+    from repro.core import DependenceRelation
+    from repro.core.program import single_state_program
+
+    tags = ("v", 1, "b")
+
+    def weight(tag, ts, payload):
+        return len(repr((tag, ts, payload)))
+
+    def update(state, e):
+        if e.tag == "b":
+            return 0, [("sum", e.ts, state)]
+        return state + weight(e.tag, e.ts, e.payload), []
+
+    def update_batch(state, run):
+        if run.tag == "b":
+            return vb._update_batch(state, run)  # per-event window outputs
+        pl = run.payloads if run.payloads is not None else [None] * len(run)
+        return state + sum(weight(run.tag, t, p) for t, p in zip(run.ts, pl)), []
+
+    def fork(state, p1, p2):
+        return (0, state) if "b" in p2 and "b" not in p1 else (state, 0)
+
+    return single_state_program(
+        name="typed-sum",
+        tags=tags,
+        depends=DependenceRelation.from_function(tags, lambda a, b: "b" in (a, b)),
+        init=lambda: 0,
+        update=update,
+        update_batch=update_batch if batch else None,
+        fork=fork,
+        join=lambda a, b: a + b,
+    )
+
+
+class TestMixedValueTypes:
+    """Streams whose events are one route but not one value type: the
+    producers build runs by route alone, so every substrate must carry
+    each event's own timestamp and payload objects, and each
+    ``update_batch`` must agree with ``update`` on them."""
+
+    BACKENDS = {
+        "sim": ("sim", {}),
+        "threaded": ("threaded", {}),
+        "process": ("process", {}),
+        "process-2nodes": (
+            "process",
+            {"transport": "tcp", "nodes": local_nodes(2), "timeout_s": 120.0},
+        ),
+    }
+
+    def _run(self, name, prog, plan, streams):
+        backend, opts = self.BACKENDS[name]
+        return run_on_backend(backend, prog, plan, streams, options=RunOptions(**opts))
+
+    @pytest.mark.parametrize("name", ["sim", "threaded", "process"])
+    def test_value_barrier_sums_payloads_as_update_does(self, name):
+        """Float, bool, int-subclass and numeric-string payloads, in
+        stretches a run can span: ``update`` adds ``int(payload)``, and
+        so must the column sum."""
+        prog = vb.make_program()
+        kinds = [
+            [2.5, 1.5, 0.75],
+            [True, True, False],
+            [IntSub(3), IntSub(-1)],
+            ["4", "12", "-2"],
+            [7, 8],
+        ]
+        cycle = [p for stretch in kinds for p in stretch]
+        values = {f"v{s}": [] for s in range(2)}
+        for i in range(60):
+            stream = f"v{(i // 4) % 2}"
+            values[stream].append(
+                Event(vb.VALUE_TAG, stream, i + 0.5, cycle[(i + 3 * (i // 4)) % len(cycle)])
+            )
+        barriers = [Event(vb.BARRIER_TAG, "b", 10.0 * k + 0.25, None) for k in range(1, 7)]
+        streams = [
+            InputStream(ImplTag(vb.VALUE_TAG, s), tuple(evs), heartbeat_interval=5.0)
+            for s, evs in values.items()
+        ] + [InputStream(ImplTag(vb.BARRIER_TAG, "b"), tuple(barriers), heartbeat_interval=5.0)]
+        plan = root_and_leaves_plan(
+            prog,
+            [ImplTag(vb.BARRIER_TAG, "b")],
+            [[ImplTag(vb.VALUE_TAG, s)] for s in values],
+        )
+        ref = run_sequential_reference(prog, streams)
+        assert all(type(out[2]) is int for out in ref) and len(ref) == 6
+        run = self._run(name, prog, plan, streams)
+        assert _repr_multiset(run.outputs) == _repr_multiset(ref)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["update", "update_batch"])
+    @pytest.mark.parametrize("name", ["sim", "threaded", "process", "process-2nodes"])
+    def test_mixed_type_streams_match_the_spec(self, name, batch):
+        """Int and float timestamps in one stream, stretches of int,
+        float, bool and None payloads, and a stream whose events carry
+        the equal but differently typed tags ``1`` and ``True``."""
+        prog = _typed_sum_program(batch=batch)
+        payloads = [1, 2, 3, 0.5, 1.5, True, False, True, None, None, 4, 2.25]
+        v0, t1 = [], []
+        for i in range(48):
+            ts = 2 * i + 1 if (i // 5) % 2 else 2 * i + 1.5
+            v0.append(Event("v", "v0", ts, payloads[i % len(payloads)]))
+            tag = True if (i // 3) % 2 else 1
+            t1.append(Event(tag, "t", 2 * i + 1.75, payloads[(i + 5) % len(payloads)]))
+        barriers = [Event("b", "b", 12.0 * k + 0.125, None) for k in range(1, 9)]
+        streams = [
+            InputStream(ImplTag("v", "v0"), tuple(v0), heartbeat_interval=4.0),
+            InputStream(ImplTag(1, "t"), tuple(t1), heartbeat_interval=4.0),
+            InputStream(ImplTag("b", "b"), tuple(barriers), heartbeat_interval=4.0),
+        ]
+        plan = root_and_leaves_plan(
+            prog, [ImplTag("b", "b")], [[ImplTag("v", "v0")], [ImplTag(1, "t")]]
+        )
+        ref = run_sequential_reference(prog, streams)
+        assert len(ref) == 8
+        run = self._run(name, prog, plan, streams)
+        assert _repr_multiset(run.outputs) == _repr_multiset(ref)
+        assert run.events_processed == run.events_in

@@ -37,6 +37,13 @@ from repro.runtime.wire import (
 )
 
 
+def examples(n):
+    """Hypothesis examples for a codec property: ``n``, or the loaded
+    profile's count when that is higher — CI's nightly chaos job runs
+    this file at the ``nightly`` profile (tests/conftest.py)."""
+    return max(n, settings.default.max_examples)
+
+
 def _round_trip(msg):
     (back,) = unpack_frame(pack_frame([msg]))
     return back
@@ -188,7 +195,7 @@ payloads = st.recursive(
     ts=st.floats(allow_nan=False),
     payload=payloads,
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_event_round_trip_property(tag, stream, ts, payload):
     msg = EventMsg(Event(tag, stream, ts, payload))
     assert _round_trip(msg) == msg
@@ -292,7 +299,7 @@ scalar_trees = st.recursive(
     picks=st.lists(st.integers(0, 2), min_size=1, max_size=12),
     int_ts=st.booleans(),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_frames_over_nested_tags_agree_with_the_pickle_path(tags, stream, picks, int_ts):
     """Whatever route a tag takes — cached struct route, generic
     scalars, pickle — the frame decodes to what pickling each message
@@ -364,6 +371,14 @@ class TestRouteFrames:
             event_runs([Event("v", 0, 1, 7), Event("v", 0, 2, 8)]),
             "02000000" "05" "0d" "73010076" "690000000000000000" "02" "0200"
             "0100000000000000" "0700000000000000" "0200000000000000" "0800000000000000",
+        ),
+        "event run mixing int and float timestamps": (
+            event_runs([Event("v", 0, 1, 7), Event("v", 0, 2.0, 8), Event("v", 0, 3.0, 9)]),
+            "03000000"
+            "05" "0d" "73010076" "690000000000000000" "02" "0100"
+            "0100000000000000" "0700000000000000"
+            "05" "0d" "73010076" "690000000000000000" "00" "0200"
+            "0000000000000040" "0800000000000000" "0000000000000840" "0900000000000000",
         ),
         "self-keyed heartbeat": (
             _keyed_frame()[1:2],

@@ -5,12 +5,14 @@ events over TCP with a mid-stream worker crash and an induced
 admission-pressure spike, differential against the sequential spec)."""
 
 import json
+import logging
 import math
 import os
 import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
 from collections import Counter
 from types import SimpleNamespace
@@ -774,6 +776,26 @@ class TestServiceTCP:
         assert total == len(received)
         want = _multiset(spec_outputs(app.program, events))
         assert _multiset([v for _, v in received]) == want
+
+    def test_stop_with_open_connections_logs_no_error(self, caplog):
+        """Stopping while an ingest and a subscribe connection are open
+        lets both handlers return on their own: no CancelledError
+        traceback on the asyncio logger, and the stop is prompt."""
+        app = keycounter_app()
+        handle = start_service(app.program, app.plan, options=ServeOptions())
+        ingest = connect(handle.port, handle.cookie)
+        sub = connect(handle.port, handle.cookie, mode="subscribe")
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                t0 = time.monotonic()
+                handle.stop(timeout=10.0)
+                elapsed = time.monotonic() - t0
+        finally:
+            ingest.close()
+            sub.close()
+        assert elapsed < 10.0
+        errors = [r for r in caplog.records if r.name == "asyncio"]
+        assert not errors, [r.getMessage() for r in errors]
 
     def test_flush_and_late_subscriber_from_seq(self):
         app = keycounter_app(reset_every=5)
